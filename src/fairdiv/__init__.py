@@ -8,6 +8,7 @@ harness.  The ``fairdiv`` CLI exposes all of it.
 """
 
 from .algorithms import (
+    ALLOCATORS,
     AllocationTrace,
     Greedy1Allocator,
     Greedy2Allocator,
@@ -16,6 +17,7 @@ from .algorithms import (
     OnlineAllocator,
     RandAllocator,
     RobustifiedAllocator,
+    make_allocator,
     robust_beta,
     robustify,
     run,
@@ -27,9 +29,7 @@ from .adversaries import (
     MivImpossibilityAdversary,
     greedy1_adversary,
     greedy2_adversary,
-    greedy3_adversary,
     impossibility_constants,
-    miv_impossibility_adversary,
     run_adaptive,
     verify_greedy1_failure,
     verify_greedy2_failure,
@@ -70,6 +70,7 @@ from .harness import (
 )
 from .metrics import (
     FairnessReport,
+    Prop1State,
     alpha_it,
     build_fairness_report,
     check_alpha_ef1,

@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algorithms import AllocationTrace, TraceRecorder
-from .core import Instance, instance_from_rows
+from .core import Instance, instance_from_columns, instance_from_rows
 from .errors import DomainError, InvariantError
-from .metrics import prop1_ratio
+from .metrics import Prop1State, prop1_ratio
 
 
 def _ceil_strict(bound: Fraction) -> int:
@@ -109,6 +109,13 @@ def verify_greedy2_failure(trace: AllocationTrace, alpha_target: Fraction) -> No
         raise InvariantError("PROP1 ratio did not fall below the target")
 
 
+#: The static constructions and their verifiers, by the rule they defeat.
+STATIC_CONSTRUCTIONS = {
+    "greedy1": (greedy1_adversary, verify_greedy1_failure),
+    "greedy2": (greedy2_adversary, verify_greedy2_failure),
+}
+
+
 # ---------------------------------------------------------------------------
 # Adaptive adversary protocol
 # ---------------------------------------------------------------------------
@@ -144,17 +151,14 @@ def run_adaptive(adversary: AdaptiveAdversary, allocator) -> AdversaryRun:
         raise DomainError(
             f"allocator handles {allocator.n} agents, adversary emits {adversary.n}"
         )
-    recorder = TraceRecorder(adversary.n)
-    owners: list[int] = []
-    while (column := adversary.next_column(owners)) is not None:
-        owner = allocator.observe(column)
-        recorder.record(column, owner)
-        owners.append(owner)
-    inst = instance_from_rows(
-        [[col[i] for col in recorder.columns] for i in range(adversary.n)]
-    )
+    recorder = TraceRecorder(allocator.state)
+    columns = []
+    while (column := adversary.next_column(recorder.owners)) is not None:
+        recorder.record(allocator.observe(column))
+        columns.append(column)
+    inst = instance_from_columns(columns, adversary.n)
     trace = recorder.build_trace(inst, getattr(allocator, "potential_log", None))
-    ratio = prop1_ratio(inst, trace.allocation)
+    ratio = allocator.state.ratio()
     return AdversaryRun(
         trace=trace,
         target_alpha=adversary.target_alpha,
@@ -212,10 +216,9 @@ class Greedy3Adversary(AdaptiveAdversary):
         self.cycles = 0
         self.target_reached = False
         self.done = False
-        # mirrored allocator state for agents 1 and 2 (0-based here)
-        self._vG = [Fraction(0), Fraction(0)]
-        self._vA = [Fraction(0), Fraction(0)]
-        self._c = [Fraction(0), Fraction(0)]
+        # mirror of the allocator's running state; agents 1 and 2 are 0 and 1
+        # here, and padded agents stay at value 1 after the opening
+        self._mirror = Prop1State(n)
         self._min_agent: int | None = None  # 0-based, among {0, 1}
         self._phase = "opening"
         self._opening_expect = [1, 2, 1]
@@ -228,13 +231,7 @@ class Greedy3Adversary(AdaptiveAdversary):
     # -- derived state ------------------------------------------------------
 
     def _alpha(self, j: int) -> Fraction:
-        return (self._vA[j] + self._c[j]) / self._vG[j]
-
-    def _ratio(self) -> Fraction:
-        low = min(self._alpha(0), self._alpha(1))
-        if self.n > 2:
-            low = min(low, Fraction(1))  # padded agents stay at value 1
-        return min(Fraction(1), self.n * low)
+        return self._mirror.value(j)
 
     def predicted_cycles_bound(self) -> int:
         """Cycles that certify the target via the harmonic lower bound alone.
@@ -269,10 +266,11 @@ class Greedy3Adversary(AdaptiveAdversary):
         if self._phase == "equalize":
             i = self._min_agent
             j = 1 - i
-            delta = self._c[j] / (2 * self._vG[j])
+            c = self._mirror.best_outside
+            delta = c[j] / (2 * self._mirror.total[j])
             if self._alpha(j) > self._frozen_min_alpha * (1 + delta):
                 col = [Fraction(0)] * self.n
-                col[j] = self._c[j] / 2
+                col[j] = c[j] / 2
                 self._equalize_emitted += 1
                 return self._emit(col, i + 1)
             if self._equalize_emitted != self._equalize_formula:
@@ -284,7 +282,7 @@ class Greedy3Adversary(AdaptiveAdversary):
 
         # strike: one good worth c_r to each live agent r
         col = [Fraction(0)] * self.n
-        col[0], col[1] = self._c[0], self._c[1]
+        col[:2] = self._mirror.best_outside[:2]
         return self._emit(col, (1, 2))
 
     # -- internals ----------------------------------------------------------
@@ -311,13 +309,8 @@ class Greedy3Adversary(AdaptiveAdversary):
             raise InvariantError(
                 f"allocator diverged at t={self.t}: expected agent {expect}, saw {owner}"
             )
-        # mirror the allocator state for the two live agents
-        for j in (0, 1):
-            self._vG[j] += col[j]
-            if owner == j + 1:
-                self._vA[j] += col[j]
-            elif col[j] > self._c[j]:
-                self._c[j] = col[j]
+        self._mirror.arrive(col)
+        self._mirror.assign(col, owner)
 
         if self._phase == "opening" and self.t == 3:
             self._finish_opening()
@@ -325,14 +318,15 @@ class Greedy3Adversary(AdaptiveAdversary):
             self._finish_strike(owner)
 
     def _finish_opening(self) -> None:
+        bundle, c, total = self._mirror.bundle, self._mirror.best_outside, self._mirror.total
         if not (
             self._alpha(0) == 1
             and self._alpha(1) == Fraction(2, 3)
-            and self._c == [Fraction(1), Fraction(1)]
-            and self._vG == [Fraction(3), Fraction(3)]
+            and c[:2] == [Fraction(1), Fraction(1)]
+            and total[:2] == [Fraction(3), Fraction(3)]
         ):
             raise InvariantError("opening state diverged from the construction")
-        lam = max(self._vA[0] / self._c[0], self._vA[1] / self._c[1])
+        lam = max(bundle[0] / c[0], bundle[1] / c[1])
         if lam != self.OPENING_LAMBDA:
             raise InvariantError(f"opening bundle/c ratio {lam} differs from 2")
         self._min_agent = 1
@@ -343,7 +337,9 @@ class Greedy3Adversary(AdaptiveAdversary):
         j = 1 - i
         self._frozen_min_alpha = self._alpha(i)
         gap = self._alpha(j) / self._frozen_min_alpha - 1
-        self._equalize_formula = math.ceil(2 / self._c[j] * self._vG[j] * gap) - 1
+        self._equalize_formula = (
+            math.ceil(2 / self._mirror.best_outside[j] * self._mirror.total[j] * gap) - 1
+        )
         self._equalize_emitted = 0
         self._phase = "equalize"
 
@@ -365,15 +361,11 @@ class Greedy3Adversary(AdaptiveAdversary):
                 f"harmonic certificate failed at cycle {self.cycles}: "
                 f"1/{self._alpha(new_min)} < {self._cert_rhs}"
             )
-        if self._ratio() < self.target_alpha:
+        if self._mirror.ratio() < self.target_alpha:
             self.target_reached = True
             self.done = True
         else:
             self._start_cycle()
-
-
-def greedy3_adversary(alpha_target: Fraction, max_steps: int, n: int = 2) -> Greedy3Adversary:
-    return Greedy3Adversary(alpha_target, max_steps, n)
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +392,12 @@ class MivImpossibilityAdversary(AdaptiveAdversary):
     agent 1 still holds a single good, or within the first n steps, good t is
     worth 1 to agent 1 and eps * K^(t-2) to everyone else; afterwards the
     remaining columns are zero.  Whatever the allocator does, the resulting
-    allocation violates the target approximation of all three notions at
-    once.  The ``notion`` field only selects which violation a report
-    highlights; the construction is the same for all of them.
+    allocation violates the target approximation of EF1 and MMS.  It
+    usually violates PROPX too, but not always: with the least-satisfied
+    greedy rule at n = 2, agent 1 keeps only good 1 and the allocation
+    stays alpha-PROPX (checked at alpha = 1/2, 1/3 and 1/4).  The
+    ``notion`` field only selects which violation a report highlights; the
+    construction is the same for all of them.
     """
 
     def __init__(self, n: int, alpha_target: Fraction, notion: str = "ef1"):
@@ -442,9 +437,3 @@ class MivImpossibilityAdversary(AdaptiveAdversary):
                 raise InvariantError(f"emitted value {v} breaks the unit prediction bound")
         self._awaiting = True
         return col
-
-
-def miv_impossibility_adversary(
-    n: int, alpha_target: Fraction, notion: str = "ef1"
-) -> MivImpossibilityAdversary:
-    return MivImpossibilityAdversary(n, alpha_target, notion)

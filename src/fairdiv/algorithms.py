@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 from .core import INF, Allocation, Instance, Predictions, RatOrInf
 from .errors import DomainError, InvariantError, PredictionContractError
+from .metrics import Prop1State
 
 
 def _validate_column(column: Sequence[Fraction | int], n: int) -> list[Fraction]:
@@ -34,8 +35,9 @@ def _validate_column(column: Sequence[Fraction | int], n: int) -> list[Fraction]
 class OnlineAllocator:
     """Base streaming allocator with the bookkeeping every rule needs.
 
-    Tracks, per agent: total arrived value, bundle value, and the value of
-    the best good the agent does not hold.  Subclasses implement ``_choose``
+    ``state`` tracks, per agent: total arrived value, bundle value, and the
+    value of the best good the agent does not hold; ``total``, ``bundle``
+    and ``best_outside`` are its lists.  Subclasses implement ``_choose``
     (totals already include the arriving good; bundles do not yet).
     """
 
@@ -43,23 +45,17 @@ class OnlineAllocator:
         if n < 2:
             raise DomainError("need at least 2 agents")
         self.n = n
-        self.t = 0
-        self.total = [Fraction(0)] * n
-        self.bundle = [Fraction(0)] * n
-        self.best_outside = [Fraction(0)] * n
+        self.state = Prop1State(n)
+        self.total, self.bundle, self.best_outside = (
+            self.state.total, self.state.bundle, self.state.best_outside
+        )
         self.owners: list[int] = []
 
     def observe(self, column: Sequence[Fraction | int]) -> int:
         col = self._validate(column)
-        self.t += 1
-        for i in range(self.n):
-            self.total[i] += col[i]
+        self.state.arrive(col)
         chosen = self._choose(col)
-        for i in range(self.n):
-            if i == chosen - 1:
-                self.bundle[i] += col[i]
-            elif col[i] > self.best_outside[i]:
-                self.best_outside[i] = col[i]
+        self.state.assign(col, chosen)
         self.owners.append(chosen)
         self._after_allocate(col, chosen)
         return chosen
@@ -170,11 +166,11 @@ class MivAllocator(OnlineAllocator):
     def _term(self, x: Fraction, y: Fraction) -> Fraction:
         denom = self._coef * x + self.n * self.n * y - 1
         if denom <= 0:
-            raise InvariantError(f"non-positive potential denominator {denom} at t={self.t}")
+            raise InvariantError(f"non-positive potential denominator {denom} at t={self.state.t}")
         return x / denom
 
     def _choose(self, col: list[Fraction]) -> int:
-        n = self.n
+        n, t = self.n, self.state.t
         keep = [Fraction(0)] * n  # potential term if the agent is passed over
         take = [Fraction(0)] * n  # potential term if the agent receives the good
         x = [Fraction(0)] * n
@@ -182,7 +178,7 @@ class MivAllocator(OnlineAllocator):
         y_take = [Fraction(0)] * n
         for i in range(n):
             if col[i] == 1 and self.first_max_at[i] is None:
-                self.first_max_at[i] = self.t
+                self.first_max_at[i] = t
             if self.first_max_at[i] is None:
                 # The predicted unit-value good is still to come: account for
                 # it in advance by padding the total.
@@ -192,7 +188,7 @@ class MivAllocator(OnlineAllocator):
             else:
                 xi = Fraction(1, 1) / self.total[i]
                 held = self._bundle_sans_max[i]
-                held_after = held + (col[i] if self.t != self.first_max_at[i] else 0)
+                held_after = held + (col[i] if t != self.first_max_at[i] else 0)
             x[i] = xi
             y_keep[i] = held * xi
             y_take[i] = held_after * xi
@@ -205,15 +201,15 @@ class MivAllocator(OnlineAllocator):
         new_potential = candidates[chosen - 1]
         if new_potential > self.potential:
             raise InvariantError(
-                f"potential increased at t={self.t}: {new_potential} > {self.potential}"
+                f"potential increased at t={t}: {new_potential} > {self.potential}"
             )
         for i in range(n):
             phi = take[i] if i == chosen - 1 else keep[i]
             if phi < 0:
-                raise InvariantError(f"negative potential term for agent {i + 1} at t={self.t}")
+                raise InvariantError(f"negative potential term for agent {i + 1} at t={t}")
             yv = y_take[i] if i == chosen - 1 else y_keep[i]
             if x[i] + yv < Fraction(1, n * n):
-                raise InvariantError(f"x + y below 1/n^2 for agent {i + 1} at t={self.t}")
+                raise InvariantError(f"x + y below 1/n^2 for agent {i + 1} at t={t}")
             self.phi[i] = phi
         self.potential = new_potential
         self.potential_log.append(new_potential)
@@ -222,8 +218,29 @@ class MivAllocator(OnlineAllocator):
     def _after_allocate(self, col: list[Fraction], chosen: int) -> None:
         i = chosen - 1
         # receiving the first unit-value good itself leaves the sans-bundle alone
-        if self.t != self.first_max_at[i]:
+        if self.state.t != self.first_max_at[i]:
             self._bundle_sans_max[i] += col[i]
+
+
+#: The one registry of rule names, shared by the CLI and the campaign harness.
+ALLOCATORS: dict[str, type[OnlineAllocator]] = {
+    "greedy1": Greedy1Allocator,
+    "greedy2": Greedy2Allocator,
+    "greedy3": Greedy3Allocator,
+    "rand": RandAllocator,
+    "miv": MivAllocator,
+}
+
+
+def make_allocator(name: str, n: int, seed: int | None = None) -> OnlineAllocator:
+    """Build the named rule for n agents; ``rand`` needs a seed."""
+    if name not in ALLOCATORS:
+        raise DomainError(f"unknown allocator {name!r}; choose from {', '.join(ALLOCATORS)}")
+    if name != "rand":
+        return ALLOCATORS[name](n)
+    if seed is None:
+        raise DomainError("allocator 'rand' needs a seed")
+    return RandAllocator(n, seed)
 
 
 @dataclass(frozen=True)
@@ -255,18 +272,21 @@ class RobustifiedAllocator:
         self._threshold = 1 - predictions.epsilon
         self._overridden = [False] * inner.n
         self.override_log: list[OverrideEvent] = []
-        self.t = 0
+        # over the raw columns: an override changes the inner running values
+        self.state = Prop1State(inner.n)
 
     def observe(self, column: Sequence[Fraction | int]) -> int:
         col = _validate_column(column, self.n)
-        self.t += 1
+        self.state.arrive(col)
         norm = [col[i] / self.predictions.p[i] for i in range(self.n)]
         for i in range(self.n):
             if not self._overridden[i] and norm[i] >= self._threshold:
                 self._overridden[i] = True
-                self.override_log.append(OverrideEvent(i + 1, self.t, norm[i]))
+                self.override_log.append(OverrideEvent(i + 1, self.state.t, norm[i]))
                 norm[i] = Fraction(1)
-        return self.inner.observe(norm)
+        chosen = self.inner.observe(norm)
+        self.state.assign(col, chosen)
+        return chosen
 
     @property
     def owners(self) -> list[int]:
@@ -318,33 +338,18 @@ class AllocationTrace:
 
 
 class TraceRecorder:
-    """Incremental computation of the running PROP1 values for a trace."""
+    """Collects a run's owners and the running PROP1 values after each good,
+    read from the allocator's state right after it placed the good."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self.total = [Fraction(0)] * n
-        self.bundle = [Fraction(0)] * n
-        self.best_outside = [Fraction(0)] * n
-        self.columns: list[list[Fraction]] = []
+    def __init__(self, state: Prop1State):
+        self.state = state
         self.owners: list[int] = []
-        self.alpha_rows: list[list[RatOrInf]] = [[] for _ in range(n)]
+        self.alpha_rows: list[list[RatOrInf]] = [[] for _ in range(state.n)]
 
-    def record(self, column: Sequence[Fraction], owner: int) -> None:
-        col = [Fraction(v) for v in column]
-        self.columns.append(col)
+    def record(self, owner: int) -> None:
         self.owners.append(owner)
-        for i in range(self.n):
-            self.total[i] += col[i]
-            if i == owner - 1:
-                self.bundle[i] += col[i]
-            elif col[i] > self.best_outside[i]:
-                self.best_outside[i] = col[i]
-            if self.total[i] == 0:
-                self.alpha_rows[i].append(INF)
-            else:
-                self.alpha_rows[i].append(
-                    (self.bundle[i] + self.best_outside[i]) / self.total[i]
-                )
+        for i, row in enumerate(self.alpha_rows):
+            row.append(self.state.value(i))
 
     def build_trace(self, inst: Instance, potential: Sequence[Fraction] | None) -> AllocationTrace:
         return AllocationTrace(
@@ -359,8 +364,7 @@ def run(allocator, inst: Instance) -> AllocationTrace:
     """Feed the instance's columns through an allocator and record the trace."""
     if allocator.n != inst.n:
         raise DomainError(f"allocator handles {allocator.n} agents, instance has {inst.n}")
-    recorder = TraceRecorder(inst.n)
+    recorder = TraceRecorder(allocator.state)
     for column in inst.columns():
-        owner = allocator.observe(column)
-        recorder.record(column, owner)
+        recorder.record(allocator.observe(column))
     return recorder.build_trace(inst, getattr(allocator, "potential_log", None))

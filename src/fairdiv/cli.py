@@ -15,17 +15,11 @@ from fractions import Fraction
 
 from . import adversaries as adv
 from . import harness, metrics, oracles
-from .algorithms import (
-    Greedy1Allocator,
-    Greedy2Allocator,
-    Greedy3Allocator,
-    MivAllocator,
-    RandAllocator,
-    RobustifiedAllocator,
-    run,
-)
+from .algorithms import ALLOCATORS, Greedy3Allocator, RobustifiedAllocator, make_allocator, run
 from .core import (
     Predictions,
+    _dumps,
+    _loads,
     format_rational,
     instance_to_json,
     load_allocation,
@@ -34,7 +28,7 @@ from .core import (
     parse_rational,
     perfect_predictions,
 )
-from .errors import FairdivError, InvariantError
+from .errors import FairdivError, InvariantError, ParseError
 
 USAGE_EXIT = 1
 INVARIANT_EXIT = 2
@@ -68,14 +62,6 @@ def _write(path: str | None, payload: str) -> None:
             fh.write(payload)
 
 
-def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _rat_or_inf(value) -> str:
-    return format_rational(value)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="fairdiv", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -88,7 +74,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("run", help="stream an instance through an online allocator")
-    p.add_argument("--algo", required=True, choices=["greedy1", "greedy2", "greedy3", "rand", "miv"])
+    p.add_argument("--algo", required=True, choices=ALLOCATORS)
     p.add_argument("--instance", required=True)
     p.add_argument("--predictions", default=None)
     p.add_argument("--epsilon", type=_rational, default=None)
@@ -105,7 +91,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=_rational, required=True)
     p.add_argument("--notion", choices=["ef1", "mms", "propx"], default="ef1")
     p.add_argument("--max-steps", type=int, default=10**6)
-    p.add_argument("--allocator", choices=["greedy1", "greedy2", "greedy3", "miv"], default=None)
+    p.add_argument("--allocator", choices=ALLOCATORS, default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("oracle", help="closed-form bounds and exhaustive baselines")
@@ -162,7 +148,7 @@ def _cmd_metrics(args) -> int:
             "per_agent": [
                 {
                     "agent": a.agent,
-                    "value": _rat_or_inf(a.value),
+                    "value": format_rational(a.value),
                     "witness": a.witness,
                     "satisfied": a.satisfied,
                 }
@@ -185,42 +171,36 @@ def _cmd_metrics(args) -> int:
         }
     if report.mms is not None:
         payload["mms"] = {
-            "ratio": _rat_or_inf(report.mms_ratio),
+            "ratio": format_rational(report.mms_ratio),
             "satisfied_at_alpha": report.mms.satisfied,
             "per_agent": [str(v) for v in report.mms.mms],
             "violating_agent": report.mms.witness,
         }
-    _write(args.out, _json(payload))
+    _write(args.out, _dumps(payload))
     return 0
 
 
 def _make_allocator(args, n: int):
-    if args.algo == "rand":
-        if args.seed is None:
-            raise FairdivError("--algo rand requires --seed")
-        return RandAllocator(n, args.seed)
-    if args.algo == "miv":
-        if args.predictions is not None:
-            pred = load_predictions(args.predictions)
-            if args.epsilon is not None:
-                pred = Predictions(pred.p, args.epsilon)
-        elif args.epsilon is not None:
-            pred = Predictions(perfect_predictions(n).p, args.epsilon)
-        else:
-            pred = None
-        inner = MivAllocator(n)
-        return inner if pred is None else RobustifiedAllocator(inner, pred)
-    if args.predictions is not None or args.epsilon is not None:
+    if args.algo == "rand" and args.seed is None:
+        raise FairdivError("--algo rand requires --seed")
+    allocator = make_allocator(args.algo, n, args.seed)
+    if args.predictions is None and args.epsilon is None:
+        return allocator
+    if args.algo != "miv":
         raise FairdivError("--predictions/--epsilon only apply to --algo miv")
-    return {"greedy1": Greedy1Allocator, "greedy2": Greedy2Allocator, "greedy3": Greedy3Allocator}[
-        args.algo
-    ](n)
+    if args.predictions is not None:
+        pred = load_predictions(args.predictions)
+    else:
+        pred = perfect_predictions(n)
+    if args.epsilon is not None:
+        pred = Predictions(pred.p, args.epsilon)
+    return RobustifiedAllocator(allocator, pred)
 
 
 def _trace_payload(trace) -> dict:
     payload = {
         "owners": list(trace.owners),
-        "alpha": [[_rat_or_inf(v) for v in row] for row in trace.alpha],
+        "alpha": [[format_rational(v) for v in row] for row in trace.alpha],
     }
     if trace.potential is not None:
         payload["phi_total"] = [str(v) for v in trace.potential]
@@ -234,7 +214,7 @@ def _cmd_run(args) -> int:
     payload = _trace_payload(trace)
     payload["prop1_ratio"] = str(metrics.prop1_ratio(inst, trace.allocation))
     payload["algo"] = args.algo
-    _write(args.out, _json(payload))
+    _write(args.out, _dumps(payload))
     return 0
 
 
@@ -242,15 +222,11 @@ def _cmd_adversary(args) -> int:
     alpha = args.alpha
     if args.allocator is not None and args.target != "miv-impossibility":
         raise FairdivError("--allocator only applies to --target miv-impossibility")
-    if args.target == "greedy1":
-        inst = adv.greedy1_adversary(args.n, alpha)
-        trace = run(Greedy1Allocator(inst.n), inst)
-        adv.verify_greedy1_failure(trace, alpha)
-        result_bits = {"target_reached": True, "cycles": None}
-    elif args.target == "greedy2":
-        inst = adv.greedy2_adversary(args.n, alpha)
-        trace = run(Greedy2Allocator(inst.n), inst)
-        adv.verify_greedy2_failure(trace, alpha)
+    if args.target in adv.STATIC_CONSTRUCTIONS:
+        build, verify = adv.STATIC_CONSTRUCTIONS[args.target]
+        inst = build(args.n, alpha)
+        trace = run(make_allocator(args.target, inst.n), inst)
+        verify(trace, alpha)
         result_bits = {"target_reached": True, "cycles": None}
     elif args.target == "greedy3":
         adversary = adv.Greedy3Adversary(alpha, args.max_steps, args.n)
@@ -266,9 +242,7 @@ def _cmd_adversary(args) -> int:
     else:
         adversary = adv.MivImpossibilityAdversary(args.n, alpha, args.notion)
         allocator_name = args.allocator or "miv"
-        allocator = {"greedy1": Greedy1Allocator, "greedy2": Greedy2Allocator,
-                     "greedy3": Greedy3Allocator, "miv": MivAllocator}[allocator_name](args.n)
-        result = adv.run_adaptive(adversary, allocator)
+        result = adv.run_adaptive(adversary, make_allocator(allocator_name, args.n))
         trace = result.trace
         inst = trace.instance
         alloc = trace.allocation
@@ -289,7 +263,7 @@ def _cmd_adversary(args) -> int:
         "steps": inst.m,
     }
     payload.update(result_bits)
-    _write(args.out, _json(payload))
+    _write(args.out, _dumps(payload))
     return 0
 
 
@@ -348,7 +322,7 @@ def _cmd_oracle(args) -> int:
             "owner": list(alloc.owner),
             "prop1_ratio": str(ratio),
         }
-    _write(args.out, _json(payload))
+    _write(args.out, _dumps(payload))
     return 0
 
 
@@ -368,14 +342,15 @@ def _cmd_montecarlo(args) -> int:
         "instance": report.instance,
         "within_delta": report.empirical_failure_rate <= report.delta,
     }
-    _write(args.out, _json(payload))
+    _write(args.out, _dumps(payload))
     return 0
 
 
 def _cmd_campaign(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+    config = _loads(args.config)
     items = config.get("rows", []) if isinstance(config, dict) else config
+    if not isinstance(items, list):
+        raise ParseError(f"{args.config}: expected a list of rows or an object with a 'rows' list")
     rows = harness.campaign(items)
     harness.write_campaign_csv(rows, args.out)
     if any(r["assertions_passed"] == "false" for r in rows):

@@ -25,15 +25,15 @@ INF = math.inf
 RatOrInf = Union[Fraction, float]
 
 
-def parse_rational(text: str | int) -> Fraction:
+def parse_rational(text: str | int | Fraction) -> Fraction:
     """Parse an exact rational from ``"p/q"``, integer, or decimal literal.
 
     Decimal literals are converted exactly ("0.25" becomes 1/4); floats are
-    never involved.
+    never involved.  A Fraction (as JSON numbers load) passes through.
     """
     if isinstance(text, bool):
         raise ParseError(f"not a rational literal: {text!r}")
-    if isinstance(text, int):
+    if isinstance(text, (int, Fraction)):
         return Fraction(text)
     if not isinstance(text, str):
         raise ParseError(f"not a rational literal: {text!r}")
@@ -242,10 +242,7 @@ def load_instance(path: str) -> Instance:
     for row in raw:
         parsed = []
         for cell in row:
-            if isinstance(cell, Fraction):
-                v = cell
-            else:
-                v = parse_rational(cell)
+            v = parse_rational(cell)
             if v < 0:
                 raise ParseError(f"{path}: negative valuation {format_rational(v)}")
             parsed.append(v)
@@ -295,11 +292,8 @@ def load_predictions(path: str) -> Predictions:
     data = _loads(path)
     if not isinstance(data, dict) or "p" not in data or not isinstance(data["p"], list):
         raise ParseError(f"{path}: expected an object with a 'p' list")
-    p = tuple(
-        cell if isinstance(cell, Fraction) else parse_rational(cell) for cell in data["p"]
-    )
-    eps_raw = data.get("epsilon", Fraction(0))
-    eps = eps_raw if isinstance(eps_raw, Fraction) else parse_rational(eps_raw)
+    p = tuple(parse_rational(cell) for cell in data["p"])
+    eps = parse_rational(data.get("epsilon", 0))
     try:
         return Predictions(p, eps)
     except DomainError as exc:

@@ -18,14 +18,7 @@ from math import lcm
 from typing import Sequence
 
 from . import adversaries as adv
-from .algorithms import (
-    Greedy1Allocator,
-    Greedy2Allocator,
-    Greedy3Allocator,
-    MivAllocator,
-    RandAllocator,
-    run,
-)
+from .algorithms import Greedy3Allocator, RandAllocator, make_allocator, run
 from .core import Instance, instance_from_rows, instance_to_json, parse_rational
 from .errors import DomainError, InstanceTooLargeError, InvariantError
 from .metrics import (
@@ -181,13 +174,6 @@ CAMPAIGN_COLUMNS = [
     "assertions_passed",
 ]
 
-_ALLOCATORS = {
-    "greedy1": Greedy1Allocator,
-    "greedy2": Greedy2Allocator,
-    "greedy3": Greedy3Allocator,
-    "miv": MivAllocator,
-}
-
 
 def _flag(value: bool | None) -> str:
     return "" if value is None else ("true" if value else "false")
@@ -203,7 +189,9 @@ def campaign(items: Sequence[dict]) -> list[dict]:
     enumeration guard).
     """
     rows = []
-    for item in items:
+    for k, item in enumerate(items, start=1):
+        if not isinstance(item, dict) or "construction" not in item or "alpha" not in item:
+            raise DomainError(f"campaign row {k} needs a 'construction' and an 'alpha'")
         construction = item["construction"]
         n = int(item.get("n", 2))
         alpha = parse_rational(item["alpha"])
@@ -225,17 +213,11 @@ def _campaign_row(construction: str, n: int, alpha: Fraction, rep: int, item: di
     )
     assertions: bool | None = True
     try:
-        if construction in ("greedy1", "greedy2"):
-            build = adv.greedy1_adversary if construction == "greedy1" else adv.greedy2_adversary
-            verify = (
-                adv.verify_greedy1_failure
-                if construction == "greedy1"
-                else adv.verify_greedy2_failure
-            )
+        if construction in adv.STATIC_CONSTRUCTIONS:
+            build, verify = adv.STATIC_CONSTRUCTIONS[construction]
             inst = build(n, alpha)
-            allocator = _ALLOCATORS[construction](n)
             row["allocator"] = construction
-            trace = run(allocator, inst)
+            trace = run(make_allocator(construction, n), inst)
             ratio = prop1_ratio(inst, trace.allocation)
             row["steps"] = str(inst.m)
             _fill_ratio(row, ratio)
@@ -257,10 +239,10 @@ def _campaign_row(construction: str, n: int, alpha: Fraction, rep: int, item: di
             row["allocator"] = allocator_name
             row["notion"] = notion
             adversary = adv.MivImpossibilityAdversary(n, alpha, notion)
-            if allocator_name == "rand":
-                allocator = RandAllocator(n, derive_trial_seed(int(item["seed"]), rep))
-            else:
-                allocator = _ALLOCATORS[allocator_name](n)
+            seed = item.get("seed")
+            if seed is not None:
+                seed = derive_trial_seed(int(seed), rep)
+            allocator = make_allocator(allocator_name, n, seed)
             result = adv.run_adaptive(adversary, allocator)
             inst, alloc = result.trace.instance, result.trace.allocation
             row["steps"] = str(inst.m)

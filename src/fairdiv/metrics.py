@@ -31,6 +31,61 @@ ENUMERATION_GUARD = 10**7
 # ---------------------------------------------------------------------------
 
 
+class Prop1State:
+    """Per-agent bookkeeping behind the running PROP1 values.
+
+    Keeps each agent's arrived total, bundle value, best outside good and
+    that good's earliest 0-based index (None while the agent holds every
+    arrived good).  A good is taken in two steps: ``arrive`` adds it to the
+    totals, then ``assign`` to the owner's bundle or the others' outside
+    goods, so a rule deciding in between sees totals that include the good
+    and bundles that do not.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.t = 0
+        self.total = [Fraction(0)] * n
+        self.bundle = [Fraction(0)] * n
+        self.best_outside = [Fraction(0)] * n
+        self.witness: list[int | None] = [None] * n
+
+    def arrive(self, col: Sequence[Fraction]) -> None:
+        self.t += 1
+        for i in range(self.n):
+            self.total[i] += col[i]
+
+    def assign(self, col: Sequence[Fraction], owner: int) -> None:
+        # the first outside good becomes the witness even when it is worth 0
+        for i in range(self.n):
+            if i == owner - 1:
+                self.bundle[i] += col[i]
+            elif self.witness[i] is None or col[i] > self.best_outside[i]:
+                self.best_outside[i] = col[i]
+                self.witness[i] = self.t - 1
+
+    def value(self, i: int) -> RatOrInf:
+        """Agent i+1's running PROP1 value; ``INF`` while its total is zero."""
+        if self.total[i] == 0:
+            return INF
+        return (self.bundle[i] + self.best_outside[i]) / self.total[i]
+
+    def ratio(self) -> Fraction:
+        """min(1, n * the smallest running value), a Fraction in [0, 1]."""
+        worst = min(self.value(i) for i in range(self.n))
+        return Fraction(1) if worst == INF else min(Fraction(1), self.n * worst)
+
+
+def final_state(inst: Instance, alloc: Allocation) -> Prop1State:
+    """The running PROP1 state once every good of ``alloc`` is placed."""
+    check_allocation(inst, alloc)
+    state = Prop1State(inst.n)
+    for col, owner in zip(zip(*inst.values), alloc.owner):
+        state.arrive(col)
+        state.assign(col, owner)
+    return state
+
+
 def alpha_it(inst: Instance, owner: Sequence[int], agent: int, t: int) -> RatOrInf:
     """The running PROP1 value of ``agent`` once goods 1..t are allocated.
 
@@ -57,24 +112,13 @@ def alpha_it(inst: Instance, owner: Sequence[int], agent: int, t: int) -> RatOrI
     return (held + outside) / total
 
 
-def _final_values(inst: Instance, alloc: Allocation) -> list[RatOrInf]:
-    """Per-agent final running PROP1 values; INF for A_i = G or v_i(G) = 0."""
-    out: list[RatOrInf] = []
-    for agent in range(1, inst.n + 1):
-        if all(o == agent for o in alloc.owner):
-            out.append(INF)
-        else:
-            out.append(alpha_it(inst, alloc.owner, agent, inst.m))
-    return out
-
-
 def prop1_ratio(inst: Instance, alloc: Allocation) -> Fraction:
-    """min(1, n * min_i of the agents' final PROP1 values), a Fraction in [0, 1]."""
-    check_allocation(inst, alloc)
-    worst = min(_final_values(inst, alloc))
-    if worst == INF:
-        return Fraction(1)
-    return min(Fraction(1), inst.n * worst)
+    """min(1, n * min_i of the agents' final PROP1 values), a Fraction in [0, 1].
+
+    An agent holding every good has value 1 here rather than ``INF``; both
+    put n times its value at or above 1, so the ratio is the same.
+    """
+    return final_state(inst, alloc).ratio()
 
 
 # ---------------------------------------------------------------------------
@@ -100,25 +144,16 @@ class Prop1Check:
 def check_alpha_prop1(inst: Instance, alloc: Allocation, alpha: Fraction) -> Prop1Check:
     """alpha-PROP1: every agent holds everything, or some outside good g has
     v_i(A_i + g) >= alpha * v_i(G) / n.  The max-value outside good decides."""
-    check_allocation(inst, alloc)
+    state = final_state(inst, alloc)
     if not 0 <= alpha <= 1:
         raise DomainError(f"alpha {alpha} outside [0, 1]")
     agents = []
-    for agent in range(1, inst.n + 1):
-        row = inst.values[agent - 1]
-        outside = [t for t, o in enumerate(alloc.owner) if o != agent]
-        if not outside:
-            agents.append(AgentProp1(agent, INF, "self", True))
+    for i, witness in enumerate(state.witness):
+        if witness is None:
+            agents.append(AgentProp1(i + 1, INF, "self", True))
             continue
-        total = sum(row, Fraction(0))
-        held = total - sum((row[t] for t in outside), Fraction(0))
-        witness = max(outside, key=lambda t: (row[t], -t))
-        if total == 0:
-            agents.append(AgentProp1(agent, INF, witness + 1, True))
-            continue
-        value = (held + row[witness]) / total
-        ok = (held + row[witness]) * inst.n >= alpha * total
-        agents.append(AgentProp1(agent, value, witness + 1, ok))
+        ok = (state.bundle[i] + state.best_outside[i]) * inst.n >= alpha * state.total[i]
+        agents.append(AgentProp1(i + 1, state.value(i), witness + 1, ok))
     return Prop1Check(all(a.satisfied for a in agents), alpha, tuple(agents))
 
 
@@ -179,7 +214,7 @@ class PropxCheck:
 def check_alpha_propx(inst: Instance, alloc: Allocation, alpha: Fraction) -> PropxCheck:
     """alpha-PROPX: every agent holds everything, or even the least valuable
     outside good g satisfies v_i(A_i + g) >= alpha * v_i(G) / n."""
-    check_allocation(inst, alloc)
+    state = final_state(inst, alloc)
     if not 0 <= alpha <= 1:
         raise DomainError(f"alpha {alpha} outside [0, 1]")
     for agent in range(1, inst.n + 1):
@@ -187,10 +222,8 @@ def check_alpha_propx(inst: Instance, alloc: Allocation, alpha: Fraction) -> Pro
         outside = [t for t, o in enumerate(alloc.owner) if o != agent]
         if not outside:
             continue
-        total = sum(row, Fraction(0))
-        held = total - sum((row[t] for t in outside), Fraction(0))
         witness = min(outside, key=lambda t: (row[t], t))
-        if (held + row[witness]) * inst.n < alpha * total:
+        if (state.bundle[agent - 1] + row[witness]) * inst.n < alpha * state.total[agent - 1]:
             return PropxCheck(False, alpha, PropxWitness(agent, witness + 1))
     return PropxCheck(True, alpha, None)
 
@@ -273,17 +306,11 @@ class MmsCheck:
 
 def check_alpha_mms(inst: Instance, alloc: Allocation, alpha: Fraction) -> MmsCheck:
     """alpha-MMS: v_i(A_i) >= alpha * MMS_i for every agent."""
-    check_allocation(inst, alloc)
+    held = final_state(inst, alloc).bundle
     if not 0 <= alpha <= 1:
         raise DomainError(f"alpha {alpha} outside [0, 1]")
     mms = mms_profile(inst)
-    witness = None
-    for agent in range(1, inst.n + 1):
-        row = inst.values[agent - 1]
-        held = sum((row[t] for t, o in enumerate(alloc.owner) if o == agent), Fraction(0))
-        if held < alpha * mms[agent - 1]:
-            witness = agent
-            break
+    witness = next((i + 1 for i in range(inst.n) if held[i] < alpha * mms[i]), None)
     return MmsCheck(witness is None, alpha, mms, witness)
 
 
@@ -330,11 +357,7 @@ def build_fairness_report(
         propx = check_alpha_propx(inst, alloc, a)
     if "mms" in checks:
         mms = check_alpha_mms(inst, alloc, a)
-        ratios = []
-        for agent in range(1, inst.n + 1):
-            row = inst.values[agent - 1]
-            held = sum((row[t] for t, o in enumerate(alloc.owner) if o == agent), Fraction(0))
-            ratios.append(INF if mms.mms[agent - 1] == 0 else held / mms.mms[agent - 1])
-        worst = min(ratios)
+        held = final_state(inst, alloc).bundle
+        worst = min(INF if v == 0 else h / v for h, v in zip(held, mms.mms))
         mms_ratio = Fraction(1) if worst == INF else min(Fraction(1), worst)
     return FairnessReport(prop1, ratio, ef1, propx, mms, mms_ratio, alpha)

@@ -147,16 +147,14 @@ def small_goods_variance_bound(inst: Instance, agent: int, alpha: Fraction) -> b
 def best_allocation_search(inst: Instance) -> tuple[Allocation, Fraction]:
     """Allocation maximizing the PROP1 ratio, by enumerating all n^m of them.
 
-    Ties resolve to the first maximizer in enumeration order, so repeated
-    searches agree.  Instances above the enumeration guard are refused.
+    Ties resolve to the first maximizer in ``itertools.product`` order, so
+    repeated searches agree.  The search stops at the first allocation with
+    ratio 1, and one always exists for goods: round robin is EF1, and EF1
+    implies PROP1.  Instances above the enumeration guard are refused.
     """
     n, m = inst.n, inst.m
     if n**m > ENUMERATION_GUARD:
         raise InstanceTooLargeError(f"{n}^{m} allocations exceed {ENUMERATION_GUARD}")
-    if m == 0:
-        return Allocation(()), Fraction(1)
-    if n == 2:
-        return _best_allocation_two_agents(inst)
     best_alloc: Allocation | None = None
     best_ratio = Fraction(-1)
     for owners in product(range(1, n + 1), repeat=m):
@@ -167,59 +165,3 @@ def best_allocation_search(inst: Instance) -> tuple[Allocation, Fraction]:
             if best_ratio == 1:
                 break
     return best_alloc, best_ratio
-
-
-def _best_allocation_two_agents(inst: Instance) -> tuple[Allocation, Fraction]:
-    """Two-agent search on scaled integers with subset-sum tables."""
-    from math import lcm
-
-    m = inst.m
-    rows = inst.values
-    scales = [lcm(*(v.denominator for v in row)) for row in rows]
-    weights = [[int(v * s) for v in row] for row, s in zip(rows, scales)]
-    totals = [sum(w) for w in weights]
-    size = 1 << m
-    sums = [[0] * size for _ in range(2)]
-    maxing = [[0] * size for _ in range(2)]
-    for i in range(2):
-        wi, si, mi = weights[i], sums[i], maxing[i]
-        for mask in range(1, size):
-            low = mask & -mask
-            w = wi[low.bit_length() - 1]
-            prev = mask ^ low
-            si[mask] = si[prev] + w
-            mi[mask] = w if w > mi[prev] else mi[prev]
-
-    full = size - 1
-    best_mask = 0
-    best_num, best_den = -1, 1  # worst agent value as a fraction num/den; den 0 flags infinity
-
-    def sort_key(pair: tuple[int, int]):
-        num, den = pair
-        return (1, Fraction(0)) if den == 0 else (0, Fraction(num, den))
-
-    for mask in range(size):
-        comp = full ^ mask
-        # agent 1 holds `mask`, agent 2 holds `comp`
-        pairs = []
-        for i, own, other in ((0, mask, comp), (1, comp, mask)):
-            if other == 0 or totals[i] == 0:
-                pairs.append((1, 0))  # vacuously satisfied
-            else:
-                pairs.append((sums[i][own] + maxing[i][other], totals[i]))
-        num, den = min(pairs, key=sort_key)
-        if den == 0:
-            better = best_den != 0
-        elif best_den == 0:
-            better = False
-        else:
-            better = num * best_den > best_num * den
-        if better:
-            best_mask, best_num, best_den = mask, num, den
-            if best_den and best_num * 2 >= best_den:  # ratio already 1
-                break
-            if best_den == 0:
-                break
-    owners = tuple(1 if best_mask >> t & 1 else 2 for t in range(m))
-    alloc = Allocation(owners)
-    return alloc, prop1_ratio(inst, alloc)

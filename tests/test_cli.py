@@ -303,6 +303,29 @@ class TestCampaignCommand:
         lines = out.read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 3
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            None,  # no config file at all
+            '{"rows": [',
+            '{"rows": 5}',
+            '{"rows": [{"n": 2, "alpha": "1/2"}]}',
+            '{"rows": [{"construction": "greedy1", "n": 2}]}',
+            '{"rows": [{"construction": "miv-impossibility", "alpha": "1/2", "allocator": "rand"}]}',
+            '{"rows": [{"construction": "miv-impossibility", "alpha": "1/2", "allocator": "nope"}]}',
+        ],
+        ids=["missing", "malformed", "rows-not-a-list", "no-construction", "no-alpha",
+             "rand-no-seed", "unknown-allocator"],
+    )
+    def test_config_errors_exit_one_with_one_line(self, config, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        if config is not None:
+            path.write_text(config, encoding="utf-8")
+        code = main(["campaign", "--config", str(path), "--out", str(tmp_path / "rows.csv")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("fairdiv: error: ")
+
 
 class TestPotentialGridCommand:
     def test_grid_export(self, tmp_path):

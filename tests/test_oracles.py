@@ -158,21 +158,22 @@ class TestBestAllocationSearch:
         assert best == 1  # offline, an even split satisfies both agents
         assert best == prop1_ratio(inst, best_alloc)
 
-    def test_two_agent_fast_path_matches_the_generic_search(self):
-        from fairdiv.oracles import _best_allocation_two_agents
+    def test_two_agent_search_returns_the_first_maximizer(self):
         from itertools import product
+
+        from fairdiv import Allocation
 
         rng = random.Random(23)
         for _ in range(25):
             inst = random_instance(rng, 2, rng.randint(1, 7))
-            _, fast = _best_allocation_two_agents(inst)
-            from fairdiv import Allocation
-
-            brute = max(
-                prop1_ratio(inst, Allocation(owners))
+            ratios = {
+                owners: prop1_ratio(inst, Allocation(owners))
                 for owners in product((1, 2), repeat=inst.m)
-            )
-            assert fast == brute
+            }
+            best = max(ratios.values())
+            first = next(owners for owners, ratio in ratios.items() if ratio == best)
+            alloc, ratio = best_allocation_search(inst)
+            assert (alloc.owner, ratio) == (first, best)
 
     def test_dominates_every_online_rule(self):
         rng = random.Random(29)
