@@ -57,7 +57,6 @@ class OnlineAllocator:
         chosen = self._choose(col)
         self.state.assign(col, chosen)
         self.owners.append(chosen)
-        self._after_allocate(col, chosen)
         return chosen
 
     def _validate(self, column: Sequence[Fraction | int]) -> list[Fraction]:
@@ -65,9 +64,6 @@ class OnlineAllocator:
 
     def _choose(self, col: list[Fraction]) -> int:
         raise NotImplementedError
-
-    def _after_allocate(self, col: list[Fraction], chosen: int) -> None:
-        pass
 
     def _argmin(self, scores: Sequence[RatOrInf]) -> int:
         best = 0
@@ -136,90 +132,74 @@ class MivAllocator(OnlineAllocator):
     """Potential-minimizing allocator for unit-normalized MIV predictions.
 
     Requires valuations pre-normalized so every agent's predicted maximum
-    single-good value is exactly 1 (columns with entries above 1 are
-    rejected).  Internally keeps, per agent, the arrival time of the first
-    value-1 good and a potential term; the good goes to the agent minimizing
-    the summed potential.  Exact invariants are asserted on every step: all
-    potential terms stay non-negative, the total potential never increases
-    from its starting value 1/(n+1), and every term's substitution variables
-    x, y keep x + y >= 1/n^2.
+    single-good value is exactly 1 (entries above 1 are rejected).  Agent i's
+    potential term x / ((n^2+n+1) x + n^2 y - 1), with x = 1/T and y = H/T,
+    is 1/D for D = n^2+n+1 + n^2 H - T: T is the arrived total, padded by 1
+    until the agent's first value-1 good, and H the held value without that
+    good.  Per agent D, H and T are kept.  A good worth v lowers D and raises
+    T by v and would add c = v to H; the first value-1 good only replaces the
+    padding (T and D stay, c = 0).  Giving it to agent j lowers the summed
+    potential by n^2 c_j / (D_j (D_j + n^2 c_j)); the largest drop wins,
+    compared exactly by cross-multiplying, ties to the lowest index.  Then
+    H_j += c_j and D_j += n^2 c_j.  Each step asserts three exact invariants
+    (``InvariantError``): every D_i > 0; the summed potential (``potential``,
+    the sum of the terms 1/D_i in ``phi``) never rises from its start
+    1/(n+1); and n^2 (1 + H_i) >= T_i, which is x + y >= 1/n^2.
     """
 
     def __init__(self, n: int):
         super().__init__(n)
         self.first_max_at: list[int | None] = [None] * n  # arrival of first value-1 good
-        self._bundle_sans_max = [Fraction(0)] * n  # bundle value without that good
+        self.D = [Fraction(n * n + n)] * n
+        self.H = [Fraction(0)] * n
+        self.T = [Fraction(1)] * n
         self.phi = [Fraction(1, n * n + n)] * n
         self.potential = Fraction(1, n + 1)
         self.potential_log: list[Fraction] = [self.potential]
-        self._coef = n * n + n + 1
 
     def _validate(self, column: Sequence[Fraction | int]) -> list[Fraction]:
         col = _validate_column(column, self.n)
         for v in col:
             if v > 1:
-                raise PredictionContractError(
-                    f"valuation {v} exceeds the predicted maximum 1"
-                )
+                raise PredictionContractError(f"valuation {v} exceeds the predicted maximum 1")
         return col
 
-    def _term(self, x: Fraction, y: Fraction) -> Fraction:
-        denom = self._coef * x + self.n * self.n * y - 1
-        if denom <= 0:
-            raise InvariantError(f"non-positive potential denominator {denom} at t={self.state.t}")
-        return x / denom
-
     def _choose(self, col: list[Fraction]) -> int:
-        n, t = self.n, self.state.t
-        keep = [Fraction(0)] * n  # potential term if the agent is passed over
-        take = [Fraction(0)] * n  # potential term if the agent receives the good
-        x = [Fraction(0)] * n
-        y_keep = [Fraction(0)] * n
-        y_take = [Fraction(0)] * n
-        for i in range(n):
-            if col[i] == 1 and self.first_max_at[i] is None:
+        n2, t, D, H, T = self.n * self.n, self.state.t, self.D, self.H, self.T
+        # the agent with the largest c / (D (D + n^2 c)) so far, c its gain to H
+        best, best_c, best_num, best_den = 0, 0, 0, 1
+        for i, v in enumerate(col):
+            if v == 1 and self.first_max_at[i] is None:
                 self.first_max_at[i] = t
-            if self.first_max_at[i] is None:
-                # The predicted unit-value good is still to come: account for
-                # it in advance by padding the total.
-                xi = Fraction(1, 1) / (1 + self.total[i])
-                held = self.bundle[i]
-                held_after = self.bundle[i] + col[i]
-            else:
-                xi = Fraction(1, 1) / self.total[i]
-                held = self._bundle_sans_max[i]
-                held_after = held + (col[i] if t != self.first_max_at[i] else 0)
-            x[i] = xi
-            y_keep[i] = held * xi
-            y_take[i] = held_after * xi
-            keep[i] = self._term(xi, y_keep[i])
-            take[i] = self._term(xi, y_take[i])
-        total_keep = sum(keep)
-        candidates = [take[i] - keep[i] + total_keep for i in range(n)]
-        chosen = self._argmin(candidates)
-
-        new_potential = candidates[chosen - 1]
-        if new_potential > self.potential:
-            raise InvariantError(
-                f"potential increased at t={t}: {new_potential} > {self.potential}"
-            )
-        for i in range(n):
-            phi = take[i] if i == chosen - 1 else keep[i]
-            if phi < 0:
-                raise InvariantError(f"negative potential term for agent {i + 1} at t={t}")
-            yv = y_take[i] if i == chosen - 1 else y_keep[i]
-            if x[i] + yv < Fraction(1, n * n):
+                v = 0
+            elif v:
+                T[i] += v
+                D[i] -= v
+            d = D[i]
+            if d <= 0:
+                raise InvariantError(f"non-positive potential denominator {d} at t={t}")
+            if v:
+                # c / (D (D + n^2 c)) = cp dq^2 / (dp (dp cq + n^2 cp dq)), in integers
+                dp, dq, cp, cq = d.numerator, d.denominator, v.numerator, v.denominator
+                num = cp * dq * dq
+                den = dp * (dp * cq + n2 * cp * dq)
+                if num * best_den > best_num * den:
+                    best, best_c, best_num, best_den = i, v, num, den
+        if best_c:
+            H[best] += best_c
+            D[best] += n2 * best_c
+        phi = [Fraction(d.denominator, d.numerator) for d in D]
+        potential = sum(phi)
+        if potential > self.potential:
+            raise InvariantError(f"potential increased at t={t}: {potential} > {self.potential}")
+        for i, (h, tot) in enumerate(zip(H, T)):
+            # n^2 (1 + H) >= T, in integers
+            if n2 * (h.numerator + h.denominator) * tot.denominator < tot.numerator * h.denominator:
                 raise InvariantError(f"x + y below 1/n^2 for agent {i + 1} at t={t}")
-            self.phi[i] = phi
-        self.potential = new_potential
-        self.potential_log.append(new_potential)
-        return chosen
-
-    def _after_allocate(self, col: list[Fraction], chosen: int) -> None:
-        i = chosen - 1
-        # receiving the first unit-value good itself leaves the sans-bundle alone
-        if self.state.t != self.first_max_at[i]:
-            self._bundle_sans_max[i] += col[i]
+        self.phi = phi
+        self.potential = potential
+        self.potential_log.append(potential)
+        return best + 1
 
 
 #: The one registry of rule names, shared by the CLI and the campaign harness.
@@ -256,9 +236,11 @@ class RobustifiedAllocator:
     Valuations are divided by the per-agent predictions; the first normalized
     value at least 1 - epsilon for each agent is then overridden to exactly 1
     before the inner allocator sees it.  At most one good per agent is ever
-    overridden.  If the inner rule guarantees alpha-PROP1 under perfect
-    predictions, the wrapped rule guarantees beta-PROP1 under the original
-    valuations with beta = alpha (1 - eps) / (1 - alpha eps / n).
+    overridden.  A raw value above its agent's prediction breaks the
+    one-sided error contract and raises ``PredictionContractError`` before
+    anything is normalized.  If the inner rule guarantees alpha-PROP1 under
+    perfect predictions, the wrapped rule guarantees beta-PROP1 under the
+    original valuations with beta = alpha (1 - eps) / (1 - alpha eps / n).
     """
 
     def __init__(self, inner: OnlineAllocator, predictions: Predictions):
@@ -277,6 +259,11 @@ class RobustifiedAllocator:
 
     def observe(self, column: Sequence[Fraction | int]) -> int:
         col = _validate_column(column, self.n)
+        for i, (v, p) in enumerate(zip(col, self.predictions.p)):
+            if v > p:
+                raise PredictionContractError(
+                    f"valuation {v} of agent {i + 1} exceeds its predicted maximum {p}"
+                )
         self.state.arrive(col)
         norm = [col[i] / self.predictions.p[i] for i in range(self.n)]
         for i in range(self.n):

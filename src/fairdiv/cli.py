@@ -212,7 +212,7 @@ def _cmd_run(args) -> int:
     allocator = _make_allocator(args, inst.n)
     trace = run(allocator, inst)
     payload = _trace_payload(trace)
-    payload["prop1_ratio"] = str(metrics.prop1_ratio(inst, trace.allocation))
+    payload["prop1_ratio"] = str(allocator.state.ratio())
     payload["algo"] = args.algo
     _write(args.out, _dumps(payload))
     return 0
@@ -225,15 +225,16 @@ def _cmd_adversary(args) -> int:
     if args.target in adv.STATIC_CONSTRUCTIONS:
         build, verify = adv.STATIC_CONSTRUCTIONS[args.target]
         inst = build(args.n, alpha)
-        trace = run(make_allocator(args.target, inst.n), inst)
+        allocator = make_allocator(args.target, inst.n)
+        trace = run(allocator, inst)
         verify(trace, alpha)
+        ratio = allocator.state.ratio()
         result_bits = {"target_reached": True, "cycles": None}
     elif args.target == "greedy3":
         adversary = adv.Greedy3Adversary(alpha, args.max_steps, args.n)
         predicted = adversary.predicted_cycles_bound()
         result = adv.run_adaptive(adversary, Greedy3Allocator(args.n))
-        trace = result.trace
-        inst = trace.instance
+        trace, inst, ratio = result.trace, result.trace.instance, result.achieved_ratio
         result_bits = {
             "target_reached": result.target_reached,
             "cycles": result.cycles,
@@ -243,8 +244,7 @@ def _cmd_adversary(args) -> int:
         adversary = adv.MivImpossibilityAdversary(args.n, alpha, args.notion)
         allocator_name = args.allocator or "miv"
         result = adv.run_adaptive(adversary, make_allocator(allocator_name, args.n))
-        trace = result.trace
-        inst = trace.instance
+        trace, inst, ratio = result.trace, result.trace.instance, result.achieved_ratio
         alloc = trace.allocation
         result_bits = {
             "target_reached": True,
@@ -259,7 +259,7 @@ def _cmd_adversary(args) -> int:
         "alpha": str(alpha),
         "instance": json.loads(instance_to_json(inst)),
         "trace": _trace_payload(trace),
-        "achieved_prop1_ratio": str(metrics.prop1_ratio(inst, trace.allocation)),
+        "achieved_prop1_ratio": str(ratio),
         "steps": inst.m,
     }
     payload.update(result_bits)

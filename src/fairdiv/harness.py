@@ -26,7 +26,6 @@ from .metrics import (
     check_alpha_mms,
     check_alpha_propx,
     check_alpha_prop1,
-    prop1_ratio,
 )
 from .oracles import rand_alpha_bound
 
@@ -217,8 +216,9 @@ def _campaign_row(construction: str, n: int, alpha: Fraction, rep: int, item: di
             build, verify = adv.STATIC_CONSTRUCTIONS[construction]
             inst = build(n, alpha)
             row["allocator"] = construction
-            trace = run(make_allocator(construction, n), inst)
-            ratio = prop1_ratio(inst, trace.allocation)
+            allocator = make_allocator(construction, n)
+            trace = run(allocator, inst)
+            ratio = allocator.state.ratio()
             row["steps"] = str(inst.m)
             _fill_ratio(row, ratio)
             row["ratio_below_target"] = _flag(ratio < alpha)

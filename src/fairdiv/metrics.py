@@ -76,13 +76,25 @@ class Prop1State:
         return Fraction(1) if worst == INF else min(Fraction(1), self.n * worst)
 
 
+_last_replay: tuple = (None, None, None)
+
+
 def final_state(inst: Instance, alloc: Allocation) -> Prop1State:
-    """The running PROP1 state once every good of ``alloc`` is placed."""
+    """The running PROP1 state once every good of ``alloc`` is placed.
+
+    Consecutive calls on the same (frozen) instance and allocation objects,
+    as from the checks of one report, share one replay: callers only read it.
+    """
+    global _last_replay
+    last = _last_replay
+    if last[0] is inst and last[1] is alloc:
+        return last[2]
     check_allocation(inst, alloc)
     state = Prop1State(inst.n)
     for col, owner in zip(zip(*inst.values), alloc.owner):
         state.arrive(col)
         state.assign(col, owner)
+    _last_replay = (inst, alloc, state)
     return state
 
 

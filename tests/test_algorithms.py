@@ -2,13 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairdiv import (
     DomainError,
     Greedy1Allocator,
     Greedy2Allocator,
     Greedy3Allocator,
+    InvariantError,
     MivAllocator,
+    OnlineAllocator,
     Predictions,
     PredictionContractError,
     RandAllocator,
@@ -154,13 +158,13 @@ class TestMivAllocator:
             shadow = _ShadowMiv(n)
             for t in range(1, m + 1):
                 column = inst.column(t)
-                candidates = shadow.candidates(column)
+                shadow.observe(column)
+                candidates = shadow.candidates
                 chosen = allocator.observe(column)
                 best = min(candidates)
                 assert candidates[chosen - 1] == best
                 assert chosen - 1 == candidates.index(best)  # lowest-index tie rule
                 assert allocator.potential == best
-                shadow.apply(column, chosen)
 
     def test_runs_complete_without_any_unit_value_good(self):
         # without a value-1 good the anticipation branch runs to the end;
@@ -170,46 +174,154 @@ class TestMivAllocator:
         assert len(trace.owners) == 2
 
 
-class _ShadowMiv:
-    """Independent recomputation of the potential candidates, from scratch."""
+class _ShadowMiv(OnlineAllocator):
+    """The MIV rule from its definition, as a reference for the closed form.
+
+    Per agent x = 1/T and y = H x, where T is the arrived total padded by 1
+    until the first value-1 good and H the held value without that good;
+    each potential term is x / ((n^2+n+1) x + n^2 y - 1).  The good goes to
+    the agent whose candidate total potential is smallest, lowest index on
+    ties.  The invariants are checked on the x/y form.
+    """
 
     def __init__(self, n):
-        self.n = n
-        self.t = 0
-        self.total = [F(0)] * n
-        self.bundle = [F(0)] * n
-        self.sans = [F(0)] * n
-        self.first = [None] * n
+        super().__init__(n)
+        self.sans = [F(0)] * n  # held value without the first value-1 good
+        self.first = [None] * n  # arrival of the first value-1 good
+        self.phi = [F(1, n * n + n)] * n
+        self.potential_log = [F(1, n + 1)]
+        self.candidates = []
 
-    def candidates(self, column):
+    def _term(self, x, y):
         n = self.n
-        self.t += 1
-        for i in range(n):
-            self.total[i] += column[i]
-            if column[i] == 1 and self.first[i] is None:
-                self.first[i] = self.t
-        keep, take = [], []
-        for i in range(n):
-            if self.first[i] is None:
-                x = F(1) / (1 + self.total[i])
-                y_keep = self.bundle[i] * x
-                y_take = (self.bundle[i] + column[i]) * x
-            else:
-                x = F(1) / self.total[i]
-                y_keep = self.sans[i] * x
-                extra = column[i] if self.t != self.first[i] else F(0)
-                y_take = (self.sans[i] + extra) * x
-            coef = n * n + n + 1
-            keep.append(x / (coef * x + n * n * y_keep - 1))
-            take.append(x / (coef * x + n * n * y_take - 1))
-        total_keep = sum(keep)
-        return [take[i] - keep[i] + total_keep for i in range(n)]
+        denom = (n * n + n + 1) * x + n * n * y - 1
+        if denom <= 0:
+            raise InvariantError("non-positive potential denominator")
+        return x / denom
 
-    def apply(self, column, chosen):
-        i = chosen - 1
-        self.bundle[i] += column[i]
-        if self.t != self.first[i]:
-            self.sans[i] += column[i]
+    def _choose(self, column):
+        n, t = self.n, self.state.t
+        keep, take, x, y_keep, y_take = [], [], [], [], []
+        for i in range(n):
+            if column[i] == 1 and self.first[i] is None:
+                self.first[i] = t
+            if self.first[i] is None:
+                xi = F(1) / (1 + self.total[i])
+                held, gain = self.bundle[i], column[i]
+            else:
+                xi = F(1) / self.total[i]
+                held, gain = self.sans[i], (column[i] if t != self.first[i] else F(0))
+            x.append(xi)
+            y_keep.append(held * xi)
+            y_take.append((held + gain) * xi)
+            keep.append(self._term(xi, y_keep[i]))
+            take.append(self._term(xi, y_take[i]))
+        total_keep = sum(keep)
+        self.candidates = [take[i] - keep[i] + total_keep for i in range(n)]
+        chosen = self.candidates.index(min(self.candidates))
+        if self.candidates[chosen] > self.potential_log[-1]:
+            raise InvariantError("potential increased")
+        for i in range(n):
+            if x[i] + (y_take[i] if i == chosen else y_keep[i]) < F(1, n * n):
+                raise InvariantError("x + y below 1/n^2")
+        if t != self.first[chosen]:
+            self.sans[chosen] += column[chosen]
+        self.phi = [take[i] if i == chosen else keep[i] for i in range(n)]
+        self.potential_log.append(self.candidates[chosen])
+        return chosen + 1
+
+
+#: Small and wide denominators, zeros and the unit value.
+MIV_VALUES = [
+    F(0), F(0), F(1), F(1, 2), F(1, 3), F(2, 3), F(5, 6), F(9, 10), F(97, 101), F(13, 191)
+]
+
+
+@st.composite
+def miv_runs(draw):
+    """(instance, predictions or None): rows with or without a unit good,
+    all-zero rows and columns, columns equal across agents and runs of
+    identical columns (lowest-index ties); with predictions, every value
+    lies at or below its agent's prediction."""
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(0, 40))
+    columns = []
+    while len(columns) < m:
+        kind = draw(st.sampled_from(["any", "any", "any", "zero", "equal"]))
+        if kind == "any":
+            column = draw(st.lists(st.sampled_from(MIV_VALUES), min_size=n, max_size=n))
+        else:
+            column = [F(0) if kind == "zero" else draw(st.sampled_from(MIV_VALUES))] * n
+        columns += [column] * draw(st.sampled_from([1, 1, 1, 4, 12]))
+    rows = [[column[i] for column in columns[:m]] for i in range(n)]
+    for row in rows:
+        kind = draw(st.sampled_from(["unit", "unit", "any", "zero"]))
+        if kind == "zero":
+            row[:] = [F(0)] * m
+        elif kind == "unit" and m:
+            row[draw(st.integers(0, m - 1))] = F(1)
+    if not draw(st.booleans()):
+        return instance_from_rows(rows), None
+    p = draw(st.lists(st.sampled_from([F(1), F(1), F(2), F(3, 7)]), min_size=n, max_size=n))
+    eps = draw(st.sampled_from([F(0), F(1, 10), F(1, 4), F(1, 2)]))
+    scaled = [[p[i] * v for v in row] for i, row in enumerate(rows)]
+    return instance_from_rows(scaled), Predictions(tuple(p), eps)
+
+
+class TestMivClosedForm:
+    """The D-form allocator against the definition-level x/y reference."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(miv_runs())
+    def test_matches_the_definition_step_by_step(self, case):
+        inst, pred = case
+        closed, shadow = MivAllocator(inst.n), _ShadowMiv(inst.n)
+        fast, slow = closed, shadow
+        if pred is not None:
+            fast, slow = RobustifiedAllocator(closed, pred), RobustifiedAllocator(shadow, pred)
+        for column in inst.columns():
+            try:
+                expected = slow.observe(column)
+            except InvariantError:
+                with pytest.raises(InvariantError):
+                    fast.observe(column)
+                return
+            assert fast.observe(column) == expected
+            assert closed.phi == shadow.phi
+        assert closed.owners == shadow.owners
+        assert closed.potential_log == shadow.potential_log
+        assert closed.potential == shadow.potential_log[-1] == sum(closed.phi)
+
+    def test_first_unit_good_leaves_total_and_denominator_alone(self):
+        a = MivAllocator(2)
+        a.observe([F(1, 2), F(1, 3)])
+        D, H, T = list(a.D), list(a.H), list(a.T)
+        a.observe([F(1), F(0)])
+        assert a.first_max_at == [2, None]
+        assert (a.D[0], a.H[0], a.T[0]) == (D[0], H[0], T[0])
+        assert all(d == 1 / phi for d, phi in zip(a.D, a.phi))
+
+
+class TestMivInvariants:
+    """Each exact invariant fires once the D/H/T state is tampered with."""
+
+    def test_non_positive_denominator(self):
+        a = MivAllocator(2)
+        a.D[1] = F(0)
+        with pytest.raises(InvariantError, match="non-positive potential denominator"):
+            a.observe([F(1, 2), F(0)])
+
+    def test_potential_increase(self):
+        a = MivAllocator(2)
+        a.D[1] = F(1, 100)  # its term 100 dwarfs the starting potential 1/3
+        with pytest.raises(InvariantError, match="potential increased"):
+            a.observe([F(0), F(0)])
+
+    def test_x_plus_y_below_inverse_n_squared(self):
+        a = MivAllocator(2)
+        a.T[0] = F(1000)  # n^2 (1 + H) = 4 < T, while D and the potential stay put
+        with pytest.raises(InvariantError, match="x \\+ y below 1/n\\^2"):
+            a.observe([F(0), F(0)])
 
 
 class TestRobustify:
@@ -256,6 +368,12 @@ class TestRobustify:
             agents_hit = [event.agent for event in wrapped.override_log]
             assert len(agents_hit) == len(set(agents_hit))  # at most one per agent
             assert all(event.original_value >= 1 - eps for event in wrapped.override_log)
+
+    def test_raw_value_above_its_prediction_is_a_contract_error(self):
+        wrapped = RobustifiedAllocator(MivAllocator(2), Predictions((F(1), F(1)), F(1, 10)))
+        with pytest.raises(PredictionContractError, match="3/2 of agent 1 exceeds"):
+            wrapped.observe([F(3, 2), F(1, 2)])
+        assert wrapped.override_log == [] and wrapped.state.t == 0 and wrapped.owners == []
 
     def test_epsilon_validation(self):
         with pytest.raises(DomainError):

@@ -53,6 +53,21 @@ class TestMetricsCommand:
         assert report["ef1"]["satisfied"] is True
         assert report["mms"]["per_agent"] == ["3/4", "1"]
 
+    def test_report_replays_the_allocation_once(self, inst_file, alloc_file, monkeypatch, capsys):
+        from fairdiv import metrics
+
+        replays = []
+
+        class Counted(metrics.Prop1State):
+            def __init__(self, n):
+                super().__init__(n)
+                replays.append(n)
+
+        monkeypatch.setattr(metrics, "Prop1State", Counted)
+        argv = ["metrics", "--instance", inst_file, "--allocation", alloc_file]
+        assert main([*argv, "--check", "prop1,ef1,propx,mms"]) == 0
+        assert replays == [2]
+
     def test_alpha_flag_parses_exactly(self, inst_file, alloc_file, capsys):
         code = main(
             ["metrics", "--instance", inst_file, "--allocation", alloc_file, "--alpha", "1/3"]
@@ -124,6 +139,39 @@ class TestRunCommand:
         inst = tmp_path / "i.json"
         inst.write_text('{"values": [["2"], ["1"]]}', encoding="utf-8")
         assert main(["run", "--algo", "miv", "--instance", str(inst)]) == 1
+
+    def test_raw_value_above_its_prediction_exits_one(self, tmp_path, capsys):
+        inst = tmp_path / "i.json"
+        inst.write_text('{"values": [["3/2"], ["1/2"]]}', encoding="utf-8")
+        out = tmp_path / "trace.json"
+        argv = ["run", "--algo", "miv", "--instance", str(inst), "--epsilon", "1/10"]
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fairdiv: error:") and err.count("\n") == 1
+        assert "exceeds its predicted maximum 1" in err and not out.exists()
+
+    def test_tampered_miv_state_exits_two(self, inst_file, monkeypatch, capsys):
+        from fairdiv import algorithms
+
+        class Tampered(algorithms.MivAllocator):
+            def __init__(self, n):
+                super().__init__(n)
+                self.D[0] = F(0)
+
+        monkeypatch.setitem(algorithms.ALLOCATORS, "miv", Tampered)
+        assert main(["run", "--algo", "miv", "--instance", inst_file]) == 2
+        assert "invariant breach: non-positive potential denominator" in capsys.readouterr().err
+
+    def test_prop1_ratio_comes_from_the_running_state(self, inst_file, monkeypatch, capsys):
+        from fairdiv import metrics
+
+        def no_replay(inst, alloc):
+            raise AssertionError("run replayed the allocation")
+
+        monkeypatch.setattr(metrics, "final_state", no_replay)
+        for flags in (["--algo", "greedy3"], ["--algo", "miv", "--epsilon", "1/4"]):
+            assert main(["run", *flags, "--instance", inst_file]) == 0
+            assert json.loads(capsys.readouterr().out)["prop1_ratio"] == "1"
 
 
 class TestAdversaryCommand:
