@@ -19,10 +19,10 @@ from .algorithms import (
     RobustifiedAllocator,
     make_allocator,
     robust_beta,
-    robustify,
     run,
 )
 from .adversaries import (
+    CONSTRUCTIONS,
     AdaptiveAdversary,
     AdversaryRun,
     Greedy3Adversary,
@@ -31,6 +31,7 @@ from .adversaries import (
     greedy2_adversary,
     impossibility_constants,
     run_adaptive,
+    run_construction,
     verify_greedy1_failure,
     verify_greedy2_failure,
 )

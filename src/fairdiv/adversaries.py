@@ -18,15 +18,36 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algorithms import AllocationTrace, TraceRecorder
+from .algorithms import AllocationTrace, TraceRecorder, make_allocator, run
 from .core import Instance, instance_from_columns, instance_from_rows
-from .errors import DomainError, InvariantError
-from .metrics import Prop1State, prop1_ratio
+from .errors import DomainError, InstanceTooLargeError, InvariantError
+from .metrics import (
+    Prop1State,
+    check_alpha_ef1,
+    check_alpha_mms,
+    check_alpha_prop1,
+    check_alpha_propx,
+    prop1_ratio,
+)
+
+#: Every construction, by the name the CLI and campaign configs use.
+CONSTRUCTIONS = ("greedy1", "greedy2", "greedy3", "miv-impossibility")
+#: The notions the impossibility construction can highlight.
+NOTIONS = ("ef1", "mms", "propx")
 
 
 def _ceil_strict(bound: Fraction) -> int:
     """Smallest integer strictly greater than ``bound``."""
     return math.floor(bound) + 1
+
+
+_EULER_GAMMA = 0.5772156649015329
+
+
+def _harmonic(N: int) -> float:
+    """H_N = 1 + 1/2 + ... + 1/N by its asymptotic series in floats; the next
+    term, 1/(252 N^6), is below 1e-12 from N = 50 on."""
+    return math.log(N) + _EULER_GAMMA + 1 / (2 * N) - 1 / (12 * N**2) + 1 / (120 * N**4)
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +130,6 @@ def verify_greedy2_failure(trace: AllocationTrace, alpha_target: Fraction) -> No
         raise InvariantError("PROP1 ratio did not fall below the target")
 
 
-#: The static constructions and their verifiers, by the rule they defeat.
-STATIC_CONSTRUCTIONS = {
-    "greedy1": (greedy1_adversary, verify_greedy1_failure),
-    "greedy2": (greedy2_adversary, verify_greedy2_failure),
-}
-
-
 # ---------------------------------------------------------------------------
 # Adaptive adversary protocol
 # ---------------------------------------------------------------------------
@@ -136,13 +150,16 @@ class AdaptiveAdversary:
 
 @dataclass
 class AdversaryRun:
-    """Outcome of driving an allocator with an adaptive adversary."""
+    """Outcome of driving an allocator with a construction."""
 
     trace: AllocationTrace
     target_alpha: Fraction
     achieved_ratio: Fraction
     target_reached: bool
     cycles: int | None = None  # completed equalize-strike cycles, when applicable
+    allocator: str | None = None  # the rule's name, when run by ``run_construction``
+    certified_cycles_bound: int | None = None  # greedy3 only
+    verdicts: dict[str, bool | None] | None = None  # the impossibility's, by check name
 
 
 def run_adaptive(adversary: AdaptiveAdversary, allocator) -> AdversaryRun:
@@ -233,19 +250,29 @@ class Greedy3Adversary(AdaptiveAdversary):
     def _alpha(self, j: int) -> Fraction:
         return self._mirror.value(j)
 
-    def predicted_cycles_bound(self) -> int:
+    def predicted_cycles_bound(self) -> int | None:
         """Cycles that certify the target via the harmonic lower bound alone.
 
-        The actual schedule reaches the target far sooner; this is the
-        worst-case guarantee, useful for judging feasibility of small
-        targets.  Float arithmetic: advisory only, no fairness decision.
+        The certificate after k cycles is 3/2 + (H_{k+2} - 3/2)/2, H_N the
+        N-th harmonic number, so this is the smallest k with
+        H_{k+2} >= 2n/alpha - 3/2, found by bisection on N; None when
+        n/alpha exceeds 350, where the bound passes 10^303.  The actual
+        schedule reaches the target far sooner; this is the worst-case
+        guarantee, useful for judging feasibility of small targets.  Float
+        arithmetic: advisory only, no fairness decision.
         """
-        need = float(self.n / self.target_alpha)
-        rhs, k = 1.5, 0
-        while rhs < need:
-            k += 1
-            rhs += 1.0 / (2 * (k + self.OPENING_LAMBDA))
-        return k
+        ratio = self.n / self.target_alpha
+        if ratio > 350:
+            return None
+        need = 2 * float(ratio) - 1.5
+        lo, hi = 2, math.ceil(math.exp(need))  # H_2 = 3/2 < need <= ln(hi) < H_hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _harmonic(mid) < need:
+                lo = mid
+            else:
+                hi = mid
+        return hi - 2
 
     # -- protocol -----------------------------------------------------------
 
@@ -401,7 +428,7 @@ class MivImpossibilityAdversary(AdaptiveAdversary):
     """
 
     def __init__(self, n: int, alpha_target: Fraction, notion: str = "ef1"):
-        if notion not in ("ef1", "mms", "propx"):
+        if notion not in NOTIONS:
             raise DomainError(f"unknown fairness notion {notion!r}")
         self.n = n
         self.target_alpha = alpha_target
@@ -437,3 +464,70 @@ class MivImpossibilityAdversary(AdaptiveAdversary):
                 raise InvariantError(f"emitted value {v} breaks the unit prediction bound")
         self._awaiting = True
         return col
+
+
+# ---------------------------------------------------------------------------
+# Running a construction by name
+# ---------------------------------------------------------------------------
+
+_STATIC = {
+    "greedy1": (greedy1_adversary, verify_greedy1_failure),
+    "greedy2": (greedy2_adversary, verify_greedy2_failure),
+}
+
+
+def roles(construction: str, allocator: str = "miv", notion: str = "ef1") -> tuple[str, str | None]:
+    """The rule that faces ``construction`` and the notion its run reports.
+
+    greedy1-3 each face their own rule and report no notion; the
+    impossibility faces ``allocator`` and reports ``notion``.
+    """
+    if construction not in CONSTRUCTIONS:
+        raise DomainError(f"unknown construction {construction!r}; choose from {CONSTRUCTIONS}")
+    if construction == "miv-impossibility":
+        return allocator, notion
+    return construction, None
+
+
+def run_construction(
+    construction: str, n: int, alpha: Fraction, *, notion: str = "ef1", max_steps: int = 10**6,
+    allocator: str = "miv", seed: int | None = None,
+) -> AdversaryRun:
+    """Build and run one construction against the rule that faces it.
+
+    greedy1/greedy2 run their static instance through their own rule and
+    assert every forced fact (``verify_greedy*_failure``); greedy3 drives
+    its own rule within ``max_steps`` and reports the certified cycle
+    bound; the impossibility drives ``allocator`` (seeded by ``seed``) and
+    reports whether the allocation is 1/n-PROP1 and alpha-EF1, -PROPX and
+    -MMS, the last None above the MMS size guard.  A forced fact that
+    fails raises ``InvariantError``.
+    """
+    rule_name, notion = roles(construction, allocator, notion)
+    if construction in _STATIC:
+        build, verify = _STATIC[construction]
+        inst = build(n, alpha)
+        rule = make_allocator(rule_name, n)
+        trace = run(rule, inst)
+        verify(trace, alpha)
+        ratio = rule.state.ratio()
+        return AdversaryRun(trace, alpha, ratio, ratio < alpha, allocator=rule_name)
+    if construction == "greedy3":
+        adversary = Greedy3Adversary(alpha, max_steps, n)
+        result = run_adaptive(adversary, make_allocator(rule_name, n))
+        result.certified_cycles_bound = adversary.predicted_cycles_bound()
+    else:
+        adversary = MivImpossibilityAdversary(n, alpha, notion)
+        result = run_adaptive(adversary, make_allocator(rule_name, n, seed))
+        inst, alloc = result.trace.instance, result.trace.allocation
+        verdicts = result.verdicts = {
+            "prop1_at_inv_n": check_alpha_prop1(inst, alloc, Fraction(1, n)).satisfied,
+            "alpha_ef1": check_alpha_ef1(inst, alloc, alpha).satisfied,
+            "alpha_propx": check_alpha_propx(inst, alloc, alpha).satisfied,
+        }
+        try:
+            verdicts["alpha_mms"] = check_alpha_mms(inst, alloc, alpha).satisfied
+        except InstanceTooLargeError:
+            verdicts["alpha_mms"] = None
+    result.allocator = rule_name
+    return result

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import INF, Allocation, Instance, Predictions, RatOrInf
 from .errors import DomainError, InvariantError, PredictionContractError
@@ -289,13 +289,6 @@ def robust_beta(alpha: Fraction, epsilon: Fraction, n: int) -> Fraction:
     if not 0 <= epsilon < 1:
         raise DomainError(f"one-sided error {epsilon} must lie in [0, 1)")
     return alpha * (1 - epsilon) / (1 - alpha * epsilon / n)
-
-
-def robustify(
-    inner_factory: Callable[[int], OnlineAllocator], predictions: Predictions
-) -> RobustifiedAllocator:
-    """Wrap a freshly built inner allocator for the given noisy predictions."""
-    return RobustifiedAllocator(inner_factory(predictions.n), predictions)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import adversaries as adv
 from . import harness, metrics, oracles
-from .algorithms import ALLOCATORS, Greedy3Allocator, RobustifiedAllocator, make_allocator, run
+from .algorithms import ALLOCATORS, RobustifiedAllocator, make_allocator, run
 from .core import (
     Predictions,
     _dumps,
@@ -82,14 +82,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("adversary", help="generate and run a lower-bound construction")
-    p.add_argument(
-        "--target",
-        required=True,
-        choices=["greedy1", "greedy2", "greedy3", "miv-impossibility"],
-    )
+    p.add_argument("--target", required=True, choices=adv.CONSTRUCTIONS)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--alpha", type=_rational, required=True)
-    p.add_argument("--notion", choices=["ef1", "mms", "propx"], default="ef1")
+    p.add_argument("--notion", choices=adv.NOTIONS, default="ef1")
     p.add_argument("--max-steps", type=int, default=10**6)
     p.add_argument("--allocator", choices=ALLOCATORS, default=None)
     p.add_argument("--out", default=None)
@@ -219,50 +215,29 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_adversary(args) -> int:
-    alpha = args.alpha
     if args.allocator is not None and args.target != "miv-impossibility":
         raise FairdivError("--allocator only applies to --target miv-impossibility")
-    if args.target in adv.STATIC_CONSTRUCTIONS:
-        build, verify = adv.STATIC_CONSTRUCTIONS[args.target]
-        inst = build(args.n, alpha)
-        allocator = make_allocator(args.target, inst.n)
-        trace = run(allocator, inst)
-        verify(trace, alpha)
-        ratio = allocator.state.ratio()
-        result_bits = {"target_reached": True, "cycles": None}
-    elif args.target == "greedy3":
-        adversary = adv.Greedy3Adversary(alpha, args.max_steps, args.n)
-        predicted = adversary.predicted_cycles_bound()
-        result = adv.run_adaptive(adversary, Greedy3Allocator(args.n))
-        trace, inst, ratio = result.trace, result.trace.instance, result.achieved_ratio
-        result_bits = {
-            "target_reached": result.target_reached,
-            "cycles": result.cycles,
-            "certified_cycles_bound": predicted,
-        }
-    else:
-        adversary = adv.MivImpossibilityAdversary(args.n, alpha, args.notion)
-        allocator_name = args.allocator or "miv"
-        result = adv.run_adaptive(adversary, make_allocator(allocator_name, args.n))
-        trace, inst, ratio = result.trace, result.trace.instance, result.achieved_ratio
-        alloc = trace.allocation
-        result_bits = {
-            "target_reached": True,
-            "allocator": allocator_name,
-            "alpha_ef1": metrics.check_alpha_ef1(inst, alloc, alpha).satisfied,
-            "alpha_propx": metrics.check_alpha_propx(inst, alloc, alpha).satisfied,
-            "alpha_mms": metrics.check_alpha_mms(inst, alloc, alpha).satisfied,
-            "prop1_at_inv_n": metrics.check_alpha_prop1(inst, alloc, Fraction(1, args.n)).satisfied,
-        }
+    result = adv.run_construction(
+        args.target, args.n, args.alpha, notion=args.notion, max_steps=args.max_steps,
+        allocator=args.allocator or "miv",
+    )
+    inst = result.trace.instance
     payload = {
         "target": args.target,
-        "alpha": str(alpha),
+        "alpha": str(args.alpha),
         "instance": json.loads(instance_to_json(inst)),
-        "trace": _trace_payload(trace),
-        "achieved_prop1_ratio": str(ratio),
+        "trace": _trace_payload(result.trace),
+        "achieved_prop1_ratio": str(result.achieved_ratio),
         "steps": inst.m,
+        "target_reached": result.target_reached,
     }
-    payload.update(result_bits)
+    if result.verdicts is not None:
+        payload["allocator"] = result.allocator
+        payload.update(result.verdicts)
+    else:
+        payload["cycles"] = result.cycles
+        if result.cycles is not None:  # greedy3 counts cycles and certifies a bound
+            payload["certified_cycles_bound"] = result.certified_cycles_bound
     _write(args.out, _dumps(payload))
     return 0
 

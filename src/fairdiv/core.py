@@ -137,9 +137,6 @@ class Allocation:
         """1-based indices of the goods held by ``agent``."""
         return tuple(t + 1 for t, o in enumerate(self.owner) if o == agent)
 
-    def bundles(self, n: int) -> list[tuple[int, ...]]:
-        return [self.bundle(i) for i in range(1, n + 1)]
-
 
 def check_allocation(inst: Instance, alloc: Allocation) -> None:
     """Raise unless ``alloc`` is a complete allocation of ``inst``'s goods."""

@@ -18,15 +18,8 @@ from math import lcm
 from typing import Sequence
 
 from . import adversaries as adv
-from .algorithms import Greedy3Allocator, RandAllocator, make_allocator, run
-from .core import Instance, instance_from_rows, instance_to_json, parse_rational
-from .errors import DomainError, InstanceTooLargeError, InvariantError
-from .metrics import (
-    check_alpha_ef1,
-    check_alpha_mms,
-    check_alpha_propx,
-    check_alpha_prop1,
-)
+from .core import Instance, _as_int, instance_from_rows, instance_to_json, parse_rational
+from .errors import DomainError, InvariantError, ParseError
 from .oracles import rand_alpha_bound
 
 
@@ -122,35 +115,6 @@ def montecarlo_rand(
     )
 
 
-def montecarlo_rand_reference(
-    inst: Instance, delta: Fraction, trials: int, master_seed: int
-) -> MonteCarloReport:
-    """Same experiment through the full allocator-and-metrics path.
-
-    Slow; exists so tests can confirm the optimized loop and the reference
-    route produce identical reports.
-    """
-    alpha_text = rand_alpha_bound(inst.n, delta)
-    alpha = Fraction(alpha_text)
-    failures = 0
-    for trial in range(trials):
-        allocator = RandAllocator(inst.n, derive_trial_seed(master_seed, trial))
-        trace = run(allocator, inst)
-        if not check_alpha_prop1(inst, trace.allocation, alpha).satisfied:
-            failures += 1
-    return MonteCarloReport(
-        n=inst.n,
-        delta=delta,
-        alpha_used=alpha,
-        alpha_used_text=str(alpha_text),
-        trials=trials,
-        failures=failures,
-        empirical_failure_rate=Fraction(failures, trials),
-        seed=master_seed,
-        instance=instance_descriptor(inst),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Campaigns
 # ---------------------------------------------------------------------------
@@ -191,82 +155,59 @@ def campaign(items: Sequence[dict]) -> list[dict]:
     for k, item in enumerate(items, start=1):
         if not isinstance(item, dict) or "construction" not in item or "alpha" not in item:
             raise DomainError(f"campaign row {k} needs a 'construction' and an 'alpha'")
-        construction = item["construction"]
-        n = int(item.get("n", 2))
         alpha = parse_rational(item["alpha"])
-        repetitions = int(item.get("repetitions", 1))
+        n, repetitions, max_steps = (
+            _integer(k, key, item.get(key, default))
+            for key, default in (("n", 2), ("repetitions", 1), ("max_steps", 10**6))
+        )
+        if repetitions < 0:
+            raise DomainError(f"campaign row {k}: 'repetitions' must not be negative")
+        seed = None if item.get("seed") is None else _integer(k, "seed", item["seed"])
         for rep in range(repetitions):
-            rows.append(_campaign_row(construction, n, alpha, rep, item))
+            rows.append(_campaign_row(item, n, alpha, max_steps, seed, rep))
     return rows
 
 
-def _campaign_row(construction: str, n: int, alpha: Fraction, rep: int, item: dict) -> dict:
+def _integer(k: int, key: str, value) -> int:
+    """A campaign row's integer field; ``2`` and ``"2"`` both read as 2."""
+    try:
+        return _as_int(parse_rational(value), key)
+    except ParseError:
+        raise ParseError(f"campaign row {k}: {key!r} must be an integer, got {value}") from None
+
+
+def _campaign_row(item: dict, n: int, alpha: Fraction, max_steps: int, seed, rep: int) -> dict:
+    construction = item["construction"]
+    choice = {"allocator": item.get("allocator", "miv"), "notion": item.get("notion", "ef1")}
+    allocator, notion = adv.roles(construction, **choice)
     row = {c: "" for c in CAMPAIGN_COLUMNS}
     row.update(
         construction=construction,
-        allocator="",
+        allocator=allocator,
         n=str(n),
         alpha=str(alpha),
-        notion=item.get("notion", ""),
+        notion=item.get("notion", "") if notion is None else notion,
         repetition=str(rep),
     )
-    assertions: bool | None = True
+    seed = None if seed is None else derive_trial_seed(seed, rep)
     try:
-        if construction in adv.STATIC_CONSTRUCTIONS:
-            build, verify = adv.STATIC_CONSTRUCTIONS[construction]
-            inst = build(n, alpha)
-            row["allocator"] = construction
-            allocator = make_allocator(construction, n)
-            trace = run(allocator, inst)
-            ratio = allocator.state.ratio()
-            row["steps"] = str(inst.m)
-            _fill_ratio(row, ratio)
-            row["ratio_below_target"] = _flag(ratio < alpha)
-            verify(trace, alpha)
-        elif construction == "greedy3":
-            max_steps = int(item.get("max_steps", 10**6))
-            adversary = adv.Greedy3Adversary(alpha, max_steps, n)
-            allocator = Greedy3Allocator(n)
-            row["allocator"] = "greedy3"
-            result = adv.run_adaptive(adversary, allocator)
-            row["steps"] = str(result.trace.instance.m)
-            _fill_ratio(row, result.achieved_ratio)
-            # a too-small step budget shows up here, not as an invariant breach
-            row["ratio_below_target"] = _flag(result.achieved_ratio < alpha)
-        elif construction == "miv-impossibility":
-            notion = item.get("notion", "ef1")
-            allocator_name = item.get("allocator", "miv")
-            row["allocator"] = allocator_name
-            row["notion"] = notion
-            adversary = adv.MivImpossibilityAdversary(n, alpha, notion)
-            seed = item.get("seed")
-            if seed is not None:
-                seed = derive_trial_seed(int(seed), rep)
-            allocator = make_allocator(allocator_name, n, seed)
-            result = adv.run_adaptive(adversary, allocator)
-            inst, alloc = result.trace.instance, result.trace.allocation
-            row["steps"] = str(inst.m)
-            _fill_ratio(row, result.achieved_ratio)
-            row["prop1_at_inv_n"] = _flag(
-                check_alpha_prop1(inst, alloc, Fraction(1, n)).satisfied
-            )
-            row["alpha_ef1"] = _flag(check_alpha_ef1(inst, alloc, alpha).satisfied)
-            row["alpha_propx"] = _flag(check_alpha_propx(inst, alloc, alpha).satisfied)
-            try:
-                row["alpha_mms"] = _flag(check_alpha_mms(inst, alloc, alpha).satisfied)
-            except InstanceTooLargeError:
-                row["alpha_mms"] = ""
-        else:
-            raise DomainError(f"unknown construction {construction!r}")
+        result = adv.run_construction(construction, n, alpha, max_steps=max_steps, seed=seed, **choice)
     except InvariantError:
-        assertions = False
-    row["assertions_passed"] = _flag(assertions)
+        row["assertions_passed"] = "false"
+        return row
+    ratio = result.achieved_ratio
+    row.update(
+        steps=str(result.trace.instance.m),
+        prop1_ratio=str(ratio),
+        prop1_ratio_float=repr(float(ratio)),
+        assertions_passed="true",
+    )
+    if result.verdicts is None:
+        # a too-small greedy3 step budget shows up here, not as an invariant breach
+        row["ratio_below_target"] = _flag(ratio < alpha)
+    else:
+        row.update((key, _flag(value)) for key, value in result.verdicts.items())
     return row
-
-
-def _fill_ratio(row: dict, ratio: Fraction) -> None:
-    row["prop1_ratio"] = str(ratio)
-    row["prop1_ratio_float"] = repr(float(ratio))
 
 
 def write_campaign_csv(rows: Sequence[dict], path: str) -> None:

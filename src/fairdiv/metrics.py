@@ -189,20 +189,22 @@ class Ef1Check:
 def check_alpha_ef1(inst: Instance, alloc: Allocation, alpha: Fraction) -> Ef1Check:
     """alpha-EF1: for every pair with A_j nonempty, removing the good in A_j
     that agent i values most leaves v_i(A_i) >= alpha * v_i(A_j - g)."""
-    check_allocation(inst, alloc)
+    held = final_state(inst, alloc).bundle
     if not 0 <= alpha <= 1:
         raise DomainError(f"alpha {alpha} outside [0, 1]")
-    bundles = alloc.bundles(inst.n)
-    for i in range(1, inst.n + 1):
-        row = inst.values[i - 1]
-        mine = sum((row[g - 1] for g in bundles[i - 1]), Fraction(0))
-        for j in range(1, inst.n + 1):
-            if i == j or not bundles[j - 1]:
-                continue
-            theirs = [row[g - 1] for g in bundles[j - 1]]
-            reduced = sum(theirs, Fraction(0)) - max(theirs)
-            if mine < alpha * reduced:
-                return Ef1Check(False, alpha, EnvyWitness(i, j))
+    bundles: list[list[int]] = [[] for _ in range(inst.n)]
+    for t, owner in enumerate(alloc.owner):
+        bundles[owner - 1].append(t)
+    for i, row in enumerate(inst.values):
+        # agent i's values scaled to integers, so bundles sum without Fractions
+        scale = lcm(*(v.denominator for v in row))
+        weights = [v.numerator * (scale // v.denominator) for v in row]
+        mine = held[i] * scale
+        for j, goods in enumerate(bundles):
+            if j != i and goods:
+                theirs = [weights[t] for t in goods]
+                if mine < alpha * (sum(theirs) - max(theirs)):
+                    return Ef1Check(False, alpha, EnvyWitness(i + 1, j + 1))
     return Ef1Check(True, alpha, None)
 
 

@@ -30,10 +30,6 @@ def _decimal_up(x: Fraction) -> Decimal:
     return _UP.divide(Decimal(x.numerator), Decimal(x.denominator))
 
 
-def _decimal_down(x: Fraction) -> Decimal:
-    return _DOWN.divide(Decimal(x.numerator), Decimal(x.denominator))
-
-
 def rand_alpha_bound(n: int, delta: Fraction) -> Decimal:
     """The PROP1 factor 27 / (128 ln(n/delta)) the uniform rule guarantees
     with probability 1 - delta against a non-adaptive adversary.

@@ -21,6 +21,7 @@ from fairdiv import (
     MivImpossibilityAdversary,
     Predictions,
     RandAllocator,
+    RobustifiedAllocator,
     check_alpha_ef1,
     check_alpha_mms,
     check_alpha_propx,
@@ -38,7 +39,6 @@ from fairdiv import (
     prop1_ratio,
     rand_tail_certificate,
     robust_beta,
-    robustify,
     run,
     run_adaptive,
     verify_greedy1_failure,
@@ -184,7 +184,7 @@ def test_criterion_7_error_wrapper():
         n = rng.choice([2, 3, 4])
         m = rng.randint(1, 30)
         inst, pred = _contract_instance(rng, n, m, eps)
-        wrapped = robustify(MivAllocator, pred)
+        wrapped = RobustifiedAllocator(MivAllocator(n), pred)
         trace = run(wrapped, inst)
         beta = robust_beta(F(1, n), eps, n)
         assert beta == (1 - eps) / (n - eps / F(n))

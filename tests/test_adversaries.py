@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from fairdiv import (
+    CONSTRUCTIONS,
     DomainError,
     Greedy1Allocator,
     Greedy2Allocator,
@@ -21,6 +22,7 @@ from fairdiv import (
     prop1_ratio,
     run,
     run_adaptive,
+    run_construction,
     verify_greedy1_failure,
     verify_greedy2_failure,
 )
@@ -159,6 +161,27 @@ class TestGreedy3Adversary:
         result = run_adaptive(adversary, Greedy3Allocator(2))
         assert result.cycles <= bound
 
+    @pytest.mark.parametrize(
+        "n, target",
+        [(2, F(3, 5)), (2, F(4, 7)), (2, F(1, 2)), (2, F(3, 7)), (2, F(2, 5)), (2, F(1, 3)),
+         (2, F(3, 10)), (2, F(2, 7)), (2, F(1, 4)), (3, F(3, 5)), (3, F(4, 7)), (3, F(1, 2)),
+         (3, F(3, 7)), (3, F(3, 8)), (4, F(1, 2))],
+    )
+    def test_predicted_cycles_bound_matches_the_summing_loop(self, n, target):
+        # the definition: add certificate terms until the float sum reaches n/alpha
+        need = float(n / target)
+        rhs, k = 1.5, 0
+        while rhs < need:
+            k += 1
+            rhs += 1.0 / (2 * (k + Greedy3Adversary.OPENING_LAMBDA))
+        assert Greedy3Adversary(target, 10, n).predicted_cycles_bound() == k
+
+    def test_predicted_cycles_bound_for_small_targets(self):
+        assert Greedy3Adversary(F(1, 5), 10).predicted_cycles_bound() == 60780788
+        assert Greedy3Adversary(F(1, 175), 10).predicted_cycles_bound() > 10**303
+        assert Greedy3Adversary(F(1, 176), 10).predicted_cycles_bound() is None
+        assert Greedy3Adversary(F(1, 10**400), 10).predicted_cycles_bound() is None
+
 
 class TestImpossibilityAdversary:
     def test_constants(self):
@@ -213,3 +236,53 @@ class TestImpossibilityAdversary:
             traces.append(run_adaptive(adversary, MivAllocator(2)).trace)
         assert traces[0].instance == traces[1].instance == traces[2].instance
         assert traces[0].owners == traces[1].owners == traces[2].owners
+
+
+class TestRunConstruction:
+    def test_static_constructions_face_their_own_rule(self):
+        for name, build, verify, rule in (
+            ("greedy1", greedy1_adversary, verify_greedy1_failure, Greedy1Allocator),
+            ("greedy2", greedy2_adversary, verify_greedy2_failure, Greedy2Allocator),
+        ):
+            result = run_construction(name, 3, F(1, 5))
+            trace = run(rule(3), build(3, F(1, 5)))
+            verify(trace, F(1, 5))
+            assert result.trace == trace
+            assert result.allocator == name
+            assert result.achieved_ratio == prop1_ratio(trace.instance, trace.allocation) < F(1, 5)
+            assert result.target_reached and result.verdicts is None
+
+    def test_greedy3_reports_cycles_and_the_certified_bound(self):
+        result = run_construction("greedy3", 2, F(2, 5))
+        direct = run_adaptive(Greedy3Adversary(F(2, 5), 10**6), Greedy3Allocator(2))
+        assert result.trace == direct.trace and result.cycles == direct.cycles
+        assert result.certified_cycles_bound == 2757
+        assert result.allocator == "greedy3" and result.verdicts is None
+
+    def test_impossibility_verdicts(self):
+        result = run_construction("miv-impossibility", 2, F(1, 2))
+        assert result.allocator == "miv"
+        assert result.verdicts == {
+            "prop1_at_inv_n": True,
+            "alpha_ef1": False,
+            "alpha_propx": False,
+            "alpha_mms": False,
+        }
+
+    def test_mms_verdict_is_none_above_the_size_guard(self):
+        result = run_construction("miv-impossibility", 2, F(1, 20), allocator="greedy1")
+        assert result.trace.instance.m == 44
+        assert result.verdicts["alpha_mms"] is None
+        assert result.verdicts["alpha_ef1"] is False
+
+    def test_seeded_rand_victim(self):
+        first = run_construction("miv-impossibility", 2, F(1, 2), allocator="rand", seed=3)
+        again = run_construction("miv-impossibility", 2, F(1, 2), allocator="rand", seed=3)
+        assert first.trace == again.trace
+        with pytest.raises(DomainError):
+            run_construction("miv-impossibility", 2, F(1, 2), allocator="rand")
+
+    def test_unknown_construction_rejected(self):
+        assert CONSTRUCTIONS == ("greedy1", "greedy2", "greedy3", "miv-impossibility")
+        with pytest.raises(DomainError):
+            run_construction("greedy4", 2, F(1, 2))

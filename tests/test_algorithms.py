@@ -24,7 +24,6 @@ from fairdiv import (
     perfect_predictions,
     prop1_ratio,
     robust_beta,
-    robustify,
     run,
 )
 from conftest import random_instance
@@ -330,7 +329,7 @@ class TestRobustify:
         for _ in range(20):
             n = rng.choice([2, 3])
             inst = random_instance(rng, n, rng.randint(1, 12), force_unit_max=True)
-            wrapped = robustify(MivAllocator, perfect_predictions(n))
+            wrapped = RobustifiedAllocator(MivAllocator(n), perfect_predictions(n))
             direct = MivAllocator(n)
             assert run(wrapped, inst).owners == run(direct, inst).owners
 
@@ -361,7 +360,7 @@ class TestRobustify:
             m = rng.randint(1, 15)
             eps = rng.choice([F(0), F(1, 10), F(1, 4), F(1, 2)])
             inst, pred = _contract_instance(rng, n, m, eps)
-            wrapped = robustify(MivAllocator, pred)
+            wrapped = RobustifiedAllocator(MivAllocator(n), pred)
             trace = run(wrapped, inst)
             beta = robust_beta(F(1, n), eps, n)
             assert check_alpha_prop1(inst, trace.allocation, beta).satisfied
@@ -414,10 +413,10 @@ class TestScaleInvariance:
                 if factory is MivAllocator:
                     # rescaling moves the unit maxima: feed through the wrapper
                     base = run(
-                        robustify(MivAllocator, perfect_predictions(n)), inst
+                        RobustifiedAllocator(MivAllocator(n), perfect_predictions(n)), inst
                     ).owners
                     pred = Predictions(tuple(scale[i] * 1 for i in range(n)))
-                    other = run(robustify(MivAllocator, pred), scaled).owners
+                    other = run(RobustifiedAllocator(MivAllocator(n), pred), scaled).owners
                 else:
                     base = run(factory(n), inst).owners
                     other = run(factory(n), scaled).owners

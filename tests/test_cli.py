@@ -1,4 +1,6 @@
+import csv
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -245,6 +247,59 @@ class TestAdversaryCommand:
         assert payload["alpha_mms"] is False
         assert payload["alpha_propx"] is False
 
+    def test_impossibility_above_the_mms_guard_reports_null(self, tmp_path):
+        out = tmp_path / "adv.json"
+        argv = ["adversary", "--target", "miv-impossibility", "--n", "2", "--alpha", "1/20"]
+        assert main([*argv, "--out", str(out)]) == 0
+        payload = read_json(str(out))
+        assert payload["steps"] == 44  # 2^44 labeled partitions exceed the MMS guard
+        assert payload["alpha_mms"] is None
+        assert payload["alpha_ef1"] is False and payload["prop1_at_inv_n"] is True
+
+    def test_greedy3_budget_shortfall_returns_quickly(self, tmp_path):
+        out = tmp_path / "adv.json"
+        start = time.perf_counter()
+        code = main(["adversary", "--target", "greedy3", "--alpha", "1/10", "--max-steps", "20",
+                     "--out", str(out)])
+        assert code == 0 and time.perf_counter() - start < 5
+        payload = read_json(str(out))
+        assert payload["target_reached"] is False and payload["steps"] == 20
+        assert payload["certified_cycles_bound"] > 10**16
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"construction": "greedy1", "n": 3, "alpha": "1/5"},
+            {"construction": "greedy2", "n": 2, "alpha": "1/3"},
+            {"construction": "greedy3", "n": 2, "alpha": "1/10", "max_steps": 50},
+            {"construction": "miv-impossibility", "n": 2, "alpha": "1/3", "allocator": "greedy2",
+             "notion": "propx"},
+            {"construction": "miv-impossibility", "n": 2, "alpha": "1/20"},
+        ],
+        ids=lambda row: row["construction"],
+    )
+    def test_campaign_row_matches_the_adversary_command(self, row, tmp_path):
+        config, rows, out = (tmp_path / name for name in ("config.json", "rows.csv", "adv.json"))
+        config.write_text(json.dumps([row]), encoding="utf-8")
+        assert main(["campaign", "--config", str(config), "--out", str(rows)]) == 0
+        with open(rows, encoding="utf-8", newline="") as fh:
+            (cells,) = csv.DictReader(fh)
+        argv = ["adversary", "--target", row["construction"], "--n", str(row["n"]),
+                "--alpha", row["alpha"], "--out", str(out)]
+        for key in ("allocator", "notion"):
+            if key in row:
+                argv += [f"--{key}", row[key]]
+        if "max_steps" in row:
+            argv += ["--max-steps", str(row["max_steps"])]
+        assert main(argv) == 0
+        payload = read_json(str(out))
+        assert cells["steps"] == str(payload["steps"])
+        assert cells["prop1_ratio"] == payload["achieved_prop1_ratio"]
+        assert cells["allocator"] == payload.get("allocator", row["construction"])
+        for key in ("prop1_at_inv_n", "alpha_ef1", "alpha_mms", "alpha_propx"):
+            flag = payload.get(key)
+            assert cells[key] == ("" if flag is None else str(flag).lower())
+
     def test_allocator_flag_restricted(self, capsys):
         assert (
             main(["adversary", "--target", "greedy1", "--alpha", "1/2", "--allocator", "miv"])
@@ -361,9 +416,20 @@ class TestCampaignCommand:
             '{"rows": [{"construction": "greedy1", "n": 2}]}',
             '{"rows": [{"construction": "miv-impossibility", "alpha": "1/2", "allocator": "rand"}]}',
             '{"rows": [{"construction": "miv-impossibility", "alpha": "1/2", "allocator": "nope"}]}',
+            '{"rows": [{"construction": "greedy1", "alpha": "1/2", "n": "x"}]}',
+            '{"rows": [{"construction": "greedy1", "alpha": "1/2", "n": null}]}',
+            '{"rows": [{"construction": "greedy1", "alpha": "1/2", "n": 2.5}]}',
+            '{"rows": [{"construction": "greedy3", "alpha": "1/2", "max_steps": "lots"}]}',
+            '{"rows": [{"construction": "miv-impossibility", "alpha": "1/2", "allocator": "rand",'
+            ' "seed": "abc"}]}',
+            '{"rows": [{"construction": "greedy1", "alpha": "1/2", "repetitions": [1]}]}',
+            '{"rows": [{"construction": "greedy1", "alpha": "1/2", "repetitions": 1.9}]}',
+            '{"rows": [{"construction": "greedy1", "alpha": "1/2", "repetitions": -3}]}',
         ],
         ids=["missing", "malformed", "rows-not-a-list", "no-construction", "no-alpha",
-             "rand-no-seed", "unknown-allocator"],
+             "rand-no-seed", "unknown-allocator", "n-text", "n-null", "n-fraction",
+             "max-steps-text", "seed-text", "repetitions-list", "repetitions-fraction",
+             "repetitions-negative"],
     )
     def test_config_errors_exit_one_with_one_line(self, config, tmp_path, capsys):
         path = tmp_path / "config.json"

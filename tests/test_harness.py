@@ -4,16 +4,21 @@ import pytest
 
 from fairdiv import (
     DomainError,
+    InvariantError,
+    RandAllocator,
+    check_alpha_prop1,
     campaign,
     equal_goods_instance,
     instance_from_rows,
     montecarlo_rand,
     potential_grid,
+    rand_alpha_bound,
+    run,
 )
+from fairdiv import adversaries
 from fairdiv.harness import (
     CAMPAIGN_COLUMNS,
     derive_trial_seed,
-    montecarlo_rand_reference,
     read_campaign_csv,
     write_campaign_csv,
     write_potential_grid_csv,
@@ -36,10 +41,17 @@ class TestMonteCarlo:
             [[F(1), F(1, 2), F(1, 3), F(2, 3), F(1)], [F(1), F(1), F(0), F(1, 5), F(1, 2)]]
         )
         fast = montecarlo_rand(inst, F(1, 5), 40, 7)
-        slow = montecarlo_rand_reference(inst, F(1, 5), 40, 7)
-        assert fast.failures == slow.failures
-        assert fast.empirical_failure_rate == slow.empirical_failure_rate
-        assert fast.alpha_used == slow.alpha_used
+        # the reference route: each trial through the allocator and the exact check
+        alpha = F(rand_alpha_bound(inst.n, F(1, 5)))
+        failures = sum(
+            not check_alpha_prop1(
+                inst, run(RandAllocator(inst.n, derive_trial_seed(7, trial)), inst).allocation, alpha
+            ).satisfied
+            for trial in range(40)
+        )
+        assert fast.failures == failures
+        assert fast.empirical_failure_rate == F(failures, 40)
+        assert fast.alpha_used == alpha
 
     def test_witness_good_instance_never_fails(self):
         # one good already worth the whole guarantee to both agents
@@ -128,6 +140,26 @@ class TestCampaign:
     def test_unknown_construction_rejected(self):
         with pytest.raises(DomainError):
             campaign([{"construction": "nope", "alpha": "1/2"}])
+
+    def test_integer_fields_accept_integer_text(self):
+        rows = campaign(
+            [{"construction": "greedy1", "n": "3", "alpha": "1/2", "repetitions": "2",
+              "max_steps": "100"}]
+        )
+        assert [(row["n"], row["repetition"]) for row in rows] == [("3", "0"), ("3", "1")]
+        assert campaign([{"construction": "greedy1", "alpha": "1/2", "repetitions": 0}]) == []
+
+    def test_failed_static_verifier_keeps_only_the_identifying_cells(self, monkeypatch):
+        def refuse(trace, alpha):
+            raise InvariantError("forced failure")
+
+        monkeypatch.setitem(
+            adversaries._STATIC, "greedy1", (adversaries.greedy1_adversary, refuse)
+        )
+        (row,) = campaign([{"construction": "greedy1", "n": 2, "alpha": "1/4"}])
+        kept = {"construction": "greedy1", "allocator": "greedy1", "n": "2", "alpha": "1/4",
+                "notion": "", "repetition": "0", "assertions_passed": "false"}
+        assert row == {column: kept.get(column, "") for column in CAMPAIGN_COLUMNS}
 
 
 class TestPotentialGrid:

@@ -167,6 +167,44 @@ class TestEf1:
             assert mine < sum(theirs) - max(theirs)
 
 
+def _ef1_by_definition(inst, alloc, alpha):
+    """The first (envier, envied) pair, in agent order, that breaks alpha-EF1."""
+    for i in range(1, inst.n + 1):
+        mine = bundle_value(inst, i, alloc.bundle(i))
+        for j in range(1, inst.n + 1):
+            theirs = [inst.value(i, g) for g in alloc.bundle(j)]
+            if i != j and theirs and mine < alpha * (sum(theirs) - max(theirs)):
+                return (i, j)
+    return None
+
+
+@st.composite
+def _ef1_cases(draw):
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(0, 8))
+    cell = st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), F(7, 5)])
+    rows = [draw(st.lists(cell, min_size=m, max_size=m)) for _ in range(n)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [F(0)] * m
+    # agents above ``holders`` end with an empty bundle
+    holders = draw(st.integers(1, n))
+    owners = tuple(draw(st.lists(st.integers(1, holders), min_size=m, max_size=m)))
+    alpha = draw(st.sampled_from([F(0), F(1, 2), F(1)]))
+    return instance_from_rows(rows), Allocation(owners), alpha
+
+
+class TestEf1Differential:
+    @settings(max_examples=300, deadline=None)
+    @given(_ef1_cases())
+    def test_matches_the_definition(self, case):
+        inst, alloc, alpha = case
+        report = check_alpha_ef1(inst, alloc, alpha)
+        pair = _ef1_by_definition(inst, alloc, alpha)
+        assert report.satisfied == (pair is None)
+        witness = report.witness
+        assert (None if witness is None else (witness.envier, witness.envied)) == pair
+
+
 class TestPropx:
     def test_equal_split_passes(self):
         inst = instance_from_rows([[F(1), F(1)], [F(1), F(1)]])
