@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Generator, Sequence
 
 from .algorithms import AllocationTrace, TraceRecorder, make_allocator, run
 from .core import Instance, instance_from_columns, instance_from_rows
@@ -139,13 +139,46 @@ class AdaptiveAdversary:
     """Emits value columns one at a time, seeing all prior allocation decisions.
 
     ``next_column(history)`` receives the owners chosen for every column
-    emitted so far and returns the next column, or None when done.
+    emitted so far, one per column (otherwise ``DomainError``), and returns
+    the next column, or None when done.  A construction writes its schedule
+    as the generator ``_schedule()``: it yields ``(column, allowed)`` and is
+    sent the owner, which this driver has checked against ``allowed``
+    (a forbidden owner raises ``InvariantError``).  The run ends when the
+    generator returns or ``t`` reaches ``max_steps``.
     """
 
-    n: int
+    max_steps: int | float = math.inf
+    target_reached = False
+    cycles: int | None = None  # completed equalize-strike cycles, when applicable
+
+    def __init__(self, n: int, alpha_target: Fraction):
+        self.n = n
+        self.target_alpha = alpha_target
+        self.t = 0  # columns emitted so far
+        self._steps = self._schedule()
+        self._allowed: Sequence[int] = ()
+
+    def _schedule(self) -> Generator[tuple[list[Fraction], Sequence[int]], int, None]:
+        raise NotImplementedError
 
     def next_column(self, history: Sequence[int]) -> list[Fraction] | None:
-        raise NotImplementedError
+        if self._steps is None:
+            return None
+        if len(history) != self.t:
+            raise DomainError(f"history has {len(history)} decisions, expected {self.t}")
+        owner = history[-1] if self.t else None
+        if self.t and owner not in self._allowed:
+            allowed = " or ".join(map(str, self._allowed))
+            raise InvariantError(f"good {self.t} must go to agent {allowed}, saw agent {owner}")
+        try:
+            column, self._allowed = self._steps.send(owner)
+        except StopIteration:
+            column = None
+        if column is None or self.t >= self.max_steps:
+            self._steps = None
+            return None
+        self.t += 1
+        return column
 
 
 @dataclass
@@ -175,13 +208,12 @@ def run_adaptive(adversary: AdaptiveAdversary, allocator) -> AdversaryRun:
         columns.append(column)
     inst = instance_from_columns(columns, adversary.n)
     trace = recorder.build_trace(inst, getattr(allocator, "potential_log", None))
-    ratio = allocator.state.ratio()
     return AdversaryRun(
         trace=trace,
         target_alpha=adversary.target_alpha,
-        achieved_ratio=ratio,
-        target_reached=getattr(adversary, "target_reached", ratio < adversary.target_alpha),
-        cycles=getattr(adversary, "cycles", None),
+        achieved_ratio=allocator.state.ratio(),
+        target_reached=adversary.target_reached,
+        cycles=adversary.cycles,
     )
 
 
@@ -226,29 +258,13 @@ class Greedy3Adversary(AdaptiveAdversary):
             )
         if max_steps < 4:
             raise DomainError("need a step budget of at least 4")
-        self.n = n
-        self.target_alpha = alpha_target
+        super().__init__(n, alpha_target)
         self.max_steps = max_steps
-        self.t = 0  # columns emitted so far
         self.cycles = 0
-        self.target_reached = False
-        self.done = False
         # mirror of the allocator's running state; agents 1 and 2 are 0 and 1
         # here, and padded agents stay at value 1 after the opening
         self._mirror = Prop1State(n)
-        self._min_agent: int | None = None  # 0-based, among {0, 1}
-        self._phase = "opening"
-        self._opening_expect = [1, 2, 1]
-        self._equalize_emitted = 0
         self._equalize_formula: int | None = None
-        self._frozen_min_alpha: Fraction | None = None
-        self._pending: tuple[list[Fraction], object] | None = None  # (column, expected owner(s))
-        self._cert_rhs = Fraction(3, 2)
-
-    # -- derived state ------------------------------------------------------
-
-    def _alpha(self, j: int) -> Fraction:
-        return self._mirror.value(j)
 
     def predicted_cycles_bound(self) -> int | None:
         """Cycles that certify the target via the harmonic lower bound alone.
@@ -274,125 +290,62 @@ class Greedy3Adversary(AdaptiveAdversary):
                 hi = mid
         return hi - 2
 
-    # -- protocol -----------------------------------------------------------
+    # bound in each class body, so perfbench/tracer.py can wrap it per class
+    next_column = AdaptiveAdversary.next_column
 
-    def next_column(self, history: Sequence[int]) -> list[Fraction] | None:
-        self._absorb(history)
-        if self.done:
-            return None
-        if self.t >= self.max_steps:
-            self.done = True
-            return None
-
-        if self._phase == "opening":
-            if self.t == 0:
-                return self._emit([Fraction(1)] * self.n, 1)
-            col = [Fraction(1), Fraction(1)] + [Fraction(0)] * (self.n - 2)
-            return self._emit(col, self._opening_expect[self.t])
-
-        if self._phase == "equalize":
-            i = self._min_agent
-            j = 1 - i
-            c = self._mirror.best_outside
-            delta = c[j] / (2 * self._mirror.total[j])
-            if self._alpha(j) > self._frozen_min_alpha * (1 + delta):
-                col = [Fraction(0)] * self.n
-                col[j] = c[j] / 2
-                self._equalize_emitted += 1
-                return self._emit(col, i + 1)
-            if self._equalize_emitted != self._equalize_formula:
-                raise InvariantError(
-                    f"equalization emitted {self._equalize_emitted} goods, "
-                    f"closed form says {self._equalize_formula}"
-                )
-            self._phase = "strike"
-
-        # strike: one good worth c_r to each live agent r
-        col = [Fraction(0)] * self.n
-        col[:2] = self._mirror.best_outside[:2]
-        return self._emit(col, (1, 2))
-
-    # -- internals ----------------------------------------------------------
-
-    def _emit(self, col: list[Fraction], expect) -> list[Fraction]:
-        self._pending = (col, expect)
-        self.t += 1
-        return col
-
-    def _absorb(self, history: Sequence[int]) -> None:
-        if self._pending is None:
-            return
-        if len(history) != self.t:
-            raise DomainError(f"history has {len(history)} decisions, expected {self.t}")
-        col, expect = self._pending
-        self._pending = None
-        owner = history[-1]
-        if isinstance(expect, tuple):
-            if owner not in expect:
-                raise InvariantError(
-                    f"allocator diverged at t={self.t}: gave the strike good to agent {owner}"
-                )
-        elif owner != expect:
-            raise InvariantError(
-                f"allocator diverged at t={self.t}: expected agent {expect}, saw {owner}"
-            )
+    def _emit(self, col: list[Fraction], *allowed: int):
+        """Yield ``col`` for one of ``allowed``; mirror it and return its owner."""
+        owner = yield col, allowed
         self._mirror.arrive(col)
         self._mirror.assign(col, owner)
+        return owner
 
-        if self._phase == "opening" and self.t == 3:
-            self._finish_opening()
-        elif self._phase == "strike":
-            self._finish_strike(owner)
-
-    def _finish_opening(self) -> None:
-        bundle, c, total = self._mirror.bundle, self._mirror.best_outside, self._mirror.total
-        if not (
-            self._alpha(0) == 1
-            and self._alpha(1) == Fraction(2, 3)
-            and c[:2] == [Fraction(1), Fraction(1)]
-            and total[:2] == [Fraction(3), Fraction(3)]
-        ):
+    def _schedule(self):
+        n, mirror = self.n, self._mirror
+        value, c, total = mirror.value, mirror.best_outside, mirror.total
+        pad = [Fraction(0)] * (n - 2)
+        yield from self._emit([Fraction(1)] * n, 1)
+        yield from self._emit([Fraction(1), Fraction(1)] + pad, 2)
+        yield from self._emit([Fraction(1), Fraction(1)] + pad, 1)
+        if (value(0), value(1), c[:2], total[:2]) != (1, Fraction(2, 3), [1, 1], [3, 3]):
             raise InvariantError("opening state diverged from the construction")
-        lam = max(bundle[0] / c[0], bundle[1] / c[1])
+        lam = max(mirror.bundle[0] / c[0], mirror.bundle[1] / c[1])
         if lam != self.OPENING_LAMBDA:
             raise InvariantError(f"opening bundle/c ratio {lam} differs from 2")
-        self._min_agent = 1
-        self._start_cycle()
-
-    def _start_cycle(self) -> None:
-        i = self._min_agent
-        j = 1 - i
-        self._frozen_min_alpha = self._alpha(i)
-        gap = self._alpha(j) / self._frozen_min_alpha - 1
-        self._equalize_formula = (
-            math.ceil(2 / self._mirror.best_outside[j] * self._mirror.total[j] * gap) - 1
-        )
-        self._equalize_emitted = 0
-        self._phase = "equalize"
-
-    def _finish_strike(self, owner: int) -> None:
-        old_min = self._frozen_min_alpha
-        new_min = 1 - (owner - 1)  # the live agent that did NOT receive the strike
-        if not self._alpha(new_min) < old_min:
-            raise InvariantError("strike failed to lower the running minimum strictly")
-        other = 1 - new_min
-        if not self._alpha(new_min) < self._alpha(other):
-            raise InvariantError("post-strike minimum is not strict between the live agents")
-        if self.n > 2 and not self._alpha(new_min) < 1:
-            raise InvariantError("post-strike minimum not below the padded agents' value 1")
-        self._min_agent = new_min
-        self.cycles += 1
-        self._cert_rhs += Fraction(1, 2 * (self.cycles + self.OPENING_LAMBDA))
-        if not 1 / self._alpha(new_min) >= self._cert_rhs:
-            raise InvariantError(
-                f"harmonic certificate failed at cycle {self.cycles}: "
-                f"1/{self._alpha(new_min)} < {self._cert_rhs}"
-            )
-        if self._mirror.ratio() < self.target_alpha:
-            self.target_reached = True
-            self.done = True
-        else:
-            self._start_cycle()
+        cert_rhs = Fraction(3, 2)
+        i = 1  # the live agent with the smaller running value, 0-based
+        while True:
+            j = 1 - i
+            old_min = value(i)
+            self._equalize_formula = math.ceil(2 / c[j] * total[j] * (value(j) / old_min - 1)) - 1
+            emitted = 0
+            while value(j) > old_min * (1 + c[j] / (2 * total[j])):
+                col = [Fraction(0)] * n
+                col[j] = c[j] / 2
+                yield from self._emit(col, i + 1)
+                emitted += 1
+            if emitted != self._equalize_formula:
+                raise InvariantError(
+                    f"equalization emitted {emitted} goods, "
+                    f"closed form says {self._equalize_formula}"
+                )
+            owner = yield from self._emit(c[:2] + pad, 1, 2)
+            i = 2 - owner  # the live agent that did NOT receive the strike
+            new_min = value(i)
+            if not new_min < old_min:
+                raise InvariantError("strike failed to lower the running minimum strictly")
+            if not all(new_min < value(r) for r in range(n) if r != i):
+                raise InvariantError("post-strike minimum is not strict over all agents")
+            self.cycles += 1
+            cert_rhs += Fraction(1, 2 * (self.cycles + self.OPENING_LAMBDA))
+            if not 1 / new_min >= cert_rhs:
+                raise InvariantError(
+                    f"harmonic certificate failed at cycle {self.cycles}: "
+                    f"1/{new_min} < {cert_rhs}"
+                )
+            if mirror.ratio() < self.target_alpha:
+                self.target_reached = True
+                return
 
 
 # ---------------------------------------------------------------------------
@@ -427,43 +380,31 @@ class MivImpossibilityAdversary(AdaptiveAdversary):
     construction is the same for all of them.
     """
 
+    target_reached = True  # the construction succeeds against any allocator
+
     def __init__(self, n: int, alpha_target: Fraction, notion: str = "ef1"):
         if notion not in NOTIONS:
             raise DomainError(f"unknown fairness notion {notion!r}")
-        self.n = n
-        self.target_alpha = alpha_target
+        super().__init__(n, alpha_target)
         self.notion = notion
         self.m, self.growth, self.eps = impossibility_constants(n, alpha_target)
-        self.t = 0
-        self.target_reached = True  # the construction succeeds against any allocator
-        self._agent1_goods = 0
-        self._awaiting = False
 
-    def next_column(self, history: Sequence[int]) -> list[Fraction] | None:
-        if self._awaiting:
-            if len(history) != self.t:
-                raise DomainError(f"history has {len(history)} decisions, expected {self.t}")
-            owner = history[-1]
-            if self.t == 1 and owner != 1:
-                raise InvariantError("good 1 must go to agent 1")
-            if owner == 1:
-                self._agent1_goods += 1
-            self._awaiting = False
-        if self.t >= self.m:
-            return None
-        self.t += 1
-        t = self.t
-        if t == 1:
-            col = [Fraction(1)] * self.n
-        elif self._agent1_goods == 1 or t <= self.n:
-            col = [Fraction(1)] + [self.eps * self.growth ** (t - 2)] * (self.n - 1)
-        else:
-            col = [Fraction(0)] * self.n
-        for v in col:
-            if v > 1:
-                raise InvariantError(f"emitted value {v} breaks the unit prediction bound")
-        self._awaiting = True
-        return col
+    next_column = AdaptiveAdversary.next_column
+
+    def _schedule(self):
+        n, agents = self.n, range(1, self.n + 1)
+        yield [Fraction(1)] * n, (1,)
+        agent1_goods = 1
+        for t in range(2, self.m + 1):
+            if agent1_goods == 1 or t <= n:
+                value = self.eps * self.growth ** (t - 2)
+                if value > 1:
+                    raise InvariantError(f"emitted value {value} breaks the unit prediction bound")
+                col = [Fraction(1)] + [value] * (n - 1)
+            else:
+                col = [Fraction(0)] * n
+            owner = yield col, agents
+            agent1_goods += owner == 1
 
 
 # ---------------------------------------------------------------------------
@@ -476,22 +417,32 @@ _STATIC = {
 }
 
 
-def roles(construction: str, allocator: str = "miv", notion: str = "ef1") -> tuple[str, str | None]:
+def roles(
+    construction: str, allocator: str | None = None, notion: str | None = None
+) -> tuple[str, str | None]:
     """The rule that faces ``construction`` and the notion its run reports.
 
     greedy1-3 each face their own rule and report no notion; the
-    impossibility faces ``allocator`` and reports ``notion``.
+    impossibility faces ``allocator`` (default "miv") and reports ``notion``
+    (default "ef1").  A parameter that does not apply raises DomainError.
     """
     if construction not in CONSTRUCTIONS:
         raise DomainError(f"unknown construction {construction!r}; choose from {CONSTRUCTIONS}")
     if construction == "miv-impossibility":
-        return allocator, notion
+        notion = "ef1" if notion is None else notion
+        if notion not in NOTIONS:
+            raise DomainError(f"unknown fairness notion {notion!r}; choose from {NOTIONS}")
+        return ("miv" if allocator is None else allocator), notion
+    if notion is not None:
+        raise DomainError(f"{construction} reports no fairness notion, got {notion!r}")
+    if allocator not in (None, construction):
+        raise DomainError(f"{construction} faces its own rule, got allocator {allocator!r}")
     return construction, None
 
 
 def run_construction(
-    construction: str, n: int, alpha: Fraction, *, notion: str = "ef1", max_steps: int = 10**6,
-    allocator: str = "miv", seed: int | None = None,
+    construction: str, n: int, alpha: Fraction, *, notion: str | None = None,
+    max_steps: int = 10**6, allocator: str | None = None, seed: int | None = None,
 ) -> AdversaryRun:
     """Build and run one construction against the rule that faces it.
 
@@ -500,8 +451,9 @@ def run_construction(
     its own rule within ``max_steps`` and reports the certified cycle
     bound; the impossibility drives ``allocator`` (seeded by ``seed``) and
     reports whether the allocation is 1/n-PROP1 and alpha-EF1, -PROPX and
-    -MMS, the last None above the MMS size guard.  A forced fact that
-    fails raises ``InvariantError``.
+    -MMS, the last None above the MMS size guard.  ``roles`` decides which
+    of ``allocator`` and ``notion`` apply.  A forced fact that fails raises
+    ``InvariantError``.
     """
     rule_name, notion = roles(construction, allocator, notion)
     if construction in _STATIC:

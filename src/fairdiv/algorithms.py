@@ -214,7 +214,7 @@ ALLOCATORS: dict[str, type[OnlineAllocator]] = {
 
 def make_allocator(name: str, n: int, seed: int | None = None) -> OnlineAllocator:
     """Build the named rule for n agents; ``rand`` needs a seed."""
-    if name not in ALLOCATORS:
+    if not isinstance(name, str) or name not in ALLOCATORS:
         raise DomainError(f"unknown allocator {name!r}; choose from {', '.join(ALLOCATORS)}")
     if name != "rand":
         return ALLOCATORS[name](n)

@@ -85,7 +85,7 @@ def build_parser() -> _Parser:
     p.add_argument("--target", required=True, choices=adv.CONSTRUCTIONS)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--alpha", type=_rational, required=True)
-    p.add_argument("--notion", choices=adv.NOTIONS, default="ef1")
+    p.add_argument("--notion", choices=adv.NOTIONS, default=None)
     p.add_argument("--max-steps", type=int, default=10**6)
     p.add_argument("--allocator", choices=ALLOCATORS, default=None)
     p.add_argument("--out", default=None)
@@ -215,11 +215,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_adversary(args) -> int:
-    if args.allocator is not None and args.target != "miv-impossibility":
-        raise FairdivError("--allocator only applies to --target miv-impossibility")
     result = adv.run_construction(
         args.target, args.n, args.alpha, notion=args.notion, max_steps=args.max_steps,
-        allocator=args.allocator or "miv",
+        allocator=args.allocator,
     )
     inst = result.trace.instance
     payload = {

@@ -47,7 +47,10 @@ def format_rational(value: RatOrInf) -> str:
     """Canonical string for a Fraction ("p/q" in lowest terms, or "p")."""
     if value == INF:
         return "inf"
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # beyond Python's int-to-str digit limit
+        raise DomainError("rational too long to write: over Python's int-to-str digit limit") from None
 
 
 @dataclass(frozen=True)

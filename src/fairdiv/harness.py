@@ -178,20 +178,21 @@ def _integer(k: int, key: str, value) -> int:
 
 def _campaign_row(item: dict, n: int, alpha: Fraction, max_steps: int, seed, rep: int) -> dict:
     construction = item["construction"]
-    choice = {"allocator": item.get("allocator", "miv"), "notion": item.get("notion", "ef1")}
-    allocator, notion = adv.roles(construction, **choice)
+    allocator, notion = adv.roles(construction, item.get("allocator"), item.get("notion"))
     row = {c: "" for c in CAMPAIGN_COLUMNS}
     row.update(
         construction=construction,
         allocator=allocator,
         n=str(n),
         alpha=str(alpha),
-        notion=item.get("notion", "") if notion is None else notion,
+        notion=notion or "",
         repetition=str(rep),
     )
     seed = None if seed is None else derive_trial_seed(seed, rep)
     try:
-        result = adv.run_construction(construction, n, alpha, max_steps=max_steps, seed=seed, **choice)
+        result = adv.run_construction(
+            construction, n, alpha, notion=notion, max_steps=max_steps, allocator=allocator, seed=seed
+        )
     except InvariantError:
         row["assertions_passed"] = "false"
         return row

@@ -26,6 +26,7 @@ from fairdiv import (
     verify_greedy1_failure,
     verify_greedy2_failure,
 )
+from fairdiv.adversaries import roles
 
 F = Fraction
 
@@ -282,7 +283,123 @@ class TestRunConstruction:
         with pytest.raises(DomainError):
             run_construction("miv-impossibility", 2, F(1, 2), allocator="rand")
 
+    def test_roles_decide_which_parameters_apply(self):
+        assert roles("miv-impossibility") == ("miv", "ef1")
+        assert roles("miv-impossibility", "greedy2", "mms") == ("greedy2", "mms")
+        for name in ("greedy1", "greedy2", "greedy3"):
+            assert roles(name) == roles(name, allocator=name) == (name, None)
+            for bad in ({"notion": "ef1"}, {"notion": "bogus"}, {"allocator": "miv"}):
+                with pytest.raises(DomainError):
+                    roles(name, **bad)
+        with pytest.raises(DomainError):
+            roles("miv-impossibility", notion="efx")
+
     def test_unknown_construction_rejected(self):
         assert CONSTRUCTIONS == ("greedy1", "greedy2", "greedy3", "miv-impossibility")
         with pytest.raises(DomainError):
             run_construction("greedy4", 2, F(1, 2))
+
+
+def feed(adversary, owners):
+    """Call ``next_column`` on every prefix of ``owners``; return the columns."""
+    return [adversary.next_column(owners[:t]) for t in range(len(owners) + 1)]
+
+
+#: Owners the greedy3 construction forces at n=3, alpha=1/2: the opening,
+#: two equalization goods for agent 2, then the strike (agent 2 takes it).
+FIRST_CYCLE = [1, 2, 1, 2, 2, 2]
+
+
+class TestForcedChoices:
+    def greedy3(self, max_steps=10**4):
+        return Greedy3Adversary(F(1, 2), max_steps, n=3)
+
+    def test_the_forced_schedule_is_accepted(self):
+        columns = feed(self.greedy3(), FIRST_CYCLE)
+        ones, half = [F(1), F(1), F(0)], [F(1, 2), F(0), F(0)]
+        assert columns == [[F(1)] * 3, ones, ones, half, half, ones, [F(0), F(1, 2), F(0)]]
+
+    @pytest.mark.parametrize(
+        "t, owner",
+        [(0, 2), (0, 3), (1, 1), (1, 3), (2, 2), (2, 3), (3, 1), (3, 3), (4, 1), (5, 3)],
+        ids=lambda v: str(v),
+    )
+    def test_a_wrong_owner_is_an_invariant_breach(self, t, owner):
+        adversary = self.greedy3()
+        feed(adversary, FIRST_CYCLE[:t])
+        with pytest.raises(InvariantError):
+            adversary.next_column(FIRST_CYCLE[:t] + [owner])
+
+    def test_agent_two_taking_the_impossibility_good_one(self):
+        adversary = MivImpossibilityAdversary(2, F(1, 2))
+        adversary.next_column([])
+        with pytest.raises(InvariantError, match="good 1 must go to agent 1"):
+            adversary.next_column([2])
+
+    @pytest.mark.parametrize(
+        "emitted, history", [(1, []), (1, [1, 1]), (0, [1])], ids=["short", "long", "first"]
+    )
+    @pytest.mark.parametrize("make", [
+        lambda: Greedy3Adversary(F(1, 2), 10**4, n=3),
+        lambda: MivImpossibilityAdversary(3, F(1, 2)),
+    ], ids=["greedy3", "impossibility"])
+    def test_a_history_of_the_wrong_length_is_a_domain_error(self, make, emitted, history):
+        adversary = make()
+        if emitted:
+            adversary.next_column([])
+        with pytest.raises(DomainError):
+            adversary.next_column(history)
+
+    @pytest.mark.parametrize("max_steps, cycles", [(5, 0), (6, 1), (7, 1)])
+    def test_a_budget_ending_on_the_strike(self, max_steps, cycles):
+        result = run_adaptive(self.greedy3(max_steps), Greedy3Allocator(3))
+        assert result.trace.instance.m == max_steps
+        assert result.trace.owners == tuple(FIRST_CYCLE + [1])[:max_steps]
+        assert result.cycles == cycles and not result.target_reached
+        adversary = self.greedy3(6)
+        feed(adversary, FIRST_CYCLE[:5])
+        with pytest.raises(InvariantError):  # the last strike is still checked
+            adversary.next_column(FIRST_CYCLE[:5] + [3])
+
+    def test_a_tampered_opening_state(self):
+        adversary = self.greedy3()
+        feed(adversary, [1, 2])
+        adversary._mirror.total[0] += 1
+        with pytest.raises(InvariantError, match="opening state"):
+            adversary.next_column([1, 2, 1])
+
+    def test_an_opening_lambda_other_than_two(self, monkeypatch):
+        monkeypatch.setattr(Greedy3Adversary, "OPENING_LAMBDA", 3)
+        with pytest.raises(InvariantError, match="bundle/c"):
+            feed(self.greedy3(), [1, 2, 1])
+
+    def test_an_equalization_count_off_its_closed_form(self):
+        adversary = self.greedy3()
+        feed(adversary, FIRST_CYCLE[:4])
+        adversary._equalize_formula += 1
+        with pytest.raises(InvariantError, match="closed form"):
+            adversary.next_column(FIRST_CYCLE[:5])
+
+    @pytest.mark.parametrize(
+        "agent, field, value, message",
+        [
+            # agent 1 is the new minimum once agent 2 takes the strike
+            (0, "bundle", F(10), "lower the running minimum"),
+            (1, "total", F(100), "not strict"),
+            (2, "total", F(100), "not strict"),  # a padded agent's value falls to 1/100
+            (0, "bundle", F(17, 8), "harmonic certificate"),  # 5/8: lower, yet above 3/5
+        ],
+        ids=["not-lower", "live-not-strict", "padded-not-strict", "certificate"],
+    )
+    def test_a_tampered_strike(self, agent, field, value, message):
+        adversary = self.greedy3()
+        feed(adversary, FIRST_CYCLE[:5])
+        getattr(adversary._mirror, field)[agent] = value
+        with pytest.raises(InvariantError, match=message):
+            adversary.next_column(FIRST_CYCLE)
+
+    def test_an_emitted_value_above_one(self):
+        adversary = MivImpossibilityAdversary(2, F(1, 2))
+        adversary.eps = F(2)
+        with pytest.raises(InvariantError, match="unit prediction bound"):
+            run_adaptive(adversary, Greedy2Allocator(2))

@@ -306,6 +306,30 @@ class TestAdversaryCommand:
             == 1
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--target", "greedy1", "--alpha", "1/2", "--notion", "mms"],
+            ["--target", "greedy3", "--alpha", "1/2", "--allocator", "greedy2"],
+            # eps = 1/K^(m-2) has 4,656 digits, beyond Python's int-to-str limit
+            ["--target", "miv-impossibility", "--n", "2", "--alpha", "1/700",
+             "--allocator", "greedy1"],
+        ],
+        ids=["greedy1-notion", "greedy3-allocator", "too-long-to-write"],
+    )
+    def test_rejected_runs_exit_one_with_one_line(self, argv, capsys):
+        assert main(["adversary", *argv]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("fairdiv: error: ")
+
+    def test_a_greedy_target_accepts_its_own_allocator(self, tmp_path):
+        out = tmp_path / "adv.json"
+        argv = ["adversary", "--target", "greedy2", "--alpha", "1/3", "--out", str(out)]
+        assert main(argv) == 0
+        plain = out.read_bytes()
+        assert main([*argv, "--allocator", "greedy2"]) == 0
+        assert out.read_bytes() == plain
+
 
 class TestOracleCommand:
     def test_rand_alpha(self, capsys):
@@ -425,11 +449,17 @@ class TestCampaignCommand:
             '{"rows": [{"construction": "greedy1", "alpha": "1/2", "repetitions": [1]}]}',
             '{"rows": [{"construction": "greedy1", "alpha": "1/2", "repetitions": 1.9}]}',
             '{"rows": [{"construction": "greedy1", "alpha": "1/2", "repetitions": -3}]}',
+            '{"rows": [{"construction": "greedy1", "alpha": "1/2", "notion": "bogus"}]}',
+            '{"rows": [{"construction": "greedy2", "alpha": "1/2", "notion": "ef1"}]}',
+            '{"rows": [{"construction": "greedy3", "alpha": "1/2", "allocator": "miv"}]}',
+            '{"rows": [{"construction": "miv-impossibility", "alpha": "1/2", "notion": "efx"}]}',
+            '{"rows": [{"construction": "miv-impossibility", "alpha": "1/2", "allocator": [1]}]}',
         ],
         ids=["missing", "malformed", "rows-not-a-list", "no-construction", "no-alpha",
              "rand-no-seed", "unknown-allocator", "n-text", "n-null", "n-fraction",
              "max-steps-text", "seed-text", "repetitions-list", "repetitions-fraction",
-             "repetitions-negative"],
+             "repetitions-negative", "greedy-notion-bogus", "greedy-notion", "greedy-allocator",
+             "unknown-notion", "allocator-list"],
     )
     def test_config_errors_exit_one_with_one_line(self, config, tmp_path, capsys):
         path = tmp_path / "config.json"

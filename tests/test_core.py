@@ -46,6 +46,10 @@ class TestParseRational:
         for v in (F(1, 2), F(3), F(0), F(41, 7)):
             assert parse_rational(format_rational(v)) == v
 
+    def test_a_rational_too_long_to_write_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="too long to write"):
+            format_rational(F(1, 10**5000))
+
 
 class TestInstanceFiles:
     def test_load_declared_content(self, tmp_path):
