@@ -40,7 +40,6 @@ from .core import (
     Allocation,
     Instance,
     Predictions,
-    bundle_value,
     check_predictions,
     format_rational,
     instance_from_columns,
@@ -50,8 +49,6 @@ from .core import (
     load_predictions,
     parse_rational,
     perfect_predictions,
-    save_allocation,
-    save_instance,
 )
 from .errors import (
     DomainError,
@@ -63,24 +60,18 @@ from .errors import (
 )
 from .harness import (
     MonteCarloReport,
-    PotentialGrid,
     campaign,
-    equal_goods_instance,
     montecarlo_rand,
     potential_grid,
 )
 from .metrics import (
     FairnessReport,
     Prop1State,
-    alpha_it,
     build_fairness_report,
     check_alpha_ef1,
     check_alpha_mms,
     check_alpha_propx,
     check_alpha_prop1,
-    check_ef1,
-    check_prop1,
-    check_propx,
     mms_exact,
     mms_profile,
     prop1_ratio,

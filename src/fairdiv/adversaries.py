@@ -186,7 +186,6 @@ class AdversaryRun:
     """Outcome of driving an allocator with a construction."""
 
     trace: AllocationTrace
-    target_alpha: Fraction
     achieved_ratio: Fraction
     target_reached: bool
     cycles: int | None = None  # completed equalize-strike cycles, when applicable
@@ -207,10 +206,9 @@ def run_adaptive(adversary: AdaptiveAdversary, allocator) -> AdversaryRun:
         recorder.record(allocator.observe(column))
         columns.append(column)
     inst = instance_from_columns(columns, adversary.n)
-    trace = recorder.build_trace(inst, getattr(allocator, "potential_log", None))
+    trace = recorder.build_trace(inst, allocator.potential_log)
     return AdversaryRun(
         trace=trace,
-        target_alpha=adversary.target_alpha,
         achieved_ratio=allocator.state.ratio(),
         target_reached=adversary.target_reached,
         cycles=adversary.cycles,
@@ -463,7 +461,7 @@ def run_construction(
         trace = run(rule, inst)
         verify(trace, alpha)
         ratio = rule.state.ratio()
-        return AdversaryRun(trace, alpha, ratio, ratio < alpha, allocator=rule_name)
+        return AdversaryRun(trace, ratio, ratio < alpha, allocator=rule_name)
     if construction == "greedy3":
         adversary = Greedy3Adversary(alpha, max_steps, n)
         result = run_adaptive(adversary, make_allocator(rule_name, n))

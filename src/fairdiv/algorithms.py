@@ -39,7 +39,11 @@ class OnlineAllocator:
     value of the best good the agent does not hold; ``total``, ``bundle``
     and ``best_outside`` are its lists.  Subclasses implement ``_choose``
     (totals already include the arriving good; bundles do not yet).
+    ``potential_log`` is the summed potential after each good for
+    potential-based rules, None otherwise.
     """
+
+    potential_log: list[Fraction] | None = None
 
     def __init__(self, n: int):
         if n < 2:
@@ -121,7 +125,6 @@ class RandAllocator(OnlineAllocator):
 
     def __init__(self, n: int, seed: int):
         super().__init__(n)
-        self.seed = seed
         self._rng = random.Random(seed)
 
     def _choose(self, col: list[Fraction]) -> int:
@@ -250,6 +253,9 @@ class RobustifiedAllocator:
             )
         self.inner = inner
         self.n = inner.n
+        # the inner rule's lists, only ever appended to
+        self.owners = inner.owners
+        self.potential_log = inner.potential_log
         self.predictions = predictions
         self._threshold = 1 - predictions.epsilon
         self._overridden = [False] * inner.n
@@ -274,14 +280,6 @@ class RobustifiedAllocator:
         chosen = self.inner.observe(norm)
         self.state.assign(col, chosen)
         return chosen
-
-    @property
-    def owners(self) -> list[int]:
-        return self.inner.owners
-
-    @property
-    def potential_log(self) -> list[Fraction] | None:
-        return getattr(self.inner, "potential_log", None)
 
 
 def robust_beta(alpha: Fraction, epsilon: Fraction, n: int) -> Fraction:
@@ -347,4 +345,4 @@ def run(allocator, inst: Instance) -> AllocationTrace:
     recorder = TraceRecorder(allocator.state)
     for column in inst.columns():
         recorder.record(allocator.observe(column))
-    return recorder.build_trace(inst, getattr(allocator, "potential_log", None))
+    return recorder.build_trace(inst, allocator.potential_log)

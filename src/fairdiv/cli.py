@@ -35,9 +35,8 @@ INVARIANT_EXIT = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # argparse defaults to exit code 2
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+    def error(self, message: str):  # argparse defaults to the usage and exit code 2
+        self.exit(USAGE_EXIT, f"fairdiv: error: {message}\n")
 
 
 def _rational(text: str) -> Fraction:
@@ -177,8 +176,6 @@ def _cmd_metrics(args) -> int:
 
 
 def _make_allocator(args, n: int):
-    if args.algo == "rand" and args.seed is None:
-        raise FairdivError("--algo rand requires --seed")
     allocator = make_allocator(args.algo, n, args.seed)
     if args.predictions is None and args.epsilon is None:
         return allocator
@@ -263,9 +260,7 @@ def _cmd_oracle(args) -> int:
                     "bernstein needs either --n/--delta or all of "
                     "--variance-bound/--term-bound/--deviation"
                 )
-            params = oracles.BernsteinParams(
-                args.variance_bound, args.term_bound, args.deviation, Fraction(0)
-            )
+            params = oracles.BernsteinParams(args.variance_bound, args.term_bound, args.deviation)
             payload = {
                 "op": "bernstein",
                 "tail_upper_bound": str(oracles.bernstein_tail(params)),
@@ -307,7 +302,7 @@ def _cmd_montecarlo(args) -> int:
     payload = {
         "n": report.n,
         "delta": str(report.delta),
-        "alpha_used": report.alpha_used_text,
+        "alpha_used": str(report.alpha_used),
         "trials": report.trials,
         "failures": report.failures,
         "empirical_failure_rate": str(report.empirical_failure_rate),
@@ -332,10 +327,10 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_potential_grid(args) -> int:
-    grid = harness.potential_grid(
+    cells = harness.potential_grid(
         args.n, (args.a_min, args.a_max), (args.ya_min, args.ya_max), args.resolution
     )
-    harness.write_potential_grid_csv(grid, args.out)
+    harness.write_potential_grid_csv(cells, args.out)
     return 0
 
 

@@ -85,34 +85,13 @@ class Instance:
     def m(self) -> int:
         return len(self.values[0])
 
-    def value(self, agent: int, good: int) -> Fraction:
-        """Value of a single good (both indices 1-based)."""
-        self._check_agent(agent)
-        self._check_good(good)
-        return self.values[agent - 1][good - 1]
-
-    def column(self, good: int) -> tuple[Fraction, ...]:
-        """All agents' values for one good, in agent order."""
-        self._check_good(good)
-        return tuple(row[good - 1] for row in self.values)
-
     def columns(self) -> Iterable[tuple[Fraction, ...]]:
         """Value columns in arrival order."""
-        for t in range(1, self.m + 1):
-            yield self.column(t)
-
-    def total_value(self, agent: int) -> Fraction:
-        """v_i(G), the agent's value for all goods."""
-        self._check_agent(agent)
-        return sum(self.values[agent - 1], Fraction(0))
+        return zip(*self.values)
 
     def _check_agent(self, agent: int) -> None:
         if not 1 <= agent <= self.n:
             raise DomainError(f"agent index {agent} out of range 1..{self.n}")
-
-    def _check_good(self, good: int) -> None:
-        if not 1 <= good <= self.m:
-            raise DomainError(f"good index {good} out of range 1..{self.m}")
 
 
 def instance_from_rows(rows: Sequence[Sequence[Fraction | int]]) -> Instance:
@@ -135,10 +114,6 @@ class Allocation:
     @property
     def m(self) -> int:
         return len(self.owner)
-
-    def bundle(self, agent: int) -> tuple[int, ...]:
-        """1-based indices of the goods held by ``agent``."""
-        return tuple(t + 1 for t, o in enumerate(self.owner) if o == agent)
 
 
 def check_allocation(inst: Instance, alloc: Allocation) -> None:
@@ -177,14 +152,6 @@ class Predictions:
 def perfect_predictions(n: int) -> Predictions:
     """All-ones predictions with zero error."""
     return Predictions(tuple(Fraction(1) for _ in range(n)))
-
-
-def bundle_value(inst: Instance, agent: int, goods: Iterable[int]) -> Fraction:
-    """Exact value of a set of goods to one agent (additive valuations)."""
-    total = Fraction(0)
-    for g in goods:
-        total += inst.value(agent, g)
-    return total
 
 
 def check_predictions(inst: Instance, pred: Predictions) -> bool:
@@ -265,26 +232,12 @@ def instance_to_json(inst: Instance) -> str:
     )
 
 
-def save_instance(inst: Instance, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(instance_to_json(inst))
-
-
 def load_allocation(path: str) -> Allocation:
     """Load an allocation file: ``{"owner": [1, 2, 1]}``."""
     data = _loads(path)
     if not isinstance(data, dict) or "owner" not in data or not isinstance(data["owner"], list):
         raise ParseError(f"{path}: expected an object with an 'owner' list")
     return Allocation(tuple(_as_int(o, "owner entry") for o in data["owner"]))
-
-
-def allocation_to_json(alloc: Allocation) -> str:
-    return _dumps({"owner": list(alloc.owner)})
-
-
-def save_allocation(alloc: Allocation, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(allocation_to_json(alloc))
 
 
 def load_predictions(path: str) -> Predictions:

@@ -13,24 +13,15 @@ import csv
 import hashlib
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 from . import adversaries as adv
-from .core import Instance, _as_int, instance_from_rows, instance_to_json, parse_rational
+from .core import Instance, _as_int, instance_to_json, parse_rational
 from .errors import DomainError, InvariantError, ParseError
 from .oracles import rand_alpha_bound
-
-
-def equal_goods_instance(n: int, m: int, value: Fraction = Fraction(1)) -> Instance:
-    """m identical goods worth ``value`` to every agent.
-
-    The default stress instance for Monte Carlo runs: all goods small and
-    equal maximizes the variance of an agent's missed share relative to the
-    single-witness-good escape hatch.
-    """
-    return instance_from_rows([[value] * m for _ in range(n)])
 
 
 def derive_trial_seed(master_seed: int, index: int) -> int:
@@ -51,8 +42,7 @@ def instance_descriptor(inst: Instance) -> dict:
 class MonteCarloReport:
     n: int
     delta: Fraction
-    alpha_used: Fraction  # the guaranteed factor, truncated toward zero
-    alpha_used_text: str
+    alpha_used: Decimal  # the guaranteed factor, truncated toward zero
     trials: int
     failures: int
     empirical_failure_rate: Fraction
@@ -74,8 +64,8 @@ def montecarlo_rand(
     if trials < 1:
         raise DomainError("need at least one trial")
     n, m = inst.n, inst.m
-    alpha_text = rand_alpha_bound(n, delta)
-    alpha = Fraction(alpha_text)
+    alpha_used = rand_alpha_bound(n, delta)
+    alpha = Fraction(alpha_used)
     weights = []
     totals = []
     for row in inst.values:
@@ -105,8 +95,7 @@ def montecarlo_rand(
     return MonteCarloReport(
         n=n,
         delta=delta,
-        alpha_used=alpha,
-        alpha_used_text=str(alpha_text),
+        alpha_used=alpha_used,
         trials=trials,
         failures=failures,
         empirical_failure_rate=Fraction(failures, trials),
@@ -218,11 +207,6 @@ def write_campaign_csv(rows: Sequence[dict], path: str) -> None:
         writer.writerows(rows)
 
 
-def read_campaign_csv(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 # ---------------------------------------------------------------------------
 # Potential surface grid
 # ---------------------------------------------------------------------------
@@ -233,15 +217,6 @@ class PotentialCell:
     a: Fraction
     ya: Fraction  # the product bundle-value * a, the surface's second axis
     phi: Fraction | None  # None where the denominator is not positive
-    valid: bool
-
-
-@dataclass(frozen=True)
-class PotentialGrid:
-    n: int
-    a_values: tuple[Fraction, ...]
-    ya_values: tuple[Fraction, ...]
-    cells: tuple[PotentialCell, ...]  # a-major order
 
 
 def _samples(lo: Fraction, hi: Fraction, resolution: int) -> tuple[Fraction, ...]:
@@ -260,11 +235,12 @@ def potential_grid(
     a_range: tuple[Fraction, Fraction],
     ya_range: tuple[Fraction, Fraction],
     resolution: int,
-) -> PotentialGrid:
-    """Sample phi(a, ya) = a / ((n^2+n+1) a + n^2 ya - 1) on a rational grid.
+) -> tuple[PotentialCell, ...]:
+    """Sample phi(a, ya) = a / ((n^2+n+1) a + n^2 ya - 1) on a rational grid,
+    in a-major order.
 
-    Cells where the denominator is not positive are flagged invalid rather
-    than silently dropped; the pole line sits at a = (1 - n^2 ya)/(n^2+n+1).
+    Cells where the denominator is not positive keep phi None rather than
+    being dropped; the pole line sits at a = (1 - n^2 ya)/(n^2+n+1).
     """
     if n < 2:
         raise DomainError("need at least 2 agents")
@@ -279,21 +255,18 @@ def potential_grid(
     for a in a_values:
         for ya in ya_values:
             denom = coef * a + n * n * ya - 1
-            if denom > 0:
-                cells.append(PotentialCell(a, ya, a / denom, True))
-            else:
-                cells.append(PotentialCell(a, ya, None, False))
-    return PotentialGrid(n, a_values, ya_values, tuple(cells))
+            cells.append(PotentialCell(a, ya, a / denom if denom > 0 else None))
+    return tuple(cells)
 
 
 POTENTIAL_GRID_COLUMNS = ["a", "a_float", "ya_product", "ya_float", "phi", "phi_float", "valid"]
 
 
-def write_potential_grid_csv(grid: PotentialGrid, path: str) -> None:
+def write_potential_grid_csv(cells: Sequence[PotentialCell], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(POTENTIAL_GRID_COLUMNS)
-        for cell in grid.cells:
+        for cell in cells:
             writer.writerow(
                 [
                     str(cell.a),
@@ -302,6 +275,6 @@ def write_potential_grid_csv(grid: PotentialGrid, path: str) -> None:
                     repr(float(cell.ya)),
                     "" if cell.phi is None else str(cell.phi),
                     "" if cell.phi is None else repr(float(cell.phi)),
-                    "true" if cell.valid else "false",
+                    "false" if cell.phi is None else "true",
                 ]
             )

@@ -91,37 +91,11 @@ def final_state(inst: Instance, alloc: Allocation) -> Prop1State:
         return last[2]
     check_allocation(inst, alloc)
     state = Prop1State(inst.n)
-    for col, owner in zip(zip(*inst.values), alloc.owner):
+    for col, owner in zip(inst.columns(), alloc.owner):
         state.arrive(col)
         state.assign(col, owner)
     _last_replay = (inst, alloc, state)
     return state
-
-
-def alpha_it(inst: Instance, owner: Sequence[int], agent: int, t: int) -> RatOrInf:
-    """The running PROP1 value of ``agent`` once goods 1..t are allocated.
-
-    Returns (v_i(A_i) + c_i) / v_i(G_t), where c_i is the value of the most
-    valuable arrived good the agent does not hold (0 if none), and G_t the
-    first t goods.  ``INF`` when the agent values all arrived goods at zero.
-    """
-    if not 0 <= t <= inst.m or t > len(owner):
-        raise DomainError(f"timestep {t} outside the allocated prefix")
-    inst._check_agent(agent)
-    row = inst.values[agent - 1]
-    held = Fraction(0)
-    outside = Fraction(0)
-    total = Fraction(0)
-    for k in range(t):
-        v = row[k]
-        total += v
-        if owner[k] == agent:
-            held += v
-        elif v > outside:
-            outside = v
-    if total == 0:
-        return INF
-    return (held + outside) / total
 
 
 def prop1_ratio(inst: Instance, alloc: Allocation) -> Fraction:
@@ -149,7 +123,6 @@ class AgentProp1:
 @dataclass(frozen=True)
 class Prop1Check:
     satisfied: bool
-    alpha: Fraction
     agents: tuple[AgentProp1, ...]
 
 
@@ -166,11 +139,7 @@ def check_alpha_prop1(inst: Instance, alloc: Allocation, alpha: Fraction) -> Pro
             continue
         ok = (state.bundle[i] + state.best_outside[i]) * inst.n >= alpha * state.total[i]
         agents.append(AgentProp1(i + 1, state.value(i), witness + 1, ok))
-    return Prop1Check(all(a.satisfied for a in agents), alpha, tuple(agents))
-
-
-def check_prop1(inst: Instance, alloc: Allocation) -> Prop1Check:
-    return check_alpha_prop1(inst, alloc, Fraction(1))
+    return Prop1Check(all(a.satisfied for a in agents), tuple(agents))
 
 
 @dataclass(frozen=True)
@@ -182,7 +151,6 @@ class EnvyWitness:
 @dataclass(frozen=True)
 class Ef1Check:
     satisfied: bool
-    alpha: Fraction
     witness: EnvyWitness | None  # a violating pair, when unsatisfied
 
 
@@ -204,12 +172,8 @@ def check_alpha_ef1(inst: Instance, alloc: Allocation, alpha: Fraction) -> Ef1Ch
             if j != i and goods:
                 theirs = [weights[t] for t in goods]
                 if mine < alpha * (sum(theirs) - max(theirs)):
-                    return Ef1Check(False, alpha, EnvyWitness(i + 1, j + 1))
-    return Ef1Check(True, alpha, None)
-
-
-def check_ef1(inst: Instance, alloc: Allocation) -> Ef1Check:
-    return check_alpha_ef1(inst, alloc, Fraction(1))
+                    return Ef1Check(False, EnvyWitness(i + 1, j + 1))
+    return Ef1Check(True, None)
 
 
 @dataclass(frozen=True)
@@ -221,7 +185,6 @@ class PropxWitness:
 @dataclass(frozen=True)
 class PropxCheck:
     satisfied: bool
-    alpha: Fraction
     witness: PropxWitness | None
 
 
@@ -238,12 +201,8 @@ def check_alpha_propx(inst: Instance, alloc: Allocation, alpha: Fraction) -> Pro
             continue
         witness = min(outside, key=lambda t: (row[t], t))
         if (state.bundle[agent - 1] + row[witness]) * inst.n < alpha * state.total[agent - 1]:
-            return PropxCheck(False, alpha, PropxWitness(agent, witness + 1))
-    return PropxCheck(True, alpha, None)
-
-
-def check_propx(inst: Instance, alloc: Allocation) -> PropxCheck:
-    return check_alpha_propx(inst, alloc, Fraction(1))
+            return PropxCheck(False, PropxWitness(agent, witness + 1))
+    return PropxCheck(True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +272,6 @@ def mms_profile(inst: Instance) -> tuple[Fraction, ...]:
 @dataclass(frozen=True)
 class MmsCheck:
     satisfied: bool
-    alpha: Fraction
     mms: tuple[Fraction, ...]
     witness: int | None  # a violating agent, when unsatisfied
 
@@ -325,7 +283,7 @@ def check_alpha_mms(inst: Instance, alloc: Allocation, alpha: Fraction) -> MmsCh
         raise DomainError(f"alpha {alpha} outside [0, 1]")
     mms = mms_profile(inst)
     witness = next((i + 1 for i in range(inst.n) if held[i] < alpha * mms[i]), None)
-    return MmsCheck(witness is None, alpha, mms, witness)
+    return MmsCheck(witness is None, mms, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +301,6 @@ class FairnessReport:
     propx: PropxCheck | None
     mms: MmsCheck | None
     mms_ratio: RatOrInf | None
-    alpha: Fraction | None
 
 
 def build_fairness_report(
@@ -374,4 +331,4 @@ def build_fairness_report(
         held = final_state(inst, alloc).bundle
         worst = min(INF if v == 0 else h / v for h, v in zip(held, mms.mms))
         mms_ratio = Fraction(1) if worst == INF else min(Fraction(1), worst)
-    return FairnessReport(prop1, ratio, ef1, propx, mms, mms_ratio, alpha)
+    return FairnessReport(prop1, ratio, ef1, propx, mms, mms_ratio)

@@ -54,21 +54,19 @@ class BernsteinParams:
     variance_bound: Fraction  # sigma^2
     term_bound: Fraction  # b, the per-term upper deviation
     deviation: Fraction  # t, the threshold above the mean
-    mean: Fraction
 
     @classmethod
     def from_small_goods(cls, n: int, alpha: Fraction, total: Fraction) -> "BernsteinParams":
         """Parameters for the others'-share variable when every good is worth
         less than alpha * total / n to the agent: variance at most
-        alpha total^2 / n^2, per-term deviation at most alpha total / n, mean
-        (n-1)/n total, and threshold (1-alpha) total / n."""
+        alpha total^2 / n^2, per-term deviation at most alpha total / n, and
+        threshold (1-alpha) total / n above its mean (n-1)/n total."""
         if n < 2 or total <= 0 or not 0 < alpha < 1:
             raise DomainError("need n >= 2, total > 0 and alpha in (0, 1)")
         return cls(
             variance_bound=alpha * total * total / (n * n),
             term_bound=alpha * total / n,
             deviation=(1 - alpha) * total / n,
-            mean=Fraction(n - 1, n) * total,
         )
 
 

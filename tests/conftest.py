@@ -1,4 +1,6 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and the definition-level references
+(``alpha_it``, ``bundle_value``) that the fast library paths are checked
+against."""
 
 from __future__ import annotations
 
@@ -6,7 +8,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from fairdiv import Allocation, Instance, instance_from_rows
+from fairdiv import INF, Allocation, Instance, instance_from_rows
 
 
 def random_instance(
@@ -35,3 +37,46 @@ def all_allocations(n: int, m: int):
     """Every complete allocation of m goods to n agents."""
     for owners in product(range(1, n + 1), repeat=m):
         yield Allocation(owners)
+
+
+def value(inst: Instance, agent: int, good: int) -> Fraction:
+    """v_agent(good), both indices 1-based."""
+    return inst.values[agent - 1][good - 1]
+
+
+def total_value(inst: Instance, agent: int) -> Fraction:
+    """v_i(G), the agent's value for all goods."""
+    return sum(inst.values[agent - 1], Fraction(0))
+
+
+def bundle(alloc: Allocation, agent: int) -> tuple[int, ...]:
+    """1-based indices of the goods held by ``agent``."""
+    return tuple(t + 1 for t, o in enumerate(alloc.owner) if o == agent)
+
+
+def bundle_value(inst: Instance, agent: int, goods) -> Fraction:
+    """Exact value of a set of goods to one agent (additive valuations)."""
+    return sum((value(inst, agent, g) for g in goods), Fraction(0))
+
+
+def alpha_it(inst: Instance, owner, agent: int, t: int):
+    """The running PROP1 value of ``agent`` once goods 1..t are allocated.
+
+    Returns (v_i(A_i) + c_i) / v_i(G_t), where c_i is the value of the most
+    valuable arrived good the agent does not hold (0 if none), and G_t the
+    first t goods.  ``INF`` when the agent values all arrived goods at zero.
+    """
+    row = inst.values[agent - 1]
+    held = Fraction(0)
+    outside = Fraction(0)
+    total = Fraction(0)
+    for k in range(t):
+        v = row[k]
+        total += v
+        if owner[k] == agent:
+            held += v
+        elif v > outside:
+            outside = v
+    if total == 0:
+        return INF
+    return (held + outside) / total

@@ -26,10 +26,6 @@ from fairdiv import (
     check_alpha_mms,
     check_alpha_propx,
     check_alpha_prop1,
-    check_ef1,
-    check_prop1,
-    check_propx,
-    equal_goods_instance,
     greedy1_adversary,
     greedy2_adversary,
     best_allocation_search,
@@ -44,7 +40,7 @@ from fairdiv import (
     verify_greedy1_failure,
     verify_greedy2_failure,
 )
-from conftest import all_allocations, random_instance
+from conftest import all_allocations, random_instance, total_value
 
 F = Fraction
 
@@ -153,7 +149,7 @@ def test_criterion_5_rand_tail_guarantee():
     started = time.perf_counter()
     outcomes = []
     for n, delta in ((2, F(1, 20)), (4, F(1, 10))):
-        inst = equal_goods_instance(n, 1000)
+        inst = instance_from_rows([[F(1)] * 1000] * n)
         report = montecarlo_rand(inst, delta, trials=2000, master_seed=12345)
         assert report.empirical_failure_rate <= delta
         outcomes.append((n, str(delta), report.failures))
@@ -232,16 +228,16 @@ def test_criterion_8_oracle_consistency():
         trace = run(RandAllocator(2, seed=index), inst)
         assert prop1_ratio(inst, trace.allocation) <= best
         for agent in (1, 2):
-            assert mms_exact(inst, agent) * 2 <= inst.total_value(agent)
+            assert mms_exact(inst, agent) * 2 <= total_value(inst, agent)
 
     for _ in range(50):
         m = rng.randint(1, 5)
         inst = random_instance(rng, 2, m)
         for alloc in all_allocations(2, m):
-            prop1_ok = check_prop1(inst, alloc).satisfied
-            if check_ef1(inst, alloc).satisfied:
+            prop1_ok = check_alpha_prop1(inst, alloc, F(1)).satisfied
+            if check_alpha_ef1(inst, alloc, F(1)).satisfied:
                 assert prop1_ok
-            if check_propx(inst, alloc).satisfied:
+            if check_alpha_propx(inst, alloc, F(1)).satisfied:
                 assert prop1_ok
     elapsed = time.perf_counter() - started
     _report(

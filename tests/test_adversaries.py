@@ -222,7 +222,7 @@ class TestImpossibilityAdversary:
         result = run_adaptive(adversary, Greedy2Allocator(2))
         inst = result.trace.instance
         assert result.trace.owners[0] == 1
-        assert result.trace.allocation.bundle(1) == (1,)
+        assert result.trace.owners.count(1) == 1
         assert inst.values[1][-1] == 1  # the final good realizes agent 2's maximum
         assert not check_alpha_ef1(inst, result.trace.allocation, F(1, 2)).satisfied
 

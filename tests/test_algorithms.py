@@ -17,7 +17,6 @@ from fairdiv import (
     PredictionContractError,
     RandAllocator,
     RobustifiedAllocator,
-    alpha_it,
     analytic_moments,
     check_alpha_prop1,
     instance_from_rows,
@@ -26,7 +25,7 @@ from fairdiv import (
     robust_beta,
     run,
 )
-from conftest import random_instance
+from conftest import alpha_it, random_instance, total_value
 
 F = Fraction
 
@@ -105,7 +104,7 @@ class TestRand:
     def test_expected_bundle_value_is_proportional_analytically(self):
         inst = instance_from_rows([[F(1), F(1, 3), F(2, 5)], [F(1), F(1), F(0)]])
         for agent in (1, 2):
-            total = inst.total_value(agent)
+            total = total_value(inst, agent)
             others = analytic_moments(inst, agent).mean
             assert total - others == total / inst.n
 
@@ -155,8 +154,7 @@ class TestMivAllocator:
             inst = random_instance(rng, n, m, force_unit_max=True)
             allocator = MivAllocator(n)
             shadow = _ShadowMiv(n)
-            for t in range(1, m + 1):
-                column = inst.column(t)
+            for column in inst.columns():
                 shadow.observe(column)
                 candidates = shadow.candidates
                 chosen = allocator.observe(column)

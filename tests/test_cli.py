@@ -94,7 +94,7 @@ class TestRunCommand:
 
     def test_rand_requires_seed(self, inst_file, capsys):
         assert main(["run", "--algo", "rand", "--instance", inst_file]) == 1
-        assert "--seed" in capsys.readouterr().err
+        assert capsys.readouterr().err == "fairdiv: error: allocator 'rand' needs a seed\n"
 
     def test_rand_with_seed_is_reproducible(self, inst_file, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

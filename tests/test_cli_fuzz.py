@@ -4,7 +4,9 @@ Draws argv from each subcommand's grammar (n <= 4, rational denominators
 <= 12, ``--max-steps`` <= 200, instances with m <= 6) together with input
 files that are well formed, malformed JSON, of the wrong types or ragged.
 Every case must end with exit 0, 1 or 2 and never raise; exit 1 must print
-exactly one ``fairdiv: error:`` line.
+exactly one ``fairdiv: error:`` line.  A second test mangles such argv so
+that argparse rejects it (a bad rational or integer, a bad choice, an
+unknown or a missing flag), which must exit 1 with that one line too.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -101,7 +104,7 @@ def campaigns(draw):
 
 
 @st.composite
-def invocations(draw):
+def invocations(draw, command=None):
     """(argv, files): argv with ``{name}`` placeholders for the files to write."""
     files = {}
 
@@ -118,7 +121,7 @@ def invocations(draw):
 
     n, m, inst_text = draw(instances())
     inst = file("inst", inst_text)
-    command = draw(st.sampled_from(
+    command = command or draw(st.sampled_from(
         ["metrics", "run", "adversary", "oracle", "montecarlo", "campaign", "potential-grid"]
     ))
     if command == "metrics":
@@ -177,3 +180,63 @@ def test_every_invocation_exits_cleanly(case):
     if code == 1:
         lines = err.getvalue().strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("fairdiv: error: "), (argv, files, lines)
+
+
+#: Per subcommand: its required flags, and its flags taking a rational, an
+#: integer or one of fixed choices.
+GRAMMAR = {
+    "metrics": {"required": ("--instance", "--allocation"), "rational": ("--alpha",)},
+    "run": {"required": ("--algo", "--instance"), "rational": ("--epsilon",),
+            "integer": ("--seed",), "choice": ("--algo",)},
+    "adversary": {"required": ("--target", "--alpha"), "rational": ("--alpha",),
+                  "integer": ("--n", "--max-steps"),
+                  "choice": ("--target", "--notion", "--allocator")},
+    "oracle": {"required": ("--op",), "integer": ("--n", "--agent"), "choice": ("--op",),
+               "rational": ("--delta", "--variance-bound", "--term-bound", "--deviation",
+                            "--alpha")},
+    "montecarlo": {"required": ("--n", "--delta", "--instance", "--trials", "--seed"),
+                   "rational": ("--delta",), "integer": ("--n", "--trials", "--seed")},
+    "campaign": {"required": ("--config", "--out")},
+    "potential-grid": {"required": ("--n", "--out"), "integer": ("--n", "--resolution"),
+                       "rational": ("--a-min", "--a-max", "--ya-min", "--ya-max")},
+}
+BAD = {"rational": ["1/0", "x", "1//2", ""], "integer": ["two", "1.5", "1/2", ""],
+       "choice": ["nope"]}
+
+
+def kinds(command):
+    """The ways argparse can be made to reject an argv of ``command``: an
+    unknown flag, a required flag left out, or a flag given a bad value."""
+    return ["unknown", *GRAMMAR[command]]
+
+
+@st.composite
+def rejected_invocations(draw, command, kind):
+    """argv as from ``invocations``, changed so that argparse rejects it."""
+    argv, _ = draw(invocations(command))
+    if kind == "unknown":
+        return argv + [draw(st.sampled_from(["--bogus", "--bogus=1", "-x"]))]
+    flag = draw(st.sampled_from(GRAMMAR[command][kind]))
+    if kind == "required":
+        kept = []
+        for arg in argv:
+            if kept and kept[-1] == flag:
+                kept.pop()  # the flag and its separate value
+            elif not arg.startswith(flag + "="):
+                kept.append(arg)
+        return kept
+    return argv + [f"{flag}={draw(st.sampled_from(BAD[kind]))}"]
+
+
+@pytest.mark.parametrize("command, kind", [(c, k) for c in GRAMMAR for k in kinds(c)])
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_rejected_argv_exits_one_with_one_line(command, kind, data):
+    argv = data.draw(rejected_invocations(command, kind))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # argparse rejects before any file is opened
+    lines = err.getvalue().splitlines()
+    assert code == 1 and out.getvalue() == "", (argv, code)
+    assert len(lines) == 1 and lines[0].startswith("fairdiv: error: "), (argv, lines)

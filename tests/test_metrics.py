@@ -10,15 +10,10 @@ from fairdiv import (
     Greedy1Allocator,
     INF,
     InstanceTooLargeError,
-    alpha_it,
-    bundle_value,
     check_alpha_ef1,
     check_alpha_mms,
     check_alpha_propx,
     check_alpha_prop1,
-    check_ef1,
-    check_prop1,
-    check_propx,
     greedy1_adversary,
     instance_from_rows,
     mms_exact,
@@ -26,7 +21,15 @@ from fairdiv import (
     prop1_ratio,
     run,
 )
-from conftest import all_allocations, random_instance
+from conftest import (
+    all_allocations,
+    alpha_it,
+    bundle,
+    bundle_value,
+    random_instance,
+    total_value,
+    value,
+)
 
 F = Fraction
 
@@ -118,28 +121,27 @@ class TestAlphaProp1:
             report = check_alpha_prop1(inst, alloc, alpha)
             for agent in report.agents:
                 if agent.witness == "self":
-                    assert alloc.bundle(agent.agent) == tuple(range(1, inst.m + 1))
+                    assert bundle(alloc, agent.agent) == tuple(range(1, inst.m + 1))
                     continue
-                held = bundle_value(inst, agent.agent, alloc.bundle(agent.agent))
-                total = inst.total_value(agent.agent)
-                with_witness = held + inst.value(agent.agent, agent.witness)
+                held = bundle_value(inst, agent.agent, bundle(alloc, agent.agent))
+                total = total_value(inst, agent.agent)
+                with_witness = held + value(inst, agent.agent, agent.witness)
                 assert agent.satisfied == (with_witness * inst.n >= alpha * total)
                 # the witness is the best possible one
                 for g in range(1, inst.m + 1):
                     if alloc.owner[g - 1] != agent.agent:
-                        assert inst.value(agent.agent, g) <= inst.value(
-                            agent.agent, agent.witness
-                        )
+                        best = value(inst, agent.agent, agent.witness)
+                        assert value(inst, agent.agent, g) <= best
 
 
 class TestEf1:
     def test_symmetric_split(self):
         inst = instance_from_rows([[F(1), F(1)], [F(1), F(1)]])
-        assert check_ef1(inst, Allocation((1, 2))).satisfied
+        assert check_alpha_ef1(inst, Allocation((1, 2)), F(1)).satisfied
 
     def test_empty_handed_envy(self):
         inst = instance_from_rows([[F(1), F(1)], [F(1), F(1)]])
-        report = check_ef1(inst, Allocation((1, 1)))
+        report = check_alpha_ef1(inst, Allocation((1, 1)), F(1))
         assert not report.satisfied
         assert (report.witness.envier, report.witness.envied) == (2, 1)
 
@@ -158,21 +160,21 @@ class TestEf1:
             inst = random_instance(rng, rng.randint(2, 3), rng.randint(1, 5))
             owners = tuple(rng.randint(1, inst.n) for _ in range(inst.m))
             alloc = Allocation(owners)
-            report = check_ef1(inst, alloc)
+            report = check_alpha_ef1(inst, alloc, F(1))
             if report.witness is None:
                 continue
             i, j = report.witness.envier, report.witness.envied
-            mine = bundle_value(inst, i, alloc.bundle(i))
-            theirs = [inst.value(i, g) for g in alloc.bundle(j)]
+            mine = bundle_value(inst, i, bundle(alloc, i))
+            theirs = [value(inst, i, g) for g in bundle(alloc, j)]
             assert mine < sum(theirs) - max(theirs)
 
 
 def _ef1_by_definition(inst, alloc, alpha):
     """The first (envier, envied) pair, in agent order, that breaks alpha-EF1."""
     for i in range(1, inst.n + 1):
-        mine = bundle_value(inst, i, alloc.bundle(i))
+        mine = bundle_value(inst, i, bundle(alloc, i))
         for j in range(1, inst.n + 1):
-            theirs = [inst.value(i, g) for g in alloc.bundle(j)]
+            theirs = [value(inst, i, g) for g in bundle(alloc, j)]
             if i != j and theirs and mine < alpha * (sum(theirs) - max(theirs)):
                 return (i, j)
     return None
@@ -208,7 +210,7 @@ class TestEf1Differential:
 class TestPropx:
     def test_equal_split_passes(self):
         inst = instance_from_rows([[F(1), F(1)], [F(1), F(1)]])
-        assert check_propx(inst, Allocation((1, 2))).satisfied
+        assert check_alpha_propx(inst, Allocation((1, 2)), F(1)).satisfied
 
     def test_minimum_witness_decides(self):
         # forty unit goods, agent 1 keeps only the first: 2 >= alpha * 20
@@ -224,18 +226,18 @@ class TestPropx:
         for _ in range(25):
             inst = random_instance(rng, 2, rng.randint(1, 5))
             for alloc in all_allocations(2, inst.m):
-                if check_propx(inst, alloc).satisfied:
-                    assert check_prop1(inst, alloc).satisfied
+                if check_alpha_propx(inst, alloc, F(1)).satisfied:
+                    assert check_alpha_prop1(inst, alloc, F(1)).satisfied
 
     def test_violation_witness_reverifies(self):
         inst = instance_from_rows([[F(3), F(1), F(0)], [F(1), F(3), F(0)]])
         alloc = Allocation((2, 1, 2))
-        report = check_propx(inst, alloc)
+        report = check_alpha_propx(inst, alloc, F(1))
         assert not report.satisfied
         agent, good = report.witness.agent, report.witness.good
-        held = bundle_value(inst, agent, alloc.bundle(agent))
-        total = inst.total_value(agent)
-        assert (held + inst.value(agent, good)) * inst.n < total
+        held = bundle_value(inst, agent, bundle(alloc, agent))
+        total = total_value(inst, agent)
+        assert (held + value(inst, agent, good)) * inst.n < total
 
 
 class TestMms:
@@ -270,8 +272,8 @@ class TestMms:
         rng = random.Random(3)
         for _ in range(20):
             inst = random_instance(rng, rng.randint(2, 3), rng.randint(0, 6))
-            for agent, value in enumerate(mms_profile(inst), start=1):
-                assert 0 <= value * inst.n <= inst.total_value(agent)
+            for agent, share in enumerate(mms_profile(inst), start=1):
+                assert 0 <= share * inst.n <= total_value(inst, agent)
 
     def test_alpha_mms_checks(self):
         inst = instance_from_rows([[F(1), F(1)], [F(1), F(1)]])
@@ -298,10 +300,10 @@ class TestImplications:
             m = rng.randint(1, 4 if n == 3 else 6)
             inst = random_instance(rng, n, m)
             for alloc in all_allocations(n, m):
-                prop1_ok = check_prop1(inst, alloc).satisfied
-                if check_ef1(inst, alloc).satisfied:
+                prop1_ok = check_alpha_prop1(inst, alloc, F(1)).satisfied
+                if check_alpha_ef1(inst, alloc, F(1)).satisfied:
                     assert prop1_ok
-                if check_propx(inst, alloc).satisfied:
+                if check_alpha_propx(inst, alloc, F(1)).satisfied:
                     assert prop1_ok
 
 
@@ -321,20 +323,23 @@ class TestZeroGoodMonotonicity:
                 palloc = Allocation(owners + (extra_owner,))
                 assert prop1_ratio(inst, alloc) == prop1_ratio(padded, palloc)
                 assert (
-                    check_prop1(inst, alloc).satisfied
-                    == check_prop1(padded, palloc).satisfied
+                    check_alpha_prop1(inst, alloc, F(1)).satisfied
+                    == check_alpha_prop1(padded, palloc, F(1)).satisfied
                 )
-                assert check_ef1(inst, alloc).satisfied == check_ef1(padded, palloc).satisfied
+                assert (
+                    check_alpha_ef1(inst, alloc, F(1)).satisfied
+                    == check_alpha_ef1(padded, palloc, F(1)).satisfied
+                )
                 assert (
                     check_alpha_mms(inst, alloc, F(1, 2)).satisfied
                     == check_alpha_mms(padded, palloc, F(1, 2)).satisfied
                 )
-                if not check_propx(inst, alloc).satisfied:
-                    assert not check_propx(padded, palloc).satisfied
+                if not check_alpha_propx(inst, alloc, F(1)).satisfied:
+                    assert not check_alpha_propx(padded, palloc, F(1)).satisfied
 
     def test_propx_can_break_on_zero_padding(self):
         inst = instance_from_rows([[F(3), F(1)], [F(1), F(3)]])
         alloc = Allocation((2, 1))
-        assert check_propx(inst, alloc).satisfied
+        assert check_alpha_propx(inst, alloc, F(1)).satisfied
         padded = instance_from_rows([[F(3), F(1), F(0)], [F(1), F(3), F(0)]])
-        assert not check_propx(padded, Allocation((2, 1, 2))).satisfied
+        assert not check_alpha_propx(padded, Allocation((2, 1, 2)), F(1)).satisfied

@@ -23,7 +23,7 @@ from fairdiv import (
     run,
 )
 from fairdiv.oracles import small_goods_variance_bound
-from conftest import random_instance
+from conftest import random_instance, total_value
 
 F = Fraction
 
@@ -72,7 +72,7 @@ class TestRandAlphaBound:
 
 class TestBernsteinTail:
     def test_small_deviation_gives_a_bound_near_one(self):
-        params = BernsteinParams(F(1), F(1), F(1, 10**9), F(0))
+        params = BernsteinParams(F(1), F(1), F(1, 10**9))
         assert F(bernstein_tail(params)) > F(999999, 1000000)
 
     def test_certificate_grid(self):
@@ -83,22 +83,21 @@ class TestBernsteinTail:
                 assert F(tail) <= threshold
 
     def test_larger_variance_weakens_the_bound(self):
-        base = BernsteinParams(F(1, 4), F(1, 2), F(1), F(0))
-        wide = BernsteinParams(F(1, 2), F(1, 2), F(1), F(0))
+        base = BernsteinParams(F(1, 4), F(1, 2), F(1))
+        wide = BernsteinParams(F(1, 2), F(1, 2), F(1))
         assert bernstein_tail(wide) > bernstein_tail(base)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
-            bernstein_tail(BernsteinParams(F(1), F(0), F(1), F(0)))
+            bernstein_tail(BernsteinParams(F(1), F(0), F(1)))
         with pytest.raises(DomainError):
-            bernstein_tail(BernsteinParams(F(1), F(1), F(0), F(0)))
+            bernstein_tail(BernsteinParams(F(1), F(1), F(0)))
 
     def test_proof_parameters_recomputable(self):
         params = BernsteinParams.from_small_goods(2, F(1, 4), F(8))
         assert params.variance_bound == F(1, 4) * 64 / 4
         assert params.term_bound == F(1)
         assert params.deviation == F(3)
-        assert params.mean == F(4)
 
 
 class TestAnalyticMoments:
@@ -121,7 +120,7 @@ class TestAnalyticMoments:
         inst = random_instance(rng, rng.randint(2, 4), rng.randint(0, 8))
         for agent in range(1, inst.n + 1):
             mean = analytic_moments(inst, agent).mean
-            assert mean == F(inst.n - 1, inst.n) * inst.total_value(agent)
+            assert mean == F(inst.n - 1, inst.n) * total_value(inst, agent)
 
     def test_small_goods_premise_implies_the_variance_bound(self):
         rng = random.Random(17)

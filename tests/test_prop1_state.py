@@ -21,7 +21,6 @@ from fairdiv import (
     MivAllocator,
     Predictions,
     RobustifiedAllocator,
-    alpha_it,
     check_alpha_prop1,
     instance_from_rows,
     make_allocator,
@@ -30,6 +29,7 @@ from fairdiv import (
     run,
     run_adaptive,
 )
+from conftest import alpha_it
 
 F = Fraction
 

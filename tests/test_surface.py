@@ -1,0 +1,84 @@
+"""Dead-surface guard: ``src/fairdiv`` defines only what the program uses.
+
+Every top-level function and class, and every method, defined in
+``src/fairdiv`` must be referenced from code the program runs: any code in
+``perfbench/`` (its tests aside), module-level code in ``src/fairdiv``, or
+the body of another definition there that is itself in use.
+``__init__.py`` re-exports do not count, nor does a definition's reference
+to itself.  A reference is a name, an attribute or a string constant equal
+to the definition's name, so any other use of that identifier (a method of
+another class, a local variable) keeps it alive: the guard can miss dead
+code but never reports code that is used.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Names kept without a caller, each with the reason.
+ALLOWED = {
+    "robust_beta": "the paper's beta-PROP1 factor under prediction error, checked by tests",
+    "check_predictions": "the MIV prediction contract that the 1/n-PROP1 guarantee rests on",
+    "error": "argparse calls the parser's error override",
+}
+
+
+def _references(node):
+    """Every identifier that ``node`` mentions."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+def _units(tree):
+    """(name, defining node, qualified name) for each checked definition, and
+    the module-level statements; a class's own body (fields, decorators,
+    dunders) goes with the class."""
+    defs, roots = [], []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs.append((stmt.name, stmt, stmt.name))
+        elif isinstance(stmt, ast.ClassDef):
+            body = []
+            for item in stmt.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    defs.append((item.name, item, f"{stmt.name}.{item.name}"))
+                else:
+                    body.append(item)
+            own = ast.Module(body=stmt.decorator_list + stmt.bases + body, type_ignores=[])
+            defs.append((stmt.name, own, stmt.name))
+        else:
+            roots.append(stmt)
+    return defs, roots
+
+
+def unused_definitions():
+    defs, live_refs = [], set()
+    for path in sorted((ROOT / "src" / "fairdiv").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        file_defs, roots = _units(ast.parse(path.read_text(encoding="utf-8")))
+        defs += [(name, node, f"{path.stem}.{qualname}") for name, node, qualname in file_defs]
+        live_refs.update(ref for stmt in roots for ref in _references(stmt))
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        live_refs.update(_references(ast.parse(path.read_text(encoding="utf-8"))))
+    live_refs.update(ALLOWED)
+    dead = defs
+    # a definition is live once live code refers to it
+    while live := [d for d in dead if d[0] in live_refs]:
+        dead = [d for d in dead if d[0] not in live_refs]
+        for name, node, _ in live:
+            live_refs.update(ref for ref in _references(node) if ref != name)
+    return sorted(label for _, _, label in dead)
+
+
+def test_every_definition_in_src_is_used():
+    unused = unused_definitions()
+    assert not unused, "defined in src/fairdiv but never used: " + ", ".join(unused)
