@@ -374,17 +374,13 @@ class MivImpossibilityAdversary(AdaptiveAdversary):
     usually violates PROPX too, but not always: with the least-satisfied
     greedy rule at n = 2, agent 1 keeps only good 1 and the allocation
     stays alpha-PROPX (checked at alpha = 1/2, 1/3 and 1/4).  The
-    ``notion`` field only selects which violation a report highlights; the
-    construction is the same for all of them.
+    construction is the same whichever notion a run reports.
     """
 
     target_reached = True  # the construction succeeds against any allocator
 
-    def __init__(self, n: int, alpha_target: Fraction, notion: str = "ef1"):
-        if notion not in NOTIONS:
-            raise DomainError(f"unknown fairness notion {notion!r}")
+    def __init__(self, n: int, alpha_target: Fraction):
         super().__init__(n, alpha_target)
-        self.notion = notion
         self.m, self.growth, self.eps = impossibility_constants(n, alpha_target)
 
     next_column = AdaptiveAdversary.next_column
@@ -467,7 +463,7 @@ def run_construction(
         result = run_adaptive(adversary, make_allocator(rule_name, n))
         result.certified_cycles_bound = adversary.predicted_cycles_bound()
     else:
-        adversary = MivImpossibilityAdversary(n, alpha, notion)
+        adversary = MivImpossibilityAdversary(n, alpha)
         result = run_adaptive(adversary, make_allocator(rule_name, n, seed))
         inst, alloc = result.trace.instance, result.trace.allocation
         verdicts = result.verdicts = {

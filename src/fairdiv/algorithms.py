@@ -53,14 +53,12 @@ class OnlineAllocator:
         self.total, self.bundle, self.best_outside = (
             self.state.total, self.state.bundle, self.state.best_outside
         )
-        self.owners: list[int] = []
 
     def observe(self, column: Sequence[Fraction | int]) -> int:
         col = self._validate(column)
         self.state.arrive(col)
         chosen = self._choose(col)
         self.state.assign(col, chosen)
-        self.owners.append(chosen)
         return chosen
 
     def _validate(self, column: Sequence[Fraction | int]) -> list[Fraction]:
@@ -253,8 +251,7 @@ class RobustifiedAllocator:
             )
         self.inner = inner
         self.n = inner.n
-        # the inner rule's lists, only ever appended to
-        self.owners = inner.owners
+        # the inner rule's list, only ever appended to
         self.potential_log = inner.potential_log
         self.predictions = predictions
         self._threshold = 1 - predictions.epsilon

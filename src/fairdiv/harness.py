@@ -15,12 +15,12 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from . import adversaries as adv
 from .core import Instance, _as_int, instance_to_json, parse_rational
 from .errors import DomainError, InvariantError, ParseError
+from .metrics import scaled_row
 from .oracles import rand_alpha_bound
 
 
@@ -66,12 +66,8 @@ def montecarlo_rand(
     n, m = inst.n, inst.m
     alpha_used = rand_alpha_bound(n, delta)
     alpha = Fraction(alpha_used)
-    weights = []
-    totals = []
-    for row in inst.values:
-        scale = lcm(*(v.denominator for v in row)) if row else 1
-        weights.append([int(v * scale) for v in row])
-        totals.append(sum(weights[-1]))
+    weights = [scaled_row(row)[1] for row in inst.values]
+    totals = [sum(row) for row in weights]
     p, q = alpha.numerator, alpha.denominator
 
     failures = 0

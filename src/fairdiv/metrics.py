@@ -7,8 +7,12 @@ definition.  Conventions shared by all checks:
 * An agent holding every good, or valuing every good at zero, is vacuously
   satisfied; its running value is ``INF``.
 * The PROP1 witness is the most valuable good outside the agent's bundle,
-  the PROPX witness is the least valuable one.  Both notions are monotone in
-  the witness value, so the extreme good decides.
+  the PROPX witness is the least valuable one, the earliest on ties.  Both
+  notions are monotone in the witness value, so the extreme good decides.
+
+The checks read each agent's row scaled to integers (``scaled_row``), so
+bundles sum without Fractions; ``Prop1State`` is the online running state
+of allocators and traces, not part of the offline checks.
 """
 
 from __future__ import annotations
@@ -27,19 +31,19 @@ ENUMERATION_GUARD = 10**7
 
 
 # ---------------------------------------------------------------------------
-# Running PROP1 bookkeeping
+# Running PROP1 state, and rows scaled to integers for the offline checks
 # ---------------------------------------------------------------------------
 
 
 class Prop1State:
-    """Per-agent bookkeeping behind the running PROP1 values.
+    """Per-agent bookkeeping behind the running PROP1 values of allocators,
+    traces and the greedy3 adversary's mirror.
 
-    Keeps each agent's arrived total, bundle value, best outside good and
-    that good's earliest 0-based index (None while the agent holds every
-    arrived good).  A good is taken in two steps: ``arrive`` adds it to the
-    totals, then ``assign`` to the owner's bundle or the others' outside
-    goods, so a rule deciding in between sees totals that include the good
-    and bundles that do not.
+    Keeps each agent's arrived total, bundle value and best outside value.
+    A good is taken in two steps: ``arrive`` adds it to the totals, then
+    ``assign`` to the owner's bundle or the others' outside goods, so a rule
+    deciding in between sees totals that include the good and bundles that
+    do not.
     """
 
     def __init__(self, n: int):
@@ -48,7 +52,6 @@ class Prop1State:
         self.total = [Fraction(0)] * n
         self.bundle = [Fraction(0)] * n
         self.best_outside = [Fraction(0)] * n
-        self.witness: list[int | None] = [None] * n
 
     def arrive(self, col: Sequence[Fraction]) -> None:
         self.t += 1
@@ -56,13 +59,11 @@ class Prop1State:
             self.total[i] += col[i]
 
     def assign(self, col: Sequence[Fraction], owner: int) -> None:
-        # the first outside good becomes the witness even when it is worth 0
         for i in range(self.n):
             if i == owner - 1:
                 self.bundle[i] += col[i]
-            elif self.witness[i] is None or col[i] > self.best_outside[i]:
+            elif col[i] > self.best_outside[i]:
                 self.best_outside[i] = col[i]
-                self.witness[i] = self.t - 1
 
     def value(self, i: int) -> RatOrInf:
         """Agent i+1's running PROP1 value; ``INF`` while its total is zero."""
@@ -76,26 +77,28 @@ class Prop1State:
         return Fraction(1) if worst == INF else min(Fraction(1), self.n * worst)
 
 
-_last_replay: tuple = (None, None, None)
+def scaled_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(L, the row times L as integers), L the lcm of the row's denominators."""
+    scale = lcm(*(v.denominator for v in row))
+    return scale, [v.numerator * (scale // v.denominator) for v in row]
 
 
-def final_state(inst: Instance, alloc: Allocation) -> Prop1State:
-    """The running PROP1 state once every good of ``alloc`` is placed.
-
-    Consecutive calls on the same (frozen) instance and allocation objects,
-    as from the checks of one report, share one replay: callers only read it.
-    """
-    global _last_replay
-    last = _last_replay
-    if last[0] is inst and last[1] is alloc:
-        return last[2]
+def _scaled_agents(inst: Instance, alloc: Allocation) -> list[tuple]:
+    """Per agent, after validating ``alloc``: (L, weights, bundle weight, best
+    outside weight, that good's earliest 0-based index or None if the agent
+    holds every good).  The first outside good is the witness even if worth 0."""
     check_allocation(inst, alloc)
-    state = Prop1State(inst.n)
-    for col, owner in zip(inst.columns(), alloc.owner):
-        state.arrive(col)
-        state.assign(col, owner)
-    _last_replay = (inst, alloc, state)
-    return state
+    agents = []
+    for i, row in enumerate(inst.values):
+        scale, weights = scaled_row(row)
+        held, best, witness = 0, 0, None
+        for t, (w, owner) in enumerate(zip(weights, alloc.owner)):
+            if owner == i + 1:
+                held += w
+            elif witness is None or w > best:
+                best, witness = w, t
+        agents.append((scale, weights, held, best, witness))
+    return agents
 
 
 def prop1_ratio(inst: Instance, alloc: Allocation) -> Fraction:
@@ -104,7 +107,11 @@ def prop1_ratio(inst: Instance, alloc: Allocation) -> Fraction:
     An agent holding every good has value 1 here rather than ``INF``; both
     put n times its value at or above 1, so the ratio is the same.
     """
-    return final_state(inst, alloc).ratio()
+    worst: RatOrInf = INF
+    for _, weights, held, best, _ in _scaled_agents(inst, alloc):
+        if any(weights):
+            worst = min(worst, Fraction(held + best, sum(weights)))
+    return Fraction(1) if worst == INF else min(Fraction(1), inst.n * worst)
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +136,18 @@ class Prop1Check:
 def check_alpha_prop1(inst: Instance, alloc: Allocation, alpha: Fraction) -> Prop1Check:
     """alpha-PROP1: every agent holds everything, or some outside good g has
     v_i(A_i + g) >= alpha * v_i(G) / n.  The max-value outside good decides."""
-    state = final_state(inst, alloc)
+    scaled = _scaled_agents(inst, alloc)
     if not 0 <= alpha <= 1:
         raise DomainError(f"alpha {alpha} outside [0, 1]")
     agents = []
-    for i, witness in enumerate(state.witness):
+    for i, (_, weights, held, best, witness) in enumerate(scaled):
         if witness is None:
             agents.append(AgentProp1(i + 1, INF, "self", True))
             continue
-        ok = (state.bundle[i] + state.best_outside[i]) * inst.n >= alpha * state.total[i]
-        agents.append(AgentProp1(i + 1, state.value(i), witness + 1, ok))
+        total = sum(weights)
+        value = INF if total == 0 else Fraction(held + best, total)
+        ok = (held + best) * inst.n >= alpha * total
+        agents.append(AgentProp1(i + 1, value, witness + 1, ok))
     return Prop1Check(all(a.satisfied for a in agents), tuple(agents))
 
 
@@ -157,17 +166,13 @@ class Ef1Check:
 def check_alpha_ef1(inst: Instance, alloc: Allocation, alpha: Fraction) -> Ef1Check:
     """alpha-EF1: for every pair with A_j nonempty, removing the good in A_j
     that agent i values most leaves v_i(A_i) >= alpha * v_i(A_j - g)."""
-    held = final_state(inst, alloc).bundle
+    scaled = _scaled_agents(inst, alloc)
     if not 0 <= alpha <= 1:
         raise DomainError(f"alpha {alpha} outside [0, 1]")
     bundles: list[list[int]] = [[] for _ in range(inst.n)]
     for t, owner in enumerate(alloc.owner):
         bundles[owner - 1].append(t)
-    for i, row in enumerate(inst.values):
-        # agent i's values scaled to integers, so bundles sum without Fractions
-        scale = lcm(*(v.denominator for v in row))
-        weights = [v.numerator * (scale // v.denominator) for v in row]
-        mine = held[i] * scale
+    for i, (_, weights, mine, _, _) in enumerate(scaled):
         for j, goods in enumerate(bundles):
             if j != i and goods:
                 theirs = [weights[t] for t in goods]
@@ -191,16 +196,16 @@ class PropxCheck:
 def check_alpha_propx(inst: Instance, alloc: Allocation, alpha: Fraction) -> PropxCheck:
     """alpha-PROPX: every agent holds everything, or even the least valuable
     outside good g satisfies v_i(A_i + g) >= alpha * v_i(G) / n."""
-    state = final_state(inst, alloc)
+    scaled = _scaled_agents(inst, alloc)
     if not 0 <= alpha <= 1:
         raise DomainError(f"alpha {alpha} outside [0, 1]")
-    for agent in range(1, inst.n + 1):
-        row = inst.values[agent - 1]
-        outside = [t for t, o in enumerate(alloc.owner) if o != agent]
-        if not outside:
+    for agent, (_, weights, held, _, first) in enumerate(scaled, 1):
+        if first is None:
             continue
-        witness = min(outside, key=lambda t: (row[t], t))
-        if (state.bundle[agent - 1] + row[witness]) * inst.n < alpha * state.total[agent - 1]:
+        least, witness = min(
+            (w, t) for t, (w, o) in enumerate(zip(weights, alloc.owner)) if o != agent
+        )
+        if (held + least) * inst.n < alpha * sum(weights):
             return PropxCheck(False, PropxWitness(agent, witness + 1))
     return PropxCheck(True, None)
 
@@ -223,9 +228,7 @@ def mms_exact(inst: Instance, agent: int) -> Fraction:
         raise InstanceTooLargeError(f"{n}^{m} labeled partitions exceed {ENUMERATION_GUARD}")
     if m == 0:
         return Fraction(0)
-    row = inst.values[agent - 1]
-    scale = lcm(*(v.denominator for v in row))
-    weights = [int(v * scale) for v in row]
+    scale, weights = scaled_row(inst.values[agent - 1])
     full = (1 << m) - 1
     sums = [0] * (1 << m)
     for mask in range(1, 1 << m):
@@ -278,7 +281,7 @@ class MmsCheck:
 
 def check_alpha_mms(inst: Instance, alloc: Allocation, alpha: Fraction) -> MmsCheck:
     """alpha-MMS: v_i(A_i) >= alpha * MMS_i for every agent."""
-    held = final_state(inst, alloc).bundle
+    held = [Fraction(h, scale) for scale, _, h, _, _ in _scaled_agents(inst, alloc)]
     if not 0 <= alpha <= 1:
         raise DomainError(f"alpha {alpha} outside [0, 1]")
     mms = mms_profile(inst)
@@ -328,7 +331,7 @@ def build_fairness_report(
         propx = check_alpha_propx(inst, alloc, a)
     if "mms" in checks:
         mms = check_alpha_mms(inst, alloc, a)
-        held = final_state(inst, alloc).bundle
+        held = [Fraction(h, scale) for scale, _, h, _, _ in _scaled_agents(inst, alloc)]
         worst = min(INF if v == 0 else h / v for h, v in zip(held, mms.mms))
         mms_ratio = Fraction(1) if worst == INF else min(Fraction(1), worst)
     return FairnessReport(prop1, ratio, ef1, propx, mms, mms_ratio)

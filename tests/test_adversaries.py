@@ -228,13 +228,13 @@ class TestImpossibilityAdversary:
 
     def test_unknown_notion_rejected(self):
         with pytest.raises(DomainError):
-            MivImpossibilityAdversary(2, F(1, 2), "efx")
+            run_construction("miv-impossibility", 2, F(1, 2), notion="efx")
 
     def test_notion_selection_does_not_change_the_schedule(self):
-        traces = []
-        for notion in ("ef1", "mms", "propx"):
-            adversary = MivImpossibilityAdversary(2, F(1, 3), notion)
-            traces.append(run_adaptive(adversary, MivAllocator(2)).trace)
+        traces = [
+            run_construction("miv-impossibility", 2, F(1, 3), notion=notion).trace
+            for notion in ("ef1", "mms", "propx")
+        ]
         assert traces[0].instance == traces[1].instance == traces[2].instance
         assert traces[0].owners == traces[1].owners == traces[2].owners
 

@@ -285,7 +285,6 @@ class TestMivClosedForm:
                 return
             assert fast.observe(column) == expected
             assert closed.phi == shadow.phi
-        assert closed.owners == shadow.owners
         assert closed.potential_log == shadow.potential_log
         assert closed.potential == shadow.potential_log[-1] == sum(closed.phi)
 
@@ -370,7 +369,7 @@ class TestRobustify:
         wrapped = RobustifiedAllocator(MivAllocator(2), Predictions((F(1), F(1)), F(1, 10)))
         with pytest.raises(PredictionContractError, match="3/2 of agent 1 exceeds"):
             wrapped.observe([F(3, 2), F(1, 2)])
-        assert wrapped.override_log == [] and wrapped.state.t == 0 and wrapped.owners == []
+        assert wrapped.override_log == [] and wrapped.state.t == 0 and wrapped.inner.state.t == 0
 
     def test_epsilon_validation(self):
         with pytest.raises(DomainError):

@@ -68,7 +68,7 @@ class TestMetricsCommand:
         monkeypatch.setattr(metrics, "Prop1State", Counted)
         argv = ["metrics", "--instance", inst_file, "--allocation", alloc_file]
         assert main([*argv, "--check", "prop1,ef1,propx,mms"]) == 0
-        assert replays == [2]
+        assert replays == []  # the offline checks build no running state
 
     def test_alpha_flag_parses_exactly(self, inst_file, alloc_file, capsys):
         code = main(
@@ -167,10 +167,11 @@ class TestRunCommand:
     def test_prop1_ratio_comes_from_the_running_state(self, inst_file, monkeypatch, capsys):
         from fairdiv import metrics
 
-        def no_replay(inst, alloc):
+        def no_replay(*args):
             raise AssertionError("run replayed the allocation")
 
-        monkeypatch.setattr(metrics, "final_state", no_replay)
+        monkeypatch.setattr(metrics, "prop1_ratio", no_replay)
+        monkeypatch.setattr(metrics, "check_alpha_prop1", no_replay)
         for flags in (["--algo", "greedy3"], ["--algo", "miv", "--epsilon", "1/4"]):
             assert main(["run", *flags, "--instance", inst_file]) == 0
             assert json.loads(capsys.readouterr().out)["prop1_ratio"] == "1"

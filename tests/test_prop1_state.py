@@ -1,9 +1,10 @@
-"""Differential tests of the shared running-PROP1 state.
+"""Differential tests of the running-PROP1 state and the offline checks.
 
-Allocators, traces, the PROP1 checks and the greedy-3 adversary all read
-their running values from ``Prop1State``.  These tests compare each of them
-against definition-level code: ``alpha_it`` and a brute-force evaluation
-written here from the PROP1 definition.
+Allocators, traces and the greedy-3 adversary read their running values
+from ``Prop1State``; the offline checks evaluate integer-scaled rows
+instead.  These tests compare each of them against definition-level code
+(``alpha_it`` and brute-force PROP1, PROPX and MMS evaluations written here
+in Fractions), and the offline PROP1 ratio against a ``Prop1State`` replay.
 """
 
 import hashlib
@@ -20,8 +21,11 @@ from fairdiv import (
     Greedy3Allocator,
     MivAllocator,
     Predictions,
+    Prop1State,
     RobustifiedAllocator,
+    check_alpha_mms,
     check_alpha_prop1,
+    check_alpha_propx,
     instance_from_rows,
     make_allocator,
     perfect_predictions,
@@ -29,6 +33,7 @@ from fairdiv import (
     run,
     run_adaptive,
 )
+from fairdiv.metrics import ENUMERATION_GUARD
 from conftest import alpha_it
 
 F = Fraction
@@ -72,6 +77,20 @@ def brute_agent(inst, owner, agent, alpha):
     return value, witness, (held + best) * inst.n >= alpha * total
 
 
+def brute_propx(inst, owner, alpha):
+    """(satisfied, (agent, good) of the first violation) from the PROPX definition."""
+    for agent in range(1, inst.n + 1):
+        row = inst.values[agent - 1]
+        outside = [t for t in range(inst.m) if owner[t] != agent]
+        if not outside:
+            continue
+        held = sum((row[t] for t in range(inst.m) if owner[t] == agent), F(0))
+        least = min(row[t] for t in outside)
+        if (held + least) * inst.n < alpha * sum(row, F(0)):
+            return False, (agent, min(t for t in outside if row[t] == least) + 1)
+    return True, None
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_checks_match_brute_force(data):
@@ -83,7 +102,29 @@ def test_checks_match_brute_force(data):
     assert [(a.value, a.witness, a.satisfied) for a in report.agents] == brute
     assert report.satisfied == all(ok for _, _, ok in brute)
     worst = min(value for value, _, _ in brute)
-    assert prop1_ratio(inst, alloc) == (F(1) if worst == INF else min(F(1), inst.n * worst))
+    ratio = prop1_ratio(inst, alloc)
+    assert ratio == (F(1) if worst == INF else min(F(1), inst.n * worst))
+
+    state = Prop1State(inst.n)
+    for col, owner in zip(inst.columns(), alloc.owner):
+        state.arrive(col)
+        state.assign(col, owner)
+    assert ratio == state.ratio()
+
+    propx = check_alpha_propx(inst, alloc, alpha)
+    witness = None if propx.witness is None else (propx.witness.agent, propx.witness.good)
+    assert (propx.satisfied, witness) == brute_propx(inst, alloc.owner, alpha)
+
+    if inst.n**inst.m <= ENUMERATION_GUARD:
+        mms = check_alpha_mms(inst, alloc, alpha)
+        held = [
+            sum((v for v, o in zip(row, alloc.owner) if o == agent), F(0))
+            for agent, row in enumerate(inst.values, 1)
+        ]
+        assert mms.satisfied == all(h >= alpha * s for h, s in zip(held, mms.mms))
+        assert mms.witness == next(
+            (i for i, (h, s) in enumerate(zip(held, mms.mms), 1) if h < alpha * s), None
+        )
 
 
 def _allocator(rule, inst, seed, epsilon):

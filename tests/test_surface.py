@@ -9,6 +9,10 @@ to itself.  A reference is a name, an attribute or a string constant equal
 to the definition's name, so any other use of that identifier (a method of
 another class, a local variable) keeps it alive: the guard can miss dead
 code but never reports code that is used.
+
+A second check forbids ``global`` statements in ``src/fairdiv``: many
+``cli.main`` calls can share one interpreter, and module-level state would
+leak from one call into the next.
 """
 
 import ast
@@ -82,3 +86,13 @@ def unused_definitions():
 def test_every_definition_in_src_is_used():
     unused = unused_definitions()
     assert not unused, "defined in src/fairdiv but never used: " + ", ".join(unused)
+
+
+def test_src_rebinds_no_module_level_state():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "fairdiv").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+    ]
+    assert not found, "global statement in src/fairdiv: " + ", ".join(found)
