@@ -3,9 +3,10 @@
 An allocator consumes value columns (one per arriving good, in order) through
 ``observe`` and returns the 1-based index of the agent that irrevocably
 receives the good.  Decisions depend only on the columns seen so far and the
-allocator's own prior choices.  Ties always break toward the lowest agent
-index, and an agent whose total arrived value is zero scores 0 under the
-max-value rule and vacuously-satisfied (infinite) under the min-ratio rules.
+allocator's own prior choices.  Greedy rules pick the lowest score, ties
+toward the lowest agent index; an agent whose total arrived value is zero
+scores 0 under the max-value rule (which scores the negated ratio) and
+vacuously-satisfied (infinite) under the min-ratio rules.
 """
 
 from __future__ import annotations
@@ -20,25 +21,14 @@ from .errors import DomainError, InvariantError, PredictionContractError
 from .metrics import Prop1State
 
 
-def _validate_column(column: Sequence[Fraction | int], n: int) -> list[Fraction]:
-    if len(column) != n:
-        raise DomainError(f"column has {len(column)} entries, expected {n}")
-    out = []
-    for v in column:
-        f = Fraction(v)
-        if f < 0:
-            raise DomainError(f"negative valuation {f}")
-        out.append(f)
-    return out
-
-
 class OnlineAllocator:
     """Base streaming allocator with the bookkeeping every rule needs.
 
     ``state`` tracks, per agent: total arrived value, bundle value, and the
     value of the best good the agent does not hold; ``total``, ``bundle``
-    and ``best_outside`` are its lists.  Subclasses implement ``_choose``
-    (totals already include the arriving good; bundles do not yet).
+    and ``best_outside`` are its lists.  Subclasses implement ``_score``
+    (lowest wins) or ``_choose`` (totals already include the arriving good;
+    bundles do not yet).
     ``potential_log`` is the summed potential after each good for
     potential-based rules, None otherwise.
     """
@@ -62,41 +52,41 @@ class OnlineAllocator:
         return chosen
 
     def _validate(self, column: Sequence[Fraction | int]) -> list[Fraction]:
-        return _validate_column(column, self.n)
+        if len(column) != self.n:
+            raise DomainError(f"column has {len(column)} entries, expected {self.n}")
+        out = []
+        for v in column:
+            f = Fraction(v)
+            if f < 0:
+                raise DomainError(f"negative valuation {f}")
+            out.append(f)
+        return out
 
     def _choose(self, col: list[Fraction]) -> int:
-        raise NotImplementedError
-
-    def _argmin(self, scores: Sequence[RatOrInf]) -> int:
-        best = 0
+        """The first agent with the smallest ``_score``."""
+        best, best_score = 0, self._score(0, col)
         for i in range(1, self.n):
-            if scores[i] < scores[best]:
-                best = i
+            score = self._score(i, col)
+            if score < best_score:
+                best, best_score = i, score
         return best + 1
+
+    def _score(self, i: int, col: list[Fraction]) -> RatOrInf:
+        raise NotImplementedError
 
 
 class Greedy1Allocator(OnlineAllocator):
     """Give the good to the agent valuing it most relative to their arrived total."""
 
-    def _choose(self, col: list[Fraction]) -> int:
-        best = 0
-        best_score: RatOrInf = Fraction(0) if self.total[0] == 0 else col[0] / self.total[0]
-        for i in range(1, self.n):
-            score = Fraction(0) if self.total[i] == 0 else col[i] / self.total[i]
-            if score > best_score:
-                best, best_score = i, score
-        return best + 1
+    def _score(self, i: int, col: list[Fraction]) -> RatOrInf:
+        return Fraction(0) if self.total[i] == 0 else -col[i] / self.total[i]
 
 
 class Greedy2Allocator(OnlineAllocator):
     """Give the good to the currently least satisfied agent (lowest bundle share)."""
 
-    def _choose(self, col: list[Fraction]) -> int:
-        scores = [
-            INF if self.total[i] == 0 else self.bundle[i] / self.total[i]
-            for i in range(self.n)
-        ]
-        return self._argmin(scores)
+    def _score(self, i: int, col: list[Fraction]) -> RatOrInf:
+        return INF if self.total[i] == 0 else self.bundle[i] / self.total[i]
 
 
 class Greedy3Allocator(OnlineAllocator):
@@ -107,15 +97,11 @@ class Greedy3Allocator(OnlineAllocator):
     against their arrived total.
     """
 
-    def _choose(self, col: list[Fraction]) -> int:
-        scores: list[RatOrInf] = []
-        for i in range(self.n):
-            if self.total[i] == 0:
-                scores.append(INF)
-            else:
-                owed = self.best_outside[i] if self.best_outside[i] > col[i] else col[i]
-                scores.append((self.bundle[i] + owed) / self.total[i])
-        return self._argmin(scores)
+    def _score(self, i: int, col: list[Fraction]) -> RatOrInf:
+        if self.total[i] == 0:
+            return INF
+        owed = self.best_outside[i] if self.best_outside[i] > col[i] else col[i]
+        return (self.bundle[i] + owed) / self.total[i]
 
 
 class RandAllocator(OnlineAllocator):
@@ -159,7 +145,7 @@ class MivAllocator(OnlineAllocator):
         self.potential_log: list[Fraction] = [self.potential]
 
     def _validate(self, column: Sequence[Fraction | int]) -> list[Fraction]:
-        col = _validate_column(column, self.n)
+        col = super()._validate(column)
         for v in col:
             if v > 1:
                 raise PredictionContractError(f"valuation {v} exceeds the predicted maximum 1")
@@ -231,7 +217,7 @@ class OverrideEvent:
     original_value: Fraction  # normalized value before the override to 1
 
 
-class RobustifiedAllocator:
+class RobustifiedAllocator(OnlineAllocator):
     """Adapter that makes a perfect-predictions allocator tolerate one-sided error.
 
     Valuations are divided by the per-agent predictions; the first normalized
@@ -242,6 +228,7 @@ class RobustifiedAllocator:
     anything is normalized.  If the inner rule guarantees alpha-PROP1 under
     perfect predictions, the wrapped rule guarantees beta-PROP1 under the
     original valuations with beta = alpha (1 - eps) / (1 - alpha eps / n).
+    ``state`` runs on the raw columns, ``inner.state`` on the normalized ones.
     """
 
     def __init__(self, inner: OnlineAllocator, predictions: Predictions):
@@ -249,34 +236,35 @@ class RobustifiedAllocator:
             raise DomainError(
                 f"allocator handles {inner.n} agents, predictions cover {predictions.n}"
             )
+        super().__init__(inner.n)
         self.inner = inner
-        self.n = inner.n
         # the inner rule's list, only ever appended to
         self.potential_log = inner.potential_log
         self.predictions = predictions
         self._threshold = 1 - predictions.epsilon
         self._overridden = [False] * inner.n
         self.override_log: list[OverrideEvent] = []
-        # over the raw columns: an override changes the inner running values
-        self.state = Prop1State(inner.n)
 
-    def observe(self, column: Sequence[Fraction | int]) -> int:
-        col = _validate_column(column, self.n)
+    # bound in the class body, so perfbench/tracer.py can wrap it per class
+    observe = OnlineAllocator.observe
+
+    def _validate(self, column: Sequence[Fraction | int]) -> list[Fraction]:
+        col = super()._validate(column)
         for i, (v, p) in enumerate(zip(col, self.predictions.p)):
             if v > p:
                 raise PredictionContractError(
                     f"valuation {v} of agent {i + 1} exceeds its predicted maximum {p}"
                 )
-        self.state.arrive(col)
+        return col
+
+    def _choose(self, col: list[Fraction]) -> int:
         norm = [col[i] / self.predictions.p[i] for i in range(self.n)]
         for i in range(self.n):
             if not self._overridden[i] and norm[i] >= self._threshold:
                 self._overridden[i] = True
                 self.override_log.append(OverrideEvent(i + 1, self.state.t, norm[i]))
                 norm[i] = Fraction(1)
-        chosen = self.inner.observe(norm)
-        self.state.assign(col, chosen)
-        return chosen
+        return self.inner.observe(norm)
 
 
 def robust_beta(alpha: Fraction, epsilon: Fraction, n: int) -> Fraction:

@@ -166,7 +166,7 @@ def _cmd_metrics(args) -> int:
         }
     if report.mms is not None:
         payload["mms"] = {
-            "ratio": format_rational(report.mms_ratio),
+            "ratio": format_rational(report.mms.ratio),
             "satisfied_at_alpha": report.mms.satisfied,
             "per_agent": [str(v) for v in report.mms.mms],
             "violating_agent": report.mms.witness,

@@ -277,6 +277,7 @@ class MmsCheck:
     satisfied: bool
     mms: tuple[Fraction, ...]
     witness: int | None  # a violating agent, when unsatisfied
+    ratio: Fraction  # min(1, the smallest v_i(A_i) / MMS_i); agents with MMS 0 count as 1
 
 
 def check_alpha_mms(inst: Instance, alloc: Allocation, alpha: Fraction) -> MmsCheck:
@@ -286,7 +287,8 @@ def check_alpha_mms(inst: Instance, alloc: Allocation, alpha: Fraction) -> MmsCh
         raise DomainError(f"alpha {alpha} outside [0, 1]")
     mms = mms_profile(inst)
     witness = next((i + 1 for i in range(inst.n) if held[i] < alpha * mms[i]), None)
-    return MmsCheck(witness is None, mms, witness)
+    worst = min(INF if v == 0 else h / v for h, v in zip(held, mms))
+    return MmsCheck(witness is None, mms, witness, min(Fraction(1), worst))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +305,6 @@ class FairnessReport:
     ef1: Ef1Check | None
     propx: PropxCheck | None
     mms: MmsCheck | None
-    mms_ratio: RatOrInf | None
 
 
 def build_fairness_report(
@@ -321,7 +322,7 @@ def build_fairness_report(
     if unknown:
         raise DomainError(f"unknown checks: {sorted(unknown)}")
     a = Fraction(1) if alpha is None else alpha
-    prop1 = ratio = ef1 = propx = mms = mms_ratio = None
+    prop1 = ratio = ef1 = propx = mms = None
     if "prop1" in checks:
         prop1 = check_alpha_prop1(inst, alloc, a)
         ratio = prop1_ratio(inst, alloc)
@@ -331,7 +332,4 @@ def build_fairness_report(
         propx = check_alpha_propx(inst, alloc, a)
     if "mms" in checks:
         mms = check_alpha_mms(inst, alloc, a)
-        held = [Fraction(h, scale) for scale, _, h, _, _ in _scaled_agents(inst, alloc)]
-        worst = min(INF if v == 0 else h / v for h, v in zip(held, mms.mms))
-        mms_ratio = Fraction(1) if worst == INF else min(Fraction(1), worst)
-    return FairnessReport(prop1, ratio, ef1, propx, mms, mms_ratio)
+    return FairnessReport(prop1, ratio, ef1, propx, mms)

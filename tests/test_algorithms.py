@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairdiv import (
+    INF,
+    Allocation,
     DomainError,
     Greedy1Allocator,
     Greedy2Allocator,
@@ -20,12 +22,13 @@ from fairdiv import (
     analytic_moments,
     check_alpha_prop1,
     instance_from_rows,
+    make_allocator,
     perfect_predictions,
     prop1_ratio,
     robust_beta,
     run,
 )
-from conftest import alpha_it, random_instance, total_value
+from conftest import alpha_it, bundle, bundle_value, random_instance, total_value, value
 
 F = Fraction
 
@@ -80,6 +83,71 @@ class TestGreedy3:
         a = Greedy3Allocator(2)
         a.observe([F(1), F(1)])
         assert a.observe([F(0), F(0)]) == 1
+
+
+#: Small denominators and many zeros, so that greedy scores tie often.
+GREEDY_VALUES = [F(0), F(0), F(1), F(1, 2), F(1, 3), F(2, 3), F(3, 7)]
+
+
+@st.composite
+def greedy_instances(draw):
+    """Instances with zero columns, columns equal across agents and
+    all-zero rows, so that every rule meets ties and zero totals."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(0, 25))
+    columns = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["any", "any", "zero", "equal"]))
+        if kind == "any":
+            columns.append(draw(st.lists(st.sampled_from(GREEDY_VALUES), min_size=n, max_size=n)))
+        else:
+            columns.append([F(0) if kind == "zero" else draw(st.sampled_from(GREEDY_VALUES))] * n)
+    rows = [[column[i] for column in columns] for i in range(n)]
+    for row in rows:
+        if draw(st.integers(0, 3)) == 0:
+            row[:] = [F(0)] * m
+    return instance_from_rows(rows)
+
+
+def _greedy_choice(rule, inst, owners, t):
+    """The agent that ``rule`` gives good t, from the definitions over the
+    bundles A_i of goods 1..t-1 and the arrived goods G_t = 1..t: greedy1
+    maximizes v_i(g_t) / v_i(G_t) (0 on a zero total); greedy2 minimizes
+    v_i(A_i) / v_i(G_t) and greedy3 (v_i(A_i) + max(best good outside A_i,
+    v_i(g_t))) / v_i(G_t) (INF on a zero total).  Lowest index on ties."""
+    prefix = Allocation(tuple(owners))
+    scores = []
+    for agent in range(1, inst.n + 1):
+        total = bundle_value(inst, agent, range(1, t + 1))
+        held = bundle_value(inst, agent, bundle(prefix, agent))
+        outside = max(
+            (value(inst, agent, g) for g in range(1, t) if owners[g - 1] != agent), default=F(0)
+        )
+        v = value(inst, agent, t)
+        if rule == "greedy1":
+            scores.append(F(0) if total == 0 else v / total)
+        elif total == 0:
+            scores.append(INF)
+        elif rule == "greedy2":
+            scores.append(held / total)
+        else:
+            scores.append((held + max(outside, v)) / total)
+    return scores.index(max(scores) if rule == "greedy1" else min(scores)) + 1
+
+
+class TestGreedyScores:
+    """Each greedy rule's ``_score`` under the one argmin, against the
+    rule's definition recomputed from the prefix at every step."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(greedy_instances())
+    def test_choices_match_the_definitions(self, inst):
+        for rule in ("greedy1", "greedy2", "greedy3"):
+            allocator, owners = make_allocator(rule, inst.n), []
+            for t, column in enumerate(inst.columns(), 1):
+                expected = _greedy_choice(rule, inst, owners, t)
+                owners.append(allocator.observe(column))
+                assert owners[-1] == expected, f"{rule} at t={t}"
 
 
 class TestRand:

@@ -12,7 +12,8 @@ code but never reports code that is used.
 
 A second check forbids ``global`` statements in ``src/fairdiv``: many
 ``cli.main`` calls can share one interpreter, and module-level state would
-leak from one call into the next.
+leak from one call into the next.  A third keeps ``OnlineAllocator.observe``
+the only per-good path in ``algorithms.py``.
 """
 
 import ast
@@ -96,3 +97,17 @@ def test_src_rebinds_no_module_level_state():
         if isinstance(node, ast.Global)
     ]
     assert not found, "global statement in src/fairdiv: " + ", ".join(found)
+
+
+def test_only_the_base_allocator_defines_observe():
+    """``OnlineAllocator.observe`` is the one per-good path; a subclass may
+    bind it in its body (for per-class tracing) but not write its own."""
+    tree = ast.parse((ROOT / "src" / "fairdiv" / "algorithms.py").read_text(encoding="utf-8"))
+    found = [
+        f"{cls.name}.observe"
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name != "OnlineAllocator"
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef) and item.name == "observe"
+    ]
+    assert not found, "observe defined outside OnlineAllocator: " + ", ".join(found)
