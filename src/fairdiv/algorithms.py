@@ -71,9 +71,6 @@ class OnlineAllocator:
                 best, best_score = i, score
         return best + 1
 
-    def _score(self, i: int, col: list[Fraction]) -> RatOrInf:
-        raise NotImplementedError
-
 
 class Greedy1Allocator(OnlineAllocator):
     """Give the good to the agent valuing it most relative to their arrived total."""

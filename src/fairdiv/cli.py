@@ -20,6 +20,7 @@ from .core import (
     Predictions,
     _dumps,
     _loads,
+    check_predictions,
     format_rational,
     instance_to_json,
     load_allocation,
@@ -176,18 +177,17 @@ def _cmd_metrics(args) -> int:
 
 
 def _make_allocator(args, n: int):
+    """The allocator and, for miv, the predictions it runs on (else None)."""
     allocator = make_allocator(args.algo, n, args.seed)
-    if args.predictions is None and args.epsilon is None:
-        return allocator
+    robust = args.predictions is not None or args.epsilon is not None
     if args.algo != "miv":
-        raise FairdivError("--predictions/--epsilon only apply to --algo miv")
-    if args.predictions is not None:
-        pred = load_predictions(args.predictions)
-    else:
-        pred = perfect_predictions(n)
+        if robust:
+            raise FairdivError("--predictions/--epsilon only apply to --algo miv")
+        return allocator, None
+    pred = perfect_predictions(n) if args.predictions is None else load_predictions(args.predictions)
     if args.epsilon is not None:
         pred = Predictions(pred.p, args.epsilon)
-    return RobustifiedAllocator(allocator, pred)
+    return (RobustifiedAllocator(allocator, pred) if robust else allocator), pred
 
 
 def _trace_payload(trace) -> dict:
@@ -202,11 +202,13 @@ def _trace_payload(trace) -> dict:
 
 def _cmd_run(args) -> int:
     inst = load_instance(args.instance)
-    allocator = _make_allocator(args, inst.n)
+    allocator, pred = _make_allocator(args, inst.n)
     trace = run(allocator, inst)
     payload = _trace_payload(trace)
     payload["prop1_ratio"] = str(allocator.state.ratio())
     payload["algo"] = args.algo
+    if pred is not None:  # the 1/n-PROP1 guarantee rests on this contract
+        payload["prediction_contract_met"] = check_predictions(inst, pred)
     _write(args.out, _dumps(payload))
     return 0
 

@@ -176,6 +176,30 @@ class TestRunCommand:
             assert main(["run", *flags, "--instance", inst_file]) == 0
             assert json.loads(capsys.readouterr().out)["prop1_ratio"] == "1"
 
+    @pytest.mark.parametrize(
+        "values, flags, met",
+        [
+            # agent 1 never sees a good worth its prediction 1
+            ([["1/2", "1/2"], ["1", "1"]], [], False),
+            ([["1", "1/2"], ["1/4", "1"]], [], True),
+            ([["1/2", "1/2"], ["1", "1"]], ["--epsilon", "1/2"], True),
+            ([["1/2", "1/2"], ["1", "1"]], ["--predictions", "{pred}"], True),
+        ],
+    )
+    def test_miv_run_reports_the_prediction_contract(self, values, flags, met, tmp_path, capsys):
+        inst, pred = tmp_path / "i.json", tmp_path / "p.json"
+        inst.write_text(json.dumps({"values": values}), encoding="utf-8")
+        pred.write_text('{"p": ["1/2", "1"]}', encoding="utf-8")
+        argv = ["run", "--algo", "miv", "--instance", str(inst)]
+        assert main([*argv, *(flag.format(pred=pred) for flag in flags)]) == 0
+        assert json.loads(capsys.readouterr().out)["prediction_contract_met"] is met
+
+    def test_greedy_runs_report_no_prediction_contract(self, inst_file, capsys):
+        for flags in (["--algo", "greedy1"], ["--algo", "greedy2"], ["--algo", "greedy3"],
+                      ["--algo", "rand", "--seed", "3"]):
+            assert main(["run", *flags, "--instance", inst_file]) == 0
+            assert "prediction_contract_met" not in json.loads(capsys.readouterr().out)
+
 
 class TestAdversaryCommand:
     def test_greedy1_instance_and_trace(self, tmp_path):

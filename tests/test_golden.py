@@ -83,14 +83,14 @@ GOLDEN = {
     "run-small-greedy1": "4305c1d30265e18c9447f5ae8163c3b8c11600bcf71ab1834d18fa3c3b1293b4",
     "run-small-greedy2": "216820d3c69ffcae19f403329a1851101a6776cbf89ed0a136e23e66ed127885",
     "run-small-greedy3": "5f37d06f507a35f14057f591f872540eba602a9d0b095e6d686f005360e5643c",
-    "run-small-miv": "5306d34e5ceb811179c3ab4ef33d0091858cb0d1cd182e6350b703f9da7e5fd9",
-    "run-small-miv-eps": "b4224266c1627a26b8a50260a555a88490e9b66b1993d525c1c0b365132f8dfb",
+    "run-small-miv": "51591e5d5199c0c03497775502b3b05a02a1b8ad30a2b56e1f9d684d7c80016a",
+    "run-small-miv-eps": "526926b868fea3ed3b5c00440579f793380fec513d352035ed0e4e1032a74abd",
     "run-small-rand": "100bbab726a15d17763cafe22d64d3aa795c70afaad7428f65c425e898dddedf",
     "run-wide-greedy1": "913cee6cda4de4f53c8566a46eb448ccc4d0de8482f57dbd4818cc32f6d59915",
     "run-wide-greedy2": "72bd9358e9ee7303cc3c426e4b18a1f40b65bd42a19c83b7ca4705d08e4b4bd5",
     "run-wide-greedy3": "558ff06e88170ed168c6665c4192948129dd35a7c5cacf20b6242d4b3be93fc4",
-    "run-wide-miv": "2925723968ef0d1725c29a03a263efd66fc623715c07319ff4180f646825c2ac",
-    "run-wide-miv-eps": "7b0cfb80f7e39a2c272cf38672ceda605c7ec836677d927a92fc60e3f3357456",
+    "run-wide-miv": "949df9d504d4d00662bb1871e84937be056122af56424e59aaaa08b6672e85e0",
+    "run-wide-miv-eps": "358aa310d2663c2d35d4a7c2b1049170655302f6d372d0be4125e22db3539312",
     "run-wide-rand": "f825995eaa8aae7fd94a3fb98751b84c3abb05b0f7ee453951e251835f0fb256",
 }
 

@@ -24,7 +24,6 @@ ROOT = Path(__file__).resolve().parent.parent
 #: Names kept without a caller, each with the reason.
 ALLOWED = {
     "robust_beta": "the paper's beta-PROP1 factor under prediction error, checked by tests",
-    "check_predictions": "the MIV prediction contract that the 1/n-PROP1 guarantee rests on",
     "error": "argparse calls the parser's error override",
 }
 
