@@ -101,6 +101,17 @@ def _check_target(n: int, alpha_target: Fraction) -> None:
         raise DomainError(f"target ratio {alpha_target} outside (0, 1]")
 
 
+def _check_greedy3(n: int, alpha_target: Fraction, max_steps: int) -> None:
+    if n < 2:
+        raise DomainError("need at least 2 agents")
+    if not 0 < alpha_target < Fraction(2, 3):
+        raise DomainError(
+            f"target {alpha_target} infeasible: the opening pins the running minimum at 2/3"
+        )
+    if max_steps < 4:
+        raise DomainError("need a step budget of at least 4")
+
+
 def verify_greedy1_failure(trace: AllocationTrace, alpha_target: Fraction) -> None:
     """Assert the facts the greedy-1 construction forces, exactly."""
     inst, owners = trace.instance, trace.owners
@@ -248,14 +259,7 @@ class Greedy3Adversary(AdaptiveAdversary):
     OPENING_LAMBDA = 2  # max over the two live agents of bundle/c after the opening
 
     def __init__(self, alpha_target: Fraction, max_steps: int, n: int = 2):
-        if n < 2:
-            raise DomainError("need at least 2 agents")
-        if not 0 < alpha_target < Fraction(2, 3):
-            raise DomainError(
-                f"target {alpha_target} infeasible: the opening pins the running minimum at 2/3"
-            )
-        if max_steps < 4:
-            raise DomainError("need a step budget of at least 4")
+        _check_greedy3(n, alpha_target, max_steps)
         super().__init__(n, alpha_target)
         self.max_steps = max_steps
         self.cycles = 0
@@ -432,6 +436,22 @@ def roles(
     if allocator not in (None, construction):
         raise DomainError(f"{construction} faces its own rule, got allocator {allocator!r}")
     return construction, None
+
+
+def check_construction(
+    construction: str, n: int, alpha: Fraction, *, notion: str | None = None,
+    max_steps: int = 10**6, allocator: str | None = None, seed: int | None = None,
+) -> None:
+    """Every check ``run_construction`` makes before it runs, in the same
+    order: ``roles``, the construction's target range (and greedy3's step
+    budget), then the rule's name and seed.  A batch calls this on every
+    item before running any."""
+    rule_name, _ = roles(construction, allocator, notion)
+    if construction == "greedy3":
+        _check_greedy3(n, alpha, max_steps)
+    else:
+        _check_target(n, alpha)
+    make_allocator(rule_name, n, seed)
 
 
 def run_construction(

@@ -132,11 +132,12 @@ def campaign(items: Sequence[dict]) -> list[dict]:
 
     Each item names a construction ("greedy1", "greedy2", "greedy3",
     "miv-impossibility") with its parameters; see the README for the exact
-    schema.  One output row per repetition, with blank cells where a verdict
-    does not apply (for example MMS when the instance exceeds the
-    enumeration guard).
+    schema.  Every item is parsed and checked before any runs, so a bad item
+    fails the batch before it does any work.  One output row per repetition,
+    with blank cells where a verdict does not apply (for example MMS when the
+    instance exceeds the enumeration guard).
     """
-    rows = []
+    checked = []
     for k, item in enumerate(items, start=1):
         if not isinstance(item, dict) or "construction" not in item or "alpha" not in item:
             raise DomainError(f"campaign row {k} needs a 'construction' and an 'alpha'")
@@ -148,9 +149,16 @@ def campaign(items: Sequence[dict]) -> list[dict]:
         if repetitions < 0:
             raise DomainError(f"campaign row {k}: 'repetitions' must not be negative")
         seed = None if item.get("seed") is None else _integer(k, "seed", item["seed"])
-        for rep in range(repetitions):
-            rows.append(_campaign_row(item, n, alpha, max_steps, seed, rep))
-    return rows
+        adv.check_construction(
+            item["construction"], n, alpha, notion=item.get("notion"), max_steps=max_steps,
+            allocator=item.get("allocator"), seed=seed,
+        )
+        checked.append((item, n, alpha, max_steps, seed, repetitions))
+    return [
+        _campaign_row(item, n, alpha, max_steps, seed, rep)
+        for item, n, alpha, max_steps, seed, repetitions in checked
+        for rep in range(repetitions)
+    ]
 
 
 def _integer(k: int, key: str, value) -> int:

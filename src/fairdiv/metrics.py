@@ -17,6 +17,7 @@ of allocators and traces, not part of the offline checks.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -26,7 +27,9 @@ from .core import INF, Allocation, Instance, RatOrInf, check_allocation
 from .errors import DomainError, InstanceTooLargeError
 
 #: Exhaustive oracles refuse instances with more than this many labeled
-#: n-partitions; the adversarial constructions stay far below it.
+#: n-partitions.  ``best_allocation_search`` enumerates them; ``mms_exact``
+#: does not, and keeps the guard only for its output contract: the same
+#: instances are refused, so the MMS verdicts above it stay null.
 ENUMERATION_GUARD = 10**7
 
 
@@ -211,16 +214,24 @@ def check_alpha_propx(inst: Instance, alloc: Allocation, alpha: Fraction) -> Pro
 
 
 # ---------------------------------------------------------------------------
-# Maximin share by exhaustive enumeration
+# Maximin share by subset sums and branch and bound
 # ---------------------------------------------------------------------------
 
 
 def mms_exact(inst: Instance, agent: int) -> Fraction:
     """Exact maximin share of one agent: the best achievable minimum bundle
-    value over all partitions of the goods into n labeled parts.
+    value over all partitions of the goods into n parts.
 
-    Exhaustive with branch-and-bound pruning over subsets; refuses instances
-    with n^m above the enumeration guard.
+    Works on the row scaled to integers, where MMS_i <= floor(W/n) for the
+    row total W.  For two parts it is the largest subset sum at most
+    floor(W/2), found by meet in the middle (Horowitz and Sahni, 1974): the
+    subset sums of one half, each completed by bisecting the sorted sums of
+    the other.  For n parts it enumerates the part P holding the largest
+    good, skips any P whose bound min(w(P), floor((W - w(P))/(n-1))) cannot
+    beat the best value found, stops growing P once w(P) reaches the second
+    term, splits the other goods into n-1 parts the same way, and stops as
+    soon as floor(W/n) is reached.  Refuses instances with n^m above the
+    enumeration guard.
     """
     inst._check_agent(agent)
     n, m = inst.n, inst.m
@@ -229,42 +240,61 @@ def mms_exact(inst: Instance, agent: int) -> Fraction:
     if m == 0:
         return Fraction(0)
     scale, weights = scaled_row(inst.values[agent - 1])
-    full = (1 << m) - 1
-    sums = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
+    return Fraction(_maximin(sorted(weights, reverse=True), n, 0, sum(weights)), scale)
 
-    best = -1
 
-    def fill(parts_left: int, mask: int, cur_min: int) -> None:
-        nonlocal best
-        if parts_left == 1:
-            value = min(cur_min, sums[mask])
-            if value > best:
-                best = value
-            return
-        sub = mask
-        while True:
-            value = min(cur_min, sums[sub])
-            if value > best:
-                fill(parts_left - 1, mask ^ sub, value)
-            if sub == 0:
+def _maximin(weights: list[int], n: int, floor: int, ceiling: int) -> int:
+    """max(floor, min(MMS, ceiling)), MMS the largest minimum part sum over
+    partitions of ``weights``, sorted in descending order, into n parts.
+
+    A search that only has to beat ``floor`` and may stop at ``ceiling``
+    prunes more; the top call passes 0 and the row total.
+    """
+    total = sum(weights)
+    if len(weights) < n:
+        return floor  # some part stays empty, so MMS = 0
+    cap = total // n
+    target = min(cap, ceiling)
+    best = floor
+    if n == 2:
+        half = len(weights) // 2
+        right = sorted(set(_subset_sums(weights[half:])))
+        for a in _subset_sums(weights[:half]):
+            if best >= target:
                 break
-            sub = (sub - 1) & mask
+            if a <= cap:  # right[0] == 0, so some b <= cap - a exists
+                best = max(best, min(a + right[bisect_right(right, cap - a) - 1], ceiling))
+        return best
+    rest = weights[1:]
+    others: list[int] = []
 
-    # Relabeling parts never changes the min, so good 1 can be pinned to the
-    # first part, cutting the search n-fold.
-    rest = full & ~1
-    sub = rest
-    while True:
-        first = sub | 1
-        if sums[first] > best:
-            fill(n - 1, full ^ first, sums[first])
-        if sub == 0:
-            break
-        sub = (sub - 1) & rest
-    return Fraction(best, scale)
+    def grow(k: int, part: int) -> None:
+        # part: weight of the part holding weights[0] and the chosen rest[:k];
+        # others: the unchosen rest[:k], still in descending order
+        nonlocal best
+        # the rest's bound only falls as the part grows, so it prunes the subtree
+        if best >= target or (total - part) // (n - 1) <= best:
+            return
+        if k == len(rest) or part >= (total - part) // (n - 1):
+            # the rest's bound is at most the part now, and a bigger part
+            # only leaves less for the rest, so P itself is the best choice
+            if part > best:
+                best = _maximin(others + rest[k:], n - 1, best, min(part, ceiling))
+            return
+        grow(k + 1, part + rest[k])
+        others.append(rest[k])
+        grow(k + 1, part)
+        others.pop()
+
+    grow(0, weights[0])
+    return best
+
+
+def _subset_sums(weights: Sequence[int]) -> list[int]:
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
 
 
 def mms_profile(inst: Instance) -> tuple[Fraction, ...]:

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite, and the definition-level references
-(``alpha_it``, ``bundle_value``) that the fast library paths are checked
-against."""
+(``alpha_it``, ``bundle_value``, ``mms_labeled_reference``) that the fast
+library paths are checked against."""
 
 from __future__ import annotations
 
@@ -80,3 +80,45 @@ def alpha_it(inst: Instance, owner, agent: int, t: int):
     if total == 0:
         return INF
     return (held + outside) / total
+
+
+def mms_labeled_reference(inst: Instance, agent: int) -> Fraction:
+    """The agent's maximin share by enumerating labeled n-partitions over a
+    table of all 2^m subset values, with branch-and-bound pruning."""
+    n, m = inst.n, inst.m
+    if m == 0:
+        return Fraction(0)
+    row = inst.values[agent - 1]
+    full = (1 << m) - 1
+    sums = [Fraction(0)] * (1 << m)
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + row[low.bit_length() - 1]
+
+    best = Fraction(-1)
+
+    def fill(parts_left: int, mask: int, cur_min: Fraction) -> None:
+        nonlocal best
+        if parts_left == 1:
+            best = max(best, min(cur_min, sums[mask]))
+            return
+        sub = mask
+        while True:
+            value = min(cur_min, sums[sub])
+            if value > best:
+                fill(parts_left - 1, mask ^ sub, value)
+            if sub == 0:
+                break
+            sub = (sub - 1) & mask
+
+    # relabeling parts never changes the min, so good 1 is pinned to part 1
+    rest = full & ~1
+    sub = rest
+    while True:
+        first = sub | 1
+        if sums[first] > best:
+            fill(n - 1, full ^ first, sums[first])
+        if sub == 0:
+            break
+        sub = (sub - 1) & rest
+    return best

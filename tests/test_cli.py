@@ -272,6 +272,14 @@ class TestAdversaryCommand:
         assert payload["alpha_mms"] is False
         assert payload["alpha_propx"] is False
 
+    def test_impossibility_just_under_the_mms_guard_gets_a_verdict(self, tmp_path):
+        out = tmp_path / "adv.json"
+        argv = ["adversary", "--target", "miv-impossibility", "--n", "2", "--alpha", "1/9"]
+        assert main([*argv, "--out", str(out)]) == 0
+        payload = read_json(str(out))
+        assert payload["steps"] == 22  # 2^22 labeled partitions, under the MMS guard
+        assert payload["alpha_mms"] is False
+
     def test_impossibility_above_the_mms_guard_reports_null(self, tmp_path):
         out = tmp_path / "adv.json"
         argv = ["adversary", "--target", "miv-impossibility", "--n", "2", "--alpha", "1/20"]

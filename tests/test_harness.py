@@ -6,6 +6,7 @@ import pytest
 from fairdiv import (
     DomainError,
     InvariantError,
+    ParseError,
     RandAllocator,
     check_alpha_prop1,
     campaign,
@@ -136,6 +137,32 @@ class TestCampaign:
         write_campaign_csv(rows, str(path))
         with open(path, encoding="utf-8", newline="") as fh:
             assert list(csv.DictReader(fh)) == rows
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"construction": "greedy3", "alpha": "3/4"}, "target 3/4 infeasible"),
+            ({"construction": "greedy3", "alpha": "1/4", "max_steps": 3}, "step budget"),
+            ({"construction": "greedy2", "n": 1, "alpha": "1/4"}, "at least 2 agents"),
+            ({"construction": "miv-impossibility", "alpha": "0"}, "outside"),
+            ({"construction": "miv-impossibility", "alpha": "1/2", "allocator": "nope"},
+             "unknown allocator"),
+            ({"construction": "miv-impossibility", "alpha": "1/2", "allocator": "rand"},
+             "needs a seed"),
+            ({"construction": "greedy1", "alpha": "1/2", "notion": "ef1"}, "no fairness notion"),
+            ({"construction": "greedy1", "alpha": "1/2", "n": "x"}, "must be an integer"),
+            ({"construction": "nope", "alpha": "1/2", "repetitions": 0}, "unknown construction"),
+        ],
+        ids=["greedy3-target", "greedy3-budget", "one-agent", "zero-alpha", "unknown-allocator",
+             "rand-no-seed", "greedy-notion", "n-text", "no-repetitions"],
+    )
+    def test_a_bad_row_fails_before_any_row_runs(self, bad, message, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a row ran before every row was checked")
+
+        monkeypatch.setattr(adversaries, "run_construction", refuse)
+        with pytest.raises((DomainError, ParseError), match=message):
+            campaign([{"construction": "greedy1", "n": 2, "alpha": "1/4"}, bad])
 
     def test_unknown_construction_rejected(self):
         with pytest.raises(DomainError):

@@ -21,11 +21,13 @@ from fairdiv import (
     prop1_ratio,
     run,
 )
+from fairdiv.metrics import _maximin, scaled_row
 from conftest import (
     all_allocations,
     alpha_it,
     bundle,
     bundle_value,
+    mms_labeled_reference,
     random_instance,
     total_value,
     value,
@@ -240,6 +242,29 @@ class TestPropx:
         assert (held + value(inst, agent, good)) * inst.n < total
 
 
+@st.composite
+def mms_instances(draw):
+    """n 2-4 agents and m 0-10 goods; each row all zero, all equal, random,
+    or random with one good worth more than the rest together, with
+    denominators at most 3 or at most 200."""
+    n, m = draw(st.integers(2, 4)), draw(st.integers(0, 10))
+    rows = []
+    for _ in range(n):
+        den = draw(st.sampled_from((3, 200)))
+        value = st.builds(F, st.integers(0, den), st.integers(1, den))
+        shape = draw(st.sampled_from(("zero", "equal", "random", "dominant")))
+        if shape == "zero":
+            row = [F(0)] * m
+        elif shape == "equal":
+            row = [draw(value)] * m
+        else:
+            row = draw(st.lists(value, min_size=m, max_size=m))
+            if shape == "dominant" and m:
+                row[draw(st.integers(0, m - 1))] = F(den * m)
+        rows.append(row)
+    return instance_from_rows(rows)
+
+
 class TestMms:
     def test_two_equal_goods(self):
         inst = instance_from_rows([[F(1), F(1)], [F(1), F(1)]])
@@ -254,10 +279,28 @@ class TestMms:
         assert mms_exact(inst, 1) == 1
 
     def test_all_ones_row_gives_floor_m_over_n(self):
-        for n in (2, 3):
-            for m in range(1, 8):
+        # up to the largest m under the enumeration guard for each n
+        for n, largest in ((2, 22), (3, 13)):
+            for m in range(1, largest + 1):
                 inst = instance_from_rows([[F(1)] * m] * n)
                 assert mms_exact(inst, 1) == m // n
+
+    @settings(max_examples=150, deadline=None)
+    @given(mms_instances())
+    def test_matches_the_labeled_partition_enumeration(self, inst):
+        for agent in range(1, inst.n + 1):
+            assert mms_exact(inst, agent) == mms_labeled_reference(inst, agent)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mms_instances(), st.data())
+    def test_bounded_search_returns_the_clamped_share(self, inst, data):
+        # the recursion below mms_exact hands each sub-search the best value
+        # found so far as a floor and the part's weight as a ceiling
+        scale, weights = scaled_row(inst.values[0])
+        share = mms_labeled_reference(inst, 1) * scale
+        floor, ceiling = (data.draw(st.integers(0, sum(weights))) for _ in range(2))
+        got = _maximin(sorted(weights, reverse=True), inst.n, floor, ceiling)
+        assert got == max(floor, min(share, ceiling))
 
     def test_empty_instance(self):
         inst = instance_from_rows([[], []])
