@@ -120,23 +120,24 @@ class MivAllocator(OnlineAllocator):
     potential term x / ((n^2+n+1) x + n^2 y - 1), with x = 1/T and y = H/T,
     is 1/D for D = n^2+n+1 + n^2 H - T: T is the arrived total, padded by 1
     until the agent's first value-1 good, and H the held value without that
-    good.  Per agent D, H and T are kept.  A good worth v lowers D and raises
-    T by v and would add c = v to H; the first value-1 good only replaces the
-    padding (T and D stay, c = 0).  Giving it to agent j lowers the summed
+    good.  Only D is kept per agent, from n^2+n.  A good worth v lowers D by
+    v and would add c = v to H; the first value-1 good only replaces the
+    padding (D stays, c = 0).  Giving it to agent j lowers the summed
     potential by n^2 c_j / (D_j (D_j + n^2 c_j)); the largest drop wins,
     compared exactly by cross-multiplying, ties to the lowest index.  Then
-    H_j += c_j and D_j += n^2 c_j.  Each step asserts three exact invariants
-    (``InvariantError``): every D_i > 0; the summed potential (``potential``,
-    the sum of the terms 1/D_i in ``phi``) never rises from its start
-    1/(n+1); and n^2 (1 + H_i) >= T_i, which is x + y >= 1/n^2.
+    D_j += n^2 c_j.  Each step asserts three exact invariants
+    (``InvariantError``): every D_i > 0, which the cross-multiplied
+    comparison needs; the summed potential (``potential``, the sum of the
+    terms 1/D_i in ``phi``) never rises from its start 1/(n+1); and
+    D_i >= n+1, which is x + y >= 1/n^2, as n^2 (1 + H) - T = D - (n+1).
+    With consistent state the potential bound already gives every
+    D_i > n+1; the last check still catches a broken one.
     """
 
     def __init__(self, n: int):
         super().__init__(n)
         self.first_max_at: list[int | None] = [None] * n  # arrival of first value-1 good
         self.D = [Fraction(n * n + n)] * n
-        self.H = [Fraction(0)] * n
-        self.T = [Fraction(1)] * n
         self.phi = [Fraction(1, n * n + n)] * n
         self.potential = Fraction(1, n + 1)
         self.potential_log: list[Fraction] = [self.potential]
@@ -149,7 +150,7 @@ class MivAllocator(OnlineAllocator):
         return col
 
     def _choose(self, col: list[Fraction]) -> int:
-        n2, t, D, H, T = self.n * self.n, self.state.t, self.D, self.H, self.T
+        n2, t, D = self.n * self.n, self.state.t, self.D
         # the agent with the largest c / (D (D + n^2 c)) so far, c its gain to H
         best, best_c, best_num, best_den = 0, 0, 0, 1
         for i, v in enumerate(col):
@@ -157,7 +158,6 @@ class MivAllocator(OnlineAllocator):
                 self.first_max_at[i] = t
                 v = 0
             elif v:
-                T[i] += v
                 D[i] -= v
             d = D[i]
             if d <= 0:
@@ -170,15 +170,13 @@ class MivAllocator(OnlineAllocator):
                 if num * best_den > best_num * den:
                     best, best_c, best_num, best_den = i, v, num, den
         if best_c:
-            H[best] += best_c
             D[best] += n2 * best_c
         phi = [Fraction(d.denominator, d.numerator) for d in D]
         potential = sum(phi)
         if potential > self.potential:
             raise InvariantError(f"potential increased at t={t}: {potential} > {self.potential}")
-        for i, (h, tot) in enumerate(zip(H, T)):
-            # n^2 (1 + H) >= T, in integers
-            if n2 * (h.numerator + h.denominator) * tot.denominator < tot.numerator * h.denominator:
+        for i, d in enumerate(D):
+            if d.numerator < (self.n + 1) * d.denominator:  # D >= n+1, in integers
                 raise InvariantError(f"x + y below 1/n^2 for agent {i + 1} at t={t}")
         self.phi = phi
         self.potential = potential

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .errors import DomainError, ParseError
@@ -59,7 +60,8 @@ class Instance:
 
     Doubles as a non-adaptive adversary: feeding its columns in arrival order
     to an online allocator replays the committed input sequence.  Valuations
-    are additive, so any bundle's value is the sum of its entries.
+    are additive, so any bundle's value is the sum of its entries; ``scaled``
+    holds the rows as integers, derived on first use and kept.
     """
 
     values: tuple[tuple[Fraction, ...], ...]
@@ -85,6 +87,15 @@ class Instance:
     def m(self) -> int:
         return len(self.values[0])
 
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Per agent, (L, the row times L as integers), L the lcm of the row's denominators."""
+        out = []
+        for row in self.values:
+            scale = math.lcm(*(v.denominator for v in row))
+            out.append((scale, tuple(v.numerator * (scale // v.denominator) for v in row)))
+        return tuple(out)
+
     def columns(self) -> Iterable[tuple[Fraction, ...]]:
         """Value columns in arrival order."""
         return zip(*self.values)
@@ -101,8 +112,7 @@ def instance_from_rows(rows: Sequence[Sequence[Fraction | int]]) -> Instance:
 
 def instance_from_columns(columns: Sequence[Sequence[Fraction | int]], n: int) -> Instance:
     """Build an Instance from per-good value columns (the adversary's view)."""
-    rows = [[Fraction(col[i]) for col in columns] for i in range(n)]
-    return instance_from_rows(rows)
+    return instance_from_rows([[col[i] for col in columns] for i in range(n)])
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from typing import Sequence
 from . import adversaries as adv
 from .core import Instance, _as_int, instance_to_json, parse_rational
 from .errors import DomainError, InvariantError, ParseError
-from .metrics import scaled_row
 from .oracles import rand_alpha_bound
 
 
@@ -58,15 +57,15 @@ def montecarlo_rand(
     The instance is committed before any randomness (a non-adaptive
     adversary).  Each trial replays ``RandAllocator`` with a derived seed and
     checks the final allocation against the factor from ``rand_alpha_bound``
-    in exact arithmetic; the inner loop works on pre-scaled integers but
-    draws the identical owner sequence the allocator would.
+    in exact arithmetic; the inner loop works on the integer rows of
+    ``inst.scaled`` but draws the identical owner sequence the allocator would.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
     n, m = inst.n, inst.m
     alpha_used = rand_alpha_bound(n, delta)
     alpha = Fraction(alpha_used)
-    weights = [scaled_row(row)[1] for row in inst.values]
+    weights = [row for _, row in inst.scaled]
     totals = [sum(row) for row in weights]
     p, q = alpha.numerator, alpha.denominator
 

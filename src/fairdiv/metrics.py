@@ -10,7 +10,7 @@ definition.  Conventions shared by all checks:
   the PROPX witness is the least valuable one, the earliest on ties.  Both
   notions are monotone in the witness value, so the extreme good decides.
 
-The checks read each agent's row scaled to integers (``scaled_row``), so
+The checks read each agent's row scaled to integers (``Instance.scaled``), so
 bundles sum without Fractions; ``Prop1State`` is the online running state
 of allocators and traces, not part of the offline checks.
 """
@@ -20,7 +20,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .core import INF, Allocation, Instance, RatOrInf, check_allocation
@@ -34,7 +33,7 @@ ENUMERATION_GUARD = 10**7
 
 
 # ---------------------------------------------------------------------------
-# Running PROP1 state, and rows scaled to integers for the offline checks
+# Running PROP1 state, and each agent's ownership pass for the offline checks
 # ---------------------------------------------------------------------------
 
 
@@ -80,20 +79,13 @@ class Prop1State:
         return Fraction(1) if worst == INF else min(Fraction(1), self.n * worst)
 
 
-def scaled_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(L, the row times L as integers), L the lcm of the row's denominators."""
-    scale = lcm(*(v.denominator for v in row))
-    return scale, [v.numerator * (scale // v.denominator) for v in row]
-
-
 def _scaled_agents(inst: Instance, alloc: Allocation) -> list[tuple]:
     """Per agent, after validating ``alloc``: (L, weights, bundle weight, best
     outside weight, that good's earliest 0-based index or None if the agent
     holds every good).  The first outside good is the witness even if worth 0."""
     check_allocation(inst, alloc)
     agents = []
-    for i, row in enumerate(inst.values):
-        scale, weights = scaled_row(row)
+    for i, (scale, weights) in enumerate(inst.scaled):
         held, best, witness = 0, 0, None
         for t, (w, owner) in enumerate(zip(weights, alloc.owner)):
             if owner == i + 1:
@@ -239,7 +231,7 @@ def mms_exact(inst: Instance, agent: int) -> Fraction:
         raise InstanceTooLargeError(f"{n}^{m} labeled partitions exceed {ENUMERATION_GUARD}")
     if m == 0:
         return Fraction(0)
-    scale, weights = scaled_row(inst.values[agent - 1])
+    scale, weights = inst.scaled[agent - 1]
     return Fraction(_maximin(sorted(weights, reverse=True), n, 0, sum(weights)), scale)
 
 

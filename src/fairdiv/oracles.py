@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 
 from .core import Allocation, Instance
-from .errors import DomainError, InstanceTooLargeError
+from .errors import DomainError, InstanceTooLargeError, InvariantError
 from .metrics import ENUMERATION_GUARD, prop1_ratio
 
 REPORT_DIGITS = 30
@@ -141,21 +141,17 @@ def small_goods_variance_bound(inst: Instance, agent: int, alpha: Fraction) -> b
 def best_allocation_search(inst: Instance) -> tuple[Allocation, Fraction]:
     """Allocation maximizing the PROP1 ratio, by enumerating all n^m of them.
 
-    Ties resolve to the first maximizer in ``itertools.product`` order, so
-    repeated searches agree.  The search stops at the first allocation with
-    ratio 1, and one always exists for goods: round robin is EF1, and EF1
-    implies PROP1.  Instances above the enumeration guard are refused.
+    For goods the ratio 1 is always reached: round robin is EF1, and EF1
+    implies PROP1.  So the first allocation in ``itertools.product`` order
+    with ratio 1 is returned, and ``InvariantError`` raised if none is.
+    Instances above the enumeration guard are refused.
     """
     n, m = inst.n, inst.m
     if n**m > ENUMERATION_GUARD:
         raise InstanceTooLargeError(f"{n}^{m} allocations exceed {ENUMERATION_GUARD}")
-    best_alloc: Allocation | None = None
-    best_ratio = Fraction(-1)
     for owners in product(range(1, n + 1), repeat=m):
         alloc = Allocation(owners)
         ratio = prop1_ratio(inst, alloc)
-        if ratio > best_ratio:
-            best_alloc, best_ratio = alloc, ratio
-            if best_ratio == 1:
-                break
-    return best_alloc, best_ratio
+        if ratio == 1:
+            return alloc, ratio
+    raise InvariantError(f"no allocation of {m} goods to {n} agents reaches PROP1 ratio 1")

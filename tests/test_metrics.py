@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from fairdiv import (
     Greedy1Allocator,
     INF,
     InstanceTooLargeError,
+    build_fairness_report,
     check_alpha_ef1,
     check_alpha_mms,
     check_alpha_propx,
@@ -21,7 +23,7 @@ from fairdiv import (
     prop1_ratio,
     run,
 )
-from fairdiv.metrics import _maximin, scaled_row
+from fairdiv.metrics import _maximin
 from conftest import (
     all_allocations,
     alpha_it,
@@ -265,6 +267,35 @@ def mms_instances(draw):
     return instance_from_rows(rows)
 
 
+class TestScaled:
+    """``Instance.scaled``, the integer form the offline checks read."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mms_instances())
+    def test_matches_the_definition(self, inst):
+        assert len(inst.scaled) == inst.n
+        for row, (scale, weights) in zip(inst.values, inst.scaled):
+            assert scale == math.lcm(*(v.denominator for v in row))
+            assert isinstance(weights, tuple) and len(weights) == inst.m
+            assert all(type(w) is int and F(w, scale) == v for w, v in zip(weights, row))
+
+    def test_a_full_report_scales_each_row_once(self, monkeypatch):
+        calls, lcm = [], math.lcm
+
+        def counting_lcm(*args):
+            calls.append(args)
+            return lcm(*args)
+
+        monkeypatch.setattr(math, "lcm", counting_lcm)
+        inst = instance_from_rows([[F(1, 2), F(1, 3), F(1)], [F(2, 7), F(0), F(5, 9)]])
+        alloc = Allocation((1, 2, 1))
+        checks = ("prop1", "ef1", "propx", "mms")
+        report = build_fairness_report(inst, alloc, checks)
+        assert len(calls) == inst.n
+        assert build_fairness_report(inst, alloc, checks) == report
+        assert len(calls) == inst.n
+
+
 class TestMms:
     def test_two_equal_goods(self):
         inst = instance_from_rows([[F(1), F(1)], [F(1), F(1)]])
@@ -296,7 +327,7 @@ class TestMms:
     def test_bounded_search_returns_the_clamped_share(self, inst, data):
         # the recursion below mms_exact hands each sub-search the best value
         # found so far as a floor and the part's weight as a ceiling
-        scale, weights = scaled_row(inst.values[0])
+        scale, weights = inst.scaled[0]
         share = mms_labeled_reference(inst, 1) * scale
         floor, ceiling = (data.draw(st.integers(0, sum(weights))) for _ in range(2))
         got = _maximin(sorted(weights, reverse=True), inst.n, floor, ceiling)

@@ -13,6 +13,7 @@ from fairdiv import (
     Greedy2Allocator,
     Greedy3Allocator,
     InstanceTooLargeError,
+    InvariantError,
     analytic_moments,
     bernstein_tail,
     best_allocation_search,
@@ -157,22 +158,31 @@ class TestBestAllocationSearch:
         assert best == 1  # offline, an even split satisfies both agents
         assert best == prop1_ratio(inst, best_alloc)
 
-    def test_two_agent_search_returns_the_first_maximizer(self):
+    def test_search_returns_the_first_maximizer(self):
         from itertools import product
 
         from fairdiv import Allocation
 
         rng = random.Random(23)
-        for _ in range(25):
-            inst = random_instance(rng, 2, rng.randint(1, 7))
-            ratios = {
-                owners: prop1_ratio(inst, Allocation(owners))
-                for owners in product((1, 2), repeat=inst.m)
-            }
-            best = max(ratios.values())
-            first = next(owners for owners, ratio in ratios.items() if ratio == best)
-            alloc, ratio = best_allocation_search(inst)
-            assert (alloc.owner, ratio) == (first, best)
+        for n, largest in ((2, 7), (3, 5)):
+            for _ in range(25):
+                inst = random_instance(rng, n, rng.randint(1, largest))
+                ratios = {
+                    owners: prop1_ratio(inst, Allocation(owners))
+                    for owners in product(range(1, n + 1), repeat=inst.m)
+                }
+                best = max(ratios.values())
+                first = next(owners for owners, ratio in ratios.items() if ratio == best)
+                alloc, ratio = best_allocation_search(inst)
+                assert (alloc.owner, ratio) == (first, best)
+
+    def test_search_without_a_ratio_one_allocation_is_an_invariant_failure(self, monkeypatch):
+        import fairdiv.oracles
+
+        monkeypatch.setattr(fairdiv.oracles, "prop1_ratio", lambda inst, alloc: F(1, 2))
+        inst = instance_from_rows([[F(1), F(2)], [F(3), F(1)]])
+        with pytest.raises(InvariantError, match="no allocation of 2 goods to 2 agents"):
+            best_allocation_search(inst)
 
     def test_dominates_every_online_rule(self):
         rng = random.Random(29)

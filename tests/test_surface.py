@@ -13,7 +13,8 @@ code but never reports code that is used.
 A second check forbids ``global`` statements in ``src/fairdiv``: many
 ``cli.main`` calls can share one interpreter, and module-level state would
 leak from one call into the next.  A third keeps ``OnlineAllocator.observe``
-the only per-good path in ``algorithms.py``.
+the only per-good path in ``algorithms.py``, and a fourth keeps the integer
+form of the rows (``lcm``) inside ``core.py``.
 """
 
 import ast
@@ -110,3 +111,17 @@ def test_only_the_base_allocator_defines_observe():
         if isinstance(item, ast.FunctionDef) and item.name == "observe"
     ]
     assert not found, "observe defined outside OnlineAllocator: " + ", ".join(found)
+
+
+def test_only_core_takes_an_lcm():
+    """Rows are scaled to integers once, by ``Instance.scaled``; every other
+    module reads that form instead of taking an lcm of its own."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "fairdiv").glob("*.py"))
+        if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if "lcm" in (getattr(node, "id", None), getattr(node, "attr", None))
+        or isinstance(node, ast.alias) and node.name == "lcm"
+    ]
+    assert not found, "lcm outside core.py: " + ", ".join(found)
