@@ -65,15 +65,12 @@ from .harness import (
     potential_grid,
 )
 from .metrics import (
-    FairnessReport,
     Prop1State,
-    build_fairness_report,
     check_alpha_ef1,
     check_alpha_mms,
     check_alpha_propx,
     check_alpha_prop1,
     mms_exact,
-    mms_profile,
     prop1_ratio,
 )
 from .oracles import (

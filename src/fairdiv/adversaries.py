@@ -66,12 +66,7 @@ def greedy1_adversary(n: int, alpha_target: Fraction) -> Instance:
     """
     _check_target(n, alpha_target)
     m = _ceil_strict(1 + 2 * (Fraction(n) / alpha_target - 1))
-    rows = [[Fraction(1)] * m for _ in range(n)]
-    for t in range(1, m):
-        rows[1][t] = Fraction(1, 2)
-        for i in range(2, n):
-            rows[i][t] = Fraction(0)
-    return instance_from_rows(rows)
+    return _one_then_fixed(n, m, Fraction(1, 2))
 
 
 def greedy2_adversary(n: int, alpha_target: Fraction) -> Instance:
@@ -85,13 +80,14 @@ def greedy2_adversary(n: int, alpha_target: Fraction) -> Instance:
     """
     _check_target(n, alpha_target)
     m = _ceil_strict(2 * Fraction(n) / alpha_target)
-    sliver = Fraction(1, m * m)
-    rows = [[Fraction(1)] * m for _ in range(n)]
-    for t in range(1, m):
-        rows[1][t] = sliver
-        for i in range(2, n):
-            rows[i][t] = Fraction(0)
-    return instance_from_rows(rows)
+    return _one_then_fixed(n, m, Fraction(1, m * m))
+
+
+def _one_then_fixed(n: int, m: int, agent2: Fraction) -> Instance:
+    """m goods: good 1 is worth 1 to everyone, every later good 1 to agent 1,
+    ``agent2`` to agent 2 and 0 to the rest."""
+    later = [Fraction(1), agent2] + [Fraction(0)] * (n - 2)
+    return instance_from_rows([[Fraction(1)] + [v] * (m - 1) for v in later])
 
 
 def _check_target(n: int, alpha_target: Fraction) -> None:
@@ -378,7 +374,8 @@ class MivImpossibilityAdversary(AdaptiveAdversary):
     usually violates PROPX too, but not always: with the least-satisfied
     greedy rule at n = 2, agent 1 keeps only good 1 and the allocation
     stays alpha-PROPX (checked at alpha = 1/2, 1/3 and 1/4).  The
-    construction is the same whichever notion a run reports.
+    construction and its verdicts are the same whichever notion label a
+    run carries.
     """
 
     target_reached = True  # the construction succeeds against any allocator
@@ -418,11 +415,12 @@ _STATIC = {
 def roles(
     construction: str, allocator: str | None = None, notion: str | None = None
 ) -> tuple[str, str | None]:
-    """The rule that faces ``construction`` and the notion its run reports.
+    """The rule that faces ``construction`` and the notion label of its run.
 
-    greedy1-3 each face their own rule and report no notion; the
-    impossibility faces ``allocator`` (default "miv") and reports ``notion``
-    (default "ef1").  A parameter that does not apply raises DomainError.
+    greedy1-3 each face their own rule and take no notion; the impossibility
+    faces ``allocator`` (default "miv") and is labelled ``notion`` (default
+    "ef1").  The label changes no run: the impossibility always reports
+    every verdict.  A parameter that does not apply raises DomainError.
     """
     if construction not in CONSTRUCTIONS:
         raise DomainError(f"unknown construction {construction!r}; choose from {CONSTRUCTIONS}")
@@ -445,13 +443,14 @@ def check_construction(
     """Every check ``run_construction`` makes before it runs, in the same
     order: ``roles``, the construction's target range (and greedy3's step
     budget), then the rule's name and seed.  A batch calls this on every
-    item before running any."""
-    rule_name, _ = roles(construction, allocator, notion)
+    item before running any.  Returns the (rule, notion) pair of ``roles``."""
+    rule_name, notion = roles(construction, allocator, notion)
     if construction == "greedy3":
         _check_greedy3(n, alpha, max_steps)
     else:
         _check_target(n, alpha)
     make_allocator(rule_name, n, seed)
+    return rule_name, notion
 
 
 def run_construction(
@@ -466,10 +465,10 @@ def run_construction(
     bound; the impossibility drives ``allocator`` (seeded by ``seed``) and
     reports whether the allocation is 1/n-PROP1 and alpha-EF1, -PROPX and
     -MMS, the last None above the MMS size guard.  ``roles`` decides which
-    of ``allocator`` and ``notion`` apply.  A forced fact that fails raises
-    ``InvariantError``.
+    of ``allocator`` and ``notion`` apply; ``notion`` is only a label and
+    changes nothing here.  A forced fact that fails raises ``InvariantError``.
     """
-    rule_name, notion = roles(construction, allocator, notion)
+    rule_name, _ = roles(construction, allocator, notion)
     if construction in _STATIC:
         build, verify = _STATIC[construction]
         inst = build(n, alpha)

@@ -29,7 +29,7 @@ from .core import (
     parse_rational,
     perfect_predictions,
 )
-from .errors import FairdivError, InvariantError, ParseError
+from .errors import DomainError, FairdivError, InvariantError, ParseError
 
 USAGE_EXIT = 1
 INVARIANT_EXIT = 2
@@ -134,13 +134,18 @@ def build_parser() -> _Parser:
 def _cmd_metrics(args) -> int:
     inst = load_instance(args.instance)
     alloc = load_allocation(args.allocation)
-    checks = tuple(c.strip() for c in args.check.split(",") if c.strip())
-    report = metrics.build_fairness_report(inst, alloc, checks, args.alpha)
+    checks = {c.strip() for c in args.check.split(",")} - {""}
+    unknown = checks - {"prop1", "ef1", "propx", "mms"}
+    if unknown:
+        raise DomainError(f"unknown checks: {sorted(unknown)}")
+    # without --alpha the exact notions are checked
+    alpha = Fraction(1) if args.alpha is None else args.alpha
     payload: dict = {"alpha": None if args.alpha is None else str(args.alpha)}
-    if report.prop1 is not None:
+    if "prop1" in checks:
+        prop1 = metrics.check_alpha_prop1(inst, alloc, alpha)
         payload["prop1"] = {
-            "ratio": str(report.prop1_ratio),
-            "satisfied_at_alpha": report.prop1.satisfied,
+            "ratio": str(metrics.prop1_ratio(inst, alloc)),
+            "satisfied_at_alpha": prop1.satisfied,
             "per_agent": [
                 {
                     "agent": a.agent,
@@ -148,29 +153,32 @@ def _cmd_metrics(args) -> int:
                     "witness": a.witness,
                     "satisfied": a.satisfied,
                 }
-                for a in report.prop1.agents
+                for a in prop1.agents
             ],
         }
-    if report.ef1 is not None:
+    if "ef1" in checks:
+        ef1 = metrics.check_alpha_ef1(inst, alloc, alpha)
         payload["ef1"] = {
-            "satisfied": report.ef1.satisfied,
+            "satisfied": ef1.satisfied,
             "witness": None
-            if report.ef1.witness is None
-            else {"envier": report.ef1.witness.envier, "envied": report.ef1.witness.envied},
+            if ef1.witness is None
+            else {"envier": ef1.witness.envier, "envied": ef1.witness.envied},
         }
-    if report.propx is not None:
+    if "propx" in checks:
+        propx = metrics.check_alpha_propx(inst, alloc, alpha)
         payload["propx"] = {
-            "satisfied": report.propx.satisfied,
+            "satisfied": propx.satisfied,
             "witness": None
-            if report.propx.witness is None
-            else {"agent": report.propx.witness.agent, "good": report.propx.witness.good},
+            if propx.witness is None
+            else {"agent": propx.witness.agent, "good": propx.witness.good},
         }
-    if report.mms is not None:
+    if "mms" in checks:
+        mms = metrics.check_alpha_mms(inst, alloc, alpha)
         payload["mms"] = {
-            "ratio": format_rational(report.mms.ratio),
-            "satisfied_at_alpha": report.mms.satisfied,
-            "per_agent": [str(v) for v in report.mms.mms],
-            "violating_agent": report.mms.witness,
+            "ratio": format_rational(mms.ratio),
+            "satisfied_at_alpha": mms.satisfied,
+            "per_agent": [str(v) for v in mms.mms],
+            "violating_agent": mms.witness,
         }
     _write(args.out, _dumps(payload))
     return 0

@@ -67,17 +67,17 @@ class Instance:
     values: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) < 2:
-            raise DomainError("an instance needs at least 2 agents")
-        m = len(self.values[0])
+        # cells first, so a file's first bad cell is what ``load_instance`` reports
         for row in self.values:
-            if len(row) != m:
-                raise ParseError("ragged valuation matrix")
             for v in row:
                 if not isinstance(v, Fraction):
                     raise ParseError(f"non-exact valuation {v!r}")
                 if v < 0:
                     raise ParseError(f"negative valuation {v}")
+        if len(self.values) < 2:
+            raise DomainError("an instance needs at least 2 agents")
+        if any(len(row) != len(self.values[0]) for row in self.values):
+            raise ParseError("ragged valuation matrix")
 
     @property
     def n(self) -> int:
@@ -215,16 +215,11 @@ def load_instance(path: str) -> Instance:
     raw = data["values"]
     if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
         raise ParseError(f"{path}: 'values' must be a list of rows")
-    rows = []
-    for row in raw:
-        parsed = []
-        for cell in row:
-            v = parse_rational(cell)
-            if v < 0:
-                raise ParseError(f"{path}: negative valuation {format_rational(v)}")
-            parsed.append(v)
-        rows.append(tuple(parsed))
-    inst = Instance(tuple(rows))
+    rows = tuple(tuple(parse_rational(cell) for cell in row) for row in raw)
+    try:  # Instance checks each cell's type and sign
+        inst = Instance(rows)
+    except (DomainError, ParseError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     if "n" in data and _as_int(data["n"], "n") != inst.n:
         raise ParseError(f"{path}: declared n={data['n']} but {inst.n} rows present")
     if "m" in data and _as_int(data["m"], "m") != inst.m:

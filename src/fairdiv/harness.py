@@ -148,16 +148,13 @@ def campaign(items: Sequence[dict]) -> list[dict]:
         if repetitions < 0:
             raise DomainError(f"campaign row {k}: 'repetitions' must not be negative")
         seed = None if item.get("seed") is None else _integer(k, "seed", item["seed"])
-        adv.check_construction(
-            item["construction"], n, alpha, notion=item.get("notion"), max_steps=max_steps,
+        construction = item["construction"]
+        allocator, notion = adv.check_construction(
+            construction, n, alpha, notion=item.get("notion"), max_steps=max_steps,
             allocator=item.get("allocator"), seed=seed,
         )
-        checked.append((item, n, alpha, max_steps, seed, repetitions))
-    return [
-        _campaign_row(item, n, alpha, max_steps, seed, rep)
-        for item, n, alpha, max_steps, seed, repetitions in checked
-        for rep in range(repetitions)
-    ]
+        checked.append(((construction, allocator, notion, n, alpha, max_steps, seed), repetitions))
+    return [_campaign_row(*row, rep) for row, repetitions in checked for rep in range(repetitions)]
 
 
 def _integer(k: int, key: str, value) -> int:
@@ -168,9 +165,10 @@ def _integer(k: int, key: str, value) -> int:
         raise ParseError(f"campaign row {k}: {key!r} must be an integer, got {value}") from None
 
 
-def _campaign_row(item: dict, n: int, alpha: Fraction, max_steps: int, seed, rep: int) -> dict:
-    construction = item["construction"]
-    allocator, notion = adv.roles(construction, item.get("allocator"), item.get("notion"))
+def _campaign_row(
+    construction: str, allocator: str, notion: str | None, n: int, alpha: Fraction,
+    max_steps: int, seed, rep: int,
+) -> dict:
     row = {c: "" for c in CAMPAIGN_COLUMNS}
     row.update(
         construction=construction,

@@ -289,11 +289,6 @@ def _subset_sums(weights: Sequence[int]) -> list[int]:
     return sums
 
 
-def mms_profile(inst: Instance) -> tuple[Fraction, ...]:
-    """MMS value of every agent."""
-    return tuple(mms_exact(inst, agent) for agent in range(1, inst.n + 1))
-
-
 @dataclass(frozen=True)
 class MmsCheck:
     satisfied: bool
@@ -307,51 +302,7 @@ def check_alpha_mms(inst: Instance, alloc: Allocation, alpha: Fraction) -> MmsCh
     held = [Fraction(h, scale) for scale, _, h, _, _ in _scaled_agents(inst, alloc)]
     if not 0 <= alpha <= 1:
         raise DomainError(f"alpha {alpha} outside [0, 1]")
-    mms = mms_profile(inst)
+    mms = tuple(mms_exact(inst, agent) for agent in range(1, inst.n + 1))
     witness = next((i + 1 for i in range(inst.n) if held[i] < alpha * mms[i]), None)
     worst = min(INF if v == 0 else h / v for h, v in zip(held, mms))
     return MmsCheck(witness is None, mms, witness, min(Fraction(1), worst))
-
-
-# ---------------------------------------------------------------------------
-# Aggregate report
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FairnessReport:
-    """Results of the requested checks on one (instance, allocation) pair."""
-
-    prop1: Prop1Check | None
-    prop1_ratio: Fraction | None
-    ef1: Ef1Check | None
-    propx: PropxCheck | None
-    mms: MmsCheck | None
-
-
-def build_fairness_report(
-    inst: Instance,
-    alloc: Allocation,
-    checks: Sequence[str] = ("prop1", "ef1", "propx"),
-    alpha: Fraction | None = None,
-) -> FairnessReport:
-    """Run the named checks ("prop1", "ef1", "propx", "mms") and bundle the results.
-
-    Without ``alpha`` the exact notions are checked (alpha = 1); with it, the
-    multiplicative relaxations.  The MMS oracle only runs when asked for.
-    """
-    unknown = set(checks) - {"prop1", "ef1", "propx", "mms"}
-    if unknown:
-        raise DomainError(f"unknown checks: {sorted(unknown)}")
-    a = Fraction(1) if alpha is None else alpha
-    prop1 = ratio = ef1 = propx = mms = None
-    if "prop1" in checks:
-        prop1 = check_alpha_prop1(inst, alloc, a)
-        ratio = prop1_ratio(inst, alloc)
-    if "ef1" in checks:
-        ef1 = check_alpha_ef1(inst, alloc, a)
-    if "propx" in checks:
-        propx = check_alpha_propx(inst, alloc, a)
-    if "mms" in checks:
-        mms = check_alpha_mms(inst, alloc, a)
-    return FairnessReport(prop1, ratio, ef1, propx, mms)

@@ -78,10 +78,28 @@ class TestMetricsCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["alpha"] == "1/3"
 
-    def test_bad_instance_file_is_a_domain_error(self, tmp_path, alloc_file):
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([["-1"], ["1"]], "negative valuation -1"),
+            ([["1", "2"], ["-1"]], "negative valuation -1"),  # the bad cell before the ragged row
+            ([["-1"]], "negative valuation -1"),
+            ([["1", "2"], ["1"]], "ragged valuation matrix"),
+            ([["1"]], "an instance needs at least 2 agents"),
+        ],
+    )
+    def test_bad_instance_file_is_a_domain_error(self, values, message, tmp_path, alloc_file, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"values": [["-1"], ["1"]]}', encoding="utf-8")
+        bad.write_text(json.dumps({"values": values}), encoding="utf-8")
         assert main(["metrics", "--instance", str(bad), "--allocation", alloc_file]) == 1
+        assert capsys.readouterr().err == f"fairdiv: error: {bad}: {message}\n"
+
+    def test_unknown_check_exits_one_with_one_line(self, inst_file, alloc_file, capsys):
+        argv = ["metrics", "--instance", inst_file, "--allocation", alloc_file]
+        assert main([*argv, "--check", "prop1,bogus"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fairdiv: error: unknown checks: ['bogus']\n"
 
 
 class TestRunCommand:
@@ -271,6 +289,15 @@ class TestAdversaryCommand:
         assert payload["alpha_ef1"] is False
         assert payload["alpha_mms"] is False
         assert payload["alpha_propx"] is False
+
+    def test_impossibility_notion_is_only_a_label(self, tmp_path):
+        argv = ["adversary", "--target", "miv-impossibility", "--alpha", "1/2"]
+        outputs = set()
+        for notion in ("ef1", "mms", "propx"):
+            out = tmp_path / f"{notion}.json"
+            assert main([*argv, "--notion", notion, "--out", str(out)]) == 0
+            outputs.add(out.read_bytes())
+        assert len(outputs) == 1
 
     def test_impossibility_just_under_the_mms_guard_gets_a_verdict(self, tmp_path):
         out = tmp_path / "adv.json"

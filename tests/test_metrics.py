@@ -11,7 +11,6 @@ from fairdiv import (
     Greedy1Allocator,
     INF,
     InstanceTooLargeError,
-    build_fairness_report,
     check_alpha_ef1,
     check_alpha_mms,
     check_alpha_propx,
@@ -19,7 +18,6 @@ from fairdiv import (
     greedy1_adversary,
     instance_from_rows,
     mms_exact,
-    mms_profile,
     prop1_ratio,
     run,
 )
@@ -289,10 +287,20 @@ class TestScaled:
         monkeypatch.setattr(math, "lcm", counting_lcm)
         inst = instance_from_rows([[F(1, 2), F(1, 3), F(1)], [F(2, 7), F(0), F(5, 9)]])
         alloc = Allocation((1, 2, 1))
-        checks = ("prop1", "ef1", "propx", "mms")
-        report = build_fairness_report(inst, alloc, checks)
+
+        def full_report():
+            # every check ``fairdiv metrics --check prop1,ef1,propx,mms`` runs
+            return (
+                check_alpha_prop1(inst, alloc, F(1)),
+                prop1_ratio(inst, alloc),
+                check_alpha_ef1(inst, alloc, F(1)),
+                check_alpha_propx(inst, alloc, F(1)),
+                check_alpha_mms(inst, alloc, F(1)),
+            )
+
+        report = full_report()
         assert len(calls) == inst.n
-        assert build_fairness_report(inst, alloc, checks) == report
+        assert full_report() == report
         assert len(calls) == inst.n
 
 
@@ -346,7 +354,8 @@ class TestMms:
         rng = random.Random(3)
         for _ in range(20):
             inst = random_instance(rng, rng.randint(2, 3), rng.randint(0, 6))
-            for agent, share in enumerate(mms_profile(inst), start=1):
+            for agent in range(1, inst.n + 1):
+                share = mms_exact(inst, agent)
                 assert 0 <= share * inst.n <= total_value(inst, agent)
 
     def test_alpha_mms_checks(self):

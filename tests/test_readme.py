@@ -1,0 +1,48 @@
+"""README drift guard: every flag the README's CLI synopsis shows exists.
+
+Reads the first ``sh`` block under the README's ``## CLI`` heading, joins
+lines continued with ``\\``, and checks each ``fairdiv <command>`` line's
+``--flags`` against that subcommand's parser in ``cli.build_parser()``.
+"""
+
+import argparse
+import re
+from pathlib import Path
+
+from fairdiv.cli import build_parser
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def synopses() -> list[str]:
+    """The ``fairdiv ...`` command lines of the README's CLI block, continuations joined."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("\n## CLI\n"):]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    joined = re.sub(r"\\\n\s*", " ", block)
+    return [line.strip() for line in joined.splitlines() if line.strip().startswith("fairdiv ")]
+
+
+def subparsers() -> dict:
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_the_cli_block_shows_every_subcommand():
+    shown = {line.split()[1] for line in synopses()}
+    assert shown == set(subparsers())
+
+
+def test_every_readme_flag_exists_on_its_subcommand():
+    commands = subparsers()
+    for line in synopses():
+        command = line.split()[1]
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", line))
+        missing = flags - set(commands[command]._option_string_actions)
+        assert not missing, f"README `{line}` shows flags {sorted(missing)} that do not exist"
+
+
+def test_continued_lines_are_joined():
+    metrics = next(line for line in synopses() if line.startswith("fairdiv metrics "))
+    assert "--check" in metrics and "--alpha" in metrics
