@@ -34,6 +34,8 @@ from .metrics import (
 CONSTRUCTIONS = ("greedy1", "greedy2", "greedy3", "miv-impossibility")
 #: The notions the impossibility construction can highlight.
 NOTIONS = ("ef1", "mms", "propx")
+#: The default step budget of a greedy3 run, for the CLI, campaigns and library.
+MAX_STEPS = 10**6
 
 
 def _ceil_strict(bound: Fraction) -> int:
@@ -412,15 +414,18 @@ _STATIC = {
 }
 
 
-def roles(
-    construction: str, allocator: str | None = None, notion: str | None = None
+def check_construction(
+    construction: str, n: int, alpha: Fraction, *, notion: str | None = None,
+    max_steps: int = MAX_STEPS, allocator: str | None = None, seed: int | None = None,
 ) -> tuple[str, str | None]:
-    """The rule that faces ``construction`` and the notion label of its run.
+    """Run every check ``run_construction`` starts with; return the rule
+    that faces ``construction`` and the notion label of its run.
 
     greedy1-3 each face their own rule and take no notion; the impossibility
     faces ``allocator`` (default "miv") and is labelled ``notion`` (default
-    "ef1").  The label changes no run: the impossibility always reports
-    every verdict.  A parameter that does not apply raises DomainError.
+    "ef1"), a label that changes no run.  In order, a parameter that does
+    not apply, a target out of range (or greedy3's step budget) and a bad
+    rule name or seed raise DomainError.  A batch checks every item first.
     """
     if construction not in CONSTRUCTIONS:
         raise DomainError(f"unknown construction {construction!r}; choose from {CONSTRUCTIONS}")
@@ -428,23 +433,13 @@ def roles(
         notion = "ef1" if notion is None else notion
         if notion not in NOTIONS:
             raise DomainError(f"unknown fairness notion {notion!r}; choose from {NOTIONS}")
-        return ("miv" if allocator is None else allocator), notion
-    if notion is not None:
-        raise DomainError(f"{construction} reports no fairness notion, got {notion!r}")
-    if allocator not in (None, construction):
-        raise DomainError(f"{construction} faces its own rule, got allocator {allocator!r}")
-    return construction, None
-
-
-def check_construction(
-    construction: str, n: int, alpha: Fraction, *, notion: str | None = None,
-    max_steps: int = 10**6, allocator: str | None = None, seed: int | None = None,
-) -> None:
-    """Every check ``run_construction`` makes before it runs, in the same
-    order: ``roles``, the construction's target range (and greedy3's step
-    budget), then the rule's name and seed.  A batch calls this on every
-    item before running any.  Returns the (rule, notion) pair of ``roles``."""
-    rule_name, notion = roles(construction, allocator, notion)
+        rule_name = "miv" if allocator is None else allocator
+    else:
+        if notion is not None:
+            raise DomainError(f"{construction} reports no fairness notion, got {notion!r}")
+        if allocator not in (None, construction):
+            raise DomainError(f"{construction} faces its own rule, got allocator {allocator!r}")
+        rule_name = construction
     if construction == "greedy3":
         _check_greedy3(n, alpha, max_steps)
     else:
@@ -455,7 +450,7 @@ def check_construction(
 
 def run_construction(
     construction: str, n: int, alpha: Fraction, *, notion: str | None = None,
-    max_steps: int = 10**6, allocator: str | None = None, seed: int | None = None,
+    max_steps: int = MAX_STEPS, allocator: str | None = None, seed: int | None = None,
 ) -> AdversaryRun:
     """Build and run one construction against the rule that faces it.
 
@@ -464,26 +459,28 @@ def run_construction(
     its own rule within ``max_steps`` and reports the certified cycle
     bound; the impossibility drives ``allocator`` (seeded by ``seed``) and
     reports whether the allocation is 1/n-PROP1 and alpha-EF1, -PROPX and
-    -MMS, the last None above the MMS size guard.  ``roles`` decides which
-    of ``allocator`` and ``notion`` apply; ``notion`` is only a label and
-    changes nothing here.  A forced fact that fails raises ``InvariantError``.
+    -MMS, the last None above the MMS size guard.  ``check_construction``
+    runs first and decides which of ``allocator`` and ``notion`` apply;
+    ``notion`` is only a label and changes nothing here.  A forced fact that
+    fails raises ``InvariantError``.
     """
-    rule_name, _ = roles(construction, allocator, notion)
+    rule_name, _ = check_construction(
+        construction, n, alpha, notion=notion, max_steps=max_steps, allocator=allocator, seed=seed
+    )
+    rule = make_allocator(rule_name, n, seed)
     if construction in _STATIC:
         build, verify = _STATIC[construction]
-        inst = build(n, alpha)
-        rule = make_allocator(rule_name, n)
-        trace = run(rule, inst)
+        trace = run(rule, build(n, alpha))
         verify(trace, alpha)
         ratio = rule.state.ratio()
         return AdversaryRun(trace, ratio, ratio < alpha, allocator=rule_name)
     if construction == "greedy3":
         adversary = Greedy3Adversary(alpha, max_steps, n)
-        result = run_adaptive(adversary, make_allocator(rule_name, n))
+        result = run_adaptive(adversary, rule)
         result.certified_cycles_bound = adversary.predicted_cycles_bound()
     else:
         adversary = MivImpossibilityAdversary(n, alpha)
-        result = run_adaptive(adversary, make_allocator(rule_name, n, seed))
+        result = run_adaptive(adversary, rule)
         inst, alloc = result.trace.instance, result.trace.allocation
         verdicts = result.verdicts = {
             "prop1_at_inv_n": check_alpha_prop1(inst, alloc, Fraction(1, n)).satisfied,

@@ -45,7 +45,10 @@ class OnlineAllocator:
         )
 
     def observe(self, column: Sequence[Fraction | int]) -> int:
-        col = self._validate(column)
+        return self._place(self._validate(column))
+
+    def _place(self, col: list[Fraction]) -> int:
+        """Place a validated column: arrive, choose, assign."""
         self.state.arrive(col)
         chosen = self._choose(col)
         self.state.assign(col, chosen)
@@ -223,7 +226,9 @@ class RobustifiedAllocator(OnlineAllocator):
     anything is normalized.  If the inner rule guarantees alpha-PROP1 under
     perfect predictions, the wrapped rule guarantees beta-PROP1 under the
     original valuations with beta = alpha (1 - eps) / (1 - alpha eps / n).
-    ``state`` runs on the raw columns, ``inner.state`` on the normalized ones.
+    ``state`` runs on the raw columns, ``inner.state`` on the normalized ones,
+    which go to the inner rule's ``_place``: a checked raw column has n
+    values in [0, p_i], so its normalized one passes any rule's checks.
     """
 
     def __init__(self, inner: OnlineAllocator, predictions: Predictions):
@@ -259,7 +264,7 @@ class RobustifiedAllocator(OnlineAllocator):
                 self._overridden[i] = True
                 self.override_log.append(OverrideEvent(i + 1, self.state.t, norm[i]))
                 norm[i] = Fraction(1)
-        return self.inner.observe(norm)
+        return self.inner._place(norm)
 
 
 def robust_beta(alpha: Fraction, epsilon: Fraction, n: int) -> Fraction:

@@ -86,7 +86,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--alpha", type=_rational, required=True)
     p.add_argument("--notion", choices=adv.NOTIONS, default=None)
-    p.add_argument("--max-steps", type=int, default=10**6)
+    p.add_argument("--max-steps", type=int, default=adv.MAX_STEPS)
     p.add_argument("--allocator", choices=ALLOCATORS, default=None)
     p.add_argument("--out", default=None)
 
@@ -132,19 +132,19 @@ def build_parser() -> _Parser:
 
 
 def _cmd_metrics(args) -> int:
-    inst = load_instance(args.instance)
-    alloc = load_allocation(args.allocation)
     checks = {c.strip() for c in args.check.split(",")} - {""}
     unknown = checks - {"prop1", "ef1", "propx", "mms"}
     if unknown:
         raise DomainError(f"unknown checks: {sorted(unknown)}")
     # without --alpha the exact notions are checked
     alpha = Fraction(1) if args.alpha is None else args.alpha
-    payload: dict = {"alpha": None if args.alpha is None else str(args.alpha)}
+    inst = load_instance(args.instance)
+    alloc = load_allocation(args.allocation)
+    payload: dict = {"alpha": None if args.alpha is None else format_rational(args.alpha)}
     if "prop1" in checks:
         prop1 = metrics.check_alpha_prop1(inst, alloc, alpha)
         payload["prop1"] = {
-            "ratio": str(metrics.prop1_ratio(inst, alloc)),
+            "ratio": format_rational(metrics.prop1_ratio(inst, alloc)),
             "satisfied_at_alpha": prop1.satisfied,
             "per_agent": [
                 {
@@ -177,7 +177,7 @@ def _cmd_metrics(args) -> int:
         payload["mms"] = {
             "ratio": format_rational(mms.ratio),
             "satisfied_at_alpha": mms.satisfied,
-            "per_agent": [str(v) for v in mms.mms],
+            "per_agent": [format_rational(v) for v in mms.mms],
             "violating_agent": mms.witness,
         }
     _write(args.out, _dumps(payload))
@@ -204,7 +204,7 @@ def _trace_payload(trace) -> dict:
         "alpha": [[format_rational(v) for v in row] for row in trace.alpha],
     }
     if trace.potential is not None:
-        payload["phi_total"] = [str(v) for v in trace.potential]
+        payload["phi_total"] = [format_rational(v) for v in trace.potential]
     return payload
 
 
@@ -213,7 +213,7 @@ def _cmd_run(args) -> int:
     allocator, pred = _make_allocator(args, inst.n)
     trace = run(allocator, inst)
     payload = _trace_payload(trace)
-    payload["prop1_ratio"] = str(allocator.state.ratio())
+    payload["prop1_ratio"] = format_rational(allocator.state.ratio())
     payload["algo"] = args.algo
     if pred is not None:  # the 1/n-PROP1 guarantee rests on this contract
         payload["prediction_contract_met"] = check_predictions(inst, pred)
@@ -229,10 +229,10 @@ def _cmd_adversary(args) -> int:
     inst = result.trace.instance
     payload = {
         "target": args.target,
-        "alpha": str(args.alpha),
+        "alpha": format_rational(args.alpha),
         "instance": json.loads(instance_to_json(inst)),
         "trace": _trace_payload(result.trace),
-        "achieved_prop1_ratio": str(result.achieved_ratio),
+        "achieved_prop1_ratio": format_rational(result.achieved_ratio),
         "steps": inst.m,
         "target_reached": result.target_reached,
     }
@@ -252,16 +252,17 @@ def _cmd_oracle(args) -> int:
         if args.n is None or args.delta is None:
             raise FairdivError("rand-alpha needs --n and --delta")
         value = oracles.rand_alpha_bound(args.n, args.delta)
-        payload = {"op": "rand-alpha", "n": args.n, "delta": str(args.delta), "alpha": str(value)}
+        payload = {"op": "rand-alpha", "n": args.n, "delta": format_rational(args.delta),
+                   "alpha": format_rational(value)}
     elif args.op == "bernstein":
         if args.n is not None and args.delta is not None:
             tail, threshold, holds = oracles.rand_tail_certificate(args.n, args.delta)
             payload = {
                 "op": "bernstein",
                 "n": args.n,
-                "delta": str(args.delta),
-                "tail_upper_bound": str(tail),
-                "threshold_delta_over_n": str(threshold),
+                "delta": format_rational(args.delta),
+                "tail_upper_bound": format_rational(tail),
+                "threshold_delta_over_n": format_rational(threshold),
                 "holds": holds,
             }
         else:
@@ -273,7 +274,7 @@ def _cmd_oracle(args) -> int:
             params = oracles.BernsteinParams(args.variance_bound, args.term_bound, args.deviation)
             payload = {
                 "op": "bernstein",
-                "tail_upper_bound": str(oracles.bernstein_tail(params)),
+                "tail_upper_bound": format_rational(oracles.bernstein_tail(params)),
             }
     elif args.op == "moments":
         if args.instance is None or args.agent is None:
@@ -283,8 +284,8 @@ def _cmd_oracle(args) -> int:
         payload = {
             "op": "moments",
             "agent": args.agent,
-            "mean": str(moments.mean),
-            "variance": str(moments.variance),
+            "mean": format_rational(moments.mean),
+            "variance": format_rational(moments.variance),
         }
         if args.alpha is not None:
             holds = oracles.small_goods_variance_bound(inst, args.agent, args.alpha)
@@ -298,7 +299,7 @@ def _cmd_oracle(args) -> int:
         payload = {
             "op": "best-alloc",
             "owner": list(alloc.owner),
-            "prop1_ratio": str(ratio),
+            "prop1_ratio": format_rational(ratio),
         }
     _write(args.out, _dumps(payload))
     return 0
@@ -311,11 +312,11 @@ def _cmd_montecarlo(args) -> int:
     report = harness.montecarlo_rand(inst, args.delta, args.trials, args.seed)
     payload = {
         "n": report.n,
-        "delta": str(report.delta),
-        "alpha_used": str(report.alpha_used),
+        "delta": format_rational(report.delta),
+        "alpha_used": format_rational(report.alpha_used),
         "trials": report.trials,
         "failures": report.failures,
-        "empirical_failure_rate": str(report.empirical_failure_rate),
+        "empirical_failure_rate": format_rational(report.empirical_failure_rate),
         "seed": report.seed,
         "instance": report.instance,
         "within_delta": report.empirical_failure_rate <= report.delta,

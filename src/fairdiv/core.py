@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, FairdivError, ParseError
 
 #: Plus infinity, ordered above every finite Fraction.  Used for the
 #: "vacuously satisfied" convention when an agent values nothing.
@@ -45,7 +46,7 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
 
 
 def format_rational(value: RatOrInf) -> str:
-    """Canonical string for a Fraction ("p/q" in lowest terms, or "p")."""
+    """Canonical string for an exact number ("p/q" in lowest terms, or "p")."""
     if value == INF:
         return "inf"
     try:
@@ -207,24 +208,31 @@ def _as_int(value, what: str) -> int:
     raise ParseError(f"{what} must be an integer, got {value!r}")
 
 
+@contextmanager
+def _reading(path: str, key: str):
+    """Yield the JSON object at ``path`` once it has a list under ``key``; a
+    ``FairdivError`` raised on its content comes out as its class, naming the file."""
+    data = _loads(path)
+    if not isinstance(data, dict) or not isinstance(data.get(key), list):
+        raise ParseError(f"{path}: expected an object with a list under {key!r}")
+    try:
+        yield data
+    except FairdivError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def load_instance(path: str) -> Instance:
     """Load an instance file: ``{"n": 2, "m": 3, "values": [["1","1/2","0.25"], ...]}``."""
-    data = _loads(path)
-    if not isinstance(data, dict) or "values" not in data:
-        raise ParseError(f"{path}: expected an object with a 'values' field")
-    raw = data["values"]
-    if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
-        raise ParseError(f"{path}: 'values' must be a list of rows")
-    rows = tuple(tuple(parse_rational(cell) for cell in row) for row in raw)
-    try:  # Instance checks each cell's type and sign
-        inst = Instance(rows)
-    except (DomainError, ParseError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-    if "n" in data and _as_int(data["n"], "n") != inst.n:
-        raise ParseError(f"{path}: declared n={data['n']} but {inst.n} rows present")
-    if "m" in data and _as_int(data["m"], "m") != inst.m:
-        raise ParseError(f"{path}: declared m={data['m']} but rows have {inst.m} columns")
-    return inst
+    with _reading(path, "values") as data:
+        if not all(isinstance(r, list) for r in data["values"]):
+            raise ParseError("'values' must be a list of rows")
+        # Instance checks each cell's type and sign
+        inst = Instance(tuple(tuple(parse_rational(c) for c in row) for row in data["values"]))
+        if "n" in data and _as_int(data["n"], "n") != inst.n:
+            raise ParseError(f"declared n={data['n']} but {inst.n} rows present")
+        if "m" in data and _as_int(data["m"], "m") != inst.m:
+            raise ParseError(f"declared m={data['m']} but rows have {inst.m} columns")
+        return inst
 
 
 def instance_to_json(inst: Instance) -> str:
@@ -239,20 +247,12 @@ def instance_to_json(inst: Instance) -> str:
 
 def load_allocation(path: str) -> Allocation:
     """Load an allocation file: ``{"owner": [1, 2, 1]}``."""
-    data = _loads(path)
-    if not isinstance(data, dict) or "owner" not in data or not isinstance(data["owner"], list):
-        raise ParseError(f"{path}: expected an object with an 'owner' list")
-    return Allocation(tuple(_as_int(o, "owner entry") for o in data["owner"]))
+    with _reading(path, "owner") as data:
+        return Allocation(tuple(_as_int(o, "owner entry") for o in data["owner"]))
 
 
 def load_predictions(path: str) -> Predictions:
     """Load a predictions file: ``{"p": ["1", "2/3"], "epsilon": "1/4"}``."""
-    data = _loads(path)
-    if not isinstance(data, dict) or "p" not in data or not isinstance(data["p"], list):
-        raise ParseError(f"{path}: expected an object with a 'p' list")
-    p = tuple(parse_rational(cell) for cell in data["p"])
-    eps = parse_rational(data.get("epsilon", 0))
-    try:
-        return Predictions(p, eps)
-    except DomainError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    with _reading(path, "p") as data:
+        p = tuple(parse_rational(cell) for cell in data["p"])
+        return Predictions(p, parse_rational(data.get("epsilon", 0)))

@@ -143,7 +143,7 @@ def campaign(items: Sequence[dict]) -> list[dict]:
         alpha = parse_rational(item["alpha"])
         n, repetitions, max_steps = (
             _integer(k, key, item.get(key, default))
-            for key, default in (("n", 2), ("repetitions", 1), ("max_steps", 10**6))
+            for key, default in (("n", 2), ("repetitions", 1), ("max_steps", adv.MAX_STEPS))
         )
         if repetitions < 0:
             raise DomainError(f"campaign row {k}: 'repetitions' must not be negative")

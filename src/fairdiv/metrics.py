@@ -79,11 +79,14 @@ class Prop1State:
         return Fraction(1) if worst == INF else min(Fraction(1), self.n * worst)
 
 
-def _scaled_agents(inst: Instance, alloc: Allocation) -> list[tuple]:
-    """Per agent, after validating ``alloc``: (L, weights, bundle weight, best
-    outside weight, that good's earliest 0-based index or None if the agent
-    holds every good).  The first outside good is the witness even if worth 0."""
+def _scaled_agents(inst: Instance, alloc: Allocation, alpha: Fraction | None = None) -> list[tuple]:
+    """Per agent, after validating ``alloc`` and then ``alpha`` (when given):
+    (L, weights, bundle weight, best outside weight, that good's earliest
+    0-based index or None if the agent holds every good).  The first outside
+    good is the witness even if worth 0."""
     check_allocation(inst, alloc)
+    if alpha is not None and not 0 <= alpha <= 1:
+        raise DomainError(f"alpha {alpha} outside [0, 1]")
     agents = []
     for i, (scale, weights) in enumerate(inst.scaled):
         held, best, witness = 0, 0, None
@@ -131,11 +134,8 @@ class Prop1Check:
 def check_alpha_prop1(inst: Instance, alloc: Allocation, alpha: Fraction) -> Prop1Check:
     """alpha-PROP1: every agent holds everything, or some outside good g has
     v_i(A_i + g) >= alpha * v_i(G) / n.  The max-value outside good decides."""
-    scaled = _scaled_agents(inst, alloc)
-    if not 0 <= alpha <= 1:
-        raise DomainError(f"alpha {alpha} outside [0, 1]")
     agents = []
-    for i, (_, weights, held, best, witness) in enumerate(scaled):
+    for i, (_, weights, held, best, witness) in enumerate(_scaled_agents(inst, alloc, alpha)):
         if witness is None:
             agents.append(AgentProp1(i + 1, INF, "self", True))
             continue
@@ -161,9 +161,7 @@ class Ef1Check:
 def check_alpha_ef1(inst: Instance, alloc: Allocation, alpha: Fraction) -> Ef1Check:
     """alpha-EF1: for every pair with A_j nonempty, removing the good in A_j
     that agent i values most leaves v_i(A_i) >= alpha * v_i(A_j - g)."""
-    scaled = _scaled_agents(inst, alloc)
-    if not 0 <= alpha <= 1:
-        raise DomainError(f"alpha {alpha} outside [0, 1]")
+    scaled = _scaled_agents(inst, alloc, alpha)
     bundles: list[list[int]] = [[] for _ in range(inst.n)]
     for t, owner in enumerate(alloc.owner):
         bundles[owner - 1].append(t)
@@ -191,10 +189,7 @@ class PropxCheck:
 def check_alpha_propx(inst: Instance, alloc: Allocation, alpha: Fraction) -> PropxCheck:
     """alpha-PROPX: every agent holds everything, or even the least valuable
     outside good g satisfies v_i(A_i + g) >= alpha * v_i(G) / n."""
-    scaled = _scaled_agents(inst, alloc)
-    if not 0 <= alpha <= 1:
-        raise DomainError(f"alpha {alpha} outside [0, 1]")
-    for agent, (_, weights, held, _, first) in enumerate(scaled, 1):
+    for agent, (_, weights, held, _, first) in enumerate(_scaled_agents(inst, alloc, alpha), 1):
         if first is None:
             continue
         least, witness = min(
@@ -299,9 +294,7 @@ class MmsCheck:
 
 def check_alpha_mms(inst: Instance, alloc: Allocation, alpha: Fraction) -> MmsCheck:
     """alpha-MMS: v_i(A_i) >= alpha * MMS_i for every agent."""
-    held = [Fraction(h, scale) for scale, _, h, _, _ in _scaled_agents(inst, alloc)]
-    if not 0 <= alpha <= 1:
-        raise DomainError(f"alpha {alpha} outside [0, 1]")
+    held = [Fraction(h, scale) for scale, _, h, _, _ in _scaled_agents(inst, alloc, alpha)]
     mms = tuple(mms_exact(inst, agent) for agent in range(1, inst.n + 1))
     witness = next((i + 1 for i in range(inst.n) if held[i] < alpha * mms[i]), None)
     worst = min(INF if v == 0 else h / v for h, v in zip(held, mms))

@@ -26,7 +26,7 @@ from fairdiv import (
     verify_greedy1_failure,
     verify_greedy2_failure,
 )
-from fairdiv.adversaries import roles
+from fairdiv.adversaries import check_construction
 
 F = Fraction
 
@@ -284,6 +284,9 @@ class TestRunConstruction:
             run_construction("miv-impossibility", 2, F(1, 2), allocator="rand")
 
     def test_roles_decide_which_parameters_apply(self):
+        def roles(construction, allocator=None, notion=None):
+            return check_construction(construction, 2, F(1, 2), allocator=allocator, notion=notion)
+
         assert roles("miv-impossibility") == ("miv", "ef1")
         assert roles("miv-impossibility", "greedy2", "mms") == ("greedy2", "mms")
         for name in ("greedy1", "greedy2", "greedy3"):

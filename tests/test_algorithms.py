@@ -401,6 +401,24 @@ class TestRobustify:
             direct = MivAllocator(n)
             assert run(wrapped, inst).owners == run(direct, inst).owners
 
+    def test_each_column_is_validated_once(self, monkeypatch):
+        inst = random_instance(random.Random(9), 3, 20, force_unit_max=True)
+        inner = MivAllocator(3)
+        wrapped = RobustifiedAllocator(inner, perfect_predictions(3))
+        calls = {"inner": 0, "wrapper": 0}
+
+        def counted(who, validate):
+            def wrapper(column):
+                calls[who] += 1
+                return validate(column)
+
+            return wrapper
+
+        monkeypatch.setattr(inner, "_validate", counted("inner", inner._validate))
+        monkeypatch.setattr(wrapped, "_validate", counted("wrapper", wrapped._validate))
+        assert run(wrapped, inst).owners == run(MivAllocator(3), inst).owners
+        assert calls == {"inner": 0, "wrapper": inst.m}
+
     def test_beta_formula(self):
         assert robust_beta(F(1, 2), F(1, 2), 2) == F(2, 7)
         for n in (2, 3, 4):

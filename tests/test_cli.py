@@ -94,12 +94,38 @@ class TestMetricsCommand:
         assert main(["metrics", "--instance", str(bad), "--allocation", alloc_file]) == 1
         assert capsys.readouterr().err == f"fairdiv: error: {bad}: {message}\n"
 
-    def test_unknown_check_exits_one_with_one_line(self, inst_file, alloc_file, capsys):
-        argv = ["metrics", "--instance", inst_file, "--allocation", alloc_file]
+    @pytest.mark.parametrize(
+        "values", [json.loads(INSTANCE)["values"], [["1", "x"], ["1", "1"]]], ids=["good", "bad"]
+    )
+    def test_unknown_check_exits_one_with_one_line(self, values, tmp_path, alloc_file, capsys):
+        # the names are checked before any file is read
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"values": values}), encoding="utf-8")
+        argv = ["metrics", "--instance", str(inst), "--allocation", alloc_file]
         assert main([*argv, "--check", "prop1,bogus"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "fairdiv: error: unknown checks: ['bogus']\n"
+
+
+@pytest.mark.parametrize(
+    "argv, bad, content, message",
+    [
+        (["run", "--algo", "miv", "--instance", "{bad}"], "i.json",
+         {"values": [["1", "x"], ["1", "1"]]},
+         "bad rational literal 'x': Invalid literal for Fraction: 'x'"),
+        (["run", "--algo", "miv", "--instance", "{inst}", "--predictions", "{bad}"], "p.json",
+         {"p": ["1", "x"]}, "bad rational literal 'x': Invalid literal for Fraction: 'x'"),
+        (["metrics", "--instance", "{inst}", "--allocation", "{bad}"], "a.json",
+         {"owner": [1, "x", 1]}, "owner entry must be an integer, got 'x'"),
+    ],
+    ids=["instance", "predictions", "allocation"],
+)
+def test_an_error_in_a_file_names_the_file(argv, bad, content, message, inst_file, tmp_path, capsys):
+    path = tmp_path / bad
+    path.write_text(json.dumps(content), encoding="utf-8")
+    assert main([arg.format(bad=path, inst=inst_file) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"fairdiv: error: {path}: {message}\n"
 
 
 class TestRunCommand:
@@ -169,6 +195,19 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("fairdiv: error:") and err.count("\n") == 1
         assert "exceeds its predicted maximum 1" in err and not out.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--epsilon", "1/4"]])
+    def test_a_potential_too_long_to_write_exits_one(self, flags, tmp_path, capsys):
+        # every alpha cell fits under the int-to-str digit limit; the summed potential does not
+        p, q = 10**2200 + 1, 10**2200 + 3
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"values": [["1", f"1/{p}"], [f"1/{q}", "1"]]}), encoding="utf-8")
+        assert main(["run", "--algo", "greedy3", "--instance", str(inst)]) == 0
+        capsys.readouterr()
+        assert main(["run", "--algo", "miv", "--instance", str(inst), *flags]) == 1
+        assert capsys.readouterr() == (
+            "", "fairdiv: error: rational too long to write: over Python's int-to-str digit limit\n"
+        )
 
     def test_tampered_miv_state_exits_two(self, inst_file, monkeypatch, capsys):
         from fairdiv import algorithms

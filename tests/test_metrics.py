@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fairdiv import (
     Allocation,
+    DomainError,
     Greedy1Allocator,
     INF,
     InstanceTooLargeError,
@@ -98,6 +99,17 @@ class TestProp1Ratio:
         assert 0 <= ratio <= 1
         exact = check_alpha_prop1(inst, alloc, F(1)).satisfied
         assert exact == (ratio == 1)
+
+
+@pytest.mark.parametrize(
+    "check", [check_alpha_prop1, check_alpha_ef1, check_alpha_propx, check_alpha_mms]
+)
+def test_each_check_validates_the_allocation_then_alpha(check):
+    inst = instance_from_rows([[F(1), F(1)], [F(1), F(1)]])
+    with pytest.raises(DomainError, match=r"^owner 3 out of range 1\.\.2$"):
+        check(inst, Allocation((1, 3)), F(2))
+    with pytest.raises(DomainError, match=r"^alpha 2 outside \[0, 1\]$"):
+        check(inst, Allocation((1, 2)), F(2))
 
 
 class TestAlphaProp1:

@@ -13,8 +13,9 @@ code but never reports code that is used.
 A second check forbids ``global`` statements in ``src/fairdiv``: many
 ``cli.main`` calls can share one interpreter, and module-level state would
 leak from one call into the next.  A third keeps ``OnlineAllocator.observe``
-the only per-good path in ``algorithms.py``, and a fourth keeps the integer
-form of the rows (``lcm``) inside ``core.py``.
+the only per-good path in ``algorithms.py``, a fourth keeps the integer
+form of the rows (``lcm``) inside ``core.py``, and a fifth keeps ``str()``
+off the numbers ``cli.py`` writes.
 """
 
 import ast
@@ -100,17 +101,18 @@ def test_src_rebinds_no_module_level_state():
 
 
 def test_only_the_base_allocator_defines_observe():
-    """``OnlineAllocator.observe`` is the one per-good path; a subclass may
-    bind it in its body (for per-class tracing) but not write its own."""
+    """``OnlineAllocator.observe`` (validate, then ``_place``) is the one
+    per-good path; a subclass may bind either method in its body (for
+    per-class tracing) but not write its own."""
     tree = ast.parse((ROOT / "src" / "fairdiv" / "algorithms.py").read_text(encoding="utf-8"))
     found = [
-        f"{cls.name}.observe"
+        f"{cls.name}.{item.name}"
         for cls in tree.body
         if isinstance(cls, ast.ClassDef) and cls.name != "OnlineAllocator"
         for item in cls.body
-        if isinstance(item, ast.FunctionDef) and item.name == "observe"
+        if isinstance(item, ast.FunctionDef) and item.name in ("observe", "_place")
     ]
-    assert not found, "observe defined outside OnlineAllocator: " + ", ".join(found)
+    assert not found, "observe or _place defined outside OnlineAllocator: " + ", ".join(found)
 
 
 def test_only_core_takes_an_lcm():
@@ -125,3 +127,21 @@ def test_only_core_takes_an_lcm():
         or isinstance(node, ast.alias) and node.name == "lcm"
     ]
     assert not found, "lcm outside core.py: " + ", ".join(found)
+
+
+def test_cli_writes_numbers_through_format_rational():
+    """``str()`` of a rational past Python's int-to-str digit limit raises a
+    bare ``ValueError``; ``format_rational`` turns it into a one-line error.
+    So ``cli.py`` calls ``str()`` only on a caught exception."""
+    tree = ast.parse((ROOT / "src" / "fairdiv" / "cli.py").read_text(encoding="utf-8"))
+    caught = {node.name for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)}
+    found = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "str"
+        and not (len(node.args) == 1 and isinstance(node.args[0], ast.Name)
+                 and node.args[0].id in caught)
+    ]
+    assert not found, "str() on a value in cli.py: " + ", ".join(found)
