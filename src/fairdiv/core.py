@@ -190,10 +190,12 @@ def _loads(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_float=parse_rational, parse_int=Fraction)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from None
+    except ValueError:  # ``parse_int`` past Python's int-to-str digit limit
+        raise ParseError(f"{path}: an integer past Python's int-to-str digit limit") from None
 
 
 def _dumps(payload: dict) -> str:

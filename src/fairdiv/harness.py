@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 from . import adversaries as adv
@@ -54,37 +55,35 @@ def montecarlo_rand(
 ) -> MonteCarloReport:
     """Count how often the uniform rule misses its guaranteed PROP1 factor.
 
-    The instance is committed before any randomness (a non-adaptive
-    adversary).  Each trial replays ``RandAllocator`` with a derived seed and
-    checks the final allocation against the factor from ``rand_alpha_bound``
-    in exact arithmetic; the inner loop works on the integer rows of
-    ``inst.scaled`` but draws the identical owner sequence the allocator would.
+    The instance is committed before any randomness (a non-adaptive adversary).
+    Each trial replays ``RandAllocator`` with a derived seed, checking the final
+    allocation against ``rand_alpha_bound``'s factor exactly, on the integer
+    rows of ``inst.scaled``.  One ``getrandbits(32*K)`` call draws its owners:
+    CPython's ``randrange(n)`` keeps the top k = n.bit_length() bits of a 32-bit
+    word and rejects values >= n, so the K words' top bytes, shifted right by
+    8 - k and less the rejects, are the allocator's owners.  That rests on
+    CPython, not on the ``random`` docs, and needs owners in a byte: n <= 255.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
     n, m = inst.n, inst.m
+    if n > 255:
+        raise DomainError(f"montecarlo takes at most 255 agents, got {n}")
     alpha_used = rand_alpha_bound(n, delta)
-    alpha = Fraction(alpha_used)
+    p, q = Fraction(alpha_used).as_integer_ratio()
     weights = [row for _, row in inst.scaled]
-    totals = [sum(row) for row in weights]
-    p, q = alpha.numerator, alpha.denominator
+    limits = [p * sum(row) for row in weights]
+    sel = [(bytes(o == i for o in range(256)), bytes(o != i for o in range(256))) for i in range(n)]
+    draw = _owner_draw(n, m)
 
     failures = 0
     for trial in range(trials):
-        rng = random.Random(derive_trial_seed(master_seed, trial))
-        owners = [rng.randrange(n) for _ in range(m)]
-        for i in range(n):
-            held = 0
-            outside = 0
-            wi = weights[i]
-            for t, o in enumerate(owners):
-                w = wi[t]
-                if o == i:
-                    held += w
-                elif w > outside:
-                    outside = w
+        owners = draw(random.Random(derive_trial_seed(master_seed, trial)))
+        for row, (own, other), limit in zip(weights, sel, limits):
+            held = sum(compress(row, owners.translate(own)))
+            outside = max(compress(row, owners.translate(other)), default=0)
             # alpha <= 1 < n, so an agent holding everything passes automatically
-            if n * q * (held + outside) < p * totals[i]:
+            if n * q * (held + outside) < limit:
                 failures += 1
                 break
     return MonteCarloReport(
@@ -97,6 +96,20 @@ def montecarlo_rand(
         seed=master_seed,
         instance=instance_descriptor(inst),
     )
+
+
+def _owner_draw(n: int, m: int):
+    """rng -> bytes([rng.randrange(n) for _ in range(m)]), as ``montecarlo_rand`` explains."""
+    shift = 8 - n.bit_length()
+    table, delete = bytes(b >> shift for b in range(256)), bytes(range(n << shift, 256))
+    words = (m << 8 - shift) // n + m // 4 + 16  # with m // 4 + 16 to spare, one call nearly always
+
+    def draw(rng: random.Random) -> bytes:
+        owners = b""
+        while len(owners) < m:
+            owners += rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4].translate(table, delete)
+        return owners[:m]
+    return draw
 
 
 # ---------------------------------------------------------------------------

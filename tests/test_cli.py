@@ -128,6 +128,40 @@ def test_an_error_in_a_file_names_the_file(argv, bad, content, message, inst_fil
     assert capsys.readouterr().err == f"fairdiv: error: {path}: {message}\n"
 
 
+LONG_INTEGER = "1" * 5000  # past Python's 4,300-digit int-to-str limit
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["montecarlo", "--n", "2", "--delta", "1/20", "--trials", "3", "--seed", "1",
+          "--instance", "{bad}"], f'{{"values": [[{LONG_INTEGER}, 1], [1, 1]]}}'),
+        (["oracle", "--op", "best-alloc", "--instance", "{bad}"],
+         f'{{"values": [[{LONG_INTEGER}, 1], [1, 1]]}}'),
+        (["campaign", "--config", "{bad}", "--out", "{out}"],
+         f'{{"rows": [{{"construction": "greedy1", "alpha": "1/2", "n": {LONG_INTEGER}}}]}}'),
+    ],
+    ids=["montecarlo-instance", "best-alloc-instance", "campaign-config"],
+)
+def test_an_oversized_json_integer_exits_one_naming_the_file(argv, content, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(content, encoding="utf-8")
+    assert main([arg.format(bad=path, out=tmp_path / "out") for arg in argv]) == 1
+    assert capsys.readouterr() == (
+        "", f"fairdiv: error: {path}: an integer past Python's int-to-str digit limit\n"
+    )
+
+
+def test_a_file_that_is_not_utf8_exits_one_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"values": [["\xff"]]}')
+    assert main(["oracle", "--op", "best-alloc", "--instance", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"fairdiv: error: cannot read {path}: 'utf-8' codec can't decode byte 0xff"
+        " in position 14: invalid start byte\n"
+    )
+
+
 class TestRunCommand:
     def test_miv_run_writes_a_trace(self, inst_file, tmp_path):
         out = tmp_path / "trace.json"
@@ -503,6 +537,15 @@ class TestMonteCarloCommand:
             )
             == 1
         )
+
+
+    def test_more_than_255_agents_exits_one_with_one_line(self, tmp_path, capsys):
+        inst = tmp_path / "wide.json"
+        inst.write_text(json.dumps({"values": [["1"] * 3] * 256}), encoding="utf-8")
+        argv = ["montecarlo", "--n", "256", "--delta", "1/20", "--instance", str(inst),
+                "--trials", "2", "--seed", "1"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "fairdiv: error: montecarlo takes at most 255 agents, got 256\n")
 
 
 class TestCampaignCommand:

@@ -1,7 +1,11 @@
 import csv
+import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairdiv import (
     DomainError,
@@ -16,15 +20,56 @@ from fairdiv import (
     rand_alpha_bound,
     run,
 )
-from fairdiv import adversaries
+from fairdiv import adversaries, harness
 from fairdiv.harness import (
     CAMPAIGN_COLUMNS,
+    _owner_draw,
     derive_trial_seed,
     write_campaign_csv,
     write_potential_grid_csv,
 )
 
 F = Fraction
+
+
+def reference_failing_agents(inst, alpha, trials, seed):
+    """Per trial, the agents that miss alpha-PROP1, counted the definition way:
+    the trial through the allocator, then the exact check."""
+    return [
+        sum(not agent.satisfied for agent in check_alpha_prop1(
+            inst, run(RandAllocator(inst.n, derive_trial_seed(seed, trial)), inst).allocation, alpha
+        ).agents)
+        for trial in range(trials)
+    ]
+
+
+@st.composite
+def montecarlo_cases(draw):
+    """(instance, delta, trials, seed) with n from 2 to 5 and each row all ones,
+    all zeros, random with denominators up to 3 or 200, or dominated by one good."""
+    n, m = draw(st.integers(2, 5)), draw(st.integers(0, 10))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("ones", "zeros", "random", "dominant")))
+        if kind in ("ones", "zeros"):
+            rows.append([F(kind == "ones")] * m)
+            continue
+        values = st.fractions(0, 1, max_denominator=draw(st.sampled_from((3, 200))))
+        row = draw(st.lists(values, min_size=m, max_size=m))
+        if kind == "dominant" and m:
+            row[draw(st.integers(0, m - 1))] = F(1000)
+        rows.append(row)
+    delta = draw(st.sampled_from((F(99, 100), F(9, 10), F(1, 2), F(1, 20))))
+    return instance_from_rows(rows), delta, draw(st.integers(1, 40)), draw(st.integers(0, 2**32))
+
+
+@st.composite
+def failing_montecarlo_cases(draw):
+    """Two agents with all-ones rows of 7 or 8 goods at delta 99/100: an agent
+    fails exactly when it holds nothing, so a trial fails with probability 1/64
+    or 1/128."""
+    rows = [[F(1)] * draw(st.sampled_from((7, 8)))] * 2
+    return instance_from_rows(rows), F(99, 100), draw(st.integers(100, 200)), draw(st.integers(0, 2**32))
 
 
 class TestMonteCarlo:
@@ -52,6 +97,77 @@ class TestMonteCarlo:
         assert fast.failures == failures
         assert fast.empirical_failure_rate == F(failures, 40)
         assert F(fast.alpha_used) == alpha
+
+    def test_matches_the_reference_path_on_drawn_instances(self):
+        failures = []
+
+        @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @given(st.one_of(montecarlo_cases(), failing_montecarlo_cases()))
+        def check(case):
+            inst, delta, trials, seed = case
+            report = montecarlo_rand(inst, delta, trials, seed)
+            alpha = F(rand_alpha_bound(inst.n, delta))
+            assert report.failures == sum(map(bool, reference_failing_agents(inst, alpha, trials, seed)))
+            failures.append(report.failures)
+
+        check()
+        assert any(failures), "no drawn instance failed, so the failure path went untested"
+
+    def test_a_trial_counts_once_however_many_agents_fail(self, monkeypatch):
+        # at the guaranteed factor two agents almost never fail in the same
+        # trial, so this runs the loop at factor 1, where they often do
+        monkeypatch.setattr(harness, "rand_alpha_bound", lambda n, delta: Decimal(1))
+        inst = instance_from_rows([[F(1)] * 10] * 3)
+        report = montecarlo_rand(inst, F(1, 20), 60, 3)
+        failing_agents = reference_failing_agents(inst, F(1), 60, 3)
+        assert report.failures == sum(map(bool, failing_agents))
+        assert max(failing_agents) > 1
+
+    @pytest.mark.parametrize("m", [0, 1, 200, 1000])
+    def test_owner_draw_is_cpythons_randrange(self, m):
+        """The batched draw rests on how CPython implements ``randrange``, which
+        the ``random`` docs do not promise; a Python that changes it fails here.
+        Every n from 2 to 255, including n = 2 and n = 129, where about half the
+        32-bit words are rejected."""
+        for n in range(2, 256):
+            for seed in (0, 1):
+                rng = random.Random(seed)
+                expected = bytes(rng.randrange(n) for _ in range(m))
+                assert _owner_draw(n, m)(random.Random(seed)) == expected, (n, seed)
+
+    def test_owner_draw_when_one_call_falls_short(self):
+        class Counting(random.Random):
+            calls = 0
+
+            def getrandbits(self, k):
+                self.calls += 1
+                return super().getrandbits(k)
+
+        calls = []
+        for n in (2, 129):
+            draw = _owner_draw(n, 30)
+            for seed in range(500):
+                rng = random.Random(seed)
+                expected = bytes(rng.randrange(n) for _ in range(30))
+                counting = Counting(seed)
+                assert draw(counting) == expected, (n, seed)
+                calls.append(counting.calls)
+        assert max(calls) > 1, "no draw needed a second call"
+
+    def test_more_than_255_agents_is_refused_before_any_trial(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a trial ran")
+
+        wide = instance_from_rows([[F(1)] * 3] * 256)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "derive_trial_seed", refuse)
+            with pytest.raises(DomainError) as refused:
+                montecarlo_rand(wide, F(1, 20), 5, 1)
+            assert str(refused.value) == "montecarlo takes at most 255 agents, got 256"
+            with pytest.raises(DomainError, match="need at least one trial"):
+                montecarlo_rand(wide, F(1, 20), 0, 1)
+        report = montecarlo_rand(instance_from_rows([[F(1)] * 3] * 255), F(1, 20), 3, 1)
+        assert report.trials == 3 and report.n == 255
 
     def test_witness_good_instance_never_fails(self):
         # one good already worth the whole guarantee to both agents
