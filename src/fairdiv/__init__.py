@@ -18,7 +18,6 @@ from .algorithms import (
     RandAllocator,
     RobustifiedAllocator,
     make_allocator,
-    robust_beta,
     run,
 )
 from .adversaries import (
@@ -74,7 +73,6 @@ from .metrics import (
     prop1_ratio,
 )
 from .oracles import (
-    BernsteinParams,
     RandMoments,
     analytic_moments,
     bernstein_tail,

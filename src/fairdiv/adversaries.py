@@ -32,9 +32,7 @@ from .metrics import (
 
 #: Every construction, by the name the CLI and campaign configs use.
 CONSTRUCTIONS = ("greedy1", "greedy2", "greedy3", "miv-impossibility")
-#: The notions the impossibility construction can highlight.
-NOTIONS = ("ef1", "mms", "propx")
-#: The default step budget of a greedy3 run, for the CLI, campaigns and library.
+#: The default step budget of a run, for the CLI, campaigns and library.
 MAX_STEPS = 10**6
 
 
@@ -42,6 +40,14 @@ def _ceil_strict(bound: Fraction) -> int:
     """Smallest integer strictly greater than ``bound``."""
     return math.floor(bound) + 1
 
+
+#: Goods emitted by each fixed-horizon construction, as its builder derives
+#: them; ``check_construction`` holds them to the step budget first.
+_HORIZONS = {
+    "greedy1": lambda n, alpha: _ceil_strict(1 + 2 * (Fraction(n) / alpha - 1)),
+    "greedy2": lambda n, alpha: _ceil_strict(2 * Fraction(n) / alpha),
+    "miv-impossibility": lambda n, alpha: math.ceil(Fraction(n) / alpha) + n + 2,
+}
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -67,8 +73,7 @@ def greedy1_adversary(n: int, alpha_target: Fraction) -> Instance:
     alpha * v_2(G) / n.
     """
     _check_target(n, alpha_target)
-    m = _ceil_strict(1 + 2 * (Fraction(n) / alpha_target - 1))
-    return _one_then_fixed(n, m, Fraction(1, 2))
+    return _one_then_fixed(n, _HORIZONS["greedy1"](n, alpha_target), Fraction(1, 2))
 
 
 def greedy2_adversary(n: int, alpha_target: Fraction) -> Instance:
@@ -81,7 +86,7 @@ def greedy2_adversary(n: int, alpha_target: Fraction) -> Instance:
     smallest integer above 2n/alpha.
     """
     _check_target(n, alpha_target)
-    m = _ceil_strict(2 * Fraction(n) / alpha_target)
+    m = _HORIZONS["greedy2"](n, alpha_target)
     return _one_then_fixed(n, m, Fraction(1, m * m))
 
 
@@ -356,7 +361,7 @@ class Greedy3Adversary(AdaptiveAdversary):
 def impossibility_constants(n: int, alpha_target: Fraction) -> tuple[int, int, Fraction]:
     """Horizon m, growth base K and seed value eps of the construction."""
     _check_target(n, alpha_target)
-    m = math.ceil(Fraction(n) / alpha_target) + n + 2
+    m = _HORIZONS["miv-impossibility"](n, alpha_target)
     k = math.ceil(Fraction(3) / alpha_target)
     eps = Fraction(1, k ** (m - 2))
     return m, k, eps
@@ -375,9 +380,7 @@ class MivImpossibilityAdversary(AdaptiveAdversary):
     allocation violates the target approximation of EF1 and MMS.  It
     usually violates PROPX too, but not always: with the least-satisfied
     greedy rule at n = 2, agent 1 keeps only good 1 and the allocation
-    stays alpha-PROPX (checked at alpha = 1/2, 1/3 and 1/4).  The
-    construction and its verdicts are the same whichever notion label a
-    run carries.
+    stays alpha-PROPX (checked at alpha = 1/2, 1/3 and 1/4).
     """
 
     target_reached = True  # the construction succeeds against any allocator
@@ -415,28 +418,23 @@ _STATIC = {
 
 
 def check_construction(
-    construction: str, n: int, alpha: Fraction, *, notion: str | None = None,
-    max_steps: int = MAX_STEPS, allocator: str | None = None, seed: int | None = None,
-) -> tuple[str, str | None]:
-    """Run every check ``run_construction`` starts with; return the rule
-    that faces ``construction`` and the notion label of its run.
+    construction: str, n: int, alpha: Fraction, *, max_steps: int = MAX_STEPS,
+    allocator: str | None = None, seed: int | None = None,
+) -> str:
+    """Run every check ``run_construction`` starts with; return the name of
+    the rule that faces ``construction``.
 
-    greedy1-3 each face their own rule and take no notion; the impossibility
-    faces ``allocator`` (default "miv") and is labelled ``notion`` (default
-    "ef1"), a label that changes no run.  In order, a parameter that does
-    not apply, a target out of range (or greedy3's step budget) and a bad
-    rule name or seed raise DomainError.  A batch checks every item first.
+    greedy1-3 each face their own rule; the impossibility faces
+    ``allocator`` (default "miv").  In order, an allocator that does not
+    apply, a target out of range, a horizon over ``max_steps`` (greedy3's
+    budget below 4) and a bad rule name or seed raise DomainError, before
+    anything is built.  A batch checks every item first.
     """
     if construction not in CONSTRUCTIONS:
         raise DomainError(f"unknown construction {construction!r}; choose from {CONSTRUCTIONS}")
     if construction == "miv-impossibility":
-        notion = "ef1" if notion is None else notion
-        if notion not in NOTIONS:
-            raise DomainError(f"unknown fairness notion {notion!r}; choose from {NOTIONS}")
         rule_name = "miv" if allocator is None else allocator
     else:
-        if notion is not None:
-            raise DomainError(f"{construction} reports no fairness notion, got {notion!r}")
         if allocator not in (None, construction):
             raise DomainError(f"{construction} faces its own rule, got allocator {allocator!r}")
         rule_name = construction
@@ -444,13 +442,16 @@ def check_construction(
         _check_greedy3(n, alpha, max_steps)
     else:
         _check_target(n, alpha)
+        m = _HORIZONS[construction](n, alpha)
+        if m > max_steps:
+            raise DomainError(f"{construction} needs {m} goods, over the step budget of {max_steps}")
     make_allocator(rule_name, n, seed)
-    return rule_name, notion
+    return rule_name
 
 
 def run_construction(
-    construction: str, n: int, alpha: Fraction, *, notion: str | None = None,
-    max_steps: int = MAX_STEPS, allocator: str | None = None, seed: int | None = None,
+    construction: str, n: int, alpha: Fraction, *, max_steps: int = MAX_STEPS,
+    allocator: str | None = None, seed: int | None = None,
 ) -> AdversaryRun:
     """Build and run one construction against the rule that faces it.
 
@@ -460,12 +461,10 @@ def run_construction(
     bound; the impossibility drives ``allocator`` (seeded by ``seed``) and
     reports whether the allocation is 1/n-PROP1 and alpha-EF1, -PROPX and
     -MMS, the last None above the MMS size guard.  ``check_construction``
-    runs first and decides which of ``allocator`` and ``notion`` apply;
-    ``notion`` is only a label and changes nothing here.  A forced fact that
-    fails raises ``InvariantError``.
+    runs first.  A forced fact that fails raises ``InvariantError``.
     """
-    rule_name, _ = check_construction(
-        construction, n, alpha, notion=notion, max_steps=max_steps, allocator=allocator, seed=seed
+    rule_name = check_construction(
+        construction, n, alpha, max_steps=max_steps, allocator=allocator, seed=seed
     )
     rule = make_allocator(rule_name, n, seed)
     if construction in _STATIC:

@@ -267,13 +267,6 @@ class RobustifiedAllocator(OnlineAllocator):
         return self.inner._place(norm)
 
 
-def robust_beta(alpha: Fraction, epsilon: Fraction, n: int) -> Fraction:
-    """PROP1 factor preserved under one-sided prediction error epsilon."""
-    if not 0 <= epsilon < 1:
-        raise DomainError(f"one-sided error {epsilon} must lie in [0, 1)")
-    return alpha * (1 - epsilon) / (1 - alpha * epsilon / n)
-
-
 # ---------------------------------------------------------------------------
 # Running an allocator over an instance
 # ---------------------------------------------------------------------------

@@ -85,7 +85,6 @@ def build_parser() -> _Parser:
     p.add_argument("--target", required=True, choices=adv.CONSTRUCTIONS)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--alpha", type=_rational, required=True)
-    p.add_argument("--notion", choices=adv.NOTIONS, default=None)
     p.add_argument("--max-steps", type=int, default=adv.MAX_STEPS)
     p.add_argument("--allocator", choices=ALLOCATORS, default=None)
     p.add_argument("--out", default=None)
@@ -223,8 +222,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_adversary(args) -> int:
     result = adv.run_construction(
-        args.target, args.n, args.alpha, notion=args.notion, max_steps=args.max_steps,
-        allocator=args.allocator,
+        args.target, args.n, args.alpha, max_steps=args.max_steps, allocator=args.allocator
     )
     inst = result.trace.instance
     payload = {
@@ -271,11 +269,8 @@ def _cmd_oracle(args) -> int:
                     "bernstein needs either --n/--delta or all of "
                     "--variance-bound/--term-bound/--deviation"
                 )
-            params = oracles.BernsteinParams(args.variance_bound, args.term_bound, args.deviation)
-            payload = {
-                "op": "bernstein",
-                "tail_upper_bound": format_rational(oracles.bernstein_tail(params)),
-            }
+            tail = oracles.bernstein_tail(args.variance_bound, args.term_bound, args.deviation)
+            payload = {"op": "bernstein", "tail_upper_bound": format_rational(tail)}
     elif args.op == "moments":
         if args.instance is None or args.agent is None:
             raise FairdivError("moments needs --instance and --agent")

@@ -205,8 +205,6 @@ def _dumps(payload: dict) -> str:
 def _as_int(value, what: str) -> int:
     if isinstance(value, Fraction) and value.denominator == 1:
         return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
     raise ParseError(f"{what} must be an integer, got {value!r}")
 
 

@@ -116,6 +116,11 @@ def _owner_draw(n: int, m: int):
 # Campaigns
 # ---------------------------------------------------------------------------
 
+#: The notion labels an impossibility row can carry.  The construction
+#: reports every verdict whatever its label, so the label changes no cell
+#: but ``notion``.
+NOTIONS = ("ef1", "mms", "propx")
+
 CAMPAIGN_COLUMNS = [
     "construction",
     "allocator",
@@ -162,10 +167,17 @@ def campaign(items: Sequence[dict]) -> list[dict]:
             raise DomainError(f"campaign row {k}: 'repetitions' must not be negative")
         seed = None if item.get("seed") is None else _integer(k, "seed", item["seed"])
         construction = item["construction"]
-        allocator, notion = adv.check_construction(
-            construction, n, alpha, notion=item.get("notion"), max_steps=max_steps,
-            allocator=item.get("allocator"), seed=seed,
+        allocator = adv.check_construction(
+            construction, n, alpha, max_steps=max_steps, allocator=item.get("allocator"), seed=seed
         )
+        notion = item.get("notion")
+        if construction != "miv-impossibility":
+            if notion is not None:
+                raise DomainError(f"{construction} reports no fairness notion, got {notion!r}")
+        elif notion is None:
+            notion = "ef1"
+        elif notion not in NOTIONS:
+            raise DomainError(f"unknown fairness notion {notion!r}; choose from {NOTIONS}")
         checked.append(((construction, allocator, notion, n, alpha, max_steps, seed), repetitions))
     return [_campaign_row(*row, rep) for row, repetitions in checked for rep in range(repetitions)]
 
@@ -194,7 +206,7 @@ def _campaign_row(
     seed = None if seed is None else derive_trial_seed(seed, rep)
     try:
         result = adv.run_construction(
-            construction, n, alpha, notion=notion, max_steps=max_steps, allocator=allocator, seed=seed
+            construction, n, alpha, max_steps=max_steps, allocator=allocator, seed=seed
         )
     except InvariantError:
         row["assertions_passed"] = "false"

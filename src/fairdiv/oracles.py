@@ -47,38 +47,17 @@ def rand_alpha_bound(n: int, delta: Fraction) -> Decimal:
     return Context(prec=REPORT_DIGITS, rounding=ROUND_DOWN).plus(alpha_down)
 
 
-@dataclass(frozen=True)
-class BernsteinParams:
-    """Inputs to the one-sided Bernstein tail bound."""
-
-    variance_bound: Fraction  # sigma^2
-    term_bound: Fraction  # b, the per-term upper deviation
-    deviation: Fraction  # t, the threshold above the mean
-
-    @classmethod
-    def from_small_goods(cls, n: int, alpha: Fraction, total: Fraction) -> "BernsteinParams":
-        """Parameters for the others'-share variable when every good is worth
-        less than alpha * total / n to the agent: variance at most
-        alpha total^2 / n^2, per-term deviation at most alpha total / n, and
-        threshold (1-alpha) total / n above its mean (n-1)/n total."""
-        if n < 2 or total <= 0 or not 0 < alpha < 1:
-            raise DomainError("need n >= 2, total > 0 and alpha in (0, 1)")
-        return cls(
-            variance_bound=alpha * total * total / (n * n),
-            term_bound=alpha * total / n,
-            deviation=(1 - alpha) * total / n,
-        )
-
-
-def bernstein_tail(params: BernsteinParams) -> Decimal:
-    """Upper bound exp(-t^2 / (2 sigma^2 + 2 b t / 3)) on the upper tail.
+def bernstein_tail(variance_bound: Fraction, term_bound: Fraction, deviation: Fraction) -> Decimal:
+    """Upper bound exp(-t^2 / (2 sigma^2 + 2 b t / 3)) on the upper tail,
+    for variance bound sigma^2, per-term upper deviation b and threshold t
+    above the mean.
 
     The exponent is exact rational arithmetic; only the final exp is rounded,
     upward, so the result is a true upper bound.
     """
-    if params.variance_bound < 0 or params.term_bound <= 0 or params.deviation <= 0:
+    if variance_bound < 0 or term_bound <= 0 or deviation <= 0:
         raise DomainError("need sigma^2 >= 0, b > 0 and t > 0")
-    t, s2, b = params.deviation, params.variance_bound, params.term_bound
+    t, s2, b = deviation, variance_bound, term_bound
     exponent = -(t * t) / (2 * s2 + Fraction(2, 3) * b * t)
     tail_up = _UP.exp(_decimal_up(exponent))
     return Context(prec=REPORT_DIGITS, rounding=ROUND_CEILING).plus(tail_up)
@@ -88,12 +67,13 @@ def rand_tail_certificate(n: int, delta: Fraction) -> tuple[Decimal, Fraction, b
     """Instantiate the tail bound with the factor from ``rand_alpha_bound``
     and report (tail upper bound, delta/n, bound holds).
 
-    The comparison chain is scale-free in the agent's total value, so total
-    is fixed at 1.
+    When every good is worth less than alpha T / n to the agent, T its total
+    value, the others' share has variance at most alpha T^2 / n^2, per-term
+    deviation at most alpha T / n, and threshold (1 - alpha) T / n above its
+    mean.  The exponent is scale-free in T, so T is fixed at 1.
     """
     alpha = Fraction(rand_alpha_bound(n, delta))
-    params = BernsteinParams.from_small_goods(n, alpha, Fraction(1))
-    tail = bernstein_tail(params)
+    tail = bernstein_tail(alpha / (n * n), alpha / n, (1 - alpha) / n)
     threshold = delta / n
     return tail, threshold, Fraction(tail) <= threshold
 

@@ -1,6 +1,7 @@
-"""Shared helpers for the test suite, and the definition-level references
+"""Shared helpers for the test suite, the definition-level references
 (``alpha_it``, ``bundle_value``, ``mms_labeled_reference``) that the fast
-library paths are checked against."""
+library paths are checked against, and the paper's formulas that only
+tests use (``robust_beta``)."""
 
 from __future__ import annotations
 
@@ -8,7 +9,14 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from fairdiv import INF, Allocation, Instance, instance_from_rows
+from fairdiv import INF, Allocation, DomainError, Instance, instance_from_rows
+
+
+def robust_beta(alpha: Fraction, epsilon: Fraction, n: int) -> Fraction:
+    """PROP1 factor preserved under one-sided prediction error epsilon."""
+    if not 0 <= epsilon < 1:
+        raise DomainError(f"one-sided error {epsilon} must lie in [0, 1)")
+    return alpha * (1 - epsilon) / (1 - alpha * epsilon / n)
 
 
 def random_instance(

@@ -34,13 +34,12 @@ from fairdiv import (
     montecarlo_rand,
     prop1_ratio,
     rand_tail_certificate,
-    robust_beta,
     run,
     run_adaptive,
     verify_greedy1_failure,
     verify_greedy2_failure,
 )
-from conftest import all_allocations, random_instance, total_value
+from conftest import all_allocations, random_instance, robust_beta, total_value
 
 F = Fraction
 

@@ -26,6 +26,7 @@ from fairdiv import (
     verify_greedy1_failure,
     verify_greedy2_failure,
 )
+from fairdiv import adversaries
 from fairdiv.adversaries import check_construction
 
 F = Fraction
@@ -226,18 +227,6 @@ class TestImpossibilityAdversary:
         assert inst.values[1][-1] == 1  # the final good realizes agent 2's maximum
         assert not check_alpha_ef1(inst, result.trace.allocation, F(1, 2)).satisfied
 
-    def test_unknown_notion_rejected(self):
-        with pytest.raises(DomainError):
-            run_construction("miv-impossibility", 2, F(1, 2), notion="efx")
-
-    def test_notion_selection_does_not_change_the_schedule(self):
-        traces = [
-            run_construction("miv-impossibility", 2, F(1, 3), notion=notion).trace
-            for notion in ("ef1", "mms", "propx")
-        ]
-        assert traces[0].instance == traces[1].instance == traces[2].instance
-        assert traces[0].owners == traces[1].owners == traces[2].owners
-
 
 class TestRunConstruction:
     def test_static_constructions_face_their_own_rule(self):
@@ -284,18 +273,33 @@ class TestRunConstruction:
             run_construction("miv-impossibility", 2, F(1, 2), allocator="rand")
 
     def test_roles_decide_which_parameters_apply(self):
-        def roles(construction, allocator=None, notion=None):
-            return check_construction(construction, 2, F(1, 2), allocator=allocator, notion=notion)
+        def roles(construction, allocator=None):
+            return check_construction(construction, 2, F(1, 2), allocator=allocator)
 
-        assert roles("miv-impossibility") == ("miv", "ef1")
-        assert roles("miv-impossibility", "greedy2", "mms") == ("greedy2", "mms")
+        assert roles("miv-impossibility") == "miv"
+        assert roles("miv-impossibility", "greedy2") == "greedy2"
         for name in ("greedy1", "greedy2", "greedy3"):
-            assert roles(name) == roles(name, allocator=name) == (name, None)
-            for bad in ({"notion": "ef1"}, {"notion": "bogus"}, {"allocator": "miv"}):
-                with pytest.raises(DomainError):
-                    roles(name, **bad)
-        with pytest.raises(DomainError):
-            roles("miv-impossibility", notion="efx")
+            assert roles(name) == roles(name, allocator=name) == name
+            with pytest.raises(DomainError):
+                roles(name, allocator="miv")
+
+    @pytest.mark.parametrize(
+        "construction, alpha, m",
+        [("greedy1", F(1, 2), 8), ("greedy2", F(2, 5), 11), ("miv-impossibility", F(1, 3), 10)],
+    )
+    def test_the_step_budget_bounds_every_horizon(self, construction, alpha, m, monkeypatch):
+        assert run_construction(construction, 2, alpha, max_steps=m).trace.instance.m == m
+
+        def refuse(*args):
+            raise AssertionError("built an instance over the step budget")
+
+        monkeypatch.setattr(adversaries, "instance_from_rows", refuse)
+        monkeypatch.setattr(adversaries, "impossibility_constants", refuse)
+        message = f"^{construction} needs {m} goods, over the step budget of {m - 1}$"
+        with pytest.raises(DomainError, match=message):
+            check_construction(construction, 2, alpha, max_steps=m - 1)
+        with pytest.raises(DomainError, match="step budget"):
+            run_construction(construction, 2, alpha, max_steps=m - 1)
 
     def test_unknown_construction_rejected(self):
         assert CONSTRUCTIONS == ("greedy1", "greedy2", "greedy3", "miv-impossibility")

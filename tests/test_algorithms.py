@@ -25,10 +25,17 @@ from fairdiv import (
     make_allocator,
     perfect_predictions,
     prop1_ratio,
-    robust_beta,
     run,
 )
-from conftest import alpha_it, bundle, bundle_value, random_instance, total_value, value
+from conftest import (
+    alpha_it,
+    bundle,
+    bundle_value,
+    random_instance,
+    robust_beta,
+    total_value,
+    value,
+)
 
 F = Fraction
 

@@ -363,14 +363,23 @@ class TestAdversaryCommand:
         assert payload["alpha_mms"] is False
         assert payload["alpha_propx"] is False
 
-    def test_impossibility_notion_is_only_a_label(self, tmp_path):
-        argv = ["adversary", "--target", "miv-impossibility", "--alpha", "1/2"]
-        outputs = set()
-        for notion in ("ef1", "mms", "propx"):
-            out = tmp_path / f"{notion}.json"
-            assert main([*argv, "--notion", notion, "--out", str(out)]) == 0
-            outputs.add(out.read_bytes())
-        assert len(outputs) == 1
+    @pytest.mark.parametrize("target, m", [("greedy2", 9), ("miv-impossibility", 8)])
+    def test_the_step_budget_bounds_a_fixed_horizon(self, target, m, tmp_path, capsys):
+        argv = ["adversary", "--target", target, "--n", "2", "--alpha", "1/2"]
+        out = tmp_path / "adv.json"
+        assert main([*argv, "--max-steps", str(m), "--out", str(out)]) == 0
+        assert read_json(str(out))["steps"] == m
+        capsys.readouterr()
+        assert main([*argv, "--max-steps", str(m - 1)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"fairdiv: error: {target} needs {m} goods, over the step budget of {m - 1}"]
+
+    def test_a_huge_static_horizon_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code = main(["adversary", "--target", "greedy1", "--alpha", "1/100000000"])
+        assert code == 1 and time.perf_counter() - start < 5
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("fairdiv: error: greedy1 needs ")
 
     def test_impossibility_just_under_the_mms_guard_gets_a_verdict(self, tmp_path):
         out = tmp_path / "adv.json"
@@ -419,9 +428,8 @@ class TestAdversaryCommand:
             (cells,) = csv.DictReader(fh)
         argv = ["adversary", "--target", row["construction"], "--n", str(row["n"]),
                 "--alpha", row["alpha"], "--out", str(out)]
-        for key in ("allocator", "notion"):
-            if key in row:
-                argv += [f"--{key}", row[key]]
+        if "allocator" in row:
+            argv += ["--allocator", row["allocator"]]
         if "max_steps" in row:
             argv += ["--max-steps", str(row["max_steps"])]
         assert main(argv) == 0
@@ -442,13 +450,13 @@ class TestAdversaryCommand:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--target", "greedy1", "--alpha", "1/2", "--notion", "mms"],
+            ["--target", "miv-impossibility", "--alpha", "1/2", "--notion", "ef1"],
             ["--target", "greedy3", "--alpha", "1/2", "--allocator", "greedy2"],
             # eps = 1/K^(m-2) has 4,656 digits, beyond Python's int-to-str limit
             ["--target", "miv-impossibility", "--n", "2", "--alpha", "1/700",
              "--allocator", "greedy1"],
         ],
-        ids=["greedy1-notion", "greedy3-allocator", "too-long-to-write"],
+        ids=["notion-flag", "greedy3-allocator", "too-long-to-write"],
     )
     def test_rejected_runs_exit_one_with_one_line(self, argv, capsys):
         assert main(["adversary", *argv]) == 1

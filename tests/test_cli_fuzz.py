@@ -19,9 +19,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fairdiv.adversaries import CONSTRUCTIONS, NOTIONS
+from fairdiv.adversaries import CONSTRUCTIONS
 from fairdiv.algorithms import ALLOCATORS
 from fairdiv.cli import main
+from fairdiv.harness import NOTIONS
 
 RULES = tuple(ALLOCATORS)
 
@@ -138,8 +139,7 @@ def invocations(draw, command=None):
             argv += ["--predictions", file("pred", json.dumps({"p": p}))]
     elif command == "adversary":
         argv = ["--target", draw(st.sampled_from(CONSTRUCTIONS)), f"--alpha={draw(rationals)}",
-                *opt("--n", small_ints), *opt("--notion", st.sampled_from(NOTIONS)),
-                *opt("--max-steps", st.integers(0, 200)),
+                f"--max-steps={draw(st.integers(0, 200))}", *opt("--n", small_ints),
                 *opt("--allocator", st.sampled_from(RULES))]
     elif command == "oracle":
         argv = ["--op", draw(st.sampled_from(["rand-alpha", "bernstein", "moments", "best-alloc"])),
@@ -190,7 +190,7 @@ GRAMMAR = {
             "integer": ("--seed",), "choice": ("--algo",)},
     "adversary": {"required": ("--target", "--alpha"), "rational": ("--alpha",),
                   "integer": ("--n", "--max-steps"),
-                  "choice": ("--target", "--notion", "--allocator")},
+                  "choice": ("--target", "--allocator")},
     "oracle": {"required": ("--op",), "integer": ("--n", "--agent"), "choice": ("--op",),
                "rational": ("--delta", "--variance-bound", "--term-bound", "--deviation",
                             "--alpha")},

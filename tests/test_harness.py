@@ -228,6 +228,12 @@ class TestCampaign:
         assert row["alpha_propx"] == "false"
         assert row["assertions_passed"] == "true"
 
+    def test_the_notion_is_only_a_label(self):
+        base = {"construction": "miv-impossibility", "n": 2, "alpha": "1/3"}
+        rows = campaign([base] + [dict(base, notion=notion) for notion in harness.NOTIONS])
+        assert [row["notion"] for row in rows] == ["ef1", "ef1", "mms", "propx"]
+        assert len({tuple((k, v) for k, v in row.items() if k != "notion") for row in rows}) == 1
+
     def test_greedy3_row(self):
         (row,) = campaign(
             [{"construction": "greedy3", "n": 2, "alpha": "1/2", "max_steps": 100000}]
@@ -266,11 +272,15 @@ class TestCampaign:
             ({"construction": "miv-impossibility", "alpha": "1/2", "allocator": "rand"},
              "needs a seed"),
             ({"construction": "greedy1", "alpha": "1/2", "notion": "ef1"}, "no fairness notion"),
+            ({"construction": "miv-impossibility", "alpha": "1/2", "notion": "efx"},
+             "unknown fairness notion 'efx'"),
+            ({"construction": "greedy1", "alpha": "1/100000000"}, "over the step budget"),
             ({"construction": "greedy1", "alpha": "1/2", "n": "x"}, "must be an integer"),
             ({"construction": "nope", "alpha": "1/2", "repetitions": 0}, "unknown construction"),
         ],
         ids=["greedy3-target", "greedy3-budget", "one-agent", "zero-alpha", "unknown-allocator",
-             "rand-no-seed", "greedy-notion", "n-text", "no-repetitions"],
+             "rand-no-seed", "greedy-notion", "unknown-notion", "huge-horizon",
+             "n-text", "no-repetitions"],
     )
     def test_a_bad_row_fails_before_any_row_runs(self, bad, message, monkeypatch):
         def refuse(*args, **kwargs):

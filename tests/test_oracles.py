@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairdiv import (
-    BernsteinParams,
     DomainError,
     Greedy1Allocator,
     Greedy2Allocator,
@@ -73,8 +72,7 @@ class TestRandAlphaBound:
 
 class TestBernsteinTail:
     def test_small_deviation_gives_a_bound_near_one(self):
-        params = BernsteinParams(F(1), F(1), F(1, 10**9))
-        assert F(bernstein_tail(params)) > F(999999, 1000000)
+        assert F(bernstein_tail(F(1), F(1), F(1, 10**9))) > F(999999, 1000000)
 
     def test_certificate_grid(self):
         for n in range(2, 11):
@@ -84,21 +82,25 @@ class TestBernsteinTail:
                 assert F(tail) <= threshold
 
     def test_larger_variance_weakens_the_bound(self):
-        base = BernsteinParams(F(1, 4), F(1, 2), F(1))
-        wide = BernsteinParams(F(1, 2), F(1, 2), F(1))
-        assert bernstein_tail(wide) > bernstein_tail(base)
+        assert bernstein_tail(F(1, 2), F(1, 2), F(1)) > bernstein_tail(F(1, 4), F(1, 2), F(1))
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
-            bernstein_tail(BernsteinParams(F(1), F(0), F(1)))
+            bernstein_tail(F(1), F(0), F(1))
         with pytest.raises(DomainError):
-            bernstein_tail(BernsteinParams(F(1), F(1), F(0)))
+            bernstein_tail(F(1), F(1), F(0))
 
-    def test_proof_parameters_recomputable(self):
-        params = BernsteinParams.from_small_goods(2, F(1, 4), F(8))
-        assert params.variance_bound == F(1, 4) * 64 / 4
-        assert params.term_bound == F(1)
-        assert params.deviation == F(3)
+    def test_small_goods_bound_is_scale_free(self):
+        for n, delta in ((2, F(1, 20)), (5, F(1, 100))):
+            alpha = F(rand_alpha_bound(n, delta))
+
+            def tail(total):
+                return bernstein_tail(
+                    alpha * total * total / (n * n), alpha * total / n, (1 - alpha) * total / n
+                )
+
+            assert tail(1) == tail(8)
+            assert rand_tail_certificate(n, delta)[0] == tail(1)
 
 
 class TestAnalyticMoments:

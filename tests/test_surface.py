@@ -25,7 +25,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: Names kept without a caller, each with the reason.
 ALLOWED = {
-    "robust_beta": "the paper's beta-PROP1 factor under prediction error, checked by tests",
     "error": "argparse calls the parser's error override",
 }
 
