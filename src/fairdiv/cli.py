@@ -19,7 +19,7 @@ from .algorithms import ALLOCATORS, RobustifiedAllocator, make_allocator, run
 from .core import (
     Predictions,
     _dumps,
-    _loads,
+    _reading,
     check_predictions,
     format_rational,
     instance_to_json,
@@ -29,7 +29,7 @@ from .core import (
     parse_rational,
     perfect_predictions,
 )
-from .errors import DomainError, FairdivError, InvariantError, ParseError
+from .errors import DomainError, FairdivError, InvariantError
 
 USAGE_EXIT = 1
 INVARIANT_EXIT = 2
@@ -55,10 +55,11 @@ def _seed(text: str) -> int:
 
 
 def _write(path: str | None, payload: str) -> None:
+    """The one place an output file is opened: UTF-8, line endings as built."""
     if path is None:
         sys.stdout.write(payload)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
 
 
@@ -321,22 +322,17 @@ def _cmd_montecarlo(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    config = _loads(args.config)
-    items = config.get("rows", []) if isinstance(config, dict) else config
-    if not isinstance(items, list):
-        raise ParseError(f"{args.config}: expected a list of rows or an object with a 'rows' list")
-    rows = harness.campaign(items)
-    harness.write_campaign_csv(rows, args.out)
-    if any(r["assertions_passed"] == "false" for r in rows):
-        return INVARIANT_EXIT
-    return 0
+    with _reading(args.config, "rows") as config:
+        rows = harness.campaign(config["rows"])
+    _write(args.out, harness.campaign_csv(rows))
+    return INVARIANT_EXIT if any(r["assertions_passed"] == "false" for r in rows) else 0
 
 
 def _cmd_potential_grid(args) -> int:
     cells = harness.potential_grid(
         args.n, (args.a_min, args.a_max), (args.ya_min, args.ya_max), args.resolution
     )
-    harness.write_potential_grid_csv(cells, args.out)
+    _write(args.out, harness.potential_grid_csv(cells))
     return 0
 
 

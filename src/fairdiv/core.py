@@ -186,18 +186,6 @@ def check_predictions(inst: Instance, pred: Predictions) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _loads(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=parse_rational, parse_int=Fraction)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON in {path}: {exc}") from None
-    except ValueError:  # ``parse_int`` past Python's int-to-str digit limit
-        raise ParseError(f"{path}: an integer past Python's int-to-str digit limit") from None
-
-
 def _dumps(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -210,9 +198,18 @@ def _as_int(value, what: str) -> int:
 
 @contextmanager
 def _reading(path: str, key: str):
-    """Yield the JSON object at ``path`` once it has a list under ``key``; a
-    ``FairdivError`` raised on its content comes out as its class, naming the file."""
-    data = _loads(path)
+    """Yield the JSON object at ``path`` (UTF-8, numbers exact) once it has a list
+    under ``key``; a ``FairdivError`` raised on its content comes out as its class,
+    naming the file.  The one place an input file is opened."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh, parse_float=parse_rational, parse_int=Fraction)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON in {path}: {exc}") from None
+    except ValueError:  # ``parse_int`` past Python's int-to-str digit limit
+        raise ParseError(f"{path}: an integer past Python's int-to-str digit limit") from None
     if not isinstance(data, dict) or not isinstance(data.get(key), list):
         raise ParseError(f"{path}: expected an object with a list under {key!r}")
     try:

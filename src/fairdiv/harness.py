@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import random
 from dataclasses import dataclass
 from decimal import Decimal
@@ -121,6 +122,9 @@ def _owner_draw(n: int, m: int):
 #: but ``notion``.
 NOTIONS = ("ef1", "mms", "propx")
 
+#: The keys a campaign row may carry.
+ROW_KEYS = {"construction", "alpha", "n", "repetitions", "max_steps", "seed", "allocator", "notion"}
+
 CAMPAIGN_COLUMNS = [
     "construction",
     "allocator",
@@ -144,6 +148,14 @@ def _flag(value: bool | None) -> str:
     return "" if value is None else ("true" if value else "false")
 
 
+def _float_text(value: Fraction) -> str:
+    """The nearest float, or ``inf`` past the float range (no float column is negative)."""
+    try:
+        return repr(float(value))
+    except OverflowError:
+        return "inf"
+
+
 def campaign(items: Sequence[dict]) -> list[dict]:
     """Run adversary-versus-allocator pairings and tabulate the verdicts.
 
@@ -158,6 +170,8 @@ def campaign(items: Sequence[dict]) -> list[dict]:
     for k, item in enumerate(items, start=1):
         if not isinstance(item, dict) or "construction" not in item or "alpha" not in item:
             raise DomainError(f"campaign row {k} needs a 'construction' and an 'alpha'")
+        if unknown := sorted(item.keys() - ROW_KEYS):
+            raise DomainError(f"campaign row {k}: unknown keys {unknown}")
         alpha = parse_rational(item["alpha"])
         n, repetitions, max_steps = (
             _integer(k, key, item.get(key, default))
@@ -215,7 +229,7 @@ def _campaign_row(
     row.update(
         steps=str(result.trace.instance.m),
         prop1_ratio=str(ratio),
-        prop1_ratio_float=repr(float(ratio)),
+        prop1_ratio_float=_float_text(ratio),
         assertions_passed="true",
     )
     if result.verdicts is None:
@@ -226,11 +240,15 @@ def _campaign_row(
     return row
 
 
-def write_campaign_csv(rows: Sequence[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CAMPAIGN_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+def _csv(lines) -> str:
+    """CSV text of ``lines`` in csv's default dialect (CRLF line endings)."""
+    out = io.StringIO()
+    csv.writer(out).writerows(lines)
+    return out.getvalue()
+
+
+def campaign_csv(rows: Sequence[dict]) -> str:
+    return _csv([CAMPAIGN_COLUMNS, *([row[c] for c in CAMPAIGN_COLUMNS] for row in rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +306,10 @@ def potential_grid(
 POTENTIAL_GRID_COLUMNS = ["a", "a_float", "ya_product", "ya_float", "phi", "phi_float", "valid"]
 
 
-def write_potential_grid_csv(cells: Sequence[PotentialCell], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(POTENTIAL_GRID_COLUMNS)
-        for cell in cells:
-            writer.writerow(
-                [
-                    str(cell.a),
-                    repr(float(cell.a)),
-                    str(cell.ya),
-                    repr(float(cell.ya)),
-                    "" if cell.phi is None else str(cell.phi),
-                    "" if cell.phi is None else repr(float(cell.phi)),
-                    "false" if cell.phi is None else "true",
-                ]
-            )
+def potential_grid_csv(cells: Sequence[PotentialCell]) -> str:
+    return _csv([POTENTIAL_GRID_COLUMNS] + [
+        [str(c.a), _float_text(c.a), str(c.ya), _float_text(c.ya),
+         "" if c.phi is None else str(c.phi), "" if c.phi is None else _float_text(c.phi),
+         _flag(c.phi is not None)]
+        for c in cells
+    ])

@@ -79,14 +79,19 @@ class Prop1State:
         return Fraction(1) if worst == INF else min(Fraction(1), self.n * worst)
 
 
+def _check_alpha(alpha: Fraction) -> None:
+    if not 0 <= alpha <= 1:
+        raise DomainError(f"alpha {alpha} outside [0, 1]")
+
+
 def _scaled_agents(inst: Instance, alloc: Allocation, alpha: Fraction | None = None) -> list[tuple]:
     """Per agent, after validating ``alloc`` and then ``alpha`` (when given):
     (L, weights, bundle weight, best outside weight, that good's earliest
     0-based index or None if the agent holds every good).  The first outside
     good is the witness even if worth 0."""
     check_allocation(inst, alloc)
-    if alpha is not None and not 0 <= alpha <= 1:
-        raise DomainError(f"alpha {alpha} outside [0, 1]")
+    if alpha is not None:
+        _check_alpha(alpha)
     agents = []
     for i, (scale, weights) in enumerate(inst.scaled):
         held, best, witness = 0, 0, None

@@ -18,7 +18,7 @@ from itertools import product
 
 from .core import Allocation, Instance
 from .errors import DomainError, InstanceTooLargeError, InvariantError
-from .metrics import ENUMERATION_GUARD, prop1_ratio
+from .metrics import ENUMERATION_GUARD, _check_alpha, prop1_ratio
 
 REPORT_DIGITS = 30
 _WORK_DIGITS = REPORT_DIGITS + 15
@@ -105,6 +105,7 @@ def small_goods_variance_bound(inst: Instance, agent: int, alpha: Fraction) -> b
     bound always holds for such rows, so False indicates a regression.
     """
     inst._check_agent(agent)
+    _check_alpha(alpha)
     row = inst.values[agent - 1]
     total = sum(row, Fraction(0))
     n = inst.n

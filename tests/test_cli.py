@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from fairdiv import harness
 from fairdiv.cli import main
-from fairdiv.errors import InvariantError
+from fairdiv.errors import DomainError, InvariantError
 
 F = Fraction
 
@@ -422,7 +423,7 @@ class TestAdversaryCommand:
     )
     def test_campaign_row_matches_the_adversary_command(self, row, tmp_path):
         config, rows, out = (tmp_path / name for name in ("config.json", "rows.csv", "adv.json"))
-        config.write_text(json.dumps([row]), encoding="utf-8")
+        config.write_text(json.dumps({"rows": [row]}), encoding="utf-8")
         assert main(["campaign", "--config", str(config), "--out", str(rows)]) == 0
         with open(rows, encoding="utf-8", newline="") as fh:
             (cells,) = csv.DictReader(fh)
@@ -489,6 +490,16 @@ class TestOracleCommand:
         )
         payload = json.loads(capsys.readouterr().out)
         assert payload["mean"] == "7/8"  # (1 + 1/2 + 1/4) / 2
+
+    @pytest.mark.parametrize("alpha, code", [("5", 1), ("-1", 1), ("0", 0), ("1", 0)])
+    def test_moments_takes_alpha_in_the_unit_interval(self, alpha, code, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text('{"values": [["1", "1/2", "1/3"], ["1", "1", "1"]]}', encoding="utf-8")
+        argv = ["oracle", "--op", "moments", "--instance", str(path), "--agent", "1",
+                "--alpha", alpha]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else f"fairdiv: error: alpha {alpha} outside [0, 1]\n")
 
     def test_best_alloc(self, inst_file, capsys):
         assert main(["oracle", "--op", "best-alloc", "--instance", inst_file]) == 0
@@ -620,6 +631,57 @@ class TestCampaignCommand:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("fairdiv: error: ")
 
+    @pytest.mark.parametrize(
+        "config",
+        ['[{"construction": "greedy1", "alpha": "1/2"}]', "{}",
+         '{"rowz": [{"construction": "greedy1", "alpha": "1/2"}]}', '{"rows": 5}'],
+        ids=["bare-list", "empty-object", "misspelled-rows", "rows-not-a-list"],
+    )
+    def test_a_config_without_a_rows_list_exits_one(self, config, tmp_path, capsys):
+        path, out = tmp_path / "config.json", tmp_path / "rows.csv"
+        path.write_text(config, encoding="utf-8")
+        assert main(["campaign", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"fairdiv: error: {path}: expected an object with a list under 'rows'\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ({"n": 2, "alpha": "1/2"}, "campaign row 1 needs a 'construction' and an 'alpha'"),
+            ({"construction": "greedy1", "alpha": "1/2", "repetition": 3, "max_step": 5},
+             "campaign row 1: unknown keys ['max_step', 'repetition']"),
+        ],
+        ids=["no-construction", "unknown-keys"],
+    )
+    def test_a_row_error_names_the_file(self, row, message, tmp_path, capsys):
+        path, out = tmp_path / "config.json", tmp_path / "rows.csv"
+        path.write_text(json.dumps({"rows": [row]}), encoding="utf-8")
+        assert main(["campaign", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"fairdiv: error: {path}: {message}\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, builder",
+    [
+        (["campaign", "--config", "{config}"], "campaign_csv"),
+        (["potential-grid", "--n", "2", "--resolution", "2"], "potential_grid_csv"),
+    ],
+    ids=["campaign", "potential-grid"],
+)
+def test_a_failing_csv_builder_leaves_no_file(argv, builder, tmp_path, monkeypatch, capsys):
+    def refuse(_):
+        raise DomainError("forced failure")
+
+    monkeypatch.setattr(harness, builder, refuse)
+    config, out = tmp_path / "config.json", tmp_path / "out.csv"
+    config.write_text('{"rows": [{"construction": "greedy1", "alpha": "1/2"}]}', encoding="utf-8")
+    assert main([arg.format(config=config) for arg in argv] + ["--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "fairdiv: error: forced failure\n")
+    assert not out.exists()
+
 
 class TestPotentialGridCommand:
     def test_grid_export(self, tmp_path):
@@ -627,6 +689,19 @@ class TestPotentialGridCommand:
         assert main(["potential-grid", "--n", "2", "--resolution", "5", "--out", str(out)]) == 0
         lines = out.read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 26
+
+    def test_values_past_the_float_range_read_inf(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        argv = ["potential-grid", "--n", "2", "--a-max", "1e400", "--resolution", "2",
+                "--out", str(out)]
+        assert main(argv) == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            assert len(fh.read().splitlines()) == 5
+            fh.seek(0)
+            rows = list(csv.DictReader(fh))
+        big = [row for row in rows if row["a"] == str(10**400)]
+        assert len(big) == 2 and all(row["a_float"] == "inf" for row in big)
+        assert all(row["a_float"] == "0.02" for row in rows if row not in big)
 
 
 class TestExitCodes:

@@ -101,7 +101,7 @@ def campaigns(draw):
             if key in ("construction", "alpha") or draw(st.booleans()):
                 row[key] = draw(JUNK) if draw(st.integers(0, 7)) == 0 else draw(values)
         rows.append(row)
-    return json.dumps({"rows": rows} if draw(st.booleans()) else rows)
+    return json.dumps({"rows": rows})
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import csv
+import io
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -24,9 +25,9 @@ from fairdiv import adversaries, harness
 from fairdiv.harness import (
     CAMPAIGN_COLUMNS,
     _owner_draw,
+    campaign_csv,
     derive_trial_seed,
-    write_campaign_csv,
-    write_potential_grid_csv,
+    potential_grid_csv,
 )
 
 F = Fraction
@@ -192,10 +193,8 @@ class TestMonteCarlo:
 
 
 class TestCampaign:
-    def test_empty_config_gives_header_only_csv(self, tmp_path):
-        path = tmp_path / "out.csv"
-        write_campaign_csv(campaign([]), str(path))
-        text = path.read_text(encoding="utf-8")
+    def test_empty_config_gives_header_only_csv(self):
+        text = campaign_csv(campaign([]))
         assert text.strip() == ",".join(CAMPAIGN_COLUMNS)
 
     def test_greedy1_sweep_rows(self, tmp_path):
@@ -248,17 +247,15 @@ class TestCampaign:
         assert row["ratio_below_target"] == "false"
         assert row["assertions_passed"] == "true"
 
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_round_trip(self):
         rows = campaign(
             [
                 {"construction": "greedy2", "n": 2, "alpha": "1/4"},
                 {"construction": "greedy1", "n": 3, "alpha": "1/2", "repetitions": 2},
             ]
         )
-        path = tmp_path / "rows.csv"
-        write_campaign_csv(rows, str(path))
-        with open(path, encoding="utf-8", newline="") as fh:
-            assert list(csv.DictReader(fh)) == rows
+        text = campaign_csv(rows)
+        assert list(csv.DictReader(io.StringIO(text, newline=""))) == rows
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -335,11 +332,9 @@ class TestPotentialGrid:
             values = [c.phi for c in cells if c.phi is not None]
             assert all(b <= a for a, b in zip(values, values[1:]))
 
-    def test_csv_export(self, tmp_path):
+    def test_csv_export(self):
         cells = potential_grid(2, (F(1, 10), F(1)), (F(0), F(1)), 4)
-        path = tmp_path / "grid.csv"
-        write_potential_grid_csv(cells, str(path))
-        lines = path.read_text(encoding="utf-8").strip().splitlines()
+        lines = potential_grid_csv(cells).strip().splitlines()
         assert len(lines) == 1 + 16
         assert lines[0].startswith("a,a_float,ya_product")
 

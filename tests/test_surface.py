@@ -14,8 +14,9 @@ A second check forbids ``global`` statements in ``src/fairdiv``: many
 ``cli.main`` calls can share one interpreter, and module-level state would
 leak from one call into the next.  A third keeps ``OnlineAllocator.observe``
 the only per-good path in ``algorithms.py``, a fourth keeps the integer
-form of the rows (``lcm``) inside ``core.py``, and a fifth keeps ``str()``
-off the numbers ``cli.py`` writes.
+form of the rows (``lcm``) inside ``core.py``, a fifth keeps ``str()``
+off the numbers ``cli.py`` writes, and a sixth lets only ``core._reading``
+and ``cli._write`` open a file.
 """
 
 import ast
@@ -126,6 +127,22 @@ def test_only_core_takes_an_lcm():
         or isinstance(node, ast.alias) and node.name == "lcm"
     ]
     assert not found, "lcm outside core.py: " + ", ".join(found)
+
+
+def test_only_the_two_io_functions_open_files():
+    """Every input is read by ``core._reading`` and every output written by
+    ``cli._write``, so each decides encoding, newlines and error text once."""
+    allowed = {("core.py", "_reading"), ("cli.py", "_write")}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "fairdiv").glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        if (path.name, getattr(top, "name", None)) not in allowed
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert not found, "open() outside core._reading and cli._write: " + ", ".join(found)
 
 
 def test_cli_writes_numbers_through_format_rational():
