@@ -307,14 +307,16 @@ class Greedy3Adversary(AdaptiveAdversary):
 
     def _schedule(self):
         n, mirror = self.n, self._mirror
-        value, c, total = mirror.value, mirror.best_outside, mirror.total
+        value, scale = mirror.value, mirror.scale
+        held, c, total = mirror.held_w, mirror.best_w, mirror.total_w  # weights, scale L_i
         pad = [Fraction(0)] * (n - 2)
         yield from self._emit([Fraction(1)] * n, 1)
         yield from self._emit([Fraction(1), Fraction(1)] + pad, 2)
         yield from self._emit([Fraction(1), Fraction(1)] + pad, 1)
-        if (value(0), value(1), c[:2], total[:2]) != (1, Fraction(2, 3), [1, 1], [3, 3]):
+        opening = (mirror.values(c)[:2], mirror.values(total)[:2])
+        if (value(0), value(1), *opening) != (1, Fraction(2, 3), [1, 1], [3, 3]):
             raise InvariantError("opening state diverged from the construction")
-        lam = max(mirror.bundle[0] / c[0], mirror.bundle[1] / c[1])
+        lam = max(Fraction(held[0], c[0]), Fraction(held[1], c[1]))
         if lam != self.OPENING_LAMBDA:
             raise InvariantError(f"opening bundle/c ratio {lam} differs from 2")
         cert_rhs = Fraction(3, 2)
@@ -322,11 +324,16 @@ class Greedy3Adversary(AdaptiveAdversary):
         while True:
             j = 1 - i
             old_min = value(i)
-            self._equalize_formula = math.ceil(2 / c[j] * total[j] * (value(j) / old_min - 1)) - 1
+            ratio = Fraction(2 * total[j], c[j]) * (value(j) / old_min - 1)
+            self._equalize_formula = math.ceil(ratio) - 1
+            half = Fraction(c[j], 2 * scale[j])
+            # value(j) > old_min (1 + c_j / (2 T_j)) in agent j's weights:
+            # 2 (held_j + c_j) q > p (2 T_j + c_j) for old_min = p/q
+            p, q = old_min.numerator, old_min.denominator
             emitted = 0
-            while value(j) > old_min * (1 + c[j] / (2 * total[j])):
+            while 2 * (held[j] + c[j]) * q > p * (2 * total[j] + c[j]):
                 col = [Fraction(0)] * n
-                col[j] = c[j] / 2
+                col[j] = half
                 yield from self._emit(col, i + 1)
                 emitted += 1
             if emitted != self._equalize_formula:
@@ -334,7 +341,7 @@ class Greedy3Adversary(AdaptiveAdversary):
                     f"equalization emitted {emitted} goods, "
                     f"closed form says {self._equalize_formula}"
                 )
-            owner = yield from self._emit(c[:2] + pad, 1, 2)
+            owner = yield from self._emit(mirror.values(c)[:2] + pad, 1, 2)
             i = 2 - owner  # the live agent that did NOT receive the strike
             new_min = value(i)
             if not new_min < old_min:

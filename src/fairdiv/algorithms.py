@@ -7,6 +7,10 @@ allocator's own prior choices.  Greedy rules pick the lowest score, ties
 toward the lowest agent index; an agent whose total arrived value is zero
 scores 0 under the max-value rule (which scores the negated ratio) and
 vacuously-satisfied (infinite) under the min-ratio rules.
+
+Running state is integers, each agent's values times its scale L_i
+(``Prop1State``), MIV's D_i included as N_i = D_i L_i; Fractions are built
+only where a value leaves that state.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .core import INF, Allocation, Instance, Predictions, RatOrInf
@@ -24,11 +29,15 @@ from .metrics import Prop1State
 class OnlineAllocator:
     """Base streaming allocator with the bookkeeping every rule needs.
 
-    ``state`` tracks, per agent: total arrived value, bundle value, and the
-    value of the best good the agent does not hold; ``total``, ``bundle``
-    and ``best_outside`` are its lists.  Subclasses implement ``_score``
-    (lowest wins) or ``_choose`` (totals already include the arriving good;
-    bundles do not yet).
+    ``state`` tracks, per agent, the total arrived value, the bundle value
+    and the value of the best good the agent does not hold, as integer
+    weights over the agent's scale L_i (``Prop1State``); ``total``,
+    ``bundle`` and ``best_outside`` read them as exact values.  Subclasses
+    implement ``_score`` or ``_choose`` (totals already include the arriving
+    good; bundles do not yet).  ``_score(i)`` is a pair (p, q), the ratio
+    p/q of two of agent i's weights, so L_i cancels; q = 0 with p = 1 is
+    plus infinity.  ``_choose`` picks the lowest score by integer
+    cross-multiplication.
     ``potential_log`` is the summed potential after each good for
     potential-based rules, None otherwise.
     """
@@ -40,9 +49,10 @@ class OnlineAllocator:
             raise DomainError("need at least 2 agents")
         self.n = n
         self.state = Prop1State(n)
-        self.total, self.bundle, self.best_outside = (
-            self.state.total, self.state.bundle, self.state.best_outside
-        )
+
+    total = property(lambda self: self.state.values(self.state.total_w))
+    bundle = property(lambda self: self.state.values(self.state.held_w))
+    best_outside = property(lambda self: self.state.values(self.state.best_w))
 
     def observe(self, column: Sequence[Fraction | int]) -> int:
         return self._place(self._validate(column))
@@ -59,34 +69,36 @@ class OnlineAllocator:
             raise DomainError(f"column has {len(column)} entries, expected {self.n}")
         out = []
         for v in column:
-            f = Fraction(v)
-            if f < 0:
+            f = v if type(v) is Fraction else Fraction(v)
+            if f.numerator < 0:
                 raise DomainError(f"negative valuation {f}")
             out.append(f)
         return out
 
     def _choose(self, col: list[Fraction]) -> int:
         """The first agent with the smallest ``_score``."""
-        best, best_score = 0, self._score(0, col)
+        best, (best_p, best_q) = 0, self._score(0)
         for i in range(1, self.n):
-            score = self._score(i, col)
-            if score < best_score:
-                best, best_score = i, score
+            p, q = self._score(i)
+            if p * best_q < best_p * q:
+                best, best_p, best_q = i, p, q
         return best + 1
 
 
 class Greedy1Allocator(OnlineAllocator):
     """Give the good to the agent valuing it most relative to their arrived total."""
 
-    def _score(self, i: int, col: list[Fraction]) -> RatOrInf:
-        return Fraction(0) if self.total[i] == 0 else -col[i] / self.total[i]
+    def _score(self, i: int) -> tuple[int, int]:
+        total = self.state.total_w[i]
+        return (-self.state.col_w[i], total) if total else (0, 1)
 
 
 class Greedy2Allocator(OnlineAllocator):
     """Give the good to the currently least satisfied agent (lowest bundle share)."""
 
-    def _score(self, i: int, col: list[Fraction]) -> RatOrInf:
-        return INF if self.total[i] == 0 else self.bundle[i] / self.total[i]
+    def _score(self, i: int) -> tuple[int, int]:
+        total = self.state.total_w[i]
+        return (self.state.held_w[i], total) if total else (1, 0)
 
 
 class Greedy3Allocator(OnlineAllocator):
@@ -97,11 +109,13 @@ class Greedy3Allocator(OnlineAllocator):
     against their arrived total.
     """
 
-    def _score(self, i: int, col: list[Fraction]) -> RatOrInf:
-        if self.total[i] == 0:
-            return INF
-        owed = self.best_outside[i] if self.best_outside[i] > col[i] else col[i]
-        return (self.bundle[i] + owed) / self.total[i]
+    def _score(self, i: int) -> tuple[int, int]:
+        s = self.state
+        total = s.total_w[i]
+        if not total:
+            return 1, 0
+        best, w = s.best_w[i], s.col_w[i]
+        return s.held_w[i] + (best if best > w else w), total
 
 
 class RandAllocator(OnlineAllocator):
@@ -123,67 +137,74 @@ class MivAllocator(OnlineAllocator):
     potential term x / ((n^2+n+1) x + n^2 y - 1), with x = 1/T and y = H/T,
     is 1/D for D = n^2+n+1 + n^2 H - T: T is the arrived total, padded by 1
     until the agent's first value-1 good, and H the held value without that
-    good.  Only D is kept per agent, from n^2+n.  A good worth v lowers D by
-    v and would add c = v to H; the first value-1 good only replaces the
-    padding (D stays, c = 0).  Giving it to agent j lowers the summed
-    potential by n^2 c_j / (D_j (D_j + n^2 c_j)); the largest drop wins,
-    compared exactly by cross-multiplying, ties to the lowest index.  Then
-    D_j += n^2 c_j.  Each step asserts three exact invariants
-    (``InvariantError``): every D_i > 0, which the cross-multiplied
-    comparison needs; the summed potential (``potential``, the sum of the
-    terms 1/D_i in ``phi``) never rises from its start 1/(n+1); and
-    D_i >= n+1, which is x + y >= 1/n^2, as n^2 (1 + H) - T = D - (n+1).
-    With consistent state the potential bound already gives every
-    D_i > n+1; the last check still catches a broken one.
+    good.  D starts at n^2+n and is kept as the integer N = D L over the
+    agent's scale L (a row of ``state.rows``, so it rescales with L), which
+    makes the term phi = L/N.  A good of weight w (value c = w/L) lowers N
+    by w and would add c to H; the first value-1 good only replaces the
+    padding (N stays, c = 0).  Giving it to agent j lowers the summed
+    potential by n^2 c_j / (D_j (D_j + n^2 c_j)), which is n^2 times
+    w_j L_j / (N_j (N_j + n^2 w_j)); the largest drop wins, compared by
+    cross-multiplying, ties to the lowest index.  Then N_j += n^2 w_j.
+    Each step asserts three exact invariants (``InvariantError``): every
+    N_i > 0, which the comparison needs; the summed potential
+    (``potential``, the sum of the terms in ``phi``, built as one
+    cross-multiplied sum and reduced once) never rises from its start
+    1/(n+1); and D_i >= n+1, that is N_i >= (n+1) L_i, which is
+    x + y >= 1/n^2, as n^2 (1 + H) - T = D - (n+1).  With consistent state
+    the potential bound already gives every D_i > n+1; the last check still
+    catches a broken one.
     """
 
     def __init__(self, n: int):
         super().__init__(n)
         self.first_max_at: list[int | None] = [None] * n  # arrival of first value-1 good
-        self.D = [Fraction(n * n + n)] * n
-        self.phi = [Fraction(1, n * n + n)] * n
+        self.N = [n * n + n] * n
+        self.state.rows.append(self.N)
         self.potential = Fraction(1, n + 1)
         self.potential_log: list[Fraction] = [self.potential]
+
+    phi = property(lambda self: [Fraction(L, N) for L, N in zip(self.state.scale, self.N)])
 
     def _validate(self, column: Sequence[Fraction | int]) -> list[Fraction]:
         col = super()._validate(column)
         for v in col:
-            if v > 1:
+            if v.numerator > v.denominator:
                 raise PredictionContractError(f"valuation {v} exceeds the predicted maximum 1")
         return col
 
     def _choose(self, col: list[Fraction]) -> int:
-        n2, t, D = self.n * self.n, self.state.t, self.D
-        # the agent with the largest c / (D (D + n^2 c)) so far, c its gain to H
-        best, best_c, best_num, best_den = 0, 0, 0, 1
-        for i, v in enumerate(col):
-            if v == 1 and self.first_max_at[i] is None:
+        n, t, N, scale = self.n, self.state.t, self.N, self.state.scale
+        # the agent with the largest w L / (N (N + n^2 w)) so far, w its gain to H
+        best, best_w, best_num, best_den = 0, 0, 0, 1
+        for i, w in enumerate(self.state.col_w):
+            if w == scale[i] and self.first_max_at[i] is None:
                 self.first_max_at[i] = t
-                v = 0
-            elif v:
-                D[i] -= v
-            d = D[i]
-            if d <= 0:
-                raise InvariantError(f"non-positive potential denominator {d} at t={t}")
-            if v:
-                # c / (D (D + n^2 c)) = cp dq^2 / (dp (dp cq + n^2 cp dq)), in integers
-                dp, dq, cp, cq = d.numerator, d.denominator, v.numerator, v.denominator
-                num = cp * dq * dq
-                den = dp * (dp * cq + n2 * cp * dq)
+                w = 0
+            elif w:
+                N[i] -= w
+            if N[i] <= 0:
+                raise InvariantError(
+                    f"non-positive potential denominator {Fraction(N[i], scale[i])} at t={t}"
+                )
+            if w:
+                num, den = w * scale[i], N[i] * (N[i] + n * n * w)
                 if num * best_den > best_num * den:
-                    best, best_c, best_num, best_den = i, v, num, den
-        if best_c:
-            D[best] += n2 * best_c
-        phi = [Fraction(d.denominator, d.numerator) for d in D]
-        potential = sum(phi)
-        if potential > self.potential:
-            raise InvariantError(f"potential increased at t={t}: {potential} > {self.potential}")
-        for i, d in enumerate(D):
-            if d.numerator < (self.n + 1) * d.denominator:  # D >= n+1, in integers
+                    best, best_w, best_num, best_den = i, w, num, den
+        if best_w:
+            N[best] += n * n * best_w
+        # the summed potential sum_i L_i / N_i over one common denominator
+        num, den = 0, 1
+        for scale_i, N_i in zip(scale, N):
+            num, den = num * N_i + scale_i * den, den * N_i
+        if num * self.potential.denominator > self.potential.numerator * den:
+            raise InvariantError(
+                f"potential increased at t={t}: {Fraction(num, den)} > {self.potential}"
+            )
+        for i in range(n):
+            if N[i] < (n + 1) * scale[i]:  # D >= n+1
                 raise InvariantError(f"x + y below 1/n^2 for agent {i + 1} at t={t}")
-        self.phi = phi
-        self.potential = potential
-        self.potential_log.append(potential)
+        self.potential = Fraction(num, den)
+        self.potential_log.append(self.potential)
         return best + 1
 
 
@@ -276,42 +297,58 @@ class RobustifiedAllocator(OnlineAllocator):
 class AllocationTrace:
     """Per-timestep record of one allocator run.
 
-    ``alpha[i][t-1]`` is agent i+1's running PROP1 value after good t was
-    placed, always measured against the original instance valuations (also
-    for wrapped or normalized allocators).  ``potential`` carries the summed
+    Agent i+1's running PROP1 value after good t was placed is
+    ``alpha_num[i][t-1] / alpha_den[i][t-1]``, integer weights of that agent
+    (bundle plus best outside good, and arrived total), ``INF`` where the
+    total is 0; ``alpha`` holds the same values as exact numbers.  They are
+    always measured against the original instance valuations (also for
+    wrapped or normalized allocators).  ``potential`` carries the summed
     potential sequence (index t, starting at t = 0) for potential-based runs
     and is None otherwise.
     """
 
     instance: Instance
     owners: tuple[int, ...]
-    alpha: tuple[tuple[RatOrInf, ...], ...]
+    alpha_num: tuple[tuple[int, ...], ...]
+    alpha_den: tuple[tuple[int, ...], ...]
     potential: tuple[Fraction, ...] | None = None
 
     @property
     def allocation(self) -> Allocation:
         return Allocation(self.owners)
 
+    @cached_property
+    def alpha(self) -> tuple[tuple[RatOrInf, ...], ...]:
+        return tuple(
+            tuple(INF if q == 0 else Fraction(p, q) for p, q in zip(nums, dens))
+            for nums, dens in zip(self.alpha_num, self.alpha_den)
+        )
+
 
 class TraceRecorder:
-    """Collects a run's owners and the running PROP1 values after each good,
-    read from the allocator's state right after it placed the good."""
+    """Collects a run's owners and, per good, each agent's running PROP1
+    value as a pair of integer weights, read from the allocator's state
+    right after it placed the good."""
 
     def __init__(self, state: Prop1State):
         self.state = state
         self.owners: list[int] = []
-        self.alpha_rows: list[list[RatOrInf]] = [[] for _ in range(state.n)]
+        self._nums: list[list[int]] = []
+        self._dens: list[list[int]] = []
 
     def record(self, owner: int) -> None:
+        state = self.state
         self.owners.append(owner)
-        for i, row in enumerate(self.alpha_rows):
-            row.append(self.state.value(i))
+        self._nums.append([held + best for held, best in zip(state.held_w, state.best_w)])
+        self._dens.append(state.total_w.copy())
 
     def build_trace(self, inst: Instance, potential: Sequence[Fraction] | None) -> AllocationTrace:
+        empty = ((),) * self.state.n
         return AllocationTrace(
             instance=inst,
             owners=tuple(self.owners),
-            alpha=tuple(tuple(row) for row in self.alpha_rows),
+            alpha_num=tuple(zip(*self._nums)) or empty,
+            alpha_den=tuple(zip(*self._dens)) or empty,
             potential=None if potential is None else tuple(potential),
         )
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import adversaries as adv
 from . import harness, metrics, oracles
@@ -22,6 +23,7 @@ from .core import (
     _reading,
     check_predictions,
     format_rational,
+    format_ratio,
     instance_to_json,
     load_allocation,
     load_instance,
@@ -63,7 +65,9 @@ def _write(path: str | None, payload: str) -> None:
             fh.write(payload)
 
 
+@cache
 def build_parser() -> _Parser:
+    """The one parser of a process: ``parse_args`` leaves it unchanged."""
     parser = _Parser(prog="fairdiv", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -201,7 +205,10 @@ def _make_allocator(args, n: int):
 def _trace_payload(trace) -> dict:
     payload = {
         "owners": list(trace.owners),
-        "alpha": [[format_rational(v) for v in row] for row in trace.alpha],
+        "alpha": [
+            [format_ratio(p, q) for p, q in zip(nums, dens)]
+            for nums, dens in zip(trace.alpha_num, trace.alpha_den)
+        ],
     }
     if trace.potential is not None:
         payload["phi_total"] = [format_rational(v) for v in trace.potential]

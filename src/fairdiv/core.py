@@ -32,17 +32,24 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
 
     Decimal literals are converted exactly ("0.25" becomes 1/4); floats are
     never involved.  A Fraction (as JSON numbers load) passes through.
+    ``p`` and ``p/q`` in ASCII digits alone skip ``Fraction``'s literal
+    parser; it reads every other string, so signs, spaces, exponents and
+    bad literals behave as it decides.
     """
-    if isinstance(text, bool):
-        raise ParseError(f"not a rational literal: {text!r}")
-    if isinstance(text, (int, Fraction)):
+    if isinstance(text, str):
+        num, slash, den = text.partition("/")
+        try:
+            if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+                return Fraction(int(num), int(den) if slash else 1)
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad rational literal {text!r}: {exc}") from None
+    if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return Fraction(text)
-    if not isinstance(text, str):
-        raise ParseError(f"not a rational literal: {text!r}")
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {text!r}: {exc}") from None
+    raise ParseError(f"not a rational literal: {text!r}")
+
+
+_TOO_LONG = "rational too long to write: over Python's int-to-str digit limit"
 
 
 def format_rational(value: RatOrInf) -> str:
@@ -52,7 +59,18 @@ def format_rational(value: RatOrInf) -> str:
     try:
         return str(value)
     except ValueError:  # beyond Python's int-to-str digit limit
-        raise DomainError("rational too long to write: over Python's int-to-str digit limit") from None
+        raise DomainError(_TOO_LONG) from None
+
+
+def format_ratio(num: int, den: int) -> str:
+    """``format_rational(num / den)`` from integers, den >= 0; "inf" when den is 0."""
+    if den == 0:
+        return "inf"
+    g = math.gcd(num, den)
+    try:
+        return f"{num // g}/{den // g}" if g != den else f"{num // g}"
+    except ValueError:
+        raise DomainError(_TOO_LONG) from None
 
 
 @dataclass(frozen=True)
@@ -73,7 +91,7 @@ class Instance:
             for v in row:
                 if not isinstance(v, Fraction):
                     raise ParseError(f"non-exact valuation {v!r}")
-                if v < 0:
+                if v.numerator < 0:
                     raise ParseError(f"negative valuation {v}")
         if len(self.values) < 2:
             raise DomainError("an instance needs at least 2 agents")

@@ -11,8 +11,8 @@ definition.  Conventions shared by all checks:
   notions are monotone in the witness value, so the extreme good decides.
 
 The checks read each agent's row scaled to integers (``Instance.scaled``), so
-bundles sum without Fractions; ``Prop1State`` is the online running state
-of allocators and traces, not part of the offline checks.
+bundles sum without Fractions; ``Prop1State``, the online running state of
+allocators and traces, keeps integers too, scaled per agent as goods arrive.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .core import INF, Allocation, Instance, RatOrInf, check_allocation
@@ -41,7 +42,15 @@ class Prop1State:
     """Per-agent bookkeeping behind the running PROP1 values of allocators,
     traces and the greedy3 adversary's mirror.
 
-    Keeps each agent's arrived total, bundle value and best outside value.
+    Agent i's values are integer weights over one scale L_i (``scale[i]``):
+    value v is kept as v * L_i.  ``total_w``, ``held_w`` and ``best_w`` are
+    the arrived total, the bundle value and the best outside value, and
+    ``col_w`` the arriving good's weights.  A value whose denominator does
+    not divide L_i makes ``rescale`` raise L_i to a multiple of it and
+    multiply every row in ``rows`` by the same factor; a rule that keeps
+    more per-agent weights adds its row there.  Ratios of one agent's
+    weights are its ratios of values, so L_i cancels out of them.
+
     A good is taken in two steps: ``arrive`` adds it to the totals, then
     ``assign`` to the owner's bundle or the others' outside goods, so a rule
     deciding in between sees totals that include the good and bundles that
@@ -51,27 +60,56 @@ class Prop1State:
     def __init__(self, n: int):
         self.n = n
         self.t = 0
-        self.total = [Fraction(0)] * n
-        self.bundle = [Fraction(0)] * n
-        self.best_outside = [Fraction(0)] * n
+        self.scale = [1] * n
+        self.total_w = [0] * n
+        self.held_w = [0] * n
+        self.best_w = [0] * n
+        self.col_w = [0] * n
+        self.rows = [self.total_w, self.held_w, self.best_w]
+        self._arrived: Sequence[Fraction] = ()
+
+    def rescale(self, i: int, q: int) -> int:
+        """Make L_i a multiple of q, scaling agent i's weights alike; return L_i."""
+        k = q // gcd(self.scale[i], q)
+        for row in self.rows:
+            row[i] *= k
+        self.scale[i] *= k
+        return self.scale[i]
+
+    def _weigh(self, col: Sequence[Fraction]) -> list[int]:
+        out = []
+        for i, v in enumerate(col):
+            q, scale = v.denominator, self.scale[i]
+            if scale % q:
+                scale = self.rescale(i, q)
+            out.append(v.numerator * (scale // q))
+        return out
 
     def arrive(self, col: Sequence[Fraction]) -> None:
         self.t += 1
+        self.col_w = w = self._weigh(col)
+        self._arrived = col
+        total = self.total_w
         for i in range(self.n):
-            self.total[i] += col[i]
+            total[i] += w[i]
 
     def assign(self, col: Sequence[Fraction], owner: int) -> None:
+        w = self.col_w if col is self._arrived else self._weigh(col)  # weighed once
+        held, best = self.held_w, self.best_w
         for i in range(self.n):
             if i == owner - 1:
-                self.bundle[i] += col[i]
-            elif col[i] > self.best_outside[i]:
-                self.best_outside[i] = col[i]
+                held[i] += w[i]
+            elif w[i] > best[i]:
+                best[i] = w[i]
+
+    def values(self, row: Sequence[int]) -> list[Fraction]:
+        """One of the weight rows as exact values."""
+        return [Fraction(w, scale) for w, scale in zip(row, self.scale)]
 
     def value(self, i: int) -> RatOrInf:
         """Agent i+1's running PROP1 value; ``INF`` while its total is zero."""
-        if self.total[i] == 0:
-            return INF
-        return (self.bundle[i] + self.best_outside[i]) / self.total[i]
+        total = self.total_w[i]
+        return INF if total == 0 else Fraction(self.held_w[i] + self.best_w[i], total)
 
     def ratio(self) -> Fraction:
         """min(1, n * the smallest running value), a Fraction in [0, 1]."""

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite, the definition-level references
-(``alpha_it``, ``bundle_value``, ``mms_labeled_reference``) that the fast
-library paths are checked against, and the paper's formulas that only
-tests use (``robust_beta``)."""
+(``alpha_it``, ``bundle_value``, ``mms_labeled_reference`` and the
+``Fraction`` allocators ``REF_ALLOCATORS``) that the fast library paths are
+checked against, and the paper's formulas that only tests use
+(``robust_beta``)."""
 
 from __future__ import annotations
 
@@ -9,7 +10,15 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from fairdiv import INF, Allocation, DomainError, Instance, instance_from_rows
+from fairdiv import (
+    INF,
+    Allocation,
+    DomainError,
+    Instance,
+    InvariantError,
+    PredictionContractError,
+    instance_from_rows,
+)
 
 
 def robust_beta(alpha: Fraction, epsilon: Fraction, n: int) -> Fraction:
@@ -130,3 +139,188 @@ def mms_labeled_reference(inst: Instance, agent: int) -> Fraction:
             break
         sub = (sub - 1) & rest
     return best
+
+
+# ---------------------------------------------------------------------------
+# The online rules in Fraction arithmetic, straight from their definitions:
+# the reference for the integer-weight state of ``fairdiv.algorithms``.
+# ---------------------------------------------------------------------------
+
+
+class RefProp1State:
+    """Each agent's arrived total, bundle value and best outside value as Fractions."""
+
+    def __init__(self, n):
+        self.n = n
+        self.t = 0
+        self.total = [Fraction(0)] * n
+        self.bundle = [Fraction(0)] * n
+        self.best_outside = [Fraction(0)] * n
+
+    def arrive(self, col):
+        self.t += 1
+        for i in range(self.n):
+            self.total[i] += col[i]
+
+    def assign(self, col, owner):
+        for i in range(self.n):
+            if i == owner - 1:
+                self.bundle[i] += col[i]
+            elif col[i] > self.best_outside[i]:
+                self.best_outside[i] = col[i]
+
+    def value(self, i):
+        if self.total[i] == 0:
+            return INF
+        return (self.bundle[i] + self.best_outside[i]) / self.total[i]
+
+
+class RefAllocator:
+    """Validate, arrive, choose the first agent with the smallest ``_score``, assign."""
+
+    potential_log = None
+
+    def __init__(self, n):
+        self.n = n
+        self.state = RefProp1State(n)
+        self.total, self.bundle, self.best_outside = (
+            self.state.total, self.state.bundle, self.state.best_outside
+        )
+
+    def observe(self, column):
+        return self._place(self._validate(column))
+
+    def _place(self, col):
+        self.state.arrive(col)
+        chosen = self._choose(col)
+        self.state.assign(col, chosen)
+        return chosen
+
+    def _validate(self, column):
+        if len(column) != self.n:
+            raise DomainError(f"column has {len(column)} entries, expected {self.n}")
+        out = []
+        for v in column:
+            f = Fraction(v)
+            if f < 0:
+                raise DomainError(f"negative valuation {f}")
+            out.append(f)
+        return out
+
+    def _choose(self, col):
+        scores = [self._score(i, col) for i in range(self.n)]
+        return scores.index(min(scores)) + 1
+
+
+class RefGreedy1(RefAllocator):
+    def _score(self, i, col):
+        return Fraction(0) if self.total[i] == 0 else -col[i] / self.total[i]
+
+
+class RefGreedy2(RefAllocator):
+    def _score(self, i, col):
+        return INF if self.total[i] == 0 else self.bundle[i] / self.total[i]
+
+
+class RefGreedy3(RefAllocator):
+    def _score(self, i, col):
+        if self.total[i] == 0:
+            return INF
+        return (self.bundle[i] + max(self.best_outside[i], col[i])) / self.total[i]
+
+
+class RefRand(RefAllocator):
+    def __init__(self, n, seed):
+        super().__init__(n)
+        self._rng = random.Random(seed)
+
+    def _choose(self, col):
+        return self._rng.randrange(self.n) + 1
+
+
+class RefMiv(RefAllocator):
+    """The MIV rule on D = n^2+n+1 + n^2 H - T as a Fraction per agent."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.first_max_at = [None] * n
+        self.D = [Fraction(n * n + n)] * n
+        self.phi = [Fraction(1, n * n + n)] * n
+        self.potential = Fraction(1, n + 1)
+        self.potential_log = [self.potential]
+
+    def _validate(self, column):
+        col = super()._validate(column)
+        for v in col:
+            if v > 1:
+                raise PredictionContractError(f"valuation {v} exceeds the predicted maximum 1")
+        return col
+
+    def _choose(self, col):
+        n2, t, D = self.n * self.n, self.state.t, self.D
+        best, best_c, best_drop = 0, 0, Fraction(0)
+        for i, v in enumerate(col):
+            if v == 1 and self.first_max_at[i] is None:
+                self.first_max_at[i] = t
+                v = 0
+            elif v:
+                D[i] -= v
+            if D[i] <= 0:
+                raise InvariantError(f"non-positive potential denominator {D[i]} at t={t}")
+            if v:
+                drop = v / (D[i] * (D[i] + n2 * v))
+                if drop > best_drop:
+                    best, best_c, best_drop = i, v, drop
+        if best_c:
+            D[best] += n2 * best_c
+        phi = [1 / d for d in D]
+        potential = sum(phi)
+        if potential > self.potential:
+            raise InvariantError(f"potential increased at t={t}: {potential} > {self.potential}")
+        for i, d in enumerate(D):
+            if d < self.n + 1:
+                raise InvariantError(f"x + y below 1/n^2 for agent {i + 1} at t={t}")
+        self.phi = phi
+        self.potential = potential
+        self.potential_log.append(potential)
+        return best + 1
+
+
+class RefRobustified(RefAllocator):
+    """Divide by the predictions, override each agent's first value at least
+    1 - epsilon to 1, and hand the column to the inner rule."""
+
+    def __init__(self, inner, predictions):
+        super().__init__(inner.n)
+        self.inner = inner
+        self.potential_log = inner.potential_log
+        self.predictions = predictions
+        self._overridden = [False] * inner.n
+        self.override_log = []
+
+    def _validate(self, column):
+        col = super()._validate(column)
+        for i, (v, p) in enumerate(zip(col, self.predictions.p)):
+            if v > p:
+                raise PredictionContractError(
+                    f"valuation {v} of agent {i + 1} exceeds its predicted maximum {p}"
+                )
+        return col
+
+    def _choose(self, col):
+        norm = [col[i] / self.predictions.p[i] for i in range(self.n)]
+        for i in range(self.n):
+            if not self._overridden[i] and norm[i] >= 1 - self.predictions.epsilon:
+                self._overridden[i] = True
+                self.override_log.append((i + 1, self.state.t, norm[i]))
+                norm[i] = Fraction(1)
+        return self.inner._place(norm)
+
+
+REF_ALLOCATORS = {
+    "greedy1": RefGreedy1,
+    "greedy2": RefGreedy2,
+    "greedy3": RefGreedy3,
+    "rand": RefRand,
+    "miv": RefMiv,
+}

@@ -371,7 +371,7 @@ class TestForcedChoices:
     def test_a_tampered_opening_state(self):
         adversary = self.greedy3()
         feed(adversary, [1, 2])
-        adversary._mirror.total[0] += 1
+        adversary._mirror.total_w[0] += 1  # the scale is still 1
         with pytest.raises(InvariantError, match="opening state"):
             adversary.next_column([1, 2, 1])
 
@@ -391,17 +391,19 @@ class TestForcedChoices:
         "agent, field, value, message",
         [
             # agent 1 is the new minimum once agent 2 takes the strike
-            (0, "bundle", F(10), "lower the running minimum"),
-            (1, "total", F(100), "not strict"),
-            (2, "total", F(100), "not strict"),  # a padded agent's value falls to 1/100
-            (0, "bundle", F(17, 8), "harmonic certificate"),  # 5/8: lower, yet above 3/5
+            (0, "held_w", F(10), "lower the running minimum"),
+            (1, "total_w", F(100), "not strict"),
+            (2, "total_w", F(100), "not strict"),  # a padded agent's value falls to 1/100
+            (0, "held_w", F(17, 8), "harmonic certificate"),  # 5/8: lower, yet above 3/5
         ],
         ids=["not-lower", "live-not-strict", "padded-not-strict", "certificate"],
     )
     def test_a_tampered_strike(self, agent, field, value, message):
         adversary = self.greedy3()
         feed(adversary, FIRST_CYCLE[:5])
-        getattr(adversary._mirror, field)[agent] = value
+        mirror = adversary._mirror
+        scale = mirror.rescale(agent, value.denominator)  # so the value is a whole weight
+        getattr(mirror, field)[agent] = int(value * scale)
         with pytest.raises(InvariantError, match=message):
             adversary.next_column(FIRST_CYCLE)
 

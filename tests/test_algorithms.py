@@ -366,25 +366,26 @@ class TestMivClosedForm:
     def test_first_unit_good_leaves_the_denominator_alone(self):
         a = MivAllocator(2)
         a.observe([F(1, 2), F(1, 3)])
-        D = list(a.D)
+        D = [F(N, scale) for N, scale in zip(a.N, a.state.scale)]
         a.observe([F(1), F(0)])
         assert a.first_max_at == [2, None]
-        assert a.D[0] == D[0]
-        assert all(d == 1 / phi for d, phi in zip(a.D, a.phi))
+        assert F(a.N[0], a.state.scale[0]) == D[0]
+        assert all(F(N, scale) == 1 / phi for N, scale, phi in zip(a.N, a.state.scale, a.phi))
 
 
 class TestMivInvariants:
-    """Each exact invariant fires once the D state is tampered with."""
+    """Each exact invariant fires once the state N = D L is tampered with."""
 
     def test_non_positive_denominator(self):
         a = MivAllocator(2)
-        a.D[1] = F(0)
+        a.N[1] = 0
         with pytest.raises(InvariantError, match="non-positive potential denominator"):
             a.observe([F(1, 2), F(0)])
 
     def test_potential_increase(self):
         a = MivAllocator(2)
-        a.D[1] = F(1, 100)  # its term 100 dwarfs the starting potential 1/3
+        # D = 1/100: its term 100 dwarfs the starting potential 1/3
+        a.state.scale[1], a.N[1] = 100, 1
         with pytest.raises(InvariantError, match="potential increased"):
             a.observe([F(0), F(0)])
 
@@ -392,7 +393,7 @@ class TestMivInvariants:
         a = MivAllocator(2)
         # D = n^2 (1 + H) - T + n + 1, so D < n + 1 = 3 breaks x + y >= 1/n^2;
         # the stored potential rises past 2/5 + 1/6 so that check stays quiet
-        a.D[0] = F(5, 2)
+        a.state.scale[0], a.N[0] = 2, 5  # D = 5/2
         a.potential = F(1)
         with pytest.raises(InvariantError, match="x \\+ y below 1/n\\^2"):
             a.observe([F(0), F(0)])

@@ -250,7 +250,7 @@ class TestRunCommand:
         class Tampered(algorithms.MivAllocator):
             def __init__(self, n):
                 super().__init__(n)
-                self.D[0] = F(0)
+                self.N[0] = 0  # D = N / L
 
         monkeypatch.setitem(algorithms.ALLOCATORS, "miv", Tampered)
         assert main(["run", "--algo", "miv", "--instance", inst_file]) == 2

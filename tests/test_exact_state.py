@@ -1,0 +1,207 @@
+"""Differential tests of the integer-weight online state against the
+Fraction reference rules in ``conftest.REF_ALLOCATORS``, and of the
+literal parser's digit fast path against ``Fraction``'s own parser.
+
+Every rule, over instances with small and wide denominators, all-zero rows
+and value-1 goods, must give the reference's owners, running values,
+summed potentials, overrides and error messages, good by good.
+"""
+
+import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fairdiv import (
+    FairdivError,
+    Greedy3Adversary,
+    Greedy3Allocator,
+    InvariantError,
+    ParseError,
+    Predictions,
+    RobustifiedAllocator,
+    instance_from_rows,
+    make_allocator,
+    parse_rational,
+    run,
+)
+from fairdiv.cli import _trace_payload
+from fairdiv.core import format_rational
+from conftest import REF_ALLOCATORS, RefProp1State, RefRobustified
+
+F = Fraction
+
+
+@st.composite
+def values(draw, top):
+    """A value in [0, top]: 0, top itself, or a fraction of it with a small
+    (at most 12) or wide (at most 200) denominator."""
+    kind = draw(st.sampled_from(["zero", "top", "small", "wide"]))
+    if kind == "zero":
+        return F(0)
+    if kind == "top":
+        return top
+    q = draw(st.integers(1, 12 if kind == "small" else 200))
+    return top * F(draw(st.integers(0, q)), q)
+
+
+@st.composite
+def cases(draw):
+    """(rule, instance, predictions or None, a bad column or None, its place)."""
+    rule = draw(st.sampled_from(["greedy1", "greedy2", "greedy3", "rand", "miv", "miv-eps"]))
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(0, 30))
+    p = [F(1)] * n
+    if rule == "miv-eps":
+        scales = st.sampled_from([F(1), F(2), F(3, 7), F(5, 199)])
+        p = draw(st.lists(scales, min_size=n, max_size=n))
+    rows = []
+    for i in range(n):
+        kind = draw(st.sampled_from(["any", "any", "unit", "zero"]))
+        row = [F(0)] * m if kind == "zero" else [draw(values(p[i])) for _ in range(m)]
+        if kind == "unit" and m:
+            row[draw(st.integers(0, m - 1))] = p[i]
+        rows.append(row)
+    pred = None
+    if rule == "miv-eps":
+        pred = Predictions(tuple(p), draw(st.sampled_from([F(0), F(1, 10), F(1, 4), F(1, 2)])))
+    bad = None
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from([
+            [F(1)] * (n + 1),  # too long
+            [F(-1, 3)] + [F(0)] * (n - 1),
+            [F(0)] * (n - 1) + [F(7, 5) * p[-1]],  # above the unit or the prediction
+            ["1/2"] * n,  # a literal, read by Fraction
+        ]))
+    return rule, instance_from_rows(rows), pred, bad, draw(st.integers(0, m))
+
+
+def _pair(rule, n, pred, seed):
+    if rule == "miv-eps":
+        return (RobustifiedAllocator(make_allocator("miv", n), pred),
+                RefRobustified(REF_ALLOCATORS["miv"](n), pred))
+    ref = REF_ALLOCATORS[rule](n, seed) if rule == "rand" else REF_ALLOCATORS[rule](n)
+    return make_allocator(rule, n, seed), ref
+
+
+def _outcome(allocator, column):
+    try:
+        return allocator.observe(column)
+    except (FairdivError, InvariantError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases(), st.integers(0, 2**32))
+def test_every_rule_matches_the_fraction_reference(case, seed):
+    rule, inst, pred, bad, at = case
+    fast, ref = _pair(rule, inst.n, pred, seed)
+    columns = [list(col) for col in inst.columns()]
+    if bad is not None:
+        columns.insert(at, bad)
+    for column in columns:
+        outcome = _outcome(fast, column)
+        assert outcome == _outcome(ref, column)
+        if not isinstance(outcome, int):
+            return
+        assert [fast.state.value(i) for i in range(inst.n)] == [
+            ref.state.value(i) for i in range(inst.n)
+        ]
+        assert fast.potential_log == ref.potential_log
+    if rule == "miv-eps":
+        events = [(e.agent, e.timestep, e.original_value) for e in fast.override_log]
+        assert events == ref.override_log
+        assert fast.inner.phi == ref.inner.phi
+    if rule == "miv":
+        assert fast.phi == ref.phi and fast.potential == ref.potential
+
+    # the whole run, and the strings the CLI writes for it
+    fast, ref = _pair(rule, inst.n, pred, seed)
+    owners = []
+    for column in inst.columns():
+        owners.append(_outcome(ref, column))
+        if not isinstance(owners[-1], int):  # an invariant breach ends the run
+            with pytest.raises(InvariantError, match=re.escape(owners[-1][1])):
+                run(fast, inst)
+            return
+    trace = run(fast, inst)
+    state, alpha = RefProp1State(inst.n), [[] for _ in range(inst.n)]  # on the raw columns
+    for column, owner in zip(inst.columns(), owners):
+        state.arrive(column)
+        state.assign(column, owner)
+        for i, row in enumerate(alpha):
+            row.append(state.value(i))
+    assert list(trace.owners) == owners
+    assert [list(row) for row in trace.alpha] == alpha
+    payload = _trace_payload(trace)
+    assert payload["alpha"] == [[format_rational(v) for v in row] for row in alpha]
+    if ref.potential_log is None:
+        assert "phi_total" not in payload
+    else:
+        assert payload["phi_total"] == [format_rational(v) for v in ref.potential_log]
+    worst = min(state.value(i) for i in range(inst.n))
+    assert fast.state.ratio() == min(F(1), inst.n * worst)
+
+
+@pytest.mark.parametrize("target, cycles", [(F(1, 3), 206), (F(1, 4), 1061)])
+def test_greedy3_adversary_matches_the_reference_step_by_step(target, cycles):
+    adversary = Greedy3Adversary(target, 10**6)
+    fast, ref = Greedy3Allocator(2), REF_ALLOCATORS["greedy3"](2)
+    owners = []
+    while (column := adversary.next_column(owners)) is not None:
+        # the mirror has taken every good placed so far, as the reference has
+        assert [adversary._mirror.value(i) for i in (0, 1)] == [ref.state.value(i) for i in (0, 1)]
+        owner = fast.observe(column)
+        assert ref.observe(column) == owner
+        assert [fast.state.value(i) for i in (0, 1)] == [ref.state.value(i) for i in (0, 1)]
+        owners.append(owner)
+    assert adversary.target_reached and adversary.cycles == cycles
+
+
+# ---------------------------------------------------------------------------
+# parse_rational's digit fast path
+# ---------------------------------------------------------------------------
+
+
+def _reference_parse(text):
+    """``parse_rational`` on a string, by ``Fraction``'s literal parser alone."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational literal {text!r}: {exc}") from None
+
+
+def _same_parse(text):
+    try:
+        expected = ("value", _reference_parse(text))
+    except ParseError as exc:
+        expected = ("error", str(exc))
+    try:
+        got = ("value", parse_rational(text))
+    except ParseError as exc:
+        got = ("error", str(exc))
+    assert got == expected
+
+
+LITERALS = [
+    "0", "7", "007/014", "1/2", "10/4", "1/0", "0/0", "0/-1", "3/-4", "-3/4", "+3/4",
+    " 1/2", "1/2 ", "1 /2", "1/ 2", "1_000", "1_000/3", "1e3", "2E-2", "1e+2", "1/1e3",
+    "2.5", ".5", "1.5/2",
+    "1/", "/2", "", " ", "x", "1/2/3", "0x10", "١/٢", "²", "1" * 5000,
+    "1/" + "2" * 5000,
+]
+
+
+@pytest.mark.parametrize("text", LITERALS)
+def test_parse_fast_path_matches_fraction_on_literals(text):
+    _same_parse(text)
+
+
+# no exponent marker: Fraction builds 10**exponent, which takes seconds from
+# seven digits of exponent on; the literals above cover exponents
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="0123456789/ -+._١", max_size=12))
+def test_parse_fast_path_matches_fraction_on_any_text(text):
+    _same_parse(text)
