@@ -14,7 +14,7 @@ formula regression cannot pass silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Generator, Sequence
 
@@ -30,24 +30,9 @@ from .metrics import (
     prop1_ratio,
 )
 
-#: Every construction, by the name the CLI and campaign configs use.
-CONSTRUCTIONS = ("greedy1", "greedy2", "greedy3", "miv-impossibility")
 #: The default step budget of a run, for the CLI, campaigns and library.
 MAX_STEPS = 10**6
 
-
-def _ceil_strict(bound: Fraction) -> int:
-    """Smallest integer strictly greater than ``bound``."""
-    return math.floor(bound) + 1
-
-
-#: Goods emitted by each fixed-horizon construction, as its builder derives
-#: them; ``check_construction`` holds them to the step budget first.
-_HORIZONS = {
-    "greedy1": lambda n, alpha: _ceil_strict(1 + 2 * (Fraction(n) / alpha - 1)),
-    "greedy2": lambda n, alpha: _ceil_strict(2 * Fraction(n) / alpha),
-    "miv-impossibility": lambda n, alpha: math.ceil(Fraction(n) / alpha) + n + 2,
-}
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -69,11 +54,11 @@ def greedy1_adversary(n: int, alpha_target: Fraction) -> Instance:
     Good 1 is worth 1 to everyone; every later good is worth 1 to agent 1,
     1/2 to agent 2 and nothing to the rest.  With lowest-index tie-breaking
     agent 1 wins every good, and the horizon m (smallest integer above
-    1 + 2(n/alpha - 1)) makes agent 2's best-good escape fall below
-    alpha * v_2(G) / n.
+    1 + 2(n/alpha - 1), i.e. floor(2n/alpha)) makes agent 2's best-good
+    escape fall below alpha * v_2(G) / n.
     """
     _check_target(n, alpha_target)
-    return _one_then_fixed(n, _HORIZONS["greedy1"](n, alpha_target), Fraction(1, 2))
+    return _one_then_fixed(n, _TABLE["greedy1"][1](n, alpha_target), Fraction(1, 2))
 
 
 def greedy2_adversary(n: int, alpha_target: Fraction) -> Instance:
@@ -86,7 +71,7 @@ def greedy2_adversary(n: int, alpha_target: Fraction) -> Instance:
     smallest integer above 2n/alpha.
     """
     _check_target(n, alpha_target)
-    m = _HORIZONS["greedy2"](n, alpha_target)
+    m = _TABLE["greedy2"][1](n, alpha_target)
     return _one_then_fixed(n, m, Fraction(1, m * m))
 
 
@@ -163,7 +148,6 @@ class AdaptiveAdversary:
 
     max_steps: int | float = math.inf
     target_reached = False
-    cycles: int | None = None  # completed equalize-strike cycles, when applicable
 
     def __init__(self, n: int, alpha_target: Fraction):
         self.n = n
@@ -197,15 +181,14 @@ class AdaptiveAdversary:
 
 @dataclass
 class AdversaryRun:
-    """Outcome of driving an allocator with a construction."""
+    """Outcome of driving an allocator with a construction; ``run_adaptive``
+    leaves the two dicts that ``run_construction`` fills empty."""
 
     trace: AllocationTrace
     achieved_ratio: Fraction
     target_reached: bool
-    cycles: int | None = None  # completed equalize-strike cycles, when applicable
-    allocator: str | None = None  # the rule's name, when run by ``run_construction``
-    certified_cycles_bound: int | None = None  # greedy3 only
-    verdicts: dict[str, bool | None] | None = None  # the impossibility's, by check name
+    fields: dict = field(default_factory=dict)  # the keys ``fairdiv adversary`` adds to its JSON
+    verdicts: dict[str, bool | None] = field(default_factory=dict)  # campaign cells, by column
 
 
 def run_adaptive(adversary: AdaptiveAdversary, allocator) -> AdversaryRun:
@@ -221,12 +204,7 @@ def run_adaptive(adversary: AdaptiveAdversary, allocator) -> AdversaryRun:
         columns.append(column)
     inst = instance_from_columns(columns, adversary.n)
     trace = recorder.build_trace(inst, allocator.potential_log)
-    return AdversaryRun(
-        trace=trace,
-        achieved_ratio=allocator.state.ratio(),
-        target_reached=adversary.target_reached,
-        cycles=adversary.cycles,
-    )
+    return AdversaryRun(trace, allocator.state.ratio(), adversary.target_reached)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +346,7 @@ class Greedy3Adversary(AdaptiveAdversary):
 def impossibility_constants(n: int, alpha_target: Fraction) -> tuple[int, int, Fraction]:
     """Horizon m, growth base K and seed value eps of the construction."""
     _check_target(n, alpha_target)
-    m = _HORIZONS["miv-impossibility"](n, alpha_target)
+    m = _TABLE["miv-impossibility"][1](n, alpha_target)
     k = math.ceil(Fraction(3) / alpha_target)
     eps = Fraction(1, k ** (m - 2))
     return m, k, eps
@@ -418,10 +396,37 @@ class MivImpossibilityAdversary(AdaptiveAdversary):
 # Running a construction by name
 # ---------------------------------------------------------------------------
 
-_STATIC = {
-    "greedy1": (greedy1_adversary, verify_greedy1_failure),
-    "greedy2": (greedy2_adversary, verify_greedy2_failure),
+#: Every construction, by the name the CLI and campaign configs use: the
+#: rule it faces (None: the caller's, default "miv"), the goods it emits
+#: for n and alpha (None: greedy3's, bounded only by the step budget) and,
+#: for a static construction, its instance builder and verifier.
+_TABLE = {
+    "greedy1": ("greedy1", lambda n, alpha: math.floor(2 * Fraction(n) / alpha),
+                (greedy1_adversary, verify_greedy1_failure)),
+    "greedy2": ("greedy2", lambda n, alpha: math.floor(2 * Fraction(n) / alpha) + 1,
+                (greedy2_adversary, verify_greedy2_failure)),
+    "greedy3": ("greedy3", None, None),
+    "miv-impossibility": (None, lambda n, alpha: math.ceil(Fraction(n) / alpha) + n + 2, None),
 }
+CONSTRUCTIONS = tuple(_TABLE)
+
+
+def _checked_rule(construction: str, n: int, alpha: Fraction, max_steps: int, allocator, seed):
+    """``check_construction``'s checks; return the rule's name and the rule."""
+    if construction not in _TABLE:
+        raise DomainError(f"unknown construction {construction!r}; choose from {CONSTRUCTIONS}")
+    rule_name, horizon, _ = _TABLE[construction]
+    if rule_name is None:
+        rule_name = "miv" if allocator is None else allocator
+    elif allocator not in (None, rule_name):
+        raise DomainError(f"{construction} faces its own rule, got allocator {allocator!r}")
+    if horizon is None:
+        _check_greedy3(n, alpha, max_steps)
+    else:
+        _check_target(n, alpha)
+        if (m := horizon(n, alpha)) > max_steps:
+            raise DomainError(f"{construction} needs {m} goods, over the step budget of {max_steps}")
+    return rule_name, make_allocator(rule_name, n, seed)
 
 
 def check_construction(
@@ -437,23 +442,7 @@ def check_construction(
     budget below 4) and a bad rule name or seed raise DomainError, before
     anything is built.  A batch checks every item first.
     """
-    if construction not in CONSTRUCTIONS:
-        raise DomainError(f"unknown construction {construction!r}; choose from {CONSTRUCTIONS}")
-    if construction == "miv-impossibility":
-        rule_name = "miv" if allocator is None else allocator
-    else:
-        if allocator not in (None, construction):
-            raise DomainError(f"{construction} faces its own rule, got allocator {allocator!r}")
-        rule_name = construction
-    if construction == "greedy3":
-        _check_greedy3(n, alpha, max_steps)
-    else:
-        _check_target(n, alpha)
-        m = _HORIZONS[construction](n, alpha)
-        if m > max_steps:
-            raise DomainError(f"{construction} needs {m} goods, over the step budget of {max_steps}")
-    make_allocator(rule_name, n, seed)
-    return rule_name
+    return _checked_rule(construction, n, alpha, max_steps, allocator, seed)[0]
 
 
 def run_construction(
@@ -464,38 +453,40 @@ def run_construction(
 
     greedy1/greedy2 run their static instance through their own rule and
     assert every forced fact (``verify_greedy*_failure``); greedy3 drives
-    its own rule within ``max_steps`` and reports the certified cycle
-    bound; the impossibility drives ``allocator`` (seeded by ``seed``) and
-    reports whether the allocation is 1/n-PROP1 and alpha-EF1, -PROPX and
-    -MMS, the last None above the MMS size guard.  ``check_construction``
-    runs first.  A forced fact that fails raises ``InvariantError``.
+    its own rule within ``max_steps`` and reports its cycles and the
+    certified cycle bound; the impossibility drives ``allocator`` (seeded
+    by ``seed``) and reports whether the allocation is 1/n-PROP1 and
+    alpha-EF1, -PROPX and -MMS, the last None above the MMS size guard.
+    ``check_construction``'s checks run first, building the one rule.  A
+    forced fact that fails raises ``InvariantError``.
     """
-    rule_name = check_construction(
-        construction, n, alpha, max_steps=max_steps, allocator=allocator, seed=seed
-    )
-    rule = make_allocator(rule_name, n, seed)
-    if construction in _STATIC:
-        build, verify = _STATIC[construction]
+    rule_name, rule = _checked_rule(construction, n, alpha, max_steps, allocator, seed)
+    static = _TABLE[construction][2]
+    if static is not None:
+        build, verify = static
         trace = run(rule, build(n, alpha))
         verify(trace, alpha)
         ratio = rule.state.ratio()
-        return AdversaryRun(trace, ratio, ratio < alpha, allocator=rule_name)
+        return AdversaryRun(trace, ratio, ratio < alpha, {"cycles": None},
+                            {"ratio_below_target": ratio < alpha})
     if construction == "greedy3":
         adversary = Greedy3Adversary(alpha, max_steps, n)
         result = run_adaptive(adversary, rule)
-        result.certified_cycles_bound = adversary.predicted_cycles_bound()
-    else:
-        adversary = MivImpossibilityAdversary(n, alpha)
-        result = run_adaptive(adversary, rule)
-        inst, alloc = result.trace.instance, result.trace.allocation
-        verdicts = result.verdicts = {
-            "prop1_at_inv_n": check_alpha_prop1(inst, alloc, Fraction(1, n)).satisfied,
-            "alpha_ef1": check_alpha_ef1(inst, alloc, alpha).satisfied,
-            "alpha_propx": check_alpha_propx(inst, alloc, alpha).satisfied,
-        }
-        try:
-            verdicts["alpha_mms"] = check_alpha_mms(inst, alloc, alpha).satisfied
-        except InstanceTooLargeError:
-            verdicts["alpha_mms"] = None
-    result.allocator = rule_name
+        result.fields = {"cycles": adversary.cycles,
+                         "certified_cycles_bound": adversary.predicted_cycles_bound()}
+        # false, not an invariant breach, when the step budget runs out first
+        result.verdicts = {"ratio_below_target": result.achieved_ratio < alpha}
+        return result
+    result = run_adaptive(MivImpossibilityAdversary(n, alpha), rule)
+    inst, alloc = result.trace.instance, result.trace.allocation
+    verdicts = result.verdicts = {
+        "prop1_at_inv_n": check_alpha_prop1(inst, alloc, Fraction(1, n)).satisfied,
+        "alpha_ef1": check_alpha_ef1(inst, alloc, alpha).satisfied,
+        "alpha_propx": check_alpha_propx(inst, alloc, alpha).satisfied,
+    }
+    try:
+        verdicts["alpha_mms"] = check_alpha_mms(inst, alloc, alpha).satisfied
+    except InstanceTooLargeError:
+        verdicts["alpha_mms"] = None
+    result.fields = {"allocator": rule_name, **verdicts}
     return result

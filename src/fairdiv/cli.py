@@ -241,14 +241,8 @@ def _cmd_adversary(args) -> int:
         "achieved_prop1_ratio": format_rational(result.achieved_ratio),
         "steps": inst.m,
         "target_reached": result.target_reached,
+        **result.fields,
     }
-    if result.verdicts is not None:
-        payload["allocator"] = result.allocator
-        payload.update(result.verdicts)
-    else:
-        payload["cycles"] = result.cycles
-        if result.cycles is not None:  # greedy3 counts cycles and certifies a bound
-            payload["certified_cycles_bound"] = result.certified_cycles_bound
     _write(args.out, _dumps(payload))
     return 0
 

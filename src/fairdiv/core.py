@@ -27,6 +27,15 @@ INF = math.inf
 RatOrInf = Union[Fraction, float]
 
 
+def _exponent(text: str) -> int:
+    """Magnitude of the integer after the last e or E in ``text``; 0 if none."""
+    _, e, tail = text.replace("E", "e").rpartition("e")
+    try:
+        return abs(int(tail)) if e else 0
+    except ValueError:  # no integer there: Fraction's parser decides
+        return 0
+
+
 def parse_rational(text: str | int | Fraction) -> Fraction:
     """Parse an exact rational from ``"p/q"``, integer, or decimal literal.
 
@@ -34,13 +43,17 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     never involved.  A Fraction (as JSON numbers load) passes through.
     ``p`` and ``p/q`` in ASCII digits alone skip ``Fraction``'s literal
     parser; it reads every other string, so signs, spaces, exponents and
-    bad literals behave as it decides.
+    bad literals behave as it decides.  One exception: text whose last
+    ``e``/``E`` is followed by an integer of magnitude over 4300 (Python's
+    int-to-str digit limit) is refused first: ``Fraction`` builds 10**exponent.
     """
     if isinstance(text, str):
         num, slash, den = text.partition("/")
         try:
             if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
                 return Fraction(int(num), int(den) if slash else 1)
+            if _exponent(text) > 4300:
+                raise ValueError("exponent magnitude over 4300")
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {text!r}: {exc}") from None
@@ -54,7 +67,7 @@ _TOO_LONG = "rational too long to write: over Python's int-to-str digit limit"
 
 def format_rational(value: RatOrInf) -> str:
     """Canonical string for an exact number ("p/q" in lowest terms, or "p")."""
-    if value == INF:
+    if isinstance(value, float) and value == INF:  # no Fraction-to-float comparison
         return "inf"
     try:
         return str(value)
@@ -226,6 +239,8 @@ def _reading(path: str, key: str):
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from None
+    except ParseError as exc:  # a JSON number ``parse_rational`` refuses
+        raise ParseError(f"{path}: {exc}") from None
     except ValueError:  # ``parse_int`` past Python's int-to-str digit limit
         raise ParseError(f"{path}: an integer past Python's int-to-str digit limit") from None
     if not isinstance(data, dict) or not isinstance(data.get(key), list):

@@ -108,7 +108,7 @@ def test_criterion_3_greedy_failures():
         assert result.target_reached
         assert result.achieved_ratio < alpha
         # re-derive the harmonic certificate for the final cycle count
-        k = result.cycles
+        k = adversary.cycles
         rhs = F(3, 2) + sum((F(1, 2 * (s + 2)) for s in range(1, k + 1)), F(0))
         min_alpha = min(row[-1] for row in result.trace.alpha)
         assert 1 / min_alpha >= rhs

@@ -19,6 +19,7 @@ from fairdiv import (
     greedy1_adversary,
     greedy2_adversary,
     impossibility_constants,
+    make_allocator,
     prop1_ratio,
     run,
     run_adaptive,
@@ -129,7 +130,7 @@ class TestGreedy3Adversary:
     def test_harmonic_certificate_is_exact_per_cycle(self):
         adversary = Greedy3Adversary(F(2, 5), 10**6)
         result = run_adaptive(adversary, Greedy3Allocator(2))
-        k = result.cycles
+        k = adversary.cycles
         rhs = F(3, 2) + sum((F(1, 2 * (s + 2)) for s in range(1, k + 1)), F(0))
         min_alpha = min(row[-1] for row in result.trace.alpha)
         assert 1 / min_alpha >= rhs
@@ -160,8 +161,8 @@ class TestGreedy3Adversary:
     def test_predicted_cycles_bound_dominates_actual(self):
         adversary = Greedy3Adversary(F(1, 2), 10**6)
         bound = adversary.predicted_cycles_bound()
-        result = run_adaptive(adversary, Greedy3Allocator(2))
-        assert result.cycles <= bound
+        run_adaptive(adversary, Greedy3Allocator(2))
+        assert adversary.cycles <= bound
 
     @pytest.mark.parametrize(
         "n, target",
@@ -238,26 +239,29 @@ class TestRunConstruction:
             trace = run(rule(3), build(3, F(1, 5)))
             verify(trace, F(1, 5))
             assert result.trace == trace
-            assert result.allocator == name
+            assert check_construction(name, 3, F(1, 5)) == name
             assert result.achieved_ratio == prop1_ratio(trace.instance, trace.allocation) < F(1, 5)
-            assert result.target_reached and result.verdicts is None
+            assert result.target_reached and result.verdicts == {"ratio_below_target": True}
+            assert result.fields == {"cycles": None}
 
     def test_greedy3_reports_cycles_and_the_certified_bound(self):
         result = run_construction("greedy3", 2, F(2, 5))
-        direct = run_adaptive(Greedy3Adversary(F(2, 5), 10**6), Greedy3Allocator(2))
-        assert result.trace == direct.trace and result.cycles == direct.cycles
-        assert result.certified_cycles_bound == 2757
-        assert result.allocator == "greedy3" and result.verdicts is None
+        adversary = Greedy3Adversary(F(2, 5), 10**6)
+        direct = run_adaptive(adversary, Greedy3Allocator(2))
+        assert result.trace == direct.trace
+        assert result.fields == {"cycles": adversary.cycles, "certified_cycles_bound": 2757}
+        assert check_construction("greedy3", 2, F(2, 5)) == "greedy3"
+        assert result.verdicts == {"ratio_below_target": True}
 
     def test_impossibility_verdicts(self):
         result = run_construction("miv-impossibility", 2, F(1, 2))
-        assert result.allocator == "miv"
         assert result.verdicts == {
             "prop1_at_inv_n": True,
             "alpha_ef1": False,
             "alpha_propx": False,
             "alpha_mms": False,
         }
+        assert result.fields == {"allocator": "miv", **result.verdicts}
 
     def test_mms_verdict_is_none_above_the_size_guard(self):
         result = run_construction("miv-impossibility", 2, F(1, 20), allocator="greedy1")
@@ -300,6 +304,18 @@ class TestRunConstruction:
             check_construction(construction, 2, alpha, max_steps=m - 1)
         with pytest.raises(DomainError, match="step budget"):
             run_construction(construction, 2, alpha, max_steps=m - 1)
+
+    @pytest.mark.parametrize("construction", CONSTRUCTIONS)
+    def test_each_run_builds_its_rule_once(self, construction, monkeypatch):
+        rule_name, built = check_construction(construction, 2, F(1, 2)), []
+
+        def counting(*args):
+            built.append(args)
+            return make_allocator(*args)
+
+        monkeypatch.setattr(adversaries, "make_allocator", counting)
+        run_construction(construction, 2, F(1, 2), seed=None)
+        assert built == [(rule_name, 2, None)]
 
     def test_unknown_construction_rejected(self):
         assert CONSTRUCTIONS == ("greedy1", "greedy2", "greedy3", "miv-impossibility")
@@ -359,10 +375,11 @@ class TestForcedChoices:
 
     @pytest.mark.parametrize("max_steps, cycles", [(5, 0), (6, 1), (7, 1)])
     def test_a_budget_ending_on_the_strike(self, max_steps, cycles):
-        result = run_adaptive(self.greedy3(max_steps), Greedy3Allocator(3))
+        adversary = self.greedy3(max_steps)
+        result = run_adaptive(adversary, Greedy3Allocator(3))
         assert result.trace.instance.m == max_steps
         assert result.trace.owners == tuple(FIRST_CYCLE + [1])[:max_steps]
-        assert result.cycles == cycles and not result.target_reached
+        assert adversary.cycles == cycles and not result.target_reached
         adversary = self.greedy3(6)
         feed(adversary, FIRST_CYCLE[:5])
         with pytest.raises(InvariantError):  # the last strike is still checked

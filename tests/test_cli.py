@@ -153,6 +153,18 @@ def test_an_oversized_json_integer_exits_one_naming_the_file(argv, content, tmp_
     )
 
 
+def test_an_exponent_past_the_digit_limit_in_a_json_number_exits_one(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"values": [[1e9999999, 1], [1, 1]]}', encoding="utf-8")
+    started = time.perf_counter()
+    assert main(["run", "--algo", "greedy1", "--instance", str(path),
+                 "--out", str(tmp_path / "out.json")]) == 1
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr() == ("", f"fairdiv: error: {path}: bad rational literal "
+                                       "'1e9999999': exponent magnitude over 4300\n")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_a_file_that_is_not_utf8_exits_one_naming_the_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(b'{"values": [["\xff"]]}')

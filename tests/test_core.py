@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,17 @@ class TestParseRational:
         for bad in ("", "1/0", "a/b", "--3", None, 1.5):
             with pytest.raises(ParseError):
                 parse_rational(bad)
+
+    @pytest.mark.parametrize("text", ["1e9999999", "1e-9999999", "1e1_000_000"])
+    def test_an_exponent_past_the_digit_limit_is_refused_at_once(self, text):
+        started = time.perf_counter()
+        with pytest.raises(ParseError, match="exponent magnitude over 4300"):
+            parse_rational(text)
+        assert time.perf_counter() - started < 0.1
+
+    def test_an_exponent_at_the_digit_limit_still_parses(self):
+        assert parse_rational("1e-4300") == F(1, 10**4300)
+        assert parse_rational("2.5E+4_300") == F(25 * 10**4299)
 
     def test_format_round_trips(self):
         for v in (F(1, 2), F(3), F(0), F(41, 7)):

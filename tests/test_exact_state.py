@@ -166,7 +166,14 @@ def test_greedy3_adversary_matches_the_reference_step_by_step(target, cycles):
 
 
 def _reference_parse(text):
-    """``parse_rational`` on a string, by ``Fraction``'s literal parser alone."""
+    """``parse_rational`` on a string: ``Fraction``'s literal parser alone,
+    after refusing an integer of magnitude over 4,300 after the last e or E."""
+    *head, tail = re.split("[eE]", text)
+    try:
+        if head and abs(int(tail)) > 4300:
+            raise ParseError(f"bad rational literal {text!r}: exponent magnitude over 4300")
+    except ValueError:  # no integer after the marker
+        pass
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -190,7 +197,7 @@ LITERALS = [
     " 1/2", "1/2 ", "1 /2", "1/ 2", "1_000", "1_000/3", "1e3", "2E-2", "1e+2", "1/1e3",
     "2.5", ".5", "1.5/2",
     "1/", "/2", "", " ", "x", "1/2/3", "0x10", "١/٢", "²", "1" * 5000,
-    "1/" + "2" * 5000,
+    "1/" + "2" * 5000, "1e9999999", "1e-4301", "1e4300", "1e", "e5", "1e 99999", "1e١٠٠٠٠",
 ]
 
 
@@ -199,9 +206,10 @@ def test_parse_fast_path_matches_fraction_on_literals(text):
     _same_parse(text)
 
 
-# no exponent marker: Fraction builds 10**exponent, which takes seconds from
-# seven digits of exponent on; the literals above cover exponents
+# exponent markers included: Fraction would take seconds to build 10**exponent
+# from seven digits of exponent on, but both parsers refuse any exponent of
+# magnitude over 4,300 first
 @settings(max_examples=400, deadline=None)
-@given(st.text(alphabet="0123456789/ -+._١", max_size=12))
+@given(st.text(alphabet="0123456789/ -+._١eE", max_size=12))
 def test_parse_fast_path_matches_fraction_on_any_text(text):
     _same_parse(text)

@@ -303,9 +303,8 @@ class TestCampaign:
         def refuse(trace, alpha):
             raise InvariantError("forced failure")
 
-        monkeypatch.setitem(
-            adversaries._STATIC, "greedy1", (adversaries.greedy1_adversary, refuse)
-        )
+        rule, horizon, (build, _) = adversaries._TABLE["greedy1"]
+        monkeypatch.setitem(adversaries._TABLE, "greedy1", (rule, horizon, (build, refuse)))
         (row,) = campaign([{"construction": "greedy1", "n": 2, "alpha": "1/4"}])
         kept = {"construction": "greedy1", "allocator": "greedy1", "n": "2", "alpha": "1/4",
                 "notion": "", "repetition": "0", "assertions_passed": "false"}

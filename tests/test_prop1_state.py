@@ -165,7 +165,8 @@ def test_trace_alpha_matches_alpha_it(data):
     ],
 )
 def test_greedy3_adversary_schedule_is_pinned(target, steps, cycles, owners_sha256):
-    result = run_adaptive(Greedy3Adversary(target, 10**6), Greedy3Allocator(2))
+    adversary = Greedy3Adversary(target, 10**6)
+    result = run_adaptive(adversary, Greedy3Allocator(2))
     assert result.target_reached
-    assert (result.trace.instance.m, result.cycles) == (steps, cycles)
+    assert (result.trace.instance.m, adversary.cycles) == (steps, cycles)
     assert hashlib.sha256(bytes(result.trace.owners)).hexdigest() == owners_sha256
