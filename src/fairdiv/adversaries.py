@@ -135,15 +135,19 @@ def verify_greedy2_failure(trace: AllocationTrace, alpha_target: Fraction) -> No
 
 
 class AdaptiveAdversary:
-    """Emits value columns one at a time, seeing all prior allocation decisions.
+    """Emits value columns, seeing all prior allocation decisions.
 
     ``next_column(history)`` receives the owners chosen for every column
     emitted so far, one per column (otherwise ``DomainError``), and returns
     the next column, or None when done.  A construction writes its schedule
-    as the generator ``_schedule()``: it yields ``(column, allowed)`` and is
-    sent the owner, which this driver has checked against ``allowed``
-    (a forbidden owner raises ``InvariantError``).  The run ends when the
-    generator returns or ``t`` reaches ``max_steps``.
+    as the generator ``_schedule()``: it yields ``(column, allowed,
+    copies)``, a run of ``copies`` equal goods (more than one only when a
+    single agent is allowed), and is sent the run's owner once every copy's
+    owner has been checked against ``allowed`` (a forbidden owner raises
+    ``InvariantError`` naming the first such good).  Each call returns one
+    copy; with ``runs=True`` it returns the rest of the current run at once
+    and sets ``copies`` to its length.  The run ends when the generator
+    returns or ``t`` reaches ``max_steps``.
     """
 
     max_steps: int | float = math.inf
@@ -153,29 +157,35 @@ class AdaptiveAdversary:
         self.n = n
         self.target_alpha = alpha_target
         self.t = 0  # columns emitted so far
+        self.copies = 0  # columns the last call emitted
         self._steps = self._schedule()
-        self._allowed: Sequence[int] = ()
+        self._run: tuple = (None, (), 0)  # the current run: column, allowed, copies not emitted
 
-    def _schedule(self) -> Generator[tuple[list[Fraction], Sequence[int]], int, None]:
+    def _schedule(self) -> Generator[tuple[list[Fraction], Sequence[int], int], int, None]:
         raise NotImplementedError
 
-    def next_column(self, history: Sequence[int]) -> list[Fraction] | None:
+    def next_column(self, history: Sequence[int], runs: bool = False) -> list[Fraction] | None:
         if self._steps is None:
             return None
         if len(history) != self.t:
             raise DomainError(f"history has {len(history)} decisions, expected {self.t}")
-        owner = history[-1] if self.t else None
-        if self.t and owner not in self._allowed:
-            allowed = " or ".join(map(str, self._allowed))
-            raise InvariantError(f"good {self.t} must go to agent {allowed}, saw agent {owner}")
-        try:
-            column, self._allowed = self._steps.send(owner)
-        except StopIteration:
-            column = None
+        column, allowed, left = self._run
+        start = self.t - self.copies
+        if not set(history[start:]).issubset(allowed):
+            t, owner = next((t, o) for t, o in enumerate(history[start:], start + 1) if o not in allowed)
+            allowed = " or ".join(map(str, allowed))
+            raise InvariantError(f"good {t} must go to agent {allowed}, saw agent {owner}")
+        if not left:
+            try:
+                column, allowed, left = self._steps.send(history[-1] if self.t else None)
+            except StopIteration:
+                column = None
         if column is None or self.t >= self.max_steps:
             self._steps = None
             return None
-        self.t += 1
+        self.copies = min(left if runs else 1, self.max_steps - self.t)
+        self._run = column, allowed, left - self.copies
+        self.t += self.copies
         return column
 
 
@@ -199,9 +209,9 @@ def run_adaptive(adversary: AdaptiveAdversary, allocator) -> AdversaryRun:
         )
     recorder = TraceRecorder(allocator.state)
     columns = []
-    while (column := adversary.next_column(recorder.owners)) is not None:
-        recorder.record(allocator.observe(column))
-        columns.append(column)
+    while (column := adversary.next_column(recorder.owners, runs=True)) is not None:
+        columns += [column] * adversary.copies
+        recorder.place(allocator, column, adversary.copies)
     inst = instance_from_columns(columns, adversary.n)
     trace = recorder.build_trace(inst, allocator.potential_log)
     return AdversaryRun(trace, allocator.state.ratio(), adversary.target_reached)
@@ -218,11 +228,14 @@ class Greedy3Adversary(AdaptiveAdversary):
     After a fixed three-good opening (all further dynamics involve agents 1
     and 2 only; remaining agents see zero columns), the schedule alternates:
 
-    * equalization: goods worth c_j/2 to the currently better-off agent j and
-      nothing to anyone else, each necessarily allocated to the worse-off
-      agent i, until j's running value is within the 1 + c_j/(2 v_j(G))
-      factor of i's; the number of goods emitted must match the closed-form
-      count ceil((2/c_j) v_j(G) (a_j/a_i - 1)) - 1 and this is asserted;
+    * equalization: one run of goods worth c_j/2 to the currently better-off
+      agent j and nothing to anyone else, each necessarily allocated to the
+      worse-off agent i, until j's running value is within the
+      1 + c_j/(2 v_j(G)) factor of i's.  Its length is the closed-form
+      count ceil((2/c_j) v_j(G) (a_j/a_i - 1)) - 1, and the run is asserted
+      to end exactly there: the condition above still held before its last
+      copy and fails after it (it is monotone: j's total grows by c_j/2 a
+      copy while j's bundle and best outside good stay put);
     * a strike: one good worth c_1 to agent 1 and c_2 to agent 2, which
       strictly lowers the smaller running value whichever of the two
       receives it.
@@ -276,11 +289,12 @@ class Greedy3Adversary(AdaptiveAdversary):
     # bound in each class body, so perfbench/tracer.py can wrap it per class
     next_column = AdaptiveAdversary.next_column
 
-    def _emit(self, col: list[Fraction], *allowed: int):
-        """Yield ``col`` for one of ``allowed``; mirror it and return its owner."""
-        owner = yield col, allowed
-        self._mirror.arrive(col)
-        self._mirror.assign(col, owner)
+    def _emit(self, col: list[Fraction], *allowed: int, copies: int = 1):
+        """Yield ``copies`` of ``col`` for one of ``allowed``; mirror them and
+        return their owner."""
+        owner = yield col, allowed, copies
+        self._mirror.arrive(col, copies)
+        self._mirror.assign(col, owner, copies)
         return owner
 
     def _schedule(self):
@@ -303,17 +317,18 @@ class Greedy3Adversary(AdaptiveAdversary):
             j = 1 - i
             old_min = value(i)
             ratio = Fraction(2 * total[j], c[j]) * (value(j) / old_min - 1)
-            self._equalize_formula = math.ceil(ratio) - 1
-            half = Fraction(c[j], 2 * scale[j])
-            # value(j) > old_min (1 + c_j / (2 T_j)) in agent j's weights:
-            # 2 (held_j + c_j) q > p (2 T_j + c_j) for old_min = p/q
-            p, q = old_min.numerator, old_min.denominator
-            emitted = 0
-            while 2 * (held[j] + c[j]) * q > p * (2 * total[j] + c[j]):
+            emitted = self._equalize_formula = math.ceil(ratio) - 1
+            if emitted > 0:
                 col = [Fraction(0)] * n
-                col[j] = half
-                yield from self._emit(col, i + 1)
-                emitted += 1
+                col[j] = Fraction(c[j], 2 * scale[j])
+                yield from self._emit(col, i + 1, copies=emitted)
+            # value(j) > old_min (1 + c_j / (2 T_j)) in agent j's weights is
+            # 2 (held_j + c_j) q > p (2 T_j + c_j) for old_min = p/q; with one
+            # copy (c_j / 2) fewer, 2 (held_j + c_j) q > 2 p T_j
+            p, q = old_min.numerator, old_min.denominator
+            lhs = 2 * (held[j] + c[j]) * q
+            if lhs > p * (2 * total[j] + c[j]) or emitted and not lhs > 2 * p * total[j]:
+                raise InvariantError(f"equalization of {emitted} goods stops off its boundary")
             if emitted != self._equalize_formula:
                 raise InvariantError(
                     f"equalization emitted {emitted} goods, "
@@ -333,7 +348,9 @@ class Greedy3Adversary(AdaptiveAdversary):
                     f"harmonic certificate failed at cycle {self.cycles}: "
                     f"1/{new_min} < {cert_rhs}"
                 )
-            if mirror.ratio() < self.target_alpha:
+            # new_min is the strict minimum, so the PROP1 ratio is
+            # min(1, n new_min), and the target is below 1
+            if n * new_min < self.target_alpha:
                 self.target_reached = True
                 return
 
@@ -378,7 +395,7 @@ class MivImpossibilityAdversary(AdaptiveAdversary):
 
     def _schedule(self):
         n, agents = self.n, range(1, self.n + 1)
-        yield [Fraction(1)] * n, (1,)
+        yield [Fraction(1)] * n, (1,), 1
         agent1_goods = 1
         for t in range(2, self.m + 1):
             if agent1_goods == 1 or t <= n:
@@ -388,7 +405,7 @@ class MivImpossibilityAdversary(AdaptiveAdversary):
                 col = [Fraction(1)] + [value] * (n - 1)
             else:
                 col = [Fraction(0)] * n
-            owner = yield col, agents
+            owner = yield col, agents, 1
             agent1_goods += owner == 1
 
 

@@ -2,8 +2,9 @@
 
 An allocator consumes value columns (one per arriving good, in order) through
 ``observe`` and returns the 1-based index of the agent that irrevocably
-receives the good.  Decisions depend only on the columns seen so far and the
-allocator's own prior choices.  Greedy rules pick the lowest score, ties
+receives the good; a run of equal goods can go in as one call.  Decisions
+depend only on the columns seen so far and the allocator's own prior
+choices.  Greedy rules pick the lowest score, ties
 toward the lowest agent index; an agent whose total arrived value is zero
 scores 0 under the max-value rule (which scores the negated ratio) and
 vacuously-satisfied (infinite) under the min-ratio rules.
@@ -33,11 +34,8 @@ class OnlineAllocator:
     and the value of the best good the agent does not hold, as integer
     weights over the agent's scale L_i (``Prop1State``); ``total``,
     ``bundle`` and ``best_outside`` read them as exact values.  Subclasses
-    implement ``_score`` or ``_choose`` (totals already include the arriving
-    good; bundles do not yet).  ``_score(i)`` is a pair (p, q), the ratio
-    p/q of two of agent i's weights, so L_i cancels; q = 0 with p = 1 is
-    plus infinity.  ``_choose`` picks the lowest score by integer
-    cross-multiplication.
+    implement ``_choose`` (totals already include the arriving good;
+    bundles do not yet), the greedy rules through ``GreedyAllocator``.
     ``potential_log`` is the summed potential after each good for
     potential-based rules, None otherwise.
     """
@@ -54,8 +52,24 @@ class OnlineAllocator:
     bundle = property(lambda self: self.state.values(self.state.held_w))
     best_outside = property(lambda self: self.state.values(self.state.best_w))
 
-    def observe(self, column: Sequence[Fraction | int]) -> int:
-        return self._place(self._validate(column))
+    def observe(self, column: Sequence[Fraction | int], copies: int = 1) -> int:
+        """Place the good ``column`` and return its owner.
+
+        ``copies`` > 1 makes the good the first of that many equal goods in
+        a row.  Where one step settles them all (``_settle_run``; only the
+        greedy rules do) every copy goes to the returned owner; otherwise
+        only the first is placed.  ``state.t`` counts the goods placed, and
+        ``TraceRecorder.place`` places the rest of a run.
+        """
+        col = self._validate(column)
+        owner = self._place(col)
+        if copies > 1:
+            self._settle_run(col, owner, copies)
+        return owner
+
+    def _settle_run(self, col: list[Fraction], owner: int, copies: int) -> None:
+        """Give the other ``copies - 1`` copies of the placed ``col`` to
+        ``owner`` where one step settles them; here none are."""
 
     def _place(self, col: list[Fraction]) -> int:
         """Place a validated column: arrive, choose, assign."""
@@ -75,33 +89,72 @@ class OnlineAllocator:
             out.append(f)
         return out
 
+
+class GreedyAllocator(OnlineAllocator):
+    """A rule that gives each good to the first agent with the smallest score.
+
+    ``_score(total, held, outside, w)`` reads one agent's weights (arrived
+    total, bundle, best outside good, the arriving good) and returns a pair
+    (p, q), the ratio p/q, so L_i cancels; q = 0 with p = 1 is plus
+    infinity.  ``_argmin`` compares scores by integer cross-multiplication.
+
+    A run of k equal goods is settled in one step.  Copy 1 goes to its
+    owner o for real; copy k is then decided as if copies 1..k-1 had gone
+    to o.  If o wins copy k too, o wins every copy between, so all k go to
+    o; otherwise the copies are placed one at a time.  Proof: when copy s
+    (1 <= s <= k) is decided, agent i's total is T_i + s w_i and o's bundle
+    has grown by (s-1) w_o, while every other score numerator stays put
+    (greedy1's -w, a rival's bundle, and the max(best outside, w) that
+    greedy3 counts).  So o's score against a rival j's, cross-multiplied as
+    ``_argmin`` compares them, is a polynomial in s whose s^2 coefficient
+    is w_o w_j >= 0 (for greedy1 s cancels out of it).  A convex polynomial
+    that is negative at s = 1 and s = k (at most 0, for a rival of higher
+    index) stays so in between, so o wins every copy.  A total of 0 stays
+    0 along the run, so an infinite score stays infinite.
+    """
+
     def _choose(self, col: list[Fraction]) -> int:
-        """The first agent with the smallest ``_score``."""
-        best, (best_p, best_q) = 0, self._score(0)
+        s = self.state
+        return self._argmin(s.total_w, s.held_w, s.best_w, s.col_w)
+
+    def _argmin(self, total, held, outside, w) -> int:
+        """The first agent with the smallest score, 1-based."""
+        score = self._score
+        best, (best_p, best_q) = 0, score(total[0], held[0], outside[0], w[0])
         for i in range(1, self.n):
-            p, q = self._score(i)
+            p, q = score(total[i], held[i], outside[i], w[i])
             if p * best_q < best_p * q:
                 best, best_p, best_q = i, p, q
         return best + 1
 
+    def _settle_run(self, col: list[Fraction], owner: int, copies: int) -> None:
+        s, o = self.state, owner - 1
+        w = s.col_w
+        total = [t + (copies - 1) * x for t, x in zip(s.total_w, w)]
+        held = s.held_w.copy()
+        held[o] += (copies - 2) * w[o]
+        if self._argmin(total, held, s.best_w, w) == owner:
+            s.arrive(col, copies - 1)
+            s.assign(col, owner, copies - 1)
 
-class Greedy1Allocator(OnlineAllocator):
+
+class Greedy1Allocator(GreedyAllocator):
     """Give the good to the agent valuing it most relative to their arrived total."""
 
-    def _score(self, i: int) -> tuple[int, int]:
-        total = self.state.total_w[i]
-        return (-self.state.col_w[i], total) if total else (0, 1)
+    @staticmethod
+    def _score(total: int, held: int, outside: int, w: int) -> tuple[int, int]:
+        return (-w, total) if total else (0, 1)
 
 
-class Greedy2Allocator(OnlineAllocator):
+class Greedy2Allocator(GreedyAllocator):
     """Give the good to the currently least satisfied agent (lowest bundle share)."""
 
-    def _score(self, i: int) -> tuple[int, int]:
-        total = self.state.total_w[i]
-        return (self.state.held_w[i], total) if total else (1, 0)
+    @staticmethod
+    def _score(total: int, held: int, outside: int, w: int) -> tuple[int, int]:
+        return (held, total) if total else (1, 0)
 
 
-class Greedy3Allocator(OnlineAllocator):
+class Greedy3Allocator(GreedyAllocator):
     """Give the good to the agent who would be most unsatisfied without it.
 
     The score counts the agent's bundle plus the best good they could still
@@ -109,13 +162,11 @@ class Greedy3Allocator(OnlineAllocator):
     against their arrived total.
     """
 
-    def _score(self, i: int) -> tuple[int, int]:
-        s = self.state
-        total = s.total_w[i]
+    @staticmethod
+    def _score(total: int, held: int, outside: int, w: int) -> tuple[int, int]:
         if not total:
             return 1, 0
-        best, w = s.best_w[i], s.col_w[i]
-        return s.held_w[i] + (best if best > w else w), total
+        return held + (outside if outside > w else w), total
 
 
 class RandAllocator(OnlineAllocator):
@@ -326,29 +377,57 @@ class AllocationTrace:
 
 
 class TraceRecorder:
-    """Collects a run's owners and, per good, each agent's running PROP1
+    """Collects a run's owners and, per good and agent, the running PROP1
     value as a pair of integer weights, read from the allocator's state
-    right after it placed the good."""
+    right after it placed the good.
+
+    Along a run of k equal goods given to one owner, every agent's total
+    grows by its weight w of the good per copy, and so does the owner's
+    bundle, while the others' bundles and best outside goods stay as copy 1
+    left them.  So ``record`` reads a whole run off the state after its
+    last copy, as ranges with step w.
+    """
 
     def __init__(self, state: Prop1State):
         self.state = state
         self.owners: list[int] = []
-        self._nums: list[list[int]] = []
-        self._dens: list[list[int]] = []
+        self._nums: list[list[int]] = [[] for _ in range(state.n)]
+        self._dens: list[list[int]] = [[] for _ in range(state.n)]
 
-    def record(self, owner: int) -> None:
+    def record(self, owner: int, copies: int = 1) -> None:
+        """Record the last ``copies`` goods placed, all given to ``owner``."""
+        s = self.state
+        if copies == 1:
+            self.owners.append(owner)
+            for num, den, held, best, total in zip(self._nums, self._dens, s.held_w, s.best_w, s.total_w):
+                num.append(held + best)
+                den.append(total)
+            return
+        self.owners += [owner] * copies
+        for i, w in enumerate(s.col_w):
+            num, total = s.held_w[i] + s.best_w[i], s.total_w[i]
+            self._dens[i] += range(total - (copies - 1) * w, total + 1, w) if w else [total] * copies
+            if w and i == owner - 1:
+                self._nums[i] += range(num - (copies - 1) * w, num + 1, w)
+            else:
+                self._nums[i] += [num] * copies
+
+    def place(self, allocator, column: Sequence[Fraction | int], copies: int) -> None:
+        """Place ``copies`` equal goods ``column`` with ``allocator`` and record
+        them: in one step where the rule settles the run, else one by one."""
         state = self.state
-        self.owners.append(owner)
-        self._nums.append([held + best for held, best in zip(state.held_w, state.best_w)])
-        self._dens.append(state.total_w.copy())
+        while copies:
+            t = state.t
+            owner = allocator.observe(column, copies)
+            self.record(owner, state.t - t)
+            copies -= state.t - t
 
     def build_trace(self, inst: Instance, potential: Sequence[Fraction] | None) -> AllocationTrace:
-        empty = ((),) * self.state.n
         return AllocationTrace(
             instance=inst,
             owners=tuple(self.owners),
-            alpha_num=tuple(zip(*self._nums)) or empty,
-            alpha_den=tuple(zip(*self._dens)) or empty,
+            alpha_num=tuple(map(tuple, self._nums)),
+            alpha_den=tuple(map(tuple, self._dens)),
             potential=None if potential is None else tuple(potential),
         )
 

@@ -46,6 +46,8 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     bad literals behave as it decides.  One exception: text whose last
     ``e``/``E`` is followed by an integer of magnitude over 4300 (Python's
     int-to-str digit limit) is refused first: ``Fraction`` builds 10**exponent.
+    A refused literal over 40 characters is quoted by its first 40 and its
+    length, and its reason up to the first colon, which may quote it again.
     """
     if isinstance(text, str):
         num, slash, den = text.partition("/")
@@ -56,7 +58,11 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
                 raise ValueError("exponent magnitude over 4300")
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {text!r}: {exc}") from None
+            if len(text) <= 40:
+                raise ParseError(f"bad rational literal {text!r}: {exc}") from None
+            reason = str(exc).partition(":")[0]
+            shown = f"{text[:40]!r}… ({len(text)} characters)"
+            raise ParseError(f"bad rational literal {shown}: {reason}") from None
     if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return Fraction(text)
     raise ParseError(f"not a rational literal: {text!r}")
@@ -138,8 +144,10 @@ class Instance:
 
 
 def instance_from_rows(rows: Sequence[Sequence[Fraction | int]]) -> Instance:
-    """Build an Instance from per-agent value rows."""
-    return Instance(tuple(tuple(Fraction(v) for v in row) for row in rows))
+    """Build an Instance from per-agent value rows.  An int cell becomes a
+    Fraction; any other cell passes as it is, and ``Instance`` refuses a
+    cell that is not a Fraction."""
+    return Instance(tuple(tuple(Fraction(v) if isinstance(v, int) else v for v in row) for row in rows))
 
 
 def instance_from_columns(columns: Sequence[Sequence[Fraction | int]], n: int) -> Instance:

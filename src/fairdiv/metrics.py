@@ -54,7 +54,8 @@ class Prop1State:
     A good is taken in two steps: ``arrive`` adds it to the totals, then
     ``assign`` to the owner's bundle or the others' outside goods, so a rule
     deciding in between sees totals that include the good and bundles that
-    do not.
+    do not.  Both take a count of equal goods in a row: ``copies`` copies
+    of one column, all given to one owner, are one step each.
     """
 
     def __init__(self, n: int):
@@ -85,20 +86,20 @@ class Prop1State:
             out.append(v.numerator * (scale // q))
         return out
 
-    def arrive(self, col: Sequence[Fraction]) -> None:
-        self.t += 1
+    def arrive(self, col: Sequence[Fraction], copies: int = 1) -> None:
+        self.t += copies
         self.col_w = w = self._weigh(col)
         self._arrived = col
         total = self.total_w
         for i in range(self.n):
-            total[i] += w[i]
+            total[i] += copies * w[i]
 
-    def assign(self, col: Sequence[Fraction], owner: int) -> None:
+    def assign(self, col: Sequence[Fraction], owner: int, copies: int = 1) -> None:
         w = self.col_w if col is self._arrived else self._weigh(col)  # weighed once
         held, best = self.held_w, self.best_w
         for i in range(self.n):
             if i == owner - 1:
-                held[i] += w[i]
+                held[i] += copies * w[i]
             elif w[i] > best[i]:
                 best[i] = w[i]
 

@@ -404,6 +404,29 @@ class TestForcedChoices:
         with pytest.raises(InvariantError, match="closed form"):
             adversary.next_column(FIRST_CYCLE[:5])
 
+    @pytest.mark.parametrize("field", ["held_w", "total_w"])
+    def test_an_equalization_run_off_its_boundary(self, field):
+        adversary = self.greedy3()
+        feed(adversary, FIRST_CYCLE[:4])  # mid-run: the mirror takes the run when it ends
+        getattr(adversary._mirror, field)[0] *= 10  # agent 1 leaves the equalization boundary
+        with pytest.raises(InvariantError, match="equalization of 2 goods stops off its boundary"):
+            adversary.next_column(FIRST_CYCLE[:5])
+
+    def test_a_whole_run_gives_the_columns_of_its_goods_one_by_one(self):
+        columns = feed(self.greedy3(), FIRST_CYCLE)[:6]
+        adversary, runs = self.greedy3(), []
+        while adversary.t < 6:
+            runs.append((adversary.next_column(FIRST_CYCLE[:adversary.t], runs=True), adversary.copies))
+        assert [copies for _, copies in runs] == [1, 1, 1, 2, 1]
+        assert [col for col, copies in runs for _ in range(copies)] == columns
+
+    def test_a_wrong_owner_inside_a_whole_run_names_its_good(self):
+        adversary = self.greedy3()
+        while adversary.t < 5:
+            adversary.next_column(FIRST_CYCLE[:adversary.t], runs=True)
+        with pytest.raises(InvariantError, match="^good 4 must go to agent 2, saw agent 3$"):
+            adversary.next_column([1, 2, 1, 3, 1])
+
     @pytest.mark.parametrize(
         "agent, field, value, message",
         [

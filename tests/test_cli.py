@@ -2,6 +2,7 @@ import csv
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +164,17 @@ def test_an_exponent_past_the_digit_limit_in_a_json_number_exits_one(tmp_path, c
     assert capsys.readouterr() == ("", f"fairdiv: error: {path}: bad rational literal "
                                        "'1e9999999': exponent magnitude over 4300\n")
     assert not (tmp_path / "out.json").exists()
+
+
+def test_a_long_refused_literal_is_cut_in_its_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a short relative path, so the line's length is the message's
+    Path("big.json").write_text(f'{{"values": [[1.{LONG_INTEGER}, 1], [1, 1]]}}', encoding="utf-8")
+    assert main(["run", "--algo", "greedy1", "--instance", "big.json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err.encode()) < 200
+    assert err == ("fairdiv: error: big.json: bad rational literal "
+                   f"'1.{LONG_INTEGER[:38]}'… (5002 characters): "
+                   "Exceeds the limit (4300 digits) for integer string conversion\n")
 
 
 def test_a_file_that_is_not_utf8_exits_one_naming_the_file(tmp_path, capsys):

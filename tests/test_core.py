@@ -119,6 +119,24 @@ class TestInstanceFiles:
         assert payload["values"][0][0] == "1/2"
 
 
+class TestInstanceFromRows:
+    def test_fraction_cells_pass_through_and_ints_become_fractions(self):
+        half = F(1, 2)
+        inst = instance_from_rows([[half, 3, True], [0, F(4, 6), F(0)]])
+        assert inst.values == ((F(1, 2), F(3), F(1)), (F(0), F(2, 3), F(0)))
+        assert all(type(v) is Fraction for row in inst.values for v in row)
+        assert inst.values[0][0] is half
+
+    @pytest.mark.parametrize("cell", [0.5, "1/2", None], ids=["float", "text", "none"])
+    def test_a_cell_that_is_not_exact_is_refused(self, cell):
+        with pytest.raises(ParseError, match="non-exact valuation"):
+            instance_from_rows([[F(1), cell], [F(1), F(1)]])
+
+    def test_a_negative_cell_is_refused(self):
+        with pytest.raises(ParseError, match="negative valuation -1"):
+            instance_from_rows([[F(1), -1], [F(1), F(1)]])
+
+
 class TestAllocationFiles:
     def test_round_trip(self, tmp_path):
         alloc = Allocation((1, 2, 1))

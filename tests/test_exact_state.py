@@ -1,12 +1,16 @@
 """Differential tests of the integer-weight online state against the
-Fraction reference rules in ``conftest.REF_ALLOCATORS``, and of the
-literal parser's digit fast path against ``Fraction``'s own parser.
+Fraction reference rules in ``conftest.REF_ALLOCATORS``, of runs of equal
+goods placed in one call against their copies placed one by one (and the
+greedy3 construction in runs against the reference rule stepped good by
+good), and of the literal parser's digit fast path against ``Fraction``'s
+own parser.
 
 Every rule, over instances with small and wide denominators, all-zero rows
 and value-1 goods, must give the reference's owners, running values,
 summed potentials, overrides and error messages, good by good.
 """
 
+import json
 import re
 from fractions import Fraction
 
@@ -22,13 +26,15 @@ from fairdiv import (
     ParseError,
     Predictions,
     RobustifiedAllocator,
+    instance_from_columns,
     instance_from_rows,
     make_allocator,
     parse_rational,
     run,
 )
-from fairdiv.cli import _trace_payload
-from fairdiv.core import format_rational
+from fairdiv.algorithms import TraceRecorder
+from fairdiv.cli import _trace_payload, main
+from fairdiv.core import format_rational, instance_to_json
 from conftest import REF_ALLOCATORS, RefProp1State, RefRobustified
 
 F = Fraction
@@ -149,10 +155,12 @@ def test_every_rule_matches_the_fraction_reference(case, seed):
 def test_greedy3_adversary_matches_the_reference_step_by_step(target, cycles):
     adversary = Greedy3Adversary(target, 10**6)
     fast, ref = Greedy3Allocator(2), REF_ALLOCATORS["greedy3"](2)
-    owners = []
+    owners, previous = [], None
     while (column := adversary.next_column(owners)) is not None:
-        # the mirror has taken every good placed so far, as the reference has
-        assert [adversary._mirror.value(i) for i in (0, 1)] == [ref.state.value(i) for i in (0, 1)]
+        if column is not previous:
+            # a run starts: the mirror has taken every good placed so far, as the reference has
+            assert [adversary._mirror.value(i) for i in (0, 1)] == [ref.state.value(i) for i in (0, 1)]
+        previous = column
         owner = fast.observe(column)
         assert ref.observe(column) == owner
         assert [fast.state.value(i) for i in (0, 1)] == [ref.state.value(i) for i in (0, 1)]
@@ -161,8 +169,129 @@ def test_greedy3_adversary_matches_the_reference_step_by_step(target, cycles):
 
 
 # ---------------------------------------------------------------------------
+# Runs of equal goods placed in one call, against their copies one by one
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def run_cases(draw):
+    """(rule, n, predictions or None, runs of (column, copies), a tamper or None).
+
+    The tamper, applied to both sides before one run, sets one of an agent's
+    weights (or MIV's N) to a drawn multiple of its scale."""
+    rule = draw(st.sampled_from(["greedy1", "greedy2", "greedy3", "rand", "miv", "miv-eps"]))
+    n = draw(st.integers(2, 4))
+    p = [F(1)] * n
+    pred = None
+    if rule == "miv-eps":
+        p = draw(st.lists(st.sampled_from([F(1), F(2), F(3, 7)]), min_size=n, max_size=n))
+        pred = Predictions(tuple(p), draw(st.sampled_from([F(0), F(1, 4), F(1, 2)])))
+    column = st.builds(list, st.tuples(*(values(top) for top in p)))
+    runs = draw(st.lists(st.tuples(column, st.integers(1, 12)), min_size=1, max_size=8))
+    tamper = None
+    if draw(st.booleans()):
+        row = "N" if rule.startswith("miv") else draw(st.sampled_from(["total_w", "held_w", "best_w"]))
+        tamper = (draw(st.integers(0, len(runs) - 1)), row, draw(st.integers(0, n - 1)),
+                  draw(st.integers(0, 40)))
+    return rule, n, pred, runs, tamper
+
+
+def _snapshot(allocator):
+    """Everything a run leaves in a rule: its state and its logs, and the wrapped rule's."""
+    rules = [allocator, getattr(allocator, "inner", None)]
+    return [
+        (a.state.t, a.state.scale, a.state.rows, a.potential_log, getattr(a, "override_log", None))
+        for a in rules if a is not None
+    ]
+
+
+def _tamper(allocator, row, agent, multiple):
+    rule = getattr(allocator, "inner", allocator)
+    weights = rule.N if row == "N" else getattr(rule.state, row)
+    weights[agent] = multiple * rule.state.scale[agent]
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_cases(), st.integers(0, 2**32))
+def test_a_run_placed_at_once_matches_its_copies_one_by_one(case, seed):
+    rule, n, pred, runs, tamper = case
+    batch, single = _pair(rule, n, pred, seed)[0], _pair(rule, n, pred, seed)[0]
+    recorders = [TraceRecorder(batch.state), TraceRecorder(single.state)]
+    for r, (column, copies) in enumerate(runs):
+        if tamper is not None and tamper[0] == r:
+            for allocator in (batch, single):
+                _tamper(allocator, *tamper[1:])
+        outcomes = []
+        try:
+            recorders[0].place(batch, column, copies)
+            outcomes.append(None)
+        except (FairdivError, InvariantError) as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+        try:
+            for _ in range(copies):
+                recorders[1].record(single.observe(column))
+            outcomes.append(None)
+        except (FairdivError, InvariantError) as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+        assert outcomes[0] == outcomes[1]
+        assert recorders[0].owners == recorders[1].owners
+        assert _snapshot(batch) == _snapshot(single)
+        first, second = (rec.build_trace(None, None) for rec in recorders)
+        assert (first.alpha_num, first.alpha_den) == (second.alpha_num, second.alpha_den)
+        if outcomes[0] is not None:
+            return
+
+
+def _reference_greedy3(n, alpha):
+    """``fairdiv adversary --target greedy3`` output for the schedule stepped
+    one good at a time against the Fraction reference rule."""
+    adversary = Greedy3Adversary(alpha, 10**6, n)
+    ref = REF_ALLOCATORS["greedy3"](n)
+    owners, columns, alpha_rows = [], [], [[] for _ in range(n)]
+    while (column := adversary.next_column(owners)) is not None:
+        columns.append(column)
+        owners.append(ref.observe(column))
+        for i, row in enumerate(alpha_rows):
+            row.append(format_rational(ref.state.value(i)))
+    worst = min(ref.state.value(i) for i in range(n))
+    payload = {
+        "target": "greedy3",
+        "alpha": format_rational(alpha),
+        "instance": json.loads(instance_to_json(instance_from_columns(columns, n))),
+        "trace": {"owners": owners, "alpha": alpha_rows},
+        "achieved_prop1_ratio": format_rational(min(F(1), n * worst)),
+        "steps": len(owners),
+        "target_reached": adversary.target_reached,
+        "cycles": adversary.cycles,
+        "certified_cycles_bound": adversary.predicted_cycles_bound(),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "n, alpha",
+    [(2, F(1, 3)), (2, F(2, 7)), (2, F(1, 4)), (2, F(1, 5)), (3, F(3, 5)), (3, F(1, 2))],
+    ids=str,
+)
+def test_the_greedy3_construction_in_runs_matches_the_reference_good_by_good(n, alpha, tmp_path):
+    out = tmp_path / "out.json"
+    assert main(["adversary", "--target", "greedy3", "--n", str(n), "--alpha", str(alpha),
+                 "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == _reference_greedy3(n, alpha)
+
+
+# ---------------------------------------------------------------------------
 # parse_rational's digit fast path
 # ---------------------------------------------------------------------------
+
+
+def _refused(text, reason):
+    """``parse_rational``'s error: a literal over 40 characters is quoted by
+    its first 40 and its length, and its reason up to the first colon."""
+    if len(text) <= 40:
+        return ParseError(f"bad rational literal {text!r}: {reason}")
+    shown = f"{text[:40]!r}… ({len(text)} characters)"
+    return ParseError(f"bad rational literal {shown}: {reason.partition(':')[0]}")
 
 
 def _reference_parse(text):
@@ -171,13 +300,13 @@ def _reference_parse(text):
     *head, tail = re.split("[eE]", text)
     try:
         if head and abs(int(tail)) > 4300:
-            raise ParseError(f"bad rational literal {text!r}: exponent magnitude over 4300")
+            raise _refused(text, "exponent magnitude over 4300")
     except ValueError:  # no integer after the marker
         pass
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {text!r}: {exc}") from None
+        raise _refused(text, str(exc)) from None
 
 
 def _same_parse(text):
@@ -198,6 +327,7 @@ LITERALS = [
     "2.5", ".5", "1.5/2",
     "1/", "/2", "", " ", "x", "1/2/3", "0x10", "١/٢", "²", "1" * 5000,
     "1/" + "2" * 5000, "1e9999999", "1e-4301", "1e4300", "1e", "e5", "1e 99999", "1e١٠٠٠٠",
+    "x" * 41, "1" * 40 + "/0", "1." + "1" * 5000, "1e9" + "9" * 40,
 ]
 
 

@@ -1,4 +1,5 @@
-"""README drift guard: every flag the README's CLI synopsis shows exists.
+"""README drift guard: every flag the README's CLI synopsis shows exists,
+and the greedy3 depth table's fast rows still come out as printed.
 
 Reads the first ``sh`` block under the README's ``## CLI`` heading, joins
 lines continued with ``\\``, and checks each ``fairdiv <command>`` line's
@@ -7,8 +8,12 @@ lines continued with ``\\``, and checks each ``fairdiv <command>`` line's
 
 import argparse
 import re
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from fairdiv import run_construction
 from fairdiv.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -46,3 +51,22 @@ def test_every_readme_flag_exists_on_its_subcommand():
 def test_continued_lines_are_joined():
     metrics = next(line for line in synopses() if line.startswith("fairdiv metrics "))
     assert "--check" in metrics and "--alpha" in metrics
+
+
+def greedy3_depth_rows() -> dict:
+    """(n, alpha) -> (steps, cycles, certified bound) from the README's greedy3 table."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("\n## How deep the greedy3 construction goes\n"):]
+    rows = re.findall(r"^\| (\d+) \| (\d+/\d+) \| ([\d,]+) \| ([\d,]+) \| ([\d,]+) \|$", section, re.M)
+    return {(int(n), Fraction(alpha)): tuple(int(cell.replace(",", "")) for cell in cells)
+            for n, alpha, *cells in rows}
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(1, 4)], ids=str)
+def test_the_greedy3_depth_rows_rerun(alpha):
+    rows = greedy3_depth_rows()
+    assert len(rows) == 11
+    result = run_construction("greedy3", 2, alpha)
+    assert result.target_reached
+    rerun = (result.trace.instance.m, result.fields["cycles"], result.fields["certified_cycles_bound"])
+    assert rows[2, alpha] == rerun
