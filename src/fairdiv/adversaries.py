@@ -344,9 +344,10 @@ class Greedy3Adversary(AdaptiveAdversary):
             self.cycles += 1
             cert_rhs += Fraction(1, 2 * (self.cycles + self.OPENING_LAMBDA))
             if not 1 / new_min >= cert_rhs:
+                # approximate: past ~10,000 cycles cert_rhs has more digits than str() allows
                 raise InvariantError(
                     f"harmonic certificate failed at cycle {self.cycles}: "
-                    f"1/{new_min} < {cert_rhs}"
+                    f"1/a_min ~ {float(1 / new_min):.9g} < {float(cert_rhs):.9g}"
                 )
             # new_min is the strict minimum, so the PROP1 ratio is
             # min(1, n new_min), and the target is below 1

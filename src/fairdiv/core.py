@@ -229,6 +229,11 @@ def _dumps(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _exact_int(text: str) -> Fraction:
+    """A JSON integer as ``Fraction(text)`` reads it, without its string parser."""
+    return Fraction(int(text))
+
+
 def _as_int(value, what: str) -> int:
     if isinstance(value, Fraction) and value.denominator == 1:
         return int(value)
@@ -242,7 +247,7 @@ def _reading(path: str, key: str):
     naming the file.  The one place an input file is opened."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_float=parse_rational, parse_int=Fraction)
+            data = json.load(fh, parse_float=parse_rational, parse_int=_exact_int)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:

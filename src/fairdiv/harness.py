@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Sequence
 
 from . import adversaries as adv
@@ -58,12 +58,22 @@ def montecarlo_rand(
 
     The instance is committed before any randomness (a non-adaptive adversary).
     Each trial replays ``RandAllocator`` with a derived seed, checking the final
-    allocation against ``rand_alpha_bound``'s factor exactly, on the integer
-    rows of ``inst.scaled``.  One ``getrandbits(32*K)`` call draws its owners:
-    CPython's ``randrange(n)`` keeps the top k = n.bit_length() bits of a 32-bit
-    word and rejects values >= n, so the K words' top bytes, shifted right by
-    8 - k and less the rejects, are the allocator's owners.  That rests on
-    CPython, not on the ``random`` docs, and needs owners in a byte: n <= 255.
+    allocation against ``rand_alpha_bound``'s factor p/q exactly, on the integer
+    rows of ``inst.scaled``: agent i passes iff n q (held + outside) >= p total_i.
+    One ``getrandbits(32*K)`` call draws its owners: CPython's ``randrange(n)``
+    keeps the top k = n.bit_length() bits of a 32-bit word and rejects values
+    >= n, so the K words' top bytes, shifted right by 8 - k and less the
+    rejects, are the allocator's owners.  That rests on CPython, not on the
+    ``random`` docs, and needs owners in a byte: n <= 255.  One generator is
+    reseeded per trial; ``seed(s)`` leaves the state of a fresh ``Random(s)``.
+
+    The check rarely looks at a value.  Weights are non-negative, and an agent
+    holding c < m goods may add its best outside good: c + 1 of its weights,
+    worth at least its row's c + 1 smallest.  So ``enough_i``, the least c with
+    n q times that sum >= p total_i, settles an agent holding that many goods on
+    ``owners.count(i)`` alone; holding all m it passes too, as alpha <= 1 < n.
+    An agent below it sums its bundle and passes if n q held >= p total_i; only
+    then is its best outside good taken, which is >= 0, so each exit is exact.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
@@ -72,19 +82,24 @@ def montecarlo_rand(
         raise DomainError(f"montecarlo takes at most 255 agents, got {n}")
     alpha_used = rand_alpha_bound(n, delta)
     p, q = Fraction(alpha_used).as_integer_ratio()
-    weights = [row for _, row in inst.scaled]
-    limits = [p * sum(row) for row in weights]
-    sel = [(bytes(o == i for o in range(256)), bytes(o != i for o in range(256))) for i in range(n)]
+    nq = n * q
+    agents = []
+    for i, (_, row) in enumerate(inst.scaled):
+        limit = p * sum(row)
+        enough = next((c for c, low in enumerate(accumulate(sorted(row))) if nq * low >= limit), 0)
+        own, other = bytes(o == i for o in range(256)), bytes(o != i for o in range(256))
+        agents.append((i, enough, row, own, other, limit))
     draw = _owner_draw(n, m)
 
-    failures = 0
+    failures, rng = 0, random.Random()
     for trial in range(trials):
-        owners = draw(random.Random(derive_trial_seed(master_seed, trial)))
-        for row, (own, other), limit in zip(weights, sel, limits):
-            held = sum(compress(row, owners.translate(own)))
-            outside = max(compress(row, owners.translate(other)), default=0)
-            # alpha <= 1 < n, so an agent holding everything passes automatically
-            if n * q * (held + outside) < limit:
+        rng.seed(derive_trial_seed(master_seed, trial))
+        owners = draw(rng)
+        for i, enough, row, own, other, limit in agents:
+            if owners.count(i) >= enough:
+                continue
+            held = nq * sum(compress(row, owners.translate(own)))
+            if held < limit and held + nq * max(compress(row, owners.translate(other))) < limit:
                 failures += 1
                 break
     return MonteCarloReport(

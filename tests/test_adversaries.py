@@ -1,3 +1,5 @@
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -446,6 +448,27 @@ class TestForcedChoices:
         getattr(mirror, field)[agent] = int(value * scale)
         with pytest.raises(InvariantError, match=message):
             adversary.next_column(FIRST_CYCLE)
+
+    def test_a_certificate_failing_past_the_digit_limit(self):
+        """The certificate's denominator is lcm(3, ..., k+2), about 870 digits
+        after 2,000 cycles; under a 640-digit int-to-str limit its failure must
+        still be an InvariantError, with a bounded message."""
+
+        class Failing(Greedy3Adversary):
+            @property
+            def OPENING_LAMBDA(self):  # cycle 2,001 adds the term 1/(2 (1/100)) = 50
+                return 2 if self.cycles <= 2000 else F(1, 100) - self.cycles
+
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(InvariantError) as failed:
+                run_adaptive(Failing(F(1, 5), 10**6), Greedy3Allocator(2))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert re.fullmatch(
+            r"harmonic certificate failed at cycle 2001: 1/a_min ~ [\d.]+ < 5[\d.]+", str(failed.value)
+        )
 
     def test_an_emitted_value_above_one(self):
         adversary = MivImpossibilityAdversary(2, F(1, 2))

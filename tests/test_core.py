@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from fairdiv import (
     load_instance,
     parse_rational,
 )
-from fairdiv.core import instance_to_json
+from fairdiv.core import _exact_int, instance_to_json
 
 F = Fraction
 
@@ -147,6 +148,27 @@ class TestAllocationFiles:
         path = write(tmp_path / "a.json", '{"owner": [1, "x"]}')
         with pytest.raises(ParseError):
             load_allocation(path)
+
+    def test_json_integers_read_as_fractions_parse_them(self):
+        digits = sys.get_int_max_str_digits()  # the longest literal int() takes
+        for text in ("0", "-0", "7", "-12", "9" * digits, "-" + "9" * digits):
+            new, old = _exact_int(text), Fraction(text)
+            assert (type(new), new) == (type(old), old)
+        for hook in (_exact_int, Fraction):
+            with pytest.raises(ValueError):
+                hook("9" * (digits + 1))
+
+    @pytest.mark.parametrize(
+        "owner, message",
+        [("true", "owner entry must be an integer, got True"),
+         ("9" * 5000, "an integer past Python's int-to-str digit limit")],
+        ids=["bool", "past-digit-limit"],
+    )
+    def test_an_owner_that_is_not_an_integer_keeps_its_message(self, owner, message, tmp_path):
+        path = write(tmp_path / "a.json", f'{{"owner": [1, {owner}]}}')
+        with pytest.raises(ParseError) as refused:
+            load_allocation(path)
+        assert str(refused.value) == f"{path}: {message}"
 
 
 class TestPredictions:

@@ -3,6 +3,7 @@ import io
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -47,11 +48,13 @@ def reference_failing_agents(inst, alpha, trials, seed):
 @st.composite
 def montecarlo_cases(draw):
     """(instance, delta, trials, seed) with n from 2 to 5 and each row all ones,
-    all zeros, random with denominators up to 3 or 200, or dominated by one good."""
+    all zeros, random with denominators up to 3 or 200, dominated by one good,
+    or zero-heavy: zeros but for at most two random goods, so that the count
+    that settles an agent is near m/n and many trials need the exact check."""
     n, m = draw(st.integers(2, 5)), draw(st.integers(0, 10))
     rows = []
     for _ in range(n):
-        kind = draw(st.sampled_from(("ones", "zeros", "random", "dominant")))
+        kind = draw(st.sampled_from(("ones", "zeros", "random", "dominant", "zero-heavy")))
         if kind in ("ones", "zeros"):
             rows.append([F(kind == "ones")] * m)
             continue
@@ -59,6 +62,9 @@ def montecarlo_cases(draw):
         row = draw(st.lists(values, min_size=m, max_size=m))
         if kind == "dominant" and m:
             row[draw(st.integers(0, m - 1))] = F(1000)
+        if kind == "zero-heavy":
+            kept = draw(st.sets(st.integers(0, m - 1), max_size=2)) if m else set()
+            row = [v if j in kept else F(0) for j, v in enumerate(row)]
         rows.append(row)
     delta = draw(st.sampled_from((F(99, 100), F(9, 10), F(1, 2), F(1, 20))))
     return instance_from_rows(rows), delta, draw(st.integers(1, 40)), draw(st.integers(0, 2**32))
@@ -70,6 +76,16 @@ def failing_montecarlo_cases(draw):
     fails exactly when it holds nothing, so a trial fails with probability 1/64
     or 1/128."""
     rows = [[F(1)] * draw(st.sampled_from((7, 8)))] * 2
+    return instance_from_rows(rows), F(99, 100), draw(st.integers(100, 200)), draw(st.integers(0, 2**32))
+
+
+@st.composite
+def zero_padded_failing_cases(draw):
+    """As ``failing_montecarlo_cases``, with one to four zeros anywhere in each
+    row: an agent holding zeros but no one still fails, which a count threshold
+    taken over the weights in row order would miss."""
+    ones, zeros = draw(st.sampled_from((7, 8))), draw(st.integers(1, 4))
+    rows = [draw(st.permutations([F(1)] * ones + [F(0)] * zeros)) for _ in range(2)]
     return instance_from_rows(rows), F(99, 100), draw(st.integers(100, 200)), draw(st.integers(0, 2**32))
 
 
@@ -99,20 +115,34 @@ class TestMonteCarlo:
         assert fast.empirical_failure_rate == F(failures, 40)
         assert F(fast.alpha_used) == alpha
 
-    def test_matches_the_reference_path_on_drawn_instances(self):
-        failures = []
+    def test_matches_the_reference_path_on_drawn_instances(self, monkeypatch):
+        failures, shortcut, exact, bundle_only = [], [], [], []
+        # an agent checked by its values calls compress on its bundle, then
+        # compress and max on its outside goods unless the bundle passes alone
+        calls, outside = [], []
+        monkeypatch.setattr(harness, "compress", lambda *args: calls.append(1) or compress(*args))
+        monkeypatch.setattr(harness, "max", lambda goods: outside.append(1) or max(goods), raising=False)
 
         @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-        @given(st.one_of(montecarlo_cases(), failing_montecarlo_cases()))
+        @given(st.one_of(montecarlo_cases(), failing_montecarlo_cases(), zero_padded_failing_cases()))
         def check(case):
             inst, delta, trials, seed = case
+            calls.clear()
+            outside.clear()
             report = montecarlo_rand(inst, delta, trials, seed)
             alpha = F(rand_alpha_bound(inst.n, delta))
             assert report.failures == sum(map(bool, reference_failing_agents(inst, alpha, trials, seed)))
             failures.append(report.failures)
+            # each passing trial checks all n agents, each by count or with compress
+            shortcut.append(len(calls) < (trials - report.failures) * inst.n)
+            exact.append(bool(calls))
+            bundle_only.append(len(calls) > 2 * len(outside))
 
         check()
         assert any(failures), "no drawn instance failed, so the failure path went untested"
+        assert any(shortcut), "no agent passed on its count of goods"
+        assert any(exact), "no agent needed the exact check"
+        assert any(bundle_only), "no agent below its count passed on its bundle alone"
 
     def test_a_trial_counts_once_however_many_agents_fail(self, monkeypatch):
         # at the guaranteed factor two agents almost never fail in the same
