@@ -41,7 +41,6 @@ from .core import (
     Predictions,
     check_predictions,
     format_rational,
-    instance_from_columns,
     instance_from_rows,
     load_allocation,
     load_instance,

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Generator, Sequence
 
 from .algorithms import AllocationTrace, TraceRecorder, make_allocator, run
-from .core import Instance, instance_from_columns, instance_from_rows
+from .core import Instance, instance_from_rows
 from .errors import DomainError, InstanceTooLargeError, InvariantError
 from .metrics import (
     Prop1State,
@@ -108,7 +108,8 @@ def verify_greedy1_failure(trace: AllocationTrace, alpha_target: Fraction) -> No
     if any(o == 2 for o in owners):
         raise InvariantError("agent 2 must never receive a good")
     term = Fraction(1, 1) / (1 + Fraction(inst.m - 1, 2))
-    if trace.alpha[1][-1] != term:
+    num, den = trace.alpha_num[1][-1], trace.alpha_den[1][-1]  # agent 2's weights
+    if not den or num * term.denominator != den * term.numerator:
         raise InvariantError("agent 2's final running value diverged from the construction")
     if not term < alpha_target / inst.n:
         raise InvariantError("horizon too short: the failure inequality does not bind")
@@ -135,19 +136,19 @@ def verify_greedy2_failure(trace: AllocationTrace, alpha_target: Fraction) -> No
 
 
 class AdaptiveAdversary:
-    """Emits value columns, seeing all prior allocation decisions.
+    """Emits runs of equal value columns, seeing all prior allocation decisions.
 
     ``next_column(history)`` receives the owners chosen for every column
     emitted so far, one per column (otherwise ``DomainError``), and returns
-    the next column, or None when done.  A construction writes its schedule
-    as the generator ``_schedule()``: it yields ``(column, allowed,
-    copies)``, a run of ``copies`` equal goods (more than one only when a
-    single agent is allowed), and is sent the run's owner once every copy's
-    owner has been checked against ``allowed`` (a forbidden owner raises
-    ``InvariantError`` naming the first such good).  Each call returns one
-    copy; with ``runs=True`` it returns the rest of the current run at once
-    and sets ``copies`` to its length.  The run ends when the generator
-    returns or ``t`` reaches ``max_steps``.
+    the next run's column, or None when done, with its length in
+    ``copies``.  A construction writes its schedule as the generator
+    ``_schedule()``: it yields ``(column, allowed, copies)``, a run of
+    ``copies`` equal goods (more than one only when a single agent is
+    allowed), and is sent the run's owner once every copy's owner has been
+    checked against ``allowed`` (a forbidden owner raises ``InvariantError``
+    naming the first such good).  The last run is cut short where ``t``
+    reaches ``max_steps``, and the schedule ends when the generator returns
+    or ``t`` reaches ``max_steps``.
     """
 
     max_steps: int | float = math.inf
@@ -159,32 +160,32 @@ class AdaptiveAdversary:
         self.t = 0  # columns emitted so far
         self.copies = 0  # columns the last call emitted
         self._steps = self._schedule()
-        self._run: tuple = (None, (), 0)  # the current run: column, allowed, copies not emitted
+        self._run: tuple = ((), 0)  # the last run's allowed agents and copies the budget cut off
 
     def _schedule(self) -> Generator[tuple[list[Fraction], Sequence[int], int], int, None]:
         raise NotImplementedError
 
-    def next_column(self, history: Sequence[int], runs: bool = False) -> list[Fraction] | None:
+    def next_column(self, history: Sequence[int]) -> list[Fraction] | None:
         if self._steps is None:
             return None
         if len(history) != self.t:
             raise DomainError(f"history has {len(history)} decisions, expected {self.t}")
-        column, allowed, left = self._run
-        start = self.t - self.copies
+        start, (allowed, left) = self.t - self.copies, self._run
         if not set(history[start:]).issubset(allowed):
             t, owner = next((t, o) for t, o in enumerate(history[start:], start + 1) if o not in allowed)
             allowed = " or ".join(map(str, allowed))
             raise InvariantError(f"good {t} must go to agent {allowed}, saw agent {owner}")
+        column = None  # a run the budget cut short ends the schedule
         if not left:
             try:
                 column, allowed, left = self._steps.send(history[-1] if self.t else None)
             except StopIteration:
-                column = None
+                pass
         if column is None or self.t >= self.max_steps:
             self._steps = None
             return None
-        self.copies = min(left if runs else 1, self.max_steps - self.t)
-        self._run = column, allowed, left - self.copies
+        self.copies = min(left, self.max_steps - self.t)
+        self._run = allowed, left - self.copies
         self.t += self.copies
         return column
 
@@ -208,12 +209,12 @@ def run_adaptive(adversary: AdaptiveAdversary, allocator) -> AdversaryRun:
             f"allocator handles {allocator.n} agents, adversary emits {adversary.n}"
         )
     recorder = TraceRecorder(allocator.state)
-    columns = []
-    while (column := adversary.next_column(recorder.owners, runs=True)) is not None:
-        columns += [column] * adversary.copies
+    rows = [[] for _ in range(adversary.n)]
+    while (column := adversary.next_column(recorder.owners)) is not None:
         recorder.place(allocator, column, adversary.copies)
-    inst = instance_from_columns(columns, adversary.n)
-    trace = recorder.build_trace(inst, allocator.potential_log)
+        for row, v in zip(rows, column):
+            row += [v] * adversary.copies
+    trace = recorder.build_trace(instance_from_rows(rows), allocator.potential_log)
     return AdversaryRun(trace, allocator.state.ratio(), adversary.target_reached)
 
 
@@ -231,11 +232,11 @@ class Greedy3Adversary(AdaptiveAdversary):
     * equalization: one run of goods worth c_j/2 to the currently better-off
       agent j and nothing to anyone else, each necessarily allocated to the
       worse-off agent i, until j's running value is within the
-      1 + c_j/(2 v_j(G)) factor of i's.  Its length is the closed-form
-      count ceil((2/c_j) v_j(G) (a_j/a_i - 1)) - 1, and the run is asserted
-      to end exactly there: the condition above still held before its last
-      copy and fails after it (it is monotone: j's total grows by c_j/2 a
-      copy while j's bundle and best outside good stay put);
+      1 + c_j/(2 v_j(G)) factor of i's.  The run's length is the closed-form
+      count ceil((2/c_j) v_j(G) (a_j/a_i - 1)) - 1, and the check after the
+      run is what verifies that count: the condition above still held before
+      its last copy and fails after it (it is monotone: j's total grows by
+      c_j/2 a copy while j's bundle and best outside good stay put);
     * a strike: one good worth c_1 to agent 1 and c_2 to agent 2, which
       strictly lowers the smaller running value whichever of the two
       receives it.
@@ -260,7 +261,6 @@ class Greedy3Adversary(AdaptiveAdversary):
         # mirror of the allocator's running state; agents 1 and 2 are 0 and 1
         # here, and padded agents stay at value 1 after the opening
         self._mirror = Prop1State(n)
-        self._equalize_formula: int | None = None
 
     def predicted_cycles_bound(self) -> int | None:
         """Cycles that certify the target via the harmonic lower bound alone.
@@ -294,7 +294,7 @@ class Greedy3Adversary(AdaptiveAdversary):
         return their owner."""
         owner = yield col, allowed, copies
         self._mirror.arrive(col, copies)
-        self._mirror.assign(col, owner, copies)
+        self._mirror.assign(owner, copies)
         return owner
 
     def _schedule(self):
@@ -317,7 +317,7 @@ class Greedy3Adversary(AdaptiveAdversary):
             j = 1 - i
             old_min = value(i)
             ratio = Fraction(2 * total[j], c[j]) * (value(j) / old_min - 1)
-            emitted = self._equalize_formula = math.ceil(ratio) - 1
+            emitted = math.ceil(ratio) - 1
             if emitted > 0:
                 col = [Fraction(0)] * n
                 col[j] = Fraction(c[j], 2 * scale[j])
@@ -329,11 +329,6 @@ class Greedy3Adversary(AdaptiveAdversary):
             lhs = 2 * (held[j] + c[j]) * q
             if lhs > p * (2 * total[j] + c[j]) or emitted and not lhs > 2 * p * total[j]:
                 raise InvariantError(f"equalization of {emitted} goods stops off its boundary")
-            if emitted != self._equalize_formula:
-                raise InvariantError(
-                    f"equalization emitted {emitted} goods, "
-                    f"closed form says {self._equalize_formula}"
-                )
             owner = yield from self._emit(mirror.values(c)[:2] + pad, 1, 2)
             i = 2 - owner  # the live agent that did NOT receive the strike
             new_min = value(i)
@@ -431,7 +426,7 @@ CONSTRUCTIONS = tuple(_TABLE)
 
 def _checked_rule(construction: str, n: int, alpha: Fraction, max_steps: int, allocator, seed):
     """``check_construction``'s checks; return the rule's name and the rule."""
-    if construction not in _TABLE:
+    if not isinstance(construction, str) or construction not in _TABLE:
         raise DomainError(f"unknown construction {construction!r}; choose from {CONSTRUCTIONS}")
     rule_name, horizon, _ = _TABLE[construction]
     if rule_name is None:

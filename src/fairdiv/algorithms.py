@@ -19,10 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
-from .core import INF, Allocation, Instance, Predictions, RatOrInf
+from .core import Allocation, Instance, Predictions
 from .errors import DomainError, InvariantError, PredictionContractError
 from .metrics import Prop1State
 
@@ -75,7 +74,7 @@ class OnlineAllocator:
         """Place a validated column: arrive, choose, assign."""
         self.state.arrive(col)
         chosen = self._choose(col)
-        self.state.assign(col, chosen)
+        self.state.assign(chosen)
         return chosen
 
     def _validate(self, column: Sequence[Fraction | int]) -> list[Fraction]:
@@ -135,7 +134,7 @@ class GreedyAllocator(OnlineAllocator):
         held[o] += (copies - 2) * w[o]
         if self._argmin(total, held, s.best_w, w) == owner:
             s.arrive(col, copies - 1)
-            s.assign(col, owner, copies - 1)
+            s.assign(owner, copies - 1)
 
 
 class Greedy1Allocator(GreedyAllocator):
@@ -351,9 +350,8 @@ class AllocationTrace:
     Agent i+1's running PROP1 value after good t was placed is
     ``alpha_num[i][t-1] / alpha_den[i][t-1]``, integer weights of that agent
     (bundle plus best outside good, and arrived total), ``INF`` where the
-    total is 0; ``alpha`` holds the same values as exact numbers.  They are
-    always measured against the original instance valuations (also for
-    wrapped or normalized allocators).  ``potential`` carries the summed
+    total is 0.  They are always measured against the original instance
+    valuations (also for wrapped or normalized allocators).  ``potential`` carries the summed
     potential sequence (index t, starting at t = 0) for potential-based runs
     and is None otherwise.
     """
@@ -367,13 +365,6 @@ class AllocationTrace:
     @property
     def allocation(self) -> Allocation:
         return Allocation(self.owners)
-
-    @cached_property
-    def alpha(self) -> tuple[tuple[RatOrInf, ...], ...]:
-        return tuple(
-            tuple(INF if q == 0 else Fraction(p, q) for p, q in zip(nums, dens))
-            for nums, dens in zip(self.alpha_num, self.alpha_den)
-        )
 
 
 class TraceRecorder:

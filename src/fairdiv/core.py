@@ -150,11 +150,6 @@ def instance_from_rows(rows: Sequence[Sequence[Fraction | int]]) -> Instance:
     return Instance(tuple(tuple(Fraction(v) if isinstance(v, int) else v for v in row) for row in rows))
 
 
-def instance_from_columns(columns: Sequence[Sequence[Fraction | int]], n: int) -> Instance:
-    """Build an Instance from per-good value columns (the adversary's view)."""
-    return instance_from_rows([[col[i] for col in columns] for i in range(n)])
-
-
 @dataclass(frozen=True)
 class Allocation:
     """A complete partition of goods: ``owner[t]`` is the 1-based owner of good t+1."""

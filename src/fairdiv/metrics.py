@@ -51,11 +51,12 @@ class Prop1State:
     more per-agent weights adds its row there.  Ratios of one agent's
     weights are its ratios of values, so L_i cancels out of them.
 
-    A good is taken in two steps: ``arrive`` adds it to the totals, then
-    ``assign`` to the owner's bundle or the others' outside goods, so a rule
-    deciding in between sees totals that include the good and bundles that
-    do not.  Both take a count of equal goods in a row: ``copies`` copies
-    of one column, all given to one owner, are one step each.
+    A good is taken in two steps: ``arrive(col)`` weighs it into ``col_w``
+    and adds it to the totals, then ``assign(owner)`` adds those weights to
+    the owner's bundle or the others' outside goods, so a rule deciding in
+    between sees totals that include the good and bundles that do not.
+    Both take a count of equal goods in a row: ``copies`` copies of one
+    column, all given to one owner, are one step each.
     """
 
     def __init__(self, n: int):
@@ -67,7 +68,6 @@ class Prop1State:
         self.best_w = [0] * n
         self.col_w = [0] * n
         self.rows = [self.total_w, self.held_w, self.best_w]
-        self._arrived: Sequence[Fraction] = ()
 
     def rescale(self, i: int, q: int) -> int:
         """Make L_i a multiple of q, scaling agent i's weights alike; return L_i."""
@@ -77,26 +77,19 @@ class Prop1State:
         self.scale[i] *= k
         return self.scale[i]
 
-    def _weigh(self, col: Sequence[Fraction]) -> list[int]:
-        out = []
+    def arrive(self, col: Sequence[Fraction], copies: int = 1) -> None:
+        self.t += copies
+        self.col_w = w = []
+        total = self.total_w
         for i, v in enumerate(col):
             q, scale = v.denominator, self.scale[i]
             if scale % q:
                 scale = self.rescale(i, q)
-            out.append(v.numerator * (scale // q))
-        return out
-
-    def arrive(self, col: Sequence[Fraction], copies: int = 1) -> None:
-        self.t += copies
-        self.col_w = w = self._weigh(col)
-        self._arrived = col
-        total = self.total_w
-        for i in range(self.n):
+            w.append(v.numerator * (scale // q))
             total[i] += copies * w[i]
 
-    def assign(self, col: Sequence[Fraction], owner: int, copies: int = 1) -> None:
-        w = self.col_w if col is self._arrived else self._weigh(col)  # weighed once
-        held, best = self.held_w, self.best_w
+    def assign(self, owner: int, copies: int = 1) -> None:
+        w, held, best = self.col_w, self.held_w, self.best_w
         for i in range(self.n):
             if i == owner - 1:
                 held[i] += copies * w[i]

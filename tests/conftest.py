@@ -2,7 +2,7 @@
 (``alpha_it``, ``bundle_value``, ``mms_labeled_reference`` and the
 ``Fraction`` allocators ``REF_ALLOCATORS``) that the fast library paths are
 checked against, and the paper's formulas that only tests use
-(``robust_beta``)."""
+(``robust_beta``, ``running_values``)."""
 
 from __future__ import annotations
 
@@ -97,6 +97,15 @@ def alpha_it(inst: Instance, owner, agent: int, t: int):
     if total == 0:
         return INF
     return (held + outside) / total
+
+
+def running_values(trace) -> tuple[tuple, ...]:
+    """A trace's running PROP1 values, per agent and good, as exact numbers
+    (``INF`` where the agent's total is 0)."""
+    return tuple(
+        tuple(INF if q == 0 else Fraction(p, q) for p, q in zip(nums, dens))
+        for nums, dens in zip(trace.alpha_num, trace.alpha_den)
+    )
 
 
 def mms_labeled_reference(inst: Instance, agent: int) -> Fraction:

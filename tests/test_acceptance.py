@@ -39,7 +39,7 @@ from fairdiv import (
     verify_greedy1_failure,
     verify_greedy2_failure,
 )
-from conftest import all_allocations, random_instance, robust_beta, total_value
+from conftest import all_allocations, random_instance, robust_beta, running_values, total_value
 
 F = Fraction
 
@@ -110,7 +110,7 @@ def test_criterion_3_greedy_failures():
         # re-derive the harmonic certificate for the final cycle count
         k = adversary.cycles
         rhs = F(3, 2) + sum((F(1, 2 * (s + 2)) for s in range(1, k + 1)), F(0))
-        min_alpha = min(row[-1] for row in result.trace.alpha)
+        min_alpha = min(row[-1] for row in running_values(result.trace))
         assert 1 / min_alpha >= rhs
         cycle_counts.append((str(alpha), k, result.trace.instance.m))
     elapsed = time.perf_counter() - started

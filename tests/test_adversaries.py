@@ -1,5 +1,6 @@
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from fairdiv import (
 )
 from fairdiv import adversaries
 from fairdiv.adversaries import check_construction
+from conftest import running_values
 
 F = Fraction
 
@@ -45,7 +47,7 @@ class TestGreedy1Adversary:
         trace = run(Greedy1Allocator(2), inst)
         assert all(owner == 1 for owner in trace.owners)
         # agent 2's term: 1 / (1 + (m-1)/2) = 2/41, ratio 4/41 < 1/10
-        assert trace.alpha[1][-1] == F(2, 41)
+        assert running_values(trace)[1][-1] == F(2, 41)
         assert prop1_ratio(inst, trace.allocation) == F(4, 41)
         verify_greedy1_failure(trace, F(1, 10))
 
@@ -56,6 +58,20 @@ class TestGreedy1Adversary:
         trace = run(Greedy1Allocator(n), inst)
         verify_greedy1_failure(trace, alpha)
         assert prop1_ratio(inst, trace.allocation) < alpha
+
+    def test_verify_compares_agent_twos_final_value_as_a_ratio(self):
+        trace = run(Greedy1Allocator(2), greedy1_adversary(2, F(1, 10)))
+
+        def agent_two_ends_at(num, den):
+            nums, dens = list(trace.alpha_num), list(trace.alpha_den)
+            nums[1], dens[1] = nums[1][:-1] + (num,), dens[1][:-1] + (den,)
+            return replace(trace, alpha_num=tuple(nums), alpha_den=tuple(dens))
+
+        num, den = trace.alpha_num[1][-1], trace.alpha_den[1][-1]
+        verify_greedy1_failure(agent_two_ends_at(3 * num, 3 * den), F(1, 10))  # the same 2/41
+        for tampered in ((num + 1, den), (num, 0), (0, 0)):
+            with pytest.raises(InvariantError, match="agent 2's final running value"):
+                verify_greedy1_failure(agent_two_ends_at(*tampered), F(1, 10))
 
     def test_verify_rejects_a_wrong_run(self):
         inst = greedy1_adversary(2, F(1, 2))
@@ -102,10 +118,11 @@ class TestGreedy3Adversary:
             assert column == [F(1), F(1)]
             owners.append(allocator.observe(column))
             assert owners[-1] == expected
-        # first equalization columns: value 1/2 to agent 1, allocated to agent 2
+        # the first equalization run: value 1/2 to agent 1, allocated to agent 2,
+        # as long as its closed-form count
         column = adversary.next_column(owners)
         assert column == [F(1, 2), F(0)]
-        assert adversary._equalize_formula == 2
+        assert adversary.copies == 2
 
     def test_reaches_each_target_with_certificates(self):
         for target in (F(3, 5), F(1, 2), F(2, 5)):
@@ -123,8 +140,9 @@ class TestGreedy3Adversary:
         owners = []
         columns = []
         while (column := adversary.next_column(owners)) is not None:
-            columns.append(column)
-            owners.append(allocator.observe(column))
+            for _ in range(adversary.copies):
+                columns.append(column)
+                owners.append(allocator.observe(column))
         for column in columns[3:]:
             assert column[0] <= 1 and column[1] <= 1
             assert set(column) <= {F(0), F(1, 2), F(1)}
@@ -134,7 +152,7 @@ class TestGreedy3Adversary:
         result = run_adaptive(adversary, Greedy3Allocator(2))
         k = adversary.cycles
         rhs = F(3, 2) + sum((F(1, 2 * (s + 2)) for s in range(1, k + 1)), F(0))
-        min_alpha = min(row[-1] for row in result.trace.alpha)
+        min_alpha = min(row[-1] for row in running_values(result.trace))
         assert 1 / min_alpha >= rhs
 
     def test_divergent_allocator_is_caught(self):
@@ -200,7 +218,8 @@ class TestImpossibilityAdversary:
         owners = []
         while (column := adversary.next_column(owners)) is not None:
             assert all(0 <= value <= 1 for value in column)
-            owners.append(allocator.observe(column))
+            for _ in range(adversary.copies):
+                owners.append(allocator.observe(column))
         assert len(owners) == adversary.m
 
     def test_realized_maxima_make_the_all_ones_predictions_perfect(self):
@@ -323,11 +342,21 @@ class TestRunConstruction:
         assert CONSTRUCTIONS == ("greedy1", "greedy2", "greedy3", "miv-impossibility")
         with pytest.raises(DomainError):
             run_construction("greedy4", 2, F(1, 2))
+        for name in (["greedy1"], {}, None):
+            with pytest.raises(DomainError, match=f"^unknown construction {re.escape(repr(name))}; "):
+                run_construction(name, 2, F(1, 2))
 
 
 def feed(adversary, owners):
-    """Call ``next_column`` on every prefix of ``owners``; return the columns."""
-    return [adversary.next_column(owners[:t]) for t in range(len(owners) + 1)]
+    """Call ``next_column`` on each prefix of ``owners`` that a run starts at
+    (the empty one first) until the schedule ends; return the column of
+    every good emitted."""
+    columns = []
+    while adversary.t <= len(owners):
+        if (column := adversary.next_column(owners[:adversary.t])) is None:
+            break
+        columns += [column] * adversary.copies
+    return columns
 
 
 #: Owners the greedy3 construction forces at n=3, alpha=1/2: the opening,
@@ -352,8 +381,10 @@ class TestForcedChoices:
     def test_a_wrong_owner_is_an_invariant_breach(self, t, owner):
         adversary = self.greedy3()
         feed(adversary, FIRST_CYCLE[:t])
-        with pytest.raises(InvariantError):
-            adversary.next_column(FIRST_CYCLE[:t] + [owner])
+        # the rest of good t+1's run, if any, goes where it must
+        history = FIRST_CYCLE[:t] + [owner] + FIRST_CYCLE[t + 1:adversary.t]
+        with pytest.raises(InvariantError, match=f"^good {t + 1} must go to agent "):
+            adversary.next_column(history)
 
     def test_agent_two_taking_the_impossibility_good_one(self):
         adversary = MivImpossibilityAdversary(2, F(1, 2))
@@ -375,13 +406,14 @@ class TestForcedChoices:
         with pytest.raises(DomainError):
             adversary.next_column(history)
 
-    @pytest.mark.parametrize("max_steps, cycles", [(5, 0), (6, 1), (7, 1)])
+    @pytest.mark.parametrize("max_steps, cycles", [(4, 0), (5, 0), (6, 1), (7, 1)])
     def test_a_budget_ending_on_the_strike(self, max_steps, cycles):
         adversary = self.greedy3(max_steps)
         result = run_adaptive(adversary, Greedy3Allocator(3))
         assert result.trace.instance.m == max_steps
         assert result.trace.owners == tuple(FIRST_CYCLE + [1])[:max_steps]
         assert adversary.cycles == cycles and not result.target_reached
+        assert adversary._mirror.t <= max_steps  # a run the budget cut short is not mirrored
         adversary = self.greedy3(6)
         feed(adversary, FIRST_CYCLE[:5])
         with pytest.raises(InvariantError):  # the last strike is still checked
@@ -399,33 +431,18 @@ class TestForcedChoices:
         with pytest.raises(InvariantError, match="bundle/c"):
             feed(self.greedy3(), [1, 2, 1])
 
-    def test_an_equalization_count_off_its_closed_form(self):
-        adversary = self.greedy3()
-        feed(adversary, FIRST_CYCLE[:4])
-        adversary._equalize_formula += 1
-        with pytest.raises(InvariantError, match="closed form"):
-            adversary.next_column(FIRST_CYCLE[:5])
-
     @pytest.mark.parametrize("field", ["held_w", "total_w"])
     def test_an_equalization_run_off_its_boundary(self, field):
         adversary = self.greedy3()
-        feed(adversary, FIRST_CYCLE[:4])  # mid-run: the mirror takes the run when it ends
+        feed(adversary, FIRST_CYCLE[:4])  # goods 4-5 are out: the mirror takes them when they end
         getattr(adversary._mirror, field)[0] *= 10  # agent 1 leaves the equalization boundary
         with pytest.raises(InvariantError, match="equalization of 2 goods stops off its boundary"):
             adversary.next_column(FIRST_CYCLE[:5])
 
-    def test_a_whole_run_gives_the_columns_of_its_goods_one_by_one(self):
-        columns = feed(self.greedy3(), FIRST_CYCLE)[:6]
-        adversary, runs = self.greedy3(), []
-        while adversary.t < 6:
-            runs.append((adversary.next_column(FIRST_CYCLE[:adversary.t], runs=True), adversary.copies))
-        assert [copies for _, copies in runs] == [1, 1, 1, 2, 1]
-        assert [col for col, copies in runs for _ in range(copies)] == columns
-
     def test_a_wrong_owner_inside_a_whole_run_names_its_good(self):
         adversary = self.greedy3()
         while adversary.t < 5:
-            adversary.next_column(FIRST_CYCLE[:adversary.t], runs=True)
+            adversary.next_column(FIRST_CYCLE[:adversary.t])
         with pytest.raises(InvariantError, match="^good 4 must go to agent 2, saw agent 3$"):
             adversary.next_column([1, 2, 1, 3, 1])
 

@@ -676,8 +676,12 @@ class TestCampaignCommand:
             ({"n": 2, "alpha": "1/2"}, "campaign row 1 needs a 'construction' and an 'alpha'"),
             ({"construction": "greedy1", "alpha": "1/2", "repetition": 3, "max_step": 5},
              "campaign row 1: unknown keys ['max_step', 'repetition']"),
+            ({"construction": ["greedy1"], "alpha": "1/2"}, "unknown construction ['greedy1']; "
+             "choose from ('greedy1', 'greedy2', 'greedy3', 'miv-impossibility')"),
+            ({"construction": {}, "alpha": "1/2"}, "unknown construction {}; "
+             "choose from ('greedy1', 'greedy2', 'greedy3', 'miv-impossibility')"),
         ],
-        ids=["no-construction", "unknown-keys"],
+        ids=["no-construction", "unknown-keys", "construction-list", "construction-object"],
     )
     def test_a_row_error_names_the_file(self, row, message, tmp_path, capsys):
         path, out = tmp_path / "config.json", tmp_path / "rows.csv"

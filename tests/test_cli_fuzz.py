@@ -4,9 +4,11 @@ Draws argv from each subcommand's grammar (n <= 4, rational denominators
 <= 12, ``--max-steps`` <= 200, instances with m <= 6) together with input
 files that are well formed, malformed JSON, of the wrong types or ragged.
 Every case must end with exit 0, 1 or 2 and never raise; exit 1 must print
-exactly one ``fairdiv: error:`` line.  A second test mangles such argv so
-that argparse rejects it (a bad rational or integer, a bad choice, an
-unknown or a missing flag), which must exit 1 with that one line too.
+exactly one ``fairdiv: error:`` line.  Every malformed file is also given
+to ``campaign`` on its own, which must exit 1 with that one line.  A last
+test mangles such argv so that argparse rejects it (a bad rational or
+integer, a bad choice, an unknown or a missing flag), which must exit 1
+with that one line too.
 """
 
 import contextlib
@@ -63,6 +65,12 @@ MALFORMED = [
     '[{"construction": "greedy1", "alpha": "1/2", "n": [2]}]',
     '[{"construction": "miv-impossibility", "alpha": "1/2", "allocator": [1]}]',
     '[{"construction": "miv-impossibility", "alpha": "1/2", "notion": ["ef1"]}]',
+    '{"rows": [{"construction": "greedy1"}]}',
+    '{"rows": [{"construction": "greedy1", "alpha": {}}]}',
+    '{"rows": [{"construction": ["greedy1"], "alpha": "1/2"}]}',
+    '{"rows": [{"construction": "greedy1", "alpha": "1/2", "n": [2]}]}',
+    '{"rows": [{"construction": "miv-impossibility", "alpha": "1/2", "allocator": [1]}]}',
+    '{"rows": [{"construction": "miv-impossibility", "alpha": "1/2", "notion": ["ef1"]}]}',
 ]
 
 
@@ -180,6 +188,19 @@ def test_every_invocation_exits_cleanly(case):
     if code == 1:
         lines = err.getvalue().strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("fairdiv: error: "), (argv, files, lines)
+
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_every_malformed_config_exits_one_with_one_line(text, tmp_path):
+    config, out = tmp_path / "config.json", tmp_path / "rows.csv"
+    config.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["campaign", "--config", str(config), "--out", str(out)])
+    lines = err.getvalue().splitlines()
+    assert code == 1 and len(lines) == 1 and lines[0].startswith("fairdiv: error: "), (text, lines)
+    assert not out.exists()
 
 
 #: Per subcommand: its required flags, and its flags taking a rational, an

@@ -26,7 +26,6 @@ from fairdiv import (
     ParseError,
     Predictions,
     RobustifiedAllocator,
-    instance_from_columns,
     instance_from_rows,
     make_allocator,
     parse_rational,
@@ -35,7 +34,7 @@ from fairdiv import (
 from fairdiv.algorithms import TraceRecorder
 from fairdiv.cli import _trace_payload, main
 from fairdiv.core import format_rational, instance_to_json
-from conftest import REF_ALLOCATORS, RefProp1State, RefRobustified
+from conftest import REF_ALLOCATORS, RefProp1State, RefRobustified, running_values
 
 F = Fraction
 
@@ -140,7 +139,7 @@ def test_every_rule_matches_the_fraction_reference(case, seed):
         for i, row in enumerate(alpha):
             row.append(state.value(i))
     assert list(trace.owners) == owners
-    assert [list(row) for row in trace.alpha] == alpha
+    assert [list(row) for row in running_values(trace)] == alpha
     payload = _trace_payload(trace)
     assert payload["alpha"] == [[format_rational(v) for v in row] for row in alpha]
     if ref.potential_log is None:
@@ -155,16 +154,15 @@ def test_every_rule_matches_the_fraction_reference(case, seed):
 def test_greedy3_adversary_matches_the_reference_step_by_step(target, cycles):
     adversary = Greedy3Adversary(target, 10**6)
     fast, ref = Greedy3Allocator(2), REF_ALLOCATORS["greedy3"](2)
-    owners, previous = [], None
+    owners = []
     while (column := adversary.next_column(owners)) is not None:
-        if column is not previous:
-            # a run starts: the mirror has taken every good placed so far, as the reference has
-            assert [adversary._mirror.value(i) for i in (0, 1)] == [ref.state.value(i) for i in (0, 1)]
-        previous = column
-        owner = fast.observe(column)
-        assert ref.observe(column) == owner
-        assert [fast.state.value(i) for i in (0, 1)] == [ref.state.value(i) for i in (0, 1)]
-        owners.append(owner)
+        # a run starts: the mirror has taken every good placed so far, as the reference has
+        assert [adversary._mirror.value(i) for i in (0, 1)] == [ref.state.value(i) for i in (0, 1)]
+        for _ in range(adversary.copies):
+            owner = fast.observe(column)
+            assert ref.observe(column) == owner
+            assert [fast.state.value(i) for i in (0, 1)] == [ref.state.value(i) for i in (0, 1)]
+            owners.append(owner)
     assert adversary.target_reached and adversary.cycles == cycles
 
 
@@ -247,17 +245,19 @@ def _reference_greedy3(n, alpha):
     one good at a time against the Fraction reference rule."""
     adversary = Greedy3Adversary(alpha, 10**6, n)
     ref = REF_ALLOCATORS["greedy3"](n)
-    owners, columns, alpha_rows = [], [], [[] for _ in range(n)]
+    owners, rows, alpha_rows = [], [[] for _ in range(n)], [[] for _ in range(n)]
     while (column := adversary.next_column(owners)) is not None:
-        columns.append(column)
-        owners.append(ref.observe(column))
-        for i, row in enumerate(alpha_rows):
-            row.append(format_rational(ref.state.value(i)))
+        for _ in range(adversary.copies):
+            for row, v in zip(rows, column):
+                row.append(v)
+            owners.append(ref.observe(column))
+            for i, row in enumerate(alpha_rows):
+                row.append(format_rational(ref.state.value(i)))
     worst = min(ref.state.value(i) for i in range(n))
     payload = {
         "target": "greedy3",
         "alpha": format_rational(alpha),
-        "instance": json.loads(instance_to_json(instance_from_columns(columns, n))),
+        "instance": json.loads(instance_to_json(instance_from_rows(rows))),
         "trace": {"owners": owners, "alpha": alpha_rows},
         "achieved_prop1_ratio": format_rational(min(F(1), n * worst)),
         "steps": len(owners),

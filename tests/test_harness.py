@@ -304,10 +304,12 @@ class TestCampaign:
             ({"construction": "greedy1", "alpha": "1/100000000"}, "over the step budget"),
             ({"construction": "greedy1", "alpha": "1/2", "n": "x"}, "must be an integer"),
             ({"construction": "nope", "alpha": "1/2", "repetitions": 0}, "unknown construction"),
+            ({"construction": ["greedy1"], "alpha": "1/2"}, r"unknown construction \['greedy1'\]"),
+            ({"construction": {}, "alpha": "1/2"}, "unknown construction {}"),
         ],
         ids=["greedy3-target", "greedy3-budget", "one-agent", "zero-alpha", "unknown-allocator",
              "rand-no-seed", "greedy-notion", "unknown-notion", "huge-horizon",
-             "n-text", "no-repetitions"],
+             "n-text", "no-repetitions", "construction-list", "construction-object"],
     )
     def test_a_bad_row_fails_before_any_row_runs(self, bad, message, monkeypatch):
         def refuse(*args, **kwargs):

@@ -34,7 +34,7 @@ from fairdiv import (
     run_adaptive,
 )
 from fairdiv.metrics import ENUMERATION_GUARD
-from conftest import alpha_it
+from conftest import alpha_it, running_values
 
 F = Fraction
 
@@ -108,7 +108,7 @@ def test_checks_match_brute_force(data):
     state = Prop1State(inst.n)
     for col, owner in zip(inst.columns(), alloc.owner):
         state.arrive(col)
-        state.assign(col, owner)
+        state.assign(owner)
     assert ratio == state.ratio()
 
     propx = check_alpha_propx(inst, alloc, alpha)
@@ -151,7 +151,7 @@ def test_trace_alpha_matches_alpha_it(data):
     if rule == "miv-eps" and inst.m:
         assert allocator.override_log
     for agent in range(1, inst.n + 1):
-        assert list(trace.alpha[agent - 1]) == [
+        assert list(running_values(trace)[agent - 1]) == [
             alpha_it(inst, trace.owners, agent, t) for t in range(1, inst.m + 1)
         ]
 
