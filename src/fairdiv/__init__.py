@@ -60,7 +60,6 @@ from .harness import (
     MonteCarloReport,
     campaign,
     montecarlo_rand,
-    potential_grid,
 )
 from .metrics import (
     Prop1State,

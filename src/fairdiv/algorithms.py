@@ -207,7 +207,7 @@ class MivAllocator(OnlineAllocator):
 
     def __init__(self, n: int):
         super().__init__(n)
-        self.first_max_at: list[int | None] = [None] * n  # arrival of first value-1 good
+        self.seen_max = [False] * n  # whether a value-1 good has arrived for each agent
         self.N = [n * n + n] * n
         self.state.rows.append(self.N)
         self.potential = Fraction(1, n + 1)
@@ -227,8 +227,8 @@ class MivAllocator(OnlineAllocator):
         # the agent with the largest w L / (N (N + n^2 w)) so far, w its gain to H
         best, best_w, best_num, best_den = 0, 0, 0, 1
         for i, w in enumerate(self.state.col_w):
-            if w == scale[i] and self.first_max_at[i] is None:
-                self.first_max_at[i] = t
+            if w == scale[i] and not self.seen_max[i]:
+                self.seen_max[i] = True
                 w = 0
             elif w:
                 N[i] -= w

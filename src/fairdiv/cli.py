@@ -60,9 +60,12 @@ def _write(path: str | None, payload: str) -> None:
     """The one place an output file is opened: UTF-8, line endings as built."""
     if path is None:
         sys.stdout.write(payload)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
+    except OSError as exc:
+        raise FairdivError(f"cannot write {path}: {exc}") from None
 
 
 @cache
@@ -116,15 +119,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("campaign", help="run a batch of adversary-vs-allocator pairings")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("potential-grid", help="export the potential surface as CSV")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a-min", type=_rational, default=Fraction(1, 50))
-    p.add_argument("--a-max", type=_rational, default=Fraction(1))
-    p.add_argument("--ya-min", type=_rational, default=Fraction(0))
-    p.add_argument("--ya-max", type=_rational, default=Fraction(2))
-    p.add_argument("--resolution", type=int, default=25)
     p.add_argument("--out", required=True)
 
     return parser
@@ -329,14 +323,6 @@ def _cmd_campaign(args) -> int:
     return INVARIANT_EXIT if any(r["assertions_passed"] == "false" for r in rows) else 0
 
 
-def _cmd_potential_grid(args) -> int:
-    cells = harness.potential_grid(
-        args.n, (args.a_min, args.a_max), (args.ya_min, args.ya_max), args.resolution
-    )
-    _write(args.out, harness.potential_grid_csv(cells))
-    return 0
-
-
 _COMMANDS = {
     "metrics": _cmd_metrics,
     "run": _cmd_run,
@@ -344,7 +330,6 @@ _COMMANDS = {
     "oracle": _cmd_oracle,
     "montecarlo": _cmd_montecarlo,
     "campaign": _cmd_campaign,
-    "potential-grid": _cmd_potential_grid,
 }
 
 

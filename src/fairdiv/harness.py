@@ -1,6 +1,5 @@
 """Experiment orchestration: Monte Carlo validation of the uniform rule's
-tail guarantee, adversary-versus-allocator campaigns, and the potential
-surface grid export.
+tail guarantee, and adversary-versus-allocator campaigns written as CSV.
 
 Reproducibility rules: every randomized experiment takes a master seed;
 per-trial seeds derive from it and the trial index alone, so reports are
@@ -159,18 +158,6 @@ CAMPAIGN_COLUMNS = [
 ]
 
 
-def _flag(value: bool | None) -> str:
-    return "" if value is None else ("true" if value else "false")
-
-
-def _float_text(value: Fraction) -> str:
-    """The nearest float, or ``inf`` past the float range (no float column is negative)."""
-    try:
-        return repr(float(value))
-    except OverflowError:
-        return "inf"
-
-
 def campaign(items: Sequence[dict]) -> list[dict]:
     """Run adversary-versus-allocator pairings and tabulate the verdicts.
 
@@ -244,83 +231,18 @@ def _campaign_row(
     row.update(
         steps=str(result.trace.instance.m),
         prop1_ratio=str(ratio),
-        prop1_ratio_float=_float_text(ratio),
+        prop1_ratio_float=repr(float(ratio)),  # a ratio in [0, 1]: never past the float range
         assertions_passed="true",
     )
-    row.update((key, _flag(value)) for key, value in result.verdicts.items())
+    row.update(
+        (key, "" if value is None else ("true" if value else "false"))
+        for key, value in result.verdicts.items()
+    )
     return row
 
 
-def _csv(lines) -> str:
-    """CSV text of ``lines`` in csv's default dialect (CRLF line endings)."""
-    out = io.StringIO()
-    csv.writer(out).writerows(lines)
-    return out.getvalue()
-
-
 def campaign_csv(rows: Sequence[dict]) -> str:
-    return _csv([CAMPAIGN_COLUMNS, *([row[c] for c in CAMPAIGN_COLUMNS] for row in rows)])
-
-
-# ---------------------------------------------------------------------------
-# Potential surface grid
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PotentialCell:
-    a: Fraction
-    ya: Fraction  # the product bundle-value * a, the surface's second axis
-    phi: Fraction | None  # None where the denominator is not positive
-
-
-def _samples(lo: Fraction, hi: Fraction, resolution: int) -> tuple[Fraction, ...]:
-    if resolution < 1:
-        raise DomainError("resolution must be at least 1")
-    if hi < lo:
-        raise DomainError("empty range")
-    if resolution == 1:
-        return (lo,)
-    step = (hi - lo) / (resolution - 1)
-    return tuple(lo + k * step for k in range(resolution))
-
-
-def potential_grid(
-    n: int,
-    a_range: tuple[Fraction, Fraction],
-    ya_range: tuple[Fraction, Fraction],
-    resolution: int,
-) -> tuple[PotentialCell, ...]:
-    """Sample phi(a, ya) = a / ((n^2+n+1) a + n^2 ya - 1) on a rational grid,
-    in a-major order.
-
-    Cells where the denominator is not positive keep phi None rather than
-    being dropped; the pole line sits at a = (1 - n^2 ya)/(n^2+n+1).
-    """
-    if n < 2:
-        raise DomainError("need at least 2 agents")
-    if a_range[0] <= 0:
-        raise DomainError("a must be positive")
-    if ya_range[0] < 0:
-        raise DomainError("the bundle product axis must be non-negative")
-    a_values = _samples(a_range[0], a_range[1], resolution)
-    ya_values = _samples(ya_range[0], ya_range[1], resolution)
-    coef = n * n + n + 1
-    cells = []
-    for a in a_values:
-        for ya in ya_values:
-            denom = coef * a + n * n * ya - 1
-            cells.append(PotentialCell(a, ya, a / denom if denom > 0 else None))
-    return tuple(cells)
-
-
-POTENTIAL_GRID_COLUMNS = ["a", "a_float", "ya_product", "ya_float", "phi", "phi_float", "valid"]
-
-
-def potential_grid_csv(cells: Sequence[PotentialCell]) -> str:
-    return _csv([POTENTIAL_GRID_COLUMNS] + [
-        [str(c.a), _float_text(c.a), str(c.ya), _float_text(c.ya),
-         "" if c.phi is None else str(c.phi), "" if c.phi is None else _float_text(c.phi),
-         _flag(c.phi is not None)]
-        for c in cells
-    ])
+    """The rows under a header, in csv's default dialect (CRLF line endings)."""
+    out = io.StringIO()
+    csv.writer(out).writerows([CAMPAIGN_COLUMNS, *([row[c] for c in CAMPAIGN_COLUMNS] for row in rows)])
+    return out.getvalue()

@@ -369,7 +369,7 @@ class TestMivClosedForm:
         a.observe([F(1, 2), F(1, 3)])
         D = [F(N, scale) for N, scale in zip(a.N, a.state.scale)]
         a.observe([F(1), F(0)])
-        assert a.first_max_at == [2, None]
+        assert a.seen_max == [True, False]
         assert F(a.N[0], a.state.scale[0]) == D[0]
         assert all(F(N, scale) == 1 / phi for N, scale, phi in zip(a.N, a.state.scale, a.phi))
 

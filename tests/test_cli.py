@@ -695,9 +695,8 @@ class TestCampaignCommand:
     "argv, builder",
     [
         (["campaign", "--config", "{config}"], "campaign_csv"),
-        (["potential-grid", "--n", "2", "--resolution", "2"], "potential_grid_csv"),
     ],
-    ids=["campaign", "potential-grid"],
+    ids=["campaign"],
 )
 def test_a_failing_csv_builder_leaves_no_file(argv, builder, tmp_path, monkeypatch, capsys):
     def refuse(_):
@@ -711,25 +710,38 @@ def test_a_failing_csv_builder_leaves_no_file(argv, builder, tmp_path, monkeypat
     assert not out.exists()
 
 
-class TestPotentialGridCommand:
-    def test_grid_export(self, tmp_path):
-        out = tmp_path / "grid.csv"
-        assert main(["potential-grid", "--n", "2", "--resolution", "5", "--out", str(out)]) == 0
-        lines = out.read_text(encoding="utf-8").strip().splitlines()
-        assert len(lines) == 26
+#: A valid argv of each subcommand that takes ``--out``.
+OUT_COMMANDS = {
+    "metrics": ["metrics", "--instance", "{inst}", "--allocation", "{alloc}"],
+    "run": ["run", "--algo", "greedy1", "--instance", "{inst}"],
+    "adversary": ["adversary", "--target", "greedy1", "--alpha", "1/2"],
+    "oracle": ["oracle", "--op", "rand-alpha", "--n", "2", "--delta", "1/2"],
+    "montecarlo": ["montecarlo", "--n", "2", "--delta", "1/2", "--instance", "{inst}",
+                   "--trials", "1", "--seed", "0"],
+    "campaign": ["campaign", "--config", "{config}"],
+}
 
-    def test_values_past_the_float_range_read_inf(self, tmp_path):
-        out = tmp_path / "grid.csv"
-        argv = ["potential-grid", "--n", "2", "--a-max", "1e400", "--resolution", "2",
-                "--out", str(out)]
-        assert main(argv) == 0
-        with open(out, encoding="utf-8", newline="") as fh:
-            assert len(fh.read().splitlines()) == 5
-            fh.seek(0)
-            rows = list(csv.DictReader(fh))
-        big = [row for row in rows if row["a"] == str(10**400)]
-        assert len(big) == 2 and all(row["a_float"] == "inf" for row in big)
-        assert all(row["a_float"] == "0.02" for row in rows if row not in big)
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+@pytest.mark.parametrize(
+    "where, reason",
+    [
+        ("out", "[Errno 21] Is a directory"),
+        ("missing/out.json", "[Errno 2] No such file or directory"),
+    ],
+    ids=["directory", "missing-parent"],
+)
+def test_an_unwritable_out_exits_one_with_one_line(
+    command, where, reason, inst_file, alloc_file, tmp_path, capsys
+):
+    config = tmp_path / "config.json"
+    config.write_text('{"rows": [{"construction": "greedy1", "alpha": "1/2"}]}', encoding="utf-8")
+    (tmp_path / "out").mkdir()
+    out = tmp_path / where
+    files = {"inst": inst_file, "alloc": alloc_file, "config": config}
+    argv = [arg.format(**files) for arg in OUT_COMMANDS[command]]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"fairdiv: error: cannot write {out}: {reason}: '{out}'\n")
 
 
 class TestExitCodes:
@@ -745,8 +757,8 @@ class TestExitCodes:
         def boom(args):
             raise InvariantError("potential increased")
 
-        monkeypatch.setitem(cli_module._COMMANDS, "potential-grid", boom)
-        assert main(["potential-grid", "--n", "2", "--out", "/dev/null"]) == 2
+        monkeypatch.setitem(cli_module._COMMANDS, "campaign", boom)
+        assert main(["campaign", "--config", "rows.json", "--out", "/dev/null"]) == 2
         assert "invariant breach" in capsys.readouterr().err
 
     def test_bad_seed_rejected(self, inst_file):

@@ -131,7 +131,7 @@ def invocations(draw, command=None):
     n, m, inst_text = draw(instances())
     inst = file("inst", inst_text)
     command = command or draw(st.sampled_from(
-        ["metrics", "run", "adversary", "oracle", "montecarlo", "campaign", "potential-grid"]
+        ["metrics", "run", "adversary", "oracle", "montecarlo", "campaign"]
     ))
     if command == "metrics":
         owners = st.lists(st.integers(1, n), min_size=m, max_size=m)
@@ -160,12 +160,8 @@ def invocations(draw, command=None):
         argv = [f"--n={draw(st.sampled_from([n, n, n, 0, 1]))}", f"--delta={draw(rationals)}",
                 "--instance", inst, f"--trials={draw(st.integers(0, 20))}",
                 f"--seed={draw(st.integers(0, 99))}"]
-    elif command == "campaign":
-        argv = ["--config", file("config", draw(campaigns()))]
     else:
-        argv = [f"--n={draw(small_ints)}", *opt("--a-min", rationals), *opt("--a-max", rationals),
-                *opt("--ya-min", rationals), *opt("--ya-max", rationals),
-                *opt("--resolution", small_ints)]
+        argv = ["--config", file("config", draw(campaigns()))]
     return [command, *argv, "--out", "{out}"], files
 
 
@@ -218,8 +214,6 @@ GRAMMAR = {
     "montecarlo": {"required": ("--n", "--delta", "--instance", "--trials", "--seed"),
                    "rational": ("--delta",), "integer": ("--n", "--trials", "--seed")},
     "campaign": {"required": ("--config", "--out")},
-    "potential-grid": {"required": ("--n", "--out"), "integer": ("--n", "--resolution"),
-                       "rational": ("--a-min", "--a-max", "--ya-min", "--ya-max")},
 }
 BAD = {"rational": ["1/0", "x", "1//2", ""], "integer": ["two", "1.5", "1/2", ""],
        "choice": ["nope"]}

@@ -71,7 +71,6 @@ CASES = {
                                 "{small_alloc}", "--check", "prop1,ef1,propx,mms",
                                 "--alpha", "1/2"],
     "best-alloc-n3": ["oracle", "--op", "best-alloc", "--instance", "{best}"],
-    "potential-grid-n2": ["potential-grid", "--n", "2", "--resolution", "5"],
 }
 
 GOLDEN = {
@@ -85,7 +84,6 @@ GOLDEN = {
     "metrics-edge": "c84f7c305ed1a40a767487b73eda0e183286e331b7c69ddda905df313bfec536",
     "metrics-small": "a3667fe0134fd70483be969e60a1cd523833e91f5c8f5a548c34ac8c016793ef",
     "metrics-small-mms-alpha": "0e57a325fcdca7a2da5ede3fe7a4a2cdb90ca8f206f7bd3f510bf2ae3c3c2df6",
-    "potential-grid-n2": "359cfca8ef9ff030b081bb58e10f467e84b66a5c568d66bd7cf150f058551d9a",
     "run-small-greedy1": "4305c1d30265e18c9447f5ae8163c3b8c11600bcf71ab1834d18fa3c3b1293b4",
     "run-small-greedy2": "216820d3c69ffcae19f403329a1851101a6776cbf89ed0a136e23e66ed127885",
     "run-small-greedy3": "5f37d06f507a35f14057f591f872540eba602a9d0b095e6d686f005360e5643c",

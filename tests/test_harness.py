@@ -18,7 +18,6 @@ from fairdiv import (
     campaign,
     instance_from_rows,
     montecarlo_rand,
-    potential_grid,
     rand_alpha_bound,
     run,
 )
@@ -28,7 +27,6 @@ from fairdiv.harness import (
     _owner_draw,
     campaign_csv,
     derive_trial_seed,
-    potential_grid_csv,
 )
 
 F = Fraction
@@ -341,38 +339,3 @@ class TestCampaign:
         kept = {"construction": "greedy1", "allocator": "greedy1", "n": "2", "alpha": "1/4",
                 "notion": "", "repetition": "0", "assertions_passed": "false"}
         assert row == {column: kept.get(column, "") for column in CAMPAIGN_COLUMNS}
-
-
-class TestPotentialGrid:
-    def test_reference_cell_matches_the_starting_potential(self):
-        (cell,) = potential_grid(2, (F(1), F(1)), (F(0), F(0)), 1)
-        assert cell.phi == F(1, 6)
-        # summing one term per agent reproduces the starting total 1/(n+1)
-        assert 2 * cell.phi == F(1, 3)
-
-    def test_pole_cells_are_flagged(self):
-        # at ya = 0 the denominator vanishes when a = 1/(n^2+n+1)
-        (cell,) = potential_grid(2, (F(1, 7), F(1, 7)), (F(0), F(0)), 1)
-        assert cell.phi is None
-
-    def test_monotone_decreasing_along_the_product_axis(self):
-        by_a = {}
-        for cell in potential_grid(2, (F(1, 4), F(1)), (F(0), F(2)), 12):
-            by_a.setdefault(cell.a, []).append(cell)
-        for cells in by_a.values():
-            values = [c.phi for c in cells if c.phi is not None]
-            assert all(b <= a for a, b in zip(values, values[1:]))
-
-    def test_csv_export(self):
-        cells = potential_grid(2, (F(1, 10), F(1)), (F(0), F(1)), 4)
-        lines = potential_grid_csv(cells).strip().splitlines()
-        assert len(lines) == 1 + 16
-        assert lines[0].startswith("a,a_float,ya_product")
-
-    def test_range_validation(self):
-        with pytest.raises(DomainError):
-            potential_grid(2, (F(0), F(1)), (F(0), F(1)), 3)
-        with pytest.raises(DomainError):
-            potential_grid(2, (F(1), F(1, 2)), (F(0), F(1)), 3)
-        with pytest.raises(DomainError):
-            potential_grid(2, (F(1, 2), F(1)), (F(0), F(1)), 0)

@@ -15,8 +15,9 @@ A second check forbids ``global`` statements in ``src/fairdiv``: many
 leak from one call into the next.  A third keeps ``OnlineAllocator.observe``
 the only per-good path in ``algorithms.py``, a fourth keeps the integer
 form of the rows (``lcm``) inside ``core.py``, a fifth keeps ``str()``
-off the numbers ``cli.py`` writes, and a sixth lets only ``core._reading``
-and ``cli._write`` open a file.
+off the numbers ``cli.py`` writes, a sixth lets only ``core._reading``
+and ``cli._write`` open a file, and a seventh fails on a CLI flag that no
+command reads.
 """
 
 import ast
@@ -161,3 +162,24 @@ def test_cli_writes_numbers_through_format_rational():
                  and node.args[0].id in caught)
     ]
     assert not found, "str() on a value in cli.py: " + ", ".join(found)
+
+
+def test_every_cli_flag_is_read():
+    """Each ``add_argument`` in ``cli.py`` has its dest read as ``args.<dest>``,
+    so an option that no command uses cannot stay in the parser."""
+    tree = ast.parse((ROOT / "src" / "fairdiv" / "cli.py").read_text(encoding="utf-8"))
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+    flags = [
+        (next((k.value.value for k in node.keywords if k.arg == "dest"), None)
+         or node.args[0].value.lstrip("-").replace("-", "_"), node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+    ]
+    assert flags, "no add_argument call found in cli.py"
+    unread = [f"cli.py:{line} ({dest})" for dest, line in flags if dest not in read]
+    assert not unread, "flags never read as args.<dest>: " + ", ".join(unread)
