@@ -313,6 +313,8 @@ class RobustifiedAllocator(OnlineAllocator):
         self.potential_log = inner.potential_log
         self.predictions = predictions
         self._threshold = 1 - predictions.epsilon
+        # v / 1 is v: only the agents predicted other than 1 are divided
+        self._divided = [i for i, p in enumerate(predictions.p) if p != 1]
         self._overridden = [False] * inner.n
         self.override_log: list[OverrideEvent] = []
 
@@ -329,7 +331,9 @@ class RobustifiedAllocator(OnlineAllocator):
         return col
 
     def _choose(self, col: list[Fraction]) -> int:
-        norm = [col[i] / self.predictions.p[i] for i in range(self.n)]
+        norm = list(col)
+        for i in self._divided:
+            norm[i] /= self.predictions.p[i]
         for i in range(self.n):
             if not self._overridden[i] and norm[i] >= self._threshold:
                 self._overridden[i] = True

@@ -35,6 +35,8 @@ from .errors import DomainError, FairdivError, InvariantError
 
 USAGE_EXIT = 1
 INVARIANT_EXIT = 2
+#: The names ``metrics --check`` takes, comma-separated.
+CHECKS = ("prop1", "ef1", "propx", "mms")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,7 +52,10 @@ def _rational(text: str) -> Fraction:
 
 
 def _seed(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
     return value
@@ -131,9 +136,11 @@ def build_parser() -> _Parser:
 
 def _cmd_metrics(args) -> int:
     checks = {c.strip() for c in args.check.split(",")} - {""}
-    unknown = checks - {"prop1", "ef1", "propx", "mms"}
+    unknown = checks - set(CHECKS)
     if unknown:
         raise DomainError(f"unknown checks: {sorted(unknown)}")
+    if not checks:
+        raise DomainError(f"--check names no check; choose from {', '.join(CHECKS)}")
     # without --alpha the exact notions are checked
     alpha = Fraction(1) if args.alpha is None else args.alpha
     inst = load_instance(args.instance)

@@ -6,6 +6,11 @@ All valuation arithmetic in this package is exact: values are
 compares exactly against any Fraction, and no arithmetic is ever performed
 on it).  Agents are indexed 1..n and goods 1..m in arrival order, both in
 files and in every public structure.
+
+Files go through one reader (``_reading``) and one writer (``_dumps``).
+``load_instance`` parses each distinct string literal once per file.
+``_dumps`` writes the bytes ``json.dumps(indent=2, sort_keys=True)`` would,
+without json's pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence, Union
 
 from .errors import DomainError, FairdivError, ParseError
@@ -220,8 +226,56 @@ def check_predictions(inst: Instance, pred: Predictions) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _encode(value, indent: str, out: list[str]) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(indent=2, sort_keys=True)``
+    writes it at ``indent``.
+
+    That call runs on json's pure-Python encoder, because of ``indent``.
+    Dicts (str keys, sorted), lists, tuples, str, int, bool and None are
+    written here; any other value as ``json.dumps(value)`` writes it.  All
+    pieces go to one list, joined once, so no level copies the one below.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict) and value:
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for k in sorted(value):
+            out.append(f"{sep}{encode_basestring_ascii(k)}: ")
+            _encode(value[k], inner, out)
+            sep = ",\n" + inner
+        out.append(f"\n{indent}}}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = indent + "  "
+        if all(type(v) is str for v in value):  # a row of rationals: one piece
+            out += (f"[\n{inner}", f",\n{inner}".join(map(encode_basestring_ascii, value)), f"\n{indent}]")
+            return
+        sep = "[\n" + inner
+        for v in value:
+            out.append(sep)
+            _encode(v, inner, out)
+            sep = ",\n" + inner
+        out.append(f"\n{indent}]")
+    elif isinstance(value, (dict, list, tuple)):
+        out.append("{}" if isinstance(value, dict) else "[]")
+    else:
+        out.append(json.dumps(value))
+
+
 def _dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The one writer: ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline."""
+    out: list[str] = []
+    _encode(payload, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _exact_int(text: str) -> Fraction:
@@ -264,8 +318,19 @@ def load_instance(path: str) -> Instance:
     with _reading(path, "values") as data:
         if not all(isinstance(r, list) for r in data["values"]):
             raise ParseError("'values' must be a list of rows")
+        # each distinct string literal is parsed once; a repeat reuses its Fraction.
+        # Only str cells are kept: True == Fraction(1), and the two hash alike.
+        literals: dict[str, Fraction] = {}
+
+        def cell(c) -> Fraction:
+            if not isinstance(c, str):
+                return parse_rational(c)
+            if c not in literals:
+                literals[c] = parse_rational(c)
+            return literals[c]
+
         # Instance checks each cell's type and sign
-        inst = Instance(tuple(tuple(parse_rational(c) for c in row) for row in data["values"]))
+        inst = Instance(tuple(tuple(cell(c) for c in row) for row in data["values"]))
         if "n" in data and _as_int(data["n"], "n") != inst.n:
             raise ParseError(f"declared n={data['n']} but {inst.n} rows present")
         if "m" in data and _as_int(data["m"], "m") != inst.m:

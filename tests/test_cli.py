@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fairdiv import harness
+from fairdiv import cli, harness
 from fairdiv.cli import main
 from fairdiv.errors import DomainError, InvariantError
 
@@ -88,6 +88,11 @@ class TestMetricsCommand:
             ([["-1"]], "negative valuation -1"),
             ([["1", "2"], ["1"]], "ragged valuation matrix"),
             ([["1"]], "an instance needs at least 2 agents"),
+            ([[1, True], [1, 1]], "not a rational literal: True"),
+            ([["1", True], ["1", "1"]], "not a rational literal: True"),  # "1" parsed first
+            # a repeated bad literal: the first bad cell in file order is reported
+            ([["1", "x"], ["1/0", "x"]], "bad rational literal 'x': Invalid literal for Fraction: 'x'"),
+            ([["1/0", "x"], ["x", "1/0"]], "bad rational literal '1/0': Fraction(1, 0)"),
         ],
     )
     def test_bad_instance_file_is_a_domain_error(self, values, message, tmp_path, alloc_file, capsys):
@@ -108,6 +113,14 @@ class TestMetricsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "fairdiv: error: unknown checks: ['bogus']\n"
+
+    @pytest.mark.parametrize("names", [",", "", " , "])
+    def test_an_empty_check_list_exits_one_with_one_line(self, names, inst_file, alloc_file, capsys):
+        argv = ["metrics", "--instance", inst_file, "--allocation", alloc_file]
+        assert main([*argv, f"--check={names}"]) == 1
+        assert capsys.readouterr() == (
+            "", "fairdiv: error: --check names no check; choose from prop1, ef1, propx, mms\n"
+        )
 
 
 @pytest.mark.parametrize(
@@ -768,3 +781,56 @@ class TestExitCodes:
             )
             == 1
         )
+
+    @pytest.mark.parametrize("command", ["run", "montecarlo"])
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            ("x", "seed must be an integer, got 'x'"),
+            ("1.5", "seed must be an integer, got '1.5'"),
+            ("-1", "seed must fit in an unsigned 64-bit integer"),
+        ],
+    )
+    def test_a_bad_seed_exits_one_with_a_plain_message(self, command, seed, message, inst_file, capsys):
+        argv = {
+            "run": ["run", "--algo", "rand", "--instance", inst_file],
+            "montecarlo": ["montecarlo", "--n", "2", "--delta", "1/2", "--instance", inst_file,
+                           "--trials", "1"],
+        }[command]
+        assert main([*argv, f"--seed={seed}"]) == 1
+        assert capsys.readouterr() == ("", f"fairdiv: error: argument --seed: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--algo", "miv", "--instance", "{inst}"],  # with phi_total
+        ["run", "--algo", "greedy3", "--instance", "{inst}"],
+        ["run", "--algo", "miv", "--epsilon", "1/4", "--instance", "{inst}"],
+        ["metrics", "--instance", "{inst}", "--allocation", "{alloc}", "--check", "prop1,ef1,propx,mms"],
+        ["metrics", "--instance", "{inst}", "--allocation", "{alloc}", "--check", "prop1,ef1,propx,mms",
+         "--alpha", "1"],
+        ["adversary", "--target", "greedy1", "--alpha", "1/10"],
+        ["oracle", "--op", "moments", "--instance", "{inst}", "--agent", "1", "--alpha", "1/2"],
+        ["oracle", "--op", "best-alloc", "--instance", "{inst}"],
+        ["montecarlo", "--n", "2", "--delta", "1/2", "--instance", "{inst}", "--trials", "5",
+         "--seed", "3"],
+    ],
+    ids=["run-miv", "run-greedy3", "run-miv-robust", "metrics", "metrics-alpha", "adversary",
+         "oracle-moments", "oracle-best-alloc", "montecarlo"],
+)
+def test_each_payload_is_written_as_json_dumps_writes_it(argv, inst_file, tmp_path, monkeypatch, capsys):
+    # an allocation that fails every check, so each witness is an object
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text('{"owner": [1, 1, 1]}', encoding="utf-8")
+    payloads = []
+
+    def keep(payload):
+        payloads.append(payload)
+        return cli_dumps(payload)
+
+    cli_dumps = cli._dumps
+    monkeypatch.setattr(cli, "_dumps", keep)
+    assert main([arg.format(inst=inst_file, alloc=alloc) for arg in argv]) == 0
+    (payload,) = payloads
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -19,7 +19,7 @@ from fairdiv import (
     load_instance,
     parse_rational,
 )
-from fairdiv.core import _exact_int, instance_to_json
+from fairdiv.core import _dumps, _exact_int, instance_to_json
 
 F = Fraction
 
@@ -113,6 +113,13 @@ class TestInstanceFiles:
         first.write_text(instance_to_json(inst), encoding="utf-8")
         second.write_text(instance_to_json(load_instance(str(first))), encoding="utf-8")
         assert first.read_bytes() == second.read_bytes()
+
+    def test_equal_literals_load_as_equal_values(self, tmp_path):
+        path = write(tmp_path / "i.json", '{"values": [["1/2", 0.5, "2/4", "1/2"], ["1", 1, "1", "1"]]}')
+        inst = load_instance(path)
+        assert inst.values == ((F(1, 2),) * 4, (F(1),) * 4)
+        assert inst.values[0][3] is inst.values[0][0]  # a repeated literal is parsed once
+        assert inst.values[1][2] is inst.values[1][0]
 
     def test_canonical_form_uses_lowest_terms(self):
         inst = instance_from_rows([[F(2, 4)], [F(1)]])
@@ -225,3 +232,46 @@ def test_instance_is_immutable():
     inst = instance_from_rows([[F(1)], [F(1)]])
     with pytest.raises(Exception):
         inst.values = ()
+
+
+#: Strings with every character class json escapes: quotes, backslashes,
+#: control characters, non-ASCII (astral included) and the line separators.
+json_strings = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029\U0001f600')), max_size=8
+)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**100), max_value=2**100),
+    st.floats(),  # written by the fallback
+    json_strings,
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(json_strings, children, max_size=5),
+    ),
+    max_leaves=15,
+)
+
+
+class TestWriter:
+    """``_dumps`` against the json call whose bytes it keeps."""
+
+    @given(st.dictionaries(json_strings, json_values, max_size=3))
+    def test_writes_what_json_dumps_writes(self, payload):
+        assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{}, {"a": {}}, {"a": []}, {"a": [[], {}, ()]}, {"a": [True, False, None, 1]}, {"a": [{"b": [[]]}]}],
+    )
+    def test_empty_and_nested_empty_containers(self, payload):
+        assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_a_value_json_cannot_write_is_refused_as_json_refuses_it(self):
+        with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+            _dumps({"a": [F(1, 2)]})
