@@ -7,10 +7,12 @@ compares exactly against any Fraction, and no arithmetic is ever performed
 on it).  Agents are indexed 1..n and goods 1..m in arrival order, both in
 files and in every public structure.
 
-Files go through one reader (``_reading``) and one writer (``_dumps``).
-``load_instance`` parses each distinct string literal once per file.
-``_dumps`` writes the bytes ``json.dumps(indent=2, sort_keys=True)`` would,
-without json's pure-Python encoder.
+Files go through one reader (``_reading``, which reads JSON integers as
+ints) and one writer (``_dumps``).  ``load_instance`` parses each distinct
+string literal of a file once, into a reduced integer pair (p, q); the
+instance builds its ``values`` and ``scaled`` views from those pairs when
+first read.  ``_dumps`` writes the bytes ``json.dumps(indent=2,
+sort_keys=True)`` would, without json's pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -46,32 +48,45 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     """Parse an exact rational from ``"p/q"``, integer, or decimal literal.
 
     Decimal literals are converted exactly ("0.25" becomes 1/4); floats are
-    never involved.  A Fraction (as JSON numbers load) passes through.
-    ``p`` and ``p/q`` in ASCII digits alone skip ``Fraction``'s literal
-    parser; it reads every other string, so signs, spaces, exponents and
-    bad literals behave as it decides.  One exception: text whose last
-    ``e``/``E`` is followed by an integer of magnitude over 4300 (Python's
-    int-to-str digit limit) is refused first: ``Fraction`` builds 10**exponent.
-    A refused literal over 40 characters is quoted by its first 40 and its
-    length, and its reason up to the first colon, which may quote it again.
+    never involved.  An int or a Fraction (as JSON numbers load) passes
+    through as a Fraction.  A string is read by ``_literal_pair``.
     """
     if isinstance(text, str):
-        num, slash, den = text.partition("/")
-        try:
-            if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
-                return Fraction(int(num), int(den) if slash else 1)
-            if _exponent(text) > 4300:
-                raise ValueError("exponent magnitude over 4300")
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            if len(text) <= 40:
-                raise ParseError(f"bad rational literal {text!r}: {exc}") from None
-            reason = str(exc).partition(":")[0]
-            shown = f"{text[:40]!r}… ({len(text)} characters)"
-            raise ParseError(f"bad rational literal {shown}: {reason}") from None
+        return Fraction(*_literal_pair(text))
     if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return Fraction(text)
     raise ParseError(f"not a rational literal: {text!r}")
+
+
+def _literal_pair(text: str) -> tuple[int, int]:
+    """A string literal as (p, q) in lowest terms with q > 0.
+
+    ``p`` and ``p/q`` in ASCII digits alone skip ``Fraction``'s literal
+    parser; it reads every other string, so signs, spaces, exponents, zero
+    denominators and bad literals behave as it decides.  One exception:
+    text whose last ``e``/``E`` is followed by an integer of magnitude over
+    4300 (Python's int-to-str digit limit) is refused first: ``Fraction``
+    builds 10**exponent.  A refused literal over 40 characters is quoted by
+    its first 40 and its length, and its reason up to the first colon, which
+    may quote it again.
+    """
+    num, slash, den = text.partition("/")
+    try:
+        if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            p, q = int(num), int(den) if slash else 1
+            if q:
+                g = math.gcd(p, q)
+                return p // g, q // g
+        if _exponent(text) > 4300:
+            raise ValueError("exponent magnitude over 4300")
+        value = Fraction(text.strip())
+        return value.numerator, value.denominator
+    except (ValueError, ZeroDivisionError) as exc:
+        if len(text) <= 40:
+            raise ParseError(f"bad rational literal {text!r}: {exc}") from None
+        reason = str(exc).partition(":")[0]
+        shown = f"{text[:40]!r}… ({len(text)} characters)"
+        raise ParseError(f"bad rational literal {shown}: {reason}") from None
 
 
 _TOO_LONG = "rational too long to write: over Python's int-to-str digit limit"
@@ -98,46 +113,88 @@ def format_ratio(num: int, den: int) -> str:
         raise DomainError(_TOO_LONG) from None
 
 
-@dataclass(frozen=True)
 class Instance:
     """A full valuation matrix: ``values[i][t]`` is agent i+1's value for good t+1.
 
     Doubles as a non-adaptive adversary: feeding its columns in arrival order
     to an online allocator replays the committed input sequence.  Valuations
-    are additive, so any bundle's value is the sum of its entries; ``scaled``
-    holds the rows as integers, derived on first use and kept.
+    are additive, so any bundle's value is the sum of its entries.
+
+    Two views of the rows are built the first time something reads them,
+    then kept: ``values``, rows of Fractions, and ``scaled``, each row as
+    integers over one scale.  An instance built in code is given its values
+    and checks every cell.  ``load_instance`` gives one its rows of string
+    literals and each literal's reduced pair (p, q), checked already; then
+    ``values`` builds one Fraction per distinct literal, and ``scaled`` none.
+    Instances are immutable, and equal when their values are.
     """
 
-    values: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, values: tuple[tuple[Fraction, ...], ...]):
         # cells first, so a file's first bad cell is what ``load_instance`` reports
-        for row in self.values:
+        for row in values:
             for v in row:
                 if not isinstance(v, Fraction):
                     raise ParseError(f"non-exact valuation {v!r}")
                 if v.numerator < 0:
                     raise ParseError(f"negative valuation {v}")
-        if len(self.values) < 2:
+        self._keep(values, None)
+        self.__dict__["values"] = values
+
+    @classmethod
+    def _of_literals(cls, rows: list[list[str]], pairs: dict[str, tuple[int, int]]) -> Instance:
+        """The instance whose cells are ``rows``' literals, each worth ``pairs[literal]``."""
+        inst = cls.__new__(cls)
+        inst._keep(rows, pairs)
+        return inst
+
+    def _keep(self, rows: Sequence[Sequence], pairs: dict[str, tuple[int, int]] | None) -> None:
+        """Check the shape, after the cells, then keep the rows and the literals' pairs."""
+        if len(rows) < 2:
             raise DomainError("an instance needs at least 2 agents")
-        if any(len(row) != len(self.values[0]) for row in self.values):
+        if any(len(row) != len(rows[0]) for row in rows):
             raise ParseError("ragged valuation matrix")
+        self.__dict__.update(_rows=rows, _pairs=pairs)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: an Instance is immutable")
+
+    def __eq__(self, other) -> bool:
+        return self.values == other.values if isinstance(other, Instance) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.values)
+
+    def __repr__(self) -> str:
+        return f"Instance(values={self.values!r})"
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return len(self._rows)
 
     @property
     def m(self) -> int:
-        return len(self.values[0])
+        return len(self._rows[0])
+
+    @cached_property
+    def values(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows as Fractions, one per distinct literal (set at once when built in code)."""
+        shared = {c: Fraction(p, q) for c, (p, q) in self._pairs.items()}
+        return tuple(tuple(map(shared.__getitem__, row)) for row in self._rows)
 
     @cached_property
     def scaled(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """Per agent, (L, the row times L as integers), L the lcm of the row's denominators."""
         out = []
-        for row in self.values:
-            scale = math.lcm(*(v.denominator for v in row))
-            out.append((scale, tuple(v.numerator * (scale // v.denominator) for v in row)))
+        pairs = self._pairs
+        for row in self._rows:
+            if pairs is None:  # a row of Fractions
+                scale = math.lcm(*(v.denominator for v in row))
+                out.append((scale, tuple(v.numerator * (scale // v.denominator) for v in row)))
+            else:  # a row of literals: each distinct one weighed once
+                distinct = set(row)
+                scale = math.lcm(*{pairs[c][1] for c in distinct})
+                weight = {c: pairs[c][0] * (scale // pairs[c][1]) for c in distinct}
+                out.append((scale, tuple(map(weight.__getitem__, row))))
         return tuple(out)
 
     def columns(self) -> Iterable[tuple[Fraction, ...]]:
@@ -171,9 +228,9 @@ def check_allocation(inst: Instance, alloc: Allocation) -> None:
     """Raise unless ``alloc`` is a complete allocation of ``inst``'s goods."""
     if alloc.m != inst.m:
         raise DomainError(f"allocation covers {alloc.m} goods, instance has {inst.m}")
-    for o in alloc.owner:
-        if not 1 <= o <= inst.n:
-            raise DomainError(f"owner {o} out of range 1..{inst.n}")
+    if alloc.owner and not (1 <= min(alloc.owner) and max(alloc.owner) <= inst.n):
+        bad = next(o for o in alloc.owner if not 1 <= o <= inst.n)
+        raise DomainError(f"owner {bad} out of range 1..{inst.n}")
 
 
 @dataclass(frozen=True)
@@ -278,32 +335,32 @@ def _dumps(payload: dict) -> str:
     return "".join(out)
 
 
-def _exact_int(text: str) -> Fraction:
-    """A JSON integer as ``Fraction(text)`` reads it, without its string parser."""
-    return Fraction(int(text))
-
-
 def _as_int(value, what: str) -> int:
+    """``value`` if it is an int (JSON integers load as ints), or an integral
+    Fraction (as JSON decimals load) as an int; never a bool."""
     if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
+        return value.numerator
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
     raise ParseError(f"{what} must be an integer, got {value!r}")
 
 
 @contextmanager
 def _reading(path: str, key: str):
-    """Yield the JSON object at ``path`` (UTF-8, numbers exact) once it has a list
-    under ``key``; a ``FairdivError`` raised on its content comes out as its class,
-    naming the file.  The one place an input file is opened."""
+    """Yield the JSON object at ``path`` (UTF-8; integers as ints, decimals as
+    exact Fractions) once it has a list under ``key``; a ``FairdivError``
+    raised on its content comes out as its class, naming the file.  The one
+    place an input file is opened."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_float=parse_rational, parse_int=_exact_int)
+            data = json.load(fh, parse_float=parse_rational)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from None
     except ParseError as exc:  # a JSON number ``parse_rational`` refuses
         raise ParseError(f"{path}: {exc}") from None
-    except ValueError:  # ``parse_int`` past Python's int-to-str digit limit
+    except ValueError:  # an integer literal past Python's int-to-str digit limit
         raise ParseError(f"{path}: an integer past Python's int-to-str digit limit") from None
     if not isinstance(data, dict) or not isinstance(data.get(key), list):
         raise ParseError(f"{path}: expected an object with a list under {key!r}")
@@ -314,28 +371,56 @@ def _reading(path: str, key: str):
 
 
 def load_instance(path: str) -> Instance:
-    """Load an instance file: ``{"n": 2, "m": 3, "values": [["1","1/2","0.25"], ...]}``."""
+    """Load an instance file: ``{"n": 2, "m": 3, "values": [["1","1/2","0.25"], ...]}``.
+
+    When every cell is a string (the canonical form), each distinct literal
+    is parsed once into its reduced pair (p, q), and the instance keeps the
+    rows as literals.  Any other file, or one whose literals do not all
+    parse to values >= 0, is read cell by cell in file order, so its first
+    bad cell is the one reported.
+    """
     with _reading(path, "values") as data:
-        if not all(isinstance(r, list) for r in data["values"]):
+        rows = data["values"]
+        if not all(isinstance(r, list) for r in rows):
             raise ParseError("'values' must be a list of rows")
-        # each distinct string literal is parsed once; a repeat reuses its Fraction.
-        # Only str cells are kept: True == Fraction(1), and the two hash alike.
-        literals: dict[str, Fraction] = {}
+        inst = _literal_instance(rows)
+        if inst is None:
+            # each distinct string literal is parsed once; a repeat reuses its Fraction.
+            # Only str cells are kept: True == Fraction(1), and the two hash alike.
+            literals: dict[str, Fraction] = {}
 
-        def cell(c) -> Fraction:
-            if not isinstance(c, str):
-                return parse_rational(c)
-            if c not in literals:
-                literals[c] = parse_rational(c)
-            return literals[c]
+            def cell(c) -> Fraction:
+                if not isinstance(c, str):
+                    return parse_rational(c)
+                if c not in literals:
+                    literals[c] = parse_rational(c)
+                return literals[c]
 
-        # Instance checks each cell's type and sign
-        inst = Instance(tuple(tuple(cell(c) for c in row) for row in data["values"]))
+            # Instance checks each cell's type and sign
+            inst = Instance(tuple(tuple(cell(c) for c in row) for row in rows))
         if "n" in data and _as_int(data["n"], "n") != inst.n:
             raise ParseError(f"declared n={data['n']} but {inst.n} rows present")
         if "m" in data and _as_int(data["m"], "m") != inst.m:
             raise ParseError(f"declared m={data['m']} but rows have {inst.m} columns")
         return inst
+
+
+def _literal_instance(rows: list[list]) -> Instance | None:
+    """The instance of ``rows`` if every cell is a string literal of a value
+    >= 0, else None."""
+    try:
+        literals = set().union(*rows)
+    except TypeError:  # an unhashable cell
+        return None
+    if not all(type(c) is str for c in literals):
+        return None
+    try:
+        pairs = {c: _literal_pair(c) for c in literals}
+    except ParseError:
+        return None
+    if any(p < 0 for p, _ in pairs.values()):
+        return None
+    return Instance._of_literals(rows, pairs)
 
 
 def instance_to_json(inst: Instance) -> str:
@@ -351,7 +436,10 @@ def instance_to_json(inst: Instance) -> str:
 def load_allocation(path: str) -> Allocation:
     """Load an allocation file: ``{"owner": [1, 2, 1]}``."""
     with _reading(path, "owner") as data:
-        return Allocation(tuple(_as_int(o, "owner entry") for o in data["owner"]))
+        owner = data["owner"]
+        if set(map(type, owner)) <= {int}:
+            return Allocation(tuple(owner))
+        return Allocation(tuple(_as_int(o, "owner entry") for o in owner))
 
 
 def load_predictions(path: str) -> Predictions:

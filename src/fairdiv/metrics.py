@@ -11,8 +11,12 @@ definition.  Conventions shared by all checks:
   notions are monotone in the witness value, so the extreme good decides.
 
 The checks read each agent's row scaled to integers (``Instance.scaled``), so
-bundles sum without Fractions; ``Prop1State``, the online running state of
-allocators and traces, keeps integers too, scaled per agent as goods arrive.
+bundles sum without Fractions.  Their ownership pass (each agent's bundle
+weight, best outside weight and witness) runs once per (instance,
+allocation) pair and is kept on the allocation, so ``prop1_ratio`` and the
+``check_alpha_*`` checks of one report share it; each check still validates
+its own alpha.  ``Prop1State``, the online running state of allocators and
+traces, keeps integers too, scaled per agent as goods arrive.
 """
 
 from __future__ import annotations
@@ -116,24 +120,34 @@ def _check_alpha(alpha: Fraction) -> None:
         raise DomainError(f"alpha {alpha} outside [0, 1]")
 
 
-def _scaled_agents(inst: Instance, alloc: Allocation, alpha: Fraction | None = None) -> list[tuple]:
+def _scaled_agents(inst: Instance, alloc: Allocation, alpha: Fraction | None = None) -> tuple[tuple, ...]:
     """Per agent, after validating ``alloc`` and then ``alpha`` (when given):
     (L, weights, bundle weight, best outside weight, that good's earliest
     0-based index or None if the agent holds every good).  The first outside
-    good is the witness even if worth 0."""
-    check_allocation(inst, alloc)
+    good is the witness even if worth 0.
+
+    This ownership pass and the allocation check run once per (instance,
+    allocation) pair: the result is kept on ``alloc`` with the instance it
+    was made for, so the checks of one ``metrics`` run share it, and another
+    instance, even an equal one, gets a pass of its own.
+    """
+    kept = alloc.__dict__.get("_ownership")
+    if kept is None or kept[0] is not inst:
+        check_allocation(inst, alloc)
+        agents = []
+        for i, (scale, weights) in enumerate(inst.scaled):
+            held, best, witness = 0, 0, None
+            for t, (w, owner) in enumerate(zip(weights, alloc.owner)):
+                if owner == i + 1:
+                    held += w
+                elif witness is None or w > best:
+                    best, witness = w, t
+            agents.append((scale, weights, held, best, witness))
+        # ``Allocation`` is frozen: kept the way ``cached_property`` keeps a value
+        kept = alloc.__dict__["_ownership"] = (inst, tuple(agents))
     if alpha is not None:
         _check_alpha(alpha)
-    agents = []
-    for i, (scale, weights) in enumerate(inst.scaled):
-        held, best, witness = 0, 0, None
-        for t, (w, owner) in enumerate(zip(weights, alloc.owner)):
-            if owner == i + 1:
-                held += w
-            elif witness is None or w > best:
-                best, witness = w, t
-        agents.append((scale, weights, held, best, witness))
-    return agents
+    return kept[1]
 
 
 def prop1_ratio(inst: Instance, alloc: Allocation) -> Fraction:

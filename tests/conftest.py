@@ -1,8 +1,9 @@
 """Shared helpers for the test suite, the definition-level references
-(``alpha_it``, ``bundle_value``, ``mms_labeled_reference`` and the
-``Fraction`` allocators ``REF_ALLOCATORS``) that the fast library paths are
-checked against, and the paper's formulas that only tests use
-(``robust_beta``, ``running_values``)."""
+(``alpha_it``, ``bundle_value``, ``mms_labeled_reference``,
+``load_instance_reference`` and the ``Fraction`` allocators
+``REF_ALLOCATORS``) that the fast library paths are checked against, and
+the paper's formulas that only tests use (``robust_beta``,
+``running_values``)."""
 
 from __future__ import annotations
 
@@ -16,9 +17,12 @@ from fairdiv import (
     DomainError,
     Instance,
     InvariantError,
+    ParseError,
     PredictionContractError,
     instance_from_rows,
+    parse_rational,
 )
+from fairdiv.core import _as_int, _reading
 
 
 def robust_beta(alpha: Fraction, epsilon: Fraction, n: int) -> Fraction:
@@ -48,6 +52,21 @@ def random_instance(
             row[rng.randrange(m)] = Fraction(1)
         rows.append(row)
     return instance_from_rows(rows)
+
+
+def load_instance_reference(path: str) -> Instance:
+    """``load_instance`` by definition: every cell through ``parse_rational``
+    in file order, then ``Instance``'s checks of each cell and of the shape,
+    then the declared n and m."""
+    with _reading(path, "values") as data:
+        if not all(isinstance(r, list) for r in data["values"]):
+            raise ParseError("'values' must be a list of rows")
+        inst = Instance(tuple(tuple(parse_rational(c) for c in row) for row in data["values"]))
+        if "n" in data and _as_int(data["n"], "n") != inst.n:
+            raise ParseError(f"declared n={data['n']} but {inst.n} rows present")
+        if "m" in data and _as_int(data["m"], "m") != inst.m:
+            raise ParseError(f"declared m={data['m']} but rows have {inst.m} columns")
+        return inst
 
 
 def all_allocations(n: int, m: int):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fairdiv import cli, harness
+from fairdiv import cli, harness, metrics
 from fairdiv.cli import main
 from fairdiv.errors import DomainError, InvariantError
 
@@ -36,6 +36,21 @@ def read_json(path):
 
 
 class TestMetricsCommand:
+    def test_all_four_checks_share_one_ownership_pass(self, inst_file, alloc_file, tmp_path, monkeypatch):
+        calls, check = [], metrics.check_allocation
+
+        def counting(inst, alloc):
+            calls.append(alloc)
+            return check(inst, alloc)
+
+        monkeypatch.setattr(metrics, "check_allocation", counting)
+        out = tmp_path / "report.json"
+        argv = ["metrics", "--instance", inst_file, "--allocation", alloc_file,
+                "--check", "prop1,ef1,propx,mms", "--out", str(out)]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert set(read_json(out)) == {"alpha", "prop1", "ef1", "propx", "mms"}
+
     def test_full_report(self, inst_file, alloc_file, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(
@@ -693,8 +708,17 @@ class TestCampaignCommand:
              "choose from ('greedy1', 'greedy2', 'greedy3', 'miv-impossibility')"),
             ({"construction": {}, "alpha": "1/2"}, "unknown construction {}; "
              "choose from ('greedy1', 'greedy2', 'greedy3', 'miv-impossibility')"),
+            ({"construction": 5, "alpha": "1/2"}, "unknown construction 5; "
+             "choose from ('greedy1', 'greedy2', 'greedy3', 'miv-impossibility')"),
+            ({"construction": "miv-impossibility", "alpha": "1/2", "allocator": 5},
+             "unknown allocator 5; choose from greedy1, greedy2, greedy3, rand, miv"),
+            ({"construction": "miv-impossibility", "alpha": "1/2", "notion": 5},
+             "unknown fairness notion 5; choose from ('ef1', 'mms', 'propx')"),
+            ({"construction": "greedy1", "alpha": "1/2", "notion": 5},
+             "greedy1 reports no fairness notion, got 5"),
         ],
-        ids=["no-construction", "unknown-keys", "construction-list", "construction-object"],
+        ids=["no-construction", "unknown-keys", "construction-list", "construction-object",
+             "construction-int", "allocator-int", "notion-int", "notion-on-greedy1"],
     )
     def test_a_row_error_names_the_file(self, row, message, tmp_path, capsys):
         path, out = tmp_path / "config.json", tmp_path / "rows.csv"

@@ -4,12 +4,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairdiv import (
     Allocation,
     DomainError,
+    FairdivError,
     ParseError,
     Predictions,
     check_predictions,
@@ -17,9 +18,12 @@ from fairdiv import (
     instance_from_rows,
     load_allocation,
     load_instance,
+    make_allocator,
     parse_rational,
+    run,
 )
-from fairdiv.core import _dumps, _exact_int, instance_to_json
+from fairdiv.core import _dumps, _reading, check_allocation, instance_to_json
+from conftest import load_instance_reference
 
 F = Fraction
 
@@ -127,6 +131,101 @@ class TestInstanceFiles:
         assert payload["values"][0][0] == "1/2"
 
 
+#: String cells: the first 14 are literals of values >= 0, canonical or not, then
+#: refused ones; some are over 40 characters.
+LITERALS = ("1", "0", "1/2", "3/7", "2/4", "007", "1/02", "0/7", "0.25", "1e-3", "+1/2", " 1/2",
+            "-0", "1/" + "3" * 44, "-1/2", "1/0", "x", "1" * 45 + "x", "x" * 45, "9" * 41 + "/0")
+#: Any other JSON cell: integers, floats (read through their text), true, null and a list.
+OTHER_CELLS = st.one_of(st.integers(-2, 10**45), st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([True, False, None, [1]]))
+
+
+@st.composite
+def instance_payloads(draw):
+    """An instance file's object: rows drawn from a pool of at most four cells
+    (literals of values >= 0, refused literals, any strings, or any cells),
+    sometimes ragged, sometimes declaring n and m."""
+    cell = draw(st.sampled_from([st.sampled_from(LITERALS[:14]), st.sampled_from(LITERALS[14:]),
+                                 st.sampled_from(LITERALS),
+                                 st.one_of(st.sampled_from(LITERALS), OTHER_CELLS)]))
+    pool = draw(st.lists(cell, min_size=1, max_size=4))
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows = [[draw(st.sampled_from(pool)) for _ in range(m)] for _ in range(n)]
+    if rows and draw(st.integers(0, 3)) == 0:
+        row = rows[draw(st.integers(0, n - 1))]
+        if row and draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(st.sampled_from(pool)))
+    payload = {"values": rows}
+    for key, size in (("n", n), ("m", m)):
+        if draw(st.booleans()):
+            payload[key] = draw(st.sampled_from([size, size + 1]))
+    return payload
+
+
+def outcome(load, path):
+    """What ``load`` makes of ``path``: an Instance, or the error's class and text."""
+    try:
+        return load(path)
+    except FairdivError as exc:
+        return type(exc), str(exc)
+
+
+class TestLoaderDifferential:
+    """``load_instance`` against ``load_instance_reference``, which reads each
+    cell through ``parse_rational`` and builds the ``Instance`` in code."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(payload=instance_payloads())
+    def test_matches_the_definition(self, payload, tmp_path_factory):
+        path = write(tmp_path_factory.getbasetemp() / "differential.json", json.dumps(payload))
+        got, want = outcome(load_instance, path), outcome(load_instance_reference, path)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert (got.n, got.m) == (want.n, want.m)
+        assert got.scaled == want.scaled
+        assert got.values == want.values
+        assert got == want == instance_from_rows(want.values)
+        assert hash(got) == hash(want) and repr(got) == repr(want)
+        assert all(type(v) is Fraction for row in got.values for v in row)
+        shared: dict[str, Fraction] = {}
+        for row, values in zip(payload["values"], got.values):
+            for c, v in zip(row, values):
+                if isinstance(c, str):  # every repeat of a literal is one object
+                    assert shared.setdefault(c, v) is v
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [([["1", "v"], ["w", "x"], ["y", "z"]], "bad rational literal 'v': Invalid literal for Fraction: 'v'"),
+         ([["1", "-5"], ["-4", "-3"], ["-2", "-1"]], "negative valuation -5"),
+         ([["-1", "1/0"], ["2/0", "3/0"], ["4/0", "5/0"]], "bad rational literal '1/0': Fraction(1, 0)")],
+        ids=["parse", "sign", "parse-before-sign"],
+    )
+    def test_the_first_bad_cell_in_file_order_is_reported(self, rows, message, tmp_path):
+        path = write(tmp_path / "i.json", json.dumps({"values": rows}))
+        with pytest.raises(ParseError) as refused:
+            load_instance(path)
+        assert str(refused.value) == f"{path}: {message}"
+
+    def test_views_are_built_on_first_read(self, tmp_path):
+        path = write(tmp_path / "i.json", '{"values": [["1/2", "1/3", "1/2"], ["1", "0", "2/4"]]}')
+        inst = load_instance(path)
+        assert (inst.n, inst.m) == (2, 3)
+        assert "values" not in vars(inst) and "scaled" not in vars(inst)
+        assert inst.scaled == ((6, (3, 2, 3)), (2, (2, 0, 1)))
+        assert "values" not in vars(inst)  # the integer view builds no Fraction
+        assert inst.values == ((F(1, 2), F(1, 3), F(1, 2)), (F(1), F(0), F(1, 2)))
+        assert inst.values[0][0] is inst.values[0][2]
+
+    def test_a_run_builds_no_integer_view(self, tmp_path):
+        path = write(tmp_path / "i.json", '{"values": [["1", "1/3"], ["1/2", "1"]]}')
+        inst = load_instance(path)
+        run(make_allocator("greedy1", inst.n), inst)
+        assert "scaled" not in vars(inst)
+
+
 class TestInstanceFromRows:
     def test_fraction_cells_pass_through_and_ints_become_fractions(self):
         half = F(1, 2)
@@ -145,6 +244,22 @@ class TestInstanceFromRows:
             instance_from_rows([[F(1), -1], [F(1), F(1)]])
 
 
+class TestCheckAllocation:
+    @pytest.mark.parametrize("owner, bad", [((1, 0, 5), 0), ((1, 5, 0), 5), ((2, 2, -1), -1)])
+    def test_the_first_owner_out_of_range_is_named(self, owner, bad):
+        inst = instance_from_rows([[F(1)] * 3, [F(1)] * 3])
+        with pytest.raises(DomainError) as refused:
+            check_allocation(inst, Allocation(owner))
+        assert str(refused.value) == f"owner {bad} out of range 1..2"
+
+    def test_an_empty_allocation_of_no_goods_passes(self):
+        assert check_allocation(instance_from_rows([[], []]), Allocation(())) is None
+
+    def test_a_short_allocation_is_refused(self):
+        with pytest.raises(DomainError, match="^allocation covers 2 goods, instance has 3$"):
+            check_allocation(instance_from_rows([[F(1)] * 3] * 2), Allocation((1, 9)))
+
+
 class TestAllocationFiles:
     def test_round_trip(self, tmp_path):
         alloc = Allocation((1, 2, 1))
@@ -156,14 +271,16 @@ class TestAllocationFiles:
         with pytest.raises(ParseError):
             load_allocation(path)
 
-    def test_json_integers_read_as_fractions_parse_them(self):
+    def test_json_integers_read_as_ints(self, tmp_path):
         digits = sys.get_int_max_str_digits()  # the longest literal int() takes
         for text in ("0", "-0", "7", "-12", "9" * digits, "-" + "9" * digits):
-            new, old = _exact_int(text), Fraction(text)
-            assert (type(new), new) == (type(old), old)
-        for hook in (_exact_int, Fraction):
-            with pytest.raises(ValueError):
-                hook("9" * (digits + 1))
+            path = write(tmp_path / "a.json", f'{{"owner": [{text}]}}')
+            with _reading(path, "owner") as data:
+                assert (type(data["owner"][0]), data["owner"][0]) == (int, int(text))
+        path = write(tmp_path / "a.json", f'{{"owner": [{"9" * (digits + 1)}]}}')
+        with pytest.raises(ParseError, match="an integer past Python's int-to-str digit limit"):
+            with _reading(path, "owner"):
+                pass
 
     @pytest.mark.parametrize(
         "owner, message",
@@ -228,10 +345,12 @@ class TestRationalFieldAxioms:
         assert x.denominator > 0
 
 
-def test_instance_is_immutable():
-    inst = instance_from_rows([[F(1)], [F(1)]])
-    with pytest.raises(Exception):
-        inst.values = ()
+def test_instance_is_immutable(tmp_path):
+    loaded = load_instance(write(tmp_path / "i.json", '{"values": [["1"], ["1"]]}'))
+    for inst in (instance_from_rows([[F(1)], [F(1)]]), loaded):
+        for field in ("values", "scaled", "n"):
+            with pytest.raises(AttributeError):
+                setattr(inst, field, ())
 
 
 #: Strings with every character class json escapes: quotes, backslashes,

@@ -22,6 +22,7 @@ from fairdiv import (
     prop1_ratio,
     run,
 )
+from fairdiv import metrics
 from fairdiv.metrics import _maximin
 from conftest import (
     all_allocations,
@@ -314,6 +315,57 @@ class TestScaled:
         assert len(calls) == inst.n
         assert full_report() == report
         assert len(calls) == inst.n
+
+
+class TestOwnershipPass:
+    """The per-agent pass behind every check runs once per (instance, allocation) pair."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        check = metrics.check_allocation
+
+        def counting(inst, alloc):
+            calls.append((inst, alloc))
+            return check(inst, alloc)
+
+        monkeypatch.setattr(metrics, "check_allocation", counting)
+        return calls
+
+    def test_each_pair_gets_its_own_pass(self, passes):
+        inst = instance_from_rows([[F(1, 2), F(1, 3), F(1)], [F(2, 7), F(0), F(5, 9)]])
+        first, second = Allocation((1, 2, 1)), Allocation((2, 2, 1))
+
+        def report(inst, alloc):
+            return (check_alpha_prop1(inst, alloc, F(1)), prop1_ratio(inst, alloc),
+                    check_alpha_ef1(inst, alloc, F(1)), check_alpha_propx(inst, alloc, F(1)))
+
+        reports = [report(inst, first), report(inst, second)]
+        assert passes == [(inst, first), (inst, second)]
+        for alloc, (_, ratio, _, _) in zip((first, second), reports):
+            worst = min(alpha_it(inst, alloc.owner, i, inst.m) for i in (1, 2))
+            assert ratio == min(F(1), 2 * worst)
+        twin = instance_from_rows(inst.values)
+        assert twin == inst and twin is not inst
+        assert report(twin, first) == reports[0]
+        assert report(inst, Allocation(second.owner)) == reports[1]
+        assert [(i is twin, a is first) for i, a in passes[2:]] == [(True, True), (False, False)]
+
+    def test_a_kept_pass_still_validates_alpha(self, passes):
+        inst = instance_from_rows([[F(1), F(1)], [F(1), F(1)]])
+        alloc = Allocation((1, 2))
+        check_alpha_propx(inst, alloc, F(1))
+        with pytest.raises(DomainError, match=r"^alpha 2 outside \[0, 1\]$"):
+            check_alpha_ef1(inst, alloc, F(2))
+        assert len(passes) == 1
+
+    def test_a_refused_allocation_is_refused_each_time(self, passes):
+        inst = instance_from_rows([[F(1), F(1)], [F(1), F(1)]])
+        alloc = Allocation((1, 3))
+        for _ in range(2):
+            with pytest.raises(DomainError, match=r"^owner 3 out of range 1\.\.2$"):
+                prop1_ratio(inst, alloc)
+        assert len(passes) == 2
 
 
 class TestMms:
