@@ -99,7 +99,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--alpha", type=_rational, required=True)
     p.add_argument("--max-steps", type=int, default=adv.MAX_STEPS)
-    p.add_argument("--allocator", choices=ALLOCATORS, default=None)
+    # no --seed here: a rand victim runs through a campaign row that carries one
+    p.add_argument("--allocator", choices=[a for a in ALLOCATORS if a != "rand"], default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("oracle", help="closed-form bounds and exhaustive baselines")

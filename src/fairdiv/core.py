@@ -8,11 +8,11 @@ on it).  Agents are indexed 1..n and goods 1..m in arrival order, both in
 files and in every public structure.
 
 Files go through one reader (``_reading``, which reads JSON integers as
-ints) and one writer (``_dumps``).  ``load_instance`` parses each distinct
-string literal of a file once, into a reduced integer pair (p, q); the
-instance builds its ``values`` and ``scaled`` views from those pairs when
-first read.  ``_dumps`` writes the bytes ``json.dumps(indent=2,
-sort_keys=True)`` would, without json's pure-Python encoder.
+ints) and one writer (``_dumps``, the bytes ``json.dumps(indent=2,
+sort_keys=True)`` would give, without json's pure-Python encoder).  A cell
+is checked once, where it enters: by ``instance_from_rows`` in code, or by
+``load_instance``, which parses each distinct literal of an all-string
+file once into a reduced pair (p, q).  ``Instance`` checks only the shape.
 """
 
 from __future__ import annotations
@@ -120,40 +120,23 @@ class Instance:
     to an online allocator replays the committed input sequence.  Valuations
     are additive, so any bundle's value is the sum of its entries.
 
-    Two views of the rows are built the first time something reads them,
-    then kept: ``values``, rows of Fractions, and ``scaled``, each row as
-    integers over one scale.  An instance built in code is given its values
-    and checks every cell.  ``load_instance`` gives one its rows of string
-    literals and each literal's reduced pair (p, q), checked already; then
-    ``values`` builds one Fraction per distinct literal, and ``scaled`` none.
-    Instances are immutable, and equal when their values are.
+    ``Instance(rows, pairs)`` checks only the shape; build one through
+    ``instance_from_rows`` or ``load_instance``, which check the cells.  With
+    ``pairs`` None the rows are tuples of Fractions, kept as ``values``; else
+    rows of string literals, with ``pairs`` mapping each to its reduced
+    (p, q), and ``values`` builds one Fraction per distinct literal when
+    first read.  ``scaled``, each row as integers over one scale, is built
+    when first read.  Instances are immutable, and equal when their values are.
     """
 
-    def __init__(self, values: tuple[tuple[Fraction, ...], ...]):
-        # cells first, so a file's first bad cell is what ``load_instance`` reports
-        for row in values:
-            for v in row:
-                if not isinstance(v, Fraction):
-                    raise ParseError(f"non-exact valuation {v!r}")
-                if v.numerator < 0:
-                    raise ParseError(f"negative valuation {v}")
-        self._keep(values, None)
-        self.__dict__["values"] = values
-
-    @classmethod
-    def _of_literals(cls, rows: list[list[str]], pairs: dict[str, tuple[int, int]]) -> Instance:
-        """The instance whose cells are ``rows``' literals, each worth ``pairs[literal]``."""
-        inst = cls.__new__(cls)
-        inst._keep(rows, pairs)
-        return inst
-
-    def _keep(self, rows: Sequence[Sequence], pairs: dict[str, tuple[int, int]] | None) -> None:
-        """Check the shape, after the cells, then keep the rows and the literals' pairs."""
+    def __init__(self, rows: Sequence[Sequence], pairs: dict[str, tuple[int, int]] | None, /):
         if len(rows) < 2:
             raise DomainError("an instance needs at least 2 agents")
         if any(len(row) != len(rows[0]) for row in rows):
             raise ParseError("ragged valuation matrix")
         self.__dict__.update(_rows=rows, _pairs=pairs)
+        if pairs is None:
+            self.__dict__["values"] = rows
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}: an Instance is immutable")
@@ -207,10 +190,22 @@ class Instance:
 
 
 def instance_from_rows(rows: Sequence[Sequence[Fraction | int]]) -> Instance:
-    """Build an Instance from per-agent value rows.  An int cell becomes a
-    Fraction; any other cell passes as it is, and ``Instance`` refuses a
-    cell that is not a Fraction."""
-    return Instance(tuple(tuple(Fraction(v) if isinstance(v, int) else v for v in row) for row in rows))
+    """Build an Instance from per-agent value rows in one pass: an int cell
+    becomes a Fraction, and the first cell in row order that is not a
+    Fraction, or is negative, is refused; then ``Instance`` checks the shape."""
+    out = []
+    for row in rows:
+        cells = []
+        for v in row:
+            if isinstance(v, int):
+                v = Fraction(v)
+            elif not isinstance(v, Fraction):
+                raise ParseError(f"non-exact valuation {v!r}")
+            if v.numerator < 0:
+                raise ParseError(f"negative valuation {v}")
+            cells.append(v)
+        out.append(tuple(cells))
+    return Instance(tuple(out), None)
 
 
 @dataclass(frozen=True)
@@ -342,7 +337,8 @@ def _as_int(value, what: str) -> int:
         return value.numerator
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ParseError(f"{what} must be an integer, got {value!r}")
+    shown = value if isinstance(value, Fraction) else repr(value)  # 3/2, not Fraction(3, 2)
+    raise ParseError(f"{what} must be an integer, got {shown}")
 
 
 @contextmanager
@@ -376,8 +372,9 @@ def load_instance(path: str) -> Instance:
     When every cell is a string (the canonical form), each distinct literal
     is parsed once into its reduced pair (p, q), and the instance keeps the
     rows as literals.  Any other file, or one whose literals do not all
-    parse to values >= 0, is read cell by cell in file order, so its first
-    bad cell is the one reported.
+    parse to values >= 0, has every cell parsed in file order, then goes
+    through ``instance_from_rows``: so a parse error anywhere comes before a
+    sign error, and the first bad cell in file order is the one reported.
     """
     with _reading(path, "values") as data:
         rows = data["values"]
@@ -385,19 +382,7 @@ def load_instance(path: str) -> Instance:
             raise ParseError("'values' must be a list of rows")
         inst = _literal_instance(rows)
         if inst is None:
-            # each distinct string literal is parsed once; a repeat reuses its Fraction.
-            # Only str cells are kept: True == Fraction(1), and the two hash alike.
-            literals: dict[str, Fraction] = {}
-
-            def cell(c) -> Fraction:
-                if not isinstance(c, str):
-                    return parse_rational(c)
-                if c not in literals:
-                    literals[c] = parse_rational(c)
-                return literals[c]
-
-            # Instance checks each cell's type and sign
-            inst = Instance(tuple(tuple(cell(c) for c in row) for row in rows))
+            inst = instance_from_rows([list(map(parse_rational, row)) for row in rows])
         if "n" in data and _as_int(data["n"], "n") != inst.n:
             raise ParseError(f"declared n={data['n']} but {inst.n} rows present")
         if "m" in data and _as_int(data["m"], "m") != inst.m:
@@ -420,7 +405,7 @@ def _literal_instance(rows: list[list]) -> Instance | None:
         return None
     if any(p < 0 for p, _ in pairs.values()):
         return None
-    return Instance._of_literals(rows, pairs)
+    return Instance(rows, pairs)
 
 
 def instance_to_json(inst: Instance) -> str:

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite, the definition-level references
 (``alpha_it``, ``bundle_value``, ``mms_labeled_reference``,
-``load_instance_reference`` and the ``Fraction`` allocators
+``load_instance_reference``, ``instance_from_rows_reference`` and the
+``Fraction`` allocators
 ``REF_ALLOCATORS``) that the fast library paths are checked against, and
 the paper's formulas that only tests use (``robust_beta``,
 ``running_values``)."""
@@ -56,17 +57,36 @@ def random_instance(
 
 def load_instance_reference(path: str) -> Instance:
     """``load_instance`` by definition: every cell through ``parse_rational``
-    in file order, then ``Instance``'s checks of each cell and of the shape,
-    then the declared n and m."""
+    in file order, then ``instance_from_rows``' checks of each cell and of
+    the shape, then the declared n and m."""
     with _reading(path, "values") as data:
         if not all(isinstance(r, list) for r in data["values"]):
             raise ParseError("'values' must be a list of rows")
-        inst = Instance(tuple(tuple(parse_rational(c) for c in row) for row in data["values"]))
+        inst = instance_from_rows([[parse_rational(c) for c in row] for row in data["values"]])
         if "n" in data and _as_int(data["n"], "n") != inst.n:
             raise ParseError(f"declared n={data['n']} but {inst.n} rows present")
         if "m" in data and _as_int(data["m"], "m") != inst.m:
             raise ParseError(f"declared m={data['m']} but rows have {inst.m} columns")
         return inst
+
+
+def instance_from_rows_reference(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """``instance_from_rows`` by definition, in passes: every int (a bool
+    too) becomes a Fraction; then each cell in row order must be a
+    Fraction >= 0; then there must be at least 2 rows, none ragged.
+    Returns the value rows."""
+    rows = [[Fraction(v) if isinstance(v, int) else v for v in row] for row in rows]
+    for row in rows:
+        for v in row:
+            if not isinstance(v, Fraction):
+                raise ParseError(f"non-exact valuation {v!r}")
+            if v < 0:
+                raise ParseError(f"negative valuation {v}")
+    if len(rows) < 2:
+        raise DomainError("an instance needs at least 2 agents")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ParseError("ragged valuation matrix")
+    return tuple(map(tuple, rows))
 
 
 def all_allocations(n: int, m: int):

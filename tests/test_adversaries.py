@@ -22,6 +22,7 @@ from fairdiv import (
     greedy1_adversary,
     greedy2_adversary,
     impossibility_constants,
+    instance_from_rows,
     make_allocator,
     prop1_ratio,
     run,
@@ -89,6 +90,56 @@ class TestGreedy1Adversary:
 
     def test_static_instance_is_idempotent(self):
         assert greedy1_adversary(2, F(1, 4)) == greedy1_adversary(2, F(1, 4))
+
+
+#: The static constructions as (build, rule, verify, target).
+STATIC = {"greedy1": (greedy1_adversary, Greedy1Allocator, verify_greedy1_failure, F(1, 10)),
+          "greedy2": (greedy2_adversary, Greedy2Allocator, verify_greedy2_failure, F(1, 2))}
+
+
+def _first_owner_2(trace):
+    return replace(trace, owners=(2,) + trace.owners[1:])
+
+
+def _last_owner_swapped(trace):
+    return replace(trace, owners=trace.owners[:-1] + (3 - trace.owners[-1],))
+
+
+def _agent_2_value_bumped(trace):
+    nums = trace.alpha_num
+    return replace(trace, alpha_num=(nums[0], nums[1][:-1] + (nums[1][-1] + 1,)))
+
+
+def _values(rows):
+    return lambda trace: replace(trace, instance=instance_from_rows(rows))
+
+
+@pytest.mark.parametrize(
+    "construction, tamper, checked_at, message",
+    [
+        ("greedy1", _first_owner_2, F(1, 10), "good 1 must go to agent 1 under lowest-index ties"),
+        ("greedy1", _last_owner_swapped, F(1, 10), "agent 2 must never receive a good"),
+        ("greedy1", _agent_2_value_bumped, F(1, 10),
+         "agent 2's final running value diverged from the construction"),
+        ("greedy1", None, F(1, 100), "horizon too short: the failure inequality does not bind"),
+        # agent 2 values only good 1, so its best outside good makes it PROP1
+        ("greedy1", _values([[1] * 40, [1] + [0] * 39]), F(1, 10), "PROP1 ratio did not fall below the target"),
+        ("greedy2", _first_owner_2, F(1, 2), "good 1 must go to agent 1 under lowest-index ties"),
+        ("greedy2", _last_owner_swapped, F(1, 2), "agent 1 must keep only good 1"),
+        ("greedy2", None, F(1, 10), "horizon too short: the failure inequality does not bind"),
+        # agent 1 values only good 1, which it holds; agent 2 holds 8 of its 9
+        ("greedy2", _values([[1] + [0] * 8, [1] * 9]), F(1, 2), "PROP1 ratio did not fall below the target"),
+    ],
+    ids=["g1-first-owner", "g1-agent-2-served", "g1-agent-2-value", "g1-horizon", "g1-ratio",
+         "g2-first-owner", "g2-agent-1-served", "g2-horizon", "g2-ratio"],
+)
+def test_each_forced_fact_of_a_static_construction_has_its_own_breach(construction, tamper, checked_at, message):
+    build, rule, verify, alpha = STATIC[construction]
+    trace = run(rule(2), build(2, alpha))
+    verify(trace, alpha)
+    with pytest.raises(InvariantError) as breach:
+        verify(trace if tamper is None else tamper(trace), checked_at)
+    assert str(breach.value) == message
 
 
 class TestGreedy2Adversary:
@@ -337,6 +388,29 @@ class TestRunConstruction:
         monkeypatch.setattr(adversaries, "make_allocator", counting)
         run_construction(construction, 2, F(1, 2), seed=None)
         assert built == [(rule_name, 2, None)]
+
+    def test_one_agent_or_a_mismatched_allocator_is_refused(self):
+        refusals = [
+            (lambda: Greedy3Adversary(F(1, 2), 10, n=1), "need at least 2 agents"),
+            (lambda: run_adaptive(MivImpossibilityAdversary(2, F(1, 2)), Greedy1Allocator(3)),
+             "allocator handles 3 agents, adversary emits 2"),
+        ]
+        for call, message in refusals:
+            with pytest.raises(DomainError) as refused:
+                call()
+            assert str(refused.value) == message
+
+    @pytest.mark.parametrize("make", [
+        lambda: Greedy3Adversary(F(1, 2), 10**4, n=3),
+        lambda: MivImpossibilityAdversary(2, F(1, 2)),
+    ], ids=["greedy3", "impossibility"])
+    def test_next_column_after_the_schedule_ended_returns_none(self, make):
+        adversary = make()
+        owners = run_adaptive(adversary, Greedy3Allocator(adversary.n)).trace.owners
+        t = adversary.t
+        assert adversary.next_column(owners) is None
+        assert adversary.next_column([]) is None  # the history is no longer read
+        assert adversary.t == t
 
     def test_unknown_construction_rejected(self):
         assert CONSTRUCTIONS == ("greedy1", "greedy2", "greedy3", "miv-impossibility")

@@ -539,6 +539,17 @@ class TestDeterminism:
                     inst, trace.owners, agent, t
                 )
 
+    def test_sizes_that_do_not_match_are_refused(self):
+        inst = instance_from_rows([[F(1)], [F(1)]])
+        refusals = [
+            (lambda: run(make_allocator("greedy1", 3), inst), "allocator handles 3 agents, instance has 2"),
+            (lambda: make_allocator("greedy1", 1), "need at least 2 agents"),
+        ]
+        for call, message in refusals:
+            with pytest.raises(DomainError) as refused:
+                call()
+            assert str(refused.value) == message
+
     def test_empty_instance_gives_empty_trace(self):
         inst = instance_from_rows([[], []])
         trace = run(Greedy1Allocator(2), inst)

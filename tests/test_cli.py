@@ -1,6 +1,7 @@
 import csv
 import json
 import time
+from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -247,6 +248,12 @@ class TestRunCommand:
                 == 0
             )
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_predictions_for_another_number_of_agents_exit_one(self, inst_file, tmp_path, capsys):
+        pred = tmp_path / "p.json"
+        pred.write_text('{"p": ["1", "1", "1"]}', encoding="utf-8")
+        assert main(["run", "--algo", "miv", "--instance", inst_file, "--predictions", str(pred)]) == 1
+        assert capsys.readouterr() == ("", "fairdiv: error: allocator handles 2 agents, predictions cover 3\n")
 
     def test_predictions_only_for_miv(self, inst_file, capsys):
         assert (
@@ -516,6 +523,13 @@ class TestAdversaryCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("fairdiv: error: ")
 
+    def test_rand_is_not_an_adversary_allocator(self, capsys):
+        # adversary has no --seed: a rand victim runs through a campaign row with a seed
+        argv = ["adversary", "--target", "miv-impossibility", "--alpha", "1/2", "--allocator", "rand"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "fairdiv: error: argument --allocator: invalid choice: "
+                                           "'rand' (choose from 'greedy1', 'greedy2', 'greedy3', 'miv')\n")
+
     def test_a_greedy_target_accepts_its_own_allocator(self, tmp_path):
         out = tmp_path / "adv.json"
         argv = ["adversary", "--target", "greedy2", "--alpha", "1/3", "--out", str(out)]
@@ -535,6 +549,26 @@ class TestOracleCommand:
         assert main(["oracle", "--op", "bernstein", "--n", "2", "--delta", "0.05"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["holds"] is True
+
+    def test_bernstein_from_its_three_parameters(self, capsys):
+        argv = ["oracle", "--op", "bernstein", "--variance-bound", "1/4", "--term-bound", "1/2",
+                "--deviation", "1/3"]
+        assert main(argv) == 0
+        # exponent -(1/3)^2 / (2/4 + (2/3)(1/2)(1/3)) = -2/11; exp of it rounded up to 30 digits
+        exact = Context(prec=80).exp(Context(prec=80).divide(Decimal(-2), Decimal(11)))
+        tail = str(Context(prec=30, rounding=ROUND_CEILING).plus(exact))
+        assert tail == "0.833752918075180549964956245516"
+        assert json.loads(capsys.readouterr().out) == {"op": "bernstein", "tail_upper_bound": tail}
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--agent", "5"], "agent index 5 out of range 1..2"),
+         ([], "moments needs --instance and --agent")],
+        ids=["agent-out-of-range", "no-agent"],
+    )
+    def test_moments_refusals_exit_one_with_one_line(self, flags, message, inst_file, capsys):
+        assert main(["oracle", "--op", "moments", "--instance", inst_file, *flags]) == 1
+        assert capsys.readouterr() == ("", f"fairdiv: error: {message}\n")
 
     def test_moments(self, inst_file, capsys):
         assert (

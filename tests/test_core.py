@@ -23,7 +23,7 @@ from fairdiv import (
     run,
 )
 from fairdiv.core import _dumps, _reading, check_allocation, instance_to_json
-from conftest import load_instance_reference
+from conftest import instance_from_rows_reference, load_instance_reference
 
 F = Fraction
 
@@ -122,8 +122,25 @@ class TestInstanceFiles:
         path = write(tmp_path / "i.json", '{"values": [["1/2", 0.5, "2/4", "1/2"], ["1", 1, "1", "1"]]}')
         inst = load_instance(path)
         assert inst.values == ((F(1, 2),) * 4, (F(1),) * 4)
-        assert inst.values[0][3] is inst.values[0][0]  # a repeated literal is parsed once
-        assert inst.values[1][2] is inst.values[1][0]
+
+    @pytest.mark.parametrize("values", [["x", ["1"]], [["1"], "1"], [["1"], None]])
+    def test_values_that_are_not_a_list_of_rows_are_refused(self, values, tmp_path):
+        path = write(tmp_path / "i.json", json.dumps({"values": values}))
+        with pytest.raises(ParseError) as refused:
+            load_instance(path)
+        assert str(refused.value) == f"{path}: 'values' must be a list of rows"
+
+    @pytest.mark.parametrize(
+        "declared, message",
+        [('"n": 2.5', "n must be an integer, got 5/2"), ('"m": 0.5', "m must be an integer, got 1/2"),
+         ('"n": "2"', "n must be an integer, got '2'"), ('"m": true', "m must be an integer, got True")],
+        ids=["n-decimal", "m-decimal", "n-text", "m-bool"],
+    )
+    def test_a_declared_size_that_is_not_an_integer_is_quoted_exactly(self, declared, message, tmp_path):
+        path = write(tmp_path / "i.json", f'{{{declared}, "values": [["1"], ["1"]]}}')
+        with pytest.raises(ParseError) as refused:
+            load_instance(path)
+        assert str(refused.value) == f"{path}: {message}"
 
     def test_canonical_form_uses_lowest_terms(self):
         inst = instance_from_rows([[F(2, 4)], [F(1)]])
@@ -190,11 +207,11 @@ class TestLoaderDifferential:
         assert got == want == instance_from_rows(want.values)
         assert hash(got) == hash(want) and repr(got) == repr(want)
         assert all(type(v) is Fraction for row in got.values for v in row)
-        shared: dict[str, Fraction] = {}
-        for row, values in zip(payload["values"], got.values):
-            for c, v in zip(row, values):
-                if isinstance(c, str):  # every repeat of a literal is one object
-                    assert shared.setdefault(c, v) is v
+        cells = [c for row in payload["values"] for c in row]
+        if all(isinstance(c, str) for c in cells):  # every repeat of a literal is one object
+            shared: dict[str, Fraction] = {}
+            for c, v in zip(cells, (v for row in got.values for v in row)):
+                assert shared.setdefault(c, v) is v
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -226,6 +243,26 @@ class TestLoaderDifferential:
         assert "scaled" not in vars(inst)
 
 
+#: Cells code may hand ``instance_from_rows``: exact ones (bools are ints) and the rest.
+EXACT_CELLS = st.one_of(st.integers(-2, 10**30), st.booleans(), st.fractions(max_denominator=50))
+ANY_CELLS = st.one_of(EXACT_CELLS, st.floats(), st.text(max_size=3), st.none())
+
+
+@st.composite
+def value_rows(draw):
+    """Up to 4 rows of up to 4 cells, all exact or of any kind, sometimes ragged."""
+    cell = draw(st.sampled_from([st.fractions(min_value=0, max_denominator=50), EXACT_CELLS, ANY_CELLS]))
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows = [[draw(cell) for _ in range(m)] for _ in range(n)]
+    if rows and draw(st.integers(0, 3)) == 0:
+        row = rows[draw(st.integers(0, n - 1))]
+        if row and draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(cell))
+    return rows
+
+
 class TestInstanceFromRows:
     def test_fraction_cells_pass_through_and_ints_become_fractions(self):
         half = F(1, 2)
@@ -242,6 +279,23 @@ class TestInstanceFromRows:
     def test_a_negative_cell_is_refused(self):
         with pytest.raises(ParseError, match="negative valuation -1"):
             instance_from_rows([[F(1), -1], [F(1), F(1)]])
+
+    @settings(max_examples=400, deadline=None)
+    @given(rows=value_rows())
+    def test_matches_the_two_pass_reference(self, rows):
+        try:
+            want = instance_from_rows_reference(rows)
+        except FairdivError as exc:
+            with pytest.raises(FairdivError) as refused:
+                instance_from_rows(rows)
+            assert (type(refused.value), str(refused.value)) == (type(exc), str(exc))
+            return
+        got = instance_from_rows(rows)
+        assert got.values == want and (got.n, got.m) == (len(want), len(want[0]))
+        assert all(type(v) is Fraction for row in got.values for v in row)
+        assert all(v is c for row, values in zip(rows, got.values)
+                   for c, v in zip(row, values) if isinstance(c, Fraction))
+        assert got == instance_from_rows(want) and hash(got) == hash(instance_from_rows(want))
 
 
 class TestCheckAllocation:
@@ -295,7 +349,21 @@ class TestAllocationFiles:
         assert str(refused.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize("owner, message", [("1.5", "got 3/2"), ('"1"', "got '1'"), ("null", "got None")])
+def test_an_owner_entry_that_is_not_an_integer_is_quoted_exactly(owner, message, tmp_path):
+    path = write(tmp_path / "a.json", f'{{"owner": [1, {owner}]}}')
+    with pytest.raises(ParseError) as refused:
+        load_allocation(path)
+    assert str(refused.value) == f"{path}: owner entry must be an integer, {message}"
+
+
 class TestPredictions:
+    def test_predictions_for_another_number_of_agents_are_refused(self):
+        inst = instance_from_rows([[F(1)], [F(1)]])
+        with pytest.raises(DomainError) as refused:
+            check_predictions(inst, Predictions((F(1),) * 3))
+        assert str(refused.value) == "predictions cover 3 agents, instance has 2"
+
     def test_perfect_prediction_accepted(self):
         inst = instance_from_rows([[F(1), F(1, 2)], [F(1), F(1)]])
         assert check_predictions(inst, Predictions((F(1), F(1))))

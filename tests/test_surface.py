@@ -16,8 +16,9 @@ leak from one call into the next.  A third keeps ``OnlineAllocator.observe``
 the only per-good path in ``algorithms.py``, a fourth keeps the integer
 form of the rows (``lcm``) inside ``core.py``, a fifth keeps ``str()``
 off the numbers ``cli.py`` writes, a sixth lets only ``core._reading``
-and ``cli._write`` open a file, and a seventh fails on a CLI flag that no
-command reads.
+and ``cli._write`` open a file, a seventh fails on a CLI flag that no
+command reads, and an eighth keeps every ``Instance(`` call inside
+``core.py``.
 """
 
 import ast
@@ -183,3 +184,21 @@ def test_every_cli_flag_is_read():
     assert flags, "no add_argument call found in cli.py"
     unread = [f"cli.py:{line} ({dest})" for dest, line in flags if dest not in read]
     assert not unread, "flags never read as args.<dest>: " + ", ".join(unread)
+
+
+def test_only_core_calls_instance():
+    """``Instance(rows, pairs)`` checks only the shape: a cell is checked where
+    it enters, by ``instance_from_rows`` or ``load_instance``.  So nothing in
+    ``src/``, ``tests/`` or ``perfbench/`` outside ``core.py`` calls it."""
+    core = ROOT / "src" / "fairdiv" / "core.py"
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if path != core
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and any("Instance" in (getattr(sub, "id", None), getattr(sub, "attr", None))
+                for sub in ast.walk(node.func))
+    ]
+    assert not found, "Instance( called outside core.py: " + ", ".join(found)
