@@ -433,6 +433,8 @@ def _checked_rule(construction: str, n: int, alpha: Fraction, max_steps: int, al
         rule_name = "miv" if allocator is None else allocator
     elif allocator not in (None, rule_name):
         raise DomainError(f"{construction} faces its own rule, got allocator {allocator!r}")
+    if max_steps < 0:
+        raise DomainError(f"the step budget must not be negative, got {max_steps}")
     if horizon is None:
         _check_greedy3(n, alpha, max_steps)
     else:
@@ -451,9 +453,10 @@ def check_construction(
 
     greedy1-3 each face their own rule; the impossibility faces
     ``allocator`` (default "miv").  In order, an allocator that does not
-    apply, a target out of range, a horizon over ``max_steps`` (greedy3's
-    budget below 4) and a bad rule name or seed raise DomainError, before
-    anything is built.  A batch checks every item first.
+    apply, a negative ``max_steps``, a target out of range, a horizon over
+    ``max_steps`` (greedy3's budget below 4) and a bad rule name or seed
+    raise DomainError, before anything is built.  A batch checks every item
+    first.
     """
     return _checked_rule(construction, n, alpha, max_steps, allocator, seed)[0]
 

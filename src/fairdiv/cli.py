@@ -37,6 +37,10 @@ USAGE_EXIT = 1
 INVARIANT_EXIT = 2
 #: The names ``metrics --check`` takes, comma-separated.
 CHECKS = ("prop1", "ef1", "propx", "mms")
+#: The flags each ``oracle --op`` reads besides ``--out``; bernstein reads one group or the other.
+ORACLE_FLAGS = {"rand-alpha": [("--n", "--delta")], "moments": [("--instance", "--agent", "--alpha")],
+                "bernstein": [("--n", "--delta"), ("--variance-bound", "--term-bound", "--deviation")],
+                "best-alloc": [("--instance",)]}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -192,6 +196,8 @@ def _cmd_metrics(args) -> int:
 
 def _make_allocator(args, n: int):
     """The allocator and, for miv, the predictions it runs on (else None)."""
+    if args.seed is not None and args.algo != "rand":
+        raise FairdivError("--seed only applies to --algo rand")
     allocator = make_allocator(args.algo, n, args.seed)
     robust = args.predictions is not None or args.epsilon is not None
     if args.algo != "miv":
@@ -250,17 +256,22 @@ def _cmd_adversary(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    groups = ORACLE_FLAGS[args.op]
+    given = ["--" + k.replace("_", "-") for k, v in vars(args).items()
+             if v is not None and k not in ("command", "op", "out")]
+    if unread := [flag for flag in given if not any(flag in group for group in groups)]:
+        raise FairdivError(f"--op {args.op} does not take {'/'.join(unread)}")
+    if sum(any(flag in group for flag in given) for group in groups) > 1:
+        raise FairdivError(f"--op {args.op} takes {' or '.join(map('/'.join, groups))}, not both")
     if args.op == "rand-alpha":
         if args.n is None or args.delta is None:
             raise FairdivError("rand-alpha needs --n and --delta")
         value = oracles.rand_alpha_bound(args.n, args.delta)
-        payload = {"op": "rand-alpha", "n": args.n, "delta": format_rational(args.delta),
-                   "alpha": format_rational(value)}
+        payload = {"n": args.n, "delta": format_rational(args.delta), "alpha": format_rational(value)}
     elif args.op == "bernstein":
         if args.n is not None and args.delta is not None:
             tail, threshold, holds = oracles.rand_tail_certificate(args.n, args.delta)
             payload = {
-                "op": "bernstein",
                 "n": args.n,
                 "delta": format_rational(args.delta),
                 "tail_upper_bound": format_rational(tail),
@@ -274,14 +285,13 @@ def _cmd_oracle(args) -> int:
                     "--variance-bound/--term-bound/--deviation"
                 )
             tail = oracles.bernstein_tail(args.variance_bound, args.term_bound, args.deviation)
-            payload = {"op": "bernstein", "tail_upper_bound": format_rational(tail)}
+            payload = {"tail_upper_bound": format_rational(tail)}
     elif args.op == "moments":
         if args.instance is None or args.agent is None:
             raise FairdivError("moments needs --instance and --agent")
         inst = load_instance(args.instance)
         moments = oracles.analytic_moments(inst, args.agent)
         payload = {
-            "op": "moments",
             "agent": args.agent,
             "mean": format_rational(moments.mean),
             "variance": format_rational(moments.variance),
@@ -293,14 +303,9 @@ def _cmd_oracle(args) -> int:
     else:  # best-alloc
         if args.instance is None:
             raise FairdivError("best-alloc needs --instance")
-        inst = load_instance(args.instance)
-        alloc, ratio = oracles.best_allocation_search(inst)
-        payload = {
-            "op": "best-alloc",
-            "owner": list(alloc.owner),
-            "prop1_ratio": format_rational(ratio),
-        }
-    _write(args.out, _dumps(payload))
+        alloc, ratio = oracles.best_allocation_search(load_instance(args.instance))
+        payload = {"owner": list(alloc.owner), "prop1_ratio": format_rational(ratio)}
+    _write(args.out, _dumps({"op": args.op, **payload}))
     return 0
 
 

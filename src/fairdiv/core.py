@@ -12,7 +12,8 @@ ints) and one writer (``_dumps``, the bytes ``json.dumps(indent=2,
 sort_keys=True)`` would give, without json's pure-Python encoder).  A cell
 is checked once, where it enters: by ``instance_from_rows`` in code, or by
 ``load_instance``, which parses each distinct literal of an all-string
-file once into a reduced pair (p, q).  ``Instance`` checks only the shape.
+file once.  Either way it becomes a reduced pair (p, q), the one form an
+``Instance`` keeps; ``Instance`` checks only the shape.
 """
 
 from __future__ import annotations
@@ -120,32 +121,30 @@ class Instance:
     to an online allocator replays the committed input sequence.  Valuations
     are additive, so any bundle's value is the sum of its entries.
 
-    ``Instance(rows, pairs)`` checks only the shape; build one through
-    ``instance_from_rows`` or ``load_instance``, which check the cells.  With
-    ``pairs`` None the rows are tuples of Fractions, kept as ``values``; else
-    rows of string literals, with ``pairs`` mapping each to its reduced
-    (p, q), and ``values`` builds one Fraction per distinct literal when
-    first read.  ``scaled``, each row as integers over one scale, is built
-    when first read.  Instances are immutable, and equal when their values are.
+    ``Instance(rows, /)`` checks only the shape; build one through
+    ``instance_from_rows`` or ``load_instance``, which check the cells.  A row
+    is a tuple of reduced pairs (p, q), q > 0, one shared tuple per distinct
+    value, so equal values are equal rows.  ``values`` (one Fraction per
+    distinct pair) and ``scaled`` (each row as integers over one scale) are
+    built when first read.  Instances are immutable, and equal when their
+    values are.
     """
 
-    def __init__(self, rows: Sequence[Sequence], pairs: dict[str, tuple[int, int]] | None, /):
+    def __init__(self, rows: Sequence[tuple[tuple[int, int], ...]], /):
         if len(rows) < 2:
             raise DomainError("an instance needs at least 2 agents")
         if any(len(row) != len(rows[0]) for row in rows):
             raise ParseError("ragged valuation matrix")
-        self.__dict__.update(_rows=rows, _pairs=pairs)
-        if pairs is None:
-            self.__dict__["values"] = rows
+        self.__dict__["_rows"] = tuple(rows)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}: an Instance is immutable")
 
     def __eq__(self, other) -> bool:
-        return self.values == other.values if isinstance(other, Instance) else NotImplemented
+        return self._rows == other._rows if isinstance(other, Instance) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.values)
+        return hash(self._rows)
 
     def __repr__(self) -> str:
         return f"Instance(values={self.values!r})"
@@ -160,24 +159,20 @@ class Instance:
 
     @cached_property
     def values(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The rows as Fractions, one per distinct literal (set at once when built in code)."""
-        shared = {c: Fraction(p, q) for c, (p, q) in self._pairs.items()}
+        """The rows as Fractions, one per distinct pair, shared by its repeats."""
+        shared = {pair: Fraction(*pair) for pair in set().union(*self._rows)}
         return tuple(tuple(map(shared.__getitem__, row)) for row in self._rows)
 
     @cached_property
     def scaled(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Per agent, (L, the row times L as integers), L the lcm of the row's denominators."""
+        """Per agent, (L, the row times L as integers), L the lcm of the row's
+        denominators; each distinct pair of a row is weighed once."""
         out = []
-        pairs = self._pairs
         for row in self._rows:
-            if pairs is None:  # a row of Fractions
-                scale = math.lcm(*(v.denominator for v in row))
-                out.append((scale, tuple(v.numerator * (scale // v.denominator) for v in row)))
-            else:  # a row of literals: each distinct one weighed once
-                distinct = set(row)
-                scale = math.lcm(*{pairs[c][1] for c in distinct})
-                weight = {c: pairs[c][0] * (scale // pairs[c][1]) for c in distinct}
-                out.append((scale, tuple(map(weight.__getitem__, row))))
+            distinct = set(row)
+            scale = math.lcm(*(q for _, q in distinct))
+            weight = {pair: pair[0] * (scale // pair[1]) for pair in distinct}
+            out.append((scale, tuple(map(weight.__getitem__, row))))
         return tuple(out)
 
     def columns(self) -> Iterable[tuple[Fraction, ...]]:
@@ -190,22 +185,22 @@ class Instance:
 
 
 def instance_from_rows(rows: Sequence[Sequence[Fraction | int]]) -> Instance:
-    """Build an Instance from per-agent value rows in one pass: an int cell
-    becomes a Fraction, and the first cell in row order that is not a
-    Fraction, or is negative, is refused; then ``Instance`` checks the shape."""
+    """Build an Instance from per-agent value rows in one pass: each int or
+    Fraction cell becomes its reduced pair, the first cell in row order that is
+    neither, or is negative, is refused; then ``Instance`` checks the shape."""
+    shared: dict[tuple[int, int], tuple[int, int]] = {}
     out = []
     for row in rows:
         cells = []
         for v in row:
-            if isinstance(v, int):
-                v = Fraction(v)
-            elif not isinstance(v, Fraction):
+            if not isinstance(v, (int, Fraction)):
                 raise ParseError(f"non-exact valuation {v!r}")
-            if v.numerator < 0:
+            pair = (v.numerator, v.denominator)  # a bool's numerator is an int
+            if pair[0] < 0:
                 raise ParseError(f"negative valuation {v}")
-            cells.append(v)
+            cells.append(shared.setdefault(pair, pair))
         out.append(tuple(cells))
-    return Instance(tuple(out), None)
+    return Instance(out)
 
 
 @dataclass(frozen=True)
@@ -262,12 +257,7 @@ def check_predictions(inst: Instance, pred: Predictions) -> bool:
     if pred.n != inst.n:
         raise DomainError(f"predictions cover {pred.n} agents, instance has {inst.n}")
     low = 1 - pred.epsilon
-    for i in range(1, inst.n + 1):
-        row = inst.values[i - 1]
-        vmax = max(row) if row else Fraction(0)
-        if not (low * pred.p[i - 1] <= vmax <= pred.p[i - 1]):
-            return False
-    return True
+    return all(low * p <= max(row, default=Fraction(0)) <= p for p, row in zip(pred.p, inst.values))
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +360,12 @@ def load_instance(path: str) -> Instance:
     """Load an instance file: ``{"n": 2, "m": 3, "values": [["1","1/2","0.25"], ...]}``.
 
     When every cell is a string (the canonical form), each distinct literal
-    is parsed once into its reduced pair (p, q), and the instance keeps the
-    rows as literals.  Any other file, or one whose literals do not all
-    parse to values >= 0, has every cell parsed in file order, then goes
-    through ``instance_from_rows``: so a parse error anywhere comes before a
-    sign error, and the first bad cell in file order is the one reported.
+    is parsed once into its reduced pair (p, q), and each cell becomes its
+    literal's pair, so spellings of one value ("1/2", "2/4") share one.  Any
+    other file, or one whose literals do not all parse to values >= 0, has
+    every cell parsed in file order, then goes through ``instance_from_rows``:
+    so a parse error anywhere comes before a sign error, and the first bad
+    cell in file order is the one reported.
     """
     with _reading(path, "values") as data:
         rows = data["values"]
@@ -392,30 +383,27 @@ def load_instance(path: str) -> Instance:
 
 def _literal_instance(rows: list[list]) -> Instance | None:
     """The instance of ``rows`` if every cell is a string literal of a value
-    >= 0, else None."""
+    >= 0, else None; literals of one value share one pair."""
     try:
         literals = set().union(*rows)
     except TypeError:  # an unhashable cell
         return None
     if not all(type(c) is str for c in literals):
         return None
+    shared: dict[tuple[int, int], tuple[int, int]] = {}
     try:
-        pairs = {c: _literal_pair(c) for c in literals}
+        pairs = {c: shared.setdefault(pair := _literal_pair(c), pair) for c in literals}
     except ParseError:
         return None
-    if any(p < 0 for p, _ in pairs.values()):
+    if any(p < 0 for p, _ in shared):
         return None
-    return Instance(rows, pairs)
+    return Instance(tuple(tuple(map(pairs.__getitem__, row)) for row in rows))
 
 
 def instance_to_json(inst: Instance) -> str:
-    return _dumps(
-        {
-            "n": inst.n,
-            "m": inst.m,
-            "values": [[format_rational(v) for v in row] for row in inst.values],
-        }
-    )
+    text = {pair: format_ratio(*pair) for pair in set().union(*inst._rows)}  # each distinct pair once
+    values = [list(map(text.__getitem__, row)) for row in inst._rows]
+    return _dumps({"n": inst.n, "m": inst.m, "values": values})
 
 
 def load_allocation(path: str) -> Allocation:

@@ -1,7 +1,7 @@
 """Shared helpers for the test suite, the definition-level references
 (``alpha_it``, ``bundle_value``, ``mms_labeled_reference``,
-``load_instance_reference``, ``instance_from_rows_reference`` and the
-``Fraction`` allocators
+``load_instance_reference``, ``instance_from_rows_reference``,
+``instance_to_json_reference`` and the ``Fraction`` allocators
 ``REF_ALLOCATORS``) that the fast library paths are checked against, and
 the paper's formulas that only tests use (``robust_beta``,
 ``running_values``)."""
@@ -23,7 +23,7 @@ from fairdiv import (
     instance_from_rows,
     parse_rational,
 )
-from fairdiv.core import _as_int, _reading
+from fairdiv.core import _as_int, _dumps, _reading, format_rational
 
 
 def robust_beta(alpha: Fraction, epsilon: Fraction, n: int) -> Fraction:
@@ -87,6 +87,13 @@ def instance_from_rows_reference(rows) -> tuple[tuple[Fraction, ...], ...]:
     if any(len(row) != len(rows[0]) for row in rows):
         raise ParseError("ragged valuation matrix")
     return tuple(map(tuple, rows))
+
+
+def instance_to_json_reference(inst: Instance) -> str:
+    """``instance_to_json`` by definition: every value of ``inst.values``
+    written by ``format_rational``."""
+    return _dumps({"n": inst.n, "m": inst.m,
+                   "values": [[format_rational(v) for v in row] for row in inst.values]})
 
 
 def all_allocations(n: int, m: int):

@@ -892,3 +892,53 @@ def test_each_payload_is_written_as_json_dumps_writes_it(argv, inst_file, tmp_pa
     assert main([arg.format(inst=inst_file, alloc=alloc) for arg in argv]) == 0
     (payload,) = payloads
     assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+#: bernstein's refusal when flags of both its groups are given.
+_BOTH_GROUPS = "--op bernstein takes --n/--delta or --variance-bound/--term-bound/--deviation, not both"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--algo", "greedy1", "--instance", "{inst}", "--seed", "5"],
+         "--seed only applies to --algo rand"),
+        (["run", "--algo", "miv", "--instance", "{inst}", "--seed", "5"],
+         "--seed only applies to --algo rand"),
+        (["oracle", "--op", "moments", "--instance", "{inst}", "--agent", "1", "--n", "3"],
+         "--op moments does not take --n"),
+        (["oracle", "--op", "moments", "--instance", "{inst}", "--agent", "1", "--delta", "1/2"],
+         "--op moments does not take --delta"),
+        (["oracle", "--op", "rand-alpha", "--n", "2", "--delta", "1/2", "--instance", "{inst}"],
+         "--op rand-alpha does not take --instance"),
+        (["oracle", "--op", "best-alloc", "--instance", "{inst}", "--alpha", "1/2", "--agent", "1"],
+         "--op best-alloc does not take --agent/--alpha"),
+        (["oracle", "--op", "bernstein", "--n", "2", "--delta", "1/2", "--variance-bound", "1/4"],
+         _BOTH_GROUPS),
+        (["oracle", "--op", "bernstein", "--n", "2", "--delta", "1/2", "--term-bound", "1/2"],
+         _BOTH_GROUPS),
+        (["oracle", "--op", "bernstein", "--n", "2", "--delta", "1/2", "--deviation", "1/3"],
+         _BOTH_GROUPS),
+        (["oracle", "--op", "bernstein", "--delta", "1/2", "--variance-bound", "1/4",
+          "--term-bound", "1/2", "--deviation", "1/3"], _BOTH_GROUPS),
+    ],
+    ids=["run-greedy1-seed", "run-miv-seed", "moments-n", "moments-delta", "rand-alpha-instance",
+         "best-alloc-agent-alpha", "bernstein-variance", "bernstein-term", "bernstein-deviation",
+         "bernstein-delta-and-three"],
+)
+def test_a_flag_the_rule_or_op_never_reads_exits_one(argv, message, inst_file, capsys):
+    assert main([arg.format(inst=inst_file) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", f"fairdiv: error: {message}\n")
+
+
+@pytest.mark.parametrize("target", ["greedy1", "greedy2", "greedy3", "miv-impossibility"])
+def test_a_negative_step_budget_is_refused_alike_by_every_construction(target, tmp_path, capsys):
+    message = "the step budget must not be negative, got -1"
+    assert main(["adversary", "--target", target, "--alpha", "1/2", "--max-steps=-1"]) == 1
+    assert capsys.readouterr() == ("", f"fairdiv: error: {message}\n")
+    path, out = tmp_path / "config.json", tmp_path / "rows.csv"
+    row = {"construction": target, "alpha": "1/2", "max_steps": -1}
+    path.write_text(json.dumps({"rows": [row]}), encoding="utf-8")
+    assert main(["campaign", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"fairdiv: error: {path}: {message}\n")
+    assert not out.exists()

@@ -23,7 +23,7 @@ from fairdiv import (
     run,
 )
 from fairdiv.core import _dumps, _reading, check_allocation, instance_to_json
-from conftest import instance_from_rows_reference, load_instance_reference
+from conftest import instance_from_rows_reference, instance_to_json_reference, load_instance_reference
 
 F = Fraction
 
@@ -269,7 +269,7 @@ class TestInstanceFromRows:
         inst = instance_from_rows([[half, 3, True], [0, F(4, 6), F(0)]])
         assert inst.values == ((F(1, 2), F(3), F(1)), (F(0), F(2, 3), F(0)))
         assert all(type(v) is Fraction for row in inst.values for v in row)
-        assert inst.values[0][0] is half
+        assert inst._rows[1][0] is inst._rows[1][2] and inst.values[1][0] is inst.values[1][2]
 
     @pytest.mark.parametrize("cell", [0.5, "1/2", None], ids=["float", "text", "none"])
     def test_a_cell_that_is_not_exact_is_refused(self, cell):
@@ -293,9 +293,83 @@ class TestInstanceFromRows:
         got = instance_from_rows(rows)
         assert got.values == want and (got.n, got.m) == (len(want), len(want[0]))
         assert all(type(v) is Fraction for row in got.values for v in row)
-        assert all(v is c for row, values in zip(rows, got.values)
-                   for c, v in zip(row, values) if isinstance(c, Fraction))
+        shared: dict = {}  # equal cells share one pair and one Fraction
+        for pairs, values in zip(got._rows, got.values):
+            for pair, v in zip(pairs, values):
+                assert all(a is b for a, b in zip(shared.setdefault(v, (pair, v)), (pair, v)))
         assert got == instance_from_rows(want) and hash(got) == hash(instance_from_rows(want))
+
+
+#: Spellings of one value each, canonical or not; ``1e-4300``'s denominator
+#: is past Python's int-to-str digit limit, so it loads but cannot be written.
+SPELLINGS = (("1/2", "2/4", "0.5", " 1/2", "+1/2", "1/02"), ("7", "007", "7.0", "14/2"),
+             ("0", "-0", "0/7", "0.0"), ("1/1000", "1e-3", "0.001"), ("1", "1.0", "1e0", "3/3"),
+             ("1e-4300",))
+#: Cells code may hand ``instance_from_rows`` that it accepts.
+CODE_CELLS = st.one_of(st.integers(0, 10**30), st.booleans(), st.fractions(min_value=0, max_denominator=50))
+
+
+@st.composite
+def spelled_rows(draw, n, m):
+    """n rows of m cells, each a spelling of a value drawn from ``SPELLINGS``;
+    the writable values are drawn far more often than the unwritable one."""
+    kinds = st.sampled_from([*range(len(SPELLINGS) - 1)] * 8 + [len(SPELLINGS) - 1])
+    values = [[draw(kinds) for _ in range(m)] for _ in range(n)]
+    return values, [[draw(st.sampled_from(SPELLINGS[k])) for k in row] for row in values]
+
+
+def written(inst):
+    """``instance_to_json`` and its reference on ``inst``: each a text, or the error's class and text."""
+    out = []
+    for write_json in (instance_to_json, instance_to_json_reference):
+        try:
+            out.append(write_json(inst))
+        except FairdivError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+class TestInstanceForm:
+    """An instance keeps each cell as its reduced (p, q), loaded or built in
+    code; writing, equality and hashing read those pairs directly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 3), m=st.integers(0, 4), loaded=st.booleans())
+    def test_instance_to_json_matches_the_definition(self, data, n, m, loaded, tmp_path_factory):
+        if loaded:
+            _, rows = data.draw(spelled_rows(n, m))
+            path = tmp_path_factory.getbasetemp() / "spelled.json"
+            inst = load_instance(write(path, json.dumps({"values": rows})))
+        else:
+            rows = [[data.draw(CODE_CELLS) for _ in range(m)] for _ in range(n)]
+            if m and data.draw(st.integers(0, 3)) == 0:  # a value past the digit limit
+                rows[0][data.draw(st.integers(0, m - 1))] = F(1, 10**4300)
+            inst = instance_from_rows(rows)
+        got, want = written(inst)
+        assert got == want
+
+    @pytest.mark.parametrize("cell", ['"1e-4300"', '"1e4300"'], ids=["denominator", "numerator"])
+    def test_a_loaded_value_past_the_digit_limit_is_refused_alike(self, cell, tmp_path):
+        inst = load_instance(write(tmp_path / "i.json", f'{{"values": [[{cell}], ["1"]]}}'))
+        got, want = written(inst)
+        assert got == want == (DomainError, "rational too long to write: over Python's int-to-str digit limit")
+
+    def test_a_built_value_past_the_digit_limit_is_refused_alike(self):
+        got, want = written(instance_from_rows([[F(1, 10**4300), 10**5000], [0, 1]]))
+        assert got == want == (DomainError, "rational too long to write: over Python's int-to-str digit limit")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 3), m=st.integers(0, 3))
+    def test_equality_and_hash_follow_the_values_across_spellings(self, data, n, m, tmp_path_factory):
+        (values_a, rows_a), (values_b, rows_b) = data.draw(spelled_rows(n, m)), data.draw(spelled_rows(n, m))
+        if data.draw(st.booleans()):  # the same values, spelled anew
+            rows_b = [[data.draw(st.sampled_from(SPELLINGS[k])) for k in row] for row in values_a]
+        base = tmp_path_factory.getbasetemp()
+        a = load_instance(write(base / "a.json", json.dumps({"values": rows_a})))
+        b = load_instance(write(base / "b.json", json.dumps({"values": rows_b})))
+        assert (a == b) == (a.values == b.values) == (b == a)
+        if a == b:
+            assert hash(a) == hash(b) == hash(instance_from_rows(b.values))
 
 
 class TestCheckAllocation:

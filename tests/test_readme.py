@@ -4,6 +4,7 @@ and the greedy3 depth table's fast rows still come out as printed.
 Reads the first ``sh`` block under the README's ``## CLI`` heading, joins
 lines continued with ``\\``, and checks each ``fairdiv <command>`` line's
 ``--flags`` against that subcommand's parser in ``cli.build_parser()``.
+Every row of the "Reproducing the paper" tables is rerun as well.
 """
 
 import argparse
@@ -70,3 +71,23 @@ def test_the_greedy3_depth_rows_rerun(alpha):
     assert result.target_reached
     rerun = (result.trace.instance.m, result.fields["cycles"], result.fields["certified_cycles_bound"])
     assert rows[2, alpha] == rerun
+
+
+def greedy_failure_rows() -> dict:
+    """(rule, alpha) -> (steps, achieved ratio, target_reached) from the
+    README's table of greedy failures."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("\n## Reproducing the paper\n"):text.index("\n## How deep")]
+    rows = re.findall(r"^\| (greedy\d) \| (\d+/\d+) \| ([\d,]+) \| (\d+/\d+) \| (true|false) \|$",
+                      section, re.M)
+    return {(rule, Fraction(alpha)): (int(steps.replace(",", "")), Fraction(ratio), reached == "true")
+            for rule, alpha, steps, ratio, reached in rows}
+
+
+@pytest.mark.parametrize("rule", ["greedy1", "greedy2", "greedy3"])
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)], ids=str)
+def test_the_greedy_failure_rows_rerun(rule, alpha):
+    rows = greedy_failure_rows()
+    assert len(rows) == 9
+    result = run_construction(rule, 2, alpha)
+    assert rows[rule, alpha] == (result.trace.instance.m, result.achieved_ratio, result.target_reached)

@@ -17,8 +17,9 @@ the only per-good path in ``algorithms.py``, a fourth keeps the integer
 form of the rows (``lcm``) inside ``core.py``, a fifth keeps ``str()``
 off the numbers ``cli.py`` writes, a sixth lets only ``core._reading``
 and ``cli._write`` open a file, a seventh fails on a CLI flag that no
-command reads, and an eighth keeps every ``Instance(`` call inside
-``core.py``.
+command reads, an eighth keeps every ``Instance(`` call inside
+``core.py``, and a ninth keeps every read of an instance's pair rows
+(``._rows``) there too.
 """
 
 import ast
@@ -187,7 +188,7 @@ def test_every_cli_flag_is_read():
 
 
 def test_only_core_calls_instance():
-    """``Instance(rows, pairs)`` checks only the shape: a cell is checked where
+    """``Instance(rows)`` checks only the shape: a cell is checked where
     it enters, by ``instance_from_rows`` or ``load_instance``.  So nothing in
     ``src/``, ``tests/`` or ``perfbench/`` outside ``core.py`` calls it."""
     core = ROOT / "src" / "fairdiv" / "core.py"
@@ -202,3 +203,20 @@ def test_only_core_calls_instance():
                 for sub in ast.walk(node.func))
     ]
     assert not found, "Instance( called outside core.py: " + ", ".join(found)
+
+
+def test_only_core_reads_the_pair_rows():
+    """``Instance._rows`` holds each cell as its reduced pair (p, q); outside
+    ``core.py`` the program reads ``values`` or ``scaled`` instead, so the
+    form can change in one file.  ``tests/test_core.py`` may read it, to pin
+    that form."""
+    allowed = {ROOT / "src" / "fairdiv" / "core.py", ROOT / "tests" / "test_core.py"}
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if path not in allowed
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "_rows"
+    ]
+    assert not found, "._rows read outside core.py: " + ", ".join(found)
