@@ -39,7 +39,6 @@ from .core import (
     Allocation,
     Instance,
     Predictions,
-    check_predictions,
     format_rational,
     instance_from_rows,
     load_allocation,

@@ -36,10 +36,13 @@ class OnlineAllocator:
     implement ``_choose`` (totals already include the arriving good;
     bundles do not yet), the greedy rules through ``GreedyAllocator``.
     ``potential_log`` is the summed potential after each good for
-    potential-based rules, None otherwise.
+    potential-based rules, None otherwise.  ``_validate`` is every rule's
+    one column check, and a rule's prediction contract is data: ``_caps``.
     """
 
     potential_log: list[Fraction] | None = None
+    #: each agent's largest allowed value as a pair (p, q); None for no cap
+    _caps: list[tuple[int, int]] | None = None
 
     def __init__(self, n: int):
         if n < 2:
@@ -60,33 +63,39 @@ class OnlineAllocator:
         only the first is placed.  ``state.t`` counts the goods placed, and
         ``TraceRecorder.place`` places the rest of a run.
         """
-        col = self._validate(column)
-        owner = self._place(col)
+        self._validate(column)
+        owner = self._place(column)
         if copies > 1:
-            self._settle_run(col, owner, copies)
+            self._settle_run(column, owner, copies)
         return owner
 
-    def _settle_run(self, col: list[Fraction], owner: int, copies: int) -> None:
+    def _settle_run(self, col: Sequence[Fraction | int], owner: int, copies: int) -> None:
         """Give the other ``copies - 1`` copies of the placed ``col`` to
         ``owner`` where one step settles them; here none are."""
 
-    def _place(self, col: list[Fraction]) -> int:
+    def _place(self, col: Sequence[Fraction | int]) -> int:
         """Place a validated column: arrive, choose, assign."""
         self.state.arrive(col)
         chosen = self._choose(col)
         self.state.assign(chosen)
         return chosen
 
-    def _validate(self, column: Sequence[Fraction | int]) -> list[Fraction]:
+    def _validate(self, column: Sequence[Fraction | int]) -> None:
+        """Check the length, then each cell as ``instance_from_rows`` does (an
+        int, bool included, or a Fraction, not negative), then each value
+        against its agent's cap.  ``_place`` gets the column as given."""
         if len(column) != self.n:
             raise DomainError(f"column has {len(column)} entries, expected {self.n}")
-        out = []
         for v in column:
-            f = v if type(v) is Fraction else Fraction(v)
-            if f.numerator < 0:
-                raise DomainError(f"negative valuation {f}")
-            out.append(f)
-        return out
+            if not (type(v) is Fraction or isinstance(v, (int, Fraction))):  # Fraction's ABCMeta is slow
+                raise DomainError(f"non-exact valuation {v!r}")
+            if v.numerator < 0:
+                raise DomainError(f"negative valuation {v}")
+        if self._caps is not None:
+            for i, (v, (p, q)) in enumerate(zip(column, self._caps)):
+                if v.numerator * q > p * v.denominator:
+                    raise PredictionContractError(f"valuation {Fraction(v)} of agent {i + 1} "
+                                                  f"exceeds its predicted maximum {Fraction(p, q)}")
 
 
 class GreedyAllocator(OnlineAllocator):
@@ -112,7 +121,7 @@ class GreedyAllocator(OnlineAllocator):
     0 along the run, so an infinite score stays infinite.
     """
 
-    def _choose(self, col: list[Fraction]) -> int:
+    def _choose(self, col: Sequence[Fraction | int]) -> int:
         s = self.state
         return self._argmin(s.total_w, s.held_w, s.best_w, s.col_w)
 
@@ -126,7 +135,7 @@ class GreedyAllocator(OnlineAllocator):
                 best, best_p, best_q = i, p, q
         return best + 1
 
-    def _settle_run(self, col: list[Fraction], owner: int, copies: int) -> None:
+    def _settle_run(self, col: Sequence[Fraction | int], owner: int, copies: int) -> None:
         s, o = self.state, owner - 1
         w = s.col_w
         total = [t + (copies - 1) * x for t, x in zip(s.total_w, w)]
@@ -175,7 +184,7 @@ class RandAllocator(OnlineAllocator):
         super().__init__(n)
         self._rng = random.Random(seed)
 
-    def _choose(self, col: list[Fraction]) -> int:
+    def _choose(self, col: Sequence[Fraction | int]) -> int:
         return self._rng.randrange(self.n) + 1
 
 
@@ -183,7 +192,8 @@ class MivAllocator(OnlineAllocator):
     """Potential-minimizing allocator for unit-normalized MIV predictions.
 
     Requires valuations pre-normalized so every agent's predicted maximum
-    single-good value is exactly 1 (entries above 1 are rejected).  Agent i's
+    single-good value is exactly 1, each agent's cap; a run met that
+    contract exactly when every ``seen_max`` flag is set.  Agent i's
     potential term x / ((n^2+n+1) x + n^2 y - 1), with x = 1/T and y = H/T,
     is 1/D for D = n^2+n+1 + n^2 H - T: T is the arrived total, padded by 1
     until the agent's first value-1 good, and H the held value without that
@@ -208,6 +218,7 @@ class MivAllocator(OnlineAllocator):
     def __init__(self, n: int):
         super().__init__(n)
         self.seen_max = [False] * n  # whether a value-1 good has arrived for each agent
+        self._caps = [(1, 1)] * n
         self.N = [n * n + n] * n
         self.state.rows.append(self.N)
         self.potential = Fraction(1, n + 1)
@@ -215,14 +226,7 @@ class MivAllocator(OnlineAllocator):
 
     phi = property(lambda self: [Fraction(L, N) for L, N in zip(self.state.scale, self.N)])
 
-    def _validate(self, column: Sequence[Fraction | int]) -> list[Fraction]:
-        col = super()._validate(column)
-        for v in col:
-            if v.numerator > v.denominator:
-                raise PredictionContractError(f"valuation {v} exceeds the predicted maximum 1")
-        return col
-
-    def _choose(self, col: list[Fraction]) -> int:
+    def _choose(self, col: Sequence[Fraction | int]) -> int:
         n, t, N, scale = self.n, self.state.t, self.N, self.state.scale
         # the agent with the largest w L / (N (N + n^2 w)) so far, w its gain to H
         best, best_w, best_num, best_den = 0, 0, 0, 1
@@ -292,11 +296,15 @@ class RobustifiedAllocator(OnlineAllocator):
     Valuations are divided by the per-agent predictions; the first normalized
     value at least 1 - epsilon for each agent is then overridden to exactly 1
     before the inner allocator sees it.  At most one good per agent is ever
-    overridden.  A raw value above its agent's prediction breaks the
-    one-sided error contract and raises ``PredictionContractError`` before
-    anything is normalized.  If the inner rule guarantees alpha-PROP1 under
-    perfect predictions, the wrapped rule guarantees beta-PROP1 under the
-    original valuations with beta = alpha (1 - eps) / (1 - alpha eps / n).
+    overridden.  Each agent's cap is its prediction p_i, so a raw value above
+    it breaks the one-sided error contract and ``_validate`` raises
+    ``PredictionContractError`` before anything is normalized.  So agent i's
+    contract holds exactly when some value reaches (1 - epsilon) p_i, and
+    the first such good is overridden to 1: an inner MIV rule's
+    ``seen_max`` flags tell whether the run met it.  If the inner rule
+    guarantees alpha-PROP1 under perfect predictions, the wrapped rule
+    guarantees beta-PROP1 under the original valuations with
+    beta = alpha (1 - eps) / (1 - alpha eps / n).
     ``state`` runs on the raw columns, ``inner.state`` on the normalized ones,
     which go to the inner rule's ``_place``: a checked raw column has n
     values in [0, p_i], so its normalized one passes any rule's checks.
@@ -312,6 +320,7 @@ class RobustifiedAllocator(OnlineAllocator):
         # the inner rule's list, only ever appended to
         self.potential_log = inner.potential_log
         self.predictions = predictions
+        self._caps = [(p.numerator, p.denominator) for p in predictions.p]
         self._threshold = 1 - predictions.epsilon
         # v / 1 is v: only the agents predicted other than 1 are divided
         self._divided = [i for i, p in enumerate(predictions.p) if p != 1]
@@ -321,23 +330,14 @@ class RobustifiedAllocator(OnlineAllocator):
     # bound in the class body, so perfbench/tracer.py can wrap it per class
     observe = OnlineAllocator.observe
 
-    def _validate(self, column: Sequence[Fraction | int]) -> list[Fraction]:
-        col = super()._validate(column)
-        for i, (v, p) in enumerate(zip(col, self.predictions.p)):
-            if v > p:
-                raise PredictionContractError(
-                    f"valuation {v} of agent {i + 1} exceeds its predicted maximum {p}"
-                )
-        return col
-
-    def _choose(self, col: list[Fraction]) -> int:
+    def _choose(self, col: Sequence[Fraction | int]) -> int:
         norm = list(col)
         for i in self._divided:
             norm[i] /= self.predictions.p[i]
         for i in range(self.n):
             if not self._overridden[i] and norm[i] >= self._threshold:
                 self._overridden[i] = True
-                self.override_log.append(OverrideEvent(i + 1, self.state.t, norm[i]))
+                self.override_log.append(OverrideEvent(i + 1, self.state.t, Fraction(norm[i])))
                 norm[i] = Fraction(1)
         return self.inner._place(norm)
 

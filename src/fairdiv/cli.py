@@ -21,7 +21,6 @@ from .core import (
     Predictions,
     _dumps,
     _reading,
-    check_predictions,
     format_rational,
     format_ratio,
     instance_to_json,
@@ -195,19 +194,21 @@ def _cmd_metrics(args) -> int:
 
 
 def _make_allocator(args, n: int):
-    """The allocator and, for miv, the predictions it runs on (else None)."""
+    """The allocator and, for miv, the MIV rule itself (the wrapped one under
+    ``--predictions``/``--epsilon``), whose ``seen_max`` flags say whether the
+    run met the prediction contract; None for every other rule."""
     if args.seed is not None and args.algo != "rand":
         raise FairdivError("--seed only applies to --algo rand")
     allocator = make_allocator(args.algo, n, args.seed)
-    robust = args.predictions is not None or args.epsilon is not None
-    if args.algo != "miv":
-        if robust:
-            raise FairdivError("--predictions/--epsilon only apply to --algo miv")
-        return allocator, None
+    miv = allocator if args.algo == "miv" else None
+    if args.predictions is None and args.epsilon is None:
+        return allocator, miv
+    if miv is None:
+        raise FairdivError("--predictions/--epsilon only apply to --algo miv")
     pred = perfect_predictions(n) if args.predictions is None else load_predictions(args.predictions)
     if args.epsilon is not None:
         pred = Predictions(pred.p, args.epsilon)
-    return (RobustifiedAllocator(allocator, pred) if robust else allocator), pred
+    return RobustifiedAllocator(allocator, pred), miv
 
 
 def _trace_payload(trace) -> dict:
@@ -225,13 +226,13 @@ def _trace_payload(trace) -> dict:
 
 def _cmd_run(args) -> int:
     inst = load_instance(args.instance)
-    allocator, pred = _make_allocator(args, inst.n)
+    allocator, miv = _make_allocator(args, inst.n)
     trace = run(allocator, inst)
     payload = _trace_payload(trace)
     payload["prop1_ratio"] = format_rational(allocator.state.ratio())
     payload["algo"] = args.algo
-    if pred is not None:  # the 1/n-PROP1 guarantee rests on this contract
-        payload["prediction_contract_met"] = check_predictions(inst, pred)
+    if miv is not None:  # the 1/n-PROP1 guarantee rests on this contract
+        payload["prediction_contract_met"] = all(miv.seen_max)
     _write(args.out, _dumps(payload))
     return 0
 

@@ -238,9 +238,9 @@ class Predictions:
     def __post_init__(self) -> None:
         for pi in self.p:
             if not isinstance(pi, Fraction) or pi <= 0:
-                raise DomainError(f"prediction {pi!r} must be a positive rational")
+                raise DomainError(f"prediction {_shown(pi)} must be a positive rational")
         if not (isinstance(self.epsilon, Fraction) and 0 <= self.epsilon < 1):
-            raise DomainError(f"one-sided error {self.epsilon!r} must lie in [0, 1)")
+            raise DomainError(f"one-sided error {_shown(self.epsilon)} must lie in [0, 1)")
 
     @property
     def n(self) -> int:
@@ -250,14 +250,6 @@ class Predictions:
 def perfect_predictions(n: int) -> Predictions:
     """All-ones predictions with zero error."""
     return Predictions(tuple(Fraction(1) for _ in range(n)))
-
-
-def check_predictions(inst: Instance, pred: Predictions) -> bool:
-    """True iff every agent's max single-good value is in [(1-eps)p_i, p_i]."""
-    if pred.n != inst.n:
-        raise DomainError(f"predictions cover {pred.n} agents, instance has {inst.n}")
-    low = 1 - pred.epsilon
-    return all(low * p <= max(row, default=Fraction(0)) <= p for p, row in zip(pred.p, inst.values))
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +319,12 @@ def _as_int(value, what: str) -> int:
         return value.numerator
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    shown = value if isinstance(value, Fraction) else repr(value)  # 3/2, not Fraction(3, 2)
-    raise ParseError(f"{what} must be an integer, got {shown}")
+    raise ParseError(f"{what} must be an integer, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """``value`` in an error text: a Fraction as 3/2, not Fraction(3, 2); else its repr."""
+    return str(value) if isinstance(value, Fraction) else repr(value)
 
 
 @contextmanager

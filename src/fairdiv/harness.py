@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import adversaries as adv
 from .core import Instance, _as_int, instance_to_json, parse_rational
-from .errors import DomainError, InvariantError, ParseError
+from .errors import DomainError, FairdivError, InvariantError, ParseError
 from .oracles import rand_alpha_bound
 
 
@@ -172,38 +172,41 @@ def campaign(items: Sequence[dict]) -> list[dict]:
     for k, item in enumerate(items, start=1):
         if not isinstance(item, dict) or "construction" not in item or "alpha" not in item:
             raise DomainError(f"campaign row {k} needs a 'construction' and an 'alpha'")
-        if unknown := sorted(item.keys() - ROW_KEYS):
-            raise DomainError(f"campaign row {k}: unknown keys {unknown}")
-        alpha = parse_rational(item["alpha"])
-        n, repetitions, max_steps = (
-            _integer(k, key, item.get(key, default))
-            for key, default in (("n", 2), ("repetitions", 1), ("max_steps", adv.MAX_STEPS))
-        )
-        if repetitions < 0:
-            raise DomainError(f"campaign row {k}: 'repetitions' must not be negative")
-        seed = None if item.get("seed") is None else _integer(k, "seed", item["seed"])
-        construction = item["construction"]
-        allocator = adv.check_construction(
-            construction, n, alpha, max_steps=max_steps, allocator=item.get("allocator"), seed=seed
-        )
-        notion = item.get("notion")
-        if construction != "miv-impossibility":
-            if notion is not None:
-                raise DomainError(f"{construction} reports no fairness notion, got {notion!r}")
-        elif notion is None:
-            notion = "ef1"
-        elif notion not in NOTIONS:
-            raise DomainError(f"unknown fairness notion {notion!r}; choose from {NOTIONS}")
+        try:  # every refusal names its row
+            if unknown := sorted(item.keys() - ROW_KEYS):
+                raise DomainError(f"unknown keys {unknown}")
+            alpha = parse_rational(item["alpha"])
+            n, repetitions, max_steps = (
+                _integer(key, item.get(key, default))
+                for key, default in (("n", 2), ("repetitions", 1), ("max_steps", adv.MAX_STEPS))
+            )
+            if repetitions < 0:
+                raise DomainError("'repetitions' must not be negative")
+            seed = None if item.get("seed") is None else _integer("seed", item["seed"])
+            construction = item["construction"]
+            allocator = adv.check_construction(
+                construction, n, alpha, max_steps=max_steps, allocator=item.get("allocator"), seed=seed
+            )
+            notion = item.get("notion")
+            if construction != "miv-impossibility":
+                if notion is not None:
+                    raise DomainError(f"{construction} reports no fairness notion, got {notion!r}")
+            elif notion is None:
+                notion = "ef1"
+            elif notion not in NOTIONS:
+                raise DomainError(f"unknown fairness notion {notion!r}; choose from {NOTIONS}")
+        except FairdivError as exc:
+            raise type(exc)(f"campaign row {k}: {exc}") from None
         checked.append(((construction, allocator, notion, n, alpha, max_steps, seed), repetitions))
     return [_campaign_row(*row, rep) for row, repetitions in checked for rep in range(repetitions)]
 
 
-def _integer(k: int, key: str, value) -> int:
+def _integer(key: str, value) -> int:
     """A campaign row's integer field; ``2`` and ``"2"`` both read as 2."""
     try:
         return _as_int(parse_rational(value), key)
     except ParseError:
-        raise ParseError(f"campaign row {k}: {key!r} must be an integer, got {value}") from None
+        raise ParseError(f"{key!r} must be an integer, got {value}") from None
 
 
 def _campaign_row(

@@ -4,7 +4,7 @@
 ``instance_to_json_reference`` and the ``Fraction`` allocators
 ``REF_ALLOCATORS``) that the fast library paths are checked against, and
 the paper's formulas that only tests use (``robust_beta``,
-``running_values``)."""
+``check_predictions``, ``running_values``)."""
 
 from __future__ import annotations
 
@@ -31,6 +31,15 @@ def robust_beta(alpha: Fraction, epsilon: Fraction, n: int) -> Fraction:
     if not 0 <= epsilon < 1:
         raise DomainError(f"one-sided error {epsilon} must lie in [0, 1)")
     return alpha * (1 - epsilon) / (1 - alpha * epsilon / n)
+
+
+def check_predictions(inst: Instance, pred) -> bool:
+    """The MIV prediction contract by definition: True iff every agent's
+    largest single-good value lies in [(1 - eps) p_i, p_i]."""
+    if pred.n != inst.n:
+        raise DomainError(f"predictions cover {pred.n} agents, instance has {inst.n}")
+    low = 1 - pred.epsilon
+    return all(low * p <= max(row, default=Fraction(0)) <= p for p, row in zip(pred.p, inst.values))
 
 
 def random_instance(
@@ -256,6 +265,8 @@ class RefAllocator:
             raise DomainError(f"column has {len(column)} entries, expected {self.n}")
         out = []
         for v in column:
+            if not isinstance(v, (int, Fraction)):  # instance_from_rows' cell rule
+                raise DomainError(f"non-exact valuation {v!r}")
             f = Fraction(v)
             if f < 0:
                 raise DomainError(f"negative valuation {f}")
@@ -306,9 +317,9 @@ class RefMiv(RefAllocator):
 
     def _validate(self, column):
         col = super()._validate(column)
-        for v in col:
+        for i, v in enumerate(col):
             if v > 1:
-                raise PredictionContractError(f"valuation {v} exceeds the predicted maximum 1")
+                raise PredictionContractError(f"valuation {v} of agent {i + 1} exceeds its predicted maximum 1")
         return col
 
     def _choose(self, col):

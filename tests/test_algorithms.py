@@ -15,6 +15,7 @@ from fairdiv import (
     InvariantError,
     MivAllocator,
     OnlineAllocator,
+    ParseError,
     Predictions,
     PredictionContractError,
     RandAllocator,
@@ -472,6 +473,46 @@ class TestRobustify:
     def test_epsilon_validation(self):
         with pytest.raises(DomainError):
             Predictions((F(1), F(1)), F(3, 2))
+
+
+def _snapshot(allocator):
+    """Everything a placement changes: the state rows, the logs, the flags
+    and the random state, the inner rule's included."""
+    s = allocator.state
+    seen = [s.t, list(s.scale), *map(list, s.rows), list(s.col_w), list(allocator.potential_log or [])]
+    for name in ("seen_max", "override_log"):
+        seen.append(list(getattr(allocator, name, [])))
+    if hasattr(allocator, "_rng"):
+        seen.append(allocator._rng.getstate())
+    if hasattr(allocator, "inner"):
+        seen.append(_snapshot(allocator.inner))
+    return seen
+
+
+@pytest.mark.parametrize("cell", [0.5, "1/2", None, float("nan"), -1, F(-1, 2)], ids=repr)
+@pytest.mark.parametrize("rule", ["greedy1", "greedy2", "greedy3", "rand", "miv", "miv-robust"])
+def test_observe_refuses_the_cells_instance_from_rows_refuses(rule, cell):
+    with pytest.raises(ParseError) as built:
+        instance_from_rows([[F(1, 2), F(1, 3)], [F(1), cell], [F(0), F(0)]])
+    if rule == "miv-robust":
+        allocator = RobustifiedAllocator(MivAllocator(3), Predictions((F(1), F(2), F(1, 2)), F(1, 4)))
+    else:
+        allocator = make_allocator(rule, 3, seed=5)
+    allocator.observe([F(1, 2), F(1), F(0)])
+    before = _snapshot(allocator)
+    with pytest.raises(DomainError) as observed:
+        allocator.observe([F(1, 3), cell, F(0)])
+    assert str(observed.value) == str(built.value)
+    assert _snapshot(allocator) == before
+
+
+@pytest.mark.parametrize("column", [[F(0), F(3, 2)], [True, 2]], ids=["fraction", "int"])
+def test_miv_refuses_a_value_above_its_cap_naming_the_agent(column):
+    allocator = MivAllocator(2)
+    with pytest.raises(PredictionContractError) as refused:
+        allocator.observe(column)
+    assert str(refused.value) == f"valuation {F(column[1])} of agent 2 exceeds its predicted maximum 1"
+    assert allocator.state.t == 0 and allocator.seen_max == [False, False]
 
 
 def _contract_instance(rng, n, m, eps):

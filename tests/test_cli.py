@@ -1,15 +1,19 @@
 import csv
 import json
+import tempfile
 import time
 from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairdiv import cli, harness, metrics
+from fairdiv import Predictions, cli, harness, instance_from_rows, metrics
 from fairdiv.cli import main
 from fairdiv.errors import DomainError, InvariantError
+from conftest import check_predictions
 
 F = Fraction
 
@@ -344,6 +348,21 @@ class TestRunCommand:
         argv = ["run", "--algo", "miv", "--instance", str(inst)]
         assert main([*argv, *(flag.format(pred=pred) for flag in flags)]) == 0
         assert json.loads(capsys.readouterr().out)["prediction_contract_met"] is met
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--epsilon", "3/2"], "one-sided error 3/2 must lie in [0, 1)"),
+            (["--predictions", "{pred}"], "{pred}: prediction 0 must be a positive rational"),
+        ],
+        ids=["epsilon", "prediction"],
+    )
+    def test_a_prediction_refusal_quotes_the_value(self, flags, message, inst_file, tmp_path, capsys):
+        pred = tmp_path / "p.json"
+        pred.write_text('{"p": ["0", "1"]}', encoding="utf-8")
+        argv = ["run", "--algo", "miv", "--instance", inst_file, *(f.format(pred=pred) for f in flags)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"fairdiv: error: {message.format(pred=pred)}\n")
 
     def test_greedy_runs_report_no_prediction_contract(self, inst_file, capsys):
         for flags in (["--algo", "greedy1"], ["--algo", "greedy2"], ["--algo", "greedy3"],
@@ -738,18 +757,18 @@ class TestCampaignCommand:
             ({"n": 2, "alpha": "1/2"}, "campaign row 1 needs a 'construction' and an 'alpha'"),
             ({"construction": "greedy1", "alpha": "1/2", "repetition": 3, "max_step": 5},
              "campaign row 1: unknown keys ['max_step', 'repetition']"),
-            ({"construction": ["greedy1"], "alpha": "1/2"}, "unknown construction ['greedy1']; "
+            ({"construction": ["greedy1"], "alpha": "1/2"}, "campaign row 1: unknown construction ['greedy1']; "
              "choose from ('greedy1', 'greedy2', 'greedy3', 'miv-impossibility')"),
-            ({"construction": {}, "alpha": "1/2"}, "unknown construction {}; "
+            ({"construction": {}, "alpha": "1/2"}, "campaign row 1: unknown construction {}; "
              "choose from ('greedy1', 'greedy2', 'greedy3', 'miv-impossibility')"),
-            ({"construction": 5, "alpha": "1/2"}, "unknown construction 5; "
+            ({"construction": 5, "alpha": "1/2"}, "campaign row 1: unknown construction 5; "
              "choose from ('greedy1', 'greedy2', 'greedy3', 'miv-impossibility')"),
             ({"construction": "miv-impossibility", "alpha": "1/2", "allocator": 5},
-             "unknown allocator 5; choose from greedy1, greedy2, greedy3, rand, miv"),
+             "campaign row 1: unknown allocator 5; choose from greedy1, greedy2, greedy3, rand, miv"),
             ({"construction": "miv-impossibility", "alpha": "1/2", "notion": 5},
-             "unknown fairness notion 5; choose from ('ef1', 'mms', 'propx')"),
+             "campaign row 1: unknown fairness notion 5; choose from ('ef1', 'mms', 'propx')"),
             ({"construction": "greedy1", "alpha": "1/2", "notion": 5},
-             "greedy1 reports no fairness notion, got 5"),
+             "campaign row 1: greedy1 reports no fairness notion, got 5"),
         ],
         ids=["no-construction", "unknown-keys", "construction-list", "construction-object",
              "construction-int", "allocator-int", "notion-int", "notion-on-greedy1"],
@@ -940,5 +959,67 @@ def test_a_negative_step_budget_is_refused_alike_by_every_construction(target, t
     row = {"construction": target, "alpha": "1/2", "max_steps": -1}
     path.write_text(json.dumps({"rows": [row]}), encoding="utf-8")
     assert main(["campaign", "--config", str(path), "--out", str(out)]) == 1
-    assert capsys.readouterr() == ("", f"fairdiv: error: {path}: {message}\n")
+    assert capsys.readouterr() == ("", f"fairdiv: error: {path}: campaign row 1: {message}\n")
+    assert not out.exists()
+
+
+@st.composite
+def contract_runs(draw):
+    """(rows, predictions, whether the run is wrapped): n 2-4, m 0-6, and
+    every value at most its agent's p_i, so the run completes.  Plain runs
+    have p = 1 and eps = 0; a row may or may not hold a good worth p_i,
+    (1 - eps) p_i, or a value between the two."""
+    n, m, wrapped = draw(st.integers(2, 4)), draw(st.integers(0, 6)), draw(st.booleans())
+    p, eps = [F(1)] * n, F(0)
+    if wrapped:
+        p = draw(st.lists(st.sampled_from([F(1), F(2), F(3, 7)]), min_size=n, max_size=n))
+        eps = draw(st.sampled_from([F(0), F(1, 4), F(1, 2)]))
+    rows = []
+    for pi in p:
+        low = (1 - eps) * pi
+        below = st.integers(0, 11).map(lambda k: low * F(k, 12))
+        value = st.one_of(st.sampled_from([pi, low, (low + pi) / 2]), below)
+        rows.append(draw(st.lists(value, min_size=m, max_size=m)))
+    return rows, Predictions(tuple(p), eps), wrapped
+
+
+@settings(max_examples=150, deadline=None)
+@given(contract_runs())
+def test_prediction_contract_met_is_the_contract_by_definition(case):
+    rows, pred, wrapped = case
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, pred_file, out = Path(tmp, "i.json"), Path(tmp, "p.json"), Path(tmp, "out.json")
+        inst.write_text(json.dumps({"values": [list(map(str, row)) for row in rows]}), encoding="utf-8")
+        argv = ["run", "--algo", "miv", "--instance", str(inst), "--out", str(out)]
+        if wrapped:
+            pred_file.write_text(json.dumps({"p": list(map(str, pred.p)), "epsilon": str(pred.epsilon)}),
+                                 encoding="utf-8")
+            argv += ["--predictions", str(pred_file)]
+        assert main(argv) == 0
+        met = read_json(out)["prediction_contract_met"]
+    assert met is check_predictions(instance_from_rows(rows), pred)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ({"construction": "greedy1", "alpha": "1/2", "max_steps": -1},
+         "the step budget must not be negative, got -1"),
+        ({"construction": "greedy1", "alpha": "x"}, "bad rational literal 'x': Invalid literal for Fraction: 'x'"),
+        ({"construction": "greedy1", "alpha": "2"}, "target ratio 2 outside (0, 1]"),
+        ({"construction": "greedy1", "alpha": "1/2", "notion": "ef1"},
+         "greedy1 reports no fairness notion, got 'ef1'"),
+        ({"construction": "miv-impossibility", "alpha": "1/2", "notion": "efx"},
+         "unknown fairness notion 'efx'; choose from ('ef1', 'mms', 'propx')"),
+        ({"construction": "nope", "alpha": "1/2"},
+         "unknown construction 'nope'; choose from ('greedy1', 'greedy2', 'greedy3', 'miv-impossibility')"),
+    ],
+    ids=["negative-budget", "alpha-literal", "alpha-range", "notion-on-greedy1", "unknown-notion",
+         "unknown-construction"],
+)
+def test_every_refusal_of_a_campaign_row_names_its_row(row, message, tmp_path, capsys):
+    path, out = tmp_path / "config.json", tmp_path / "rows.csv"
+    path.write_text(json.dumps({"rows": [{"construction": "greedy1", "alpha": "1/2"}, row]}), encoding="utf-8")
+    assert main(["campaign", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"fairdiv: error: {path}: campaign row 2: {message}\n")
     assert not out.exists()

@@ -13,7 +13,6 @@ from fairdiv import (
     FairdivError,
     ParseError,
     Predictions,
-    check_predictions,
     format_rational,
     instance_from_rows,
     load_allocation,
@@ -22,8 +21,11 @@ from fairdiv import (
     parse_rational,
     run,
 )
+from fairdiv.cli import main
 from fairdiv.core import _dumps, _reading, check_allocation, instance_to_json
-from conftest import instance_from_rows_reference, instance_to_json_reference, load_instance_reference
+from conftest import (
+    check_predictions, instance_from_rows_reference, instance_to_json_reference, load_instance_reference,
+)
 
 F = Fraction
 
@@ -432,25 +434,30 @@ def test_an_owner_entry_that_is_not_an_integer_is_quoted_exactly(owner, message,
 
 
 class TestPredictions:
-    def test_predictions_for_another_number_of_agents_are_refused(self):
-        inst = instance_from_rows([[F(1)], [F(1)]])
-        with pytest.raises(DomainError) as refused:
-            check_predictions(inst, Predictions((F(1),) * 3))
-        assert str(refused.value) == "predictions cover 3 agents, instance has 2"
+    """``run --algo miv`` reports the contract as ``prediction_contract_met``,
+    read from the rule's ``seen_max`` flags; each case also checks it
+    against ``check_predictions``, the contract by definition.  A count of
+    predictions other than n is refused before the run (``tests/test_cli.py``)."""
 
-    def test_perfect_prediction_accepted(self):
-        inst = instance_from_rows([[F(1), F(1, 2)], [F(1), F(1)]])
-        assert check_predictions(inst, Predictions((F(1), F(1))))
+    @staticmethod
+    def contract_met(tmp_path, capsys, rows, pred):
+        inst = write(tmp_path / "i.json", json.dumps({"values": rows}))
+        p = write(tmp_path / "p.json", json.dumps({"p": list(map(str, pred.p)), "epsilon": str(pred.epsilon)}))
+        assert main(["run", "--algo", "miv", "--instance", inst, "--predictions", p]) == 0
+        met = json.loads(capsys.readouterr().out)["prediction_contract_met"]
+        assert met is check_predictions(load_instance(inst), pred)
+        return met
 
-    def test_overestimate_beyond_epsilon_rejected(self):
-        inst = instance_from_rows([[F(1, 2)], [F(1)]])
+    def test_perfect_prediction_accepted(self, tmp_path, capsys):
+        assert self.contract_met(tmp_path, capsys, [["1", "1/2"], ["1", "1"]], Predictions((F(1), F(1))))
+
+    def test_overestimate_beyond_epsilon_rejected(self, tmp_path, capsys):
         pred = Predictions((F(1), F(1)), F(1, 4))
-        assert not check_predictions(inst, pred)  # 1/2 < 3/4
+        assert not self.contract_met(tmp_path, capsys, [["1/2"], ["1"]], pred)  # 1/2 < 3/4
 
-    def test_overestimate_within_epsilon_accepted(self):
-        inst = instance_from_rows([[F(4, 5)], [F(1)]])
+    def test_overestimate_within_epsilon_accepted(self, tmp_path, capsys):
         pred = Predictions((F(1), F(1)), F(1, 4))
-        assert check_predictions(inst, pred)  # 4/5 >= 3/4
+        assert self.contract_met(tmp_path, capsys, [["4/5"], ["1"]], pred)  # 4/5 >= 3/4
 
     def test_contract_parameters_validated(self):
         with pytest.raises(DomainError):

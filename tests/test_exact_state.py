@@ -78,7 +78,7 @@ def cases(draw):
             [F(1)] * (n + 1),  # too long
             [F(-1, 3)] + [F(0)] * (n - 1),
             [F(0)] * (n - 1) + [F(7, 5) * p[-1]],  # above the unit or the prediction
-            ["1/2"] * n,  # a literal, read by Fraction
+            ["1/2"] * n,  # a literal: no exact cell, refused as instance_from_rows refuses it
         ]))
     return rule, instance_from_rows(rows), pred, bad, draw(st.integers(0, m))
 

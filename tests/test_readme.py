@@ -4,10 +4,12 @@ and the greedy3 depth table's fast rows still come out as printed.
 Reads the first ``sh`` block under the README's ``## CLI`` heading, joins
 lines continued with ``\\``, and checks each ``fairdiv <command>`` line's
 ``--flags`` against that subcommand's parser in ``cli.build_parser()``.
-Every row of the "Reproducing the paper" tables is rerun as well.
+Every row of the "Reproducing the paper" tables is rerun as well, the
+MIV rows on the instances of the README's JSON block.
 """
 
 import argparse
+import json
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +17,8 @@ from pathlib import Path
 import pytest
 
 from fairdiv import run_construction
-from fairdiv.cli import build_parser
+from fairdiv.cli import build_parser, main
+from conftest import robust_beta
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -91,3 +94,32 @@ def test_the_greedy_failure_rows_rerun(rule, alpha):
     assert len(rows) == 9
     result = run_construction(rule, 2, alpha)
     assert rows[rule, alpha] == (result.trace.instance.m, result.achieved_ratio, result.target_reached)
+
+
+def miv_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text[text.index("\n**MIV keeps 1/n-PROP1"):text.index("\n## How deep")]
+
+
+def miv_rows() -> list[tuple]:
+    """(instance, n, epsilon or None, prop1_ratio, bound, contract met) per row
+    of the README's MIV table."""
+    rows = re.findall(r"^\| ([a-c][23]) \| (\d) \| (none|`--epsilon 1/4`) \| (\d+(?:/\d+)?) \| "
+                      r"(\d+/\d+) \| (true|false) \|$", miv_section(), re.M)
+    return [(name, int(n), None if flags == "none" else "1/4", Fraction(ratio), Fraction(bound), met == "true")
+            for name, n, flags, ratio, bound, met in rows]
+
+
+def test_the_miv_rows_rerun(tmp_path, capsys):
+    instances = json.loads(re.search(r"```json\n(.*?)```", miv_section(), re.S).group(1))
+    rows = miv_rows()
+    assert len(rows) == 8
+    for name, n, epsilon, ratio, bound, met in rows:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(instances[name]), encoding="utf-8")
+        flags = [] if epsilon is None else ["--epsilon", epsilon]
+        assert main(["run", "--algo", "miv", "--instance", str(path), *flags]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert len(instances[name]["values"]) == n
+        assert (Fraction(out["prop1_ratio"]), out["prediction_contract_met"]) == (ratio, met)
+        assert bound == robust_beta(Fraction(1, n), Fraction(0 if epsilon is None else epsilon), n)

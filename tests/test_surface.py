@@ -13,7 +13,8 @@ code but never reports code that is used.
 A second check forbids ``global`` statements in ``src/fairdiv``: many
 ``cli.main`` calls can share one interpreter, and module-level state would
 leak from one call into the next.  A third keeps ``OnlineAllocator.observe``
-the only per-good path in ``algorithms.py``, a fourth keeps the integer
+the only per-good path in ``algorithms.py``, and its ``_validate`` the one
+column check, a fourth keeps the integer
 form of the rows (``lcm``) inside ``core.py``, a fifth keeps ``str()``
 off the numbers ``cli.py`` writes, a sixth lets only ``core._reading``
 and ``cli._write`` open a file, a seventh fails on a CLI flag that no
@@ -105,17 +106,18 @@ def test_src_rebinds_no_module_level_state():
 
 def test_only_the_base_allocator_defines_observe():
     """``OnlineAllocator.observe`` (validate, then ``_place``) is the one
-    per-good path; a subclass may bind either method in its body (for
-    per-class tracing) but not write its own."""
+    per-good path, and ``OnlineAllocator._validate`` the one column check,
+    whose per-agent caps are a rule's data; a subclass may bind one of the
+    three in its body (for per-class tracing) but not write its own."""
     tree = ast.parse((ROOT / "src" / "fairdiv" / "algorithms.py").read_text(encoding="utf-8"))
     found = [
         f"{cls.name}.{item.name}"
         for cls in tree.body
         if isinstance(cls, ast.ClassDef) and cls.name != "OnlineAllocator"
         for item in cls.body
-        if isinstance(item, ast.FunctionDef) and item.name in ("observe", "_place")
+        if isinstance(item, ast.FunctionDef) and item.name in ("observe", "_place", "_validate")
     ]
-    assert not found, "observe or _place defined outside OnlineAllocator: " + ", ".join(found)
+    assert not found, "observe, _place or _validate defined outside OnlineAllocator: " + ", ".join(found)
 
 
 def test_only_core_takes_an_lcm():
