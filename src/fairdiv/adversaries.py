@@ -293,7 +293,7 @@ class Greedy3Adversary(AdaptiveAdversary):
         """Yield ``copies`` of ``col`` for one of ``allowed``; mirror them and
         return their owner."""
         owner = yield col, allowed, copies
-        self._mirror.arrive(col, copies)
+        self._mirror.arrive([(v.numerator, v.denominator) for v in col], copies)
         self._mirror.assign(owner, copies)
         return owner
 

@@ -9,9 +9,9 @@ toward the lowest agent index; an agent whose total arrived value is zero
 scores 0 under the max-value rule (which scores the negated ratio) and
 vacuously-satisfied (infinite) under the min-ratio rules.
 
-Running state is integers, each agent's values times its scale L_i
-(``Prop1State``), MIV's D_i included as N_i = D_i L_i; Fractions are built
-only where a value leaves that state.
+Past ``observe`` a cell is a pair (p, q) of ints, as an ``Instance`` holds it;
+running state is integers over each agent's scale L_i (``Prop1State``), MIV's
+D_i as N_i = D_i L_i; Fractions are built only where a value leaves it.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ class OnlineAllocator:
     implement ``_choose`` (totals already include the arriving good;
     bundles do not yet), the greedy rules through ``GreedyAllocator``.
     ``potential_log`` is the summed potential after each good for
-    potential-based rules, None otherwise.  ``_validate`` is every rule's
-    one column check, and a rule's prediction contract is data: ``_caps``.
+    potential-based rules, None otherwise.  ``_validate``, every rule's one
+    column check, hands on pairs; a rule's prediction contract is data: ``_caps``.
     """
 
     potential_log: list[Fraction] | None = None
@@ -54,7 +54,7 @@ class OnlineAllocator:
     bundle = property(lambda self: self.state.values(self.state.held_w))
     best_outside = property(lambda self: self.state.values(self.state.best_w))
 
-    def observe(self, column: Sequence[Fraction | int], copies: int = 1) -> int:
+    def observe(self, column: Sequence[Fraction | int | tuple[int, int]], copies: int = 1) -> int:
         """Place the good ``column`` and return its owner.
 
         ``copies`` > 1 makes the good the first of that many equal goods in
@@ -63,39 +63,46 @@ class OnlineAllocator:
         only the first is placed.  ``state.t`` counts the goods placed, and
         ``TraceRecorder.place`` places the rest of a run.
         """
-        self._validate(column)
-        owner = self._place(column)
+        col = self._validate(column)
+        owner = self._place(col)
         if copies > 1:
-            self._settle_run(column, owner, copies)
+            self._settle_run(col, owner, copies)
         return owner
 
-    def _settle_run(self, col: Sequence[Fraction | int], owner: int, copies: int) -> None:
+    def _settle_run(self, col: Sequence[tuple[int, int]], owner: int, copies: int) -> None:
         """Give the other ``copies - 1`` copies of the placed ``col`` to
         ``owner`` where one step settles them; here none are."""
 
-    def _place(self, col: Sequence[Fraction | int]) -> int:
-        """Place a validated column: arrive, choose, assign."""
+    def _place(self, col: Sequence[tuple[int, int]]) -> int:
+        """Place a validated column of pairs: arrive, choose, assign."""
         self.state.arrive(col)
         chosen = self._choose(col)
         self.state.assign(chosen)
         return chosen
 
-    def _validate(self, column: Sequence[Fraction | int]) -> None:
-        """Check the length, then each cell as ``instance_from_rows`` does (an
-        int, bool included, or a Fraction, not negative), then each value
-        against its agent's cap.  ``_place`` gets the column as given."""
+    def _validate(self, column: Sequence[Fraction | int | tuple[int, int]]) -> list[tuple[int, int]]:
+        """The column as pairs, after checking the length, each cell (an int or
+        Fraction not negative, as ``instance_from_rows`` has it, or two ints p
+        >= 0 and q > 0, reduced or not) and each value against its cap."""
         if len(column) != self.n:
             raise DomainError(f"column has {len(column)} entries, expected {self.n}")
-        for v in column:
-            if not (type(v) is Fraction or isinstance(v, (int, Fraction))):  # Fraction's ABCMeta is slow
-                raise DomainError(f"non-exact valuation {v!r}")
-            if v.numerator < 0:
-                raise DomainError(f"negative valuation {v}")
+        col = []
+        for c in column:
+            if type(c) is not tuple:
+                if not (type(c) is Fraction or isinstance(c, (int, Fraction))):  # Fraction's ABCMeta is slow
+                    raise DomainError(f"non-exact valuation {c!r}")
+                if c.numerator < 0:
+                    raise DomainError(f"negative valuation {c}")
+                c = c.numerator, c.denominator
+            elif not (len(c) == 2 and isinstance(c[0], int) and isinstance(c[1], int) and c[0] >= 0 < c[1]):
+                raise DomainError(f"non-exact valuation {c!r}")
+            col.append(c)
         if self._caps is not None:
-            for i, (v, (p, q)) in enumerate(zip(column, self._caps)):
-                if v.numerator * q > p * v.denominator:
-                    raise PredictionContractError(f"valuation {Fraction(v)} of agent {i + 1} "
+            for i, ((v, d), (p, q)) in enumerate(zip(col, self._caps)):
+                if v * q > p * d:
+                    raise PredictionContractError(f"valuation {Fraction(v, d)} of agent {i + 1} "
                                                   f"exceeds its predicted maximum {Fraction(p, q)}")
+        return col
 
 
 class GreedyAllocator(OnlineAllocator):
@@ -121,7 +128,7 @@ class GreedyAllocator(OnlineAllocator):
     0 along the run, so an infinite score stays infinite.
     """
 
-    def _choose(self, col: Sequence[Fraction | int]) -> int:
+    def _choose(self, col: Sequence[tuple[int, int]]) -> int:
         s = self.state
         return self._argmin(s.total_w, s.held_w, s.best_w, s.col_w)
 
@@ -135,7 +142,7 @@ class GreedyAllocator(OnlineAllocator):
                 best, best_p, best_q = i, p, q
         return best + 1
 
-    def _settle_run(self, col: Sequence[Fraction | int], owner: int, copies: int) -> None:
+    def _settle_run(self, col: Sequence[tuple[int, int]], owner: int, copies: int) -> None:
         s, o = self.state, owner - 1
         w = s.col_w
         total = [t + (copies - 1) * x for t, x in zip(s.total_w, w)]
@@ -184,7 +191,7 @@ class RandAllocator(OnlineAllocator):
         super().__init__(n)
         self._rng = random.Random(seed)
 
-    def _choose(self, col: Sequence[Fraction | int]) -> int:
+    def _choose(self, col: Sequence[tuple[int, int]]) -> int:
         return self._rng.randrange(self.n) + 1
 
 
@@ -226,7 +233,7 @@ class MivAllocator(OnlineAllocator):
 
     phi = property(lambda self: [Fraction(L, N) for L, N in zip(self.state.scale, self.N)])
 
-    def _choose(self, col: Sequence[Fraction | int]) -> int:
+    def _choose(self, col: Sequence[tuple[int, int]]) -> int:
         n, t, N, scale = self.n, self.state.t, self.N, self.state.scale
         # the agent with the largest w L / (N (N + n^2 w)) so far, w its gain to H
         best, best_w, best_num, best_den = 0, 0, 0, 1
@@ -305,9 +312,9 @@ class RobustifiedAllocator(OnlineAllocator):
     guarantees alpha-PROP1 under perfect predictions, the wrapped rule
     guarantees beta-PROP1 under the original valuations with
     beta = alpha (1 - eps) / (1 - alpha eps / n).
-    ``state`` runs on the raw columns, ``inner.state`` on the normalized ones,
-    which go to the inner rule's ``_place``: a checked raw column has n
-    values in [0, p_i], so its normalized one passes any rule's checks.
+    ``state`` runs on the raw columns, ``inner.state`` on the normalized pairs
+    (not reduced), which go to the inner rule's ``_place``: a checked raw
+    column has values in [0, p_i], so its normalized one passes any checks.
     """
 
     def __init__(self, inner: OnlineAllocator, predictions: Predictions):
@@ -321,7 +328,7 @@ class RobustifiedAllocator(OnlineAllocator):
         self.potential_log = inner.potential_log
         self.predictions = predictions
         self._caps = [(p.numerator, p.denominator) for p in predictions.p]
-        self._threshold = 1 - predictions.epsilon
+        self._threshold = (1 - predictions.epsilon).as_integer_ratio()
         # v / 1 is v: only the agents predicted other than 1 are divided
         self._divided = [i for i, p in enumerate(predictions.p) if p != 1]
         self._overridden = [False] * inner.n
@@ -330,15 +337,18 @@ class RobustifiedAllocator(OnlineAllocator):
     # bound in the class body, so perfbench/tracer.py can wrap it per class
     observe = OnlineAllocator.observe
 
-    def _choose(self, col: Sequence[Fraction | int]) -> int:
+    def _choose(self, col: Sequence[tuple[int, int]]) -> int:
         norm = list(col)
-        for i in self._divided:
-            norm[i] /= self.predictions.p[i]
+        for i in self._divided:  # (v/d) / (a/b) is the pair (v b, d a)
+            (v, d), (a, b) = norm[i], self._caps[i]
+            norm[i] = v * b, d * a
+        num, den = self._threshold  # 1 - epsilon
         for i in range(self.n):
-            if not self._overridden[i] and norm[i] >= self._threshold:
+            v, d = norm[i]
+            if not self._overridden[i] and v * den >= num * d:
                 self._overridden[i] = True
-                self.override_log.append(OverrideEvent(i + 1, self.state.t, Fraction(norm[i])))
-                norm[i] = Fraction(1)
+                self.override_log.append(OverrideEvent(i + 1, self.state.t, Fraction(v, d)))
+                norm[i] = 1, 1
         return self.inner._place(norm)
 
 

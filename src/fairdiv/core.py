@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence, Union
 
@@ -90,7 +91,10 @@ def _literal_pair(text: str) -> tuple[int, int]:
         raise ParseError(f"bad rational literal {shown}: {reason}") from None
 
 
-_TOO_LONG = "rational too long to write: over Python's int-to-str digit limit"
+#: The most decimal digits written for one integer.  Python's int-to-str
+#: digit limit (4300 by default) guards against the conversion's quadratic
+#: cost; past it an integer is written in pieces, and this bounds that work.
+WRITE_DIGITS = 100_000
 
 
 def format_rational(value: RatOrInf) -> str:
@@ -100,7 +104,7 @@ def format_rational(value: RatOrInf) -> str:
     try:
         return str(value)
     except ValueError:  # beyond Python's int-to-str digit limit
-        raise DomainError(_TOO_LONG) from None
+        return _long_ratio(value.numerator, value.denominator)
 
 
 def format_ratio(num: int, den: int) -> str:
@@ -111,7 +115,30 @@ def format_ratio(num: int, den: int) -> str:
     try:
         return f"{num // g}/{den // g}" if g != den else f"{num // g}"
     except ValueError:
-        raise DomainError(_TOO_LONG) from None
+        return _long_ratio(num // g, den // g)
+
+
+@cache
+def _power_of_ten(k: int) -> int:
+    return 10**k
+
+
+def _long_ratio(num: int, den: int) -> str:
+    """The text of num/den, in lowest terms with den > 0, where ``str`` refuses
+    it: each integer is cut by a power of 10 into pieces under the digit limit.
+    An integer of more than ``WRITE_DIGITS`` digits is refused."""
+    size = sys.get_int_max_str_digits() - 1
+    texts = []
+    for x in (abs(num), den):
+        if x >= _power_of_ten(WRITE_DIGITS):
+            raise DomainError(f"rational too long to write: an integer over {WRITE_DIGITS} digits")
+        pieces = []
+        while x >= _power_of_ten(size):
+            x, r = divmod(x, _power_of_ten(size))
+            pieces.append(f"{r:0{size}d}")
+        texts.append(str(x) + "".join(reversed(pieces)))
+    sign = "-" if num < 0 else ""
+    return sign + texts[0] if den == 1 else f"{sign}{texts[0]}/{texts[1]}"
 
 
 class Instance:
@@ -126,8 +153,8 @@ class Instance:
     is a tuple of reduced pairs (p, q), q > 0, one shared tuple per distinct
     value, so equal values are equal rows.  ``values`` (one Fraction per
     distinct pair) and ``scaled`` (each row as integers over one scale) are
-    built when first read.  Instances are immutable, and equal when their
-    values are.
+    built when first read; ``columns`` builds neither.  Instances are
+    immutable, and equal when their values are.
     """
 
     def __init__(self, rows: Sequence[tuple[tuple[int, int], ...]], /):
@@ -175,9 +202,9 @@ class Instance:
             out.append((scale, tuple(map(weight.__getitem__, row))))
         return tuple(out)
 
-    def columns(self) -> Iterable[tuple[Fraction, ...]]:
-        """Value columns in arrival order."""
-        return zip(*self.values)
+    def columns(self) -> Iterable[tuple[tuple[int, int], ...]]:
+        """Value columns in arrival order, as the rows' pairs (p, q)."""
+        return zip(*self._rows)
 
     def _check_agent(self, agent: int) -> None:
         if not 1 <= agent <= self.n:

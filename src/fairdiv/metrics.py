@@ -55,12 +55,12 @@ class Prop1State:
     more per-agent weights adds its row there.  Ratios of one agent's
     weights are its ratios of values, so L_i cancels out of them.
 
-    A good is taken in two steps: ``arrive(col)`` weighs it into ``col_w``
-    and adds it to the totals, then ``assign(owner)`` adds those weights to
-    the owner's bundle or the others' outside goods, so a rule deciding in
-    between sees totals that include the good and bundles that do not.
-    Both take a count of equal goods in a row: ``copies`` copies of one
-    column, all given to one owner, are one step each.
+    A good is taken in two steps: ``arrive(col)`` weighs its pairs (p, q),
+    reduced or not, into ``col_w`` and the totals, then ``assign(owner)``
+    adds those weights to the owner's bundle or the others' outside goods,
+    so a rule deciding in between sees totals that include the good and
+    bundles that do not.  Both take a count of equal goods in a row:
+    ``copies`` copies of one column, all given to one owner, are one step.
     """
 
     def __init__(self, n: int):
@@ -81,15 +81,15 @@ class Prop1State:
         self.scale[i] *= k
         return self.scale[i]
 
-    def arrive(self, col: Sequence[Fraction], copies: int = 1) -> None:
+    def arrive(self, col: Sequence[tuple[int, int]], copies: int = 1) -> None:
         self.t += copies
         self.col_w = w = []
         total = self.total_w
-        for i, v in enumerate(col):
-            q, scale = v.denominator, self.scale[i]
+        for i, (p, q) in enumerate(col):
+            scale = self.scale[i]
             if scale % q:
                 scale = self.rescale(i, q)
-            w.append(v.numerator * (scale // q))
+            w.append(p * (scale // q))
             total[i] += copies * w[i]
 
     def assign(self, owner: int, copies: int = 1) -> None:

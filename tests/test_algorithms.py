@@ -28,6 +28,7 @@ from fairdiv import (
     prop1_ratio,
     run,
 )
+from fairdiv.algorithms import OverrideEvent, TraceRecorder
 from conftest import (
     alpha_it,
     bundle,
@@ -274,6 +275,7 @@ class _ShadowMiv(OnlineAllocator):
         return x / denom
 
     def _choose(self, column):
+        column = [F(p, q) for p, q in column]  # the validated column comes as pairs
         n, t = self.n, self.state.t
         keep, take, x, y_keep, y_take = [], [], [], [], []
         for i in range(n):
@@ -449,6 +451,12 @@ class TestRobustify:
         for _, _, original in events:
             assert original >= 1 - pred.epsilon
 
+    def test_a_value_exactly_at_the_threshold_is_overridden(self):
+        wrapped = RobustifiedAllocator(MivAllocator(2), Predictions((F(2), F(3, 7)), F(1, 4)))
+        wrapped.observe([(6, 4), (4, 14)])  # 3/2 = (1 - 1/4) 2, and 2/7 < (1 - 1/4) 3/7 = 9/28
+        wrapped.observe([F(0), F(9, 28)])
+        assert wrapped.override_log == [OverrideEvent(1, 1, F(3, 4)), OverrideEvent(2, 2, F(3, 4))]
+
     def test_wrapped_runs_meet_beta_prop1(self):
         rng = random.Random(808)
         for _ in range(40):
@@ -513,6 +521,110 @@ def test_miv_refuses_a_value_above_its_cap_naming_the_agent(column):
         allocator.observe(column)
     assert str(refused.value) == f"valuation {F(column[1])} of agent 2 exceeds its predicted maximum 1"
     assert allocator.state.t == 0 and allocator.seen_max == [False, False]
+
+
+def _allocator(rule, n):
+    if rule == "miv-robust":
+        return RobustifiedAllocator(MivAllocator(n), Predictions((F(1), F(2), F(3, 7), F(1))[:n], F(1, 4)))
+    return make_allocator(rule, n, seed=5)
+
+
+@pytest.mark.parametrize("cell", [(1, 0), (-1, 2), (1, 2, 3), (1.0, 2), ("1", 2), ()], ids=repr)
+@pytest.mark.parametrize("rule", ["greedy1", "greedy2", "greedy3", "rand", "miv", "miv-robust"])
+def test_observe_refuses_a_pair_cell_that_is_not_two_ints(rule, cell):
+    allocator = _allocator(rule, 3)
+    allocator.observe([(1, 2), (1, 1), (0, 1)])
+    before = _snapshot(allocator)
+    with pytest.raises(DomainError) as observed:
+        allocator.observe([(1, 3), cell, (0, 1)])
+    assert str(observed.value) == f"non-exact valuation {cell!r}"
+    assert _snapshot(allocator) == before
+
+
+@pytest.mark.parametrize("rule", ["greedy1", "greedy2", "greedy3", "rand", "miv", "miv-robust"])
+def test_an_unreduced_pair_is_taken_as_its_value(rule):
+    """(2, 4) places as 1/2 does: the same owners and the same values, in
+    the state, the logs and the flags."""
+    def values(allocator):
+        seen = [allocator.total, allocator.bundle, allocator.best_outside, allocator.potential_log]
+        seen += [getattr(allocator, name, None) for name in ("phi", "seen_max", "override_log")]
+        return seen + ([values(allocator.inner)] if hasattr(allocator, "inner") else [])
+
+    as_pairs, as_values = _allocator(rule, 3), _allocator(rule, 3)
+    columns = [[F(1, 2), F(1, 3), F(0)], [F(1), F(2, 5), F(3, 7)], [F(1, 2), F(1), F(1, 7)], [F(1, 4)] * 3]
+    for column in columns:
+        unreduced = [(2 * v.numerator, 2 * v.denominator) for v in column]
+        assert as_pairs.observe(unreduced) == as_values.observe(column)
+        assert values(as_pairs) == values(as_values)
+
+
+#: Values in [0, 1] for the pair path: small and wide denominators, zeros and 1.
+UNIT_VALUES = [F(0), F(1), F(1, 2), F(2, 3), F(3, 7), F(13, 191), F(97, 101), F(6, 7), F(1, 1000003)]
+
+
+@st.composite
+def pair_runs(draw):
+    """(rule, instance, predictions or None, a factor per cell): each row a
+    multiple of its agent's prediction (1 without one) by values in [0, 1],
+    often with a good worth the prediction, and now and then a cell 3/2
+    times over it, which breaks a cap."""
+    rule = draw(st.sampled_from(["greedy1", "greedy2", "greedy3", "rand", "miv", "miv-robust"]))
+    n, m = draw(st.integers(2, 4)), draw(st.integers(0, 30))
+    pred = None
+    if rule == "miv-robust":
+        p = draw(st.lists(st.sampled_from([F(1), F(2), F(3, 7)]), min_size=n, max_size=n))
+        pred = Predictions(tuple(p), draw(st.sampled_from([F(0), F(1, 4), F(1, 2)])))
+    rows = []
+    for i in range(n):
+        cap = F(1) if pred is None else pred.p[i]
+        row = [cap * draw(st.sampled_from(UNIT_VALUES)) for _ in range(m)]
+        if m and draw(st.booleans()):
+            row[draw(st.integers(0, m - 1))] = cap
+        if m and draw(st.integers(0, 9)) == 0:
+            row[draw(st.integers(0, m - 1))] = cap * F(3, 2)
+        rows.append(row)
+    factors = [[draw(st.sampled_from([1, 1, 2, 3, 10**20])) for _ in range(m)] for _ in range(n)]
+    return rule, instance_from_rows(rows), pred, factors
+
+
+def _pair_outcome(rule, pred, inst, columns):
+    """What feeding ``columns`` (None: ``run`` on ``inst``) leaves: owners,
+    running values, potentials, overrides and ``seen_max`` flags, or the
+    class and text of the refusal and the goods placed before it."""
+    allocator = make_allocator(rule, inst.n, seed=7) if pred is None else RobustifiedAllocator(MivAllocator(inst.n), pred)
+    recorder = TraceRecorder(allocator.state)
+    try:
+        if columns is None:
+            trace = run(allocator, inst)
+        else:
+            for column in columns:
+                recorder.record(allocator.observe(column))
+            trace = recorder.build_trace(inst, allocator.potential_log)
+    except PredictionContractError as exc:
+        return type(exc), str(exc), allocator.state.t
+    events = getattr(allocator, "override_log", None)
+    seen_max = getattr(getattr(allocator, "inner", allocator), "seen_max", None)
+    return trace.owners, running_values(trace), trace.potential, events, seen_max
+
+
+class TestPairColumns:
+    """``run`` hands ``observe`` the instance's own pairs; Fraction columns
+    and unreduced pairs of the same values give the same run."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(pair_runs())
+    def test_run_matches_fraction_columns_and_unreduced_pairs(self, case):
+        rule, inst, pred, factors = case
+        if rule == "miv-robust":
+            rule = "miv"
+        fractions = list(zip(*inst.values))
+        unreduced = [
+            [(k * v.numerator, k * v.denominator) for v, k in zip(column, ks)]
+            for column, ks in zip(fractions, zip(*factors))
+        ]
+        by_run = _pair_outcome(rule, pred, inst, None)
+        assert by_run == _pair_outcome(rule, pred, inst, fractions)
+        assert by_run == _pair_outcome(rule, pred, inst, unreduced)
 
 
 def _contract_instance(rng, n, m, eps):

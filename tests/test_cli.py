@@ -1,5 +1,7 @@
 import csv
 import json
+import random
+import sys
 import tempfile
 import time
 from decimal import ROUND_CEILING, Context, Decimal
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdiv import Predictions, cli, harness, instance_from_rows, metrics
+from fairdiv import MivAllocator, Predictions, cli, core, harness, instance_from_rows, load_instance, metrics, run
 from fairdiv.cli import main
 from fairdiv.errors import DomainError, InvariantError
 from conftest import check_predictions
@@ -295,8 +297,9 @@ class TestRunCommand:
         assert "exceeds its predicted maximum 1" in err and not out.exists()
 
     @pytest.mark.parametrize("flags", [[], ["--epsilon", "1/4"]])
-    def test_a_potential_too_long_to_write_exits_one(self, flags, tmp_path, capsys):
-        # every alpha cell fits under the int-to-str digit limit; the summed potential does not
+    def test_a_potential_too_long_to_write_exits_one(self, flags, tmp_path, capsys, monkeypatch):
+        # under a 4300-digit budget every alpha cell fits; the summed potential does not
+        monkeypatch.setattr(core, "WRITE_DIGITS", 4300)
         p, q = 10**2200 + 1, 10**2200 + 3
         inst = tmp_path / "i.json"
         inst.write_text(json.dumps({"values": [["1", f"1/{p}"], [f"1/{q}", "1"]]}), encoding="utf-8")
@@ -304,8 +307,28 @@ class TestRunCommand:
         capsys.readouterr()
         assert main(["run", "--algo", "miv", "--instance", str(inst), *flags]) == 1
         assert capsys.readouterr() == (
-            "", "fairdiv: error: rational too long to write: over Python's int-to-str digit limit\n"
+            "", "fairdiv: error: rational too long to write: an integer over 4300 digits\n"
         )
+
+    def test_a_potential_past_the_digit_limit_is_written(self, tmp_path):
+        """Wide denominators: MIV's summed potential outgrows Python's
+        int-to-str digit limit (4300 digits) and is written in pieces."""
+        rng, rows = random.Random(5), []
+        for _ in range(3):
+            row = [F(rng.randint(0, q - 1), q) for q in (rng.randint(1, 10**6) for _ in range(500))]
+            row[rng.randrange(500)] = F(1)
+            rows.append([str(v) for v in row])
+        inst, out = tmp_path / "i.json", tmp_path / "trace.json"
+        inst.write_text(json.dumps({"values": rows}), encoding="utf-8")
+        assert main(["run", "--algo", "miv", "--instance", str(inst), "--out", str(out)]) == 0
+        last = json.loads(out.read_text(encoding="utf-8"))["phi_total"][-1]
+        potential = run(MivAllocator(3), load_instance(str(inst))).potential[-1]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert len(str(potential.denominator)) > 4300 and last == str(potential)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_tampered_miv_state_exits_two(self, inst_file, monkeypatch, capsys):
         from fairdiv import algorithms
@@ -531,13 +554,14 @@ class TestAdversaryCommand:
         [
             ["--target", "miv-impossibility", "--alpha", "1/2", "--notion", "ef1"],
             ["--target", "greedy3", "--alpha", "1/2", "--allocator", "greedy2"],
-            # eps = 1/K^(m-2) has 4,656 digits, beyond Python's int-to-str limit
+            # eps = 1/K^(m-2) has 4,656 digits, past the 4,300-digit budget set below
             ["--target", "miv-impossibility", "--n", "2", "--alpha", "1/700",
              "--allocator", "greedy1"],
         ],
         ids=["notion-flag", "greedy3-allocator", "too-long-to-write"],
     )
-    def test_rejected_runs_exit_one_with_one_line(self, argv, capsys):
+    def test_rejected_runs_exit_one_with_one_line(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(core, "WRITE_DIGITS", 4300)
         assert main(["adversary", *argv]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("fairdiv: error: ")

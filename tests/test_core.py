@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 import time
 from fractions import Fraction
@@ -22,7 +23,8 @@ from fairdiv import (
     run,
 )
 from fairdiv.cli import main
-from fairdiv.core import _dumps, _reading, check_allocation, instance_to_json
+from fairdiv import core
+from fairdiv.core import WRITE_DIGITS, _dumps, _reading, check_allocation, format_ratio, instance_to_json
 from conftest import (
     check_predictions, instance_from_rows_reference, instance_to_json_reference, load_instance_reference,
 )
@@ -63,8 +65,29 @@ class TestParseRational:
             assert parse_rational(format_rational(v)) == v
 
     def test_a_rational_too_long_to_write_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="too long to write"):
-            format_rational(F(1, 10**5000))
+        refusal = f"^rational too long to write: an integer over {WRITE_DIGITS} digits$"
+        with pytest.raises(DomainError, match=refusal):
+            format_rational(F(1, 10**WRITE_DIGITS))
+        with pytest.raises(DomainError, match=refusal):
+            format_ratio(-(10**WRITE_DIGITS), 3)
+        assert format_rational(F(10**WRITE_DIGITS - 1, 7)) == "9" * WRITE_DIGITS + "/7"  # at the budget
+
+    def test_past_the_digit_limit_a_rational_is_written_in_pieces(self):
+        """Under a 640-digit int-to-str limit, the text is ``str()``'s under
+        the default one: pieces of 639 digits, the inner ones zero-padded."""
+        rng = random.Random(0)
+        values = [F(10**1278), F(-(10**700) - 12345, 3), F(10**639, 10**2000 + 1), F(7, 10**4299 + 1)]
+        values += [F(rng.randrange(10**rng.randint(600, 4299)), rng.randrange(1, 10**rng.randint(1, 4299)))
+                   for _ in range(40)]
+        want = [str(v) for v in values]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            got = [format_rational(v) for v in values]
+            by_ratio = [format_ratio(6 * v.numerator, 6 * v.denominator) for v in values]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert got == by_ratio == want
 
 
 class TestInstanceFiles:
@@ -242,7 +265,7 @@ class TestLoaderDifferential:
         path = write(tmp_path / "i.json", '{"values": [["1", "1/3"], ["1/2", "1"]]}')
         inst = load_instance(path)
         run(make_allocator("greedy1", inst.n), inst)
-        assert "scaled" not in vars(inst)
+        assert "scaled" not in vars(inst) and "values" not in vars(inst)
 
 
 #: Cells code may hand ``instance_from_rows``: exact ones (bools are ints) and the rest.
@@ -351,14 +374,17 @@ class TestInstanceForm:
         assert got == want
 
     @pytest.mark.parametrize("cell", ['"1e-4300"', '"1e4300"'], ids=["denominator", "numerator"])
-    def test_a_loaded_value_past_the_digit_limit_is_refused_alike(self, cell, tmp_path):
+    def test_a_loaded_value_past_the_digit_limit_is_refused_alike(self, cell, tmp_path, monkeypatch):
         inst = load_instance(write(tmp_path / "i.json", f'{{"values": [[{cell}], ["1"]]}}'))
         got, want = written(inst)
-        assert got == want == (DomainError, "rational too long to write: over Python's int-to-str digit limit")
+        assert got == want and "1" + "0" * 4300 in got  # written in pieces
+        monkeypatch.setattr(core, "WRITE_DIGITS", 4300)
+        got, want = written(inst)
+        assert got == want == (DomainError, "rational too long to write: an integer over 4300 digits")
 
     def test_a_built_value_past_the_digit_limit_is_refused_alike(self):
-        got, want = written(instance_from_rows([[F(1, 10**4300), 10**5000], [0, 1]]))
-        assert got == want == (DomainError, "rational too long to write: over Python's int-to-str digit limit")
+        got, want = written(instance_from_rows([[F(1, 10**4300), 10**WRITE_DIGITS], [0, 1]]))
+        assert got == want == (DomainError, f"rational too long to write: an integer over {WRITE_DIGITS} digits")
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(2, 3), m=st.integers(0, 3))

@@ -103,7 +103,7 @@ def _outcome(allocator, column):
 def test_every_rule_matches_the_fraction_reference(case, seed):
     rule, inst, pred, bad, at = case
     fast, ref = _pair(rule, inst.n, pred, seed)
-    columns = [list(col) for col in inst.columns()]
+    columns = [list(col) for col in zip(*inst.values)]
     if bad is not None:
         columns.insert(at, bad)
     for column in columns:
@@ -125,7 +125,7 @@ def test_every_rule_matches_the_fraction_reference(case, seed):
     # the whole run, and the strings the CLI writes for it
     fast, ref = _pair(rule, inst.n, pred, seed)
     owners = []
-    for column in inst.columns():
+    for column in zip(*inst.values):
         owners.append(_outcome(ref, column))
         if not isinstance(owners[-1], int):  # an invariant breach ends the run
             with pytest.raises(InvariantError, match=re.escape(owners[-1][1])):
@@ -133,7 +133,7 @@ def test_every_rule_matches_the_fraction_reference(case, seed):
             return
     trace = run(fast, inst)
     state, alpha = RefProp1State(inst.n), [[] for _ in range(inst.n)]  # on the raw columns
-    for column, owner in zip(inst.columns(), owners):
+    for column, owner in zip(zip(*inst.values), owners):
         state.arrive(column)
         state.assign(column, owner)
         for i, row in enumerate(alpha):

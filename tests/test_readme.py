@@ -5,7 +5,8 @@ Reads the first ``sh`` block under the README's ``## CLI`` heading, joins
 lines continued with ``\\``, and checks each ``fairdiv <command>`` line's
 ``--flags`` against that subcommand's parser in ``cli.build_parser()``.
 Every row of the "Reproducing the paper" tables is rerun as well, the
-MIV rows on the instances of the README's JSON block.
+MIV rows on the instances of the README's JSON block, and each row of the
+EF1/MMS/PROPX table through ``main``.
 """
 
 import argparse
@@ -123,3 +124,25 @@ def test_the_miv_rows_rerun(tmp_path, capsys):
         assert len(instances[name]["values"]) == n
         assert (Fraction(out["prop1_ratio"]), out["prediction_contract_met"]) == (ratio, met)
         assert bound == robust_beta(Fraction(1, n), Fraction(0 if epsilon is None else epsilon), n)
+
+
+def impossibility_rows() -> list[list[str]]:
+    """The cells of each row of the README's EF1/MMS/PROPX table."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("\n**EF1, MMS and PROPX stay inapproximable"):text.index("\n## How deep")]
+    return [line.strip("| ").split(" | ") for line in section.splitlines()
+            if re.match(r"\| (miv|greedy\d) \| ", line)]
+
+
+def test_the_impossibility_rows_rerun(capsys):
+    rows = impossibility_rows()
+    assert len(rows) == 16
+    assert {(rule, n, alpha) for rule, n, alpha, *_ in rows} == {
+        (rule, n, alpha) for rule in ("miv", "greedy1", "greedy2", "greedy3") for n in "23" for alpha in ("1/2", "1/3")
+    }
+    for rule, n, alpha, *shown in rows:
+        argv = ["adversary", "--target", "miv-impossibility", "--n", n, "--alpha", alpha, "--allocator", rule]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        fields = ("steps", "achieved_prop1_ratio", "alpha_ef1", "alpha_mms", "alpha_propx", "prop1_at_inv_n")
+        assert shown == [json.dumps(out[f]).strip('"') for f in fields], f"{rule} n={n} alpha={alpha}"
