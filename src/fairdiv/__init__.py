@@ -9,7 +9,6 @@ harness.  The ``fairdiv`` CLI exposes all of it.
 
 from .algorithms import (
     ALLOCATORS,
-    AllocationTrace,
     Greedy1Allocator,
     Greedy2Allocator,
     Greedy3Allocator,
@@ -17,6 +16,7 @@ from .algorithms import (
     OnlineAllocator,
     RandAllocator,
     RobustifiedAllocator,
+    TraceRecorder,
     make_allocator,
     run,
 )

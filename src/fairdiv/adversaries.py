@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Generator, Sequence
 
-from .algorithms import AllocationTrace, TraceRecorder, make_allocator, run
+from .algorithms import OnlineAllocator, TraceRecorder, make_allocator, run
 from .core import Instance, instance_from_rows
 from .errors import DomainError, InstanceTooLargeError, InvariantError
 from .metrics import (
@@ -100,7 +100,7 @@ def _check_greedy3(n: int, alpha_target: Fraction, max_steps: int) -> None:
         raise DomainError("need a step budget of at least 4")
 
 
-def verify_greedy1_failure(trace: AllocationTrace, alpha_target: Fraction) -> None:
+def verify_greedy1_failure(trace: TraceRecorder, alpha_target: Fraction) -> None:
     """Assert the facts the greedy-1 construction forces, exactly."""
     inst, owners = trace.instance, trace.owners
     if owners[0] != 1:
@@ -117,7 +117,7 @@ def verify_greedy1_failure(trace: AllocationTrace, alpha_target: Fraction) -> No
         raise InvariantError("PROP1 ratio did not fall below the target")
 
 
-def verify_greedy2_failure(trace: AllocationTrace, alpha_target: Fraction) -> None:
+def verify_greedy2_failure(trace: TraceRecorder, alpha_target: Fraction) -> None:
     """Assert the facts the greedy-2 construction forces, exactly."""
     inst, owners = trace.instance, trace.owners
     if owners[0] != 1:
@@ -195,7 +195,7 @@ class AdversaryRun:
     """Outcome of driving an allocator with a construction; ``run_adaptive``
     leaves the two dicts that ``run_construction`` fills empty."""
 
-    trace: AllocationTrace
+    trace: TraceRecorder
     achieved_ratio: Fraction
     target_reached: bool
     fields: dict = field(default_factory=dict)  # the keys ``fairdiv adversary`` adds to its JSON
@@ -214,8 +214,9 @@ def run_adaptive(adversary: AdaptiveAdversary, allocator) -> AdversaryRun:
         recorder.place(allocator, column, adversary.copies)
         for row, v in zip(rows, column):
             row += [v] * adversary.copies
-    trace = recorder.build_trace(instance_from_rows(rows), allocator.potential_log)
-    return AdversaryRun(trace, allocator.state.ratio(), adversary.target_reached)
+    recorder.instance = instance_from_rows(rows)
+    recorder.potential = None if allocator.potential_log is None else tuple(allocator.potential_log)
+    return AdversaryRun(recorder, allocator.state.ratio(), adversary.target_reached)
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +425,20 @@ _TABLE = {
 CONSTRUCTIONS = tuple(_TABLE)
 
 
-def _checked_rule(construction: str, n: int, alpha: Fraction, max_steps: int, allocator, seed):
-    """``check_construction``'s checks; return the rule's name and the rule."""
+def check_construction(
+    construction: str, n: int, alpha: Fraction, *, max_steps: int = MAX_STEPS,
+    allocator: str | None = None, seed: int | None = None,
+) -> tuple[str, OnlineAllocator]:
+    """Run every check ``run_construction`` starts with; return the name of
+    the rule that faces ``construction`` and that rule, built.
+
+    greedy1-3 each face their own rule; the impossibility faces
+    ``allocator`` (default "miv").  In order, an allocator that does not
+    apply, a negative ``max_steps``, a target out of range, a horizon over
+    ``max_steps`` (greedy3's budget below 4) and a bad rule name or seed
+    raise DomainError, before anything is built.  A batch checks every item
+    first.
+    """
     if not isinstance(construction, str) or construction not in _TABLE:
         raise DomainError(f"unknown construction {construction!r}; choose from {CONSTRUCTIONS}")
     rule_name, horizon, _ = _TABLE[construction]
@@ -444,23 +457,6 @@ def _checked_rule(construction: str, n: int, alpha: Fraction, max_steps: int, al
     return rule_name, make_allocator(rule_name, n, seed)
 
 
-def check_construction(
-    construction: str, n: int, alpha: Fraction, *, max_steps: int = MAX_STEPS,
-    allocator: str | None = None, seed: int | None = None,
-) -> str:
-    """Run every check ``run_construction`` starts with; return the name of
-    the rule that faces ``construction``.
-
-    greedy1-3 each face their own rule; the impossibility faces
-    ``allocator`` (default "miv").  In order, an allocator that does not
-    apply, a negative ``max_steps``, a target out of range, a horizon over
-    ``max_steps`` (greedy3's budget below 4) and a bad rule name or seed
-    raise DomainError, before anything is built.  A batch checks every item
-    first.
-    """
-    return _checked_rule(construction, n, alpha, max_steps, allocator, seed)[0]
-
-
 def run_construction(
     construction: str, n: int, alpha: Fraction, *, max_steps: int = MAX_STEPS,
     allocator: str | None = None, seed: int | None = None,
@@ -476,7 +472,9 @@ def run_construction(
     ``check_construction``'s checks run first, building the one rule.  A
     forced fact that fails raises ``InvariantError``.
     """
-    rule_name, rule = _checked_rule(construction, n, alpha, max_steps, allocator, seed)
+    rule_name, rule = check_construction(
+        construction, n, alpha, max_steps=max_steps, allocator=allocator, seed=seed
+    )
     static = _TABLE[construction][2]
     if static is not None:
         build, verify = static

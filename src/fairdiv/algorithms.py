@@ -357,34 +357,18 @@ class RobustifiedAllocator(OnlineAllocator):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AllocationTrace:
-    """Per-timestep record of one allocator run.
-
-    Agent i+1's running PROP1 value after good t was placed is
-    ``alpha_num[i][t-1] / alpha_den[i][t-1]``, integer weights of that agent
-    (bundle plus best outside good, and arrived total), ``INF`` where the
-    total is 0.  They are always measured against the original instance
-    valuations (also for wrapped or normalized allocators).  ``potential`` carries the summed
-    potential sequence (index t, starting at t = 0) for potential-based runs
-    and is None otherwise.
-    """
-
-    instance: Instance
-    owners: tuple[int, ...]
-    alpha_num: tuple[tuple[int, ...], ...]
-    alpha_den: tuple[tuple[int, ...], ...]
-    potential: tuple[Fraction, ...] | None = None
-
-    @property
-    def allocation(self) -> Allocation:
-        return Allocation(self.owners)
-
-
 class TraceRecorder:
-    """Collects a run's owners and, per good and agent, the running PROP1
-    value as a pair of integer weights, read from the allocator's state
-    right after it placed the good.
+    """A run's record, filled as the run goes: its owners and, per good and
+    agent, the running PROP1 value as a pair of integer weights, read from
+    the allocator's state right after it placed the good.
+
+    Agent i+1's value after good t is
+    ``alpha_num[i][t-1] / alpha_den[i][t-1]`` (bundle plus best outside
+    good, over arrived total; ``INF`` where the total is 0), always against
+    the original valuations, also for wrapped rules.  ``run`` and
+    ``run_adaptive`` return the recorder they filled, with ``instance`` the
+    goods it saw and ``potential`` a snapshot of the summed potential after
+    each t (from t = 0) for potential-based rules, None otherwise.
 
     Along a run of k equal goods given to one owner, every agent's total
     grows by its weight w of the good per copy, and so does the owner's
@@ -393,29 +377,34 @@ class TraceRecorder:
     last copy, as ranges with step w.
     """
 
+    instance: Instance | None = None
+    potential: tuple[Fraction, ...] | None = None
+
     def __init__(self, state: Prop1State):
         self.state = state
         self.owners: list[int] = []
-        self._nums: list[list[int]] = [[] for _ in range(state.n)]
-        self._dens: list[list[int]] = [[] for _ in range(state.n)]
+        self.alpha_num: list[list[int]] = [[] for _ in range(state.n)]
+        self.alpha_den: list[list[int]] = [[] for _ in range(state.n)]
+
+    allocation = property(lambda self: Allocation(tuple(self.owners)))
 
     def record(self, owner: int, copies: int = 1) -> None:
         """Record the last ``copies`` goods placed, all given to ``owner``."""
-        s = self.state
+        s, nums, dens = self.state, self.alpha_num, self.alpha_den
         if copies == 1:
             self.owners.append(owner)
-            for num, den, held, best, total in zip(self._nums, self._dens, s.held_w, s.best_w, s.total_w):
+            for num, den, held, best, total in zip(nums, dens, s.held_w, s.best_w, s.total_w):
                 num.append(held + best)
                 den.append(total)
             return
         self.owners += [owner] * copies
         for i, w in enumerate(s.col_w):
             num, total = s.held_w[i] + s.best_w[i], s.total_w[i]
-            self._dens[i] += range(total - (copies - 1) * w, total + 1, w) if w else [total] * copies
+            dens[i] += range(total - (copies - 1) * w, total + 1, w) if w else [total] * copies
             if w and i == owner - 1:
-                self._nums[i] += range(num - (copies - 1) * w, num + 1, w)
+                nums[i] += range(num - (copies - 1) * w, num + 1, w)
             else:
-                self._nums[i] += [num] * copies
+                nums[i] += [num] * copies
 
     def place(self, allocator, column: Sequence[Fraction | int], copies: int) -> None:
         """Place ``copies`` equal goods ``column`` with ``allocator`` and record
@@ -427,21 +416,14 @@ class TraceRecorder:
             self.record(owner, state.t - t)
             copies -= state.t - t
 
-    def build_trace(self, inst: Instance, potential: Sequence[Fraction] | None) -> AllocationTrace:
-        return AllocationTrace(
-            instance=inst,
-            owners=tuple(self.owners),
-            alpha_num=tuple(map(tuple, self._nums)),
-            alpha_den=tuple(map(tuple, self._dens)),
-            potential=None if potential is None else tuple(potential),
-        )
 
-
-def run(allocator, inst: Instance) -> AllocationTrace:
-    """Feed the instance's columns through an allocator and record the trace."""
+def run(allocator, inst: Instance) -> TraceRecorder:
+    """Feed the instance's columns through an allocator; return the filled recorder."""
     if allocator.n != inst.n:
         raise DomainError(f"allocator handles {allocator.n} agents, instance has {inst.n}")
     recorder = TraceRecorder(allocator.state)
     for column in inst.columns():
         recorder.record(allocator.observe(column))
-    return recorder.build_trace(inst, allocator.potential_log)
+    recorder.instance = inst
+    recorder.potential = None if allocator.potential_log is None else tuple(allocator.potential_log)
+    return recorder

@@ -213,7 +213,7 @@ def _make_allocator(args, n: int):
 
 def _trace_payload(trace) -> dict:
     payload = {
-        "owners": list(trace.owners),
+        "owners": trace.owners,
         "alpha": [
             [format_ratio(p, q) for p, q in zip(nums, dens)]
             for nums, dens in zip(trace.alpha_num, trace.alpha_den)

@@ -64,18 +64,22 @@ def _literal_pair(text: str) -> tuple[int, int]:
     """A string literal as (p, q) in lowest terms with q > 0.
 
     ``p`` and ``p/q`` in ASCII digits alone skip ``Fraction``'s literal
-    parser; it reads every other string, so signs, spaces, exponents, zero
-    denominators and bad literals behave as it decides.  One exception:
-    text whose last ``e``/``E`` is followed by an integer of magnitude over
-    4300 (Python's int-to-str digit limit) is refused first: ``Fraction``
-    builds 10**exponent.  A refused literal over 40 characters is quoted by
-    its first 40 and its length, and its reason up to the first colon, which
-    may quote it again.
+    parser; past Python's int-to-str digit limit ``_digits`` reads them, as
+    ``format_ratio`` writes them.  ``Fraction`` reads every other string, so
+    signs, spaces, exponents, zero denominators and bad literals behave as
+    it decides.  One exception: text whose last ``e``/``E`` is followed by
+    an integer of magnitude over 4300 (Python's int-to-str digit limit) is
+    refused first: ``Fraction`` builds 10**exponent.  A refused literal over
+    40 characters is quoted by its first 40 and its length, and its reason
+    up to the first colon, which may quote it again.
     """
     num, slash, den = text.partition("/")
     try:
         if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
-            p, q = int(num), int(den) if slash else 1
+            try:
+                p, q = int(num), int(den) if slash else 1
+            except ValueError:  # past Python's int-to-str digit limit
+                p, q = _digits(num), _digits(den) if slash else 1
             if q:
                 g = math.gcd(p, q)
                 return p // g, q // g
@@ -91,9 +95,10 @@ def _literal_pair(text: str) -> tuple[int, int]:
         raise ParseError(f"bad rational literal {shown}: {reason}") from None
 
 
-#: The most decimal digits written for one integer.  Python's int-to-str
-#: digit limit (4300 by default) guards against the conversion's quadratic
-#: cost; past it an integer is written in pieces, and this bounds that work.
+#: The most decimal digits written or read for one integer.  Python's
+#: int-to-str digit limit (4300 by default) guards against the conversion's
+#: quadratic cost; past it an integer is written and read in pieces, and this
+#: bounds that work.
 WRITE_DIGITS = 100_000
 
 
@@ -139,6 +144,19 @@ def _long_ratio(num: int, den: int) -> str:
         texts.append(str(x) + "".join(reversed(pieces)))
     sign = "-" if num < 0 else ""
     return sign + texts[0] if den == 1 else f"{sign}{texts[0]}/{texts[1]}"
+
+
+def _digits(text: str) -> int:
+    """The int of an ASCII digit string, read as ``_long_ratio`` writes it: in
+    pieces under Python's int-to-str digit limit.  A string of more than
+    ``WRITE_DIGITS`` digits is refused."""
+    if len(text) > WRITE_DIGITS:
+        raise ValueError(f"an integer over {WRITE_DIGITS} digits")
+    size, x = sys.get_int_max_str_digits() - 1, 0
+    for k in range(0, len(text), size):
+        piece = text[k:k + size]
+        x = x * _power_of_ten(len(piece)) + int(piece)
+    return x
 
 
 class Instance:

@@ -184,7 +184,7 @@ def campaign(items: Sequence[dict]) -> list[dict]:
                 raise DomainError("'repetitions' must not be negative")
             seed = None if item.get("seed") is None else _integer("seed", item["seed"])
             construction = item["construction"]
-            allocator = adv.check_construction(
+            allocator, _ = adv.check_construction(
                 construction, n, alpha, max_steps=max_steps, allocator=item.get("allocator"), seed=seed
             )
             notion = item.get("notion")

@@ -154,6 +154,14 @@ def alpha_it(inst: Instance, owner, agent: int, t: int):
     return (held + outside) / total
 
 
+def trace_fields(trace) -> tuple:
+    """A run's recorder as a tuple of its five fields (instance, owners, the
+    two weight tables and the potential snapshot), so two runs compare equal
+    exactly when they recorded the same."""
+    return (trace.instance, tuple(trace.owners), tuple(map(tuple, trace.alpha_num)),
+            tuple(map(tuple, trace.alpha_den)), trace.potential)
+
+
 def running_values(trace) -> tuple[tuple, ...]:
     """A trace's running PROP1 values, per agent and good, as exact numbers
     (``INF`` where the agent's total is 0)."""

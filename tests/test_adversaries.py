@@ -1,6 +1,5 @@
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -33,7 +32,7 @@ from fairdiv import (
 )
 from fairdiv import adversaries
 from fairdiv.adversaries import check_construction
-from conftest import running_values
+from conftest import running_values, trace_fields
 
 F = Fraction
 
@@ -64,9 +63,8 @@ class TestGreedy1Adversary:
         trace = run(Greedy1Allocator(2), greedy1_adversary(2, F(1, 10)))
 
         def agent_two_ends_at(num, den):
-            nums, dens = list(trace.alpha_num), list(trace.alpha_den)
-            nums[1], dens[1] = nums[1][:-1] + (num,), dens[1][:-1] + (den,)
-            return replace(trace, alpha_num=tuple(nums), alpha_den=tuple(dens))
+            trace.alpha_num[1][-1], trace.alpha_den[1][-1] = num, den
+            return trace
 
         num, den = trace.alpha_num[1][-1], trace.alpha_den[1][-1]
         verify_greedy1_failure(agent_two_ends_at(3 * num, 3 * den), F(1, 10))  # the same 2/41
@@ -98,20 +96,25 @@ STATIC = {"greedy1": (greedy1_adversary, Greedy1Allocator, verify_greedy1_failur
 
 
 def _first_owner_2(trace):
-    return replace(trace, owners=(2,) + trace.owners[1:])
+    trace.owners[0] = 2
+    return trace
 
 
 def _last_owner_swapped(trace):
-    return replace(trace, owners=trace.owners[:-1] + (3 - trace.owners[-1],))
+    trace.owners[-1] = 3 - trace.owners[-1]
+    return trace
 
 
 def _agent_2_value_bumped(trace):
-    nums = trace.alpha_num
-    return replace(trace, alpha_num=(nums[0], nums[1][:-1] + (nums[1][-1] + 1,)))
+    trace.alpha_num[1][-1] += 1
+    return trace
 
 
 def _values(rows):
-    return lambda trace: replace(trace, instance=instance_from_rows(rows))
+    def tamper(trace):
+        trace.instance = instance_from_rows(rows)
+        return trace
+    return tamper
 
 
 @pytest.mark.parametrize(
@@ -310,8 +313,8 @@ class TestRunConstruction:
             result = run_construction(name, 3, F(1, 5))
             trace = run(rule(3), build(3, F(1, 5)))
             verify(trace, F(1, 5))
-            assert result.trace == trace
-            assert check_construction(name, 3, F(1, 5)) == name
+            assert trace_fields(result.trace) == trace_fields(trace)
+            assert check_construction(name, 3, F(1, 5))[0] == name
             assert result.achieved_ratio == prop1_ratio(trace.instance, trace.allocation) < F(1, 5)
             assert result.target_reached and result.verdicts == {"ratio_below_target": True}
             assert result.fields == {"cycles": None}
@@ -320,9 +323,9 @@ class TestRunConstruction:
         result = run_construction("greedy3", 2, F(2, 5))
         adversary = Greedy3Adversary(F(2, 5), 10**6)
         direct = run_adaptive(adversary, Greedy3Allocator(2))
-        assert result.trace == direct.trace
+        assert trace_fields(result.trace) == trace_fields(direct.trace)
         assert result.fields == {"cycles": adversary.cycles, "certified_cycles_bound": 2757}
-        assert check_construction("greedy3", 2, F(2, 5)) == "greedy3"
+        assert check_construction("greedy3", 2, F(2, 5))[0] == "greedy3"
         assert result.verdicts == {"ratio_below_target": True}
 
     def test_impossibility_verdicts(self):
@@ -344,13 +347,13 @@ class TestRunConstruction:
     def test_seeded_rand_victim(self):
         first = run_construction("miv-impossibility", 2, F(1, 2), allocator="rand", seed=3)
         again = run_construction("miv-impossibility", 2, F(1, 2), allocator="rand", seed=3)
-        assert first.trace == again.trace
+        assert trace_fields(first.trace) == trace_fields(again.trace)
         with pytest.raises(DomainError):
             run_construction("miv-impossibility", 2, F(1, 2), allocator="rand")
 
     def test_roles_decide_which_parameters_apply(self):
         def roles(construction, allocator=None):
-            return check_construction(construction, 2, F(1, 2), allocator=allocator)
+            return check_construction(construction, 2, F(1, 2), allocator=allocator)[0]
 
         assert roles("miv-impossibility") == "miv"
         assert roles("miv-impossibility", "greedy2") == "greedy2"
@@ -379,7 +382,7 @@ class TestRunConstruction:
 
     @pytest.mark.parametrize("construction", CONSTRUCTIONS)
     def test_each_run_builds_its_rule_once(self, construction, monkeypatch):
-        rule_name, built = check_construction(construction, 2, F(1, 2)), []
+        rule_name, built = check_construction(construction, 2, F(1, 2))[0], []
 
         def counting(*args):
             built.append(args)
@@ -485,7 +488,7 @@ class TestForcedChoices:
         adversary = self.greedy3(max_steps)
         result = run_adaptive(adversary, Greedy3Allocator(3))
         assert result.trace.instance.m == max_steps
-        assert result.trace.owners == tuple(FIRST_CYCLE + [1])[:max_steps]
+        assert result.trace.owners == (FIRST_CYCLE + [1])[:max_steps]
         assert adversary.cycles == cycles and not result.target_reached
         assert adversary._mirror.t <= max_steps  # a run the budget cut short is not mirrored
         adversary = self.greedy3(6)

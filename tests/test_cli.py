@@ -330,6 +330,19 @@ class TestRunCommand:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    def test_an_instance_past_the_digit_limit_is_read_back(self, tmp_path):
+        """Cells with a 5,000-digit denominator, past Python's int-to-str
+        digit limit, as ``adversary`` writes them for small targets."""
+        den = "1" + "0" * 4998 + "9"
+        inst, alloc = tmp_path / "i.json", tmp_path / "a.json"
+        inst.write_text(json.dumps({"values": [["1", f"1/{den}"], [f"2/{den}", "1"]]}), encoding="utf-8")
+        alloc.write_text(json.dumps({"owner": [1, 2]}), encoding="utf-8")
+        trace, report = tmp_path / "trace.json", tmp_path / "report.json"
+        assert main(["run", "--algo", "greedy1", "--instance", str(inst), "--out", str(trace)]) == 0
+        assert read_json(trace)["owners"] == [1, 2]
+        assert main(["metrics", "--instance", str(inst), "--allocation", str(alloc), "--out", str(report)]) == 0
+        assert read_json(report)["prop1"]["ratio"] == "1"
+
     def test_tampered_miv_state_exits_two(self, inst_file, monkeypatch, capsys):
         from fairdiv import algorithms
 

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import sys
 import time
@@ -24,7 +25,9 @@ from fairdiv import (
 )
 from fairdiv.cli import main
 from fairdiv import core
-from fairdiv.core import WRITE_DIGITS, _dumps, _reading, check_allocation, format_ratio, instance_to_json
+from fairdiv.core import (
+    WRITE_DIGITS, _dumps, _literal_pair, _reading, check_allocation, format_ratio, instance_to_json,
+)
 from conftest import (
     check_predictions, instance_from_rows_reference, instance_to_json_reference, load_instance_reference,
 )
@@ -88,6 +91,30 @@ class TestParseRational:
         finally:
             sys.set_int_max_str_digits(limit)
         assert got == by_ratio == want
+
+    def test_past_the_digit_limit_a_literal_is_read_up_to_the_budget(self):
+        assert parse_rational("9" * WRITE_DIGITS + "/7") == F(10**WRITE_DIGITS - 1, 7)  # at the budget
+        assert parse_rational("3/6" + "0" * (WRITE_DIGITS - 2) + "3") == F(1, 2 * 10**(WRITE_DIGITS - 1) + 1)
+        assert parse_rational("3/" + "0" * (WRITE_DIGITS - 1) + "6") == F(1, 2)
+        for text in ("1" + "0" * WRITE_DIGITS, "1/" + "0" * WRITE_DIGITS + "7"):
+            with pytest.raises(ParseError) as refused:
+                parse_rational(text)
+            assert str(refused.value) == (f"bad rational literal {text[:40]!r}… ({len(text)} characters): "
+                                          f"an integer over {WRITE_DIGITS} digits")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**3000), st.integers(1, 10**3000), st.integers(1, 10**700))
+    def test_past_the_digit_limit_a_literal_is_read_as_it_is_written(self, p, q, k):
+        """Under a 640-digit int-to-str limit, ``_literal_pair`` reads the
+        pieces ``format_ratio`` writes back as the reduced pair."""
+        g = math.gcd(p, q)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            got = _literal_pair(format_ratio(k * p, k * q))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert got == (p // g, q // g)
 
 
 class TestInstanceFiles:
@@ -381,6 +408,15 @@ class TestInstanceForm:
         monkeypatch.setattr(core, "WRITE_DIGITS", 4300)
         got, want = written(inst)
         assert got == want == (DomainError, "rational too long to write: an integer over 4300 digits")
+
+    def test_a_written_value_past_the_digit_limit_loads_back(self, tmp_path):
+        rng = random.Random(3)
+        cells = [F(1, 10**4300 + 1), F(10**4300, 3), F(10**WRITE_DIGITS - 1, 10**4300 + 7),
+                 F(7, 10**WRITE_DIGITS - 3)]
+        cells += [F(rng.randrange(10**rng.randint(4301, 30000)), rng.randrange(1, 10**rng.randint(4301, 30000)))
+                  for _ in range(4)]
+        inst = instance_from_rows([cells, [1] * len(cells)])
+        assert load_instance(write(tmp_path / "i.json", instance_to_json(inst))) == inst
 
     def test_a_built_value_past_the_digit_limit_is_refused_alike(self):
         got, want = written(instance_from_rows([[F(1, 10**4300), 10**WRITE_DIGITS], [0, 1]]))

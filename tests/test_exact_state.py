@@ -5,13 +5,14 @@ greedy3 construction in runs against the reference rule stepped good by
 good), and of the literal parser's digit fast path against ``Fraction``'s
 own parser.
 
-Every rule, over instances with small and wide denominators, all-zero rows
-and value-1 goods, must give the reference's owners, running values,
-summed potentials, overrides and error messages, good by good.
+Every rule, over instances with small, wide and wider denominators,
+all-zero rows and value-1 goods, must give the reference's owners, running
+values, summed potentials, overrides and error messages, good by good.
 """
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ from fairdiv import (
 )
 from fairdiv.algorithms import TraceRecorder
 from fairdiv.cli import _trace_payload, main
-from fairdiv.core import format_rational, instance_to_json
+from fairdiv.core import WRITE_DIGITS, format_rational, instance_to_json
 from conftest import REF_ALLOCATORS, RefProp1State, RefRobustified, running_values
 
 F = Fraction
@@ -42,13 +43,13 @@ F = Fraction
 @st.composite
 def values(draw, top):
     """A value in [0, top]: 0, top itself, or a fraction of it with a small
-    (at most 12) or wide (at most 200) denominator."""
-    kind = draw(st.sampled_from(["zero", "top", "small", "wide"]))
+    (at most 12), wide (at most 200) or wider (at most 10^6) denominator."""
+    kind = draw(st.sampled_from(["zero", "top", "small", "wide", "wider"]))
     if kind == "zero":
         return F(0)
     if kind == "top":
         return top
-    q = draw(st.integers(1, 12 if kind == "small" else 200))
+    q = draw(st.integers(1, {"small": 12, "wide": 200, "wider": 10**6}[kind]))
     return top * F(draw(st.integers(0, q)), q)
 
 
@@ -234,7 +235,7 @@ def test_a_run_placed_at_once_matches_its_copies_one_by_one(case, seed):
         assert outcomes[0] == outcomes[1]
         assert recorders[0].owners == recorders[1].owners
         assert _snapshot(batch) == _snapshot(single)
-        first, second = (rec.build_trace(None, None) for rec in recorders)
+        first, second = recorders
         assert (first.alpha_num, first.alpha_den) == (second.alpha_num, second.alpha_den)
         if outcomes[0] is not None:
             return
@@ -296,7 +297,19 @@ def _refused(text, reason):
 
 def _reference_parse(text):
     """``parse_rational`` on a string: ``Fraction``'s literal parser alone,
-    after refusing an integer of magnitude over 4,300 after the last e or E."""
+    after refusing an integer of magnitude over 4,300 after the last e or E.
+    ASCII digits ``p`` or ``p/q`` (q not 0) are read past Python's int-to-str
+    digit limit; over ``WRITE_DIGITS`` digits either one is refused."""
+    if re.fullmatch("[0-9]+(/[0-9]+)?", text):
+        if max(map(len, text.split("/"))) > WRITE_DIGITS:
+            raise _refused(text, f"an integer over {WRITE_DIGITS} digits")
+        if text.partition("/")[2].strip("0") or "/" not in text:
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                return Fraction(text)
+            finally:
+                sys.set_int_max_str_digits(limit)
     *head, tail = re.split("[eE]", text)
     try:
         if head and abs(int(tail)) > 4300:
