@@ -11,13 +11,13 @@ vacuously-satisfied (infinite) under the min-ratio rules.
 
 Past ``observe`` a cell is a pair (p, q) of ints, as an ``Instance`` holds it;
 running state is integers over each agent's scale L_i (``Prop1State``), MIV's
-D_i as N_i = D_i L_i; Fractions are built only where a value leaves it.
+D_i as N_i = D_i L_i a_i under a prediction a_i/b_i (1 for plain MIV);
+Fractions are built only where a value leaves it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -196,50 +196,61 @@ class RandAllocator(OnlineAllocator):
 
 
 class MivAllocator(OnlineAllocator):
-    """Potential-minimizing allocator for unit-normalized MIV predictions.
+    """Potential-minimizing allocator for maximum-item-value (MIV) predictions.
 
-    Requires valuations pre-normalized so every agent's predicted maximum
-    single-good value is exactly 1, each agent's cap; a run met that
-    contract exactly when every ``seen_max`` flag is set.  Agent i's
-    potential term x / ((n^2+n+1) x + n^2 y - 1), with x = 1/T and y = H/T,
-    is 1/D for D = n^2+n+1 + n^2 H - T: T is the arrived total, padded by 1
-    until the agent's first value-1 good, and H the held value without that
-    good.  D starts at n^2+n and is kept as the integer N = D L over the
-    agent's scale L (a row of ``state.rows``, so it rescales with L), which
-    makes the term phi = L/N.  A good of weight w (value c = w/L) lowers N
-    by w and would add c to H; the first value-1 good only replaces the
-    padding (N stays, c = 0).  Giving it to agent j lowers the summed
+    Plain MIV predicts each agent's maximum single-good value as exactly 1,
+    its cap; a run met that contract exactly when every ``seen_max`` flag is
+    set.  Agent i's potential term x / ((n^2+n+1) x + n^2 y - 1), with
+    x = 1/T and y = H/T, is 1/D for D = n^2+n+1 + n^2 H - T: T is the
+    arrived total, padded by 1 until the agent's first max good, and H the
+    held value without that good.  D starts at n^2+n and is kept as the
+    integer N = D S over the agent's scale S (a row of ``state.rows``, so it
+    rescales with S), which makes the term phi = S/N; for plain MIV S is
+    the state's L.  A good of weight w (value c = w/S) lowers N by w and
+    would add c to H; an agent's first max, its first good with
+    c >= 1 - epsilon (``_first_max``; epsilon is 0 here, so with the cap
+    that is c = 1), only replaces the padding (N stays, c = 0).  Giving it to agent j lowers the summed
     potential by n^2 c_j / (D_j (D_j + n^2 c_j)), which is n^2 times
-    w_j L_j / (N_j (N_j + n^2 w_j)); the largest drop wins, compared by
+    w_j S_j / (N_j (N_j + n^2 w_j)); the largest drop wins, compared by
     cross-multiplying, ties to the lowest index.  Then N_j += n^2 w_j.
     Each step asserts three exact invariants (``InvariantError``): every
     N_i > 0, which the comparison needs; the summed potential
     (``potential``, the sum of the terms in ``phi``, built as one
     cross-multiplied sum and reduced once) never rises from its start
-    1/(n+1); and D_i >= n+1, that is N_i >= (n+1) L_i, which is
+    1/(n+1); and D_i >= n+1, that is N_i >= (n+1) S_i, which is
     x + y >= 1/n^2, as n^2 (1 + H) - T = D - (n+1).  With consistent state
     the potential bound already gives every D_i > n+1; the last check still
     catches a broken one.
     """
 
+    #: the first-max threshold 1 - epsilon as a pair (num, den)
+    _first_max = (1, 1)
+
     def __init__(self, n: int):
         super().__init__(n)
-        self.seen_max = [False] * n  # whether a value-1 good has arrived for each agent
+        self.seen_max = [False] * n  # whether each agent's first max good has arrived
         self._caps = [(1, 1)] * n
         self.N = [n * n + n] * n
         self.state.rows.append(self.N)
         self.potential = Fraction(1, n + 1)
         self.potential_log: list[Fraction] = [self.potential]
 
-    phi = property(lambda self: [Fraction(L, N) for L, N in zip(self.state.scale, self.N)])
+    phi = property(lambda self: [
+        Fraction(L * a, N) for L, (a, _), N in zip(self.state.scale, self._caps, self.N)
+    ])
 
     def _choose(self, col: Sequence[tuple[int, int]]) -> int:
-        n, t, N, scale = self.n, self.state.t, self.N, self.state.scale
-        # the agent with the largest w L / (N (N + n^2 w)) so far, w its gain to H
+        return self._step(self.state.col_w, self.state.scale)
+
+    def _step(self, col_w: Sequence[int], scale: Sequence[int]) -> int:
+        """Place the good of weights ``col_w`` over the scales S = ``scale``."""
+        n, t, N, seen_max = self.n, self.state.t, self.N, self.seen_max
+        first_num, first_den = self._first_max
+        # the agent with the largest w S / (N (N + n^2 w)) so far, w its gain to H
         best, best_w, best_num, best_den = 0, 0, 0, 1
-        for i, w in enumerate(self.state.col_w):
-            if w == scale[i] and not self.seen_max[i]:
-                self.seen_max[i] = True
+        for i, w in enumerate(col_w):
+            if not seen_max[i] and w * first_den >= first_num * scale[i]:
+                seen_max[i] = True
                 w = 0
             elif w:
                 N[i] -= w
@@ -253,7 +264,7 @@ class MivAllocator(OnlineAllocator):
                     best, best_w, best_num, best_den = i, w, num, den
         if best_w:
             N[best] += n * n * best_w
-        # the summed potential sum_i L_i / N_i over one common denominator
+        # the summed potential sum_i S_i / N_i over one common denominator
         num, den = 0, 1
         for scale_i, N_i in zip(scale, N):
             num, den = num * N_i + scale_i * den, den * N_i
@@ -267,6 +278,38 @@ class MivAllocator(OnlineAllocator):
         self.potential = Fraction(num, den)
         self.potential_log.append(self.potential)
         return best + 1
+
+
+class RobustifiedAllocator(MivAllocator):
+    """MIV under predictions p_i with one-sided error epsilon.
+
+    Agent i's cap is its prediction p_i = a/b, so a raw value above it
+    breaks the contract and ``_validate`` raises ``PredictionContractError``.
+    ``state`` keeps the raw values; MIV reads agent i's value over p_i, the
+    weight w b over the scale S_i = L_i a, so N_i starts at (n^2+n) a, and
+    its first max is the first good worth at least (1 - epsilon) p_i.  So
+    agent i's contract holds exactly when ``seen_max[i]`` is set.  If MIV
+    guarantees alpha-PROP1 under perfect predictions, this rule guarantees
+    beta-PROP1 under the raw valuations with
+    beta = alpha (1 - eps) / (1 - alpha eps / n).
+    """
+
+    def __init__(self, n: int, predictions: Predictions):
+        super().__init__(n)
+        if n != predictions.n:
+            raise DomainError(f"allocator handles {n} agents, predictions cover {predictions.n}")
+        self._caps = [(p.numerator, p.denominator) for p in predictions.p]
+        self._first_max = (1 - predictions.epsilon).as_integer_ratio()
+        for i, (a, _) in enumerate(self._caps):
+            self.N[i] *= a
+
+    # bound in the class body, so perfbench/tracer.py can wrap it per class
+    observe = OnlineAllocator.observe
+
+    def _choose(self, col: Sequence[tuple[int, int]]) -> int:
+        s, caps = self.state, self._caps
+        return self._step([w * b for w, (_, b) in zip(s.col_w, caps)],
+                          [L * a for L, (a, _) in zip(s.scale, caps)])
 
 
 #: The one registry of rule names, shared by the CLI and the campaign harness.
@@ -290,68 +333,6 @@ def make_allocator(name: str, n: int, seed: int | None = None) -> OnlineAllocato
     return RandAllocator(n, seed)
 
 
-@dataclass(frozen=True)
-class OverrideEvent:
-    agent: int
-    timestep: int
-    original_value: Fraction  # normalized value before the override to 1
-
-
-class RobustifiedAllocator(OnlineAllocator):
-    """Adapter that makes a perfect-predictions allocator tolerate one-sided error.
-
-    Valuations are divided by the per-agent predictions; the first normalized
-    value at least 1 - epsilon for each agent is then overridden to exactly 1
-    before the inner allocator sees it.  At most one good per agent is ever
-    overridden.  Each agent's cap is its prediction p_i, so a raw value above
-    it breaks the one-sided error contract and ``_validate`` raises
-    ``PredictionContractError`` before anything is normalized.  So agent i's
-    contract holds exactly when some value reaches (1 - epsilon) p_i, and
-    the first such good is overridden to 1: an inner MIV rule's
-    ``seen_max`` flags tell whether the run met it.  If the inner rule
-    guarantees alpha-PROP1 under perfect predictions, the wrapped rule
-    guarantees beta-PROP1 under the original valuations with
-    beta = alpha (1 - eps) / (1 - alpha eps / n).
-    ``state`` runs on the raw columns, ``inner.state`` on the normalized pairs
-    (not reduced), which go to the inner rule's ``_place``: a checked raw
-    column has values in [0, p_i], so its normalized one passes any checks.
-    """
-
-    def __init__(self, inner: OnlineAllocator, predictions: Predictions):
-        if inner.n != predictions.n:
-            raise DomainError(
-                f"allocator handles {inner.n} agents, predictions cover {predictions.n}"
-            )
-        super().__init__(inner.n)
-        self.inner = inner
-        # the inner rule's list, only ever appended to
-        self.potential_log = inner.potential_log
-        self.predictions = predictions
-        self._caps = [(p.numerator, p.denominator) for p in predictions.p]
-        self._threshold = (1 - predictions.epsilon).as_integer_ratio()
-        # v / 1 is v: only the agents predicted other than 1 are divided
-        self._divided = [i for i, p in enumerate(predictions.p) if p != 1]
-        self._overridden = [False] * inner.n
-        self.override_log: list[OverrideEvent] = []
-
-    # bound in the class body, so perfbench/tracer.py can wrap it per class
-    observe = OnlineAllocator.observe
-
-    def _choose(self, col: Sequence[tuple[int, int]]) -> int:
-        norm = list(col)
-        for i in self._divided:  # (v/d) / (a/b) is the pair (v b, d a)
-            (v, d), (a, b) = norm[i], self._caps[i]
-            norm[i] = v * b, d * a
-        num, den = self._threshold  # 1 - epsilon
-        for i in range(self.n):
-            v, d = norm[i]
-            if not self._overridden[i] and v * den >= num * d:
-                self._overridden[i] = True
-                self.override_log.append(OverrideEvent(i + 1, self.state.t, Fraction(v, d)))
-                norm[i] = 1, 1
-        return self.inner._place(norm)
-
-
 # ---------------------------------------------------------------------------
 # Running an allocator over an instance
 # ---------------------------------------------------------------------------
@@ -365,7 +346,7 @@ class TraceRecorder:
     Agent i+1's value after good t is
     ``alpha_num[i][t-1] / alpha_den[i][t-1]`` (bundle plus best outside
     good, over arrived total; ``INF`` where the total is 0), always against
-    the original valuations, also for wrapped rules.  ``run`` and
+    the original valuations, also under predictions.  ``run`` and
     ``run_adaptive`` return the recorder they filled, with ``instance`` the
     goods it saw and ``potential`` a snapshot of the summed potential after
     each t (from t = 0) for potential-based rules, None otherwise.

@@ -194,21 +194,18 @@ def _cmd_metrics(args) -> int:
 
 
 def _make_allocator(args, n: int):
-    """The allocator and, for miv, the MIV rule itself (the wrapped one under
-    ``--predictions``/``--epsilon``), whose ``seen_max`` flags say whether the
-    run met the prediction contract; None for every other rule."""
+    """The rule ``run`` streams through: under ``--predictions``/``--epsilon``,
+    MIV with those predictions."""
     if args.seed is not None and args.algo != "rand":
         raise FairdivError("--seed only applies to --algo rand")
-    allocator = make_allocator(args.algo, n, args.seed)
-    miv = allocator if args.algo == "miv" else None
     if args.predictions is None and args.epsilon is None:
-        return allocator, miv
-    if miv is None:
+        return make_allocator(args.algo, n, args.seed)
+    if args.algo != "miv":
         raise FairdivError("--predictions/--epsilon only apply to --algo miv")
     pred = perfect_predictions(n) if args.predictions is None else load_predictions(args.predictions)
     if args.epsilon is not None:
         pred = Predictions(pred.p, args.epsilon)
-    return RobustifiedAllocator(allocator, pred), miv
+    return RobustifiedAllocator(n, pred)
 
 
 def _trace_payload(trace) -> dict:
@@ -226,13 +223,13 @@ def _trace_payload(trace) -> dict:
 
 def _cmd_run(args) -> int:
     inst = load_instance(args.instance)
-    allocator, miv = _make_allocator(args, inst.n)
+    allocator = _make_allocator(args, inst.n)
     trace = run(allocator, inst)
     payload = _trace_payload(trace)
     payload["prop1_ratio"] = format_rational(allocator.state.ratio())
     payload["algo"] = args.algo
-    if miv is not None:  # the 1/n-PROP1 guarantee rests on this contract
-        payload["prediction_contract_met"] = all(miv.seen_max)
+    if args.algo == "miv":  # the 1/n-PROP1 guarantee rests on this contract
+        payload["prediction_contract_met"] = all(allocator.seen_max)
     _write(args.out, _dumps(payload))
     return 0
 

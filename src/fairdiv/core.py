@@ -65,9 +65,10 @@ def _literal_pair(text: str) -> tuple[int, int]:
 
     ``p`` and ``p/q`` in ASCII digits alone skip ``Fraction``'s literal
     parser; past Python's int-to-str digit limit ``_digits`` reads them, as
-    ``format_ratio`` writes them.  ``Fraction`` reads every other string, so
-    signs, spaces, exponents, zero denominators and bad literals behave as
-    it decides.  One exception: text whose last ``e``/``E`` is followed by
+    ``format_ratio`` writes them, and a zero q is refused there, in
+    ``Fraction``'s words while p has at most 40 digits.  ``Fraction`` reads
+    every other string, so signs, spaces, exponents and bad literals behave
+    as it decides.  One exception: text whose last ``e``/``E`` is followed by
     an integer of magnitude over 4300 (Python's int-to-str digit limit) is
     refused first: ``Fraction`` builds 10**exponent.  A refused literal over
     40 characters is quoted by its first 40 and its length, and its reason
@@ -80,9 +81,10 @@ def _literal_pair(text: str) -> tuple[int, int]:
                 p, q = int(num), int(den) if slash else 1
             except ValueError:  # past Python's int-to-str digit limit
                 p, q = _digits(num), _digits(den) if slash else 1
-            if q:
-                g = math.gcd(p, q)
-                return p // g, q // g
+            if not q:  # Fraction's text while p fits in 40 digits
+                raise ZeroDivisionError(f"Fraction({p}, 0)" if p < 10**40 else "zero denominator")
+            g = math.gcd(p, q)
+            return p // g, q // g
         if _exponent(text) > 4300:
             raise ValueError("exponent magnitude over 4300")
         value = Fraction(text.strip())

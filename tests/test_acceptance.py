@@ -179,7 +179,7 @@ def test_criterion_7_error_wrapper():
         n = rng.choice([2, 3, 4])
         m = rng.randint(1, 30)
         inst, pred = _contract_instance(rng, n, m, eps)
-        wrapped = RobustifiedAllocator(MivAllocator(n), pred)
+        wrapped = RobustifiedAllocator(n, pred)
         trace = run(wrapped, inst)
         beta = robust_beta(F(1, n), eps, n)
         assert beta == (1 - eps) / (n - eps / F(n))

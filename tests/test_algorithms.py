@@ -28,7 +28,7 @@ from fairdiv import (
     prop1_ratio,
     run,
 )
-from fairdiv.algorithms import OverrideEvent, TraceRecorder
+from fairdiv.algorithms import TraceRecorder
 from conftest import (
     alpha_it,
     bundle,
@@ -350,20 +350,24 @@ class TestMivClosedForm:
     @settings(max_examples=120, deadline=None)
     @given(miv_runs())
     def test_matches_the_definition_step_by_step(self, case):
+        """Under predictions the reference takes the columns as plain MIV sees
+        them: each value over its prediction, each agent's first max made 1."""
         inst, pred = case
+        columns = [list(column) for column in zip(*inst.values)]
         closed, shadow = MivAllocator(inst.n), _ShadowMiv(inst.n)
-        fast, slow = closed, shadow
+        normalized = columns
         if pred is not None:
-            fast, slow = RobustifiedAllocator(closed, pred), RobustifiedAllocator(shadow, pred)
-        for column in inst.columns():
+            closed, normalized = RobustifiedAllocator(inst.n, pred), _normalized(columns, pred)
+        for column, unit in zip(columns, normalized):
             try:
-                expected = slow.observe(column)
+                expected = shadow.observe(unit)
             except InvariantError:
                 with pytest.raises(InvariantError):
-                    fast.observe(column)
+                    closed.observe(column)
                 return
-            assert fast.observe(column) == expected
+            assert closed.observe(column) == expected
             assert closed.phi == shadow.phi
+            assert closed.seen_max == [at is not None for at in shadow.first]
         assert closed.potential_log == shadow.potential_log
         assert closed.potential == shadow.potential_log[-1] == sum(closed.phi)
 
@@ -375,6 +379,37 @@ class TestMivClosedForm:
         assert a.seen_max == [True, False]
         assert F(a.N[0], a.state.scale[0]) == D[0]
         assert all(F(N, scale) == 1 / phi for N, scale, phi in zip(a.N, a.state.scale, a.phi))
+
+
+def _normalized(columns, pred):
+    """Each value over its prediction, and each agent's first one at least
+    1 - epsilon made 1."""
+    seen = [False] * pred.n
+    for column in columns:
+        unit = [v / p for v, p in zip(column, pred.p)]
+        for i, v in enumerate(unit):
+            if not seen[i] and v >= 1 - pred.epsilon:
+                seen[i], unit[i] = True, F(1)
+        yield unit
+
+
+def _first_max_goods(allocator, columns):
+    """Feed ``columns``; return the filled recorder and, per agent, the
+    1-based good at which its ``seen_max`` flag turned on (None: never)."""
+    recorder, turned = TraceRecorder(allocator.state), [None] * allocator.n
+    for t, column in enumerate(columns, 1):
+        recorder.record(allocator.observe(column))
+        turned = [t if seen and at is None else at for seen, at in zip(allocator.seen_max, turned)]
+    return recorder, turned
+
+
+def _first_at_threshold(columns, pred):
+    """Per agent, the 1-based good of its first value at least
+    (1 - epsilon) p_i (None: none is)."""
+    return [
+        next((t for t, column in enumerate(columns, 1) if column[i] >= (1 - pred.epsilon) * p), None)
+        for i, p in enumerate(pred.p)
+    ]
 
 
 class TestMivInvariants:
@@ -409,27 +444,24 @@ class TestRobustify:
         for _ in range(20):
             n = rng.choice([2, 3])
             inst = random_instance(rng, n, rng.randint(1, 12), force_unit_max=True)
-            wrapped = RobustifiedAllocator(MivAllocator(n), perfect_predictions(n))
+            wrapped = RobustifiedAllocator(n, perfect_predictions(n))
             direct = MivAllocator(n)
+            for column in inst.columns():
+                assert wrapped.observe(column) == direct.observe(column)
+                assert wrapped.seen_max == direct.seen_max
+                assert wrapped.phi == direct.phi
+                assert wrapped.potential_log == direct.potential_log
+                assert wrapped.state.rows == direct.state.rows
+            wrapped, direct = RobustifiedAllocator(n, perfect_predictions(n)), MivAllocator(n)
             assert run(wrapped, inst).owners == run(direct, inst).owners
 
     def test_each_column_is_validated_once(self, monkeypatch):
         inst = random_instance(random.Random(9), 3, 20, force_unit_max=True)
-        inner = MivAllocator(3)
-        wrapped = RobustifiedAllocator(inner, perfect_predictions(3))
-        calls = {"inner": 0, "wrapper": 0}
-
-        def counted(who, validate):
-            def wrapper(column):
-                calls[who] += 1
-                return validate(column)
-
-            return wrapper
-
-        monkeypatch.setattr(inner, "_validate", counted("inner", inner._validate))
-        monkeypatch.setattr(wrapped, "_validate", counted("wrapper", wrapped._validate))
+        wrapped = RobustifiedAllocator(3, perfect_predictions(3))
+        calls, validate = [], wrapped._validate
+        monkeypatch.setattr(wrapped, "_validate", lambda column: calls.append(column) or validate(column))
         assert run(wrapped, inst).owners == run(MivAllocator(3), inst).owners
-        assert calls == {"inner": 0, "wrapper": inst.m}
+        assert len(calls) == inst.m
 
     def test_beta_formula(self):
         assert robust_beta(F(1, 2), F(1, 2), 2) == F(2, 7)
@@ -441,21 +473,24 @@ class TestRobustify:
 
     def test_override_happens_once_per_agent_at_threshold(self):
         pred = Predictions((F(2), F(1)), F(1, 4))
-        wrapped = RobustifiedAllocator(MivAllocator(2), pred)
+        wrapped = RobustifiedAllocator(2, pred)
         # normalized columns: (2/5, 4/5), (9/10, 1/10), (1, 1)
-        wrapped.observe([F(4, 5), F(4, 5)])
-        wrapped.observe([F(9, 5), F(1, 10)])
-        wrapped.observe([F(2), F(1)])
-        events = [(e.agent, e.timestep, e.original_value) for e in wrapped.override_log]
-        assert events == [(2, 1, F(4, 5)), (1, 2, F(9, 10))]
-        for _, _, original in events:
+        columns = [[F(4, 5), F(4, 5)], [F(9, 5), F(1, 10)], [F(2), F(1)]]
+        turned = _first_max_goods(wrapped, columns)[1]
+        assert turned == [2, 1] == _first_at_threshold(columns, pred)
+        normalized = [columns[t - 1][i] / pred.p[i] for i, t in enumerate(turned)]
+        assert normalized == [F(9, 10), F(4, 5)]
+        for original in normalized:
             assert original >= 1 - pred.epsilon
 
     def test_a_value_exactly_at_the_threshold_is_overridden(self):
-        wrapped = RobustifiedAllocator(MivAllocator(2), Predictions((F(2), F(3, 7)), F(1, 4)))
-        wrapped.observe([(6, 4), (4, 14)])  # 3/2 = (1 - 1/4) 2, and 2/7 < (1 - 1/4) 3/7 = 9/28
-        wrapped.observe([F(0), F(9, 28)])
-        assert wrapped.override_log == [OverrideEvent(1, 1, F(3, 4)), OverrideEvent(2, 2, F(3, 4))]
+        pred = Predictions((F(2), F(3, 7)), F(1, 4))
+        wrapped = RobustifiedAllocator(2, pred)
+        # 3/2 = (1 - 1/4) 2, and 2/7 < (1 - 1/4) 3/7 = 9/28
+        columns = [[(6, 4), (4, 14)], [(0, 1), (9, 28)]]
+        turned = _first_max_goods(wrapped, columns)[1]
+        assert turned == [1, 2] == _first_at_threshold([[F(*c) for c in column] for column in columns], pred)
+        assert [F(*columns[t - 1][i]) / pred.p[i] for i, t in enumerate(turned)] == [F(3, 4), F(3, 4)]
 
     def test_wrapped_runs_meet_beta_prop1(self):
         rng = random.Random(808)
@@ -464,19 +499,20 @@ class TestRobustify:
             m = rng.randint(1, 15)
             eps = rng.choice([F(0), F(1, 10), F(1, 4), F(1, 2)])
             inst, pred = _contract_instance(rng, n, m, eps)
-            wrapped = RobustifiedAllocator(MivAllocator(n), pred)
-            trace = run(wrapped, inst)
+            wrapped = RobustifiedAllocator(n, pred)
+            columns = [list(column) for column in zip(*inst.values)]
+            trace, turned = _first_max_goods(wrapped, columns)
             beta = robust_beta(F(1, n), eps, n)
             assert check_alpha_prop1(inst, trace.allocation, beta).satisfied
-            agents_hit = [event.agent for event in wrapped.override_log]
-            assert len(agents_hit) == len(set(agents_hit))  # at most one per agent
-            assert all(event.original_value >= 1 - eps for event in wrapped.override_log)
+            # each agent's flag turns on once, at its first value at least (1 - eps) p_i
+            assert turned == _first_at_threshold(columns, pred)
+            assert all(columns[t - 1][i] >= (1 - eps) * pred.p[i] for i, t in enumerate(turned))
 
     def test_raw_value_above_its_prediction_is_a_contract_error(self):
-        wrapped = RobustifiedAllocator(MivAllocator(2), Predictions((F(1), F(1)), F(1, 10)))
+        wrapped = RobustifiedAllocator(2, Predictions((F(1), F(1)), F(1, 10)))
         with pytest.raises(PredictionContractError, match="3/2 of agent 1 exceeds"):
             wrapped.observe([F(3, 2), F(1, 2)])
-        assert wrapped.override_log == [] and wrapped.state.t == 0 and wrapped.inner.state.t == 0
+        assert wrapped.seen_max == [False, False] and wrapped.state.t == 0
 
     def test_epsilon_validation(self):
         with pytest.raises(DomainError):
@@ -484,16 +520,13 @@ class TestRobustify:
 
 
 def _snapshot(allocator):
-    """Everything a placement changes: the state rows, the logs, the flags
-    and the random state, the inner rule's included."""
+    """Everything a placement changes: the state rows, the log, the flags
+    and the random state."""
     s = allocator.state
     seen = [s.t, list(s.scale), *map(list, s.rows), list(s.col_w), list(allocator.potential_log or [])]
-    for name in ("seen_max", "override_log"):
-        seen.append(list(getattr(allocator, name, [])))
+    seen.append(list(getattr(allocator, "seen_max", [])))
     if hasattr(allocator, "_rng"):
         seen.append(allocator._rng.getstate())
-    if hasattr(allocator, "inner"):
-        seen.append(_snapshot(allocator.inner))
     return seen
 
 
@@ -503,7 +536,7 @@ def test_observe_refuses_the_cells_instance_from_rows_refuses(rule, cell):
     with pytest.raises(ParseError) as built:
         instance_from_rows([[F(1, 2), F(1, 3)], [F(1), cell], [F(0), F(0)]])
     if rule == "miv-robust":
-        allocator = RobustifiedAllocator(MivAllocator(3), Predictions((F(1), F(2), F(1, 2)), F(1, 4)))
+        allocator = RobustifiedAllocator(3, Predictions((F(1), F(2), F(1, 2)), F(1, 4)))
     else:
         allocator = make_allocator(rule, 3, seed=5)
     allocator.observe([F(1, 2), F(1), F(0)])
@@ -525,7 +558,7 @@ def test_miv_refuses_a_value_above_its_cap_naming_the_agent(column):
 
 def _allocator(rule, n):
     if rule == "miv-robust":
-        return RobustifiedAllocator(MivAllocator(n), Predictions((F(1), F(2), F(3, 7), F(1))[:n], F(1, 4)))
+        return RobustifiedAllocator(n, Predictions((F(1), F(2), F(3, 7), F(1))[:n], F(1, 4)))
     return make_allocator(rule, n, seed=5)
 
 
@@ -547,8 +580,7 @@ def test_an_unreduced_pair_is_taken_as_its_value(rule):
     the state, the logs and the flags."""
     def values(allocator):
         seen = [allocator.total, allocator.bundle, allocator.best_outside, allocator.potential_log]
-        seen += [getattr(allocator, name, None) for name in ("phi", "seen_max", "override_log")]
-        return seen + ([values(allocator.inner)] if hasattr(allocator, "inner") else [])
+        return seen + [getattr(allocator, name, None) for name in ("phi", "seen_max")]
 
     as_pairs, as_values = _allocator(rule, 3), _allocator(rule, 3)
     columns = [[F(1, 2), F(1, 3), F(0)], [F(1), F(2, 5), F(3, 7)], [F(1, 2), F(1), F(1, 7)], [F(1, 4)] * 3]
@@ -589,9 +621,9 @@ def pair_runs(draw):
 
 def _pair_outcome(rule, pred, inst, columns):
     """What feeding ``columns`` (None: ``run`` on ``inst``) leaves: owners,
-    running values, potentials, overrides and ``seen_max`` flags, or the
+    running values, potentials and ``seen_max`` flags, or the
     class and text of the refusal and the goods placed before it."""
-    allocator = make_allocator(rule, inst.n, seed=7) if pred is None else RobustifiedAllocator(MivAllocator(inst.n), pred)
+    allocator = make_allocator(rule, inst.n, seed=7) if pred is None else RobustifiedAllocator(inst.n, pred)
     recorder = TraceRecorder(allocator.state)
     try:
         if columns is None:
@@ -604,9 +636,7 @@ def _pair_outcome(rule, pred, inst, columns):
                 trace.potential = tuple(allocator.potential_log)
     except PredictionContractError as exc:
         return type(exc), str(exc), allocator.state.t
-    events = getattr(allocator, "override_log", None)
-    seen_max = getattr(getattr(allocator, "inner", allocator), "seen_max", None)
-    return trace.owners, running_values(trace), trace.potential, events, seen_max
+    return trace.owners, running_values(trace), trace.potential, getattr(allocator, "seen_max", None)
 
 
 class TestPairColumns:
@@ -662,11 +692,9 @@ class TestScaleInvariance:
                 )
                 if factory is MivAllocator:
                     # rescaling moves the unit maxima: feed through the wrapper
-                    base = run(
-                        RobustifiedAllocator(MivAllocator(n), perfect_predictions(n)), inst
-                    ).owners
+                    base = run(RobustifiedAllocator(n, perfect_predictions(n)), inst).owners
                     pred = Predictions(tuple(scale[i] * 1 for i in range(n)))
-                    other = run(RobustifiedAllocator(MivAllocator(n), pred), scaled).owners
+                    other = run(RobustifiedAllocator(n, pred), scaled).owners
                 else:
                     base = run(factory(n), inst).owners
                     other = run(factory(n), scaled).owners

@@ -19,7 +19,6 @@ from fairdiv import (
     Allocation,
     Greedy3Adversary,
     Greedy3Allocator,
-    MivAllocator,
     Predictions,
     Prop1State,
     RobustifiedAllocator,
@@ -130,7 +129,7 @@ def test_checks_match_brute_force(data):
 def _allocator(rule, inst, seed, epsilon):
     if rule == "miv-eps":
         pred = Predictions(perfect_predictions(inst.n).p, epsilon)
-        return RobustifiedAllocator(MivAllocator(inst.n), pred)
+        return RobustifiedAllocator(inst.n, pred)
     return make_allocator(rule, inst.n, seed)
 
 
@@ -141,7 +140,7 @@ def test_trace_alpha_matches_alpha_it(data):
     rule = data.draw(st.sampled_from(["greedy1", "greedy2", "greedy3", "rand", "miv", "miv-eps"]))
     epsilon = data.draw(st.sampled_from([F(1, 10), F(1, 4), F(1, 2)]))
     if rule == "miv-eps" and inst.m:
-        # a good at the override threshold, so the wrapper overrides it
+        # a good at the threshold (1 - epsilon) p_i: the agent's first max
         rows = [list(row) for row in inst.values]
         agent, good = data.draw(st.integers(0, inst.n - 1)), data.draw(st.integers(0, inst.m - 1))
         rows[agent][good] = 1 - epsilon
@@ -149,7 +148,7 @@ def test_trace_alpha_matches_alpha_it(data):
     allocator = _allocator(rule, inst, data.draw(st.integers(0, 2**32)), epsilon)
     trace = run(allocator, inst)
     if rule == "miv-eps" and inst.m:
-        assert allocator.override_log
+        assert allocator.seen_max[agent]
     for agent in range(1, inst.n + 1):
         assert list(running_values(trace)[agent - 1]) == [
             alpha_it(inst, trace.owners, agent, t) for t in range(1, inst.m + 1)

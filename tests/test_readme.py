@@ -5,8 +5,8 @@ Reads the first ``sh`` block under the README's ``## CLI`` heading, joins
 lines continued with ``\\``, and checks each ``fairdiv <command>`` line's
 ``--flags`` against that subcommand's parser in ``cli.build_parser()``.
 Every row of the "Reproducing the paper" tables is rerun as well, the
-MIV rows on the instances of the README's JSON block, and each row of the
-EF1/MMS/PROPX table through ``main``.
+MIV and uniform-rule rows on the files of the README's JSON block, and
+each row of the EF1/MMS/PROPX table through ``main``.
 """
 
 import argparse
@@ -103,27 +103,59 @@ def miv_section() -> str:
 
 
 def miv_rows() -> list[tuple]:
-    """(instance, n, epsilon or None, prop1_ratio, bound, contract met) per row
-    of the README's MIV table."""
-    rows = re.findall(r"^\| ([a-c][23]) \| (\d) \| (none|`--epsilon 1/4`) \| (\d+(?:/\d+)?) \| "
+    """(instance, n, flags, prop1_ratio, bound, contract met) per row of the
+    README's MIV table; flags is the list of command-line words shown."""
+    rows = re.findall(r"^\| ([a-f][23]) \| (\d) \| (none|`[^`]+`) \| (\d+(?:/\d+)?) \| "
                       r"(\d+/\d+) \| (true|false) \|$", miv_section(), re.M)
-    return [(name, int(n), None if flags == "none" else "1/4", Fraction(ratio), Fraction(bound), met == "true")
+    return [(name, int(n), [] if flags == "none" else flags.strip("`").split(), Fraction(ratio),
+             Fraction(bound), met == "true")
             for name, n, flags, ratio, bound, met in rows]
 
 
+def readme_files(tmp_path) -> dict:
+    """Each file of the README's JSON block written under ``tmp_path``, by name."""
+    files = json.loads(re.search(r"```json\n(.*?)```", miv_section(), re.S).group(1))
+    for name, content in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content), encoding="utf-8")
+    return files
+
+
 def test_the_miv_rows_rerun(tmp_path, capsys):
-    instances = json.loads(re.search(r"```json\n(.*?)```", miv_section(), re.S).group(1))
+    files = readme_files(tmp_path)
     rows = miv_rows()
-    assert len(rows) == 8
-    for name, n, epsilon, ratio, bound, met in rows:
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(instances[name]), encoding="utf-8")
-        flags = [] if epsilon is None else ["--epsilon", epsilon]
-        assert main(["run", "--algo", "miv", "--instance", str(path), *flags]) == 0
+    assert len(rows) == 12
+    assert sum("--predictions" in flags for _, _, flags, *_ in rows) == 4
+    for name, n, flags, ratio, bound, met in rows:
+        argv = [str(tmp_path / flag) if flag.endswith(".json") else flag for flag in flags]
+        assert main(["run", "--algo", "miv", "--instance", str(tmp_path / f"{name}.json"), *argv]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert len(instances[name]["values"]) == n
+        assert len(files[name]["values"]) == n
         assert (Fraction(out["prop1_ratio"]), out["prediction_contract_met"]) == (ratio, met)
-        assert bound == robust_beta(Fraction(1, n), Fraction(0 if epsilon is None else epsilon), n)
+        epsilon = flags[flags.index("--epsilon") + 1] if "--epsilon" in flags else 0
+        assert bound == robust_beta(Fraction(1, n), Fraction(epsilon), n)
+
+
+def rand_rows() -> list[list[str]]:
+    """The cells of each row of the README's uniform-rule table."""
+    return [line.strip("| ").split(" | ") for line in miv_section().splitlines()
+            if re.match(r"\| \d \| \d+/\d+ \| 0\.\d+ \| ", line)]
+
+
+def test_the_uniform_rule_rows_rerun(tmp_path, capsys):
+    readme_files(tmp_path)
+    rows = rand_rows()
+    assert {(n, delta) for n, delta, *_ in rows} == {(n, delta) for n in "23" for delta in ("1/10", "1/2")}
+    assert len(rows) == 4
+    for n, delta, alpha, instance, trials, failures, within in rows:
+        assert main(["oracle", "--op", "rand-alpha", "--n", n, "--delta", delta]) == 0
+        assert json.loads(capsys.readouterr().out)["alpha"] == alpha
+        assert int(trials) <= 400
+        argv = ["montecarlo", "--n", n, "--delta", delta, "--instance", str(tmp_path / f"{instance}.json"),
+                "--trials", trials, "--seed", "12345"]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [out["alpha_used"], str(out["trials"]), str(out["failures"]), json.dumps(out["within_delta"])] == [
+            alpha, trials, failures, within]
 
 
 def impossibility_rows() -> list[list[str]]:

@@ -19,8 +19,10 @@ form of the rows (``lcm``) inside ``core.py``, a fifth keeps ``str()``
 off the numbers ``cli.py`` writes, a sixth lets only ``core._reading``
 and ``cli._write`` open a file, a seventh fails on a CLI flag that no
 command reads, an eighth keeps every ``Instance(`` call inside
-``core.py``, and a ninth keeps every read of an instance's pair rows
-(``._rows``) there too.
+``core.py``, a ninth keeps every read of an instance's pair rows
+(``._rows``) there too, and a tenth lets only ``OnlineAllocator.observe``
+call ``_place``, so no rule hands a good to a second rule with a second
+state.
 """
 
 import ast
@@ -118,6 +120,23 @@ def test_only_the_base_allocator_defines_observe():
         if isinstance(item, ast.FunctionDef) and item.name in ("observe", "_place", "_validate")
     ]
     assert not found, "observe, _place or _validate defined outside OnlineAllocator: " + ", ".join(found)
+
+
+def test_only_observe_places_a_good():
+    """A good is placed once, by the rule that took it: ``OnlineAllocator.observe``
+    is the one caller of ``_place`` in ``src/fairdiv``, so no rule delegates
+    to a second rule that keeps a second state over the same goods."""
+    found = [
+        f"{path.name}:{node.lineno} in {top.name}.{fn.name}"
+        for path in sorted((ROOT / "src" / "fairdiv").glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for fn in ast.walk(top)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_place"
+        and (path.name, getattr(top, "name", None), fn.name) != ("algorithms.py", "OnlineAllocator", "observe")
+    ]
+    assert not found, "._place( called outside OnlineAllocator.observe: " + ", ".join(found)
 
 
 def test_only_core_takes_an_lcm():
