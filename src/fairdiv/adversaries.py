@@ -245,6 +245,10 @@ class Greedy3Adversary(AdaptiveAdversary):
     Every cycle also asserts the harmonic certificate
     1/a_min >= 3/2 + sum_{s=1..k} 1/(2(s+2)) in exact arithmetic.
 
+    The schedule works on the mirror's integer weights, comparing running
+    values as cross-multiplied pairs of one agent's weights; ``Fraction``s
+    are built only for the emitted columns and the certificate's exact sum.
+
     The target is the PROP1 ratio (n times the smaller running value, capped
     at 1); targets at or above 2/3 are rejected because the opening pins the
     smaller running value at 2/3 and feasible targets are calibrated below
@@ -302,7 +306,8 @@ class Greedy3Adversary(AdaptiveAdversary):
         n, mirror = self.n, self._mirror
         value, scale = mirror.value, mirror.scale
         held, c, total = mirror.held_w, mirror.best_w, mirror.total_w  # weights, scale L_i
-        pad = [Fraction(0)] * (n - 2)
+        zero = Fraction(0)
+        pad = [zero] * (n - 2)
         yield from self._emit([Fraction(1)] * n, 1)
         yield from self._emit([Fraction(1), Fraction(1)] + pad, 2)
         yield from self._emit([Fraction(1), Fraction(1)] + pad, 1)
@@ -312,42 +317,43 @@ class Greedy3Adversary(AdaptiveAdversary):
         lam = max(Fraction(held[0], c[0]), Fraction(held[1], c[1]))
         if lam != self.OPENING_LAMBDA:
             raise InvariantError(f"opening bundle/c ratio {lam} differs from 2")
+        tp, tq = self.target_alpha.as_integer_ratio()
         cert_rhs = Fraction(3, 2)
         i = 1  # the live agent with the smaller running value, 0-based
         while True:
             j = 1 - i
-            old_min = value(i)
-            ratio = Fraction(2 * total[j], c[j]) * (value(j) / old_min - 1)
-            emitted = math.ceil(ratio) - 1
+            p, q = held[i] + c[i], total[i]  # old_min = p/q
+            # ceil((2 T_j / c_j) (value(j) / old_min - 1)) - 1
+            emitted = -(2 * (p * total[j] - (held[j] + c[j]) * q) // (c[j] * p)) - 1
             if emitted > 0:
-                col = [Fraction(0)] * n
+                col = [zero] * n
                 col[j] = Fraction(c[j], 2 * scale[j])
                 yield from self._emit(col, i + 1, copies=emitted)
             # value(j) > old_min (1 + c_j / (2 T_j)) in agent j's weights is
-            # 2 (held_j + c_j) q > p (2 T_j + c_j) for old_min = p/q; with one
-            # copy (c_j / 2) fewer, 2 (held_j + c_j) q > 2 p T_j
-            p, q = old_min.numerator, old_min.denominator
+            # 2 (held_j + c_j) q > p (2 T_j + c_j); with one copy (c_j / 2)
+            # fewer, 2 (held_j + c_j) q > 2 p T_j
             lhs = 2 * (held[j] + c[j]) * q
             if lhs > p * (2 * total[j] + c[j]) or emitted and not lhs > 2 * p * total[j]:
                 raise InvariantError(f"equalization of {emitted} goods stops off its boundary")
-            owner = yield from self._emit(mirror.values(c)[:2] + pad, 1, 2)
+            owner = yield from self._emit([Fraction(c[0], scale[0]), Fraction(c[1], scale[1])] + pad, 1, 2)
             i = 2 - owner  # the live agent that did NOT receive the strike
-            new_min = value(i)
-            if not new_min < old_min:
+            a, b = held[i] + c[i], total[i]  # new_min = a/b
+            if not a * q < p * b:
                 raise InvariantError("strike failed to lower the running minimum strictly")
-            if not all(new_min < value(r) for r in range(n) if r != i):
+            # an agent with total 0 has value INF, above new_min
+            if not all(not total[r] or a * total[r] < (held[r] + c[r]) * b for r in range(n) if r != i):
                 raise InvariantError("post-strike minimum is not strict over all agents")
             self.cycles += 1
             cert_rhs += Fraction(1, 2 * (self.cycles + self.OPENING_LAMBDA))
-            if not 1 / new_min >= cert_rhs:
+            if not b * cert_rhs.denominator >= cert_rhs.numerator * a:  # 1/new_min >= cert_rhs
                 # approximate: past ~10,000 cycles cert_rhs has more digits than str() allows
                 raise InvariantError(
                     f"harmonic certificate failed at cycle {self.cycles}: "
-                    f"1/a_min ~ {float(1 / new_min):.9g} < {float(cert_rhs):.9g}"
+                    f"1/a_min ~ {b / a:.9g} < {float(cert_rhs):.9g}"
                 )
             # new_min is the strict minimum, so the PROP1 ratio is
             # min(1, n new_min), and the target is below 1
-            if n * new_min < self.target_alpha:
+            if n * a * tq < tp * b:
                 self.target_reached = True
                 return
 

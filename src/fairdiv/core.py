@@ -234,18 +234,22 @@ class Instance:
 def instance_from_rows(rows: Sequence[Sequence[Fraction | int]]) -> Instance:
     """Build an Instance from per-agent value rows in one pass: each int or
     Fraction cell becomes its reduced pair, the first cell in row order that is
-    neither, or is negative, is refused; then ``Instance`` checks the shape."""
+    neither, or is negative, is refused; then ``Instance`` checks the shape.
+    A run of one cell object (``[v] * k``) is checked once."""
     shared: dict[tuple[int, int], tuple[int, int]] = {}
     out = []
+    last = object()  # the last cell checked; ``pair`` is its pair
     for row in rows:
         cells = []
         for v in row:
-            if not isinstance(v, (int, Fraction)):
-                raise ParseError(f"non-exact valuation {v!r}")
-            pair = (v.numerator, v.denominator)  # a bool's numerator is an int
-            if pair[0] < 0:
-                raise ParseError(f"negative valuation {v}")
-            cells.append(shared.setdefault(pair, pair))
+            if v is not last:
+                if not (type(v) is Fraction or isinstance(v, (int, Fraction))):  # Fraction's ABCMeta is slow
+                    raise ParseError(f"non-exact valuation {v!r}")
+                pair = (v.numerator, v.denominator)  # a bool's numerator is an int
+                if pair[0] < 0:
+                    raise ParseError(f"negative valuation {v}")
+                last, pair = v, shared.setdefault(pair, pair)
+            cells.append(pair)
         out.append(tuple(cells))
     return Instance(out)
 
@@ -336,8 +340,10 @@ def _encode(value, indent: str, out: list[str]) -> None:
         out.append(f"\n{indent}}}")
     elif isinstance(value, (list, tuple)) and value:
         inner = indent + "  "
-        if all(type(v) is str for v in value):  # a row of rationals: one piece
-            out += (f"[\n{inner}", f",\n{inner}".join(map(encode_basestring_ascii, value)), f"\n{indent}]")
+        kinds = set(map(type, value))
+        if kinds == {str} or kinds == {int}:  # a row of rationals or of owners: one piece
+            texts = map(encode_basestring_ascii if kinds == {str} else int.__repr__, value)
+            out += (f"[\n{inner}", f",\n{inner}".join(texts), f"\n{indent}]")
             return
         sep = "[\n" + inner
         for v in value:

@@ -1,13 +1,15 @@
 """Shared helpers for the test suite, the definition-level references
 (``alpha_it``, ``bundle_value``, ``mms_labeled_reference``,
 ``load_instance_reference``, ``instance_from_rows_reference``,
-``instance_to_json_reference`` and the ``Fraction`` allocators
-``REF_ALLOCATORS``) that the fast library paths are checked against, and
+``instance_to_json_reference``, the ``Fraction`` allocators
+``REF_ALLOCATORS`` and the ``Fraction`` greedy3 schedule
+``RefGreedy3Adversary``) that the fast library paths are checked against, and
 the paper's formulas that only tests use (``robust_beta``,
 ``check_predictions``, ``running_values``)."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -16,6 +18,7 @@ from fairdiv import (
     INF,
     Allocation,
     DomainError,
+    Greedy3Adversary,
     Instance,
     InvariantError,
     ParseError,
@@ -398,3 +401,56 @@ REF_ALLOCATORS = {
     "rand": RefRand,
     "miv": RefMiv,
 }
+
+
+class RefGreedy3Adversary(Greedy3Adversary):
+    """The greedy3 schedule in ``Fraction`` arithmetic, as the construction
+    states it: running values, the closed-form run length and every check
+    are Fractions read off the mirror."""
+
+    def _schedule(self):
+        n, mirror = self.n, self._mirror
+        value, scale = mirror.value, mirror.scale
+        held, c, total = mirror.held_w, mirror.best_w, mirror.total_w
+        pad = [Fraction(0)] * (n - 2)
+        yield from self._emit([Fraction(1)] * n, 1)
+        yield from self._emit([Fraction(1), Fraction(1)] + pad, 2)
+        yield from self._emit([Fraction(1), Fraction(1)] + pad, 1)
+        opening = (mirror.values(c)[:2], mirror.values(total)[:2])
+        if (value(0), value(1), *opening) != (1, Fraction(2, 3), [1, 1], [3, 3]):
+            raise InvariantError("opening state diverged from the construction")
+        lam = max(Fraction(held[0], c[0]), Fraction(held[1], c[1]))
+        if lam != self.OPENING_LAMBDA:
+            raise InvariantError(f"opening bundle/c ratio {lam} differs from 2")
+        cert_rhs = Fraction(3, 2)
+        i = 1
+        while True:
+            j = 1 - i
+            old_min = value(i)
+            ratio = Fraction(2 * total[j], c[j]) * (value(j) / old_min - 1)
+            emitted = math.ceil(ratio) - 1
+            if emitted > 0:
+                col = [Fraction(0)] * n
+                col[j] = Fraction(c[j], 2 * scale[j])
+                yield from self._emit(col, i + 1, copies=emitted)
+            p, q = old_min.numerator, old_min.denominator
+            lhs = 2 * (held[j] + c[j]) * q
+            if lhs > p * (2 * total[j] + c[j]) or emitted and not lhs > 2 * p * total[j]:
+                raise InvariantError(f"equalization of {emitted} goods stops off its boundary")
+            owner = yield from self._emit(mirror.values(c)[:2] + pad, 1, 2)
+            i = 2 - owner
+            new_min = value(i)
+            if not new_min < old_min:
+                raise InvariantError("strike failed to lower the running minimum strictly")
+            if not all(new_min < value(r) for r in range(n) if r != i):
+                raise InvariantError("post-strike minimum is not strict over all agents")
+            self.cycles += 1
+            cert_rhs += Fraction(1, 2 * (self.cycles + self.OPENING_LAMBDA))
+            if not 1 / new_min >= cert_rhs:
+                raise InvariantError(
+                    f"harmonic certificate failed at cycle {self.cycles}: "
+                    f"1/a_min ~ {float(1 / new_min):.9g} < {float(cert_rhs):.9g}"
+                )
+            if n * new_min < self.target_alpha:
+                self.target_reached = True
+                return

@@ -32,7 +32,8 @@ from fairdiv import (
 )
 from fairdiv import adversaries
 from fairdiv.adversaries import check_construction
-from conftest import running_values, trace_fields
+from fairdiv.algorithms import TraceRecorder
+from conftest import RefGreedy3Adversary, running_values, trace_fields
 
 F = Fraction
 
@@ -569,3 +570,92 @@ class TestForcedChoices:
         adversary.eps = F(2)
         with pytest.raises(InvariantError, match="unit prediction bound"):
             run_adaptive(adversary, Greedy2Allocator(2))
+
+
+class StrikeSwapper(Greedy3Allocator):
+    """The greedy3 rule, except that each strike past the opening (a good
+    both live agents value) goes to the other live agent."""
+
+    def _choose(self, col):
+        owner = super()._choose(col)
+        w = self.state.col_w
+        return 3 - owner if self.state.t > 3 and w[0] and w[1] else owner
+
+
+def schedule_runs(adversary, allocator):
+    """Drive ``allocator`` with ``adversary`` run by run; return each run's
+    (column, allowed agents, copies), the owners, and either (cycles,
+    target_reached) or the text of the ``InvariantError`` that ended it."""
+    recorder, runs = TraceRecorder(allocator.state), []
+    try:
+        while (column := adversary.next_column(recorder.owners)) is not None:
+            runs.append((column, adversary._run[0], adversary.copies))
+            recorder.place(allocator, column, adversary.copies)
+    except InvariantError as exc:
+        return runs, recorder.owners, str(exc)
+    return runs, recorder.owners, (adversary.cycles, adversary.target_reached)
+
+
+class TestIntegerSchedule:
+    """``Greedy3Adversary``'s schedule in integer weights against the
+    ``Fraction`` schedule it replaced (``conftest.RefGreedy3Adversary``)."""
+
+    @pytest.mark.parametrize("max_steps", [4, 5, 6, 7, 10, 57, 212, 10**6])
+    @pytest.mark.parametrize(
+        "n, target",
+        [(2, F(3, 5)), (2, F(1, 2)), (2, F(2, 5)), (2, F(1, 3)), (3, F(3, 5)), (3, F(1, 2)),
+         (3, F(3, 7)), (4, F(197, 300)), (4, F(3, 5))],
+    )
+    def test_same_runs_owners_and_outcome(self, n, target, max_steps):
+        got = schedule_runs(Greedy3Adversary(target, max_steps, n), Greedy3Allocator(n))
+        want = schedule_runs(RefGreedy3Adversary(target, max_steps, n), Greedy3Allocator(n))
+        assert got == want
+        assert all(type(v) is Fraction for column, _, _ in got[0] for v in column)
+        if max_steps == 10**6:
+            assert got[2][1]  # the target is reached, through every cycle's checks
+
+    @pytest.mark.parametrize("n, target", [(2, F(1, 2)), (3, F(1, 2)), (4, F(3, 5))])
+    def test_same_runs_when_each_strike_goes_to_the_other_agent(self, n, target):
+        # a strike lowers the smaller running value whoever takes it, so this
+        # rule walks the schedule down another legal path
+        got = schedule_runs(Greedy3Adversary(target, 10**4, n), StrikeSwapper(n))
+        want = schedule_runs(RefGreedy3Adversary(target, 10**4, n), StrikeSwapper(n))
+        assert got == want and got[2][1]
+        assert got[1] != schedule_runs(Greedy3Adversary(target, 10**4, n), Greedy3Allocator(n))[1]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_same_breach_against_a_rule_that_breaks_the_schedule(self, n):
+        class Breaker(Greedy3Allocator):  # good 4, the first equalization good, goes astray
+            def _choose(self, col):
+                return 3 - super()._choose(col) if self.state.t == 4 else super()._choose(col)
+
+        got = schedule_runs(Greedy3Adversary(F(1, 2), 10**4, n), Breaker(n))
+        want = schedule_runs(RefGreedy3Adversary(F(1, 2), 10**4, n), Breaker(n))
+        assert got == want and isinstance(got[2], str)
+
+    @pytest.mark.parametrize(
+        "owners, agent, field, value, message",
+        [
+            ([1, 2, 1], 0, "total_w", F(4), "opening state"),
+            (FIRST_CYCLE[:5], 0, "held_w", F(20), "equalization of 2 goods"),
+            (FIRST_CYCLE[:5], 0, "total_w", F(30), "equalization of 2 goods"),
+            (FIRST_CYCLE, 0, "held_w", F(10), "strike failed"),
+            (FIRST_CYCLE, 1, "total_w", F(100), "post-strike minimum"),
+            (FIRST_CYCLE, 2, "total_w", F(100), "post-strike minimum"),  # a padded agent
+            (FIRST_CYCLE, 0, "held_w", F(17, 8), "harmonic certificate"),
+        ],
+        ids=["opening", "boundary-held", "boundary-total", "not-lower", "live-not-strict",
+             "padded-not-strict", "certificate"],
+    )
+    def test_same_breach_text_from_a_tampered_mirror(self, owners, agent, field, value, message):
+        texts = []
+        for make in (Greedy3Adversary, RefGreedy3Adversary):
+            adversary = make(F(1, 2), 10**4, n=3)
+            feed(adversary, owners[:-1])
+            mirror = adversary._mirror
+            scale = mirror.rescale(agent, value.denominator)  # so the value is a whole weight
+            getattr(mirror, field)[agent] = int(value * scale)
+            with pytest.raises(InvariantError) as breach:
+                adversary.next_column(owners)
+            texts.append(str(breach.value))
+        assert texts[0] == texts[1] and texts[0].startswith(message)

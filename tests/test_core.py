@@ -302,10 +302,25 @@ ANY_CELLS = st.one_of(EXACT_CELLS, st.floats(), st.text(max_size=3), st.none())
 
 @st.composite
 def value_rows(draw):
-    """Up to 4 rows of up to 4 cells, all exact or of any kind, sometimes ragged."""
+    """Up to 4 rows of up to 6 cells, all exact or of any kind, sometimes
+    ragged.  Rows are cut into pieces, and a piece is either drawn cell by
+    cell or one cell object repeated (``[v] * k``, as runs of equal goods are
+    built), often the same object in every row; refused cells and ``True``
+    make runs too."""
     cell = draw(st.sampled_from([st.fractions(min_value=0, max_denominator=50), EXACT_CELLS, ANY_CELLS]))
-    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
-    rows = [[draw(cell) for _ in range(m)] for _ in range(n)]
+    run_cell = st.one_of(cell, st.just(True))
+    shared = draw(run_cell)
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    rows = []
+    for _ in range(n):
+        row = []
+        while len(row) < m:
+            k = draw(st.integers(1, m - len(row)))
+            if draw(st.booleans()):
+                row += [shared if draw(st.booleans()) else draw(run_cell)] * k
+            else:
+                row += [draw(cell) for _ in range(k)]
+        rows.append(row)
     if rows and draw(st.integers(0, 3)) == 0:
         row = rows[draw(st.integers(0, n - 1))]
         if row and draw(st.booleans()):
@@ -588,16 +603,28 @@ json_values = st.recursive(
 )
 
 
+#: Rows of one kind, which ``_encode`` writes in one piece when they are all
+#: ints or all strs, and ints mixed with bools, which it must write item by item.
+json_rows = st.one_of(
+    st.lists(st.integers(), max_size=50),
+    st.lists(st.integers(1, 5), max_size=50),
+    st.lists(json_strings, max_size=50),
+    st.lists(st.booleans(), max_size=50),
+    st.lists(st.one_of(st.integers(0, 5), st.booleans()), max_size=50),
+)
+
+
 class TestWriter:
     """``_dumps`` against the json call whose bytes it keeps."""
 
-    @given(st.dictionaries(json_strings, json_values, max_size=3))
+    @given(st.dictionaries(json_strings, st.one_of(json_values, json_rows), max_size=3))
     def test_writes_what_json_dumps_writes(self, payload):
         assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize(
         "payload",
-        [{}, {"a": {}}, {"a": []}, {"a": [[], {}, ()]}, {"a": [True, False, None, 1]}, {"a": [{"b": [[]]}]}],
+        [{}, {"a": {}}, {"a": []}, {"a": [[], {}, ()]}, {"a": [True, False, None, 1]}, {"a": [{"b": [[]]}]},
+         {"a": [1, True]}, {"a": (2, 1, 0)}],
     )
     def test_empty_and_nested_empty_containers(self, payload):
         assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
