@@ -14,7 +14,6 @@ formula regression cannot pass silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Generator, Sequence
 
@@ -82,16 +81,22 @@ def _one_then_fixed(n: int, m: int, agent2: Fraction) -> Instance:
     return instance_from_rows([[Fraction(1)] + [v] * (m - 1) for v in later])
 
 
-def _check_target(n: int, alpha_target: Fraction) -> None:
+def _check_agents(n: int, alpha_target: Fraction) -> None:
+    """Refuse fewer than 2 agents, then a target that is not an int or a Fraction."""
     if n < 2:
         raise DomainError("need at least 2 agents")
+    if isinstance(alpha_target, bool) or not isinstance(alpha_target, (int, Fraction)):
+        raise DomainError(f"target ratio {alpha_target!r} is not an int or a Fraction")
+
+
+def _check_target(n: int, alpha_target: Fraction) -> None:
+    _check_agents(n, alpha_target)
     if not 0 < alpha_target <= 1:
         raise DomainError(f"target ratio {alpha_target} outside (0, 1]")
 
 
 def _check_greedy3(n: int, alpha_target: Fraction, max_steps: int) -> None:
-    if n < 2:
-        raise DomainError("need at least 2 agents")
+    _check_agents(n, alpha_target)
     if not 0 < alpha_target < Fraction(2, 3):
         raise DomainError(
             f"target {alpha_target} infeasible: the opening pins the running minimum at 2/3"
@@ -190,16 +195,15 @@ class AdaptiveAdversary:
         return column
 
 
-@dataclass
 class AdversaryRun:
     """Outcome of driving an allocator with a construction; ``run_adaptive``
     leaves the two dicts that ``run_construction`` fills empty."""
 
-    trace: TraceRecorder
-    achieved_ratio: Fraction
-    target_reached: bool
-    fields: dict = field(default_factory=dict)  # the keys ``fairdiv adversary`` adds to its JSON
-    verdicts: dict[str, bool | None] = field(default_factory=dict)  # campaign cells, by column
+    def __init__(self, trace: TraceRecorder, achieved_ratio: Fraction, target_reached: bool,
+                 fields: dict | None = None, verdicts: dict[str, bool | None] | None = None):
+        self.trace, self.achieved_ratio, self.target_reached = trace, achieved_ratio, target_reached
+        self.fields = {} if fields is None else fields  # the keys ``fairdiv adversary`` adds to its JSON
+        self.verdicts = {} if verdicts is None else verdicts  # campaign cells, by column
 
 
 def run_adaptive(adversary: AdaptiveAdversary, allocator) -> AdversaryRun:
@@ -440,7 +444,8 @@ def check_construction(
 
     greedy1-3 each face their own rule; the impossibility faces
     ``allocator`` (default "miv").  In order, an allocator that does not
-    apply, a negative ``max_steps``, a target out of range, a horizon over
+    apply, a negative ``max_steps``, fewer than 2 agents, a target that is
+    not an int or a Fraction or is out of range, a horizon over
     ``max_steps`` (greedy3's budget below 4) and a bad rule name or seed
     raise DomainError, before anything is built.  A batch checks every item
     first.

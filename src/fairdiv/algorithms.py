@@ -300,6 +300,7 @@ class RobustifiedAllocator(MivAllocator):
             raise DomainError(f"allocator handles {n} agents, predictions cover {predictions.n}")
         self._caps = [(p.numerator, p.denominator) for p in predictions.p]
         self._first_max = (1 - predictions.epsilon).as_integer_ratio()
+        self._unit = set(self._caps) == {(1, 1)}
         for i, (a, _) in enumerate(self._caps):
             self.N[i] *= a
 
@@ -308,6 +309,8 @@ class RobustifiedAllocator(MivAllocator):
 
     def _choose(self, col: Sequence[tuple[int, int]]) -> int:
         s, caps = self.state, self._caps
+        if self._unit:  # every prediction is 1: MIV's own weights and scales
+            return self._step(s.col_w, s.scale)
         return self._step([w * b for w, (_, b) in zip(s.col_w, caps)],
                           [L * a for L, (a, _) in zip(s.scale, caps)])
 

@@ -22,7 +22,6 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
@@ -161,7 +160,28 @@ def _digits(text: str) -> int:
     return x
 
 
-class Instance:
+class _Frozen:
+    """Fields named in ``_fields``, kept in ``__dict__`` by ``__init__``: none
+    can be assigned, and objects of one class are equal, and hash alike,
+    when their fields are."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: {type(self).__name__} is immutable")
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={v!r}' for f, v in zip(self._fields, self._key()))})"
+
+
+class Instance(_Frozen):
     """A full valuation matrix: ``values[i][t]`` is agent i+1's value for good t+1.
 
     Doubles as a non-adaptive adversary: feeding its columns in arrival order
@@ -177,21 +197,14 @@ class Instance:
     immutable, and equal when their values are.
     """
 
+    _fields = ("_rows",)
+
     def __init__(self, rows: Sequence[tuple[tuple[int, int], ...]], /):
         if len(rows) < 2:
             raise DomainError("an instance needs at least 2 agents")
         if any(len(row) != len(rows[0]) for row in rows):
             raise ParseError("ragged valuation matrix")
         self.__dict__["_rows"] = tuple(rows)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}: an Instance is immutable")
-
-    def __eq__(self, other) -> bool:
-        return self._rows == other._rows if isinstance(other, Instance) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
 
     def __repr__(self) -> str:
         return f"Instance(values={self.values!r})"
@@ -254,11 +267,16 @@ def instance_from_rows(rows: Sequence[Sequence[Fraction | int]]) -> Instance:
     return Instance(out)
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """A complete partition of goods: ``owner[t]`` is the 1-based owner of good t+1."""
+class Allocation(_Frozen):
+    """A complete partition of goods: ``owner[t]`` is the 1-based owner of good t+1.
 
-    owner: tuple[int, ...]
+    Immutable, and equal when the owners are; ``metrics`` keeps its ownership
+    pass in ``__dict__`` as well."""
+
+    _fields = ("owner",)
+
+    def __init__(self, owner: tuple[int, ...]):
+        self.__dict__["owner"] = owner
 
     @property
     def m(self) -> int:
@@ -274,24 +292,24 @@ def check_allocation(inst: Instance, alloc: Allocation) -> None:
         raise DomainError(f"owner {bad} out of range 1..{inst.n}")
 
 
-@dataclass(frozen=True)
-class Predictions:
+class Predictions(_Frozen):
     """Per-agent maximum item value (MIV) predictions with one-sided error.
 
     Declares the contract that every agent's true maximum single-good value
     lies in ``[(1 - epsilon) * p_i, p_i]``: predictions may overestimate by a
-    bounded factor but never underestimate.
+    bounded factor but never underestimate.  Immutable, and equal when
+    ``p`` and ``epsilon`` are.
     """
 
-    p: tuple[Fraction, ...]
-    epsilon: Fraction = Fraction(0)
+    _fields = ("p", "epsilon")
 
-    def __post_init__(self) -> None:
-        for pi in self.p:
+    def __init__(self, p: tuple[Fraction, ...], epsilon: Fraction = Fraction(0)):
+        for pi in p:
             if not isinstance(pi, Fraction) or pi <= 0:
                 raise DomainError(f"prediction {_shown(pi)} must be a positive rational")
-        if not (isinstance(self.epsilon, Fraction) and 0 <= self.epsilon < 1):
-            raise DomainError(f"one-sided error {_shown(self.epsilon)} must lie in [0, 1)")
+        if not (isinstance(epsilon, Fraction) and 0 <= epsilon < 1):
+            raise DomainError(f"one-sided error {_shown(epsilon)} must lie in [0, 1)")
+        self.__dict__.update(p=p, epsilon=epsilon)
 
     @property
     def n(self) -> int:

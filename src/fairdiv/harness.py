@@ -8,15 +8,12 @@ identical across runs and independent of scheduling.
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import io
 import random
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import adversaries as adv
 from .core import Instance, _as_int, instance_to_json, parse_rational
@@ -26,11 +23,15 @@ from .oracles import rand_alpha_bound
 
 def derive_trial_seed(master_seed: int, index: int) -> int:
     """Stable per-trial seed from the master seed and trial index."""
+    import hashlib  # here, not at the top: only campaigns and Monte Carlo need it
+
     digest = hashlib.sha256(f"{master_seed}/{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
 def instance_descriptor(inst: Instance) -> dict:
+    import hashlib
+
     return {
         "n": inst.n,
         "m": inst.m,
@@ -38,8 +39,7 @@ def instance_descriptor(inst: Instance) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class MonteCarloReport:
+class MonteCarloReport(NamedTuple):
     n: int
     delta: Fraction
     alpha_used: Decimal  # the guaranteed factor, truncated toward zero
@@ -246,6 +246,8 @@ def _campaign_row(
 
 def campaign_csv(rows: Sequence[dict]) -> str:
     """The rows under a header, in csv's default dialect (CRLF line endings)."""
+    import csv  # here, not at the top: only campaigns write CSV
+
     out = io.StringIO()
     csv.writer(out).writerows([CAMPAIGN_COLUMNS, *([row[c] for c in CAMPAIGN_COLUMNS] for row in rows)])
     return out.getvalue()

@@ -22,10 +22,9 @@ traces, keeps integers too, scaled per agent as goods arrive.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import INF, Allocation, Instance, RatOrInf, check_allocation
 from .errors import DomainError, InstanceTooLargeError
@@ -168,16 +167,14 @@ def prop1_ratio(inst: Instance, alloc: Allocation) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AgentProp1:
+class AgentProp1(NamedTuple):
     agent: int
     value: RatOrInf  # (v_i(A_i) + witness value) / v_i(G); INF if vacuous
     witness: int | str  # 1-based good index, or "self" when A_i = G
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class Prop1Check:
+class Prop1Check(NamedTuple):
     satisfied: bool
     agents: tuple[AgentProp1, ...]
 
@@ -197,14 +194,12 @@ def check_alpha_prop1(inst: Instance, alloc: Allocation, alpha: Fraction) -> Pro
     return Prop1Check(all(a.satisfied for a in agents), tuple(agents))
 
 
-@dataclass(frozen=True)
-class EnvyWitness:
+class EnvyWitness(NamedTuple):
     envier: int
     envied: int
 
 
-@dataclass(frozen=True)
-class Ef1Check:
+class Ef1Check(NamedTuple):
     satisfied: bool
     witness: EnvyWitness | None  # a violating pair, when unsatisfied
 
@@ -225,14 +220,12 @@ def check_alpha_ef1(inst: Instance, alloc: Allocation, alpha: Fraction) -> Ef1Ch
     return Ef1Check(True, None)
 
 
-@dataclass(frozen=True)
-class PropxWitness:
+class PropxWitness(NamedTuple):
     agent: int
     good: int
 
 
-@dataclass(frozen=True)
-class PropxCheck:
+class PropxCheck(NamedTuple):
     satisfied: bool
     witness: PropxWitness | None
 
@@ -335,8 +328,7 @@ def _subset_sums(weights: Sequence[int]) -> list[int]:
     return sums
 
 
-@dataclass(frozen=True)
-class MmsCheck:
+class MmsCheck(NamedTuple):
     satisfied: bool
     mms: tuple[Fraction, ...]
     witness: int | None  # a violating agent, when unsatisfied

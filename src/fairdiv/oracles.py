@@ -11,10 +11,10 @@ decision; they appear only in probability bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_DOWN, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .core import Allocation, Instance
 from .errors import DomainError, InstanceTooLargeError, InvariantError
@@ -78,8 +78,7 @@ def rand_tail_certificate(n: int, delta: Fraction) -> tuple[Decimal, Fraction, b
     return tail, threshold, Fraction(tail) <= threshold
 
 
-@dataclass(frozen=True)
-class RandMoments:
+class RandMoments(NamedTuple):
     """Exact moments of the others'-share variable under the uniform rule."""
 
     mean: Fraction

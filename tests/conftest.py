@@ -2,8 +2,9 @@
 (``alpha_it``, ``bundle_value``, ``mms_labeled_reference``,
 ``load_instance_reference``, ``instance_from_rows_reference``,
 ``instance_to_json_reference``, the ``Fraction`` allocators
-``REF_ALLOCATORS`` and the ``Fraction`` greedy3 schedule
-``RefGreedy3Adversary``) that the fast library paths are checked against, and
+``REF_ALLOCATORS``, the ``Fraction`` greedy3 schedule
+``RefGreedy3Adversary`` and ``RefListRobustified``, the robust rule that
+builds its weight lists for every good) that the fast library paths are checked against, and
 the paper's formulas that only tests use (``robust_beta``,
 ``check_predictions``, ``running_values``)."""
 
@@ -23,6 +24,7 @@ from fairdiv import (
     InvariantError,
     ParseError,
     PredictionContractError,
+    RobustifiedAllocator,
     instance_from_rows,
     parse_rational,
 )
@@ -392,6 +394,17 @@ class RefRobustified(RefAllocator):
                 self.override_log.append((i + 1, self.state.t, norm[i]))
                 norm[i] = Fraction(1)
         return self.inner._place(norm)
+
+
+class RefListRobustified(RobustifiedAllocator):
+    """The robust rule as it was before its all-ones shortcut: every good
+    hands ``_step`` new lists of the weights w b_i and the scales L_i a_i
+    under each prediction a_i/b_i, also where every prediction is 1."""
+
+    def _choose(self, col):
+        s, caps = self.state, self._caps
+        return self._step([w * b for w, (_, b) in zip(s.col_w, caps)],
+                          [L * a for L, (a, _) in zip(s.scale, caps)])
 
 
 REF_ALLOCATORS = {

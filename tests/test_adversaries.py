@@ -1,5 +1,6 @@
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -392,6 +393,27 @@ class TestRunConstruction:
         monkeypatch.setattr(adversaries, "make_allocator", counting)
         run_construction(construction, 2, F(1, 2), seed=None)
         assert built == [(rule_name, 2, None)]
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, True, Decimal("0.5"), "1/2", None], ids=repr)
+    @pytest.mark.parametrize("construction", CONSTRUCTIONS)
+    def test_a_target_that_is_not_an_int_or_a_fraction_is_refused(self, construction, alpha, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a rule for a refused target")
+
+        monkeypatch.setattr(adversaries, "make_allocator", refuse)
+        with pytest.raises(DomainError) as refused:
+            run_construction(construction, 2, alpha)
+        assert str(refused.value) == f"target ratio {alpha!r} is not an int or a Fraction"
+
+    @pytest.mark.parametrize("build", [greedy1_adversary, greedy2_adversary, impossibility_constants],
+                             ids=lambda build: build.__name__)
+    def test_each_builder_refuses_a_float_target_and_takes_an_int(self, build):
+        for alpha in (0.5, 1.0, False):
+            with pytest.raises(DomainError, match=f"^target ratio {alpha!r} is not an int or a Fraction$"):
+                build(2, alpha)
+        with pytest.raises(DomainError, match="^need at least 2 agents$"):
+            build(1, 0.5)
+        assert build(2, 1) == build(2, F(1))
 
     def test_one_agent_or_a_mismatched_allocator_is_refused(self):
         refusals = [

@@ -30,6 +30,7 @@ from fairdiv import (
 )
 from fairdiv.algorithms import TraceRecorder
 from conftest import (
+    RefListRobustified,
     alpha_it,
     bundle,
     bundle_value,
@@ -454,6 +455,23 @@ class TestRobustify:
                 assert wrapped.state.rows == direct.state.rows
             wrapped, direct = RobustifiedAllocator(n, perfect_predictions(n)), MivAllocator(n)
             assert run(wrapped, inst).owners == run(direct, inst).owners
+
+    @pytest.mark.parametrize("eps", [F(0), F(1, 4)], ids=str)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_all_ones_predictions_match_the_list_building_rule(self, n, eps):
+        """With every p_i = 1, ``_choose`` hands ``_step`` the state's own
+        weights and scales; the rule that builds both lists for every good
+        makes the same choices and keeps the same N, flags and potentials."""
+        rng = random.Random(n * 10 + eps.numerator)
+        for trial in range(12):
+            pred = Predictions((F(1),) * n, eps)
+            fast, listed = RobustifiedAllocator(n, pred), RefListRobustified(n, pred)
+            assert fast._unit and not RobustifiedAllocator(n, Predictions((F(1),) * (n - 1) + (F(2),), eps))._unit
+            inst = random_instance(rng, n, rng.randint(1, 25), rng.choice([10, 1000003]), trial % 3 != 0)
+            for column in inst.columns():
+                assert fast.observe(column) == listed.observe(column)
+                assert (fast.seen_max, fast.state.rows) == (listed.seen_max, listed.state.rows)
+            assert fast.potential_log == listed.potential_log
 
     def test_each_column_is_validated_once(self, monkeypatch):
         inst = random_instance(random.Random(9), 3, 20, force_unit_max=True)
