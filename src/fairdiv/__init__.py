@@ -26,13 +26,10 @@ from .adversaries import (
     AdversaryRun,
     Greedy3Adversary,
     MivImpossibilityAdversary,
-    greedy1_adversary,
-    greedy2_adversary,
+    OneThenFixedAdversary,
     impossibility_constants,
     run_adaptive,
     run_construction,
-    verify_greedy1_failure,
-    verify_greedy2_failure,
 )
 from .core import (
     INF,

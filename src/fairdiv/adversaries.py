@@ -1,14 +1,16 @@
-"""Lower-bound constructions: instances and adaptive schedules under which
-each greedy rule's PROP1 ratio collapses, plus the construction showing that
-EF1, MMS and PROPX admit no approximation even with perfect MIV predictions.
+"""Lower-bound constructions: schedules under which each greedy rule's PROP1
+ratio collapses, plus the construction showing that EF1, MMS and PROPX admit
+no approximation even with perfect MIV predictions.
 
-The greedy-1 and greedy-2 constructions are static instances (a non-adaptive
-sequence already suffices).  The greedy-3 and impossibility constructions are
-adaptive: they watch the allocator's decisions and emit the next value column
-accordingly.  Wherever the construction's correctness argument forces the
-allocator's hand ("this good must go to agent X"), the adversary asserts the
-observed choice and raises ``InvariantError`` on divergence, so a tie-rule or
-formula regression cannot pass silently.
+Every construction is an ``AdaptiveAdversary`` schedule streamed through
+``run_adaptive``; nothing here calls ``algorithms.run``.  The greedy-1 and
+greedy-2 schedules ignore the owners they are sent (a non-adaptive sequence
+already suffices).  The greedy-3 and impossibility schedules watch the
+allocator's decisions and emit the next value column accordingly.  Wherever
+the construction's correctness argument forces the allocator's hand ("this
+good must go to agent X"), the adversary asserts the observed choice and
+raises ``InvariantError`` on divergence, so a tie-rule or formula regression
+cannot pass silently.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import math
 from fractions import Fraction
 from typing import Generator, Sequence
 
-from .algorithms import OnlineAllocator, TraceRecorder, make_allocator, run
-from .core import Instance, instance_from_rows
+from .algorithms import OnlineAllocator, TraceRecorder, make_allocator
+from .core import instance_from_rows
 from .errors import DomainError, InstanceTooLargeError, InvariantError
 from .metrics import (
     Prop1State,
@@ -40,45 +42,6 @@ def _harmonic(N: int) -> float:
     """H_N = 1 + 1/2 + ... + 1/N by its asymptotic series in floats; the next
     term, 1/(252 N^6), is below 1e-12 from N = 50 on."""
     return math.log(N) + _EULER_GAMMA + 1 / (2 * N) - 1 / (12 * N**2) + 1 / (120 * N**4)
-
-
-# ---------------------------------------------------------------------------
-# Static constructions
-# ---------------------------------------------------------------------------
-
-
-def greedy1_adversary(n: int, alpha_target: Fraction) -> Instance:
-    """Instance on which the relative-value greedy rule starves agent 2.
-
-    Good 1 is worth 1 to everyone; every later good is worth 1 to agent 1,
-    1/2 to agent 2 and nothing to the rest.  With lowest-index tie-breaking
-    agent 1 wins every good, and the horizon m (smallest integer above
-    1 + 2(n/alpha - 1), i.e. floor(2n/alpha)) makes agent 2's best-good
-    escape fall below alpha * v_2(G) / n.
-    """
-    _check_target(n, alpha_target)
-    return _one_then_fixed(n, _TABLE["greedy1"][1](n, alpha_target), Fraction(1, 2))
-
-
-def greedy2_adversary(n: int, alpha_target: Fraction) -> Instance:
-    """Instance on which the least-satisfied greedy rule freezes agent 1.
-
-    Good 1 is worth 1 to everyone; later goods are worth 1 to agent 1 and a
-    sliver 1/m^2 to agent 2.  Agent 1's bundle share stays the largest, so
-    agent 1 keeps only good 1.  The horizon is the smallest integer with
-    2/m < alpha/n (the inequality the failure certificate needs), i.e. the
-    smallest integer above 2n/alpha.
-    """
-    _check_target(n, alpha_target)
-    m = _TABLE["greedy2"][1](n, alpha_target)
-    return _one_then_fixed(n, m, Fraction(1, m * m))
-
-
-def _one_then_fixed(n: int, m: int, agent2: Fraction) -> Instance:
-    """m goods: good 1 is worth 1 to everyone, every later good 1 to agent 1,
-    ``agent2`` to agent 2 and 0 to the rest."""
-    later = [Fraction(1), agent2] + [Fraction(0)] * (n - 2)
-    return instance_from_rows([[Fraction(1)] + [v] * (m - 1) for v in later])
 
 
 def _check_agents(n: int, alpha_target: Fraction) -> None:
@@ -105,36 +68,6 @@ def _check_greedy3(n: int, alpha_target: Fraction, max_steps: int) -> None:
         raise DomainError("need a step budget of at least 4")
 
 
-def verify_greedy1_failure(trace: TraceRecorder, alpha_target: Fraction) -> None:
-    """Assert the facts the greedy-1 construction forces, exactly."""
-    inst, owners = trace.instance, trace.owners
-    if owners[0] != 1:
-        raise InvariantError("good 1 must go to agent 1 under lowest-index ties")
-    if any(o == 2 for o in owners):
-        raise InvariantError("agent 2 must never receive a good")
-    term = Fraction(1, 1) / (1 + Fraction(inst.m - 1, 2))
-    num, den = trace.alpha_num[1][-1], trace.alpha_den[1][-1]  # agent 2's weights
-    if not den or num * term.denominator != den * term.numerator:
-        raise InvariantError("agent 2's final running value diverged from the construction")
-    if not term < alpha_target / inst.n:
-        raise InvariantError("horizon too short: the failure inequality does not bind")
-    if not prop1_ratio(inst, trace.allocation) < alpha_target:
-        raise InvariantError("PROP1 ratio did not fall below the target")
-
-
-def verify_greedy2_failure(trace: TraceRecorder, alpha_target: Fraction) -> None:
-    """Assert the facts the greedy-2 construction forces, exactly."""
-    inst, owners = trace.instance, trace.owners
-    if owners[0] != 1:
-        raise InvariantError("good 1 must go to agent 1 under lowest-index ties")
-    if any(o == 1 for o in owners[1:]):
-        raise InvariantError("agent 1 must keep only good 1")
-    if not Fraction(2, inst.m) < alpha_target / inst.n:
-        raise InvariantError("horizon too short: the failure inequality does not bind")
-    if not prop1_ratio(inst, trace.allocation) < alpha_target:
-        raise InvariantError("PROP1 ratio did not fall below the target")
-
-
 # ---------------------------------------------------------------------------
 # Adaptive adversary protocol
 # ---------------------------------------------------------------------------
@@ -148,8 +81,8 @@ class AdaptiveAdversary:
     the next run's column, or None when done, with its length in
     ``copies``.  A construction writes its schedule as the generator
     ``_schedule()``: it yields ``(column, allowed, copies)``, a run of
-    ``copies`` equal goods (more than one only when a single agent is
-    allowed), and is sent the run's owner once every copy's owner has been
+    ``copies`` equal goods, each to go to one of ``allowed``, and is sent
+    the owner of the run's last copy once every copy's owner has been
     checked against ``allowed`` (a forbidden owner raises ``InvariantError``
     naming the first such good).  The last run is cut short where ``t``
     reaches ``max_steps``, and the schedule ends when the generator returns
@@ -221,6 +154,38 @@ def run_adaptive(adversary: AdaptiveAdversary, allocator) -> AdversaryRun:
     recorder.instance = instance_from_rows(rows)
     recorder.potential = None if allocator.potential_log is None else tuple(allocator.potential_log)
     return AdversaryRun(recorder, allocator.state.ratio(), adversary.target_reached)
+
+
+# ---------------------------------------------------------------------------
+# Greedy-1 and greedy-2 constructions (non-adaptive: one good, then one run)
+# ---------------------------------------------------------------------------
+
+
+class OneThenFixedAdversary(AdaptiveAdversary):
+    """Good 1, worth 1 to everyone, for agent 1; then one run of m - 1 goods
+    worth 1 to agent 1, ``agent2`` to agent 2 and 0 to the rest, each for
+    one of ``later``; the owners change nothing.  greedy1 gets ``agent2`` =
+    1/2 and ``later`` = (1,): agent 1 wins every good, and agent 2 ends at
+    running value 1/(1 + (m-1)/2).  greedy2 gets 1/m^2 and agents 2..n:
+    agent 1 keeps only good 1 and ends at 2/m.  The schedule first asserts
+    the horizon inequality: n times that value is below the target.
+    """
+
+    def __init__(self, n: int, alpha_target: Fraction, m: int, agent2: Fraction, later: Sequence[int]):
+        _check_target(n, alpha_target)
+        super().__init__(n, alpha_target)
+        self.m, self.agent2, self.later = m, agent2, tuple(later)
+
+    next_column = AdaptiveAdversary.next_column
+
+    def _schedule(self):
+        n, m, agent2 = self.n, self.m, self.agent2
+        end = 1 / (1 + (m - 1) * agent2) if self.later == (1,) else Fraction(2, m)
+        if not n * end < self.target_alpha:
+            raise InvariantError("horizon too short: the failure inequality does not bind")
+        yield [Fraction(1)] * n, (1,), 1
+        yield [Fraction(1), agent2] + [Fraction(0)] * (n - 2), self.later, m - 1
+        self.target_reached = True
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +386,13 @@ class MivImpossibilityAdversary(AdaptiveAdversary):
 # ---------------------------------------------------------------------------
 
 #: Every construction, by the name the CLI and campaign configs use: the
-#: rule it faces (None: the caller's, default "miv"), the goods it emits
-#: for n and alpha (None: greedy3's, bounded only by the step budget) and,
-#: for a static construction, its instance builder and verifier.
+#: rule it faces (None: the caller's, default "miv") and the goods it emits
+#: for n and alpha (None: greedy3's, bounded only by the step budget).
 _TABLE = {
-    "greedy1": ("greedy1", lambda n, alpha: math.floor(2 * Fraction(n) / alpha),
-                (greedy1_adversary, verify_greedy1_failure)),
-    "greedy2": ("greedy2", lambda n, alpha: math.floor(2 * Fraction(n) / alpha) + 1,
-                (greedy2_adversary, verify_greedy2_failure)),
-    "greedy3": ("greedy3", None, None),
-    "miv-impossibility": (None, lambda n, alpha: math.ceil(Fraction(n) / alpha) + n + 2, None),
+    "greedy1": ("greedy1", lambda n, alpha: math.floor(2 * Fraction(n) / alpha)),
+    "greedy2": ("greedy2", lambda n, alpha: math.floor(2 * Fraction(n) / alpha) + 1),
+    "greedy3": ("greedy3", None),
+    "miv-impossibility": (None, lambda n, alpha: math.ceil(Fraction(n) / alpha) + n + 2),
 }
 CONSTRUCTIONS = tuple(_TABLE)
 
@@ -452,7 +414,7 @@ def check_construction(
     """
     if not isinstance(construction, str) or construction not in _TABLE:
         raise DomainError(f"unknown construction {construction!r}; choose from {CONSTRUCTIONS}")
-    rule_name, horizon, _ = _TABLE[construction]
+    rule_name, horizon = _TABLE[construction]
     if rule_name is None:
         rule_name = "miv" if allocator is None else allocator
     elif allocator not in (None, rule_name):
@@ -474,36 +436,39 @@ def run_construction(
 ) -> AdversaryRun:
     """Build and run one construction against the rule that faces it.
 
-    greedy1/greedy2 run their static instance through their own rule and
-    assert every forced fact (``verify_greedy*_failure``); greedy3 drives
-    its own rule within ``max_steps`` and reports its cycles and the
-    certified cycle bound; the impossibility drives ``allocator`` (seeded
-    by ``seed``) and reports whether the allocation is 1/n-PROP1 and
-    alpha-EF1, -PROPX and -MMS, the last None above the MMS size guard.
-    ``check_construction``'s checks run first, building the one rule.  A
-    forced fact that fails raises ``InvariantError``.
+    ``run_adaptive`` streams every construction's schedule into the rule:
+    greedy1/greedy2 (``OneThenFixedAdversary``) and greedy3 face their own
+    rule, greedy3 within ``max_steps``, reporting its cycles and certified
+    cycle bound; the impossibility drives ``allocator`` (seeded by ``seed``)
+    and reports whether the allocation is 1/n-PROP1 and alpha-EF1, -PROPX
+    and -MMS, the last None above the MMS size guard.  ``check_construction``'s
+    checks run first, building the one rule.  A forced fact that fails raises
+    ``InvariantError``, as does a run whose offline replay (``prop1_ratio``
+    of its instance and owners) differs from the rule's running ratio.
     """
     rule_name, rule = check_construction(
         construction, n, alpha, max_steps=max_steps, allocator=allocator, seed=seed
     )
-    static = _TABLE[construction][2]
-    if static is not None:
-        build, verify = static
-        trace = run(rule, build(n, alpha))
-        verify(trace, alpha)
-        ratio = rule.state.ratio()
-        return AdversaryRun(trace, ratio, ratio < alpha, {"cycles": None},
-                            {"ratio_below_target": ratio < alpha})
     if construction == "greedy3":
         adversary = Greedy3Adversary(alpha, max_steps, n)
-        result = run_adaptive(adversary, rule)
-        result.fields = {"cycles": adversary.cycles,
-                         "certified_cycles_bound": adversary.predicted_cycles_bound()}
-        # false, not an invariant breach, when the step budget runs out first
-        result.verdicts = {"ratio_below_target": result.achieved_ratio < alpha}
-        return result
-    result = run_adaptive(MivImpossibilityAdversary(n, alpha), rule)
+    elif construction == "miv-impossibility":
+        adversary = MivImpossibilityAdversary(n, alpha)
+    elif construction == "greedy1":
+        adversary = OneThenFixedAdversary(n, alpha, _TABLE["greedy1"][1](n, alpha), Fraction(1, 2), (1,))
+    else:
+        m = _TABLE["greedy2"][1](n, alpha)
+        adversary = OneThenFixedAdversary(n, alpha, m, Fraction(1, m * m), range(2, n + 1))
+    result = run_adaptive(adversary, rule)
     inst, alloc = result.trace.instance, result.trace.allocation
+    if prop1_ratio(inst, alloc) != result.achieved_ratio:
+        raise InvariantError("the running PROP1 ratio differs from its offline replay")
+    if construction != "miv-impossibility":
+        # false, not an invariant breach, when greedy3's step budget runs out first
+        result.verdicts = {"ratio_below_target": result.achieved_ratio < alpha}
+        result.fields = ({"cycles": adversary.cycles,
+                          "certified_cycles_bound": adversary.predicted_cycles_bound()}
+                         if construction == "greedy3" else {"cycles": None})
+        return result
     verdicts = result.verdicts = {
         "prop1_at_inv_n": check_alpha_prop1(inst, alloc, Fraction(1, n)).satisfied,
         "alpha_ef1": check_alpha_ef1(inst, alloc, alpha).satisfied,

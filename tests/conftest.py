@@ -3,8 +3,11 @@
 ``load_instance_reference``, ``instance_from_rows_reference``,
 ``instance_to_json_reference``, the ``Fraction`` allocators
 ``REF_ALLOCATORS``, the ``Fraction`` greedy3 schedule
-``RefGreedy3Adversary`` and ``RefListRobustified``, the robust rule that
-builds its weight lists for every good) that the fast library paths are checked against, and
+``RefGreedy3Adversary``, the greedy1 and greedy2 constructions as fixed
+instances with their verifiers, ``greedy1_adversary``,
+``verify_greedy1_failure`` and the greedy2 pair, and ``RefListRobustified``,
+the robust rule that builds its weight lists for every good) that the fast
+library paths are checked against, and
 the paper's formulas that only tests use (``robust_beta``,
 ``check_predictions``, ``running_values``)."""
 
@@ -27,6 +30,7 @@ from fairdiv import (
     RobustifiedAllocator,
     instance_from_rows,
     parse_rational,
+    prop1_ratio,
 )
 from fairdiv.core import _as_int, _dumps, _reading, format_rational
 
@@ -467,3 +471,52 @@ class RefGreedy3Adversary(Greedy3Adversary):
             if n * new_min < self.target_alpha:
                 self.target_reached = True
                 return
+
+
+def greedy1_adversary(n: int, alpha_target: Fraction) -> Instance:
+    """The greedy1 construction as a fixed instance: good 1 is worth 1 to
+    everyone, every later good 1 to agent 1, 1/2 to agent 2 and nothing to
+    the rest, over m = floor(2n/alpha) goods."""
+    return _one_then_fixed(n, math.floor(2 * Fraction(n) / alpha_target), Fraction(1, 2))
+
+
+def greedy2_adversary(n: int, alpha_target: Fraction) -> Instance:
+    """The greedy2 construction as a fixed instance: as greedy1's, with later
+    goods worth 1/m^2 to agent 2, over the smallest m above 2n/alpha."""
+    m = math.floor(2 * Fraction(n) / alpha_target) + 1
+    return _one_then_fixed(n, m, Fraction(1, m * m))
+
+
+def _one_then_fixed(n: int, m: int, agent2: Fraction) -> Instance:
+    later = [Fraction(1), agent2] + [Fraction(0)] * (n - 2)
+    return instance_from_rows([[Fraction(1)] + [v] * (m - 1) for v in later])
+
+
+def verify_greedy1_failure(trace, alpha_target: Fraction) -> None:
+    """Assert the facts the greedy1 construction forces, on a run's record."""
+    inst, owners = trace.instance, trace.owners
+    if owners[0] != 1:
+        raise InvariantError("good 1 must go to agent 1 under lowest-index ties")
+    if any(o == 2 for o in owners):
+        raise InvariantError("agent 2 must never receive a good")
+    term = Fraction(1, 1) / (1 + Fraction(inst.m - 1, 2))
+    num, den = trace.alpha_num[1][-1], trace.alpha_den[1][-1]  # agent 2's weights
+    if not den or num * term.denominator != den * term.numerator:
+        raise InvariantError("agent 2's final running value diverged from the construction")
+    if not term < alpha_target / inst.n:
+        raise InvariantError("horizon too short: the failure inequality does not bind")
+    if not prop1_ratio(inst, trace.allocation) < alpha_target:
+        raise InvariantError("PROP1 ratio did not fall below the target")
+
+
+def verify_greedy2_failure(trace, alpha_target: Fraction) -> None:
+    """Assert the facts the greedy2 construction forces, on a run's record."""
+    inst, owners = trace.instance, trace.owners
+    if owners[0] != 1:
+        raise InvariantError("good 1 must go to agent 1 under lowest-index ties")
+    if any(o == 1 for o in owners[1:]):
+        raise InvariantError("agent 1 must keep only good 1")
+    if not Fraction(2, inst.m) < alpha_target / inst.n:
+        raise InvariantError("horizon too short: the failure inequality does not bind")
+    if not prop1_ratio(inst, trace.allocation) < alpha_target:
+        raise InvariantError("PROP1 ratio did not fall below the target")

@@ -26,8 +26,6 @@ from fairdiv import (
     check_alpha_mms,
     check_alpha_propx,
     check_alpha_prop1,
-    greedy1_adversary,
-    greedy2_adversary,
     best_allocation_search,
     instance_from_rows,
     mms_exact,
@@ -36,10 +34,17 @@ from fairdiv import (
     rand_tail_certificate,
     run,
     run_adaptive,
+    run_construction,
+)
+from conftest import (
+    all_allocations,
+    random_instance,
+    robust_beta,
+    running_values,
+    total_value,
     verify_greedy1_failure,
     verify_greedy2_failure,
 )
-from conftest import all_allocations, random_instance, robust_beta, running_values, total_value
 
 F = Fraction
 
@@ -91,15 +96,11 @@ def test_criterion_3_greedy_failures():
     started = time.perf_counter()
     for n in (2, 3):
         for alpha in (F(1, 2), F(1, 4), F(1, 10)):
-            inst = greedy1_adversary(n, alpha)
-            trace = run(Greedy1Allocator(n), inst)
-            verify_greedy1_failure(trace, alpha)
-            assert prop1_ratio(inst, trace.allocation) < alpha
-
-            inst = greedy2_adversary(n, alpha)
-            trace = run(Greedy2Allocator(n), inst)
-            verify_greedy2_failure(trace, alpha)
-            assert prop1_ratio(inst, trace.allocation) < alpha
+            for construction, verify in (("greedy1", verify_greedy1_failure),
+                                         ("greedy2", verify_greedy2_failure)):
+                trace = run_construction(construction, n, alpha).trace
+                verify(trace, alpha)
+                assert prop1_ratio(trace.instance, trace.allocation) < alpha
 
     cycle_counts = []
     for alpha in (F(3, 5), F(1, 2), F(2, 5)):

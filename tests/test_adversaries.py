@@ -15,153 +15,205 @@ from fairdiv import (
     InvariantError,
     MivAllocator,
     MivImpossibilityAdversary,
+    OneThenFixedAdversary,
+    OnlineAllocator,
     check_alpha_ef1,
     check_alpha_mms,
     check_alpha_propx,
     check_alpha_prop1,
-    greedy1_adversary,
-    greedy2_adversary,
     impossibility_constants,
-    instance_from_rows,
     make_allocator,
     prop1_ratio,
     run,
     run_adaptive,
     run_construction,
+)
+from fairdiv import adversaries, algorithms
+from fairdiv.adversaries import check_construction
+from fairdiv.algorithms import TraceRecorder
+from fairdiv.cli import main
+from conftest import (
+    RefGreedy3Adversary,
+    greedy1_adversary,
+    greedy2_adversary,
+    running_values,
+    trace_fields,
     verify_greedy1_failure,
     verify_greedy2_failure,
 )
-from fairdiv import adversaries
-from fairdiv.adversaries import check_construction
-from fairdiv.algorithms import TraceRecorder
-from conftest import RefGreedy3Adversary, running_values, trace_fields
 
 F = Fraction
+
+#: The reference for each fixed schedule: its instance, built whole, and the
+#: verifier of its forced facts on a run's record (``conftest``).
+REFERENCE = {"greedy1": (greedy1_adversary, verify_greedy1_failure),
+             "greedy2": (greedy2_adversary, verify_greedy2_failure)}
 
 
 class TestGreedy1Adversary:
     def test_horizon_formula(self):
-        assert greedy1_adversary(2, F(1, 10)).m == 40
-        assert greedy1_adversary(3, F(1, 2)).m == 12
+        assert run_construction("greedy1", 2, F(1, 10)).trace.instance.m == 40
+        assert run_construction("greedy1", 3, F(1, 2)).trace.instance.m == 12
 
     def test_run_starves_agent_two(self):
-        inst = greedy1_adversary(2, F(1, 10))
-        trace = run(Greedy1Allocator(2), inst)
+        trace = run_construction("greedy1", 2, F(1, 10)).trace
         assert all(owner == 1 for owner in trace.owners)
         # agent 2's term: 1 / (1 + (m-1)/2) = 2/41, ratio 4/41 < 1/10
         assert running_values(trace)[1][-1] == F(2, 41)
-        assert prop1_ratio(inst, trace.allocation) == F(4, 41)
-        verify_greedy1_failure(trace, F(1, 10))
+        assert prop1_ratio(trace.instance, trace.allocation) == F(4, 41)
 
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("alpha", [F(1, 2), F(1, 4), F(1, 10)])
-    def test_failure_certificate_across_targets(self, n, alpha):
-        inst = greedy1_adversary(n, alpha)
-        trace = run(Greedy1Allocator(n), inst)
-        verify_greedy1_failure(trace, alpha)
-        assert prop1_ratio(inst, trace.allocation) < alpha
+    def test_the_later_goods_are_settled_in_one_step(self):
+        calls = []
 
-    def test_verify_compares_agent_twos_final_value_as_a_ratio(self):
-        trace = run(Greedy1Allocator(2), greedy1_adversary(2, F(1, 10)))
+        class Counting(Greedy1Allocator):
+            def _place(self, col):
+                calls.append(col)
+                return super()._place(col)
 
-        def agent_two_ends_at(num, den):
-            trace.alpha_num[1][-1], trace.alpha_den[1][-1] = num, den
-            return trace
+        run_adaptive(OneThenFixedAdversary(2, F(1, 10), 40, F(1, 2), (1,)), Counting(2))
+        assert len(calls) == 2
 
-        num, den = trace.alpha_num[1][-1], trace.alpha_den[1][-1]
-        verify_greedy1_failure(agent_two_ends_at(3 * num, 3 * den), F(1, 10))  # the same 2/41
-        for tampered in ((num + 1, den), (num, 0), (0, 0)):
-            with pytest.raises(InvariantError, match="agent 2's final running value"):
-                verify_greedy1_failure(agent_two_ends_at(*tampered), F(1, 10))
+    def test_the_replay_compares_agent_twos_final_value_as_a_ratio(self, monkeypatch):
+        def ends_at(tamper):
+            class Tampered(Greedy1Allocator):
+                def _settle_run(self, col, owner, copies):
+                    super()._settle_run(col, owner, copies)
+                    tamper(self.state)
 
-    def test_verify_rejects_a_wrong_run(self):
-        inst = greedy1_adversary(2, F(1, 2))
-        trace = run(Greedy2Allocator(2), inst)  # mismatched allocator
-        with pytest.raises(InvariantError):
-            verify_greedy1_failure(trace, F(1, 2))
+            monkeypatch.setitem(algorithms.ALLOCATORS, "greedy1", Tampered)
+            return run_construction("greedy1", 2, F(1, 10))
+
+        # the same 2/41 at three times the scale
+        assert ends_at(lambda state: state.rescale(1, 3)).achieved_ratio == F(4, 41)
+
+        def bump(state):
+            state.best_w[1] += 1
+
+        def no_total(state):
+            state.total_w[1] = 0
+
+        def nothing(state):
+            state.held_w[1] = state.best_w[1] = state.total_w[1] = 0
+
+        for tamper in (bump, no_total, nothing):
+            with pytest.raises(InvariantError, match="^the running PROP1 ratio differs from its offline replay$"):
+                ends_at(tamper)
+
+    def test_a_mismatched_rule_is_caught_at_its_first_wrong_good(self):
+        with pytest.raises(InvariantError, match="^good 2 must go to agent 1, saw agent 2$"):
+            run_adaptive(OneThenFixedAdversary(2, F(1, 2), 8, F(1, 2), (1,)), Greedy2Allocator(2))
 
     def test_parameters_validated(self):
-        with pytest.raises(DomainError):
-            greedy1_adversary(1, F(1, 2))
-        with pytest.raises(DomainError):
-            greedy1_adversary(2, F(0))
-        with pytest.raises(DomainError):
-            greedy1_adversary(2, F(3, 2))
+        for n, alpha in ((1, F(1, 2)), (2, F(0)), (2, F(3, 2))):
+            with pytest.raises(DomainError):
+                run_construction("greedy1", n, alpha)
+            with pytest.raises(DomainError):
+                OneThenFixedAdversary(n, alpha, 8, F(1, 2), (1,))
 
-    def test_static_instance_is_idempotent(self):
-        assert greedy1_adversary(2, F(1, 4)) == greedy1_adversary(2, F(1, 4))
-
-
-#: The static constructions as (build, rule, verify, target).
-STATIC = {"greedy1": (greedy1_adversary, Greedy1Allocator, verify_greedy1_failure, F(1, 10)),
-          "greedy2": (greedy2_adversary, Greedy2Allocator, verify_greedy2_failure, F(1, 2))}
+    def test_the_run_is_idempotent(self):
+        assert trace_fields(run_construction("greedy1", 2, F(1, 4)).trace) == trace_fields(
+            run_construction("greedy1", 2, F(1, 4)).trace)
 
 
-def _first_owner_2(trace):
-    trace.owners[0] = 2
-    return trace
+class LastAgent(OnlineAllocator):
+    """A rule that gives every good to the last agent."""
+
+    def _choose(self, col):
+        return self.n
 
 
-def _last_owner_swapped(trace):
-    trace.owners[-1] = 3 - trace.owners[-1]
-    return trace
+def _rule(cls):
+    def breach(monkeypatch, construction):
+        monkeypatch.setitem(algorithms.ALLOCATORS, construction, cls)
+    return breach
 
 
-def _agent_2_value_bumped(trace):
-    trace.alpha_num[1][-1] += 1
-    return trace
+def _drifting_state(monkeypatch, construction):
+    class Drifting(algorithms.ALLOCATORS[construction]):  # agent 2's best outside good moves
+        def _settle_run(self, col, owner, copies):
+            super()._settle_run(col, owner, copies)
+            self.state.best_w[1] += 1
+
+    monkeypatch.setitem(algorithms.ALLOCATORS, construction, Drifting)
 
 
-def _values(rows):
-    def tamper(trace):
-        trace.instance = instance_from_rows(rows)
-        return trace
-    return tamper
+def _short_horizon(monkeypatch, construction):
+    rule, horizon = adversaries._TABLE[construction]
+    monkeypatch.setitem(adversaries._TABLE, construction, (rule, lambda n, alpha: horizon(n, alpha) - 1))
+
+
+def _replay_disagrees(monkeypatch, construction):
+    replay = adversaries.prop1_ratio
+    monkeypatch.setattr(adversaries, "prop1_ratio", lambda inst, alloc: replay(inst, alloc) + 1)
+
+
+REPLAY = "the running PROP1 ratio differs from its offline replay"
 
 
 @pytest.mark.parametrize(
-    "construction, tamper, checked_at, message",
+    "construction, alpha, breach, message",
     [
-        ("greedy1", _first_owner_2, F(1, 10), "good 1 must go to agent 1 under lowest-index ties"),
-        ("greedy1", _last_owner_swapped, F(1, 10), "agent 2 must never receive a good"),
-        ("greedy1", _agent_2_value_bumped, F(1, 10),
-         "agent 2's final running value diverged from the construction"),
-        ("greedy1", None, F(1, 100), "horizon too short: the failure inequality does not bind"),
-        # agent 2 values only good 1, so its best outside good makes it PROP1
-        ("greedy1", _values([[1] * 40, [1] + [0] * 39]), F(1, 10), "PROP1 ratio did not fall below the target"),
-        ("greedy2", _first_owner_2, F(1, 2), "good 1 must go to agent 1 under lowest-index ties"),
-        ("greedy2", _last_owner_swapped, F(1, 2), "agent 1 must keep only good 1"),
-        ("greedy2", None, F(1, 10), "horizon too short: the failure inequality does not bind"),
-        # agent 1 values only good 1, which it holds; agent 2 holds 8 of its 9
-        ("greedy2", _values([[1] + [0] * 8, [1] * 9]), F(1, 2), "PROP1 ratio did not fall below the target"),
+        ("greedy1", F(1, 10), _rule(LastAgent), "good 1 must go to agent 1, saw agent 2"),
+        ("greedy1", F(1, 10), _rule(Greedy2Allocator), "good 2 must go to agent 1, saw agent 2"),
+        ("greedy1", F(1, 10), _drifting_state, REPLAY),
+        ("greedy1", F(1, 10), _short_horizon, "horizon too short: the failure inequality does not bind"),
+        ("greedy1", F(1, 10), _replay_disagrees, REPLAY),
+        ("greedy2", F(1, 2), _rule(LastAgent), "good 1 must go to agent 1, saw agent 2"),
+        ("greedy2", F(1, 2), _rule(Greedy1Allocator), "good 2 must go to agent 2, saw agent 1"),
+        ("greedy2", F(1, 2), _short_horizon, "horizon too short: the failure inequality does not bind"),
+        ("greedy2", F(1, 2), _replay_disagrees, REPLAY),
     ],
     ids=["g1-first-owner", "g1-agent-2-served", "g1-agent-2-value", "g1-horizon", "g1-ratio",
          "g2-first-owner", "g2-agent-1-served", "g2-horizon", "g2-ratio"],
 )
-def test_each_forced_fact_of_a_static_construction_has_its_own_breach(construction, tamper, checked_at, message):
-    build, rule, verify, alpha = STATIC[construction]
-    trace = run(rule(2), build(2, alpha))
-    verify(trace, alpha)
-    with pytest.raises(InvariantError) as breach:
-        verify(trace if tamper is None else tamper(trace), checked_at)
-    assert str(breach.value) == message
+def test_each_forced_fact_of_a_fixed_schedule_has_its_own_breach(construction, alpha, breach, message, monkeypatch):
+    run_construction(construction, 2, alpha)
+    breach(monkeypatch, construction)
+    with pytest.raises(InvariantError) as breached:
+        run_construction(construction, 2, alpha)
+    assert str(breached.value) == message
 
 
 class TestGreedy2Adversary:
     def test_horizon_uses_the_binding_inequality(self):
         # the final certificate needs 2/m < alpha/n, i.e. m > 2n/alpha
-        assert greedy2_adversary(2, F(1, 2)).m == 9
-        assert greedy2_adversary(2, F(1, 10)).m == 41
+        assert run_construction("greedy2", 2, F(1, 2)).trace.instance.m == 9
+        assert run_construction("greedy2", 2, F(1, 10)).trace.instance.m == 41
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("alpha", [F(1, 2), F(1, 4), F(1, 10)])
     def test_agent_one_keeps_only_the_first_good(self, n, alpha):
-        inst = greedy2_adversary(n, alpha)
-        trace = run(Greedy2Allocator(n), inst)
+        result = run_construction("greedy2", n, alpha)
+        trace = result.trace
         assert trace.owners[0] == 1
         assert all(owner != 1 for owner in trace.owners[1:])
-        verify_greedy2_failure(trace, alpha)
-        assert prop1_ratio(inst, trace.allocation) < alpha
+        assert prop1_ratio(trace.instance, trace.allocation) == result.achieved_ratio < alpha
+
+
+class TestFixedSchedulesAgainstTheirStaticReference:
+    """greedy1 and greedy2 as ``OneThenFixedAdversary`` schedules against the
+    fixed instances and verifiers they replaced."""
+
+    @pytest.mark.parametrize("alpha", [F(1, 2), F(1, 4), F(1, 10), F(1, 38)])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("construction", ["greedy1", "greedy2"])
+    def test_same_instance_record_and_forced_facts(self, construction, n, alpha):
+        build, verify = REFERENCE[construction]
+        trace = run_construction(construction, n, alpha).trace
+        assert trace.instance == build(n, alpha)
+        verify(trace, alpha)
+        assert trace_fields(trace) == trace_fields(run(make_allocator(construction, n), build(n, alpha)))
+
+    @pytest.mark.parametrize("alpha", [F(1, 2), F(1, 4), F(1, 10), F(1, 38)])
+    def test_greedy2_columns_do_not_depend_on_the_owners(self, alpha):
+        inst = greedy2_adversary(3, alpha)
+        m = inst.m
+
+        def columns(owners):
+            return feed(OneThenFixedAdversary(3, alpha, m, F(1, m * m), (2, 3)), owners)
+
+        alternating = columns([1] + [2 + t % 2 for t in range(m - 1)])
+        assert alternating == columns([1] + [3] * (m - 1)) == [list(c) for c in zip(*inst.values)]
 
 
 class TestGreedy3Adversary:
@@ -307,13 +359,10 @@ class TestImpossibilityAdversary:
 
 
 class TestRunConstruction:
-    def test_static_constructions_face_their_own_rule(self):
-        for name, build, verify, rule in (
-            ("greedy1", greedy1_adversary, verify_greedy1_failure, Greedy1Allocator),
-            ("greedy2", greedy2_adversary, verify_greedy2_failure, Greedy2Allocator),
-        ):
+    def test_greedy1_and_greedy2_face_their_own_rule(self):
+        for name, (build, verify) in REFERENCE.items():
             result = run_construction(name, 3, F(1, 5))
-            trace = run(rule(3), build(3, F(1, 5)))
+            trace = run(make_allocator(name, 3), build(3, F(1, 5)))
             verify(trace, F(1, 5))
             assert trace_fields(result.trace) == trace_fields(trace)
             assert check_construction(name, 3, F(1, 5))[0] == name
@@ -405,8 +454,11 @@ class TestRunConstruction:
             run_construction(construction, 2, alpha)
         assert str(refused.value) == f"target ratio {alpha!r} is not an int or a Fraction"
 
-    @pytest.mark.parametrize("build", [greedy1_adversary, greedy2_adversary, impossibility_constants],
-                             ids=lambda build: build.__name__)
+    @pytest.mark.parametrize("build", [
+        lambda n, alpha: run_adaptive(OneThenFixedAdversary(n, alpha, 8, F(1, 2), (1,)),
+                                      Greedy1Allocator(n)).trace.instance,
+        impossibility_constants,
+    ], ids=["one-then-fixed", "impossibility_constants"])
     def test_each_builder_refuses_a_float_target_and_takes_an_int(self, build):
         for alpha in (0.5, 1.0, False):
             with pytest.raises(DomainError, match=f"^target ratio {alpha!r} is not an int or a Fraction$"):
@@ -445,6 +497,42 @@ class TestRunConstruction:
         for name in (["greedy1"], {}, None):
             with pytest.raises(DomainError, match=f"^unknown construction {re.escape(repr(name))}; "):
                 run_construction(name, 2, F(1, 2))
+
+
+#: A target each construction reaches in a few hundred goods at n = 2.
+QUICK = {"greedy1": F(1, 4), "greedy2": F(1, 4), "greedy3": F(1, 2), "miv-impossibility": F(1, 2)}
+
+
+class TestOfflineReplay:
+    """``run_construction`` replays every run through ``prop1_ratio`` and
+    compares it with the rule's running ratio."""
+
+    @pytest.mark.parametrize("construction", CONSTRUCTIONS)
+    def test_every_construction_is_replayed_once(self, construction, monkeypatch):
+        replayed = []
+        replay = adversaries.prop1_ratio
+
+        def counting(inst, alloc):
+            replayed.append(inst.m)
+            return replay(inst, alloc)
+
+        monkeypatch.setattr(adversaries, "prop1_ratio", counting)
+        result = run_construction(construction, 2, QUICK[construction])
+        assert replayed == [result.trace.instance.m]
+
+    @pytest.mark.parametrize("construction", CONSTRUCTIONS)
+    def test_a_replay_that_disagrees_is_an_invariant_breach(self, construction, monkeypatch):
+        _replay_disagrees(monkeypatch, construction)
+        with pytest.raises(InvariantError) as breached:
+            run_construction(construction, 2, QUICK[construction])
+        assert str(breached.value) == REPLAY
+
+    @pytest.mark.parametrize("construction", CONSTRUCTIONS)
+    def test_the_cli_exits_two_with_one_line(self, construction, monkeypatch, capsys):
+        _replay_disagrees(monkeypatch, construction)
+        argv = ["adversary", "--target", construction, "--n", "2", "--alpha", str(QUICK[construction])]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"fairdiv: invariant breach: {REPLAY}\n")
 
 
 def feed(adversary, owners):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from fairdiv import (
     DomainError,
-    InvariantError,
     ParseError,
     RandAllocator,
     check_alpha_prop1,
@@ -329,13 +328,15 @@ class TestCampaign:
         assert [(row["n"], row["repetition"]) for row in rows] == [("3", "0"), ("3", "1")]
         assert campaign([{"construction": "greedy1", "alpha": "1/2", "repetitions": 0}]) == []
 
-    def test_failed_static_verifier_keeps_only_the_identifying_cells(self, monkeypatch):
-        def refuse(trace, alpha):
-            raise InvariantError("forced failure")
-
-        rule, horizon, (build, _) = adversaries._TABLE["greedy1"]
-        monkeypatch.setitem(adversaries._TABLE, "greedy1", (rule, horizon, (build, refuse)))
-        (row,) = campaign([{"construction": "greedy1", "n": 2, "alpha": "1/4"}])
-        kept = {"construction": "greedy1", "allocator": "greedy1", "n": "2", "alpha": "1/4",
-                "notion": "", "repetition": "0", "assertions_passed": "false"}
+    @pytest.mark.parametrize("construction, alpha, allocator, notion", [
+        ("greedy1", "1/4", "greedy1", ""), ("greedy2", "1/4", "greedy2", ""),
+        ("greedy3", "1/2", "greedy3", ""), ("miv-impossibility", "1/2", "miv", "ef1"),
+    ])
+    def test_a_failed_replay_keeps_only_the_identifying_cells(self, construction, alpha, allocator, notion,
+                                                              monkeypatch):
+        replay = adversaries.prop1_ratio
+        monkeypatch.setattr(adversaries, "prop1_ratio", lambda inst, alloc: replay(inst, alloc) + 1)
+        (row,) = campaign([{"construction": construction, "n": 2, "alpha": alpha}])
+        kept = {"construction": construction, "allocator": allocator, "n": "2", "alpha": alpha,
+                "notion": notion, "repetition": "0", "assertions_passed": "false"}
         assert row == {column: kept.get(column, "") for column in CAMPAIGN_COLUMNS}

@@ -9,18 +9,17 @@ from hypothesis import strategies as st
 from fairdiv import (
     Allocation,
     DomainError,
-    Greedy1Allocator,
     INF,
     InstanceTooLargeError,
     check_alpha_ef1,
     check_alpha_mms,
     check_alpha_propx,
     check_alpha_prop1,
-    greedy1_adversary,
     instance_from_rows,
     mms_exact,
     prop1_ratio,
     run,
+    run_construction,
 )
 from fairdiv import metrics
 from fairdiv.metrics import _maximin
@@ -122,9 +121,8 @@ class TestAlphaProp1:
             assert check_alpha_prop1(inst, Allocation(owners), F(0)).satisfied
 
     def test_greedy1_adversarial_run_fails_its_target(self):
-        inst = greedy1_adversary(2, F(1, 10))
-        trace = run(Greedy1Allocator(2), inst)
-        assert not check_alpha_prop1(inst, trace.allocation, F(1, 10)).satisfied
+        trace = run_construction("greedy1", 2, F(1, 10)).trace
+        assert not check_alpha_prop1(trace.instance, trace.allocation, F(1, 10)).satisfied
 
     def test_witnesses_reverify(self):
         rng = random.Random(99)

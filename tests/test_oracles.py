@@ -151,9 +151,9 @@ class TestBestAllocationSearch:
         assert alloc.owner == () and ratio == 1
 
     def test_offline_optimum_beats_online_rules_on_the_starving_instance(self):
-        from fairdiv import greedy1_adversary
+        from fairdiv import run_construction
 
-        inst = greedy1_adversary(2, F(1, 2))
+        inst = run_construction("greedy1", 2, F(1, 2)).trace.instance
         best_alloc, best = best_allocation_search(inst)
         online = prop1_ratio(inst, run(Greedy1Allocator(2), inst).allocation)
         assert online < F(1, 2)

@@ -22,7 +22,8 @@ command reads, an eighth keeps every ``Instance(`` call inside
 ``core.py``, a ninth keeps every read of an instance's pair rows
 (``._rows``) there too, and a tenth lets only ``OnlineAllocator.observe``
 call ``_place``, so no rule hands a good to a second rule with a second
-state.
+state.  An eleventh keeps ``algorithms.run`` out of ``adversaries.py``, so
+every construction streams its schedule through ``run_adaptive``.
 """
 
 import ast
@@ -241,3 +242,17 @@ def test_only_core_reads_the_pair_rows():
         if isinstance(node, ast.Attribute) and node.attr == "_rows"
     ]
     assert not found, "._rows read outside core.py: " + ", ".join(found)
+
+
+def test_every_construction_goes_through_run_adaptive():
+    """A construction is a schedule that ``run_adaptive`` streams into its
+    rule: ``adversaries.py`` neither imports a ``run`` nor calls one, so no
+    construction keeps a second, fixed-instance path."""
+    tree = ast.parse((ROOT / "src" / "fairdiv" / "adversaries.py").read_text(encoding="utf-8"))
+    found = [
+        f"adversaries.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.alias) and node.name == "run"
+        or isinstance(node, ast.Call) and "run" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert not found, "algorithms.run used in adversaries.py: " + ", ".join(found)
