@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Generator, Sequence
 
 from .algorithms import OnlineAllocator, TraceRecorder, make_allocator
-from .core import instance_from_rows
+from .core import _shown, instance_from_rows
 from .errors import DomainError, InstanceTooLargeError, InvariantError
 from .metrics import (
     Prop1State,
@@ -49,20 +49,20 @@ def _check_agents(n: int, alpha_target: Fraction) -> None:
     if n < 2:
         raise DomainError("need at least 2 agents")
     if isinstance(alpha_target, bool) or not isinstance(alpha_target, (int, Fraction)):
-        raise DomainError(f"target ratio {alpha_target!r} is not an int or a Fraction")
+        raise DomainError(f"target ratio {_shown(alpha_target)} is not an int or a Fraction")
 
 
 def _check_target(n: int, alpha_target: Fraction) -> None:
     _check_agents(n, alpha_target)
     if not 0 < alpha_target <= 1:
-        raise DomainError(f"target ratio {alpha_target} outside (0, 1]")
+        raise DomainError(f"target ratio {_shown(alpha_target)} outside (0, 1]")
 
 
 def _check_greedy3(n: int, alpha_target: Fraction, max_steps: int) -> None:
     _check_agents(n, alpha_target)
     if not 0 < alpha_target < Fraction(2, 3):
         raise DomainError(
-            f"target {alpha_target} infeasible: the opening pins the running minimum at 2/3"
+            f"target {_shown(alpha_target)} infeasible: the opening pins the running minimum at 2/3"
         )
     if max_steps < 4:
         raise DomainError("need a step budget of at least 4")
@@ -426,7 +426,7 @@ def check_construction(
     else:
         _check_target(n, alpha)
         if (m := horizon(n, alpha)) > max_steps:
-            raise DomainError(f"{construction} needs {m} goods, over the step budget of {max_steps}")
+            raise DomainError(f"{construction} needs {_shown(m)} goods, over the step budget of {max_steps}")
     return rule_name, make_allocator(rule_name, n, seed)
 
 

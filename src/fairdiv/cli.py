@@ -21,7 +21,6 @@ from .core import (
     Predictions,
     _dumps,
     _reading,
-    format_rational,
     format_ratio,
     instance_to_json,
     load_allocation,
@@ -149,46 +148,20 @@ def _cmd_metrics(args) -> int:
     alpha = Fraction(1) if args.alpha is None else args.alpha
     inst = load_instance(args.instance)
     alloc = load_allocation(args.allocation)
-    payload: dict = {"alpha": None if args.alpha is None else format_rational(args.alpha)}
+    payload: dict = {"alpha": args.alpha}
     if "prop1" in checks:
         prop1 = metrics.check_alpha_prop1(inst, alloc, alpha)
-        payload["prop1"] = {
-            "ratio": format_rational(metrics.prop1_ratio(inst, alloc)),
-            "satisfied_at_alpha": prop1.satisfied,
-            "per_agent": [
-                {
-                    "agent": a.agent,
-                    "value": format_rational(a.value),
-                    "witness": a.witness,
-                    "satisfied": a.satisfied,
-                }
-                for a in prop1.agents
-            ],
-        }
-    if "ef1" in checks:
-        ef1 = metrics.check_alpha_ef1(inst, alloc, alpha)
-        payload["ef1"] = {
-            "satisfied": ef1.satisfied,
-            "witness": None
-            if ef1.witness is None
-            else {"envier": ef1.witness.envier, "envied": ef1.witness.envied},
-        }
-    if "propx" in checks:
-        propx = metrics.check_alpha_propx(inst, alloc, alpha)
-        payload["propx"] = {
-            "satisfied": propx.satisfied,
-            "witness": None
-            if propx.witness is None
-            else {"agent": propx.witness.agent, "good": propx.witness.good},
-        }
+        payload["prop1"] = {"ratio": metrics.prop1_ratio(inst, alloc), "satisfied_at_alpha": prop1.satisfied,
+                            "per_agent": [a._asdict() for a in prop1.agents]}
+    for name, check_alpha in (("ef1", metrics.check_alpha_ef1), ("propx", metrics.check_alpha_propx)):
+        if name in checks:
+            check = check_alpha(inst, alloc, alpha)
+            witness = None if check.witness is None else check.witness._asdict()
+            payload[name] = {"satisfied": check.satisfied, "witness": witness}
     if "mms" in checks:
         mms = metrics.check_alpha_mms(inst, alloc, alpha)
-        payload["mms"] = {
-            "ratio": format_rational(mms.ratio),
-            "satisfied_at_alpha": mms.satisfied,
-            "per_agent": [format_rational(v) for v in mms.mms],
-            "violating_agent": mms.witness,
-        }
+        payload["mms"] = {"ratio": mms.ratio, "satisfied_at_alpha": mms.satisfied, "per_agent": mms.mms,
+                          "violating_agent": mms.witness}
     _write(args.out, _dumps(payload))
     return 0
 
@@ -217,7 +190,7 @@ def _trace_payload(trace) -> dict:
         ],
     }
     if trace.potential is not None:
-        payload["phi_total"] = [format_rational(v) for v in trace.potential]
+        payload["phi_total"] = trace.potential
     return payload
 
 
@@ -226,7 +199,7 @@ def _cmd_run(args) -> int:
     allocator = _make_allocator(args, inst.n)
     trace = run(allocator, inst)
     payload = _trace_payload(trace)
-    payload["prop1_ratio"] = format_rational(allocator.state.ratio())
+    payload["prop1_ratio"] = allocator.state.ratio()
     payload["algo"] = args.algo
     if args.algo == "miv":  # the 1/n-PROP1 guarantee rests on this contract
         payload["prediction_contract_met"] = all(allocator.seen_max)
@@ -241,10 +214,10 @@ def _cmd_adversary(args) -> int:
     inst = result.trace.instance
     payload = {
         "target": args.target,
-        "alpha": format_rational(args.alpha),
+        "alpha": args.alpha,
         "instance": json.loads(instance_to_json(inst)),
         "trace": _trace_payload(result.trace),
-        "achieved_prop1_ratio": format_rational(result.achieved_ratio),
+        "achieved_prop1_ratio": result.achieved_ratio,
         "steps": inst.m,
         "target_reached": result.target_reached,
         **result.fields,
@@ -264,36 +237,23 @@ def _cmd_oracle(args) -> int:
     if args.op == "rand-alpha":
         if args.n is None or args.delta is None:
             raise FairdivError("rand-alpha needs --n and --delta")
-        value = oracles.rand_alpha_bound(args.n, args.delta)
-        payload = {"n": args.n, "delta": format_rational(args.delta), "alpha": format_rational(value)}
+        payload = {"n": args.n, "delta": args.delta, "alpha": oracles.rand_alpha_bound(args.n, args.delta)}
     elif args.op == "bernstein":
         if args.n is not None and args.delta is not None:
             tail, threshold, holds = oracles.rand_tail_certificate(args.n, args.delta)
-            payload = {
-                "n": args.n,
-                "delta": format_rational(args.delta),
-                "tail_upper_bound": format_rational(tail),
-                "threshold_delta_over_n": format_rational(threshold),
-                "holds": holds,
-            }
+            payload = {"n": args.n, "delta": args.delta, "tail_upper_bound": tail,
+                       "threshold_delta_over_n": threshold, "holds": holds}
         else:
             if None in (args.variance_bound, args.term_bound, args.deviation):
-                raise FairdivError(
-                    "bernstein needs either --n/--delta or all of "
-                    "--variance-bound/--term-bound/--deviation"
-                )
+                raise FairdivError("bernstein needs either --n/--delta or all of "
+                                   "--variance-bound/--term-bound/--deviation")
             tail = oracles.bernstein_tail(args.variance_bound, args.term_bound, args.deviation)
-            payload = {"tail_upper_bound": format_rational(tail)}
+            payload = {"tail_upper_bound": tail}
     elif args.op == "moments":
         if args.instance is None or args.agent is None:
             raise FairdivError("moments needs --instance and --agent")
         inst = load_instance(args.instance)
-        moments = oracles.analytic_moments(inst, args.agent)
-        payload = {
-            "agent": args.agent,
-            "mean": format_rational(moments.mean),
-            "variance": format_rational(moments.variance),
-        }
+        payload = {"agent": args.agent, **oracles.analytic_moments(inst, args.agent)._asdict()}
         if args.alpha is not None:
             holds = oracles.small_goods_variance_bound(inst, args.agent, args.alpha)
             payload["small_goods_premise"] = holds is not None
@@ -302,7 +262,7 @@ def _cmd_oracle(args) -> int:
         if args.instance is None:
             raise FairdivError("best-alloc needs --instance")
         alloc, ratio = oracles.best_allocation_search(load_instance(args.instance))
-        payload = {"owner": list(alloc.owner), "prop1_ratio": format_rational(ratio)}
+        payload = {"owner": list(alloc.owner), "prop1_ratio": ratio}
     _write(args.out, _dumps({"op": args.op, **payload}))
     return 0
 
@@ -312,18 +272,8 @@ def _cmd_montecarlo(args) -> int:
     if inst.n != args.n:
         raise FairdivError(f"--n {args.n} does not match the instance's {inst.n} agents")
     report = harness.montecarlo_rand(inst, args.delta, args.trials, args.seed)
-    payload = {
-        "n": report.n,
-        "delta": format_rational(report.delta),
-        "alpha_used": format_rational(report.alpha_used),
-        "trials": report.trials,
-        "failures": report.failures,
-        "empirical_failure_rate": format_rational(report.empirical_failure_rate),
-        "seed": report.seed,
-        "instance": report.instance,
-        "within_delta": report.empirical_failure_rate <= report.delta,
-    }
-    _write(args.out, _dumps(payload))
+    within_delta = report.empirical_failure_rate <= report.delta
+    _write(args.out, _dumps({**report._asdict(), "within_delta": within_delta}))
     return 0
 
 

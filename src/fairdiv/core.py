@@ -9,10 +9,11 @@ files and in every public structure.
 
 Files go through one reader (``_reading``, which reads JSON integers as
 ints) and one writer (``_dumps``, the bytes ``json.dumps(indent=2,
-sort_keys=True)`` would give, without json's pure-Python encoder).  A cell
-is checked once, where it enters: by ``instance_from_rows`` in code, or by
-``load_instance``, which parses each distinct literal of an all-string
-file once.  Either way it becomes a reduced pair (p, q), the one form an
+sort_keys=True)`` would give, without json's pure-Python encoder, and each
+Fraction, Decimal and ``INF`` as its ``format_rational`` string).  A cell is
+checked once, where it enters: by ``instance_from_rows`` in code, or by
+``load_instance``, which parses each distinct literal of an all-string file
+once.  Either way it becomes a reduced pair (p, q), the one form an
 ``Instance`` keeps; ``Instance`` checks only the shape.
 """
 
@@ -22,6 +23,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
@@ -289,7 +291,7 @@ def check_allocation(inst: Instance, alloc: Allocation) -> None:
         raise DomainError(f"allocation covers {alloc.m} goods, instance has {inst.m}")
     if alloc.owner and not (1 <= min(alloc.owner) and max(alloc.owner) <= inst.n):
         bad = next(o for o in alloc.owner if not 1 <= o <= inst.n)
-        raise DomainError(f"owner {bad} out of range 1..{inst.n}")
+        raise DomainError(f"owner {_shown(bad)} out of range 1..{inst.n}")
 
 
 class Predictions(_Frozen):
@@ -335,7 +337,9 @@ def _encode(value, indent: str, out: list[str]) -> None:
 
     That call runs on json's pure-Python encoder, because of ``indent``.
     Dicts (str keys, sorted), lists, tuples, str, int, bool and None are
-    written here; any other value as ``json.dumps(value)`` writes it.  All
+    written here, and a Fraction, a Decimal or ``INF`` as the JSON string of
+    ``format_rational``; any other value as ``json.dumps(value)`` writes it,
+    so an object json cannot write is refused with its ``TypeError``.  All
     pieces go to one list, joined once, so no level copies the one below.
     """
     if isinstance(value, str):
@@ -348,6 +352,8 @@ def _encode(value, indent: str, out: list[str]) -> None:
         out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
+    elif isinstance(value, (Fraction, Decimal)) or isinstance(value, float) and value == INF:
+        out.append(f'"{format_rational(value)}"')
     elif isinstance(value, dict) and value:
         inner = indent + "  "
         sep = "{\n" + inner
@@ -394,8 +400,14 @@ def _as_int(value, what: str) -> int:
 
 
 def _shown(value) -> str:
-    """``value`` in an error text: a Fraction as 3/2, not Fraction(3, 2); else its repr."""
-    return str(value) if isinstance(value, Fraction) else repr(value)
+    """``value`` in an error text, never raising: an int or a Fraction as
+    ``format_rational`` writes it (3/2, not Fraction(3, 2)), else its repr;
+    a text over 40 characters is cut to its first 40 and its length."""
+    try:
+        text = format_rational(value) if isinstance(value, (int, Fraction)) else repr(value)
+    except Exception:  # past ``WRITE_DIGITS``, or a bad repr: an error text must not raise
+        return f"<unwritable {type(value).__name__}>"
+    return text if len(text) <= 40 else f"{text[:40]}… ({len(text)} characters)"
 
 
 @contextmanager
@@ -442,9 +454,9 @@ def load_instance(path: str) -> Instance:
         if inst is None:
             inst = instance_from_rows([list(map(parse_rational, row)) for row in rows])
         if "n" in data and _as_int(data["n"], "n") != inst.n:
-            raise ParseError(f"declared n={data['n']} but {inst.n} rows present")
+            raise ParseError(f"declared n={_shown(data['n'])} but {inst.n} rows present")
         if "m" in data and _as_int(data["m"], "m") != inst.m:
-            raise ParseError(f"declared m={data['m']} but rows have {inst.m} columns")
+            raise ParseError(f"declared m={_shown(data['m'])} but rows have {inst.m} columns")
         return inst
 
 

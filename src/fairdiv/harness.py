@@ -16,7 +16,7 @@ from itertools import accumulate, compress
 from typing import NamedTuple, Sequence
 
 from . import adversaries as adv
-from .core import Instance, _as_int, instance_to_json, parse_rational
+from .core import Instance, _as_int, format_rational, instance_to_json, parse_rational
 from .errors import DomainError, FairdivError, InvariantError, ParseError
 from .oracles import rand_alpha_bound
 
@@ -218,7 +218,7 @@ def _campaign_row(
         construction=construction,
         allocator=allocator,
         n=str(n),
-        alpha=str(alpha),
+        alpha=format_rational(alpha),
         notion=notion or "",
         repetition=str(rep),
     )
@@ -233,7 +233,7 @@ def _campaign_row(
     ratio = result.achieved_ratio
     row.update(
         steps=str(result.trace.instance.m),
-        prop1_ratio=str(ratio),
+        prop1_ratio=format_rational(ratio),
         prop1_ratio_float=repr(float(ratio)),  # a ratio in [0, 1]: never past the float range
         assertions_passed="true",
     )

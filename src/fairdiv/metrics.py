@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .core import INF, Allocation, Instance, RatOrInf, check_allocation
+from .core import INF, Allocation, Instance, RatOrInf, _shown, check_allocation
 from .errors import DomainError, InstanceTooLargeError
 
 #: Exhaustive oracles refuse instances with more than this many labeled
@@ -116,7 +116,7 @@ class Prop1State:
 
 def _check_alpha(alpha: Fraction) -> None:
     if not 0 <= alpha <= 1:
-        raise DomainError(f"alpha {alpha} outside [0, 1]")
+        raise DomainError(f"alpha {_shown(alpha)} outside [0, 1]")
 
 
 def _scaled_agents(inst: Instance, alloc: Allocation, alpha: Fraction | None = None) -> tuple[tuple, ...]:

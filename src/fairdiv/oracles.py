@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
-from .core import Allocation, Instance
+from .core import Allocation, Instance, _shown
 from .errors import DomainError, InstanceTooLargeError, InvariantError
 from .metrics import ENUMERATION_GUARD, _check_alpha, prop1_ratio
 
@@ -41,7 +41,7 @@ def rand_alpha_bound(n: int, delta: Fraction) -> Decimal:
     if n < 2:
         raise DomainError("need at least 2 agents")
     if not 0 < delta < 1:
-        raise DomainError(f"failure probability {delta} outside (0, 1)")
+        raise DomainError(f"failure probability {_shown(delta)} outside (0, 1)")
     log_up = _UP.ln(_decimal_up(Fraction(n) / delta))
     alpha_down = _DOWN.divide(Decimal(27), _UP.multiply(Decimal(128), log_up))
     return Context(prec=REPORT_DIGITS, rounding=ROUND_DOWN).plus(alpha_down)

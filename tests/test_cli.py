@@ -212,6 +212,60 @@ def test_a_long_refused_literal_is_cut_in_its_one_line(tmp_path, monkeypatch, ca
                    "Exceeds the limit (4300 digits) for integer string conversion\n")
 
 
+#: A target below 1/10**4999, and a number of 5,000 digits: each error text
+#: about them writes a number past Python's int-to-str digit limit.
+TINY, HUGE = f"1/{LONG_INTEGER}", f"{LONG_INTEGER}/1"
+#: (10^4400 + 1) / (3 * 10^4400): just above 1/3, with terms past the limit.
+WIDE = "1" + "0" * 4399 + "1/3" + "0" * 4400
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["adversary", "--target", "greedy1", "--alpha", TINY],
+        ["campaign", "--config", "{config}", "--out", "{out}"],
+        ["adversary", "--target", "greedy1", "--alpha", HUGE],
+        ["adversary", "--target", "greedy3", "--alpha", HUGE],
+        ["metrics", "--instance", "{inst}", "--allocation", "{alloc}", "--alpha", HUGE],
+        ["oracle", "--op", "moments", "--instance", "{inst}", "--agent", "1", "--alpha", HUGE],
+        ["oracle", "--op", "rand-alpha", "--n", "2", "--delta", HUGE],
+        ["montecarlo", "--n", "2", "--delta", HUGE, "--instance", "{inst}", "--trials", "1", "--seed", "1"],
+        ["run", "--algo", "miv", "--instance", "{inst}", "--epsilon", HUGE],
+        ["run", "--algo", "greedy1", "--instance", "{declared}"],
+        ["metrics", "--instance", "{one_good}", "--allocation", "{owner}"],
+    ],
+    ids=["horizon", "campaign-horizon", "target", "greedy3-target", "metrics-alpha", "moments-alpha",
+         "rand-alpha-delta", "montecarlo-delta", "run-epsilon", "declared-n", "owner"],
+)
+def test_a_number_past_the_digit_limit_is_cut_in_its_one_line(argv, inst_file, alloc_file, tmp_path, capsys):
+    files = {"config": json.dumps({"rows": [{"construction": "greedy1", "alpha": TINY}]}),
+             # a JSON number of 5,000 digits, read as an exact integer
+             "declared": f'{{"n": {LONG_INTEGER[:4000]}e1000, "values": [["1"], ["1"]]}}',
+             "one_good": '{"values": [["1"], ["1"]]}', "owner": f'{{"owner": [{LONG_INTEGER[:4000]}e1000]}}'}
+    for name, text in files.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [arg.format(inst=inst_file, alloc=alloc_file, out=out, **files) for arg in argv]
+    assert main(argv) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.count("\n") == 1 and err.startswith("fairdiv: error: ")
+    assert "… (5000 characters)" in err and len(err) < 300
+    assert not out.exists()
+
+
+def test_a_campaign_writes_a_wide_alpha_as_the_adversary_command_does(tmp_path):
+    config, rows, out = (tmp_path / name for name in ("config.json", "rows.csv", "adv.json"))
+    config.write_text(json.dumps({"rows": [{"construction": "greedy1", "alpha": WIDE}]}), encoding="utf-8")
+    assert main(["campaign", "--config", str(config), "--out", str(rows)]) == 0
+    with open(rows, encoding="utf-8", newline="") as fh:
+        (cells,) = csv.DictReader(fh)
+    assert main(["adversary", "--target", "greedy1", "--alpha", WIDE, "--out", str(out)]) == 0
+    payload = read_json(str(out))
+    assert cells["alpha"] == payload["alpha"] == WIDE
+    assert cells["prop1_ratio"] == payload["achieved_prop1_ratio"]
+
+
 def test_a_file_that_is_not_utf8_exits_one_naming_the_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(b'{"values": [["\xff"]]}')
@@ -947,7 +1001,18 @@ def test_each_payload_is_written_as_json_dumps_writes_it(argv, inst_file, tmp_pa
     monkeypatch.setattr(cli, "_dumps", keep)
     assert main([arg.format(inst=inst_file, alloc=alloc) for arg in argv]) == 0
     (payload,) = payloads
-    assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == json.dumps(_rationals_written(payload), indent=2, sort_keys=True) + "\n"
+
+
+def _rationals_written(value):
+    """``value`` with each Fraction, Decimal and infinity leaf as ``format_rational`` writes it."""
+    if isinstance(value, (Fraction, Decimal)) or value == core.INF:
+        return core.format_rational(value)
+    if isinstance(value, dict):
+        return {k: _rationals_written(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rationals_written(v) for v in value]
+    return value
 
 
 #: bernstein's refusal when flags of both its groups are given.

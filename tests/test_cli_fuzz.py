@@ -1,7 +1,8 @@
 """Bounded fuzz test of the ``fairdiv`` command line.
 
 Draws argv from each subcommand's grammar (n <= 4, rational denominators
-<= 12, ``--max-steps`` <= 200, instances with m <= 6) together with input
+<= 12 but for a rare literal past Python's int-to-str digit limit,
+``--max-steps`` <= 200, instances with m <= 6) together with input
 files that are well formed, malformed JSON, of the wrong types or ragged.
 Every case must end with exit 0, 1 or 2 and never raise; exit 1 must print
 exactly one ``fairdiv: error:`` line.  Every malformed file is also given
@@ -29,8 +30,13 @@ from fairdiv.harness import NOTIONS
 RULES = tuple(ALLOCATORS)
 
 units = st.fractions(0, 1, max_denominator=12).map(str)
-#: Mostly in [0, 1], the range of every ratio, value and probability here.
-rationals = st.one_of(units, st.builds("{}/{}".format, st.integers(0, 24), st.integers(1, 12)))
+#: Literals past Python's 4,300-digit int-to-str limit: tiny (1/10^4400),
+#: huge (10^4400) and wide but in range ((10^4400 + 1) / (3 * 10^4400)).
+LONG_LITERALS = ["1/1" + "0" * 4400, "1" + "0" * 4400, "1" + "0" * 4399 + "1/3" + "0" * 4400]
+short = st.one_of(units, st.builds("{}/{}".format, st.integers(0, 24), st.integers(1, 12)))
+#: Mostly in [0, 1], the range of every ratio, value and probability here;
+#: one draw in sixteen is a long literal.
+rationals = st.integers(0, 15).flatmap(lambda k: st.sampled_from(LONG_LITERALS) if k == 0 else short)
 small_ints = st.integers(0, 4)
 
 #: Contents that no loader accepts: not JSON, or JSON of the wrong shape.

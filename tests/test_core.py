@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from fairdiv import (
 from fairdiv.cli import main
 from fairdiv import core
 from fairdiv.core import (
-    WRITE_DIGITS, _dumps, _literal_pair, _reading, check_allocation, format_ratio, instance_to_json,
+    WRITE_DIGITS, _dumps, _literal_pair, _reading, _shown, check_allocation, format_ratio, instance_to_json,
 )
 from conftest import (
     check_predictions, instance_from_rows_reference, instance_to_json_reference, load_instance_reference,
@@ -545,6 +546,28 @@ class TestPredictions:
             Predictions((F(1), F(1)), F(-1, 2))
 
 
+class TestShown:
+    """``_shown`` quotes a value in an error text, cut past 40 characters,
+    and never raises."""
+
+    @pytest.mark.parametrize("value", [F(3, 2), F(-4), 7, True, 0.5, "x", None, Decimal("0.5"), [1]])
+    def test_a_short_value_keeps_its_text(self, value):
+        assert _shown(value) == (str(value) if isinstance(value, F) else repr(value))
+
+    def test_a_long_value_is_cut_to_its_first_forty_characters_and_its_length(self):
+        assert _shown(F(1, 10**4400)) == "1/1" + "0" * 37 + "… (4403 characters)"
+        assert _shown(-(10**4400)) == "-1" + "0" * 38 + "… (4402 characters)"
+        assert _shown("a" * 50) == "'" + "a" * 39 + "… (52 characters)"
+
+    def test_a_value_that_cannot_be_written_is_named_by_its_type(self):
+        class Unrepresentable:
+            def __repr__(self):
+                raise RuntimeError("no text")
+
+        assert _shown(Unrepresentable()) == "<unwritable Unrepresentable>"
+        assert _shown(10**WRITE_DIGITS) == "<unwritable int>"
+
+
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
 
@@ -630,5 +653,13 @@ class TestWriter:
         assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_a_value_json_cannot_write_is_refused_as_json_refuses_it(self):
-        with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
-            _dumps({"a": [F(1, 2)]})
+        """A Fraction, a Decimal and ``INF`` are the writer's own: each is the
+        string ``format_rational`` gives, in a row or alone.  Any other object
+        json cannot write is still refused with json's ``TypeError``."""
+        long = F(10**4400 + 1, 3 * 10**4400)
+        rationals = [F(1, 2), F(3), long, Decimal("0.125"), Decimal("1E-40"), math.inf]
+        payload = {"row": rationals, "one": F(-2, 3), "mixed": [1, F(1, 2), 0.5, "x", None]}
+        written = {"row": list(map(format_rational, rationals)), "one": "-2/3", "mixed": [1, "1/2", 0.5, "x", None]}
+        assert _dumps(payload) == json.dumps(written, indent=2, sort_keys=True) + "\n"
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            _dumps({"a": [{1, 2}]})

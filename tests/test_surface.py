@@ -23,7 +23,9 @@ command reads, an eighth keeps every ``Instance(`` call inside
 (``._rows``) there too, and a tenth lets only ``OnlineAllocator.observe``
 call ``_place``, so no rule hands a good to a second rule with a second
 state.  An eleventh keeps ``algorithms.run`` out of ``adversaries.py``, so
-every construction streams its schedule through ``run_adaptive``.
+every construction streams its schedule through ``run_adaptive``, and a
+twelfth keeps ``format_rational`` out of ``cli.py``, so the text of a
+rational is decided in ``core``.
 """
 
 import ast
@@ -172,8 +174,8 @@ def test_only_the_two_io_functions_open_files():
 
 def test_cli_writes_numbers_through_format_rational():
     """``str()`` of a rational past Python's int-to-str digit limit raises a
-    bare ``ValueError``; ``format_rational`` turns it into a one-line error.
-    So ``cli.py`` calls ``str()`` only on a caught exception."""
+    bare ``ValueError``; ``core._dumps`` writes it through ``format_rational``
+    instead.  So ``cli.py`` calls ``str()`` only on a caught exception."""
     tree = ast.parse((ROOT / "src" / "fairdiv" / "cli.py").read_text(encoding="utf-8"))
     caught = {node.name for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)}
     found = [
@@ -256,3 +258,17 @@ def test_every_construction_goes_through_run_adaptive():
         or isinstance(node, ast.Call) and "run" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert not found, "algorithms.run used in adversaries.py: " + ", ".join(found)
+
+
+def test_cli_leaves_the_text_of_a_rational_to_the_writer():
+    """``cli.py`` hands Fractions, Decimals and infinity to ``core._dumps`` as
+    they are: it neither imports nor calls ``format_rational``, so the text of
+    a rational is decided in ``core`` alone."""
+    tree = ast.parse((ROOT / "src" / "fairdiv" / "cli.py").read_text(encoding="utf-8"))
+    found = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.alias) and node.name == "format_rational"
+        or "format_rational" in (getattr(node, "id", None), getattr(node, "attr", None))
+    ]
+    assert not found, "format_rational in cli.py: " + ", ".join(found)
