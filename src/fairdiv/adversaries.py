@@ -16,6 +16,7 @@ cannot pass silently.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Generator, Sequence
 
@@ -66,6 +67,8 @@ def _check_greedy3(n: int, alpha_target: Fraction, max_steps: int) -> None:
         )
     if max_steps < 4:
         raise DomainError("need a step budget of at least 4")
+    if n > max_steps:  # so n fits an index: check_construction caps the budget at sys.maxsize
+        raise DomainError(f"{_shown(n)} agents exceed the step budget of {_shown(max_steps)}")
 
 
 # ---------------------------------------------------------------------------
@@ -406,21 +409,22 @@ def check_construction(
 
     greedy1-3 each face their own rule; the impossibility faces
     ``allocator`` (default "miv").  In order, an allocator that does not
-    apply, a negative ``max_steps``, fewer than 2 agents, a target that is
-    not an int or a Fraction or is out of range, a horizon over
-    ``max_steps`` (greedy3's budget below 4) and a bad rule name or seed
-    raise DomainError, before anything is built.  A batch checks every item
-    first.
+    apply, ``max_steps`` negative or past ``sys.maxsize``, fewer than 2
+    agents, a target that is not an int or a Fraction or is out of range, a
+    horizon over ``max_steps`` (greedy3's budget below 4 or below n) and a
+    bad rule name or seed raise DomainError, before anything is built.
     """
     if not isinstance(construction, str) or construction not in _TABLE:
-        raise DomainError(f"unknown construction {construction!r}; choose from {CONSTRUCTIONS}")
+        raise DomainError(f"unknown construction {_shown(construction)}; choose from {CONSTRUCTIONS}")
     rule_name, horizon = _TABLE[construction]
     if rule_name is None:
         rule_name = "miv" if allocator is None else allocator
     elif allocator not in (None, rule_name):
-        raise DomainError(f"{construction} faces its own rule, got allocator {allocator!r}")
+        raise DomainError(f"{construction} faces its own rule, got allocator {_shown(allocator)}")
     if max_steps < 0:
-        raise DomainError(f"the step budget must not be negative, got {max_steps}")
+        raise DomainError(f"the step budget must not be negative, got {_shown(max_steps)}")
+    if max_steps > sys.maxsize:
+        raise DomainError(f"the step budget must be at most {sys.maxsize}, got {_shown(max_steps)}")
     if horizon is None:
         _check_greedy3(n, alpha, max_steps)
     else:

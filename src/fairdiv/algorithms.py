@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Allocation, Instance, Predictions
+from .core import Allocation, Instance, Predictions, _pair, _shown
 from .errors import DomainError, InvariantError, PredictionContractError
 from .metrics import Prop1State
 
@@ -81,27 +81,22 @@ class OnlineAllocator:
         return chosen
 
     def _validate(self, column: Sequence[Fraction | int | tuple[int, int]]) -> list[tuple[int, int]]:
-        """The column as pairs, after checking the length, each cell (an int or
-        Fraction not negative, as ``instance_from_rows`` has it, or two ints p
-        >= 0 and q > 0, reduced or not) and each value against its cap."""
+        """The column as pairs, after checking the length, each cell (two ints
+        p >= 0 and q > 0, reduced or not, or else as ``core._pair`` checks it)
+        and each value against its cap."""
         if len(column) != self.n:
             raise DomainError(f"column has {len(column)} entries, expected {self.n}")
         col = []
         for c in column:
-            if type(c) is not tuple:
-                if not (type(c) is Fraction or isinstance(c, (int, Fraction))):  # Fraction's ABCMeta is slow
-                    raise DomainError(f"non-exact valuation {c!r}")
-                if c.numerator < 0:
-                    raise DomainError(f"negative valuation {c}")
-                c = c.numerator, c.denominator
-            elif not (len(c) == 2 and isinstance(c[0], int) and isinstance(c[1], int) and c[0] >= 0 < c[1]):
-                raise DomainError(f"non-exact valuation {c!r}")
+            if not (type(c) is tuple and len(c) == 2 and isinstance(c[0], int) and isinstance(c[1], int)
+                    and c[0] >= 0 < c[1]):
+                c = _pair(c, DomainError)
             col.append(c)
         if self._caps is not None:
             for i, ((v, d), (p, q)) in enumerate(zip(col, self._caps)):
                 if v * q > p * d:
-                    raise PredictionContractError(f"valuation {Fraction(v, d)} of agent {i + 1} "
-                                                  f"exceeds its predicted maximum {Fraction(p, q)}")
+                    raise PredictionContractError(f"valuation {_shown(Fraction(v, d))} of agent {i + 1} "
+                                                  f"exceeds its predicted maximum {_shown(Fraction(p, q))}")
         return col
 
 
@@ -256,7 +251,7 @@ class MivAllocator(OnlineAllocator):
                 N[i] -= w
             if N[i] <= 0:
                 raise InvariantError(
-                    f"non-positive potential denominator {Fraction(N[i], scale[i])} at t={t}"
+                    f"non-positive potential denominator {_shown(Fraction(N[i], scale[i]))} at t={t}"
                 )
             if w:
                 num, den = w * scale[i], N[i] * (N[i] + n * n * w)
@@ -270,7 +265,7 @@ class MivAllocator(OnlineAllocator):
             num, den = num * N_i + scale_i * den, den * N_i
         if num * self.potential.denominator > self.potential.numerator * den:
             raise InvariantError(
-                f"potential increased at t={t}: {Fraction(num, den)} > {self.potential}"
+                f"potential increased at t={t}: {_shown(Fraction(num, den))} > {_shown(self.potential)}"
             )
         for i in range(n):
             if N[i] < (n + 1) * scale[i]:  # D >= n+1
@@ -328,7 +323,7 @@ ALLOCATORS: dict[str, type[OnlineAllocator]] = {
 def make_allocator(name: str, n: int, seed: int | None = None) -> OnlineAllocator:
     """Build the named rule for n agents; ``rand`` needs a seed."""
     if not isinstance(name, str) or name not in ALLOCATORS:
-        raise DomainError(f"unknown allocator {name!r}; choose from {', '.join(ALLOCATORS)}")
+        raise DomainError(f"unknown allocator {_shown(name)}; choose from {', '.join(ALLOCATORS)}")
     if name != "rand":
         return ALLOCATORS[name](n)
     if seed is None:

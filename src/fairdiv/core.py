@@ -258,11 +258,7 @@ def instance_from_rows(rows: Sequence[Sequence[Fraction | int]]) -> Instance:
         cells = []
         for v in row:
             if v is not last:
-                if not (type(v) is Fraction or isinstance(v, (int, Fraction))):  # Fraction's ABCMeta is slow
-                    raise ParseError(f"non-exact valuation {v!r}")
-                pair = (v.numerator, v.denominator)  # a bool's numerator is an int
-                if pair[0] < 0:
-                    raise ParseError(f"negative valuation {v}")
+                pair = _pair(v, ParseError)
                 last, pair = v, shared.setdefault(pair, pair)
             cells.append(pair)
         out.append(tuple(cells))
@@ -397,6 +393,16 @@ def _as_int(value, what: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ParseError(f"{what} must be an integer, got {_shown(value)}")
+
+
+def _pair(cell, error: type[FairdivError]) -> tuple[int, int]:
+    """The one cell check: an int (a bool counts) or a Fraction, not negative,
+    as its pair (p, q); any other cell is refused with ``error``."""
+    if not (type(cell) is Fraction or isinstance(cell, (int, Fraction))):  # Fraction's ABCMeta is slow
+        raise error(f"non-exact valuation {_shown(cell)}")
+    if cell.numerator < 0:
+        raise error(f"negative valuation {_shown(cell)}")
+    return cell.numerator, cell.denominator
 
 
 def _shown(value) -> str:

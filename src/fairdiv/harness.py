@@ -16,7 +16,7 @@ from itertools import accumulate, compress
 from typing import NamedTuple, Sequence
 
 from . import adversaries as adv
-from .core import Instance, _as_int, format_rational, instance_to_json, parse_rational
+from .core import Instance, _as_int, _shown, format_rational, instance_to_json, parse_rational
 from .errors import DomainError, FairdivError, InvariantError, ParseError
 from .oracles import rand_alpha_bound
 
@@ -190,11 +190,11 @@ def campaign(items: Sequence[dict]) -> list[dict]:
             notion = item.get("notion")
             if construction != "miv-impossibility":
                 if notion is not None:
-                    raise DomainError(f"{construction} reports no fairness notion, got {notion!r}")
+                    raise DomainError(f"{construction} reports no fairness notion, got {_shown(notion)}")
             elif notion is None:
                 notion = "ef1"
             elif notion not in NOTIONS:
-                raise DomainError(f"unknown fairness notion {notion!r}; choose from {NOTIONS}")
+                raise DomainError(f"unknown fairness notion {_shown(notion)}; choose from {NOTIONS}")
         except FairdivError as exc:
             raise type(exc)(f"campaign row {k}: {exc}") from None
         checked.append(((construction, allocator, notion, n, alpha, max_steps, seed), repetitions))
@@ -206,7 +206,7 @@ def _integer(key: str, value) -> int:
     try:
         return _as_int(parse_rational(value), key)
     except ParseError:
-        raise ParseError(f"{key!r} must be an integer, got {value}") from None
+        raise ParseError(f"{key!r} must be an integer, got {_shown(value)}") from None
 
 
 def _campaign_row(

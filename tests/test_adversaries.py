@@ -431,6 +431,20 @@ class TestRunConstruction:
         with pytest.raises(DomainError, match="step budget"):
             run_construction(construction, 2, alpha, max_steps=m - 1)
 
+    def test_agents_no_run_can_hold_are_refused_before_anything_is_built(self, monkeypatch):
+        """A budget past ``sys.maxsize``, or greedy3 with more agents than its
+        budget, is refused in one line; so no per-agent list is built for an
+        n past the machine's index size."""
+        monkeypatch.setattr(adversaries, "make_allocator", None)  # building anything would raise TypeError
+        huge = 10**30
+        with pytest.raises(DomainError, match=f"^the step budget must be at most {sys.maxsize}, got {10**32}$"):
+            check_construction("greedy1", huge, F(1), max_steps=10**32)
+        with pytest.raises(DomainError, match=f"^{huge} agents exceed the step budget of 20$"):
+            check_construction("greedy3", huge, F(1, 3), max_steps=20)
+        with pytest.raises(DomainError, match="^5 agents exceed the step budget of 4$"):
+            Greedy3Adversary(F(1, 3), 4, n=5)
+        assert Greedy3Adversary(F(1, 3), 4, n=4).n == 4
+
     @pytest.mark.parametrize("construction", CONSTRUCTIONS)
     def test_each_run_builds_its_rule_once(self, construction, monkeypatch):
         rule_name, built = check_construction(construction, 2, F(1, 2))[0], []

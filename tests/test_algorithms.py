@@ -9,6 +9,7 @@ from fairdiv import (
     INF,
     Allocation,
     DomainError,
+    FairdivError,
     Greedy1Allocator,
     Greedy2Allocator,
     Greedy3Allocator,
@@ -590,6 +591,31 @@ def test_observe_refuses_a_pair_cell_that_is_not_two_ints(rule, cell):
         allocator.observe([(1, 3), cell, (0, 1)])
     assert str(observed.value) == f"non-exact valuation {cell!r}"
     assert _snapshot(allocator) == before
+
+
+#: Integers past Python's 4,300-digit int-to-str limit, of either sign.
+HUGE_INTS = st.integers(10**4400, 2 * 10**4400) | st.integers(-2 * 10**4400, -(10**4400))
+#: Cells whose text is past that limit or long, and cells of every other kind.
+WIDE_CELLS = st.one_of(
+    HUGE_INTS, st.integers(-3, 3),
+    st.builds(F, HUGE_INTS, st.integers(1, 9)), st.builds(F, st.integers(-9, 9), HUGE_INTS.map(abs)),
+    st.tuples(HUGE_INTS, st.integers(-1, 9)), st.tuples(st.integers(-9, 9), st.just(0) | HUGE_INTS),
+    st.floats(), st.text(max_size=3), st.integers(41, 5000).map("x".__mul__), st.none(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell=WIDE_CELLS)
+def test_a_cell_is_taken_or_refused_in_one_short_line(cell):
+    """``instance_from_rows`` and ``observe`` share ``core``'s cell check: a
+    cell is accepted, or refused with a ``FairdivError`` of one line whose
+    quoted value is cut, never with a bare ``ValueError``."""
+    for place in (lambda: instance_from_rows([[cell, 1], [1, 1]]),
+                  lambda: Greedy1Allocator(2).observe([cell, 1]), lambda: MivAllocator(2).observe([cell, 1])):
+        try:
+            place()
+        except FairdivError as exc:
+            assert "\n" not in str(exc) and len(str(exc)) <= 120
 
 
 @pytest.mark.parametrize("rule", ["greedy1", "greedy2", "greedy3", "rand", "miv", "miv-robust"])

@@ -254,6 +254,48 @@ def test_a_number_past_the_digit_limit_is_cut_in_its_one_line(argv, inst_file, a
     assert not out.exists()
 
 
+CAMPAIGN = ["campaign", "--config", "c.json", "--out", "out"]
+
+
+def _row(**fields):
+    """A campaign config of one row, alpha 1/2 unless ``fields`` give one."""
+    return json.dumps({"rows": [{"alpha": "1/2", **fields}]})
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["run", "--algo", "miv", "--instance", "big.json"], {}),
+        (["run", "--algo", "miv", "--instance", "big.json", "--epsilon", "1/2"], {}),
+        (["run", "--algo", "miv", "--instance", "ones.json", "--predictions", "p.json"],
+         {"p.json": json.dumps({"p": [TINY, "1"]})}),
+        (["adversary", "--target", "greedy3", "--n", str(10**30), "--alpha", "1/3", "--max-steps", "20"], {}),
+        (CAMPAIGN, {"c.json": _row(construction="greedy3", alpha="1/3", n=LONG_INTEGER, max_steps=20)}),
+        (["adversary", "--target", "greedy1", "--n", str(10**30), "--alpha", "1", "--max-steps", str(10**32)], {}),
+        (["adversary", "--target", "greedy1", "--n", "4" + "0" * 18, "--alpha", "1", "--max-steps", str(10**32)], {}),
+        (CAMPAIGN, {"c.json": _row(construction="greedy1", n="1.5" + LONG_INTEGER)}),
+        (CAMPAIGN, {"c.json": _row(construction=LONG_INTEGER)}),
+        (CAMPAIGN, {"c.json": _row(construction="greedy1", allocator=LONG_INTEGER)}),
+        (CAMPAIGN, {"c.json": _row(construction="miv-impossibility", notion=LONG_INTEGER)}),
+        (CAMPAIGN, {"c.json": _row(construction="greedy1", notion=LONG_INTEGER)}),
+        (CAMPAIGN, {"c.json": _row(construction="greedy1", max_steps="-" + LONG_INTEGER)}),
+    ],
+    ids=["miv-huge-cell", "miv-huge-cell-epsilon", "tiny-prediction", "greedy3-agents", "campaign-greedy3-agents",
+         "budget-past-maxsize", "budget-past-maxsize-memory", "campaign-integer", "campaign-construction",
+         "campaign-allocator", "campaign-notion", "campaign-notion-on-greedy1", "campaign-negative-budget"],
+)
+def test_a_refused_value_gives_one_short_error_line(argv, files, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # short relative paths, so the line's length is the message's
+    files = {"big.json": '{"values": [["1' + "0" * 5000 + '", "1"], ["1", "1"]]}',
+             "ones.json": '{"values": [["1", "1"], ["1", "1"]]}', **files}
+    for name, text in files.items():
+        Path(name).write_text(text, encoding="utf-8")
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("fairdiv: error: ") and len(err) < 250
+    assert not Path("out").exists()
+
+
 def test_a_campaign_writes_a_wide_alpha_as_the_adversary_command_does(tmp_path):
     config, rows, out = (tmp_path / name for name in ("config.json", "rows.csv", "adv.json"))
     config.write_text(json.dumps({"rows": [{"construction": "greedy1", "alpha": WIDE}]}), encoding="utf-8")

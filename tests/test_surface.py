@@ -25,7 +25,8 @@ call ``_place``, so no rule hands a good to a second rule with a second
 state.  An eleventh keeps ``algorithms.run`` out of ``adversaries.py``, so
 every construction streams its schedule through ``run_adaptive``, and a
 twelfth keeps ``format_rational`` out of ``cli.py``, so the text of a
-rational is decided in ``core``.
+rational is decided in ``core``, and a thirteenth keeps the texts of the
+one cell check, ``core._pair``, in ``core.py``, so no module copies it.
 """
 
 import ast
@@ -272,3 +273,15 @@ def test_cli_leaves_the_text_of_a_rational_to_the_writer():
         or "format_rational" in (getattr(node, "id", None), getattr(node, "attr", None))
     ]
     assert not found, "format_rational in cli.py: " + ", ".join(found)
+
+
+def test_only_core_checks_a_cell():
+    """``core._pair`` is the one cell check, for ``instance_from_rows`` and
+    ``OnlineAllocator._validate`` alike: its two refusal texts appear in
+    ``src/fairdiv`` once each, both in ``core.py``."""
+    found = {
+        text: [path.name for path in sorted((ROOT / "src" / "fairdiv").glob("*.py"))
+               for _ in range(path.read_text(encoding="utf-8").count(text))]
+        for text in ("non-exact valuation", "negative valuation")
+    }
+    assert found == {"non-exact valuation": ["core.py"], "negative valuation": ["core.py"]}, found
