@@ -21,6 +21,7 @@ from .core import (
     Predictions,
     _dumps,
     _reading,
+    _shown,
     format_ratio,
     instance_to_json,
     load_allocation,
@@ -53,11 +54,19 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _int(text: str) -> int:
+    """argparse's ``type=int``, quoting a refused value through ``_shown``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
+
+
 def _seed(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {_shown(text)}") from None
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
     return value
@@ -98,30 +107,30 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("adversary", help="generate and run a lower-bound construction")
     p.add_argument("--target", required=True, choices=adv.CONSTRUCTIONS)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_int, default=2)
     p.add_argument("--alpha", type=_rational, required=True)
-    p.add_argument("--max-steps", type=int, default=adv.MAX_STEPS)
+    p.add_argument("--max-steps", type=_int, default=adv.MAX_STEPS)
     # no --seed here: a rand victim runs through a campaign row that carries one
     p.add_argument("--allocator", choices=[a for a in ALLOCATORS if a != "rand"], default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("oracle", help="closed-form bounds and exhaustive baselines")
     p.add_argument("--op", required=True, choices=["rand-alpha", "bernstein", "moments", "best-alloc"])
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_int, default=None)
     p.add_argument("--delta", type=_rational, default=None)
     p.add_argument("--variance-bound", type=_rational, default=None)
     p.add_argument("--term-bound", type=_rational, default=None)
     p.add_argument("--deviation", type=_rational, default=None)
     p.add_argument("--instance", default=None)
-    p.add_argument("--agent", type=int, default=None)
+    p.add_argument("--agent", type=_int, default=None)
     p.add_argument("--alpha", type=_rational, default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("montecarlo", help="tail-guarantee validation of the uniform rule")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--delta", type=_rational, required=True)
     p.add_argument("--instance", required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_int, required=True)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", default=None)
 
@@ -308,6 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"fairdiv: invariant breach: {exc}", file=sys.stderr)
         return INVARIANT_EXIT
+    except MemoryError:  # a size that passes every check but does not fit, such as n agents' lists
+        print("fairdiv: error: out of memory", file=sys.stderr)
+        return USAGE_EXIT
 
 
 if __name__ == "__main__":

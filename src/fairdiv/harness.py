@@ -9,7 +9,10 @@ identical across runs and independent of scheduling.
 from __future__ import annotations
 
 import io
+import os
 import random
+import sys
+from contextlib import suppress
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, compress
@@ -73,6 +76,9 @@ def montecarlo_rand(
     ``owners.count(i)`` alone; holding all m it passes too, as alpha <= 1 < n.
     An agent below it sums its bundle and passes if n q held >= p total_i; only
     then is its best outside good taken, which is >= 0, so each exit is exact.
+
+    A large run counts its trials in ``_parts`` processes; a trial's seed rests
+    on its index alone, so the report does not depend on the split.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
@@ -90,17 +96,22 @@ def montecarlo_rand(
         agents.append((i, enough, row, own, other, limit))
     draw = _owner_draw(n, m)
 
-    failures, rng = 0, random.Random()
-    for trial in range(trials):
-        rng.seed(derive_trial_seed(master_seed, trial))
-        owners = draw(rng)
-        for i, enough, row, own, other, limit in agents:
-            if owners.count(i) >= enough:
-                continue
-            held = nq * sum(compress(row, owners.translate(own)))
-            if held < limit and held + nq * max(compress(row, owners.translate(other))) < limit:
-                failures += 1
-                break
+    def count(trials_range: range) -> int:
+        failures, rng = 0, random.Random()
+        for trial in trials_range:
+            rng.seed(derive_trial_seed(master_seed, trial))
+            owners = draw(rng)
+            for i, enough, row, own, other, limit in agents:
+                if owners.count(i) >= enough:
+                    continue
+                held = nq * sum(compress(row, owners.translate(own)))
+                if held < limit and held + nq * max(compress(row, owners.translate(other))) < limit:
+                    failures += 1
+                    break
+        return failures
+
+    parts = _parts(trials, m)
+    failures = count(range(trials)) if parts < 2 else _count_in_parts(count, trials, parts)
     return MonteCarloReport(
         n=n,
         delta=delta,
@@ -111,6 +122,86 @@ def montecarlo_rand(
         seed=master_seed,
         instance=instance_descriptor(inst),
     )
+
+
+#: Trials times goods that each process must have to count for a split to
+#: pay: a fork, the child's copy-on-write faults, its exit and its reap cost
+#: 2-3 ms, and on 200-good rows (about 20 us a trial) a two-way split broke
+#: even with one process at 300 to 400 trials (Python 3.11, 2-CPU Linux VM).
+WORK_PER_PROCESS = 40_000
+
+
+def _parts(trials: int, m: int) -> int:
+    """How many processes count the trials: one per CPU this process may use,
+    each with at least ``WORK_PER_PROCESS``, and 1 where ``os.fork`` is
+    missing or another thread runs, since a fork copies only the calling one."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    threading = sys.modules.get("threading")  # not imported here: a check must not load it
+    if threading is not None and threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), trials * m // WORK_PER_PROCESS, trials) or 1
+
+
+def _count_in_parts(count, trials: int, parts: int) -> int:
+    """``count(range(trials))``, split into ``parts`` contiguous ranges: this
+    process counts the first, and a forked child counts each other range and
+    writes its count to a pipe.  A range whose child could not start, failed
+    or wrote nothing is counted here, so the sum never depends on the split.
+    Every child is reaped before this returns, and killed first if a count
+    here raises."""
+    bounds = [trials * j // parts for j in range(parts + 1)]
+    here, children = [range(bounds[1])], []  # children: (pid, read end, range)
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
+    try:
+        _pin(cpus[0])
+        for part in map(range, bounds[1:], bounds[2:]):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare
+                os.close(read)
+                os.close(write)
+                here.append(part)
+                continue
+            if pid == 0:  # the child leaves by os._exit, never into the caller's stack
+                try:
+                    _pin(cpus[len(children) + 1])
+                    os.write(write, b"%d" % count(part))
+                finally:  # after a raise, with no count written
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, read, part))
+        failures = sum(map(count, here))
+        while children:
+            pid, read, part = children[-1]
+            written = b""
+            while chunk := os.read(read, 64):
+                written += chunk
+            os.waitpid(pid, 0)
+            children.pop()
+            os.close(read)
+            failures += int(written) if written else count(part)  # one write under PIPE_BUF: all or nothing
+    except BaseException:
+        import signal  # here, not at the top: start-up need not load it
+
+        for pid, read, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+        raise
+    finally:
+        with suppress(OSError):
+            os.sched_setaffinity(0, mask)
+    return failures
+
+
+def _pin(cpu: int) -> None:
+    """Run this process on ``cpu`` alone, if allowed.  Unpinned, a forked child
+    can share its parent's CPU for long stretches while another CPU idles."""
+    with suppress(OSError):
+        os.sched_setaffinity(0, {cpu})
 
 
 def _owner_draw(n: int, m: int):

@@ -273,6 +273,16 @@ def _row(**fields):
         (CAMPAIGN, {"c.json": _row(construction="greedy3", alpha="1/3", n=LONG_INTEGER, max_steps=20)}),
         (["adversary", "--target", "greedy1", "--n", str(10**30), "--alpha", "1", "--max-steps", str(10**32)], {}),
         (["adversary", "--target", "greedy1", "--n", "4" + "0" * 18, "--alpha", "1", "--max-steps", str(10**32)], {}),
+        # passes every check: ``[1] * n`` refuses it at once, allocating nothing
+        (["adversary", "--target", "greedy1", "--n", "4000000000000000000", "--alpha", "1",
+          "--max-steps", "9223372036854775807"], {}),
+        (["adversary", "--target", "greedy1", "--n", LONG_INTEGER, "--alpha", "1/2"], {}),
+        (["adversary", "--target", "greedy1", "--alpha", "1/2", "--max-steps", LONG_INTEGER], {}),
+        (["oracle", "--op", "moments", "--instance", "ones.json", "--agent", LONG_INTEGER], {}),
+        (["montecarlo", "--n", "2", "--delta", "1/2", "--instance", "ones.json", "--trials", LONG_INTEGER,
+          "--seed", "1"], {}),
+        (["montecarlo", "--n", "2", "--delta", "1/2", "--instance", "ones.json", "--trials", "1",
+          "--seed", LONG_INTEGER], {}),
         (CAMPAIGN, {"c.json": _row(construction="greedy1", n="1.5" + LONG_INTEGER)}),
         (CAMPAIGN, {"c.json": _row(construction=LONG_INTEGER)}),
         (CAMPAIGN, {"c.json": _row(construction="greedy1", allocator=LONG_INTEGER)}),
@@ -281,7 +291,8 @@ def _row(**fields):
         (CAMPAIGN, {"c.json": _row(construction="greedy1", max_steps="-" + LONG_INTEGER)}),
     ],
     ids=["miv-huge-cell", "miv-huge-cell-epsilon", "tiny-prediction", "greedy3-agents", "campaign-greedy3-agents",
-         "budget-past-maxsize", "budget-past-maxsize-memory", "campaign-integer", "campaign-construction",
+         "budget-past-maxsize", "budget-past-maxsize-memory", "agents-past-memory", "long-n", "long-max-steps",
+         "long-agent", "long-trials", "long-seed", "campaign-integer", "campaign-construction",
          "campaign-allocator", "campaign-notion", "campaign-notion-on-greedy1", "campaign-negative-budget"],
 )
 def test_a_refused_value_gives_one_short_error_line(argv, files, tmp_path, monkeypatch, capsys):
@@ -294,6 +305,18 @@ def test_a_refused_value_gives_one_short_error_line(argv, files, tmp_path, monke
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and err.startswith("fairdiv: error: ") and len(err) < 250
     assert not Path("out").exists()
+
+
+def test_agents_past_memory_and_a_long_integer_flag_read_as_one_plain_line(capsys):
+    assert main(["adversary", "--target", "greedy1", "--n", "4000000000000000000", "--alpha", "1",
+                 "--max-steps", "9223372036854775807"]) == 1
+    assert capsys.readouterr() == ("", "fairdiv: error: out of memory\n")
+    assert main(["adversary", "--target", "greedy1", "--alpha", "1/2", "--n", LONG_INTEGER]) == 1
+    assert capsys.readouterr() == (
+        "", f"fairdiv: error: argument --n: invalid int value: '{LONG_INTEGER[:39]}… (5002 characters)\n"
+    )
+    assert main(["adversary", "--target", "greedy1", "--alpha", "1/2", "--n", "2.5"]) == 1
+    assert capsys.readouterr() == ("", "fairdiv: error: argument --n: invalid int value: '2.5'\n")
 
 
 def test_a_campaign_writes_a_wide_alpha_as_the_adversary_command_does(tmp_path):

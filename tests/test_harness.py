@@ -1,6 +1,9 @@
 import csv
 import io
+import os
 import random
+import threading
+import time
 from decimal import Decimal
 from fractions import Fraction
 from itertools import compress
@@ -217,6 +220,150 @@ class TestMonteCarlo:
     def test_needs_at_least_one_trial(self):
         with pytest.raises(DomainError):
             montecarlo_rand(instance_from_rows([[F(1)] * 3] * 2), F(1, 20), 0, 1)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"), reason="needs os.fork")
+class TestSplitTrials:
+    """``montecarlo_rand`` forced to split its trials into k parts: k CPUs,
+    and a ``WORK_PER_PROCESS`` of one trial on one good."""
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        forks, fork = [], os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return fork()
+
+        def force(parts):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+            monkeypatch.setattr(harness, "WORK_PER_PROCESS", 1)
+            forks.clear()
+            return forks
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return force
+
+    @staticmethod
+    def serial(monkeypatch, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "WORK_PER_PROCESS", 2**64)
+            return montecarlo_rand(*args)
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    def test_each_split_gives_the_serial_report(self, parts, split, monkeypatch):
+        failures = []
+
+        @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+        @given(st.one_of(failing_montecarlo_cases(), zero_padded_failing_cases()))
+        def check(case):
+            inst, delta, trials, seed = case
+            forks = split(parts)
+            report = montecarlo_rand(inst, delta, trials, seed)
+            assert len(forks) == parts - 1
+            assert_no_child_left()
+            alpha = F(rand_alpha_bound(inst.n, delta))
+            assert report.failures == sum(map(bool, reference_failing_agents(inst, alpha, trials, seed)))
+            assert report == self.serial(monkeypatch, inst, delta, trials, seed)
+            failures.append(report.failures)
+
+        check()
+        assert any(failures), "no drawn instance failed, so no child counted a failure"
+        # at factor 1 most trials fail, so a trial counted twice or missed at a range's end shows
+        monkeypatch.setattr(harness, "rand_alpha_bound", lambda n, delta: Decimal(1))
+        inst = instance_from_rows([[F(1)] * 10] * 3)
+        for trials in range(1, 30):
+            split(parts)
+            report = montecarlo_rand(inst, F(1, 20), trials, trials)
+            assert report.failures == sum(map(bool, reference_failing_agents(inst, F(1), trials, trials)))
+            assert report == self.serial(monkeypatch, inst, F(1, 20), trials, trials)
+        assert_no_child_left()
+
+    def test_no_more_parts_than_trials(self, split):
+        inst = instance_from_rows([[F(1)] * 7] * 2)
+        forks = split(4)
+        report = montecarlo_rand(inst, F(99, 100), 2, 5)
+        assert len(forks) == 1 and report.trials == 2
+        assert_no_child_left()
+
+    def test_the_work_sets_the_parts(self, split, monkeypatch):
+        split(4)
+        monkeypatch.setattr(harness, "WORK_PER_PROCESS", 40_000)
+        assert harness._parts(1, 200) == harness._parts(399, 200) == 1
+        assert harness._parts(400, 200) == 2 and harness._parts(1500, 200) == 4
+
+    def test_one_process_without_fork_or_beside_another_thread(self, split, monkeypatch):
+        split(4)
+        assert harness._parts(1500, 200) == 4
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            assert harness._parts(1500, 200) == 1
+        finally:
+            release.set()
+            other.join(30)
+        assert not other.is_alive()
+        monkeypatch.delattr(os, "fork")
+        assert harness._parts(1500, 200) == 1
+
+    @pytest.mark.parametrize("code", [3, 0])
+    def test_a_range_whose_child_fails_or_writes_nothing_is_counted_here(self, code, split, monkeypatch):
+        monkeypatch.setattr(harness, "rand_alpha_bound", lambda n, delta: Decimal(1))
+        inst = instance_from_rows([[F(1)] * 10] * 3)
+        expected = self.serial(monkeypatch, inst, F(1, 20), 300, 8)
+        parent = os.getpid()
+
+        def dying(master_seed, index):
+            if os.getpid() != parent:
+                os._exit(code)
+            return derive_trial_seed(master_seed, index)
+
+        forks = split(3)
+        monkeypatch.setattr(harness, "derive_trial_seed", dying)
+        assert montecarlo_rand(inst, F(1, 20), 300, 8) == expected
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_a_range_whose_child_cannot_start_is_counted_here(self, split, monkeypatch):
+        monkeypatch.setattr(harness, "rand_alpha_bound", lambda n, delta: Decimal(1))
+        inst = instance_from_rows([[F(1)] * 10] * 3)
+        expected = self.serial(monkeypatch, inst, F(1, 20), 300, 8)
+        split(4)
+        calls, fork = [], os.fork
+
+        def second_fails():
+            calls.append(1)
+            if len(calls) == 2:
+                raise BlockingIOError("no process to spare")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        assert montecarlo_rand(inst, F(1, 20), 300, 8) == expected
+        assert len(calls) == 3
+        assert_no_child_left()
+
+    def test_a_raise_here_kills_and_reaps_every_child(self, split, monkeypatch):
+        parent = os.getpid()
+
+        def stuck_or_raising(master_seed, index):
+            if os.getpid() != parent:
+                time.sleep(60)  # a child still counting when the parent's range raises
+            raise RuntimeError("trial refused")
+
+        forks = split(3)
+        monkeypatch.setattr(harness, "derive_trial_seed", stuck_or_raising)
+        started = time.perf_counter()
+        with pytest.raises(RuntimeError, match="trial refused"):
+            montecarlo_rand(instance_from_rows([[F(1)] * 7] * 2), F(99, 100), 300, 8)
+        assert time.perf_counter() - started < 30
+        assert len(forks) == 2
+        assert_no_child_left()
 
 
 class TestCampaign:
