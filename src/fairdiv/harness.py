@@ -152,10 +152,7 @@ def _count_in_parts(count, trials: int, parts: int) -> int:
     here raises."""
     bounds = [trials * j // parts for j in range(parts + 1)]
     here, children = [range(bounds[1])], []  # children: (pid, read end, range)
-    mask = os.sched_getaffinity(0)
-    cpus = sorted(mask)
     try:
-        _pin(cpus[0])
         for part in map(range, bounds[1:], bounds[2:]):
             read, write = os.pipe()
             try:
@@ -167,7 +164,6 @@ def _count_in_parts(count, trials: int, parts: int) -> int:
                 continue
             if pid == 0:  # the child leaves by os._exit, never into the caller's stack
                 try:
-                    _pin(cpus[len(children) + 1])
                     os.write(write, b"%d" % count(part))
                 finally:  # after a raise, with no count written
                     os._exit(0)
@@ -187,21 +183,15 @@ def _count_in_parts(count, trials: int, parts: int) -> int:
         import signal  # here, not at the top: start-up need not load it
 
         for pid, read, _ in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            # a raise can land between a reap and its pop: a reaped pid is skipped,
+            # and an unreaped one cannot be reused, so the kill reaches this child
+            with suppress(ChildProcessError):
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
             os.close(read)
         raise
-    finally:
-        with suppress(OSError):
-            os.sched_setaffinity(0, mask)
     return failures
-
-
-def _pin(cpu: int) -> None:
-    """Run this process on ``cpu`` alone, if allowed.  Unpinned, a forked child
-    can share its parent's CPU for long stretches while another CPU idles."""
-    with suppress(OSError):
-        os.sched_setaffinity(0, {cpu})
 
 
 def _owner_draw(n: int, m: int):

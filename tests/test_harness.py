@@ -365,6 +365,31 @@ class TestSplitTrials:
         assert len(forks) == 2
         assert_no_child_left()
 
+    def test_a_raise_just_after_a_reap_still_kills_and_reaps_the_rest(self, split, monkeypatch):
+        parent, waitpid, reaped = os.getpid(), os.waitpid, []
+
+        def slow_in_the_middle_range(master_seed, index):
+            if os.getpid() != parent and index < 200:
+                time.sleep(60)  # the first child, still counting when the raise comes
+            return derive_trial_seed(master_seed, index)
+
+        def raising_after_the_first_reap(pid, flags):
+            status = waitpid(pid, flags)
+            if flags == 0 and not reaped:
+                reaped.append(pid)
+                raise RuntimeError("interrupted after a reap")
+            return status
+
+        forks = split(3)
+        monkeypatch.setattr(harness, "derive_trial_seed", slow_in_the_middle_range)
+        monkeypatch.setattr(os, "waitpid", raising_after_the_first_reap)
+        started = time.perf_counter()
+        with pytest.raises(RuntimeError, match="interrupted after a reap"):
+            montecarlo_rand(instance_from_rows([[F(1)] * 7] * 2), F(99, 100), 300, 8)
+        assert time.perf_counter() - started < 30
+        assert len(forks) == 2 and len(reaped) == 1
+        assert_no_child_left()
+
 
 class TestCampaign:
     def test_empty_config_gives_header_only_csv(self):
