@@ -149,12 +149,13 @@ def run_adaptive(adversary: AdaptiveAdversary, allocator) -> AdversaryRun:
             f"allocator handles {allocator.n} agents, adversary emits {adversary.n}"
         )
     recorder = TraceRecorder(allocator.state)
-    rows = [[] for _ in range(adversary.n)]
+    rows, copies = [[] for _ in range(adversary.n)], []
     while (column := adversary.next_column(recorder.owners)) is not None:
         recorder.place(allocator, column, adversary.copies)
         for row, v in zip(rows, column):
-            row += [v] * adversary.copies
-    recorder.instance = instance_from_rows(rows)
+            row.append(v)
+        copies.append(adversary.copies)
+    recorder.instance = instance_from_rows(rows, copies)
     recorder.potential = None if allocator.potential_log is None else tuple(allocator.potential_log)
     return AdversaryRun(recorder, allocator.state.ratio(), adversary.target_reached)
 

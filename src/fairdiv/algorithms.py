@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from operator import add
+from typing import Iterator, Sequence
 
 from .core import Allocation, Instance, Predictions, _pair, _shown
 from .errors import DomainError, InvariantError, PredictionContractError
@@ -337,14 +338,13 @@ def make_allocator(name: str, n: int, seed: int | None = None) -> OnlineAllocato
 
 
 class TraceRecorder:
-    """A run's record, filled as the run goes: its owners and, per good and
-    agent, the running PROP1 value as a pair of integer weights, read from
-    the allocator's state right after it placed the good.
-
-    Agent i+1's value after good t is
-    ``alpha_num[i][t-1] / alpha_den[i][t-1]`` (bundle plus best outside
-    good, over arrived total; ``INF`` where the total is 0), always against
-    the original valuations, also under predictions.  ``run`` and
+    """A run's record, filled as the run goes: its owners, one per good, and
+    one entry per ``record`` call, that is per run of equal goods given to one
+    owner: the owner, the copies, the goods' weights and, per agent, the
+    running PROP1 value after the run as a pair of integer weights (bundle
+    plus best outside good, over arrived total), read from the allocator's
+    state; always against the original valuations, also under predictions.
+    ``alpha`` reads the value after each good off these entries.  ``run`` and
     ``run_adaptive`` return the recorder they filled, with ``instance`` the
     goods it saw and ``potential`` a snapshot of the summed potential after
     each t (from t = 0) for potential-based rules, None otherwise.
@@ -352,8 +352,8 @@ class TraceRecorder:
     Along a run of k equal goods given to one owner, every agent's total
     grows by its weight w of the good per copy, and so does the owner's
     bundle, while the others' bundles and best outside goods stay as copy 1
-    left them.  So ``record`` reads a whole run off the state after its
-    last copy, as ranges with step w.
+    left them.  So a run's values are ranges with step w, ending at the
+    entry's weights.
     """
 
     instance: Instance | None = None
@@ -362,28 +362,43 @@ class TraceRecorder:
     def __init__(self, state: Prop1State):
         self.state = state
         self.owners: list[int] = []
-        self.alpha_num: list[list[int]] = [[] for _ in range(state.n)]
-        self.alpha_den: list[list[int]] = [[] for _ in range(state.n)]
+        self._runs: list[tuple[int, int]] = []  # (owner, copies) per record call
+        # per record call, n entries each: every agent's weight of the good,
+        # and its held + best and total after the run
+        self._w: list[int] = []
+        self._num: list[int] = []
+        self._den: list[int] = []
 
     allocation = property(lambda self: Allocation(tuple(self.owners)))
 
     def record(self, owner: int, copies: int = 1) -> None:
         """Record the last ``copies`` goods placed, all given to ``owner``."""
-        s, nums, dens = self.state, self.alpha_num, self.alpha_den
-        if copies == 1:
-            self.owners.append(owner)
-            for num, den, held, best, total in zip(nums, dens, s.held_w, s.best_w, s.total_w):
-                num.append(held + best)
-                den.append(total)
-            return
+        s = self.state
         self.owners += [owner] * copies
-        for i, w in enumerate(s.col_w):
-            num, total = s.held_w[i] + s.best_w[i], s.total_w[i]
-            dens[i] += range(total - (copies - 1) * w, total + 1, w) if w else [total] * copies
-            if w and i == owner - 1:
-                nums[i] += range(num - (copies - 1) * w, num + 1, w)
+        self._runs.append((owner, copies))
+        self._w += s.col_w
+        self._num += map(add, s.held_w, s.best_w)
+        self._den += s.total_w
+
+    def alpha(self, i: int) -> Iterator[tuple[Sequence[int], Sequence[int], int]]:
+        """Agent i+1's running PROP1 value after each good, as pieces
+        (nums, dens, k) that cover the goods in order, k goods each: the
+        value after a piece's s-th good is nums[s] / dens[s] (``INF`` where
+        dens[s] is 0), or nums[0] / dens[0] for all k where the value holds
+        still along a run (len(nums) == 1).  When every run is one good, the
+        whole row is one piece; no piece is empty."""
+        n = self.state.n
+        nums, dens = self._num[i::n], self._den[i::n]
+        if len(self._runs) == len(self.owners):
+            if nums:
+                yield nums, dens, len(nums)
+            return
+        for (owner, k), w, num, den in zip(self._runs, self._w[i::n], nums, dens):
+            if not w:
+                yield (num,), (den,), k
             else:
-                nums[i] += [num] * copies
+                yield (range(num - (k - 1) * w, num + 1, w) if owner == i + 1 else (num,) * k,
+                       range(den - (k - 1) * w, den + 1, w), k)
 
     def place(self, allocator, column: Sequence[Fraction | int], copies: int) -> None:
         """Place ``copies`` equal goods ``column`` with ``allocator`` and record
@@ -397,12 +412,12 @@ class TraceRecorder:
 
 
 def run(allocator, inst: Instance) -> TraceRecorder:
-    """Feed the instance's columns through an allocator; return the filled recorder."""
+    """Feed the instance's runs through an allocator; return the filled recorder."""
     if allocator.n != inst.n:
         raise DomainError(f"allocator handles {allocator.n} agents, instance has {inst.n}")
     recorder = TraceRecorder(allocator.state)
-    for column in inst.columns():
-        recorder.record(allocator.observe(column))
+    for column, copies in inst.runs():
+        recorder.place(allocator, column, copies)
     recorder.instance = inst
     recorder.potential = None if allocator.potential_log is None else tuple(allocator.potential_log)
     return recorder

@@ -191,13 +191,15 @@ def _make_allocator(args, n: int):
 
 
 def _trace_payload(trace) -> dict:
-    payload = {
-        "owners": trace.owners,
-        "alpha": [
-            [format_ratio(p, q) for p, q in zip(nums, dens)]
-            for nums, dens in zip(trace.alpha_num, trace.alpha_den)
-        ],
-    }
+    """The owners and each agent's running values; a value that holds still
+    along a run is written once and shared by its goods."""
+    alpha = []
+    for i in range(trace.state.n):
+        row: list[str] = []
+        for nums, dens, k in trace.alpha(i):
+            row += map(format_ratio, nums, dens) if len(nums) == k else [format_ratio(nums[0], dens[0])] * k
+        alpha.append(row)
+    payload = {"owners": trace.owners, "alpha": alpha}
     if trace.potential is not None:
         payload["phi_total"] = trace.potential
     return payload

@@ -26,6 +26,7 @@ from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence, Union
 
@@ -190,45 +191,58 @@ class Instance(_Frozen):
     to an online allocator replays the committed input sequence.  Valuations
     are additive, so any bundle's value is the sum of its entries.
 
-    ``Instance(rows, /)`` checks only the shape; build one through
-    ``instance_from_rows`` or ``load_instance``, which check the cells.  A row
-    is a tuple of reduced pairs (p, q), q > 0, one shared tuple per distinct
-    value, so equal values are equal rows.  ``values`` (one Fraction per
-    distinct pair) and ``scaled`` (each row as integers over one scale) are
-    built when first read; ``columns`` builds neither.  Instances are
-    immutable, and equal when their values are.
+    The goods come in runs of equal goods: ``Instance(rows, copies, /)``
+    holds, per run, one column of ``rows`` and its count of goods in
+    ``copies``, and ``m`` is their sum.  It checks only the shape; build one
+    through ``instance_from_rows`` or ``load_instance``, which check the
+    cells.  A row is a tuple of reduced pairs (p, q), q > 0, one shared tuple
+    per distinct value, so equal values are equal rows.  ``values`` (one
+    Fraction per distinct pair) and ``scaled`` (each row as integers over one
+    scale), one entry per good, are built when first read; ``runs`` builds
+    neither.  Instances are immutable, and equal when their values are,
+    however their runs are cut.
     """
 
-    _fields = ("_rows",)
+    _fields = ("_rows", "copies")
 
-    def __init__(self, rows: Sequence[tuple[tuple[int, int], ...]], /):
+    def __init__(self, rows: Sequence[tuple[tuple[int, int], ...]], copies: Sequence[int], /):
         if len(rows) < 2:
             raise DomainError("an instance needs at least 2 agents")
-        if any(len(row) != len(rows[0]) for row in rows):
+        if any(len(row) != len(copies) for row in rows):
             raise ParseError("ragged valuation matrix")
-        self.__dict__["_rows"] = tuple(rows)
+        self.__dict__.update(_rows=tuple(rows), copies=tuple(copies))
 
     def __repr__(self) -> str:
         return f"Instance(values={self.values!r})"
+
+    def _key(self) -> tuple:
+        return self.n, tuple(self.columns())
 
     @property
     def n(self) -> int:
         return len(self._rows)
 
-    @property
+    @cached_property
     def m(self) -> int:
-        return len(self._rows[0])
+        return sum(self.copies)
+
+    def _expand(self, row: Sequence) -> tuple:
+        """``row``, one entry per run, as one entry per good: each entry
+        repeated, one object, as often as its run has goods."""
+        if len(row) == self.m:  # every run one good
+            return tuple(row)
+        return tuple(chain.from_iterable(map(repeat, row, self.copies)))
 
     @cached_property
     def values(self) -> tuple[tuple[Fraction, ...], ...]:
         """The rows as Fractions, one per distinct pair, shared by its repeats."""
         shared = {pair: Fraction(*pair) for pair in set().union(*self._rows)}
-        return tuple(tuple(map(shared.__getitem__, row)) for row in self._rows)
+        return tuple(self._expand(tuple(map(shared.__getitem__, row))) for row in self._rows)
 
     @cached_property
-    def scaled(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Per agent, (L, the row times L as integers), L the lcm of the row's
-        denominators; each distinct pair of a row is weighed once."""
+    def scaled_runs(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Per agent, (L, the row times L as integers, one per run), L the lcm
+        of the row's denominators; each distinct pair of a row is weighed once."""
         out = []
         for row in self._rows:
             distinct = set(row)
@@ -237,20 +251,31 @@ class Instance(_Frozen):
             out.append((scale, tuple(map(weight.__getitem__, row))))
         return tuple(out)
 
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """``scaled_runs`` with one weight per good."""
+        return tuple((scale, self._expand(weights)) for scale, weights in self.scaled_runs)
+
+    def runs(self) -> Iterable[tuple[tuple[tuple[int, int], ...], int]]:
+        """(column, copies) per run in arrival order, the column as pairs (p, q)."""
+        return zip(zip(*self._rows), self.copies)
+
     def columns(self) -> Iterable[tuple[tuple[int, int], ...]]:
-        """Value columns in arrival order, as the rows' pairs (p, q)."""
-        return zip(*self._rows)
+        """Value columns in arrival order, one per good, as the rows' pairs (p, q)."""
+        return zip(*map(self._expand, self._rows))
 
     def _check_agent(self, agent: int) -> None:
         if not 1 <= agent <= self.n:
             raise DomainError(f"agent index {agent} out of range 1..{self.n}")
 
 
-def instance_from_rows(rows: Sequence[Sequence[Fraction | int]]) -> Instance:
+def instance_from_rows(rows: Sequence[Sequence[Fraction | int]], copies: Sequence[int] | None = None) -> Instance:
     """Build an Instance from per-agent value rows in one pass: each int or
     Fraction cell becomes its reduced pair, the first cell in row order that is
     neither, or is negative, is refused; then ``Instance`` checks the shape.
-    A run of one cell object (``[v] * k``) is checked once."""
+    A run of one cell object ([v] * k) is checked once.  With ``copies``, a
+    positive int per run, the rows hold one cell per run of equal goods;
+    without, one per good."""
     shared: dict[tuple[int, int], tuple[int, int]] = {}
     out = []
     last = object()  # the last cell checked; ``pair`` is its pair
@@ -262,7 +287,11 @@ def instance_from_rows(rows: Sequence[Sequence[Fraction | int]]) -> Instance:
                 last, pair = v, shared.setdefault(pair, pair)
             cells.append(pair)
         out.append(tuple(cells))
-    return Instance(out)
+    if copies is None:
+        copies = (1,) * (len(out[0]) if out else 0)
+    elif not all(type(k) is int and k > 0 for k in copies):
+        raise DomainError("each run needs a positive int count of goods")
+    return Instance(out, copies)
 
 
 class Allocation(_Frozen):
@@ -482,12 +511,13 @@ def _literal_instance(rows: list[list]) -> Instance | None:
         return None
     if any(p < 0 for p, _ in shared):
         return None
-    return Instance(tuple(tuple(map(pairs.__getitem__, row)) for row in rows))
+    return Instance(tuple(tuple(map(pairs.__getitem__, row)) for row in rows),
+                    (1,) * (len(rows[0]) if rows else 0))
 
 
 def instance_to_json(inst: Instance) -> str:
     text = {pair: format_ratio(*pair) for pair in set().union(*inst._rows)}  # each distinct pair once
-    values = [list(map(text.__getitem__, row)) for row in inst._rows]
+    values = [inst._expand(tuple(map(text.__getitem__, row))) for row in inst._rows]
     return _dumps({"n": inst.n, "m": inst.m, "values": values})
 
 

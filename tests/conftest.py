@@ -9,7 +9,7 @@ instances with their verifiers, ``greedy1_adversary``,
 the robust rule that builds its weight lists for every good) that the fast
 library paths are checked against, and
 the paper's formulas that only tests use (``robust_beta``,
-``check_predictions``, ``running_values``)."""
+``check_predictions``, ``alpha_weights``, ``running_values``)."""
 
 from __future__ import annotations
 
@@ -93,13 +93,16 @@ def instance_from_rows_reference(rows) -> tuple[tuple[Fraction, ...], ...]:
     too) becomes a Fraction; then each cell in row order must be a
     Fraction >= 0; then there must be at least 2 rows, none ragged.
     Returns the value rows."""
+    def shown(text):  # an error quotes a cell by its first 40 characters and its length
+        return text if len(text) <= 40 else f"{text[:40]}… ({len(text)} characters)"
+
     rows = [[Fraction(v) if isinstance(v, int) else v for v in row] for row in rows]
     for row in rows:
         for v in row:
             if not isinstance(v, Fraction):
-                raise ParseError(f"non-exact valuation {v!r}")
+                raise ParseError(f"non-exact valuation {shown(repr(v))}")
             if v < 0:
-                raise ParseError(f"negative valuation {v}")
+                raise ParseError(f"negative valuation {shown(str(v))}")
     if len(rows) < 2:
         raise DomainError("an instance needs at least 2 agents")
     if any(len(row) != len(rows[0]) for row in rows):
@@ -163,20 +166,32 @@ def alpha_it(inst: Instance, owner, agent: int, t: int):
     return (held + outside) / total
 
 
+def alpha_weights(trace, agent: int) -> tuple[tuple, tuple]:
+    """The agent's running PROP1 weights (numerators, denominators), one
+    pair per good, expanded from ``trace.alpha``'s pieces."""
+    nums, dens = [], []
+    for piece_nums, piece_dens, k in trace.alpha(agent - 1):
+        times = k // len(piece_nums)  # 1, or k where the value holds still
+        nums += list(piece_nums) * times
+        dens += list(piece_dens) * times
+    assert len(nums) == len(dens) == len(trace.owners)
+    return tuple(nums), tuple(dens)
+
+
 def trace_fields(trace) -> tuple:
     """A run's recorder as a tuple of its five fields (instance, owners, the
-    two weight tables and the potential snapshot), so two runs compare equal
-    exactly when they recorded the same."""
-    return (trace.instance, tuple(trace.owners), tuple(map(tuple, trace.alpha_num)),
-            tuple(map(tuple, trace.alpha_den)), trace.potential)
+    per-good weights of every agent and the potential snapshot), so two runs
+    compare equal exactly when they recorded the same."""
+    weights = tuple(alpha_weights(trace, agent) for agent in range(1, trace.state.n + 1))
+    return trace.instance, tuple(trace.owners), weights, trace.potential
 
 
 def running_values(trace) -> tuple[tuple, ...]:
     """A trace's running PROP1 values, per agent and good, as exact numbers
     (``INF`` where the agent's total is 0)."""
     return tuple(
-        tuple(INF if q == 0 else Fraction(p, q) for p, q in zip(nums, dens))
-        for nums, dens in zip(trace.alpha_num, trace.alpha_den)
+        tuple(INF if q == 0 else Fraction(p, q) for p, q in zip(*alpha_weights(trace, agent)))
+        for agent in range(1, trace.state.n + 1)
     )
 
 
@@ -500,7 +515,8 @@ def verify_greedy1_failure(trace, alpha_target: Fraction) -> None:
     if any(o == 2 for o in owners):
         raise InvariantError("agent 2 must never receive a good")
     term = Fraction(1, 1) / (1 + Fraction(inst.m - 1, 2))
-    num, den = trace.alpha_num[1][-1], trace.alpha_den[1][-1]  # agent 2's weights
+    nums, dens = alpha_weights(trace, 2)
+    num, den = nums[-1], dens[-1]  # agent 2's weights
     if not den or num * term.denominator != den * term.numerator:
         raise InvariantError("agent 2's final running value diverged from the construction")
     if not term < alpha_target / inst.n:
