@@ -73,15 +73,17 @@ def _seed(text: str) -> int:
 
 
 def _write(path: str | None, payload: str) -> None:
-    """The one place an output file is opened: UTF-8, line endings as built."""
-    if path is None:
-        sys.stdout.write(payload)
-        return
+    """The one place an output file is opened: UTF-8, line endings as built.
+    A write that fails, to standard output too, is a ``FairdivError``."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        if path is not None:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+            return
+        sys.stdout.write(payload)
+        sys.stdout.flush()  # here, not at exit, where a failure is no longer caught
     except OSError as exc:
-        raise FairdivError(f"cannot write {path}: {exc}") from None
+        raise FairdivError(f"cannot write {'standard output' if path is None else path}: {exc}") from None
 
 
 @cache

@@ -59,7 +59,7 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
         return Fraction(*_literal_pair(text))
     if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return Fraction(text)
-    raise ParseError(f"not a rational literal: {text!r}")
+    raise ParseError(f"not a rational literal: {_shown(text)}")
 
 
 def _literal_pair(text: str) -> tuple[int, int]:
@@ -462,6 +462,8 @@ def _reading(path: str, key: str):
         raise ParseError(f"{path}: {exc}") from None
     except ValueError:  # an integer literal past Python's int-to-str digit limit
         raise ParseError(f"{path}: an integer past Python's int-to-str digit limit") from None
+    except RecursionError:  # arrays or objects nested past Python's recursion limit
+        raise ParseError(f"{path}: nested too deeply") from None
     if not isinstance(data, dict) or not isinstance(data.get(key), list):
         raise ParseError(f"{path}: expected an object with a list under {key!r}")
     try:

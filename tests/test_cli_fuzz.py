@@ -9,14 +9,18 @@ exactly one ``fairdiv: error:`` line.  Every malformed file is also given
 to ``campaign`` on its own, which must exit 1 with that one line.  A last
 test mangles such argv so that argparse rejects it (a bad rational or
 integer, a bad choice, an unknown or a missing flag), which must exit 1
-with that one line too.
+with that one line too.  Files nested to any depth, a full standard
+output and an address-space limit must each end in that one line as well.
 """
 
 import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -203,6 +207,92 @@ def test_every_malformed_config_exits_one_with_one_line(text, tmp_path):
     lines = err.getvalue().splitlines()
     assert code == 1 and len(lines) == 1 and lines[0].startswith("fairdiv: error: "), (text, lines)
     assert not out.exists()
+
+
+#: Depths below, at and past Python's recursion limit (1000 by default).
+DEPTHS = [2, 500, 990, 1001, 2000, 100_000]
+#: Per file kind: a command reading it from ``{file}``, with its other files
+#: well formed, and that kind's texts with ``{deep}`` for a nested value.
+NESTED = {
+    "instance": (["run", "--algo", "greedy1", "--instance", "{file}"],
+                 ['{"values": {deep}}', '{"values": [{deep}, ["1"]]}', '{"values": [["1", {deep}], ["1", "1"]]}',
+                  '{"n": {deep}, "values": [["1"], ["1"]]}']),
+    "allocation": (["metrics", "--instance", "{ok}", "--allocation", "{file}"],
+                   ['{"owner": {deep}}', '{"owner": [1, {deep}]}']),
+    "predictions": (["run", "--algo", "miv", "--instance", "{ok}", "--predictions", "{file}"],
+                    ['{"p": {deep}}', '{"p": ["1", {deep}]}', '{"p": ["1", "1"], "epsilon": {deep}}']),
+    "config": (["campaign", "--config", "{file}"],
+               ['{"rows": {deep}}', '{"rows": [{deep}]}', '{"rows": [{"construction": {deep}, "alpha": "1/2"}]}',
+                '{"rows": [{"construction": "greedy1", "alpha": {deep}}]}']),
+}
+
+
+@pytest.mark.parametrize("shape", ["array", "object"])
+@pytest.mark.parametrize("depth", DEPTHS)
+@pytest.mark.parametrize("kind", NESTED)
+def test_a_nested_file_of_every_kind_exits_one_with_one_line(kind, depth, shape, tmp_path):
+    """Arrays or objects nested to any depth, where a file holds a value,
+    give exit 1 and one line; past the recursion limit the line names the
+    file as nested too deeply."""
+    deep = "[" * depth + "]" * depth if shape == "array" else '{"a": ' * depth + "1" + "}" * depth
+    ok = tmp_path / "ok.json"
+    ok.write_text('{"values": [["1", "1/2"], ["1/3", "1"]]}', encoding="utf-8")
+    argv, texts = NESTED[kind]
+    for k, text in enumerate(texts):
+        path = tmp_path / f"{kind}-{k}.json"
+        path.write_text(text.replace("{deep}", deep), encoding="utf-8")
+        args = [a.format(file=path, ok=ok) for a in argv] + ["--out", str(tmp_path / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)
+        lines = err.getvalue().splitlines()
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("fairdiv: error: "), (text, depth, lines)
+        assert len(lines[0].replace(str(path), "")) < 200, lines[0]  # a quoted value is cut
+        if depth > 1000:
+            assert lines[0] == f"fairdiv: error: {path}: nested too deeply", (text, depth, lines)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+#: A child that runs ``fairdiv`` on its argv with ``sys.path`` from argv[1].
+CHILD = "import sys; sys.path.insert(0, sys.argv[1]); from fairdiv import cli; sys.exit(cli.main(sys.argv[2:]))"
+#: As ``CHILD``, under an address-space limit of 64 MiB over what it has mapped
+#: once ``fairdiv`` is imported; the limit acts on the child alone.
+LIMITED_CHILD = (
+    "import resource, sys; sys.path.insert(0, sys.argv[1]); from fairdiv import cli; cli.build_parser(); "
+    "pages = int(open('/proc/self/statm').read().split()[0]); "
+    "size = pages * resource.getpagesize() + (64 << 20); "
+    "resource.setrlimit(resource.RLIMIT_AS, (size, size)); "
+    "sys.exit(cli.main(sys.argv[2:]))"
+)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs Linux's /dev/full")
+@pytest.mark.parametrize("algo", ["greedy1", "miv"])
+def test_a_full_standard_output_exits_one_with_one_line(algo, tmp_path):
+    """Every write to /dev/full fails with ENOSPC: the command says so in
+    one line, and the flush at exit adds no "Exception ignored" report."""
+    inst = tmp_path / "i.json"
+    inst.write_text('{"values": [["1", "1/2", "1"], ["1/3", "1", "1"]]}', encoding="utf-8")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-c", CHILD, str(SRC), "run", "--algo", algo, "--instance", str(inst)],
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == "fairdiv: error: cannot write standard output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and os.path.exists("/proc/self/statm")),
+                    reason="sizes the address-space limit from Linux's /proc")
+@pytest.mark.parametrize("command", ["run", "metrics"])
+def test_running_out_of_memory_exits_one_with_one_line(command, tmp_path):
+    """A child whose address space is capped loads an instance that needs more."""
+    inst, alloc, m = tmp_path / "big.json", tmp_path / "a.json", 400_000
+    inst.write_text(json.dumps({"values": [["1/2"] * m, ["1/3"] * m]}), encoding="utf-8")
+    alloc.write_text(json.dumps({"owner": [1, 2] * (m // 2)}), encoding="utf-8")
+    argv = (["run", "--algo", "greedy1", "--instance", str(inst)] if command == "run"
+            else ["metrics", "--instance", str(inst), "--allocation", str(alloc)])
+    proc = subprocess.run([sys.executable, "-c", LIMITED_CHILD, str(SRC), *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "fairdiv: error: out of memory\n")
 
 
 #: Per subcommand: its required flags, and its flags taking a rational, an
