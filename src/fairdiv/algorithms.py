@@ -339,21 +339,20 @@ def make_allocator(name: str, n: int, seed: int | None = None) -> OnlineAllocato
 
 class TraceRecorder:
     """A run's record, filled as the run goes: its owners, one per good, and
-    one entry per ``record`` call, that is per run of equal goods given to one
-    owner: the owner, the copies, the goods' weights and, per agent, the
+    per ``record`` call, that is per run of equal goods given to one owner,
+    the owner, the copies and, per agent, its weight of the good and its
     running PROP1 value after the run as a pair of integer weights (bundle
     plus best outside good, over arrived total), read from the allocator's
     state; always against the original valuations, also under predictions.
-    ``alpha`` reads the value after each good off these entries.  ``run`` and
-    ``run_adaptive`` return the recorder they filled, with ``instance`` the
-    goods it saw and ``potential`` a snapshot of the summed potential after
-    each t (from t = 0) for potential-based rules, None otherwise.
+    ``run`` and ``run_adaptive`` return the recorder they filled, with
+    ``instance`` the goods it saw and ``potential`` a snapshot of the summed
+    potential after each t (from t = 0) for potential-based rules, None
+    otherwise.
 
     Along a run of k equal goods given to one owner, every agent's total
     grows by its weight w of the good per copy, and so does the owner's
     bundle, while the others' bundles and best outside goods stay as copy 1
-    left them.  So a run's values are ranges with step w, ending at the
-    entry's weights.
+    left them.  So ``alpha`` reads a run's values as ranges with step w.
     """
 
     instance: Instance | None = None
@@ -363,11 +362,7 @@ class TraceRecorder:
         self.state = state
         self.owners: list[int] = []
         self._runs: list[tuple[int, int]] = []  # (owner, copies) per record call
-        # per record call, n entries each: every agent's weight of the good,
-        # and its held + best and total after the run
-        self._w: list[int] = []
-        self._num: list[int] = []
-        self._den: list[int] = []
+        self._w, self._num, self._den = [], [], []  # n weights per record call, agent after agent
 
     allocation = property(lambda self: Allocation(tuple(self.owners)))
 
@@ -381,12 +376,11 @@ class TraceRecorder:
         self._den += s.total_w
 
     def alpha(self, i: int) -> Iterator[tuple[Sequence[int], Sequence[int], int]]:
-        """Agent i+1's running PROP1 value after each good, as pieces
-        (nums, dens, k) that cover the goods in order, k goods each: the
-        value after a piece's s-th good is nums[s] / dens[s] (``INF`` where
-        dens[s] is 0), or nums[0] / dens[0] for all k where the value holds
-        still along a run (len(nums) == 1).  When every run is one good, the
-        whole row is one piece; no piece is empty."""
+        """Agent i+1's running PROP1 value after each good, in order, as pieces
+        (nums, dens, k) of k >= 1 goods: after the piece's s-th good it is
+        nums[s] / dens[s] (``INF`` where dens[s] is 0), or nums[0] / dens[0]
+        for all k where it holds still along a run (len(nums) == 1).  Where
+        every run is one good, the row is one piece."""
         n = self.state.n
         nums, dens = self._num[i::n], self._den[i::n]
         if len(self._runs) == len(self.owners):

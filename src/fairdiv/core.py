@@ -164,9 +164,9 @@ def _digits(text: str) -> int:
 
 
 class _Frozen:
-    """Fields named in ``_fields``, kept in ``__dict__`` by ``__init__``: none
-    can be assigned, and objects of one class are equal, and hash alike,
-    when their fields are."""
+    """Fields kept in ``__dict__`` by ``__init__``: none can be assigned, and
+    objects of one class are equal, and hash alike, when their ``_key``s are,
+    by default the fields named in ``_fields``."""
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}: {type(self).__name__} is immutable")
@@ -187,30 +187,28 @@ class _Frozen:
 class Instance(_Frozen):
     """A full valuation matrix: ``values[i][t]`` is agent i+1's value for good t+1.
 
-    Doubles as a non-adaptive adversary: feeding its columns in arrival order
+    Doubles as a non-adaptive adversary: feeding its runs in arrival order
     to an online allocator replays the committed input sequence.  Valuations
     are additive, so any bundle's value is the sum of its entries.
 
-    The goods come in runs of equal goods: ``Instance(rows, copies, /)``
-    holds, per run, one column of ``rows`` and its count of goods in
-    ``copies``, and ``m`` is their sum.  It checks only the shape; build one
+    ``Instance(rows, copies=None, /)`` checks only the shape; build one
     through ``instance_from_rows`` or ``load_instance``, which check the
-    cells.  A row is a tuple of reduced pairs (p, q), q > 0, one shared tuple
-    per distinct value, so equal values are equal rows.  ``values`` (one
-    Fraction per distinct pair) and ``scaled`` (each row as integers over one
-    scale), one entry per good, are built when first read; ``runs`` builds
-    neither.  Instances are immutable, and equal when their values are,
-    however their runs are cut.
+    cells.  The goods come in runs of equal goods: each row holds one reduced
+    pair (p, q), q > 0, per run, one shared tuple per distinct value, and run
+    r has ``copies[r]`` goods (default 1 each).  ``values`` (one Fraction per
+    distinct pair), ``scaled`` (each row as integers over one scale) and
+    ``columns`` have one entry per good; ``scaled_runs`` and ``runs`` one per
+    run.  Instances are immutable, and equal when their values are, however
+    the runs are cut.
     """
 
-    _fields = ("_rows", "copies")
-
-    def __init__(self, rows: Sequence[tuple[tuple[int, int], ...]], copies: Sequence[int], /):
+    def __init__(self, rows: Sequence[tuple[tuple[int, int], ...]], copies: Sequence[int] | None = None, /):
         if len(rows) < 2:
             raise DomainError("an instance needs at least 2 agents")
+        copies = (1,) * len(rows[0]) if copies is None else tuple(copies)
         if any(len(row) != len(copies) for row in rows):
             raise ParseError("ragged valuation matrix")
-        self.__dict__.update(_rows=tuple(rows), copies=tuple(copies))
+        self.__dict__.update(_rows=tuple(rows), copies=copies)
 
     def __repr__(self) -> str:
         return f"Instance(values={self.values!r})"
@@ -227,8 +225,7 @@ class Instance(_Frozen):
         return sum(self.copies)
 
     def _expand(self, row: Sequence) -> tuple:
-        """``row``, one entry per run, as one entry per good: each entry
-        repeated, one object, as often as its run has goods."""
+        """``row``, one entry per run, with each entry repeated for each good of its run."""
         if len(row) == self.m:  # every run one good
             return tuple(row)
         return tuple(chain.from_iterable(map(repeat, row, self.copies)))
@@ -241,8 +238,8 @@ class Instance(_Frozen):
 
     @cached_property
     def scaled_runs(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Per agent, (L, the row times L as integers, one per run), L the lcm
-        of the row's denominators; each distinct pair of a row is weighed once."""
+        """Per agent, (L, the row times L as integers), L the lcm of the row's
+        denominators; each distinct pair of a row is weighed once."""
         out = []
         for row in self._rows:
             distinct = set(row)
@@ -257,11 +254,11 @@ class Instance(_Frozen):
         return tuple((scale, self._expand(weights)) for scale, weights in self.scaled_runs)
 
     def runs(self) -> Iterable[tuple[tuple[tuple[int, int], ...], int]]:
-        """(column, copies) per run in arrival order, the column as pairs (p, q)."""
+        """(column of pairs, copies) per run, in arrival order."""
         return zip(zip(*self._rows), self.copies)
 
     def columns(self) -> Iterable[tuple[tuple[int, int], ...]]:
-        """Value columns in arrival order, one per good, as the rows' pairs (p, q)."""
+        """Value columns in arrival order, as the rows' pairs (p, q)."""
         return zip(*map(self._expand, self._rows))
 
     def _check_agent(self, agent: int) -> None:
@@ -273,23 +270,13 @@ def instance_from_rows(rows: Sequence[Sequence[Fraction | int]], copies: Sequenc
     """Build an Instance from per-agent value rows in one pass: each int or
     Fraction cell becomes its reduced pair, the first cell in row order that is
     neither, or is negative, is refused; then ``Instance`` checks the shape.
-    A run of one cell object ([v] * k) is checked once.  With ``copies``, a
-    positive int per run, the rows hold one cell per run of equal goods;
-    without, one per good."""
+    With ``copies``, a positive int per run, a row holds one cell per run."""
     shared: dict[tuple[int, int], tuple[int, int]] = {}
     out = []
-    last = object()  # the last cell checked; ``pair`` is its pair
     for row in rows:
-        cells = []
-        for v in row:
-            if v is not last:
-                pair = _pair(v, ParseError)
-                last, pair = v, shared.setdefault(pair, pair)
-            cells.append(pair)
-        out.append(tuple(cells))
-    if copies is None:
-        copies = (1,) * (len(out[0]) if out else 0)
-    elif not all(type(k) is int and k > 0 for k in copies):
+        pairs = (_pair(v, ParseError) for v in row)
+        out.append(tuple(shared.setdefault(pair, pair) for pair in pairs))
+    if copies is not None and not all(type(k) is int and k > 0 for k in copies):
         raise DomainError("each run needs a positive int count of goods")
     return Instance(out, copies)
 
@@ -513,8 +500,7 @@ def _literal_instance(rows: list[list]) -> Instance | None:
         return None
     if any(p < 0 for p, _ in shared):
         return None
-    return Instance(tuple(tuple(map(pairs.__getitem__, row)) for row in rows),
-                    (1,) * (len(rows[0]) if rows else 0))
+    return Instance(tuple(tuple(map(pairs.__getitem__, row)) for row in rows))
 
 
 def instance_to_json(inst: Instance) -> str:

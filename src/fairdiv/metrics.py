@@ -10,9 +10,8 @@ definition.  Conventions shared by all checks:
   the PROPX witness is the least valuable one, the earliest on ties.  Both
   notions are monotone in the witness value, so the extreme good decides.
 
-The checks read each agent's row scaled to integers (``Instance.scaled``, or
-``scaled_runs``, one weight per run of equal goods), so bundles sum without
-Fractions.  Their ownership pass (each agent's bundle
+The checks read each agent's row scaled to integers (``Instance.scaled``), so
+bundles sum without Fractions.  Their ownership pass (each agent's bundle
 weight, best outside weight and witness) runs once per (instance,
 allocation) pair and is kept on the allocation, so ``prop1_ratio`` and the
 ``check_alpha_*`` checks of one report share it; each check still validates
@@ -125,12 +124,8 @@ def _scaled_agents(inst: Instance, alloc: Allocation, alpha: Fraction | None = N
     """Per agent, after validating ``alloc`` and then ``alpha`` (when given):
     (L, total weight, bundle weight, best outside weight, that good's
     earliest 0-based index or None if the agent holds every good).  The
-    first outside good is the witness even if worth 0.
-
-    One step per run of equal goods (``Instance.scaled_runs``): the agent's
-    goods in it are counted in the slice of owners it covers, and its
-    earliest outside good, if any, is the first in that slice not owned by
-    the agent, the witness while the run's weight beats every earlier one.
+    first outside good is the witness even if worth 0.  It takes one step
+    per run of equal goods (``scaled_runs``), over the owners the run covers.
 
     This ownership pass and the allocation check run once per (instance,
     allocation) pair: the result is kept on ``alloc`` with the instance it
