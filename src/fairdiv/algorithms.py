@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 from operator import add
 from typing import Iterator, Sequence
 
@@ -340,10 +341,10 @@ def make_allocator(name: str, n: int, seed: int | None = None) -> OnlineAllocato
 class TraceRecorder:
     """A run's record, filled as the run goes: its owners, one per good, and
     per ``record`` call, that is per run of equal goods given to one owner,
-    the owner, the copies and, per agent, its weight of the good and its
-    running PROP1 value after the run as a pair of integer weights (bundle
-    plus best outside good, over arrived total), read from the allocator's
-    state; always against the original valuations, also under predictions.
+    the copies and, per agent, its weight of the good and its running PROP1
+    value after the run as a pair of integer weights (bundle plus best
+    outside good, over arrived total), read from the allocator's state;
+    always against the original valuations, also under predictions.
     ``run`` and ``run_adaptive`` return the recorder they filled, with
     ``instance`` the goods it saw and ``potential`` a snapshot of the summed
     potential after each t (from t = 0) for potential-based rules, None
@@ -361,7 +362,7 @@ class TraceRecorder:
     def __init__(self, state: Prop1State):
         self.state = state
         self.owners: list[int] = []
-        self._runs: list[tuple[int, int]] = []  # (owner, copies) per record call
+        self._copies: list[int] = []  # per record call
         self._w, self._num, self._den = [], [], []  # n weights per record call, agent after agent
 
     allocation = property(lambda self: Allocation(tuple(self.owners)))
@@ -370,7 +371,7 @@ class TraceRecorder:
         """Record the last ``copies`` goods placed, all given to ``owner``."""
         s = self.state
         self.owners += [owner] * copies
-        self._runs.append((owner, copies))
+        self._copies.append(copies)
         self._w += s.col_w
         self._num += map(add, s.held_w, s.best_w)
         self._den += s.total_w
@@ -381,17 +382,17 @@ class TraceRecorder:
         nums[s] / dens[s] (``INF`` where dens[s] is 0), or nums[0] / dens[0]
         for all k where it holds still along a run (len(nums) == 1).  Where
         every run is one good, the row is one piece."""
-        n = self.state.n
+        n, owners, copies = self.state.n, self.owners, self._copies
         nums, dens = self._num[i::n], self._den[i::n]
-        if len(self._runs) == len(self.owners):
+        if len(copies) == len(owners):
             if nums:
                 yield nums, dens, len(nums)
             return
-        for (owner, k), w, num, den in zip(self._runs, self._w[i::n], nums, dens):
+        for k, t, w, num, den in zip(copies, accumulate(copies, initial=0), self._w[i::n], nums, dens):
             if not w:
                 yield (num,), (den,), k
             else:
-                yield (range(num - (k - 1) * w, num + 1, w) if owner == i + 1 else (num,) * k,
+                yield (range(num - (k - 1) * w, num + 1, w) if owners[t] == i + 1 else (num,) * k,
                        range(den - (k - 1) * w, den + 1, w), k)
 
     def place(self, allocator, column: Sequence[Fraction | int], copies: int) -> None:
@@ -401,8 +402,9 @@ class TraceRecorder:
         while copies:
             t = state.t
             owner = allocator.observe(column, copies)
-            self.record(owner, state.t - t)
-            copies -= state.t - t
+            placed = state.t - t
+            self.record(owner, placed)
+            copies -= placed
 
 
 def run(allocator, inst: Instance) -> TraceRecorder:
