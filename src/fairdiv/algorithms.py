@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import accumulate
 from operator import add
 from typing import Iterator, Sequence
 
@@ -341,19 +340,20 @@ def make_allocator(name: str, n: int, seed: int | None = None) -> OnlineAllocato
 class TraceRecorder:
     """A run's record, filled as the run goes: its owners, one per good, and
     per ``record`` call, that is per run of equal goods given to one owner,
-    the copies and, per agent, its weight of the good and its running PROP1
-    value after the run as a pair of integer weights (bundle plus best
-    outside good, over arrived total), read from the allocator's state;
-    always against the original valuations, also under predictions.
-    ``run`` and ``run_adaptive`` return the recorder they filled, with
-    ``instance`` the goods it saw and ``potential`` a snapshot of the summed
-    potential after each t (from t = 0) for potential-based rules, None
-    otherwise.
+    each agent's running PROP1 value after the run as a pair of integer
+    weights (bundle plus best outside good, over arrived total), read from
+    the allocator's state; always against the original valuations, also
+    under predictions.  ``run`` and ``run_adaptive`` return the recorder they
+    filled, with ``instance`` the goods it saw and ``potential`` a snapshot
+    of the summed potential after each t (from t = 0) for potential-based
+    rules, None otherwise.
 
     Along a run of k equal goods given to one owner, every agent's total
     grows by its weight w of the good per copy, and so does the owner's
     bundle, while the others' bundles and best outside goods stay as copy 1
-    left them.  So ``alpha`` reads a run's values as ranges with step w.
+    left them.  So a call of k > 1 goods also keeps its index, k, its owner
+    and the good's weights, and ``alpha`` reads the run's values as ranges
+    with step w.
     """
 
     instance: Instance | None = None
@@ -362,17 +362,18 @@ class TraceRecorder:
     def __init__(self, state: Prop1State):
         self.state = state
         self.owners: list[int] = []
-        self._copies: list[int] = []  # per record call
-        self._w, self._num, self._den = [], [], []  # n weights per record call, agent after agent
+        self._num, self._den = [], []  # n weights per record call, agent after agent
+        self._runs, self._w = [], []  # per call of k > 1 goods: index, k, owner; n weights
 
     allocation = property(lambda self: Allocation(tuple(self.owners)))
 
     def record(self, owner: int, copies: int = 1) -> None:
         """Record the last ``copies`` goods placed, all given to ``owner``."""
         s = self.state
+        if copies > 1:
+            self._runs += len(self._den) // s.n, copies, owner
+            self._w += s.col_w
         self.owners += [owner] * copies
-        self._copies.append(copies)
-        self._w += s.col_w
         self._num += map(add, s.held_w, s.best_w)
         self._den += s.total_w
 
@@ -380,20 +381,23 @@ class TraceRecorder:
         """Agent i+1's running PROP1 value after each good, in order, as pieces
         (nums, dens, k) of k >= 1 goods: after the piece's s-th good it is
         nums[s] / dens[s] (``INF`` where dens[s] is 0), or nums[0] / dens[0]
-        for all k where it holds still along a run (len(nums) == 1).  Where
-        every run is one good, the row is one piece."""
-        n, owners, copies = self.state.n, self.owners, self._copies
+        for all k where it holds still along a run (len(nums) == 1).  The
+        calls of one good between two runs make one piece."""
+        n, runs = self.state.n, self._runs
         nums, dens = self._num[i::n], self._den[i::n]
-        if len(copies) == len(owners):
-            if nums:
-                yield nums, dens, len(nums)
-            return
-        for k, t, w, num, den in zip(copies, accumulate(copies, initial=0), self._w[i::n], nums, dens):
+        r = 0  # the record call the next piece starts at
+        for at, k, owner, w in zip(runs[::3], runs[1::3], runs[2::3], self._w[i::n]):
+            if at > r:
+                yield nums[r:at], dens[r:at], at - r
+            num, den = nums[at], dens[at]
             if not w:
                 yield (num,), (den,), k
             else:
-                yield (range(num - (k - 1) * w, num + 1, w) if owners[t] == i + 1 else (num,) * k,
+                yield (range(num - (k - 1) * w, num + 1, w) if owner == i + 1 else (num,) * k,
                        range(den - (k - 1) * w, den + 1, w), k)
+            r = at + 1
+        if r < len(nums):
+            yield nums[r:], dens[r:], len(nums) - r
 
     def place(self, allocator, column: Sequence[Fraction | int], copies: int) -> None:
         """Place ``copies`` equal goods ``column`` with ``allocator`` and record
@@ -401,10 +405,8 @@ class TraceRecorder:
         state = self.state
         while copies:
             t = state.t
-            owner = allocator.observe(column, copies)
-            placed = state.t - t
-            self.record(owner, placed)
-            copies -= placed
+            self.record(allocator.observe(column, copies), state.t - t)
+            copies -= state.t - t
 
 
 def run(allocator, inst: Instance) -> TraceRecorder:

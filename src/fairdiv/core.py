@@ -26,7 +26,6 @@ from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence, Union
 
@@ -191,30 +190,32 @@ class Instance(_Frozen):
     to an online allocator replays the committed input sequence.  Valuations
     are additive, so any bundle's value is the sum of its entries.
 
-    ``Instance(rows, copies=None, /)`` checks only the shape; build one
-    through ``instance_from_rows`` or ``load_instance``, which check the
-    cells.  The goods come in runs of equal goods: each row holds one reduced
+    ``Instance(rows, copies=None, /)`` checks only the shape and the counts;
+    build one through ``instance_from_rows`` or ``load_instance``, which check
+    the cells.  The goods come in runs of equal goods: a row holds one reduced
     pair (p, q), q > 0, per run, one shared tuple per distinct value, and run
-    r has ``copies[r]`` goods (default 1 each).  ``values`` (one Fraction per
-    distinct pair), ``scaled`` (each row as integers over one scale) and
-    ``columns`` have one entry per good; ``scaled_runs`` and ``runs`` one per
-    run.  Instances are immutable, and equal when their values are, however
-    the runs are cut.
+    r has ``copies[r]`` goods, a positive int (default 1 each).  ``values``
+    (one Fraction per distinct pair) and ``scaled`` (each row as integers over
+    one scale) have one entry per good, ``runs`` one per run.  Instances are
+    immutable, and equal when their values are, however the runs are cut.
     """
 
     def __init__(self, rows: Sequence[tuple[tuple[int, int], ...]], copies: Sequence[int] | None = None, /):
         if len(rows) < 2:
             raise DomainError("an instance needs at least 2 agents")
-        copies = (1,) * len(rows[0]) if copies is None else tuple(copies)
+        if copies is None:
+            copies = (1,) * len(rows[0])
+        elif not all(type(k) is int and k > 0 for k in copies):
+            raise DomainError("each run needs a positive int count of goods")
         if any(len(row) != len(copies) for row in rows):
             raise ParseError("ragged valuation matrix")
-        self.__dict__.update(_rows=tuple(rows), copies=copies)
+        self.__dict__.update(_rows=tuple(rows), copies=tuple(copies))
 
     def __repr__(self) -> str:
         return f"Instance(values={self.values!r})"
 
     def _key(self) -> tuple:
-        return self.n, tuple(self.columns())
+        return tuple(map(self._expand, self._rows))
 
     @property
     def n(self) -> int:
@@ -224,11 +225,21 @@ class Instance(_Frozen):
     def m(self) -> int:
         return sum(self.copies)
 
+    @cached_property
+    def _long_runs(self) -> tuple[tuple[int, int], ...]:
+        """(index, copies) of each run of more than one good."""
+        return tuple((r, k) for r, k in enumerate(self.copies) if k > 1)
+
     def _expand(self, row: Sequence) -> tuple:
-        """``row``, one entry per run, with each entry repeated for each good of its run."""
-        if len(row) == self.m:  # every run one good
-            return tuple(row)
-        return tuple(chain.from_iterable(map(repeat, row, self.copies)))
+        """``row``, one entry per run, with each entry repeated for each good
+        of its run: the entries between two long runs are copied as a slice."""
+        out, r = [], 0
+        for at, k in self._long_runs:
+            out += row[r:at]
+            out += [row[at]] * k
+            r = at + 1
+        out += row[r:]
+        return tuple(out)
 
     @cached_property
     def values(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -237,29 +248,20 @@ class Instance(_Frozen):
         return tuple(self._expand(tuple(map(shared.__getitem__, row))) for row in self._rows)
 
     @cached_property
-    def scaled_runs(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Per agent, (L, the row times L as integers), L the lcm of the row's
-        denominators; each distinct pair of a row is weighed once."""
+    def scaled(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Per agent, (L, the row times L as integers, one per good), L the lcm
+        of the row's denominators; each distinct pair of a row is weighed once."""
         out = []
         for row in self._rows:
             distinct = set(row)
             scale = math.lcm(*(q for _, q in distinct))
             weight = {pair: pair[0] * (scale // pair[1]) for pair in distinct}
-            out.append((scale, tuple(map(weight.__getitem__, row))))
+            out.append((scale, self._expand(tuple(map(weight.__getitem__, row)))))
         return tuple(out)
-
-    @cached_property
-    def scaled(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """``scaled_runs`` with one weight per good."""
-        return tuple((scale, self._expand(weights)) for scale, weights in self.scaled_runs)
 
     def runs(self) -> Iterable[tuple[tuple[tuple[int, int], ...], int]]:
         """(column of pairs, copies) per run, in arrival order."""
         return zip(zip(*self._rows), self.copies)
-
-    def columns(self) -> Iterable[tuple[tuple[int, int], ...]]:
-        """Value columns in arrival order, as the rows' pairs (p, q)."""
-        return zip(*map(self._expand, self._rows))
 
     def _check_agent(self, agent: int) -> None:
         if not 1 <= agent <= self.n:
@@ -269,15 +271,13 @@ class Instance(_Frozen):
 def instance_from_rows(rows: Sequence[Sequence[Fraction | int]], copies: Sequence[int] | None = None) -> Instance:
     """Build an Instance from per-agent value rows in one pass: each int or
     Fraction cell becomes its reduced pair, the first cell in row order that is
-    neither, or is negative, is refused; then ``Instance`` checks the shape.
-    With ``copies``, a positive int per run, a row holds one cell per run."""
+    neither, or is negative, is refused; then ``Instance`` checks the shape
+    and the counts: with ``copies``, one per run, a row has a cell per run."""
     shared: dict[tuple[int, int], tuple[int, int]] = {}
     out = []
     for row in rows:
         pairs = (_pair(v, ParseError) for v in row)
         out.append(tuple(shared.setdefault(pair, pair) for pair in pairs))
-    if copies is not None and not all(type(k) is int and k > 0 for k in copies):
-        raise DomainError("each run needs a positive int count of goods")
     return Instance(out, copies)
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd
 from typing import NamedTuple, Sequence
 
@@ -122,10 +121,9 @@ def _check_alpha(alpha: Fraction) -> None:
 
 def _scaled_agents(inst: Instance, alloc: Allocation, alpha: Fraction | None = None) -> tuple[tuple, ...]:
     """Per agent, after validating ``alloc`` and then ``alpha`` (when given):
-    (L, total weight, bundle weight, best outside weight, that good's
-    earliest 0-based index or None if the agent holds every good).  The
-    first outside good is the witness even if worth 0.  It takes one step
-    per run of equal goods (``scaled_runs``), over the owners the run covers.
+    (L, weights, bundle weight, best outside weight, that good's earliest
+    0-based index or None if the agent holds every good).  The first outside
+    good is the witness even if worth 0.
 
     This ownership pass and the allocation check run once per (instance,
     allocation) pair: the result is kept on ``alloc`` with the instance it
@@ -135,24 +133,15 @@ def _scaled_agents(inst: Instance, alloc: Allocation, alpha: Fraction | None = N
     kept = alloc.__dict__.get("_ownership")
     if kept is None or kept[0] is not inst:
         check_allocation(inst, alloc)
-        owner, copies, agents = alloc.owner, inst.copies, []
-        starts = tuple(accumulate(copies, initial=0))
-        for me, (scale, weights) in enumerate(inst.scaled_runs, 1):
-            total, held, best, witness = sum(weights), 0, 0, None
-            for w, k, t in zip(weights, copies, starts):
-                if k == 1:  # a run of one good: its owner decides
-                    if owner[t] == me:
-                        held += w
-                    elif witness is None or w > best:
-                        best, witness = w, t
-                    continue
-                total += (k - 1) * w
-                part = owner[t:t + k]
-                mine = part.count(me)
-                held += mine * w
-                if mine < k and (witness is None or w > best):
-                    best, witness = w, t + next(s for s, o in enumerate(part) if o != me)
-            agents.append((scale, total, held, best, witness))
+        agents = []
+        for i, (scale, weights) in enumerate(inst.scaled):
+            held, best, witness = 0, 0, None
+            for t, (w, owner) in enumerate(zip(weights, alloc.owner)):
+                if owner == i + 1:
+                    held += w
+                elif witness is None or w > best:
+                    best, witness = w, t
+            agents.append((scale, weights, held, best, witness))
         # ``Allocation`` is frozen: kept the way ``cached_property`` keeps a value
         kept = alloc.__dict__["_ownership"] = (inst, tuple(agents))
     if alpha is not None:
@@ -167,9 +156,9 @@ def prop1_ratio(inst: Instance, alloc: Allocation) -> Fraction:
     put n times its value at or above 1, so the ratio is the same.
     """
     worst: RatOrInf = INF
-    for _, total, held, best, _ in _scaled_agents(inst, alloc):
-        if total:
-            worst = min(worst, Fraction(held + best, total))
+    for _, weights, held, best, _ in _scaled_agents(inst, alloc):
+        if any(weights):
+            worst = min(worst, Fraction(held + best, sum(weights)))
     return Fraction(1) if worst == INF else min(Fraction(1), inst.n * worst)
 
 
@@ -194,10 +183,11 @@ def check_alpha_prop1(inst: Instance, alloc: Allocation, alpha: Fraction) -> Pro
     """alpha-PROP1: every agent holds everything, or some outside good g has
     v_i(A_i + g) >= alpha * v_i(G) / n.  The max-value outside good decides."""
     agents = []
-    for i, (_, total, held, best, witness) in enumerate(_scaled_agents(inst, alloc, alpha)):
+    for i, (_, weights, held, best, witness) in enumerate(_scaled_agents(inst, alloc, alpha)):
         if witness is None:
             agents.append(AgentProp1(i + 1, INF, "self", True))
             continue
+        total = sum(weights)
         value = INF if total == 0 else Fraction(held + best, total)
         ok = (held + best) * inst.n >= alpha * total
         agents.append(AgentProp1(i + 1, value, witness + 1, ok))
@@ -221,7 +211,7 @@ def check_alpha_ef1(inst: Instance, alloc: Allocation, alpha: Fraction) -> Ef1Ch
     bundles: list[list[int]] = [[] for _ in range(inst.n)]
     for t, owner in enumerate(alloc.owner):
         bundles[owner - 1].append(t)
-    for i, ((_, weights), (_, _, mine, _, _)) in enumerate(zip(inst.scaled, scaled)):
+    for i, (_, weights, mine, _, _) in enumerate(scaled):
         for j, goods in enumerate(bundles):
             if j != i and goods:
                 theirs = [weights[t] for t in goods]
@@ -243,14 +233,13 @@ class PropxCheck(NamedTuple):
 def check_alpha_propx(inst: Instance, alloc: Allocation, alpha: Fraction) -> PropxCheck:
     """alpha-PROPX: every agent holds everything, or even the least valuable
     outside good g satisfies v_i(A_i + g) >= alpha * v_i(G) / n."""
-    for agent, ((_, weights), (_, total, held, _, first)) in enumerate(
-            zip(inst.scaled, _scaled_agents(inst, alloc, alpha)), 1):
+    for agent, (_, weights, held, _, first) in enumerate(_scaled_agents(inst, alloc, alpha), 1):
         if first is None:
             continue
         least, witness = min(
             (w, t) for t, (w, o) in enumerate(zip(weights, alloc.owner)) if o != agent
         )
-        if (held + least) * inst.n < alpha * total:
+        if (held + least) * inst.n < alpha * sum(weights):
             return PropxCheck(False, PropxWitness(agent, witness + 1))
     return PropxCheck(True, None)
 

@@ -156,7 +156,7 @@ class TestGreedyScores:
     def test_choices_match_the_definitions(self, inst):
         for rule in ("greedy1", "greedy2", "greedy3"):
             allocator, owners = make_allocator(rule, inst.n), []
-            for t, column in enumerate(inst.columns(), 1):
+            for t, (column, _) in enumerate(inst.runs(), 1):
                 expected = _greedy_choice(rule, inst, owners, t)
                 owners.append(allocator.observe(column))
                 assert owners[-1] == expected, f"{rule} at t={t}"
@@ -234,7 +234,7 @@ class TestMivAllocator:
             inst = random_instance(rng, n, m, force_unit_max=True)
             allocator = MivAllocator(n)
             shadow = _ShadowMiv(n)
-            for column in inst.columns():
+            for column, _ in inst.runs():
                 shadow.observe(column)
                 candidates = shadow.candidates
                 chosen = allocator.observe(column)
@@ -448,7 +448,7 @@ class TestRobustify:
             inst = random_instance(rng, n, rng.randint(1, 12), force_unit_max=True)
             wrapped = RobustifiedAllocator(n, perfect_predictions(n))
             direct = MivAllocator(n)
-            for column in inst.columns():
+            for column, _ in inst.runs():
                 assert wrapped.observe(column) == direct.observe(column)
                 assert wrapped.seen_max == direct.seen_max
                 assert wrapped.phi == direct.phi
@@ -469,7 +469,7 @@ class TestRobustify:
             fast, listed = RobustifiedAllocator(n, pred), RefListRobustified(n, pred)
             assert fast._unit and not RobustifiedAllocator(n, Predictions((F(1),) * (n - 1) + (F(2),), eps))._unit
             inst = random_instance(rng, n, rng.randint(1, 25), rng.choice([10, 1000003]), trial % 3 != 0)
-            for column in inst.columns():
+            for column, _ in inst.runs():
                 assert fast.observe(column) == listed.observe(column)
                 assert (fast.seen_max, fast.state.rows) == (listed.seen_max, listed.state.rows)
             assert fast.potential_log == listed.potential_log

@@ -105,7 +105,7 @@ def test_checks_match_brute_force(data):
     assert ratio == (F(1) if worst == INF else min(F(1), inst.n * worst))
 
     state = Prop1State(inst.n)
-    for col, owner in zip(inst.columns(), alloc.owner):
+    for (col, _), owner in zip(inst.runs(), alloc.owner):
         state.arrive(col)
         state.assign(owner)
     assert ratio == state.ratio()

@@ -55,7 +55,6 @@ def test_an_instance_of_runs_reads_as_its_goods(case):
     kept, flat = instance_from_rows(rows, copies), instance_from_rows(expanded(rows, copies))
     assert kept == flat and flat == kept and hash(kept) == hash(flat)
     assert (kept.n, kept.m) == (flat.n, flat.m) == (n, sum(copies))
-    assert list(kept.columns()) == list(flat.columns())
     assert kept.values == flat.values
     assert kept.scaled == flat.scaled
     assert instance_to_json(kept) == instance_to_json(flat)
@@ -98,7 +97,9 @@ def test_a_split_run_names_its_first_outside_good():
         instance_from_rows([[F(1, 2)] * 4, [F(1)] * 4]), Allocation((1, 1, 2, 1)), F(1))
 
 
-@pytest.mark.parametrize("copies", [[0], [-1], [1.0], [True], ["2"]], ids=repr)
+@pytest.mark.parametrize("copies", [[0], [-1], [1.0], [True], ["2"], [0, 2], [2, -1]], ids=repr)
 def test_a_run_needs_a_positive_int_count(copies):
+    # ``Instance`` refuses the counts itself; (0, 2) adds up to as many goods as runs
+    rows = [[F(1)] * len(copies), [F(1, 2)] * len(copies)]
     with pytest.raises(DomainError, match="positive int count"):
-        instance_from_rows([[F(1)], [F(1)]], copies)
+        instance_from_rows(rows, copies)
