@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterator, Sequence
 
-from .core import Allocation, Instance, Predictions, _pair, _shown
+from .core import Allocation, Instance, Predictions, _pair, _shown, perfect_predictions
 from .errors import DomainError, InvariantError, PredictionContractError
 from .metrics import Prop1State
 
@@ -192,21 +192,33 @@ class RandAllocator(OnlineAllocator):
 
 
 class MivAllocator(OnlineAllocator):
-    """Potential-minimizing allocator for maximum-item-value (MIV) predictions.
+    """Potential-minimizing allocator for maximum-item-value (MIV) predictions
+    p_i with one-sided error epsilon.
 
-    Plain MIV predicts each agent's maximum single-good value as exactly 1,
-    its cap; a run met that contract exactly when every ``seen_max`` flag is
-    set.  Agent i's potential term x / ((n^2+n+1) x + n^2 y - 1), with
+    Without ``predictions`` every p_i is 1 and epsilon is 0: plain MIV
+    predicts each agent's maximum single-good value as exactly 1.  Agent i's
+    cap is its prediction p_i = a/b, so a raw value above it breaks the
+    contract and ``_validate`` raises ``PredictionContractError``.  ``state``
+    keeps the raw values; MIV reads agent i's value over p_i, the weight w b
+    over the scale S_i = L_i a, and its first max is the first good worth at
+    least (1 - epsilon) p_i.  So agent i's contract holds exactly when
+    ``seen_max[i]`` is set, and a run met it when every flag is.  If MIV
+    guarantees alpha-PROP1 under perfect predictions, this rule guarantees
+    beta-PROP1 under the raw valuations with
+    beta = alpha (1 - eps) / (1 - alpha eps / n).
+
+    Agent i's potential term x / ((n^2+n+1) x + n^2 y - 1), with
     x = 1/T and y = H/T, is 1/D for D = n^2+n+1 + n^2 H - T: T is the
     arrived total, padded by 1 until the agent's first max good, and H the
     held value without that good.  D starts at n^2+n and is kept as the
     integer N = D S over the agent's scale S (a row of ``state.rows``, so it
-    rescales with S), which makes the term phi = S/N; for plain MIV S is
-    the state's L.  A good of weight w (value c = w/S) lowers N by w and
-    would add c to H; an agent's first max, its first good with
-    c >= 1 - epsilon (``_first_max``; epsilon is 0 here, so with the cap
-    that is c = 1), only replaces the padding (N stays, c = 0).  Giving it to agent j lowers the summed
-    potential by n^2 c_j / (D_j (D_j + n^2 c_j)), which is n^2 times
+    rescales with S), which makes the term phi = S/N and N_i start at
+    (n^2+n) a; for plain MIV S is the state's L.  A good of weight w (value
+    c = w/S) lowers N by w and would add c to H; an agent's first max, its
+    first good with c >= 1 - epsilon (``_first_max``; for plain MIV, with the
+    cap, that is c = 1), only replaces the padding (N stays, c = 0).  Giving
+    it to agent j lowers the summed potential by
+    n^2 c_j / (D_j (D_j + n^2 c_j)), which is n^2 times
     w_j S_j / (N_j (N_j + n^2 w_j)); the largest drop wins, compared by
     cross-multiplying, ties to the lowest index.  Then N_j += n^2 w_j.
     Each step asserts three exact invariants (``InvariantError``): every
@@ -219,14 +231,16 @@ class MivAllocator(OnlineAllocator):
     catches a broken one.
     """
 
-    #: the first-max threshold 1 - epsilon as a pair (num, den)
-    _first_max = (1, 1)
-
-    def __init__(self, n: int):
+    def __init__(self, n: int, predictions: Predictions | None = None):
         super().__init__(n)
+        pred = perfect_predictions(n) if predictions is None else predictions
+        if n != pred.n:
+            raise DomainError(f"allocator handles {n} agents, predictions cover {pred.n}")
+        self._caps = [(p.numerator, p.denominator) for p in pred.p]
+        self._first_max = (1 - pred.epsilon).as_integer_ratio()  # the threshold 1 - epsilon as (num, den)
+        self._unit = set(self._caps) == {(1, 1)}
         self.seen_max = [False] * n  # whether each agent's first max good has arrived
-        self._caps = [(1, 1)] * n
-        self.N = [n * n + n] * n
+        self.N = [(n * n + n) * a for a, _ in self._caps]
         self.state.rows.append(self.N)
         self.potential = Fraction(1, n + 1)
         self.potential_log: list[Fraction] = [self.potential]
@@ -236,7 +250,11 @@ class MivAllocator(OnlineAllocator):
     ])
 
     def _choose(self, col: Sequence[tuple[int, int]]) -> int:
-        return self._step(self.state.col_w, self.state.scale)
+        s, caps = self.state, self._caps
+        if self._unit:  # every prediction is 1: MIV's own weights and scales
+            return self._step(s.col_w, s.scale)
+        return self._step([w * b for w, (_, b) in zip(s.col_w, caps)],
+                          [L * a for L, (a, _) in zip(s.scale, caps)])
 
     def _step(self, col_w: Sequence[int], scale: Sequence[int]) -> int:
         """Place the good of weights ``col_w`` over the scales S = ``scale``."""
@@ -277,38 +295,10 @@ class MivAllocator(OnlineAllocator):
 
 
 class RobustifiedAllocator(MivAllocator):
-    """MIV under predictions p_i with one-sided error epsilon.
-
-    Agent i's cap is its prediction p_i = a/b, so a raw value above it
-    breaks the contract and ``_validate`` raises ``PredictionContractError``.
-    ``state`` keeps the raw values; MIV reads agent i's value over p_i, the
-    weight w b over the scale S_i = L_i a, so N_i starts at (n^2+n) a, and
-    its first max is the first good worth at least (1 - epsilon) p_i.  So
-    agent i's contract holds exactly when ``seen_max[i]`` is set.  If MIV
-    guarantees alpha-PROP1 under perfect predictions, this rule guarantees
-    beta-PROP1 under the raw valuations with
-    beta = alpha (1 - eps) / (1 - alpha eps / n).
-    """
-
-    def __init__(self, n: int, predictions: Predictions):
-        super().__init__(n)
-        if n != predictions.n:
-            raise DomainError(f"allocator handles {n} agents, predictions cover {predictions.n}")
-        self._caps = [(p.numerator, p.denominator) for p in predictions.p]
-        self._first_max = (1 - predictions.epsilon).as_integer_ratio()
-        self._unit = set(self._caps) == {(1, 1)}
-        for i, (a, _) in enumerate(self._caps):
-            self.N[i] *= a
+    """``MivAllocator`` under a name of its own, whose ``observe`` is timed apart."""
 
     # bound in the class body, so perfbench/tracer.py can wrap it per class
     observe = OnlineAllocator.observe
-
-    def _choose(self, col: Sequence[tuple[int, int]]) -> int:
-        s, caps = self.state, self._caps
-        if self._unit:  # every prediction is 1: MIV's own weights and scales
-            return self._step(s.col_w, s.scale)
-        return self._step([w * b for w, (_, b) in zip(s.col_w, caps)],
-                          [L * a for L, (a, _) in zip(s.scale, caps)])
 
 
 #: The one registry of rule names, shared by the CLI and the campaign harness.

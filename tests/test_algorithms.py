@@ -537,6 +537,23 @@ class TestRobustify:
         with pytest.raises(DomainError):
             Predictions((F(1), F(1)), F(3, 2))
 
+    def test_the_wrapper_is_miv_under_another_name(self):
+        """``MivAllocator`` takes the predictions itself: the wrapper with
+        predictions runs as MIV with them, and without them as plain MIV."""
+        rng = random.Random(37)
+        for trial in range(12):
+            n, eps = rng.choice([2, 3, 4]), rng.choice([F(0), F(1, 4)])
+            inst, pred = _contract_instance(rng, n, rng.randint(1, 15), eps)
+            plain = random_instance(rng, n, rng.randint(1, 15), force_unit_max=trial % 2 == 0)
+            for direct, wrapped, inst in [(MivAllocator(n, pred), RobustifiedAllocator(n, pred), inst),
+                                          (MivAllocator(n), RobustifiedAllocator(n), plain)]:
+                a, b = run(direct, inst), run(wrapped, inst)
+                assert (a.owners, a.potential) == (b.owners, b.potential)
+                assert (direct.seen_max, direct.state.rows) == (wrapped.seen_max, wrapped.state.rows)
+        assert MivAllocator(2)._caps == [(1, 1)] * 2 and MivAllocator(2)._first_max == (1, 1)
+        with pytest.raises(DomainError, match="^allocator handles 2 agents, predictions cover 3$"):
+            MivAllocator(2, perfect_predictions(3))
+
 
 def _snapshot(allocator):
     """Everything a placement changes: the state rows, the log, the flags

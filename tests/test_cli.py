@@ -767,8 +767,15 @@ class TestOracleCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["prop1_ratio"] == "1"
 
-    def test_missing_arguments(self, capsys):
-        assert main(["oracle", "--op", "rand-alpha"]) == 1
+    @pytest.mark.parametrize("op, needs", [
+        ("rand-alpha", "--n and --delta"),
+        ("bernstein", "either --n/--delta or all of --variance-bound/--term-bound/--deviation"),
+        ("moments", "--instance and --agent"),
+        ("best-alloc", "--instance"),
+    ])
+    def test_missing_arguments(self, op, needs, capsys):
+        assert main(["oracle", "--op", op]) == 1
+        assert capsys.readouterr().err == f"fairdiv: error: {op} needs {needs}\n"
 
 
 class TestMonteCarloCommand:

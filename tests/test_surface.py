@@ -27,6 +27,9 @@ every construction streams its schedule through ``run_adaptive``, and a
 twelfth keeps ``format_rational`` out of ``cli.py``, so the text of a
 rational is decided in ``core``, and a thirteenth keeps the texts of the
 one cell check, ``core._pair``, in ``core.py``, so no module copies it.
+A fourteenth keeps a class's ``__init__`` from assigning a field that an
+ancestor's ``__init__`` in ``src/fairdiv`` already assigns, so no subclass
+builds its base's state and then overwrites it.
 """
 
 import ast
@@ -285,3 +288,68 @@ def test_only_core_checks_a_cell():
         for text in ("non-exact valuation", "negative valuation")
     }
     assert found == {"non-exact valuation": ["core.py"], "negative valuation": ["core.py"]}, found
+
+
+def _init_fields(cls):
+    """The fields ``cls.__init__`` assigns as ``self.<field>``, with their lines."""
+    init = next((item for item in cls.body if isinstance(item, ast.FunctionDef) and item.name == "__init__"), None)
+    return {} if init is None else {
+        target.attr: target.lineno
+        for node in ast.walk(init)
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in _unpacked(getattr(node, "targets", [getattr(node, "target", None)]))
+        if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) and target.value.id == "self"
+    }
+
+
+def _unpacked(targets):
+    """Each target an assignment binds, with tuple and list targets unpacked
+    (a subscript's or an attribute's own value is not a target)."""
+    for target in targets:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            yield from _unpacked(target.elts)
+        else:
+            yield target
+
+
+def reassigned_fields(sources):
+    """``file:line Class.field`` for each field that a class's ``__init__``
+    assigns when an ancestor's ``__init__`` among ``sources`` (name, text)
+    already does."""
+    classes = {
+        node.name: (name, node)
+        for name, text in sources
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def ancestors(cls):
+        for base in cls.bases:
+            name = getattr(base, "id", None) or getattr(base, "attr", None)
+            if name in classes:
+                yield classes[name][1]
+                yield from ancestors(classes[name][1])
+
+    return [
+        f"{name}:{line} {cls.name}.{field}"
+        for name, cls in classes.values()
+        for field, line in _init_fields(cls).items()
+        if any(field in _init_fields(base) for base in ancestors(cls))
+    ]
+
+
+def test_no_init_overwrites_an_ancestors_field():
+    """A rule's state is built once, by the one ``__init__`` that owns it: a
+    subclass that needs other data passes it to its base instead of
+    assigning the base's fields again."""
+    sources = [(path.name, path.read_text(encoding="utf-8"))
+               for path in sorted((ROOT / "src" / "fairdiv").glob("*.py"))]
+    found = reassigned_fields(sources)
+    assert not found, "__init__ assigns a field an ancestor's __init__ assigns: " + ", ".join(found)
+
+
+def test_the_init_rule_sees_through_modules_and_unpacking():
+    base = "class Base:\n    def __init__(self):\n        self.a, self.b = 1, 2\n        self.c = [0]\n"
+    sub = ("import base\nclass Sub(base.Base):\n    def __init__(self):\n        super().__init__()\n"
+           "        self.c[0] = 1\n        self.d = 2\n        self.b: list = []\n")
+    assert reassigned_fields([("base.py", base), ("sub.py", sub)]) == ["sub.py:7 Sub.b"]
