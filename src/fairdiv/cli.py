@@ -9,7 +9,6 @@ so identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from functools import cache
@@ -19,7 +18,8 @@ from . import harness, metrics, oracles
 from .algorithms import ALLOCATORS, RobustifiedAllocator, make_allocator, run
 from .core import (
     Predictions,
-    _dumps,
+    _Encoded,
+    _pieces,
     _reading,
     _shown,
     format_ratio,
@@ -72,15 +72,16 @@ def _seed(text: str) -> int:
     return value
 
 
-def _write(path: str | None, payload: str) -> None:
-    """The one place an output file is opened: UTF-8, line endings as built.
-    A write that fails, to standard output too, is a ``FairdivError``."""
+def _write(path: str | None, payload) -> None:
+    """The one place an output file is opened: UTF-8, line endings as built, only once ``payload``
+    (a str, or a payload for ``_pieces``) is encoded, in unjoined pieces.  A failed write is a ``FairdivError``."""
+    pieces = [payload] if isinstance(payload, str) else _pieces(payload)
     try:
         if path is not None:
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(payload)
+                fh.writelines(pieces)
             return
-        sys.stdout.write(payload)
+        sys.stdout.writelines(pieces)
         sys.stdout.flush()  # here, not at exit, where a failure is no longer caught
     except OSError as exc:
         raise FairdivError(f"cannot write {'standard output' if path is None else path}: {exc}") from None
@@ -173,7 +174,7 @@ def _cmd_metrics(args) -> int:
         mms = metrics.check_alpha_mms(inst, alloc, alpha)
         payload["mms"] = {"ratio": mms.ratio, "satisfied_at_alpha": mms.satisfied, "per_agent": mms.mms,
                           "violating_agent": mms.witness}
-    _write(args.out, _dumps(payload))
+    _write(args.out, payload)
     return 0
 
 
@@ -193,15 +194,14 @@ def _make_allocator(args, n: int):
 
 
 def _trace_payload(trace) -> dict:
-    """The owners and each agent's running values; a value that holds still
-    along a run is written once and shared by its goods."""
-    alpha = []
-    for i in range(trace.state.n):
+    """The owners and each agent's running values, a row built as it is
+    written; a value that holds still along a run is shared by its goods."""
+    def alpha(i: int) -> list[str]:
         row: list[str] = []
         for nums, dens, k in trace.alpha(i):
             row += map(format_ratio, nums, dens) if len(nums) == k else [format_ratio(nums[0], dens[0])] * k
-        alpha.append(row)
-    payload = {"owners": trace.owners, "alpha": alpha}
+        return row
+    payload = {"owners": trace.owners, "alpha": map(alpha, range(trace.state.n))}
     if trace.potential is not None:
         payload["phi_total"] = trace.potential
     return payload
@@ -216,7 +216,7 @@ def _cmd_run(args) -> int:
     payload["algo"] = args.algo
     if args.algo == "miv":  # the 1/n-PROP1 guarantee rests on this contract
         payload["prediction_contract_met"] = all(allocator.seen_max)
-    _write(args.out, _dumps(payload))
+    _write(args.out, payload)
     return 0
 
 
@@ -228,14 +228,14 @@ def _cmd_adversary(args) -> int:
     payload = {
         "target": args.target,
         "alpha": args.alpha,
-        "instance": json.loads(instance_to_json(inst)),
+        "instance": _Encoded(instance_to_json(inst)),
         "trace": _trace_payload(result.trace),
         "achieved_prop1_ratio": result.achieved_ratio,
         "steps": inst.m,
         "target_reached": result.target_reached,
         **result.fields,
     }
-    _write(args.out, _dumps(payload))
+    _write(args.out, payload)
     return 0
 
 
@@ -276,7 +276,7 @@ def _cmd_oracle(args) -> int:
             raise FairdivError("best-alloc needs --instance")
         alloc, ratio = oracles.best_allocation_search(load_instance(args.instance))
         payload = {"owner": list(alloc.owner), "prop1_ratio": ratio}
-    _write(args.out, _dumps({"op": args.op, **payload}))
+    _write(args.out, {"op": args.op, **payload})
     return 0
 
 
@@ -286,7 +286,7 @@ def _cmd_montecarlo(args) -> int:
         raise FairdivError(f"--n {args.n} does not match the instance's {inst.n} agents")
     report = harness.montecarlo_rand(inst, args.delta, args.trials, args.seed)
     within_delta = report.empirical_failure_rate <= report.delta
-    _write(args.out, _dumps({**report._asdict(), "within_delta": within_delta}))
+    _write(args.out, {**report._asdict(), "within_delta": within_delta})
     return 0
 
 

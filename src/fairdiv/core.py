@@ -8,7 +8,7 @@ on it).  Agents are indexed 1..n and goods 1..m in arrival order, both in
 files and in every public structure.
 
 Files go through one reader (``_reading``, which reads JSON integers as
-ints) and one writer (``_dumps``, the bytes ``json.dumps(indent=2,
+ints) and one writer (``_pieces``, the bytes ``json.dumps(indent=2,
 sort_keys=True)`` would give, without json's pure-Python encoder, and each
 Fraction, Decimal and ``INF`` as its ``format_rational`` string).  A cell is
 checked once, where it enters: by ``instance_from_rows`` in code, or by
@@ -27,7 +27,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import DomainError, FairdivError, ParseError
 
@@ -195,9 +195,9 @@ class Instance(_Frozen):
     the cells.  The goods come in runs of equal goods: a row holds one reduced
     pair (p, q), q > 0, per run, one shared tuple per distinct value, and run
     r has ``copies[r]`` goods, a positive int (default 1 each).  ``values``
-    (one Fraction per distinct pair) and ``scaled`` (each row as integers over
-    one scale) have one entry per good, ``runs`` one per run.  Instances are
-    immutable, and equal when their values are, however the runs are cut.
+    and ``scaled`` (each row as integers over one scale) have one entry per
+    good, ``runs`` and ``scaled_runs`` one per run.  Instances are immutable,
+    and equal when their values are, however the runs are cut.
     """
 
     def __init__(self, rows: Sequence[tuple[tuple[int, int], ...]], copies: Sequence[int] | None = None, /):
@@ -248,16 +248,21 @@ class Instance(_Frozen):
         return tuple(self._expand(tuple(map(shared.__getitem__, row))) for row in self._rows)
 
     @cached_property
-    def scaled(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Per agent, (L, the row times L as integers, one per good), L the lcm
+    def scaled_runs(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Per agent, (L, the row times L as integers, one per run), L the lcm
         of the row's denominators; each distinct pair of a row is weighed once."""
         out = []
         for row in self._rows:
             distinct = set(row)
             scale = math.lcm(*(q for _, q in distinct))
             weight = {pair: pair[0] * (scale // pair[1]) for pair in distinct}
-            out.append((scale, self._expand(tuple(map(weight.__getitem__, row)))))
+            out.append((scale, tuple(map(weight.__getitem__, row))))
         return tuple(out)
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """``scaled_runs`` with one weight per good: the same tuple when every run is one good."""
+        return tuple((s, self._expand(w)) for s, w in self.scaled_runs) if self._long_runs else self.scaled_runs
 
     def runs(self) -> Iterable[tuple[tuple[tuple[int, int], ...], int]]:
         """(column of pairs, copies) per run, in arrival order."""
@@ -343,6 +348,11 @@ def perfect_predictions(n: int) -> Predictions:
 # ---------------------------------------------------------------------------
 
 
+class _Encoded(NamedTuple):
+    """JSON text as ``_pieces`` writes it, which ``_encode`` embeds re-indented, unparsed."""
+    text: str
+
+
 def _encode(value, indent: str, out: list[str]) -> None:
     """Append ``value`` to ``out`` as ``json.dumps(indent=2, sort_keys=True)``
     writes it at ``indent``.
@@ -350,9 +360,10 @@ def _encode(value, indent: str, out: list[str]) -> None:
     That call runs on json's pure-Python encoder, because of ``indent``.
     Dicts (str keys, sorted), lists, tuples, str, int, bool and None are
     written here, and a Fraction, a Decimal or ``INF`` as the JSON string of
-    ``format_rational``; any other value as ``json.dumps(value)`` writes it,
+    ``format_rational``, a ``map`` as its list, one item alive at a time, and
+    ``_Encoded`` text as it is; any other value as ``json.dumps(value)`` does,
     so an object json cannot write is refused with its ``TypeError``.  All
-    pieces go to one list, joined once, so no level copies the one below.
+    pieces go to one list, so no level copies the one below.
     """
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
@@ -374,9 +385,13 @@ def _encode(value, indent: str, out: list[str]) -> None:
             _encode(value[k], inner, out)
             sep = ",\n" + inner
         out.append(f"\n{indent}}}")
-    elif isinstance(value, (list, tuple)) and value:
+    elif type(value) is _Encoded:  # its lines indented here, less its final newline
+        out.append(value.text[:-1].replace("\n", "\n" + indent))
+    elif isinstance(value, (list, tuple, map)):
         inner = indent + "  "
-        kinds = set(map(type, value))
+        kinds = () if type(value) is map else set(map(type, value))
+        if kinds == {Fraction}:  # a row of potentials: the row of their texts
+            value, kinds = list(map(format_rational, value)), {str}
         if kinds == {str} or kinds == {int}:  # a row of rationals or of owners: one piece
             texts = map(encode_basestring_ascii if kinds == {str} else int.__repr__, value)
             out += (f"[\n{inner}", f",\n{inner}".join(texts), f"\n{indent}]")
@@ -386,19 +401,23 @@ def _encode(value, indent: str, out: list[str]) -> None:
             out.append(sep)
             _encode(v, inner, out)
             sep = ",\n" + inner
-        out.append(f"\n{indent}]")
-    elif isinstance(value, (dict, list, tuple)):
-        out.append("{}" if isinstance(value, dict) else "[]")
+        out.append("[]" if sep[0] == "[" else f"\n{indent}]")  # "[]" when nothing came
+    elif isinstance(value, dict):
+        out.append("{}")
     else:
         out.append(json.dumps(value))
 
 
-def _dumps(payload: dict) -> str:
-    """The one writer: ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline."""
-    out: list[str] = []
-    _encode(payload, "", out)
+def _pieces(payload) -> list[str]:
+    """The one writer: ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, in pieces."""
+    _encode(payload, "", out := [])
     out.append("\n")
-    return "".join(out)
+    return out
+
+
+def _dumps(payload) -> str:
+    """``_pieces`` joined."""
+    return "".join(_pieces(payload))
 
 
 def _as_int(value, what: str) -> int:

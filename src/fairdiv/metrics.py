@@ -11,18 +11,19 @@ definition.  Conventions shared by all checks:
   notions are monotone in the witness value, so the extreme good decides.
 
 The checks read each agent's row scaled to integers (``Instance.scaled``), so
-bundles sum without Fractions.  Their ownership pass (each agent's bundle
-weight, best outside weight and witness) runs once per (instance,
-allocation) pair and is kept on the allocation, so ``prop1_ratio`` and the
-``check_alpha_*`` checks of one report share it; each check still validates
-its own alpha.  ``Prop1State``, the online running state of allocators and
-traces, keeps integers too, scaled per agent as goods arrive.
+bundles sum without Fractions.  Their ownership pass (each agent's total,
+bundle weight, best outside weight and witness) takes a run of goods with one
+owner in one step, runs once per (instance, allocation) pair and is kept on
+the allocation, so ``prop1_ratio`` and the ``check_alpha_*`` checks of one
+report share it; each check validates its own alpha.  ``Prop1State``, the
+running state of allocators and traces, keeps integers too, scaled per agent.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from typing import NamedTuple, Sequence
 
@@ -121,7 +122,7 @@ def _check_alpha(alpha: Fraction) -> None:
 
 def _scaled_agents(inst: Instance, alloc: Allocation, alpha: Fraction | None = None) -> tuple[tuple, ...]:
     """Per agent, after validating ``alloc`` and then ``alpha`` (when given):
-    (L, weights, bundle weight, best outside weight, that good's earliest
+    (L, total weight, bundle weight, best outside weight, that good's earliest
     0-based index or None if the agent holds every good).  The first outside
     good is the witness even if worth 0.
 
@@ -133,15 +134,26 @@ def _scaled_agents(inst: Instance, alloc: Allocation, alpha: Fraction | None = N
     kept = alloc.__dict__.get("_ownership")
     if kept is None or kept[0] is not inst:
         check_allocation(inst, alloc)
+        rows, runs, starts, owners = inst.scaled_runs, inst._long_runs, range(inst.m), alloc.owner
+        if runs:  # a step per run, unless a run is split between owners
+            first = list(accumulate(inst.copies, initial=0))[:-1]
+            if inst._expand(by_run := [owners[t] for t in first]) == owners:
+                starts, owners = first, by_run
+            else:
+                rows, runs = inst.scaled, ()
         agents = []
-        for i, (scale, weights) in enumerate(inst.scaled):
+        for me, (scale, weights) in enumerate(rows, 1):
             held, best, witness = 0, 0, None
-            for t, (w, owner) in enumerate(zip(weights, alloc.owner)):
-                if owner == i + 1:
+            for t, owner, w in zip(starts, owners, weights):
+                if owner == me:
                     held += w
                 elif witness is None or w > best:
                     best, witness = w, t
-            agents.append((scale, weights, held, best, witness))
+            total = sum(weights)
+            for r, k in runs:  # a run's goods after its first
+                total += (k - 1) * weights[r]
+                held += (k - 1) * weights[r] if owners[r] == me else 0
+            agents.append((scale, total, held, best, witness))
         # ``Allocation`` is frozen: kept the way ``cached_property`` keeps a value
         kept = alloc.__dict__["_ownership"] = (inst, tuple(agents))
     if alpha is not None:
@@ -156,9 +168,9 @@ def prop1_ratio(inst: Instance, alloc: Allocation) -> Fraction:
     put n times its value at or above 1, so the ratio is the same.
     """
     worst: RatOrInf = INF
-    for _, weights, held, best, _ in _scaled_agents(inst, alloc):
-        if any(weights):
-            worst = min(worst, Fraction(held + best, sum(weights)))
+    for _, total, held, best, _ in _scaled_agents(inst, alloc):
+        if total:
+            worst = min(worst, Fraction(held + best, total))
     return Fraction(1) if worst == INF else min(Fraction(1), inst.n * worst)
 
 
@@ -183,11 +195,10 @@ def check_alpha_prop1(inst: Instance, alloc: Allocation, alpha: Fraction) -> Pro
     """alpha-PROP1: every agent holds everything, or some outside good g has
     v_i(A_i + g) >= alpha * v_i(G) / n.  The max-value outside good decides."""
     agents = []
-    for i, (_, weights, held, best, witness) in enumerate(_scaled_agents(inst, alloc, alpha)):
+    for i, (_, total, held, best, witness) in enumerate(_scaled_agents(inst, alloc, alpha)):
         if witness is None:
             agents.append(AgentProp1(i + 1, INF, "self", True))
             continue
-        total = sum(weights)
         value = INF if total == 0 else Fraction(held + best, total)
         ok = (held + best) * inst.n >= alpha * total
         agents.append(AgentProp1(i + 1, value, witness + 1, ok))
@@ -211,7 +222,7 @@ def check_alpha_ef1(inst: Instance, alloc: Allocation, alpha: Fraction) -> Ef1Ch
     bundles: list[list[int]] = [[] for _ in range(inst.n)]
     for t, owner in enumerate(alloc.owner):
         bundles[owner - 1].append(t)
-    for i, (_, weights, mine, _, _) in enumerate(scaled):
+    for i, ((_, _, mine, _, _), (_, weights)) in enumerate(zip(scaled, inst.scaled)):
         for j, goods in enumerate(bundles):
             if j != i and goods:
                 theirs = [weights[t] for t in goods]
@@ -233,13 +244,13 @@ class PropxCheck(NamedTuple):
 def check_alpha_propx(inst: Instance, alloc: Allocation, alpha: Fraction) -> PropxCheck:
     """alpha-PROPX: every agent holds everything, or even the least valuable
     outside good g satisfies v_i(A_i + g) >= alpha * v_i(G) / n."""
-    for agent, (_, weights, held, _, first) in enumerate(_scaled_agents(inst, alloc, alpha), 1):
+    for agent, (_, total, held, _, first) in enumerate(_scaled_agents(inst, alloc, alpha), 1):
         if first is None:
             continue
         least, witness = min(
-            (w, t) for t, (w, o) in enumerate(zip(weights, alloc.owner)) if o != agent
+            (w, t) for t, (w, o) in enumerate(zip(inst.scaled[agent - 1][1], alloc.owner)) if o != agent
         )
-        if (held + least) * inst.n < alpha * sum(weights):
+        if (held + least) * inst.n < alpha * total:
             return PropxCheck(False, PropxWitness(agent, witness + 1))
     return PropxCheck(True, None)
 

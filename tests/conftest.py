@@ -1,6 +1,6 @@
 """Shared helpers for the test suite, the definition-level references
-(``alpha_it``, ``bundle_value``, ``mms_labeled_reference``,
-``load_instance_reference``, ``instance_from_rows_reference``,
+(``alpha_it``, ``bundle_value``, ``ownership_reference``,
+``mms_labeled_reference``, ``load_instance_reference``, ``instance_from_rows_reference``,
 ``instance_to_json_reference``, the ``Fraction`` allocators
 ``REF_ALLOCATORS``, the ``Fraction`` greedy3 schedule
 ``RefGreedy3Adversary``, the greedy1 and greedy2 constructions as fixed
@@ -164,6 +164,21 @@ def alpha_it(inst: Instance, owner, agent: int, t: int):
     if total == 0:
         return INF
     return (held + outside) / total
+
+
+def ownership_reference(inst: Instance, owner, agent: int) -> tuple:
+    """The offline checks' ownership pass by definition, good by good on
+    ``inst.values``: (v_i(G), v_i(A_i), the best outside value, the earliest
+    0-based good of that value, or None when the agent holds every good).
+    The first outside good is the witness even if worth 0."""
+    total, held, best, witness = Fraction(0), Fraction(0), Fraction(0), None
+    for t, (v, o) in enumerate(zip(inst.values[agent - 1], owner)):
+        total += v
+        if o == agent:
+            held += v
+        elif witness is None or v > best:
+            best, witness = v, t
+    return total, held, best, witness
 
 
 def alpha_weights(trace, agent: int) -> tuple[tuple, tuple]:

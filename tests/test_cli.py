@@ -429,6 +429,25 @@ class TestRunCommand:
             "", "fairdiv: error: rational too long to write: an integer over 4300 digits\n"
         )
 
+    @pytest.mark.parametrize("command", ["run-miv", "adversary-too-long-to-write"])
+    @pytest.mark.parametrize("before", [None, b"kept"], ids=["absent", "present"])
+    def test_a_payload_too_long_to_write_leaves_the_out_file_as_it_was(
+            self, command, before, tmp_path, capsys, monkeypatch):
+        # the payload is encoded whole before the file is opened
+        monkeypatch.setattr(core, "WRITE_DIGITS", 4300)
+        p, q = 10**2200 + 1, 10**2200 + 3
+        inst, out = tmp_path / "i.json", tmp_path / "out.json"
+        inst.write_text(json.dumps({"values": [["1", f"1/{p}"], [f"1/{q}", "1"]]}), encoding="utf-8")
+        if before is not None:
+            out.write_bytes(before)
+        argv = {"run-miv": ["run", "--algo", "miv", "--instance", str(inst)],
+                "adversary-too-long-to-write": ["adversary", "--target", "miv-impossibility", "--n", "2",
+                                                "--alpha", "1/700", "--allocator", "greedy1"]}[command]
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fairdiv: error: ")
+        assert (out.read_bytes() if out.exists() else None) == before
+
     def test_a_potential_past_the_digit_limit_is_written(self, tmp_path):
         """Wide denominators: MIV's summed potential outgrows Python's
         int-to-str digit limit (4300 digits) and is written in pieces."""
@@ -1065,15 +1084,34 @@ def test_each_payload_is_written_as_json_dumps_writes_it(argv, inst_file, tmp_pa
     alloc.write_text('{"owner": [1, 1, 1]}', encoding="utf-8")
     payloads = []
 
-    def keep(payload):
-        payloads.append(payload)
-        return cli_dumps(payload)
+    def keep(path, payload):
+        payloads.append(_listed(payload))
+        cli_write(path, payload)
 
-    cli_dumps = cli._dumps
-    monkeypatch.setattr(cli, "_dumps", keep)
+    cli_write = cli._write
+    monkeypatch.setattr(cli, "_write", keep)
     assert main([arg.format(inst=inst_file, alloc=alloc) for arg in argv]) == 0
     (payload,) = payloads
     assert capsys.readouterr().out == json.dumps(_rationals_written(payload), indent=2, sort_keys=True) + "\n"
+
+
+def _listed(value):
+    """``value`` as json can write it: each lazy ``map`` of rows listed (a new
+    ``map`` over the same rows is left in its place for the writer) and each
+    embedded ``core._Encoded`` text parsed."""
+    if isinstance(value, dict):
+        out = {}
+        for k, v in value.items():
+            if isinstance(v, map):
+                v = list(v)
+                value[k] = map(list, v)
+            out[k] = _listed(v)
+        return out
+    if isinstance(value, core._Encoded):
+        return json.loads(value.text)
+    if isinstance(value, (list, tuple)):
+        return [_listed(v) for v in value]
+    return value
 
 
 def _rationals_written(value):

@@ -27,7 +27,8 @@ from fairdiv import (
 from fairdiv.cli import main
 from fairdiv import core
 from fairdiv.core import (
-    WRITE_DIGITS, _dumps, _literal_pair, _reading, _shown, check_allocation, format_ratio, instance_to_json,
+    WRITE_DIGITS, _dumps, _Encoded, _literal_pair, _reading, _shown, check_allocation, format_ratio,
+    instance_to_json,
 )
 from conftest import (
     check_predictions, instance_from_rows_reference, instance_to_json_reference, load_instance_reference,
@@ -637,12 +638,23 @@ json_rows = st.one_of(
 )
 
 
+def _inf_as_written(value):
+    """``value`` with each float +inf as the writer writes ``INF``, the string "inf"."""
+    if isinstance(value, float) and value == math.inf:
+        return "inf"
+    if isinstance(value, dict):
+        return {k: _inf_as_written(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_inf_as_written(v) for v in value]
+    return value
+
+
 class TestWriter:
     """``_dumps`` against the json call whose bytes it keeps."""
 
     @given(st.dictionaries(json_strings, st.one_of(json_values, json_rows), max_size=3))
     def test_writes_what_json_dumps_writes(self, payload):
-        assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert _dumps(payload) == json.dumps(_inf_as_written(payload), indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize(
         "payload",
@@ -651,6 +663,16 @@ class TestWriter:
     )
     def test_empty_and_nested_empty_containers(self, payload):
         assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @given(st.lists(st.one_of(json_rows, st.lists(st.fractions(), max_size=20)), max_size=4), json_values)
+    def test_a_map_and_an_encoded_text_are_written_as_what_they_hold(self, rows, value):
+        """A ``map`` is written as the list of what it yields (a row of
+        Fractions in one piece, as a row of strs), and an ``_Encoded`` text
+        as the value it encodes, its lines re-indented."""
+        payload = {"rows": map(list, rows), "text": [_Encoded(_dumps(value))]}
+        written = {"rows": [[format_rational(v) if type(v) is F else v for v in row] for row in rows],
+                   "text": [json.loads(_dumps(value))]}
+        assert _dumps(payload) == json.dumps(written, indent=2, sort_keys=True) + "\n"
 
     def test_a_value_json_cannot_write_is_refused_as_json_refuses_it(self):
         """A Fraction, a Decimal and ``INF`` are the writer's own: each is the

@@ -142,7 +142,7 @@ def test_every_rule_matches_the_fraction_reference(case, seed):
     assert list(trace.owners) == owners
     assert [list(row) for row in running_values(trace)] == alpha
     payload = _trace_payload(trace)
-    assert payload["alpha"] == [[format_rational(v) for v in row] for row in alpha]
+    assert [list(r) for r in payload["alpha"]] == [[format_rational(v) for v in row] for row in alpha]
     if ref.potential_log is None:
         assert "phi_total" not in payload
     else:

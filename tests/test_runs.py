@@ -27,8 +27,9 @@ from fairdiv import (
     run,
 )
 from fairdiv.core import instance_to_json
+from fairdiv.metrics import _scaled_agents
 
-from conftest import running_values, trace_fields
+from conftest import ownership_reference, running_values, trace_fields
 
 F = Fraction
 VALUES = st.sampled_from([F(0), F(0), F(1), F(1, 2), F(1, 3), F(2, 3), F(3, 4), F(1, 6)])
@@ -85,6 +86,46 @@ def test_a_rule_records_runs_as_their_goods(case, rule, seed):
     assert trace_fields(first) == trace_fields(second)
     assert running_values(first) == running_values(second)
     assert prop1_ratio(kept, first.allocation) == prop1_ratio(flat, second.allocation)
+
+
+@st.composite
+def run_owners(draw, n, copies):
+    """Owners per good: each run whole to one agent, or, as MIV and rand place
+    a run good by good, changing inside it; or every good to one agent."""
+    if draw(st.integers(0, 5)) == 0:
+        return (draw(st.integers(1, n)),) * sum(copies)
+    owner = []
+    for k in copies:
+        if draw(st.booleans()):
+            owner += [draw(st.integers(1, n))] * k
+        else:
+            owner += draw(st.lists(st.integers(1, n), min_size=k, max_size=k))
+    return tuple(owner)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_the_ownership_pass_over_runs_matches_the_definition(n, data):
+    count = data.draw(st.integers(0, 8))
+    rows = [[data.draw(VALUES) for _ in range(count)] for _ in range(n)]
+    copies = [data.draw(st.integers(1, 6)) for _ in range(count)]
+    inst = instance_from_rows(rows, copies)
+    owner = data.draw(run_owners(n, copies))
+    assert inst.scaled == tuple((scale, tuple(expanded([row], copies)[0])) for scale, row in inst.scaled_runs)
+    for agent, (scale, total, held, best, witness) in enumerate(_scaled_agents(inst, Allocation(owner)), 1):
+        assert (F(total, scale), F(held, scale), F(best, scale), witness) == ownership_reference(inst, owner, agent)
+
+
+@pytest.mark.parametrize("owner, witnesses", [
+    ((1, 1, 1, 2, 2, 2, 2), [(2, 3), (1, 2)]),  # agent 1's best outside goods tie from inside a split run
+    ((1, 1, 2, 2, 2, 2, 2), [(2, 2), (0, 0)]),  # agent 2's first outside good is the witness at weight 0
+    ((2, 2, 2, 2, 2, 2, 2), [(2, 2), (0, None)]),  # agent 2 holds every good
+])
+def test_the_ownership_pass_takes_the_earliest_outside_good(owner, witnesses):
+    inst = instance_from_rows([[F(1, 2), F(1), F(1)], [F(0), F(1), F(1)]], [2, 3, 2])
+    agents = _scaled_agents(inst, Allocation(owner))
+    assert [a[3:] for a in agents] == witnesses
+    assert [ownership_reference(inst, owner, i)[3] for i in (1, 2)] == [w for _, w in witnesses]
 
 
 def test_a_split_run_names_its_first_outside_good():
